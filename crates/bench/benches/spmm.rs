@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the batched multi-vector kernels:
-//! one fused `spmm` against k independent `spmv` passes, for the tuned
-//! formats (CSR, ELL, SELL-C-σ) and one fallback format (COO) as the
-//! ~1.0× control.
+//! one `spmm` against k independent `spmv` passes, for formats with a
+//! panel kernel (CSR, ELL, SELL-C-σ) and one default-loop format (COO)
+//! as the ~1.0× control.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use spmv_formats::{build_format, FormatKind};

@@ -15,6 +15,7 @@
 pub mod args;
 pub mod figures;
 pub mod grouping;
+pub mod report;
 pub mod validation;
 
 pub use args::RunConfig;

@@ -72,7 +72,8 @@ use shard::{CachedFormat, Lookup};
 use spmv_analysis::{FormatSelector, SelectorFeatures};
 use spmv_core::{CsrMatrix, FeatureSet};
 use spmv_devices::{device_by_name, DeviceSpec};
-use spmv_formats::{build_with_fallback_profile, FormatKind, LaneProfile};
+use spmv_formats::kernels::panel;
+use spmv_formats::{build_with_fallback_profile, FormatKind, LaneProfile, LaneWidth};
 use spmv_parallel::sync::{AtomicU64, AtomicUsize, Ordering};
 use spmv_parallel::{Executor, PoolStats, Schedule, ThreadPool};
 use std::sync::Arc;
@@ -755,6 +756,10 @@ impl Engine {
     /// major right-hand sides, see
     /// [`spmv_formats::SparseFormat::spmm`]); returns the format that
     /// ran. `y` is fully overwritten.
+    ///
+    /// # Panics
+    /// Panics, before the request is counted, unless `x` holds
+    /// `cols · k` and `y` holds `rows · k` values.
     pub fn spmm(
         &self,
         id: &str,
@@ -763,18 +768,17 @@ impl Engine {
         k: usize,
         y: &mut [f64],
     ) -> FormatKind {
+        assert_eq!(x.len(), csr.cols() * k, "x must be a column-major cols × k block");
+        assert_eq!(y.len(), csr.rows() * k, "y must be a column-major rows × k block");
         match self.serve(id, csr) {
             Served::Selected(fmt, kind) => {
                 fmt.spmm(x, k, y);
                 kind
             }
             Served::CsrPath => {
-                for j in 0..k {
-                    csr.spmv_into(
-                        &x[j * csr.cols()..(j + 1) * csr.cols()],
-                        &mut y[j * csr.rows()..(j + 1) * csr.rows()],
-                    );
-                }
+                // W1 is the summation order of `spmv_into`, the CSR
+                // path's `spmv`.
+                panel::csr_spmm(LaneWidth::W1, csr, x, k, y);
                 FormatKind::NaiveCsr
             }
         }
@@ -1073,6 +1077,32 @@ mod tests {
                 "column {j}"
             );
         }
+    }
+
+    #[test]
+    fn spmm_on_the_csr_path_equals_k_csr_spmvs_bitwise_and_checks_dimensions() {
+        // max_in_flight 0: no flight is ever scheduled, so every
+        // request is a CSR-path answer.
+        let cfg =
+            EngineConfig { admission: Admission::Async { max_in_flight: 0 }, ..quick_config() };
+        let engine = Engine::new(cfg).unwrap();
+        let m = skewed_matrix();
+        let (rows, cols) = (m.rows(), m.cols());
+        let k = 13usize; // a panel block of 8, a block of 4, one column
+        let x: Vec<f64> = (0..cols * k).map(|i| (i as f64 * 0.07).sin()).collect();
+        let mut y = vec![f64::NAN; rows * k];
+        assert_eq!(engine.spmm("m", &m, &x, k, &mut y), FormatKind::NaiveCsr);
+        for j in 0..k {
+            let want = m.spmv(&x[j * cols..(j + 1) * cols]);
+            assert_eq!(&y[j * rows..(j + 1) * rows], &want[..], "column {j}");
+        }
+
+        let short = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.spmm("m", &m, &x[1..], k, &mut y)
+        }));
+        let message = *short.expect_err("a short x is refused").downcast::<String>().unwrap();
+        assert!(message.contains("x must be a column-major cols × k block"), "{message}");
+        assert_eq!(engine.counters().requests, 1, "the refused call was not counted");
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! row chunks — "adds nonzero balancing (row resolution)" — on the
 //! same lane kernel).
 //!
-//! All inner loops live in [`crate::kernels::dot`]; this file only
-//! holds storage, scheduling and the lane-width policy per variant.
+//! All inner loops live in [`crate::kernels::dot`] (SpMV) and
+//! [`crate::kernels::panel`] (SpMM); this file only holds storage,
+//! scheduling and the lane-width policy per variant.
 
-use crate::kernels::{dot, LaneProfile, LaneWidth};
+use crate::kernels::{dot, panel, LaneProfile, LaneWidth};
 use crate::traits::SparseFormat;
 use crate::wire::{self, SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
@@ -169,21 +170,7 @@ impl SparseFormat for CsrFormat {
     }
 
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        let (rows, cols) = (self.rows(), self.cols());
-        assert_eq!(x.len(), cols * k, "x must be a column-major cols × k block");
-        assert_eq!(y.len(), rows * k, "y must be a column-major rows × k block");
-        dot::csr_spmm_rows(
-            self.lanes,
-            0..rows,
-            rows,
-            cols,
-            self.matrix.row_ptr(),
-            self.matrix.col_idx(),
-            self.matrix.values(),
-            x,
-            k,
-            y,
-        );
+        panel::csr_spmm(self.lanes, &self.matrix, x, k, y);
     }
 }
 

@@ -10,6 +10,7 @@
 //! remark that CSR5's "requirement for additional metadata for row
 //! splitting ... slightly increases memory footprint".
 
+use crate::kernels::{panel, LaneWidth};
 use crate::traits::SparseFormat;
 use crate::wire::{self, SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
@@ -96,6 +97,11 @@ impl SparseFormat for Csr5Format {
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
         self.matrix.spmv_into(x, y);
+    }
+
+    fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
+        // W1 is the summation order of `spmv_into`.
+        panel::csr_spmm(LaneWidth::W1, &self.matrix, x, k, y);
     }
 
     fn encode_payload(&self, out: &mut SectionWriter) {

@@ -9,7 +9,7 @@
 //! with one accumulator per row, so results are bit-identical at every
 //! lane width (see the kernels module's determinism contract).
 
-use crate::kernels::{slab, LaneProfile, LaneWidth};
+use crate::kernels::{panel, slab, LaneProfile, LaneWidth};
 use crate::traits::{FormatBuildError, SparseFormat};
 use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
@@ -223,23 +223,15 @@ impl SparseFormat for EllFormat {
     }
 
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols * k, "x must be a column-major cols × k block");
-        assert_eq!(y.len(), self.rows * k, "y must be a column-major rows × k block");
-        // The slab is streamed exactly once (vs. k times for k
-        // independent SpMVs); every loaded (value, column) pair feeds
-        // all k vectors from a W × k register block.
-        slab::slab_spmm_rows(
-            self.lanes,
-            0..self.rows,
-            self.rows,
-            self.cols,
-            self.width,
-            &self.col_idx,
-            &self.values,
-            x,
-            k,
-            y,
-        );
+        let slab = panel::Slab {
+            lanes: self.lanes,
+            rows: self.rows,
+            cols: self.cols,
+            width: self.width,
+            col_idx: &self.col_idx,
+            values: &self.values,
+        };
+        panel::spmm(&slab, x, k, y);
     }
 }
 

@@ -8,7 +8,8 @@
 //! are slot-sequential, so — like the ELL slab kernels — results are
 //! **bit-identical across lane widths**; W is purely a throughput
 //! knob. Results are scattered through `perm` (guarded against the
-//! padding lanes of the final partial chunk).
+//! padding lanes of the final partial chunk). The multi-vector kernel
+//! over the same chunks is [`super::panel::SellChunks`].
 
 use super::LaneWidth;
 use spmv_parallel::DisjointWriter;
@@ -263,147 +264,9 @@ pub fn sell_spmv_dot_chunks(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sell_spmm_w<const W: usize>(
-    chunks: Range<usize>,
-    c: usize,
-    total_rows: usize,
-    total_cols: usize,
-    perm: &[u32],
-    chunk_ptr: &[usize],
-    chunk_width: &[u32],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-) {
-    // acc[i * k + jj]: (in-chunk lane i, rhs jj) accumulator.
-    let mut acc = vec![0.0f64; c * k];
-    for chunk in chunks {
-        acc.fill(0.0);
-        let base = chunk_ptr[chunk];
-        let width = chunk_width[chunk] as usize;
-        for j in 0..width {
-            let slot = base + j * c;
-            let mut i = 0;
-            while i + W <= c {
-                for lane in 0..W {
-                    let p = slot + i + lane;
-                    let v = values[p];
-                    let col = col_idx[p] as usize;
-                    for jj in 0..k {
-                        acc[(i + lane) * k + jj] += v * x[jj * total_cols + col];
-                    }
-                }
-                i += W;
-            }
-            while i < c {
-                let v = values[slot + i];
-                let col = col_idx[slot + i] as usize;
-                for jj in 0..k {
-                    acc[i * k + jj] += v * x[jj * total_cols + col];
-                }
-                i += 1;
-            }
-        }
-        for i in 0..c {
-            let p = chunk * c + i;
-            if p < total_rows {
-                let r = perm[p] as usize;
-                for jj in 0..k {
-                    y[jj * total_rows + r] = acc[i * k + jj];
-                }
-            }
-        }
-    }
-}
-
-/// Fused SpMM over a SELL-C-σ chunk range: every packed (value,
-/// column) pair is loaded once and multiplied against all `k`
-/// right-hand sides. Per-(row, rhs) accumulation order matches
-/// [`sell_spmv_chunks`] — slot-sequential, width-independent.
-#[allow(clippy::too_many_arguments)]
-pub fn sell_spmm_chunks(
-    lanes: LaneWidth,
-    chunks: Range<usize>,
-    c: usize,
-    total_rows: usize,
-    total_cols: usize,
-    perm: &[u32],
-    chunk_ptr: &[usize],
-    chunk_width: &[u32],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-) {
-    if k == 0 {
-        return;
-    }
-    match lanes {
-        LaneWidth::W1 => sell_spmm_w::<1>(
-            chunks,
-            c,
-            total_rows,
-            total_cols,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            k,
-            y,
-        ),
-        LaneWidth::W2 => sell_spmm_w::<2>(
-            chunks,
-            c,
-            total_rows,
-            total_cols,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            k,
-            y,
-        ),
-        LaneWidth::W4 => sell_spmm_w::<4>(
-            chunks,
-            c,
-            total_rows,
-            total_cols,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            k,
-            y,
-        ),
-        LaneWidth::W8 => sell_spmm_w::<8>(
-            chunks,
-            c,
-            total_rows,
-            total_cols,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            k,
-            y,
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::panel::{self, SellChunks};
     use super::*;
 
     /// Two chunks of C = 3 over 5 rows (last chunk has one padding
@@ -527,44 +390,47 @@ mod tests {
     fn spmm_matches_repeated_spmv_bitwise() {
         let f = fixture();
         let cols = 4;
-        let k = 2;
-        let x: Vec<f64> = (0..cols * k).map(|i| (i as f64 * 0.47).cos() - 0.5).collect();
-        for lanes in LaneWidth::ALL {
-            let mut y = vec![f64::NAN; f.rows * k];
-            sell_spmm_chunks(
-                lanes,
-                0..2,
-                f.c,
-                f.rows,
-                cols,
-                &f.perm,
-                &f.chunk_ptr,
-                &f.chunk_width,
-                &f.col_idx,
-                &f.values,
-                &x,
-                k,
-                &mut y,
-            );
-            for j in 0..k {
-                let mut want = vec![f64::NAN; f.rows];
-                {
-                    let out = DisjointWriter::new(&mut want);
-                    sell_spmv_chunks(
-                        lanes,
-                        0..2,
-                        f.c,
-                        f.rows,
-                        &f.perm,
-                        &f.chunk_ptr,
-                        &f.chunk_width,
-                        &f.col_idx,
-                        &f.values,
-                        &x[j * cols..(j + 1) * cols],
-                        &out,
+        // 13 = a panel block of 8, a block of 4 and one plain column.
+        for k in [2usize, 13] {
+            let x: Vec<f64> = (0..cols * k).map(|i| (i as f64 * 0.47).cos() - 0.5).collect();
+            for lanes in LaneWidth::ALL {
+                let m = SellChunks {
+                    lanes,
+                    c: f.c,
+                    rows: f.rows,
+                    cols,
+                    perm: &f.perm,
+                    chunk_ptr: &f.chunk_ptr,
+                    chunk_width: &f.chunk_width,
+                    col_idx: &f.col_idx,
+                    values: &f.values,
+                };
+                let mut y = vec![f64::NAN; f.rows * k];
+                panel::spmm(&m, &x, k, &mut y);
+                for j in 0..k {
+                    let mut want = vec![f64::NAN; f.rows];
+                    {
+                        let out = DisjointWriter::new(&mut want);
+                        sell_spmv_chunks(
+                            lanes,
+                            0..2,
+                            f.c,
+                            f.rows,
+                            &f.perm,
+                            &f.chunk_ptr,
+                            &f.chunk_width,
+                            &f.col_idx,
+                            &f.values,
+                            &x[j * cols..(j + 1) * cols],
+                            &out,
+                        );
+                    }
+                    assert_eq!(
+                        &y[j * f.rows..(j + 1) * f.rows],
+                        &want[..],
+                        "{lanes:?} k {k} rhs {j}"
                     );
                 }
-                assert_eq!(&y[j * f.rows..(j + 1) * f.rows], &want[..], "{lanes:?} rhs {j}");
             }
         }
     }

@@ -1,7 +1,6 @@
 //! Gather-dot microkernels for CSR row slices: W-accumulator unrolled
-//! `Σ vals[i] · x[cols[i]]`, plus the fused SpMM variant that reads a
-//! row's indices and values once and reuses them across all k right-
-//! hand sides.
+//! `Σ vals[i] · x[cols[i]]`. The multi-vector kernel over the same
+//! rows, in the same summation order, is [`super::panel::CsrRows`].
 //!
 //! Within a row, W splits the product stream across W accumulators
 //! (lane `l` owns products `l, l+W, l+2W, …` of the full chunks) that
@@ -108,92 +107,9 @@ pub fn csr_spmv_dot_rows(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn csr_spmm_w<const W: usize>(
-    rows: Range<usize>,
-    total_rows: usize,
-    total_cols: usize,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-) {
-    // acc[lane * k + j]: lane-l partial sum for right-hand side j.
-    let mut acc = vec![0.0f64; W * k];
-    let mut tail = vec![0.0f64; k];
-    for r in rows {
-        acc.fill(0.0);
-        tail.fill(0.0);
-        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-        let len = hi - lo;
-        let chunks = len / W;
-        for i in 0..chunks {
-            let base = lo + i * W;
-            for lane in 0..W {
-                let c = col_idx[base + lane] as usize;
-                let v = values[base + lane];
-                for j in 0..k {
-                    acc[lane * k + j] += v * x[j * total_cols + c];
-                }
-            }
-        }
-        for i in lo + chunks * W..hi {
-            let c = col_idx[i] as usize;
-            let v = values[i];
-            for (j, t) in tail.iter_mut().enumerate() {
-                *t += v * x[j * total_cols + c];
-            }
-        }
-        for (j, &t) in tail.iter().enumerate() {
-            let mut lanes = [0.0f64; W];
-            for (lane, a) in lanes.iter_mut().enumerate() {
-                *a = acc[lane * k + j];
-            }
-            y[j * total_rows + r] = tree_sum(&lanes) + t;
-        }
-    }
-}
-
-/// Fused SpMM over a CSR row range: the row's matrix stream is read
-/// once and amortized over all `k` right-hand sides (x-reuse). The
-/// per-(row, rhs) accumulation order matches [`csr_spmv_rows`] at the
-/// same width.
-#[allow(clippy::too_many_arguments)]
-pub fn csr_spmm_rows(
-    width: LaneWidth,
-    rows: Range<usize>,
-    total_rows: usize,
-    total_cols: usize,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-) {
-    if k == 0 {
-        return;
-    }
-    match width {
-        LaneWidth::W1 => {
-            csr_spmm_w::<1>(rows, total_rows, total_cols, row_ptr, col_idx, values, x, k, y)
-        }
-        LaneWidth::W2 => {
-            csr_spmm_w::<2>(rows, total_rows, total_cols, row_ptr, col_idx, values, x, k, y)
-        }
-        LaneWidth::W4 => {
-            csr_spmm_w::<4>(rows, total_rows, total_cols, row_ptr, col_idx, values, x, k, y)
-        }
-        LaneWidth::W8 => {
-            csr_spmm_w::<8>(rows, total_rows, total_cols, row_ptr, col_idx, values, x, k, y)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::panel::{self, CsrRows};
     use super::*;
 
     #[test]
@@ -270,26 +186,35 @@ mod tests {
         let row_ptr = [0usize, 4, 4, 7];
         let col_idx = [0u32, 1, 3, 4, 2, 3, 4];
         let values = [1.0, -2.0, 0.5, 3.0, 1.5, -0.25, 2.0];
-        let k = 3;
-        let x: Vec<f64> = (0..5 * k).map(|i| (i as f64 * 0.37).sin()).collect();
-        for width in LaneWidth::ALL {
-            let mut y = vec![f64::NAN; 3 * k];
-            csr_spmm_rows(width, 0..3, 3, 5, &row_ptr, &col_idx, &values, &x, k, &mut y);
-            for j in 0..k {
-                let mut col = vec![f64::NAN; 3];
-                {
-                    let out = DisjointWriter::new(&mut col);
-                    csr_spmv_rows(
-                        width,
-                        0..3,
-                        &row_ptr,
-                        &col_idx,
-                        &values,
-                        &x[j * 5..(j + 1) * 5],
-                        &out,
-                    );
+        // 13 = a panel block of 8, a block of 4 and one plain column.
+        for k in [3usize, 13] {
+            let x: Vec<f64> = (0..5 * k).map(|i| (i as f64 * 0.37).sin()).collect();
+            for width in LaneWidth::ALL {
+                let rows = CsrRows {
+                    lanes: width,
+                    cols: 5,
+                    row_ptr: &row_ptr,
+                    col_idx: &col_idx,
+                    values: &values,
+                };
+                let mut y = vec![f64::NAN; 3 * k];
+                panel::spmm(&rows, &x, k, &mut y);
+                for j in 0..k {
+                    let mut col = vec![f64::NAN; 3];
+                    {
+                        let out = DisjointWriter::new(&mut col);
+                        csr_spmv_rows(
+                            width,
+                            0..3,
+                            &row_ptr,
+                            &col_idx,
+                            &values,
+                            &x[j * 5..(j + 1) * 5],
+                            &out,
+                        );
+                    }
+                    assert_eq!(&y[j * 3..(j + 1) * 3], &col[..], "width {width:?} k {k} rhs {j}");
                 }
-                assert_eq!(&y[j * 3..(j + 1) * 3], &col[..], "width {width:?} rhs {j}");
             }
         }
     }

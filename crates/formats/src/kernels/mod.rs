@@ -19,6 +19,11 @@
 //! | [`slab`]  | col-major `width × rows` slab   | ELL, HYB's ELL half  |
 //! | [`chunk`] | SELL-C-σ chunk-major slabs      | SELL-C-σ (C ∈ 4/8/16) |
 //!
+//! Those three hold the single-vector kernels (SpMV and the fused
+//! SpMV+dot). The multi-vector kernels of all three layouts live in
+//! [`panel`], which packs the right-hand sides row-major once per call
+//! and vectorizes over them.
+//!
 //! ## Determinism contract
 //!
 //! * At a **fixed** [`LaneProfile`], every kernel is bit-reproducible
@@ -37,6 +42,7 @@ use spmv_parallel::DisjointWriter;
 
 pub mod chunk;
 pub mod dot;
+pub mod panel;
 pub mod slab;
 
 /// Number of independent accumulator lanes a kernel instance unrolls.

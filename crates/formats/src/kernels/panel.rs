@@ -1,0 +1,541 @@
+//! Panel SpMM: `Y = A·X` for `k` right-hand sides with the *k*
+//! dimension — the one being vectorized — contiguous in memory.
+//!
+//! The caller's `X` is column-major (`cols × k`), so the `k` values a
+//! nonzero in column `c` multiplies sit `cols · 8` bytes apart. Each
+//! call therefore **packs** `X` into a row-major *panel*, one block of
+//! [`BLOCK`] = 8 right-hand sides at a time: panel row `c` holds
+//! `X[c, j0 .. j0+8]` in one 64-byte line, and a gathered `X` row costs
+//! one line instead of eight. The block kernels are const-generic over
+//! `<W, KB>`: `W × KB` accumulators in a local array, every loaded
+//! `(value, column)` pair feeding `KB` independent FMAs, the `KB`
+//! output columns written as `KB` sequential streams. For CSR rows `W`
+//! is the lane width, because it fixes the summation order; slab and
+//! chunk kernels, whose order does not depend on it, take the block
+//! height that keeps the accumulators in registers (see
+//! `dispatch_rows!`). `k` is consumed as blocks of 8, then one block of
+//! 4, then single columns, which run the layout's own SpMV kernel — so
+//! `k == 1` *is* `spmv`.
+//!
+//! The panel lives in a per-thread, grow-only scratch (one
+//! `cols × 8` block, reused by every block of every call on the
+//! thread): a fresh 32 MB panel per call costs more in `mmap` and page
+//! faults than the kernel it feeds. Steady-state SpMM allocates
+//! nothing.
+//!
+//! | layout | panel kernel | formats |
+//! |---|---|---|
+//! | CSR rows | [`CsrRows`] | Naive/Vectorized/Balanced-CSR, Merge-CSR, CSR5, the engine's CSR path |
+//! | ELL slab | [`Slab`] | ELL |
+//! | SELL-C-σ chunks | [`SellChunks`] | SELL-C-s, SELL-4-s, SELL-16-s |
+//! | SparseX unit stream | in `sparsex.rs` | SparseX |
+//!
+//! COO, HYB, DIA, BCSR and VSL have no panel kernel; they keep the
+//! trait's default loop of `k` SpMVs.
+//!
+//! ## Determinism
+//!
+//! Per (row, right-hand side) the summation order is exactly the
+//! layout's SpMV order at the same [`LaneWidth`] — for CSR rows, `W`
+//! lane accumulators over the full chunks, [`tree_sum`], plus the
+//! sequential tail; for slab, chunk and unit-stream layouts, one
+//! slot-sequential accumulator per row. SpMM therefore equals `k`
+//! SpMVs **bit-for-bit**.
+
+use super::{chunk, dot, slab, tree_sum, LaneWidth};
+use spmv_core::CsrMatrix;
+use spmv_parallel::DisjointWriter;
+use std::cell::RefCell;
+
+/// Right-hand sides per full panel block: 8 doubles, one cache line
+/// per gathered panel row.
+const BLOCK: usize = 8;
+/// The narrower block that takes `4 ≤ k mod 8`.
+const HALF_BLOCK: usize = 4;
+/// Panel rows start on cache-line boundaries.
+const LINE_BYTES: usize = 64;
+
+thread_local! {
+    /// The calling thread's panel storage. Grow-only: it settles at
+    /// `8 · max cols` doubles for the widest matrix the thread serves.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on `len` line-aligned doubles of the thread's scratch.
+/// Contents are whatever the previous call left there.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    // Taken, not borrowed: a nested call would find an empty scratch
+    // and allocate its own instead of panicking on a double borrow.
+    let mut buf = SCRATCH.take();
+    let slack = LINE_BYTES / std::mem::size_of::<f64>() - 1;
+    if buf.len() < len + slack {
+        buf.resize(len + slack, 0.0);
+    }
+    let start = buf.as_ptr().align_offset(LINE_BYTES).min(slack);
+    let out = f(&mut buf[start..start + len]);
+    SCRATCH.set(buf);
+    out
+}
+
+/// Capacity of the calling thread's scratch, in doubles.
+#[cfg(test)]
+fn scratch_capacity() -> usize {
+    SCRATCH.with_borrow(Vec::capacity)
+}
+
+/// Transposes `KB` columns of a column-major block into the row-major
+/// panel: `panel[c·KB + j] = x[j·cols + c]`.
+fn pack<const KB: usize>(x: &[f64], cols: usize, panel: &mut [f64]) {
+    let columns: [&[f64]; KB] = std::array::from_fn(|j| &x[j * cols..(j + 1) * cols]);
+    for (c, row) in panel.chunks_exact_mut(KB).enumerate() {
+        for (slot, column) in row.iter_mut().zip(&columns) {
+            *slot = column[c];
+        }
+    }
+}
+
+/// Panel row `col`: the `KB` right-hand-side values of one `X` row.
+#[inline(always)]
+pub(crate) fn panel_row<const KB: usize>(panel: &[f64], col: u32) -> &[f64; KB] {
+    let base = col as usize * KB;
+    panel[base..base + KB].try_into().expect("a panel row is KB wide")
+}
+
+/// `acc[j] += v · row[j]` for the `KB` right-hand sides of one nonzero.
+#[inline(always)]
+pub(crate) fn fma_row<const KB: usize>(acc: &mut [f64; KB], v: f64, row: &[f64; KB]) {
+    for (a, &x) in acc.iter_mut().zip(row) {
+        *a += v * x;
+    }
+}
+
+/// A storage layout that can multiply against a packed panel.
+pub(crate) trait PanelKernel {
+    /// Matrix rows.
+    fn rows(&self) -> usize;
+    /// Matrix columns (= panel rows).
+    fn cols(&self) -> usize;
+    /// `out[j][r] = Σ A[r, c] · panel[c·KB + j]` for every row `r`;
+    /// `out` holds the `KB` output columns, each `rows` long and fully
+    /// overwritten.
+    fn block<const KB: usize>(&self, panel: &[f64], out: [&mut [f64]; KB]);
+    /// One right-hand side: the layout's own SpMV.
+    fn column(&self, x: &[f64], y: &mut [f64]);
+}
+
+/// Packs `KB` columns of `x` into the scratch panel and runs the block
+/// kernel into the matching `KB` columns of `y`.
+fn run_block<K: PanelKernel, const KB: usize>(kernel: &K, x: &[f64], y: &mut [f64]) {
+    let (rows, cols) = (kernel.rows(), kernel.cols());
+    with_scratch(cols * KB, |panel| {
+        pack::<KB>(x, cols, panel);
+        let mut columns = y.chunks_exact_mut(rows);
+        let out = std::array::from_fn(|_| columns.next().expect("y holds KB columns"));
+        kernel.block::<KB>(panel, out);
+    });
+}
+
+/// `Y = A·X` for a column-major `cols × k` block `x` into the
+/// column-major `rows × k` block `y` (fully overwritten).
+pub(crate) fn spmm<K: PanelKernel>(kernel: &K, x: &[f64], k: usize, y: &mut [f64]) {
+    let (rows, cols) = (kernel.rows(), kernel.cols());
+    assert_eq!(x.len(), cols * k, "x must be a column-major cols × k block");
+    assert_eq!(y.len(), rows * k, "y must be a column-major rows × k block");
+    if rows == 0 {
+        return;
+    }
+    let mut j = 0;
+    while k - j >= BLOCK {
+        run_block::<K, BLOCK>(kernel, &x[j * cols..(j + BLOCK) * cols], &mut y[j * rows..]);
+        j += BLOCK;
+    }
+    if k - j >= HALF_BLOCK {
+        run_block::<K, HALF_BLOCK>(
+            kernel,
+            &x[j * cols..(j + HALF_BLOCK) * cols],
+            &mut y[j * rows..],
+        );
+        j += HALF_BLOCK;
+    }
+    for j in j..k {
+        kernel.column(&x[j * cols..(j + 1) * cols], &mut y[j * rows..(j + 1) * rows]);
+    }
+}
+
+/// Instantiates `$f::<W, KB>` for the runtime lane width.
+macro_rules! dispatch_lanes {
+    ($lanes:expr, $f:ident::<KB>($($arg:expr),* $(,)?)) => {
+        match $lanes {
+            LaneWidth::W1 => $f::<1, KB>($($arg),*),
+            LaneWidth::W2 => $f::<2, KB>($($arg),*),
+            LaneWidth::W4 => $f::<4, KB>($($arg),*),
+            LaneWidth::W8 => $f::<8, KB>($($arg),*),
+        }
+    };
+}
+
+/// Instantiates `$f::<R, KB>` with `R = 16 / KB` rows per block. Slab
+/// and chunk accumulators map 1:1 to rows, so how many rows move in
+/// lockstep changes no sum and is free to fit the register file:
+/// `R × KB = 16` doubles leave half of baseline x86-64's 16 vector
+/// registers for the gathered panel row. (Blocks as tall as the lane
+/// width — 8 × 8 = 64 accumulators at W8 — spill on every FMA: ELL
+/// measured 1.3× over `k` SpMVs that way, 2.0× this way.)
+macro_rules! dispatch_rows {
+    ($f:ident::<KB>($($arg:expr),* $(,)?)) => {
+        match KB {
+            BLOCK => $f::<2, KB>($($arg),*),
+            _ => $f::<4, KB>($($arg),*),
+        }
+    };
+}
+
+/// CSR row slices (`row_ptr / col_idx / values`).
+pub(crate) struct CsrRows<'a> {
+    /// Lane width whose SpMV order the kernel reproduces.
+    pub lanes: LaneWidth,
+    /// Matrix columns.
+    pub cols: usize,
+    /// Row offsets (`rows + 1`).
+    pub row_ptr: &'a [usize],
+    /// Column of every nonzero.
+    pub col_idx: &'a [u32],
+    /// Value of every nonzero.
+    pub values: &'a [f64],
+}
+
+/// The order of [`dot`]'s `dot_w::<W>`, `KB` right-hand sides at a
+/// time: lane `l` owns products `l, l+W, …` of the full chunks.
+fn csr_block_w<const W: usize, const KB: usize>(
+    m: &CsrRows<'_>,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) {
+    for (r, bounds) in m.row_ptr.windows(2).enumerate() {
+        let cols = &m.col_idx[bounds[0]..bounds[1]];
+        let vals = &m.values[bounds[0]..bounds[1]];
+        let mut acc = [[0.0f64; KB]; W];
+        let (mut col_chunks, mut val_chunks) = (cols.chunks_exact(W), vals.chunks_exact(W));
+        for (cw, vw) in (&mut col_chunks).zip(&mut val_chunks) {
+            for lane in 0..W {
+                fma_row(&mut acc[lane], vw[lane], panel_row(panel, cw[lane]));
+            }
+        }
+        let mut tail = [0.0f64; KB];
+        for (&c, &v) in col_chunks.remainder().iter().zip(val_chunks.remainder()) {
+            fma_row(&mut tail, v, panel_row(panel, c));
+        }
+        for (j, column) in out.iter_mut().enumerate() {
+            let lanes: [f64; W] = std::array::from_fn(|lane| acc[lane][j]);
+            column[r] = tree_sum(&lanes) + tail[j];
+        }
+    }
+}
+
+impl PanelKernel for CsrRows<'_> {
+    fn rows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
+        dispatch_lanes!(self.lanes, csr_block_w::<KB>(self, panel, &mut out));
+    }
+
+    fn column(&self, x: &[f64], y: &mut [f64]) {
+        let out = DisjointWriter::new(y);
+        dot::csr_spmv_rows(
+            self.lanes,
+            0..self.rows(),
+            self.row_ptr,
+            self.col_idx,
+            self.values,
+            x,
+            &out,
+        );
+    }
+}
+
+/// Panel SpMM over a CSR matrix, reproducing the SpMV summation order
+/// of lane width `lanes` per (row, right-hand side) — `W1` is the
+/// order of [`CsrMatrix::spmv_into`]. `x` is a column-major
+/// `cols × k` block, `y` the column-major `rows × k` result (fully
+/// overwritten).
+///
+/// # Panics
+/// Panics if `x` or `y` has the wrong length.
+pub fn csr_spmm(lanes: LaneWidth, csr: &CsrMatrix, x: &[f64], k: usize, y: &mut [f64]) {
+    let rows = CsrRows {
+        lanes,
+        cols: csr.cols(),
+        row_ptr: csr.row_ptr(),
+        col_idx: csr.col_idx(),
+        values: csr.values(),
+    };
+    spmm(&rows, x, k, y);
+}
+
+/// A column-major ELL slab (`width × rows`, entry (r, j) at
+/// `j * rows + r`).
+pub(crate) struct Slab<'a> {
+    /// Lane width of the single-column (SpMV) kernel.
+    pub lanes: LaneWidth,
+    /// Matrix rows.
+    pub rows: usize,
+    /// Matrix columns.
+    pub cols: usize,
+    /// Slots per row.
+    pub width: usize,
+    /// Column of every slot (padding: column 0).
+    pub col_idx: &'a [u32],
+    /// Value of every slot (padding: 0.0).
+    pub values: &'a [f64],
+}
+
+/// `R` adjacent rows per block, one slot-sequential accumulator row
+/// each — the order of [`slab::slab_spmv_rows`] at every width.
+fn slab_rows<const R: usize, const KB: usize>(
+    m: &Slab<'_>,
+    rows: std::ops::Range<usize>,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) {
+    for r in rows.step_by(R) {
+        let mut acc = [[0.0f64; KB]; R];
+        for j in 0..m.width {
+            let base = j * m.rows + r;
+            let (cs, vs) = (&m.col_idx[base..base + R], &m.values[base..base + R]);
+            for i in 0..R {
+                fma_row(&mut acc[i], vs[i], panel_row(panel, cs[i]));
+            }
+        }
+        for (j, column) in out.iter_mut().enumerate() {
+            for i in 0..R {
+                column[r + i] = acc[i][j];
+            }
+        }
+    }
+}
+
+fn slab_block<const R: usize, const KB: usize>(
+    m: &Slab<'_>,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) {
+    let full = m.rows - m.rows % R;
+    slab_rows::<R, KB>(m, 0..full, panel, out);
+    slab_rows::<1, KB>(m, full..m.rows, panel, out);
+}
+
+impl PanelKernel for Slab<'_> {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
+        dispatch_rows!(slab_block::<KB>(self, panel, &mut out));
+    }
+
+    fn column(&self, x: &[f64], y: &mut [f64]) {
+        let out = DisjointWriter::new(y);
+        slab::slab_spmv_rows(
+            self.lanes,
+            0..self.rows,
+            self.rows,
+            self.width,
+            self.col_idx,
+            self.values,
+            x,
+            &out,
+        );
+    }
+}
+
+/// SELL-C-σ chunk slabs (entry (lane i, slot j) of chunk `n` at
+/// `chunk_ptr[n] + j*C + i`), scattered through `perm`.
+pub(crate) struct SellChunks<'a> {
+    /// Lane width of the single-column (SpMV) kernel.
+    pub lanes: LaneWidth,
+    /// Chunk height C.
+    pub c: usize,
+    /// Matrix rows.
+    pub rows: usize,
+    /// Matrix columns.
+    pub cols: usize,
+    /// `perm[packed position] = original row`.
+    pub perm: &'a [u32],
+    /// Start of each chunk's slab (`chunks + 1`).
+    pub chunk_ptr: &'a [usize],
+    /// Slots per lane of each chunk.
+    pub chunk_width: &'a [u32],
+    /// Column of every slot (padding: column 0).
+    pub col_idx: &'a [u32],
+    /// Value of every slot (padding: 0.0).
+    pub values: &'a [f64],
+}
+
+/// In-chunk lanes `first .. first + R` of one chunk, walked lane-major:
+/// the chunk's slab is L1-resident, so each block of `R` lanes strides
+/// through its own slots with its accumulators in registers — the
+/// slot-sequential order of [`chunk::sell_spmv_chunks`] per row.
+fn sell_lanes<const R: usize, const KB: usize>(
+    m: &SellChunks<'_>,
+    chunk: usize,
+    first: usize,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) {
+    let base = m.chunk_ptr[chunk] + first;
+    let mut acc = [[0.0f64; KB]; R];
+    for j in 0..m.chunk_width[chunk] as usize {
+        let slot = base + j * m.c;
+        let (cs, vs) = (&m.col_idx[slot..slot + R], &m.values[slot..slot + R]);
+        for i in 0..R {
+            fma_row(&mut acc[i], vs[i], panel_row(panel, cs[i]));
+        }
+    }
+    // The last chunk's padding lanes have no row to write.
+    let packed = chunk * m.c + first;
+    for (i, sums) in acc.iter().enumerate().take(m.rows.saturating_sub(packed)) {
+        let r = m.perm[packed + i] as usize;
+        for (column, &sum) in out.iter_mut().zip(sums) {
+            column[r] = sum;
+        }
+    }
+}
+
+fn sell_block<const R: usize, const KB: usize>(
+    m: &SellChunks<'_>,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) {
+    let full = m.c - m.c % R;
+    for chunk in 0..m.chunk_width.len() {
+        for first in (0..full).step_by(R) {
+            sell_lanes::<R, KB>(m, chunk, first, panel, out);
+        }
+        for first in full..m.c {
+            sell_lanes::<1, KB>(m, chunk, first, panel, out);
+        }
+    }
+}
+
+impl PanelKernel for SellChunks<'_> {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
+        dispatch_rows!(sell_block::<KB>(self, panel, &mut out));
+    }
+
+    fn column(&self, x: &[f64], y: &mut [f64]) {
+        let out = DisjointWriter::new(y);
+        chunk::sell_spmv_chunks(
+            self.lanes,
+            0..self.chunk_width.len(),
+            self.c,
+            self.rows,
+            self.perm,
+            self.chunk_ptr,
+            self.chunk_width,
+            self.col_idx,
+            self.values,
+            x,
+            &out,
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `rows × cols` CSR with `per_row` nonzeros per row.
+    fn matrix(rows: usize, cols: usize, per_row: usize) -> CsrMatrix {
+        let triplets: Vec<(usize, usize, f64)> = (0..rows)
+            .flat_map(|r| {
+                (0..per_row).map(move |i| (r, (r * 7 + i * 13) % cols, 0.5 + (r + i) as f64 * 0.25))
+            })
+            .collect();
+        CsrMatrix::from_triplets(rows, cols, &triplets).expect("test matrix")
+    }
+
+    fn operand(len: usize) -> Vec<f64> {
+        (0..len).map(|i| (i as f64 * 0.37).sin() + 0.1).collect()
+    }
+
+    #[test]
+    fn pack_is_a_transpose() {
+        let cols = 5;
+        let x: Vec<f64> = (0..cols * 4).map(|i| i as f64).collect();
+        let mut panel = vec![f64::NAN; cols * 4];
+        pack::<4>(&x, cols, &mut panel);
+        for c in 0..cols {
+            for j in 0..4 {
+                assert_eq!(panel[c * 4 + j], x[j * cols + c]);
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_rows_are_line_aligned() {
+        for len in [0usize, 1, 8, 1000] {
+            with_scratch(len, |panel| {
+                assert_eq!(panel.len(), len);
+                assert_eq!(panel.as_ptr() as usize % LINE_BYTES, 0);
+            });
+        }
+    }
+
+    #[test]
+    fn repeated_same_shape_calls_leave_the_scratch_capacity_unchanged() {
+        let m = matrix(40, 300, 6);
+        let k = 13; // a block of 8, a block of 4 and one column
+        let x = operand(m.cols() * k);
+        let mut y = vec![f64::NAN; m.rows() * k];
+        csr_spmm(LaneWidth::W4, &m, &x, k, &mut y);
+        let settled = scratch_capacity();
+        assert!(settled >= m.cols() * BLOCK, "one block of the panel is resident");
+        let first = y.clone();
+        for _ in 0..5 {
+            y.fill(f64::NAN);
+            csr_spmm(LaneWidth::W4, &m, &x, k, &mut y);
+            assert_eq!(scratch_capacity(), settled);
+            assert_eq!(y, first);
+        }
+        // A narrower matrix reuses the wider one's scratch.
+        let small = matrix(10, 20, 3);
+        let xs = operand(small.cols() * k);
+        let mut ys = vec![f64::NAN; small.rows() * k];
+        csr_spmm(LaneWidth::W4, &small, &xs, k, &mut ys);
+        assert_eq!(scratch_capacity(), settled);
+    }
+
+    #[test]
+    fn w1_is_the_order_of_the_core_csr_kernel() {
+        // Merge-CSR, CSR5 and the engine's CSR path answer `spmv`
+        // through `CsrMatrix::spmv_into`; their SpMM must match it.
+        let m = matrix(33, 50, 9);
+        for k in [1usize, 4, 8, 11] {
+            let x = operand(m.cols() * k);
+            let mut y = vec![f64::NAN; m.rows() * k];
+            csr_spmm(LaneWidth::W1, &m, &x, k, &mut y);
+            for j in 0..k {
+                let want = m.spmv(&x[j * m.cols()..(j + 1) * m.cols()]);
+                assert_eq!(&y[j * m.rows()..(j + 1) * m.rows()], &want[..], "k={k} rhs {j}");
+            }
+        }
+    }
+}

@@ -6,7 +6,8 @@
 //! Because accumulators map 1:1 to rows and every row's additions are
 //! j-sequential, the result is **bit-identical for every lane width**
 //! — W only changes how many rows move in lockstep (and how well LLVM
-//! can pack the j-step into vector FMAs).
+//! can pack the j-step into vector FMAs). The multi-vector kernel over
+//! the same slab is [`super::panel::Slab`].
 
 use super::{write_block, LaneWidth};
 use spmv_parallel::DisjointWriter;
@@ -130,90 +131,9 @@ pub fn slab_spmv_dot_rows(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn slab_spmm_w<const W: usize>(
-    rows: Range<usize>,
-    total_rows: usize,
-    total_cols: usize,
-    width: usize,
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-) {
-    // acc[lane * k + j]: the (row r0+lane, rhs j) accumulator.
-    let mut acc = vec![0.0f64; W * k];
-    let mut r = rows.start;
-    while r + W <= rows.end {
-        acc.fill(0.0);
-        for j in 0..width {
-            let base = j * total_rows + r;
-            for lane in 0..W {
-                let c = col_idx[base + lane] as usize;
-                let v = values[base + lane];
-                for jj in 0..k {
-                    acc[lane * k + jj] += v * x[jj * total_cols + c];
-                }
-            }
-        }
-        for lane in 0..W {
-            for jj in 0..k {
-                y[jj * total_rows + r + lane] = acc[lane * k + jj];
-            }
-        }
-        r += W;
-    }
-    for rr in r..rows.end {
-        for jj in 0..k {
-            let mut a = 0.0f64;
-            for j in 0..width {
-                let p = j * total_rows + rr;
-                a += values[p] * x[jj * total_cols + col_idx[p] as usize];
-            }
-            y[jj * total_rows + rr] = a;
-        }
-    }
-}
-
-/// Fused SpMM over a row range of an ELL slab: each slab entry is
-/// read once and reused across all `k` right-hand sides. Per-(row,
-/// rhs) accumulation order matches [`slab_spmv_rows`] (j-sequential),
-/// so it too is width-independent bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-pub fn slab_spmm_rows(
-    lanes: LaneWidth,
-    rows: Range<usize>,
-    total_rows: usize,
-    total_cols: usize,
-    width: usize,
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-) {
-    if k == 0 {
-        return;
-    }
-    match lanes {
-        LaneWidth::W1 => {
-            slab_spmm_w::<1>(rows, total_rows, total_cols, width, col_idx, values, x, k, y)
-        }
-        LaneWidth::W2 => {
-            slab_spmm_w::<2>(rows, total_rows, total_cols, width, col_idx, values, x, k, y)
-        }
-        LaneWidth::W4 => {
-            slab_spmm_w::<4>(rows, total_rows, total_cols, width, col_idx, values, x, k, y)
-        }
-        LaneWidth::W8 => {
-            slab_spmm_w::<8>(rows, total_rows, total_cols, width, col_idx, values, x, k, y)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::panel::{self, Slab};
     use super::*;
 
     /// 5-row, width-3 slab with irregular column picks; col 0 pads.
@@ -304,27 +224,30 @@ mod tests {
     fn spmm_matches_repeated_spmv_bitwise() {
         let (rows, width, col, val) = slab();
         let cols = 7;
-        let k = 3;
-        let x: Vec<f64> = (0..cols * k).map(|i| (i as f64 * 0.29).cos()).collect();
-        for lanes in LaneWidth::ALL {
-            let mut y = vec![f64::NAN; rows * k];
-            slab_spmm_rows(lanes, 0..rows, rows, cols, width, &col, &val, &x, k, &mut y);
-            for j in 0..k {
-                let mut want = vec![f64::NAN; rows];
-                {
-                    let out = DisjointWriter::new(&mut want);
-                    slab_spmv_rows(
-                        lanes,
-                        0..rows,
-                        rows,
-                        width,
-                        &col,
-                        &val,
-                        &x[j * cols..(j + 1) * cols],
-                        &out,
-                    );
+        // 13 = a panel block of 8, a block of 4 and one plain column.
+        for k in [3usize, 13] {
+            let x: Vec<f64> = (0..cols * k).map(|i| (i as f64 * 0.29).cos()).collect();
+            for lanes in LaneWidth::ALL {
+                let m = Slab { lanes, rows, cols, width, col_idx: &col, values: &val };
+                let mut y = vec![f64::NAN; rows * k];
+                panel::spmm(&m, &x, k, &mut y);
+                for j in 0..k {
+                    let mut want = vec![f64::NAN; rows];
+                    {
+                        let out = DisjointWriter::new(&mut want);
+                        slab_spmv_rows(
+                            lanes,
+                            0..rows,
+                            rows,
+                            width,
+                            &col,
+                            &val,
+                            &x[j * cols..(j + 1) * cols],
+                            &out,
+                        );
+                    }
+                    assert_eq!(&y[j * rows..(j + 1) * rows], &want[..], "{lanes:?} k {k} rhs {j}");
                 }
-                assert_eq!(&y[j * rows..(j + 1) * rows], &want[..], "{lanes:?} rhs {j}");
             }
         }
     }

@@ -23,6 +23,8 @@
 //! chunk), instantiated at lane widths 1/2/4/8 and dispatched once per
 //! matrix from a [`kernels::LaneProfile`] chosen at startup (the
 //! `SPMV_LANES` environment variable overrides the probed default).
+//! The multi-vector (`spmm`) kernels of the CSR family, ELL, SELL-C-σ
+//! and SparseX are the row-major panel kernels of [`kernels::panel`].
 //!
 //! Every format implements [`SparseFormat`]: conversion from CSR,
 //! sequential SpMV, parallel SpMV over a [`spmv_parallel::ThreadPool`],

@@ -5,6 +5,7 @@
 //! chunks here are equal segments of the `(rows + nnz)` merge path, so
 //! even a single giant row is split across workers.
 
+use crate::kernels::{panel, LaneWidth};
 use crate::traits::SparseFormat;
 use crate::wire::{self, SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
@@ -51,6 +52,11 @@ impl SparseFormat for MergeCsrFormat {
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
         self.matrix.spmv_into(x, y);
+    }
+
+    fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
+        // W1 is the summation order of `spmv_into`.
+        panel::csr_spmm(LaneWidth::W1, &self.matrix, x, k, y);
     }
 
     fn encode_payload(&self, out: &mut SectionWriter) {

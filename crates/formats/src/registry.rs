@@ -2,8 +2,8 @@
 //! the glue the campaign runner, the figure binaries and the SpMM
 //! throughput bench use. Every built format exposes the full
 //! [`SparseFormat`] surface, including the batched multi-vector
-//! [`SparseFormat::spmm`] kernel (tuned for CSR/ELL/SELL-C-σ, generic
-//! loop-over-SpMV elsewhere).
+//! [`SparseFormat::spmm`] kernel (panel kernels for the CSR family,
+//! ELL, SELL-C-σ and SparseX; the loop over SpMV elsewhere).
 
 use crate::bcsr::BcsrFormat;
 use crate::coo::CooFormat;

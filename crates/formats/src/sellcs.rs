@@ -13,7 +13,7 @@
 //! The inner loops live in [`crate::kernels::chunk`] (lane-blocked,
 //! bit-identical across lane widths).
 
-use crate::kernels::{chunk, LaneProfile, LaneWidth};
+use crate::kernels::{chunk, panel, LaneProfile, LaneWidth};
 use crate::traits::SparseFormat;
 use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
@@ -363,26 +363,18 @@ impl SparseFormat for SellCSigmaFormat {
     }
 
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols * k, "x must be a column-major cols × k block");
-        assert_eq!(y.len(), self.rows * k, "y must be a column-major rows × k block");
-        // Fused kernel: every packed (value, column) pair is loaded
-        // once and multiplied against all k vectors; accumulators live
-        // in a C × k scratch block per chunk.
-        chunk::sell_spmm_chunks(
-            self.lanes,
-            0..self.chunk_width.len(),
-            self.c,
-            self.rows,
-            self.cols,
-            &self.perm,
-            &self.chunk_ptr,
-            &self.chunk_width,
-            &self.col_idx,
-            &self.values,
-            x,
-            k,
-            y,
-        );
+        let chunks = panel::SellChunks {
+            lanes: self.lanes,
+            c: self.c,
+            rows: self.rows,
+            cols: self.cols,
+            perm: &self.perm,
+            chunk_ptr: &self.chunk_ptr,
+            chunk_width: &self.chunk_width,
+            col_idx: &self.col_idx,
+            values: &self.values,
+        };
+        panel::spmm(&chunks, x, k, y);
     }
 }
 

@@ -17,6 +17,7 @@
 //! dense runs — "a highly compressed representation of the matrix,
 //! something that can be beneficial especially for large matrices".
 
+use crate::kernels::panel::{self, PanelKernel};
 use crate::traits::{FormatBuildError, SparseFormat};
 use crate::wire::{self, SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
@@ -96,56 +97,62 @@ impl SparseXFormat {
         }
     }
 
-    /// Reconstructs the CSR matrix this format was converted from by
-    /// replaying the unit stream (the exact inverse of `encode_row`).
+    /// Replays row `r`'s units in storage order — the exact inverse of
+    /// `encode_row` — calling `visit(values, columns)` once per unit.
+    #[inline(always)]
+    fn for_each_unit(&self, r: usize, mut visit: impl FnMut(&[f64], &[u32])) {
+        let mut cols = [0u32; MAX_UNIT];
+        let mut s = self.stream_ptr[r] as usize;
+        let end = self.stream_ptr[r + 1] as usize;
+        let mut k = self.val_ptr[r];
+        while s < end {
+            let tag = self.stream[s];
+            let count = self.stream[s + 1] as usize;
+            let cols = &mut cols[..count];
+            cols[0] = u32::from_le_bytes(self.stream[s + 2..s + 6].try_into().expect("start col"));
+            s += 6;
+            let deltas = &self.stream[s..];
+            let width = match tag {
+                T_DENSE => {
+                    running_sum(cols, std::iter::repeat(1));
+                    0
+                }
+                T_DELTA8 => {
+                    running_sum(cols, deltas.iter().map(|&d| d as u32));
+                    1
+                }
+                T_DELTA16 => {
+                    running_sum(
+                        cols,
+                        deltas
+                            .chunks_exact(2)
+                            .map(|d| u16::from_le_bytes(d.try_into().expect("d16")) as u32),
+                    );
+                    2
+                }
+                _ => {
+                    running_sum(
+                        cols,
+                        deltas
+                            .chunks_exact(4)
+                            .map(|d| u32::from_le_bytes(d.try_into().expect("d32"))),
+                    );
+                    4
+                }
+            };
+            s += width * (count - 1);
+            visit(&self.values[k..k + count], cols);
+            k += count;
+        }
+    }
+
+    /// Reconstructs the CSR matrix this format was converted from.
     /// Values are already in CSR order and `val_ptr` *is* the CSR row
     /// pointer, so only the column indices need decoding.
     fn to_csr(&self) -> CsrMatrix {
         let mut col_idx: Vec<u32> = Vec::with_capacity(self.nnz);
         for r in 0..self.rows {
-            let mut s = self.stream_ptr[r] as usize;
-            let end = self.stream_ptr[r + 1] as usize;
-            while s < end {
-                let tag = self.stream[s];
-                let count = self.stream[s + 1] as usize;
-                let start =
-                    u32::from_le_bytes(self.stream[s + 2..s + 6].try_into().expect("start col"));
-                s += 6;
-                match tag {
-                    T_DENSE => col_idx.extend(start..start + count as u32),
-                    T_DELTA8 => {
-                        let mut c = start;
-                        col_idx.push(c);
-                        for i in 0..count - 1 {
-                            c += self.stream[s + i] as u32;
-                            col_idx.push(c);
-                        }
-                        s += count - 1;
-                    }
-                    T_DELTA16 => {
-                        let mut c = start;
-                        col_idx.push(c);
-                        for i in 0..count - 1 {
-                            c += u16::from_le_bytes(
-                                self.stream[s + 2 * i..s + 2 * i + 2].try_into().expect("d16"),
-                            ) as u32;
-                            col_idx.push(c);
-                        }
-                        s += 2 * (count - 1);
-                    }
-                    _ => {
-                        let mut c = start;
-                        col_idx.push(c);
-                        for i in 0..count - 1 {
-                            c += u32::from_le_bytes(
-                                self.stream[s + 4 * i..s + 4 * i + 4].try_into().expect("d32"),
-                            );
-                            col_idx.push(c);
-                        }
-                        s += 4 * (count - 1);
-                    }
-                }
-            }
+            self.for_each_unit(r, |_, cols| col_idx.extend_from_slice(cols));
         }
         CsrMatrix::new(self.rows, self.cols, self.val_ptr.clone(), col_idx, self.values.clone())
             .expect("a converted SparseX stream always replays to its source CSR")
@@ -214,6 +221,17 @@ impl SparseXFormat {
             }
             out.write(r, acc);
         }
+    }
+}
+
+/// `cols[i] = cols[i - 1] + deltas[i - 1]`, from the unit's start
+/// column already in `cols[0]`.
+#[inline(always)]
+fn running_sum(cols: &mut [u32], deltas: impl Iterator<Item = u32>) {
+    let mut c = cols[0];
+    for (slot, d) in cols[1..].iter_mut().zip(deltas) {
+        c += d;
+        *slot = c;
     }
 }
 
@@ -320,6 +338,41 @@ impl SparseFormat for SparseXFormat {
 
     fn encode_payload(&self, out: &mut SectionWriter) {
         wire::encode_csr(&self.to_csr(), out);
+    }
+
+    fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
+        panel::spmm(self, x, k, y);
+    }
+}
+
+/// The unit-stream panel kernel: each row's units are decoded once and
+/// every nonzero feeds `KB` right-hand sides, with the single
+/// sequential accumulator per (row, rhs) that `spmv_rows` uses.
+impl PanelKernel for SparseXFormat {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
+        for r in 0..self.rows {
+            let mut acc = [0.0f64; KB];
+            self.for_each_unit(r, |values, cols| {
+                for (&v, &c) in values.iter().zip(cols) {
+                    panel::fma_row(&mut acc, v, panel::panel_row(panel, c));
+                }
+            });
+            for (column, &sum) in out.iter_mut().zip(&acc) {
+                column[r] = sum;
+            }
+        }
+    }
+
+    fn column(&self, x: &[f64], y: &mut [f64]) {
+        self.spmv(x, y);
     }
 }
 

@@ -77,16 +77,22 @@ pub trait SparseFormat: Send + Sync {
     }
 
     /// Batched multi-vector SpMV (SpMM): `Y = A·X` for `k` right-hand
-    /// sides, the workload of blocked iterative solvers where format
-    /// choice pays off most — the matrix is streamed once and reused
-    /// across all `k` vectors.
+    /// sides, the workload of blocked iterative solvers.
     ///
     /// `x` is a column-major `cols × k` block (`x[j*cols .. (j+1)*cols]`
     /// is vector `j`); `y` is the column-major `rows × k` result and is
-    /// fully overwritten. The default implementation loops over
-    /// [`SparseFormat::spmv_with_scratch`] with one shared scratch
-    /// buffer for the whole batch; formats with x-reuse-friendly
-    /// layouts (CSR, ELL, SELL-C-σ) override it with fused kernels.
+    /// fully overwritten. Every implementation equals `k` calls of
+    /// [`SparseFormat::spmv`] bit-for-bit.
+    ///
+    /// The default implementation *is* that loop (over
+    /// [`SparseFormat::spmv_with_scratch`], one shared scratch buffer
+    /// per batch) and amortizes nothing; COO, HYB, DIA, BCSR and VSL
+    /// keep it. The CSR variants, Merge-CSR, CSR5, ELL, SELL-C-σ and
+    /// SparseX override it with the panel kernels of
+    /// [`crate::kernels::panel`], which pack `x` row-major once per
+    /// call (into a per-thread reusable scratch) and stream the matrix
+    /// once per 8 right-hand sides. Measured ratios against `k` SpMVs
+    /// are in `BENCH_spmm.json` at the repository root.
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
         let (rows, cols) = (self.rows(), self.cols());
         assert_eq!(x.len(), cols * k, "x must be a column-major cols × k block");
