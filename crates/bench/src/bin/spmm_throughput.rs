@@ -28,7 +28,7 @@
 //! `--seed N`, `--reps N` (default 5).
 
 use spmv_bench::args::parse_flag_pairs;
-use spmv_bench::report::{self, obj, Json};
+use spmv_bench::report::{self, obj, round3, Json};
 use spmv_formats::{build_format, FormatKind, SparseFormat};
 use spmv_gen::{GeneratorParams, RowDist};
 use std::time::Instant;
@@ -145,12 +145,6 @@ fn bound(class: &str, kind: FormatKind, k: usize) -> Option<f64> {
     } else {
         None
     }
-}
-
-/// Three decimal places: enough for a GFLOP/s or a ratio, and a
-/// committed file that does not churn in the 15th digit.
-fn round3(v: f64) -> f64 {
-    (v * 1e3).round() / 1e3
 }
 
 fn main() {

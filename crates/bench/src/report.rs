@@ -143,6 +143,12 @@ impl Json {
     }
 }
 
+/// Three decimal places: enough for a GFLOP/s, a ratio or a microsecond
+/// count, and a committed file that does not churn in the 15th digit.
+pub fn round3(v: f64) -> f64 {
+    (v * 1e3).round() / 1e3
+}
+
 /// First line of `git <args>` run at the repository root, if git and a
 /// repository are there.
 fn git(args: &[&str]) -> Option<String> {

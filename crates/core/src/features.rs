@@ -20,13 +20,33 @@
 //!   one cross-row neighbor, averaged across all non-empty rows that
 //!   have a successor row.
 //!
-//! Extraction is streaming-friendly: [`FeatureAccumulator`] consumes one
-//! row of sorted column indices at a time, so features of matrices too
-//! large to materialize can be computed from a row stream.
+//! # Cost
+//!
+//! Extraction is exact and costs one to two SpMVs over the same operand
+//! (`BENCH_extract.json`). Everything but f4.a is a sweep of `row_ptr`
+//! plus one flat, vectorizable pass over `col_idx`. f4.a — which rows
+//! of a pair share a column neighbourhood — is the only data-dependent
+//! part, and it is counted by **mark and probe**: the columns of row
+//! *r + 1* are set in a table, every column `c` of row *r* tests
+//! `c − 1 ..= c + 1` with loads that do not depend on one another, and
+//! the marks are cleared again. The table is per-thread, grow-only
+//! scratch of one byte per column, all-zero between calls; it is only
+//! used while it is no larger than the column-index array being read
+//! (`mark_table_bytes`). When the column space dwarfs the nonzeros the
+//! sorted two-pointer merge `count_with_cross_neighbor` counts
+//! instead — the definition the mark-and-probe kernel is tested
+//! against, kept whole in [`FeatureSet::extract_reference`].
+//!
+//! [`FeatureSet::extract`] walks the CSR arrays in place;
+//! [`FeatureAccumulator`] consumes one row of sorted column indices at
+//! a time (buffering the previous row), so features of matrices too
+//! large to materialize can be computed from a row stream. Both drive
+//! the same row-pair kernel and the same per-row statistics, and return
+//! bit-identical [`FeatureSet`]s.
 
 use crate::matrix::csr::CsrMatrix;
-use crate::rowstats::RowLengthStats;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// The extracted feature vector of a sparse matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,12 +118,40 @@ impl RegularityClass {
 }
 
 impl FeatureSet {
-    /// Extracts all features from a CSR matrix in a single `O(nnz)` pass.
+    /// Extracts all features from a CSR matrix, walking its arrays in
+    /// place: `O(nnz)`, one to two SpMVs' worth (see the module docs),
+    /// no allocation on a thread that has extracted a matrix of at least
+    /// this column count before.
     pub fn extract(csr: &CsrMatrix) -> Self {
+        let (row_ptr, col_idx) = (csr.row_ptr(), csr.col_idx());
+        let mut acc = FeatureAccumulator::new(csr.rows(), csr.cols());
+        with_cross_kernel(csr.cols(), csr.nnz(), |kernel| {
+            let mut prev: &[u32] = &[];
+            for w in row_ptr.windows(2) {
+                let row = &col_idx[w[0]..w[1]];
+                acc.note_row(row);
+                if !prev.is_empty() {
+                    acc.note_pair(prev.len(), kernel.matches(prev, row));
+                }
+                prev = row;
+            }
+        });
+        // Same-row neighbors, counted flat over the whole index array;
+        // the adjacent pairs that straddle two rows are not neighbors.
+        acc.neigh_pairs = adjacent_pairs(col_idx) - straddling_pairs(row_ptr, col_idx);
+        acc.rows_seen = csr.rows();
+        acc.finish()
+    }
+
+    /// The definitional extractor: one row at a time through
+    /// [`FeatureAccumulator`], cross-row neighbors counted by the sorted
+    /// merge `count_with_cross_neighbor` on every row pair. Slower
+    /// than [`FeatureSet::extract`] and bit-identical to it; it is what
+    /// the tests and the `extract_throughput` gate compare against.
+    pub fn extract_reference(csr: &CsrMatrix) -> Self {
         let mut acc = FeatureAccumulator::new(csr.rows(), csr.cols());
         for r in 0..csr.rows() {
-            let (cols, _) = csr.row(r);
-            acc.push_row(cols);
+            acc.push_row_with(csr.row(r).0, &mut CrossKernel::Merge);
         }
         acc.finish()
     }
@@ -210,8 +258,28 @@ impl FeatureAccumulator {
     /// Panics (in debug builds) if more rows are pushed than declared or
     /// if the columns are unsorted.
     pub fn push_row(&mut self, cols: &[u32]) {
+        // The operand's size is only known as far as it has streamed.
+        let nnz_so_far = self.nnz + cols.len();
+        with_cross_kernel(self.cols, nnz_so_far, |kernel| self.push_row_with(cols, kernel));
+    }
+
+    fn push_row_with(&mut self, cols: &[u32], kernel: &mut CrossKernel<'_>) {
         debug_assert!(self.rows_seen < self.rows_declared, "too many rows pushed");
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row columns must be sorted");
+        self.note_row(cols);
+        self.neigh_pairs += adjacent_pairs(cols);
+        // Resolve the cross-row similarity of the *previous* row now
+        // that its successor is known.
+        if !self.prev_cols.is_empty() {
+            self.note_pair(self.prev_cols.len(), kernel.matches(&self.prev_cols, cols));
+        }
+        self.prev_cols.clear();
+        self.prev_cols.extend_from_slice(cols);
+        self.rows_seen += 1;
+    }
+
+    /// Row-length and bandwidth statistics of one row.
+    fn note_row(&mut self, cols: &[u32]) {
         let len = cols.len();
         self.nnz += len;
         self.max_row = self.max_row.max(len);
@@ -222,24 +290,14 @@ impl FeatureAccumulator {
             self.nonempty_rows += 1;
             let span = (cols[len - 1] - cols[0]) as f64 + 1.0;
             self.bw_sum += span / self.cols.max(1) as f64;
-            // Same-row neighbors at column distance exactly 1: each
-            // adjacent pair (c, c+1) gives both endpoints one neighbor.
-            for w in cols.windows(2) {
-                if w[1] - w[0] == 1 {
-                    self.neigh_pairs += 1;
-                }
-            }
         }
-        // Resolve the cross-row similarity of the *previous* row now
-        // that its successor is known.
-        if self.rows_seen > 0 && !self.prev_cols.is_empty() {
-            let matched = count_with_cross_neighbor(&self.prev_cols, cols);
-            self.crs_sum += matched as f64 / self.prev_cols.len() as f64;
-            self.crs_rows += 1;
-        }
-        self.prev_cols.clear();
-        self.prev_cols.extend_from_slice(cols);
-        self.rows_seen += 1;
+    }
+
+    /// Cross-row similarity of one non-empty row of `len` nonzeros,
+    /// `matched` of which have a cross-row neighbor in its successor.
+    fn note_pair(&mut self, len: usize, matched: usize) {
+        self.crs_sum += matched as f64 / len as f64;
+        self.crs_rows += 1;
     }
 
     /// Finalizes and returns the feature set.
@@ -281,8 +339,116 @@ impl FeatureAccumulator {
     }
 }
 
+/// Same-row neighbor pairs of a sorted row: adjacent entries at column
+/// distance exactly 1 (each pair gives both endpoints one neighbor).
+/// Over a whole `col_idx` array this also counts the pairs that straddle
+/// two rows ([`straddling_pairs`]); a descending step wraps to a
+/// distance that is never 1.
+fn adjacent_pairs(cols: &[u32]) -> usize {
+    cols.windows(2).filter(|w| w[1].wrapping_sub(w[0]) == 1).count()
+}
+
+/// The adjacent `col_idx` pairs at distance 1 whose two entries lie in
+/// different rows: a non-empty row's last column and the first column
+/// of the next non-empty row.
+fn straddling_pairs(row_ptr: &[usize], col_idx: &[u32]) -> usize {
+    row_ptr
+        .windows(2)
+        // A row end that is not the end of the array, once per
+        // non-empty row.
+        .filter(|w| w[0] < w[1] && w[1] < col_idx.len())
+        .filter(|w| col_idx[w[1]].wrapping_sub(col_idx[w[1] - 1]) == 1)
+        .count()
+}
+
+/// How the entries of a row with a cross-row neighbor are counted.
+enum CrossKernel<'a> {
+    /// Mark and probe over an all-zero table of [`mark_table_bytes`].
+    Marks(&'a mut [u8]),
+    /// The sorted merge: no scratch, whatever the column count.
+    Merge,
+}
+
+impl CrossKernel<'_> {
+    /// Counts how many entries of the sorted list `row` have at least
+    /// one element of the sorted list `next` within column distance 1.
+    #[inline]
+    fn matches(&mut self, row: &[u32], next: &[u32]) -> usize {
+        match self {
+            CrossKernel::Marks(marks) => mark_and_probe(marks, row, next),
+            CrossKernel::Merge => count_with_cross_neighbor(row, next),
+        }
+    }
+}
+
+/// Bytes of the mark table for an operand of `cols` columns and `nnz`
+/// nonzeros — column `d` is byte `d + 1`, and a probe of column `c`
+/// loads the four bytes from `c` — or `None` when mark and probe may not
+/// serve it: the table must be no larger than the column-index array it
+/// is built from. A matrix of a few nonzeros in a column space of
+/// billions is served by the merge and allocates nothing.
+fn mark_table_bytes(cols: usize, nnz: usize) -> Option<usize> {
+    let bytes = cols.checked_add(3)?;
+    (bytes <= nnz.saturating_mul(crate::INDEX_BYTES)).then_some(bytes)
+}
+
+thread_local! {
+    /// The thread's mark table: grow-only, all-zero whenever it is here.
+    static MARKS: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` with the cross-row kernel for an operand of `cols` columns
+/// and `nnz` nonzeros. The mark table leaves the thread-local for the
+/// duration of `f`, so an unwinding `f` drops it, marks and all, and
+/// the next call starts from a fresh zeroed table.
+fn with_cross_kernel<R>(cols: usize, nnz: usize, f: impl FnOnce(&mut CrossKernel<'_>) -> R) -> R {
+    let Some(bytes) = mark_table_bytes(cols, nnz) else {
+        return f(&mut CrossKernel::Merge);
+    };
+    let mut marks = MARKS.take();
+    if marks.len() < bytes {
+        marks.resize(bytes, 0);
+    }
+    let out = f(&mut CrossKernel::Marks(&mut marks[..bytes]));
+    MARKS.set(marks);
+    out
+}
+
+/// [`count_with_cross_neighbor`] without the merge's carried index:
+/// marks `next` in the all-zero table, probes the three bytes around
+/// each column of `row`, and clears the marks again. One byte per
+/// column, so marking is a plain store — no two columns share a word
+/// that would have to be read back — and a probe is one load.
+#[inline]
+fn mark_and_probe(marks: &mut [u8], row: &[u32], next: &[u32]) -> usize {
+    let (Some(&first), Some(&last)) = (next.first(), next.last()) else { return 0 };
+    for &d in next {
+        marks[d as usize + 1] = 1;
+    }
+    let mut matched = 0;
+    for &c in row {
+        // Bytes c ..= c + 2 are columns c − 1 ..= c + 1 (byte 0 is no
+        // column); the fourth byte loaded is masked off.
+        let c = c as usize;
+        let around: [u8; 4] = marks[c..c + 4].try_into().expect("a four-byte slice");
+        matched += usize::from(u32::from_le_bytes(around) & 0x00ff_ffff != 0);
+    }
+    // Clear whichever is cheaper: the span of the row as one fill, or
+    // its columns one by one.
+    let (lo, hi) = (first as usize + 1, last as usize + 1);
+    if hi - lo < 8 * next.len() {
+        marks[lo..=hi].fill(0);
+    } else {
+        for &d in next {
+            marks[d as usize + 1] = 0;
+        }
+    }
+    matched
+}
+
 /// Counts how many entries of the sorted list `row` have at least one
-/// element of the sorted list `next` within column distance 1.
+/// element of the sorted list `next` within column distance 1 — the
+/// definition, as a two-pointer merge.
 fn count_with_cross_neighbor(row: &[u32], next: &[u32]) -> usize {
     if next.is_empty() {
         return 0;
@@ -295,16 +461,12 @@ fn count_with_cross_neighbor(row: &[u32], next: &[u32]) -> usize {
         while j < next.len() && next[j] < target {
             j += 1;
         }
-        if j < next.len() && next[j] <= c + 1 {
+        // Column `u32::MAX` has no right-hand neighbor column.
+        if j < next.len() && next[j] <= c.saturating_add(1) {
             count += 1;
         }
     }
     count
-}
-
-/// Convenience: extract features and row-length stats together.
-pub fn extract_with_stats(csr: &CsrMatrix) -> (FeatureSet, RowLengthStats) {
-    (FeatureSet::extract(csr), RowLengthStats::from_row_ptr(csr.row_ptr()))
 }
 
 #[cfg(test)]
@@ -477,15 +639,61 @@ mod tests {
         assert_eq!(FeatureSet::from_rows(3, 6, &owned), FeatureSet::extract(&m));
     }
 
+    /// Both kernels on one row pair; they must agree.
+    fn cross_matches(row: &[u32], next: &[u32]) -> usize {
+        let cols = row.iter().chain(next).max().map_or(0, |&c| c as usize + 1);
+        let mut marks = vec![0u8; cols + 3];
+        let marked = mark_and_probe(&mut marks, row, next);
+        assert!(marks.iter().all(|&b| b == 0), "marks left behind by {row:?} / {next:?}");
+        assert_eq!(marked, count_with_cross_neighbor(row, next), "{row:?} / {next:?}");
+        marked
+    }
+
     #[test]
     fn count_cross_neighbor_edge_cases() {
-        assert_eq!(count_with_cross_neighbor(&[0, 1, 2], &[]), 0);
-        assert_eq!(count_with_cross_neighbor(&[], &[1, 2]), 0);
-        // Column 0 matching with saturating_sub guard.
-        assert_eq!(count_with_cross_neighbor(&[0], &[0]), 1);
-        assert_eq!(count_with_cross_neighbor(&[0], &[1]), 1);
-        assert_eq!(count_with_cross_neighbor(&[0], &[2]), 0);
+        assert_eq!(cross_matches(&[0, 1, 2], &[]), 0);
+        assert_eq!(cross_matches(&[], &[1, 2]), 0);
+        // Column 0 has no left-hand neighbor column.
+        assert_eq!(cross_matches(&[0], &[0]), 1);
+        assert_eq!(cross_matches(&[0], &[1]), 1);
+        assert_eq!(cross_matches(&[0], &[2]), 0);
         // One next-element can serve several row elements.
-        assert_eq!(count_with_cross_neighbor(&[4, 5, 6], &[5]), 3);
+        assert_eq!(cross_matches(&[4, 5, 6], &[5]), 3);
+        // Distance 2 on either side does not count.
+        assert_eq!(cross_matches(&[3, 7], &[5]), 0);
+        // A long scattered `next` is cleared column by column, a dense
+        // one as a span.
+        assert_eq!(cross_matches(&[99, 500], &[0, 100, 1000]), 1);
+        assert_eq!(cross_matches(&[0, 9, 20], &(1..=8).collect::<Vec<u32>>()), 2);
+    }
+
+    #[test]
+    fn the_last_u32_column_has_no_right_hand_neighbor() {
+        // `c + 1` on column `u32::MAX` used to overflow.
+        assert_eq!(count_with_cross_neighbor(&[u32::MAX], &[u32::MAX]), 1);
+        assert_eq!(count_with_cross_neighbor(&[u32::MAX], &[u32::MAX - 1]), 1);
+        assert_eq!(count_with_cross_neighbor(&[u32::MAX], &[u32::MAX - 2]), 0);
+        assert_eq!(count_with_cross_neighbor(&[u32::MAX - 1], &[u32::MAX]), 1);
+    }
+
+    #[test]
+    fn flat_neighbor_count_drops_the_pairs_that_straddle_rows() {
+        // Rows {0,1}, {}, {2,3}, {5}: the flat count sees 1→2 as a pair.
+        let (row_ptr, col_idx) = ([0, 2, 2, 4, 5], [0, 1, 2, 3, 5]);
+        assert_eq!(adjacent_pairs(&col_idx), 3);
+        assert_eq!(straddling_pairs(&row_ptr, &col_idx), 1);
+        // Trailing empty rows end at `nnz`: nothing follows them.
+        assert_eq!(straddling_pairs(&[0, 2, 2, 2], &[6, 7]), 0);
+        // A descending step across rows is not a pair either way.
+        assert_eq!(adjacent_pairs(&[5, 4]), 0);
+        assert_eq!(straddling_pairs(&[0, 1, 2], &[5, 4]), 0);
+    }
+
+    #[test]
+    fn the_mark_table_never_outgrows_the_column_indices() {
+        assert_eq!(mark_table_bytes(13, 4), Some(16), "16 bytes of table, 16 of indices");
+        assert_eq!(mark_table_bytes(14, 4), None);
+        assert_eq!(mark_table_bytes(0, 0), None, "nothing to count, nothing to allocate");
+        assert_eq!(mark_table_bytes(usize::MAX, usize::MAX / 8), None);
     }
 }

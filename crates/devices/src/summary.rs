@@ -87,10 +87,9 @@ impl MatrixSummary {
     /// Fully measured summary from a materialized matrix.
     pub fn from_csr(id: &str, seed: u64, csr: &CsrMatrix) -> Self {
         let features = FeatureSet::extract(csr);
-        let stats = RowLengthStats::from_row_ptr(csr.row_ptr());
         Self {
             features,
-            max_row_nnz: stats.max,
+            max_row_nnz: features.max_nnz_per_row,
             imbalance: ImbalanceProfile::from_row_ptr(csr.row_ptr()),
             id: id.to_string(),
             seed,

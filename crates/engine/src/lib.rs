@@ -575,8 +575,9 @@ impl Engine {
         if let Some(state) = self.state.plans.get(id) {
             return state;
         }
-        // Extract outside any lock (O(nnz)); racing duplicates cost one
-        // redundant extraction each and agree on the result, so the
+        // Extract outside any lock: O(nnz), one to two SpMVs' worth on
+        // the request thread under both admission modes. Racing
+        // duplicates each pay it again and agree on the result, so the
         // first-writer-wins insert below is deterministic.
         let kind = self.select(&FeatureSet::extract(csr));
         self.state.plans.insert_pending(id, kind)
@@ -724,7 +725,12 @@ impl Engine {
     /// `id` names the matrix for the plan/conversion caches; serving
     /// the same id with a *different* matrix is a caller bug (use
     /// [`Engine::forget`] first if a matrix changes in place).
+    ///
+    /// # Panics
+    /// Panics, before the request is counted, unless `x` holds `cols`
+    /// and `y` holds `rows` values.
     pub fn spmv(&self, id: &str, csr: &CsrMatrix, x: &[f64], y: &mut [f64]) -> FormatKind {
+        check_operands(csr, x, 1, y);
         match self.serve(id, csr) {
             Served::Selected(fmt, kind) => {
                 fmt.spmv(x, y);
@@ -739,7 +745,12 @@ impl Engine {
 
     /// Serves `y = A·x` on the engine's thread pool; returns the format
     /// that ran. `y` is fully overwritten.
+    ///
+    /// # Panics
+    /// Panics, before the request is counted, unless `x` holds `cols`
+    /// and `y` holds `rows` values.
     pub fn spmv_parallel(&self, id: &str, csr: &CsrMatrix, x: &[f64], y: &mut [f64]) -> FormatKind {
+        check_operands(csr, x, 1, y);
         match self.serve(id, csr) {
             Served::Selected(fmt, kind) => {
                 fmt.spmv_parallel(&self.pool, x, y);
@@ -768,8 +779,7 @@ impl Engine {
         k: usize,
         y: &mut [f64],
     ) -> FormatKind {
-        assert_eq!(x.len(), csr.cols() * k, "x must be a column-major cols × k block");
-        assert_eq!(y.len(), csr.rows() * k, "y must be a column-major rows × k block");
+        check_operands(csr, x, k, y);
         match self.serve(id, csr) {
             Served::Selected(fmt, kind) => {
                 fmt.spmm(x, k, y);
@@ -799,7 +809,8 @@ impl Engine {
     /// the format handle it already holds (see [`solve`] docs).
     ///
     /// # Panics
-    /// Panics if the matrix is not square.
+    /// Panics, before the request is counted, if the matrix is not
+    /// square.
     pub fn solver(&self, id: &str, csr: &CsrMatrix) -> SolveHandle<'_> {
         SolveHandle::new(self, id, csr)
     }
@@ -875,6 +886,14 @@ impl Engine {
                 .collect(),
         }
     }
+}
+
+/// The dimension check of every serve call, raised at the API edge so a
+/// refused request touches no counter, plan or cache: `x` and `y` are
+/// column-major blocks of `k` vectors (`k = 1` for `spmv`).
+fn check_operands(csr: &CsrMatrix, x: &[f64], k: usize, y: &[f64]) {
+    assert_eq!(x.len(), csr.cols() * k, "x must be a column-major cols × k block");
+    assert_eq!(y.len(), csr.rows() * k, "y must be a column-major rows × k block");
 }
 
 /// The universal CSR serve path for `spmv_parallel`: nnz-balanced row
@@ -1005,6 +1024,14 @@ mod tests {
         CsrMatrix::from_triplets(2000, 2000, &t).unwrap()
     }
 
+    /// The panic message of a call that must be refused.
+    fn refusal<R>(call: impl FnOnce() -> R) -> String {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)) {
+            Ok(_) => panic!("the call was served"),
+            Err(payload) => *payload.downcast::<String>().unwrap(),
+        }
+    }
+
     #[test]
     fn unknown_device_is_rejected() {
         let cfg = EngineConfig { device: "Cray-1".into(), ..quick_config() };
@@ -1097,12 +1124,45 @@ mod tests {
             assert_eq!(&y[j * rows..(j + 1) * rows], &want[..], "column {j}");
         }
 
-        let short = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.spmm("m", &m, &x[1..], k, &mut y)
-        }));
-        let message = *short.expect_err("a short x is refused").downcast::<String>().unwrap();
+        let message = refusal(|| engine.spmm("m", &m, &x[1..], k, &mut y));
         assert!(message.contains("x must be a column-major cols × k block"), "{message}");
         assert_eq!(engine.counters().requests, 1, "the refused call was not counted");
+    }
+
+    #[test]
+    fn mismatched_operands_are_refused_before_anything_is_counted() {
+        const X: &str = "x must be a column-major cols × k block";
+        const Y: &str = "y must be a column-major rows × k block";
+        for admission in [Admission::Sync, Admission::Async { max_in_flight: 2 }] {
+            let engine = Engine::new(EngineConfig { admission, ..quick_config() }).unwrap();
+            let m = skewed_matrix();
+            let x = vec![1.0; m.cols()];
+            let mut y = vec![0.0; m.rows()];
+            let wide = CsrMatrix::from_triplets(2, 3, &[(0, 2, 1.0)]).unwrap();
+
+            let message = refusal(|| engine.spmv("m", &m, &x[1..], &mut y));
+            assert!(message.contains(X), "{message}");
+            let message = refusal(|| engine.spmv("m", &m, &x, &mut y[1..]));
+            assert!(message.contains(Y), "{message}");
+            let message = refusal(|| engine.spmv_parallel("m", &m, &x[1..], &mut y));
+            assert!(message.contains(X), "{message}");
+            let message = refusal(|| engine.spmv_parallel("m", &m, &x, &mut y[1..]));
+            assert!(message.contains(Y), "{message}");
+            let message = refusal(|| engine.solver("wide", &wide));
+            assert!(message.contains("solver requires a square system"), "{message}");
+
+            engine.drain_admissions();
+            let c = engine.counters();
+            assert_eq!(
+                (c.requests, c.cache_lookups, c.planned_entries, c.flights_scheduled),
+                (0, 0, 0, 0),
+                "a refused call left a trace under {admission:?}"
+            );
+            // The engine still serves.
+            engine.spmv("m", &m, &x, &mut y);
+            assert_eq!(spmv_core::vec_mismatch(&y, &m.spmv(&x), 1e-9, 1e-9), None);
+            assert_eq!(engine.counters().requests, 1);
+        }
     }
 
     #[test]

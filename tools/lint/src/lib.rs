@@ -32,6 +32,9 @@ pub const UNSAFE_WHITELIST: &[&str] = &[
     "crates/parallel/src/executor.rs",
     // Counting GlobalAlloc for the zero-allocation solver gate.
     "crates/bench/src/bin/solver_throughput.rs",
+    // Counting GlobalAlloc for the zero-allocation feature-extraction
+    // tests (the extraction kernel itself has no `unsafe`).
+    "crates/core/tests/features_kernel.rs",
 ];
 
 /// Files exempt from R3: the façade itself (it *is* the boundary
