@@ -26,10 +26,9 @@
 
 use spmv_analysis::stats::geomean;
 use spmv_bench::args::parse_flag_pairs;
+use spmv_bench::classes::{self, CLASSES};
 use spmv_bench::report::{self, obj, round3, Json};
 use spmv_core::{CsrMatrix, FeatureSet};
-use spmv_gen::generator::params_for_features;
-use spmv_gen::rng::child_seed;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -60,19 +59,6 @@ impl Config {
     }
 }
 
-/// `(name, avg nnz/row, skew, cross_row_sim, avg_num_neigh, bw_scaled)`
-/// — the benchmark's feature classes.
-const CLASSES: [(&str, f64, f64, f64, f64, f64); 8] = [
-    ("short-regular", 5.0, 0.0, 0.95, 1.9, 0.3),
-    ("mid-regular", 20.0, 0.0, 0.95, 1.9, 0.3),
-    ("long-rows", 100.0, 0.0, 0.5, 0.95, 0.3),
-    ("very-long", 500.0, 0.0, 0.5, 0.95, 0.3),
-    ("skewed", 20.0, 1000.0, 0.5, 0.95, 0.3),
-    ("very-skewed", 10.0, 10000.0, 0.5, 0.95, 0.3),
-    ("irregular", 10.0, 0.0, 0.05, 0.05, 0.6),
-    ("banded", 20.0, 0.0, 0.5, 1.9, 0.05),
-];
-
 /// The oracle must lose by this factor in the geomean over all cells.
 const MIN_GEOMEAN_SPEEDUP: f64 = 2.0;
 /// Re-measurements granted to a run that misses the gate.
@@ -91,12 +77,9 @@ type Times = Vec<[f64; 3]>;
 
 fn operands(cfg: &Config) -> Vec<Operand> {
     let mut out = Vec::new();
-    for (i, &(class, avg, skew, crs, neigh, bw)) in CLASSES.iter().enumerate() {
+    for (i, &(class, ..)) in CLASSES.iter().enumerate() {
         for (j, &mb) in cfg.mb.iter().enumerate() {
-            let seed = child_seed(cfg.seed, (i * cfg.mb.len() + j) as u64);
-            let csr = params_for_features(mb, avg, skew, crs, neigh, bw, seed)
-                .generate()
-                .expect("class parameters are satisfiable");
+            let csr = classes::generate(i, mb, cfg.seed, (i * cfg.mb.len() + j) as u64);
             assert_eq!(
                 FeatureSet::extract(&csr),
                 FeatureSet::extract_reference(&csr),

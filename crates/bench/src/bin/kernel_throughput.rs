@@ -1,159 +1,221 @@
-//! Scalar vs. widest-lane kernels: measures what the shared lane
-//! microkernels (`spmv_formats::kernels`) buy over the W=1 scalar
-//! instantiation of the *same* loop, format by format.
+//! Scalar-profile vs. host-profile lane kernels, single thread: what
+//! the vector unit buys each kernel-layer format
+//! (`spmv_formats::kernels`), per matrix class, and how close that
+//! lands to the host's memory roof.
 //!
-//! Every migrated format is built twice from the same CSR operand —
-//! once at `LaneProfile::scalar()` and once at the widest lane profile
-//! — and each runs sequential SpMV over the same input, so the only
-//! difference is the number of independent accumulators the inner loop
-//! keeps in flight. Expected shape: the slab/chunk formats (ELL,
-//! SELL-C-σ) gain the most on regular matrices because W rows share
-//! one column-index load per slot; CSR gather-dots gain less (the
-//! gather dominates).
+//! The operands are the eight feature classes of the repo benchmark
+//! (`benchmark/src/inputs.rs`) at one footprint (default 32 MB, the
+//! `hot-large` size). Every kernel-layer format that accepts a class
+//! is built twice from the same CSR — at `LaneProfile::scalar()`, which
+//! always runs the scalar bodies, and at `LaneProfile::current()`, the
+//! host's (or `SPMV_LANES`') width, which on x86-64 with AVX2 or better
+//! runs the gather microkernels — and the two run sequential SpMV
+//! alternately; each side reports its fastest rep. Per cell: GFLOP/s of
+//! both, their ratio, the host side's computed GB/s (stored format
+//! bytes + `x` + `y` once each) and that as a fraction of the measured
+//! triad roof (`spmv_core::roofline::measured_triad_gbs` over a working
+//! set of the same footprint). The table is printed and written to
+//! `BENCH_kernel.json` at the repo root.
 //!
-//! Exit status: on hosts with ≥ 8 hardware threads the widest-lane
-//! SELL-C-σ kernel must clear ≥ 1.3× its scalar twin on the regular
-//! matrix class, else exit 1. Smaller hosts (CI containers) report
-//! without enforcing — their narrow cores make ILP headroom erratic.
+//! Exit status — enforced on every host with a vector unit, no
+//! thread-count escape:
 //!
-//! Flags: `--rows N` (default 60000), `--avg-nnz F` (default 24),
-//! `--seed N`, `--reps N` (default 5).
+//! * no format on any class runs below 0.9× its scalar twin;
+//! * SELL-C-s on `mid-regular` (regular rows, full chunks) runs ≥ 1.5×
+//!   its scalar twin.
+//!
+//! A cell that misses is re-timed up to three times with more reps
+//! before it fails the run. A host without AVX2 (or `SPMV_LANES=1`)
+//! builds the same scalar code on both sides: the gate reports
+//! "skipped: scalar host" and exits 0.
+//!
+//! Flags: `--mb F` (default 32), `--seed N` (default 1), `--reps N`
+//! (default 9).
 
 use spmv_bench::args::parse_flag_pairs;
-use spmv_formats::{build_format_with, FormatKind, LaneProfile, LaneWidth};
-use spmv_gen::{GeneratorParams, RowDist};
+use spmv_bench::classes::{self, CLASSES};
+use spmv_bench::report::{self, obj, round3, Json};
+use spmv_core::roofline::{measured_triad_gbs, Roofline};
+use spmv_formats::kernels::vector_isa;
+use spmv_formats::{build_format_with, FormatKind, LaneProfile, LaneWidth, SparseFormat};
+use std::hint::black_box;
 use std::time::Instant;
 
 struct Config {
-    rows: usize,
-    avg_nnz: f64,
+    mb: f64,
     seed: u64,
     reps: usize,
 }
 
 impl Config {
     fn from_env() -> Self {
-        let mut cfg = Self { rows: 60_000, avg_nnz: 24.0, seed: 0x1A4E5, reps: 5 };
-        parse_flag_pairs(
-            "kernel_throughput [--rows N] [--avg-nnz F] [--seed N] [--reps N]",
-            |flag, value| {
-                match flag {
-                    "--rows" => cfg.rows = value.parse().expect("--rows N"),
-                    "--avg-nnz" => cfg.avg_nnz = value.parse().expect("--avg-nnz F"),
-                    "--seed" => cfg.seed = value.parse().expect("--seed N"),
-                    "--reps" => cfg.reps = value.parse::<usize>().expect("--reps N").max(1),
-                    _ => return false,
-                }
-                true
-            },
-        );
+        let mut cfg = Self { mb: 32.0, seed: 1, reps: 9 };
+        parse_flag_pairs("kernel_throughput [--mb F] [--seed N] [--reps N]", |flag, value| {
+            match flag {
+                "--mb" => cfg.mb = value.parse().expect("--mb F"),
+                "--seed" => cfg.seed = value.parse().expect("--seed N"),
+                "--reps" => cfg.reps = value.parse::<usize>().expect("--reps N").max(1),
+                _ => return false,
+            }
+            true
+        });
         cfg
     }
 }
 
-/// The formats whose inner loops live in the shared kernel layer.
-const MIGRATED: [FormatKind; 8] = [
-    FormatKind::NaiveCsr,
-    FormatKind::VectorizedCsr,
-    FormatKind::BalancedCsr,
-    FormatKind::Ell,
-    FormatKind::Hyb,
-    FormatKind::SellC4,
-    FormatKind::SellCSigma,
-    FormatKind::SellC16,
-];
+/// No format may fall below this fraction of its scalar twin.
+const MIN_RATIO: f64 = 0.9;
+/// The cell that must show the vector unit at work, and by how much.
+const SELL_GATE: (&str, FormatKind, f64) = ("mid-regular", FormatKind::SellCSigma, 1.5);
+/// Re-measurements granted to a cell that misses its bound.
+const RETRIES: usize = 3;
 
-fn matrix(class: &str, cfg: &Config) -> spmv_core::CsrMatrix {
-    let base = GeneratorParams {
-        nr_rows: cfg.rows,
-        nr_cols: cfg.rows,
-        avg_nz_row: cfg.avg_nnz,
-        std_nz_row: cfg.avg_nnz * 0.1,
-        distribution: RowDist::Normal,
-        skew_coeff: 0.0,
-        bw_scaled: 0.3,
-        cross_row_sim: 0.5,
-        avg_num_neigh: 0.95,
-        seed: cfg.seed,
+/// Fastest of `reps` alternating timings of (scalar, host), in seconds.
+fn measure(
+    scalar: &dyn SparseFormat,
+    host: &dyn SparseFormat,
+    x: &[f64],
+    y: &mut [f64],
+    reps: usize,
+) -> (f64, f64) {
+    let mut time = |f: &dyn SparseFormat| {
+        let t0 = Instant::now();
+        f.spmv(black_box(x), black_box(y));
+        t0.elapsed().as_secs_f64()
     };
-    let p = match class {
-        // Near-uniform rows: the lane blocks stay full, the best case
-        // for W-row slabs.
-        "regular" => GeneratorParams { std_nz_row: 0.0, ..base },
-        "banded" => {
-            GeneratorParams { bw_scaled: 0.05, cross_row_sim: 0.9, avg_num_neigh: 1.8, ..base }
-        }
-        _ => base,
-    };
-    p.generate().expect("bench matrix generates")
+    let (mut t_scalar, mut t_host) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        t_scalar = t_scalar.min(time(scalar));
+        t_host = t_host.min(time(host));
+    }
+    (t_scalar, t_host)
 }
 
-/// Median wall time of `reps` runs of `f`, in seconds.
-fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+/// The ratio a cell must reach.
+fn bound(class: &str, kind: FormatKind) -> f64 {
+    if (class, kind) == (SELL_GATE.0, SELL_GATE.1) {
+        SELL_GATE.2
+    } else {
+        MIN_RATIO
+    }
 }
 
 fn main() {
     let cfg = Config::from_env();
-    let widest = *LaneWidth::ALL.last().expect("widths are non-empty");
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let enforce = threads >= 8;
+    let profile = LaneProfile::current();
+    let isa = vector_isa();
+    let vectorized = isa != "scalar" && profile.width != LaneWidth::W1;
+    // Three arrays that together weigh what one kernel streams.
+    let triad_gbs = measured_triad_gbs((cfg.mb * 1024.0 * 1024.0 / 24.0) as usize, 5);
+    let roof = Roofline::new(f64::INFINITY, triad_gbs);
     println!(
-        "Lane-kernel throughput: scalar vs {:?} ({} rows, avg {} nnz/row, {} reps, \
-         {} hw threads, gate {})",
-        widest,
-        cfg.rows,
-        cfg.avg_nnz,
-        cfg.reps,
-        threads,
-        if enforce { "enforced" } else { "report-only" },
+        "Lane kernels, scalar profile vs {:?} on {isa} ({} MB per class, fastest of {} reps, \
+         triad roof {triad_gbs:.1} GB/s)",
+        profile.width, cfg.mb, cfg.reps
     );
     println!(
-        "{:<10} {:<15} {:>12} {:>12} {:>9}",
-        "class", "format", "W1 GF/s", "wide GF/s", "speedup"
+        "{:<14} {:<15} {:>11} {:>11} {:>7} {:>8} {:>6}",
+        "class", "format", "scalar GF/s", "host GF/s", "ratio", "GB/s", "roof"
     );
 
-    let mut sell_regular_speedup: Option<f64> = None;
-    for class in ["regular", "banded"] {
-        let csr = matrix(class, &cfg);
+    let mut table = Vec::new();
+    let mut misses = Vec::new();
+    for (i, &(class, ..)) in CLASSES.iter().enumerate() {
+        let csr = classes::generate(i, cfg.mb, cfg.seed, i as u64);
         let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
-        let x: Vec<f64> = (0..cols).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect();
-        let flops = (2 * nnz) as f64;
-        for kind in MIGRATED {
+        let x: Vec<f64> = (0..cols).map(|c| 1.0 + (c % 5) as f64 * 0.25).collect();
+        let mut y = vec![0.0; rows];
+        let flops = 2.0 * nnz as f64;
+        for kind in FormatKind::KERNEL_LAYER {
+            // ELL refuses the skewed classes on its padding budget.
             let Ok(scalar) = build_format_with(kind, &csr, LaneProfile::scalar()) else { continue };
-            let wide = build_format_with(kind, &csr, LaneProfile::with_width(widest))
-                .expect("scalar build succeeded");
-            let mut y = vec![0.0; rows];
-            let t_scalar = time_median(cfg.reps, || scalar.spmv(&x, &mut y));
-            let t_wide = time_median(cfg.reps, || wide.spmv(&x, &mut y));
-            std::hint::black_box(&y);
-            let speedup = t_scalar / t_wide;
-            println!(
-                "{:<10} {:<15} {:>12.2} {:>12.2} {:>8.2}x",
-                class,
-                scalar.name(),
-                flops / t_scalar / 1e9,
-                flops / t_wide / 1e9,
-                speedup
-            );
-            if class == "regular" && kind == FormatKind::SellCSigma {
-                sell_regular_speedup = Some(speedup);
+            let host = build_format_with(kind, &csr, profile).expect("the scalar build succeeded");
+            let bound = bound(class, kind);
+            let (mut t_scalar, mut t_host) = measure(&*scalar, &*host, &x, &mut y, cfg.reps);
+            for retry in 1..=RETRIES {
+                if !vectorized || t_scalar / t_host >= bound {
+                    break;
+                }
+                let (s, h) = measure(&*scalar, &*host, &x, &mut y, cfg.reps * (retry + 1));
+                (t_scalar, t_host) = (t_scalar.min(s), t_host.min(h));
             }
+            let ratio = t_scalar / t_host;
+            let bytes = (host.bytes() + 8 * (rows + cols)) as f64;
+            let gbs = bytes / t_host / 1e9;
+            let roof_frac = (flops / t_host / 1e9) / roof.attainable_gflops(flops / bytes);
+            println!(
+                "{:<14} {:<15} {:>11.2} {:>11.2} {:>6.2}x {:>8.2} {:>6.2}",
+                class,
+                kind.name(),
+                flops / t_scalar / 1e9,
+                flops / t_host / 1e9,
+                ratio,
+                gbs,
+                roof_frac
+            );
+            if vectorized && ratio < bound {
+                misses.push(format!("{class} {}: {ratio:.2}x scalar < {bound}x", kind.name()));
+            }
+            table.push(obj([
+                ("class", class.into()),
+                ("format", kind.name().into()),
+                ("nnz", nnz.into()),
+                ("bytes_per_nnz", round3(host.bytes() as f64 / nnz as f64).into()),
+                ("scalar_gflops", round3(flops / t_scalar / 1e9).into()),
+                ("host_gflops", round3(flops / t_host / 1e9).into()),
+                ("ratio", round3(ratio).into()),
+                ("host_gbs", round3(gbs).into()),
+                ("roof_frac", round3(roof_frac).into()),
+            ]));
         }
     }
 
-    let sell = sell_regular_speedup.expect("SELL-C-s always builds");
-    if enforce && sell < 1.3 {
-        eprintln!("FAIL: widest-lane SELL-C-s at {sell:.2}x scalar on regular rows (need 1.3x)");
+    let verdict = match (vectorized, misses.is_empty()) {
+        (false, _) => "skipped: scalar host",
+        (true, true) => "passed",
+        (true, false) => "failed",
+    };
+    let body = [
+        (
+            "config",
+            obj([
+                ("mb", cfg.mb.into()),
+                ("seed", (cfg.seed as usize).into()),
+                ("reps", cfg.reps.into()),
+                ("threads", 1usize.into()),
+                ("triad_gbs", round3(triad_gbs).into()),
+                (
+                    "timing",
+                    "sequential spmv, fastest rep per side, sides alternating; bytes = \
+                     stored format + x + y once each; roof_frac = host_gbs / triad_gbs"
+                        .into(),
+                ),
+            ]),
+        ),
+        (
+            "gate",
+            obj([
+                ("min_ratio", MIN_RATIO.into()),
+                ("sell_c_s_mid_regular_min_ratio", SELL_GATE.2.into()),
+                ("verdict", verdict.into()),
+                ("misses", Json::Arr(misses.iter().map(|m| m.as_str().into()).collect())),
+            ]),
+        ),
+        ("table", Json::Arr(table)),
+    ];
+    match report::write("kernel", body) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("could not write BENCH_kernel.json: {e}");
+            std::process::exit(1);
+        }
+    }
+
+    println!("gate: {verdict}");
+    if !misses.is_empty() {
+        for m in &misses {
+            eprintln!("  {m}");
+        }
         std::process::exit(1);
     }
-    println!("SELL-C-s widest-lane speedup on regular rows: {sell:.2}x");
 }

@@ -7,6 +7,7 @@
 //! order (insertion order) and one key per line, so committed files
 //! diff cleanly.
 
+use spmv_formats::kernels::vector_isa;
 use spmv_formats::LaneProfile;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -167,8 +168,9 @@ fn repo_root() -> &'static Path {
 
 /// What a reader needs to know about the machine and build a record
 /// came from: hardware threads, the `SPMV_THREADS` / `SPMV_LANES`
-/// overrides in force, the resolved lane profile, the CPU model and
-/// the git revision (`-dirty` when the tree has uncommitted changes).
+/// overrides in force, the resolved lane profile, the vector
+/// instruction set the lane kernels detected, the CPU model and the git
+/// revision (`-dirty` when the tree has uncommitted changes).
 pub fn host_facts() -> Json {
     let env = |name: &str| std::env::var(name).map(Json::Str).unwrap_or(Json::Str("unset".into()));
     let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
@@ -191,6 +193,7 @@ pub fn host_facts() -> Json {
         ("SPMV_LANES", env("SPMV_LANES")),
         ("lanes", lanes.width.lanes().into()),
         ("sell_c", lanes.sell_c.into()),
+        ("vector_isa", vector_isa().into()),
         (
             "git_rev",
             git(&["describe", "--always", "--dirty", "--abbrev=12"])
@@ -247,7 +250,9 @@ mod tests {
     fn host_facts_name_threads_lanes_and_revision() {
         let Json::Obj(fields) = host_facts() else { panic!("host facts are an object") };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        for key in ["hardware_threads", "SPMV_THREADS", "SPMV_LANES", "lanes", "git_rev"] {
+        for key in
+            ["hardware_threads", "SPMV_THREADS", "SPMV_LANES", "lanes", "vector_isa", "git_rev"]
+        {
             assert!(keys.contains(&key), "{key} missing from {keys:?}");
         }
     }

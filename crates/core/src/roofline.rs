@@ -54,9 +54,41 @@ pub fn csr_spmv_oi(rows: usize, cols: usize, nnz: usize, x_traffic_factor: f64) 
     flops / (matrix_bytes + x_bytes + y_bytes)
 }
 
+/// The host's *measured* memory roof: single-thread STREAM-triad
+/// bandwidth `a = b + s·c` over three arrays of `elems` doubles, in
+/// GB/s of computed traffic (24 bytes per element; write-allocate
+/// traffic not counted). The initialising pass doubles as the warm-up;
+/// the fastest of `passes` timed passes is reported. Size the arrays
+/// like the kernel's working set (`3 · 8 · elems` bytes) to get the
+/// roof that kernel actually sits under.
+pub fn measured_triad_gbs(elems: usize, passes: usize) -> f64 {
+    let mut a = vec![0.0f64; elems];
+    let b = vec![1.5f64; elems];
+    let c = vec![0.25f64; elems];
+    let mut best = f64::INFINITY;
+    for pass in 0..=passes.max(1) {
+        let s = 3.0 + pass as f64;
+        let t = std::time::Instant::now();
+        for ((ai, bi), ci) in a.iter_mut().zip(&b).zip(&c) {
+            *ai = bi + s * ci;
+        }
+        std::hint::black_box(&mut a);
+        if pass > 0 {
+            best = best.min(t.elapsed().as_secs_f64());
+        }
+    }
+    (24 * elems) as f64 / best / 1e9
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn measured_triad_is_a_positive_finite_bandwidth() {
+        let gbs = measured_triad_gbs(1 << 14, 2);
+        assert!(gbs.is_finite() && gbs > 0.0, "{gbs}");
+    }
 
     #[test]
     fn attainable_caps_at_peak() {

@@ -55,7 +55,8 @@ pub struct EllFormat {
     /// Width of the dense slab (`max_row_nnz`).
     width: usize,
     /// `width × rows` column indices, column-major:
-    /// entry `(r, j)` lives at `j * rows + r`. Padding uses column 0.
+    /// entry `(r, j)` lives at `j * rows + r`. Padding repeats the
+    /// row's last real column (column 0 in an empty row).
     col_idx: Vec<u32>,
     /// Matching values; padding entries are `0.0`.
     values: Vec<f64>,
@@ -103,6 +104,14 @@ impl EllFormat {
             for (j, (&c, &v)) in cs.iter().zip(vs).enumerate() {
                 col_idx[j * rows + r] = c;
                 values[j * rows + r] = v;
+            }
+            // Padding repeats the row's last real column (see the
+            // propagation policy on `SparseFormat`); an empty row has
+            // none and keeps column 0.
+            if let Some(&last) = cs.last() {
+                for j in cs.len()..width {
+                    col_idx[j * rows + r] = last;
+                }
             }
         }
         Ok(Self { rows, cols: csr.cols(), nnz, width, col_idx, values, lanes: profile.width })

@@ -85,7 +85,8 @@ pub struct HybFormat {
     nnz: usize,
     /// ELL width `k` (average nonzeros per row, rounded up).
     k: usize,
-    /// Column-major ELL slab, `k × rows`, padding at column 0/value 0.
+    /// Column-major ELL slab, `k × rows`; padding repeats the row's
+    /// last real column (column 0 in an empty row) at value 0.
     ell_col: Vec<u32>,
     ell_val: Vec<f64>,
     /// COO tail (row-major sorted), holding `nnz - ell_nnz` entries.
@@ -138,6 +139,14 @@ impl HybFormat {
                     coo_row.push(r as u32);
                     coo_col.push(c);
                     coo_val.push(v);
+                }
+            }
+            // Padding repeats the row's last real column (see the
+            // propagation policy on `SparseFormat`); an empty row has
+            // none and keeps column 0.
+            if let Some(&last) = cs.last() {
+                for j in cs.len()..k {
+                    ell_col[j * rows + r] = last;
                 }
             }
         }

@@ -1,15 +1,17 @@
 //! Microkernels for SELL-C-σ chunk slabs: chunk `k` stores its C
 //! packed rows column-major (entry (lane i, slot j) at
 //! `chunk_ptr[k] + j*C + i`), padded to the chunk's own widest row.
-//! The i-loop over the C in-chunk lanes is W-blocked so LLVM can pack
-//! each block of W adjacent accumulators into vector FMAs.
+//! The i-loop over the C in-chunk lanes is W-blocked; on x86-64 hosts
+//! with AVX2 or AVX-512 every W > 1 runs blocks of 16, 8 and 4 lanes on
+//! the vector unit instead (`super::x86`).
 //!
 //! Each in-chunk lane owns exactly one packed row and its additions
 //! are slot-sequential, so — like the ELL slab kernels — results are
-//! **bit-identical across lane widths**; W is purely a throughput
-//! knob. Results are scattered through `perm` (guarded against the
-//! padding lanes of the final partial chunk). The multi-vector kernel
-//! over the same chunks is [`super::panel::SellChunks`].
+//! **bit-identical across lane widths** and across the scalar and
+//! vector bodies; W is purely a throughput knob. Results are scattered
+//! through `perm` (guarded against the padding lanes of the final
+//! partial chunk). The multi-vector kernel over the same chunks is
+//! [`super::panel::SellChunks`].
 
 use super::LaneWidth;
 use spmv_parallel::DisjointWriter;
@@ -19,126 +21,37 @@ use std::ops::Range;
 /// stack; taller chunks (unusual — the device profiles pick C ≤ 32)
 /// fall back to a heap buffer. Solver iterations over stack-height
 /// SELL matrices therefore never allocate.
-const ACC_STACK: usize = 64;
+pub(super) const ACC_STACK: usize = 64;
 
-#[allow(clippy::too_many_arguments)]
-fn sell_chunks_w<const W: usize>(
-    chunks: Range<usize>,
-    c: usize,
+/// Scatters chunk `k`'s row sums through `perm`, skipping the padding
+/// lanes of a final partial chunk; with `DOT`, continues the fused-dot
+/// chain `partial += x[r] · out[r]` in packed order.
+#[inline]
+pub(super) fn scatter<const DOT: bool>(
+    k: usize,
     total_rows: usize,
     perm: &[u32],
-    chunk_ptr: &[usize],
-    chunk_width: &[u32],
-    col_idx: &[u32],
-    values: &[f64],
+    acc: &[f64],
     x: &[f64],
     out: &DisjointWriter<'_>,
+    partial: &mut f64,
 ) {
-    let mut stack = [0.0f64; ACC_STACK];
-    let mut heap: Vec<f64>;
-    let acc: &mut [f64] = if c <= ACC_STACK {
-        &mut stack[..c]
-    } else {
-        heap = vec![0.0f64; c];
-        &mut heap
-    };
-    for k in chunks {
-        acc.fill(0.0);
-        let base = chunk_ptr[k];
-        let width = chunk_width[k] as usize;
-        for j in 0..width {
-            let slot = base + j * c;
-            let mut i = 0;
-            while i + W <= c {
-                for lane in 0..W {
-                    let p = slot + i + lane;
-                    acc[i + lane] += values[p] * x[col_idx[p] as usize];
-                }
-                i += W;
-            }
-            while i < c {
-                acc[i] += values[slot + i] * x[col_idx[slot + i] as usize];
-                i += 1;
-            }
-        }
-        for (i, &a) in acc.iter().enumerate() {
-            let p = k * c + i;
-            if p < total_rows {
-                out.write(perm[p] as usize, a);
+    for (i, &a) in acc.iter().enumerate() {
+        let p = k * acc.len() + i;
+        if p < total_rows {
+            let r = perm[p] as usize;
+            out.write(r, a);
+            if DOT {
+                *partial += x[r] * a;
             }
         }
     }
 }
 
-/// SpMV over a SELL-C-σ chunk range, scattering through `perm`.
+/// The scalar-lane body of both flavours; returns the fused-dot
+/// partial (0.0 without `DOT`).
 #[allow(clippy::too_many_arguments)]
-pub fn sell_spmv_chunks(
-    lanes: LaneWidth,
-    chunks: Range<usize>,
-    c: usize,
-    total_rows: usize,
-    perm: &[u32],
-    chunk_ptr: &[usize],
-    chunk_width: &[u32],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) {
-    match lanes {
-        LaneWidth::W1 => sell_chunks_w::<1>(
-            chunks,
-            c,
-            total_rows,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            out,
-        ),
-        LaneWidth::W2 => sell_chunks_w::<2>(
-            chunks,
-            c,
-            total_rows,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            out,
-        ),
-        LaneWidth::W4 => sell_chunks_w::<4>(
-            chunks,
-            c,
-            total_rows,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            out,
-        ),
-        LaneWidth::W8 => sell_chunks_w::<8>(
-            chunks,
-            c,
-            total_rows,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            out,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sell_dot_chunks_w<const W: usize>(
+pub(super) fn sell_chunks_w<const W: usize, const DOT: bool>(
     chunks: Range<usize>,
     c: usize,
     total_rows: usize,
@@ -178,16 +91,96 @@ fn sell_dot_chunks_w<const W: usize>(
                 i += 1;
             }
         }
-        for (i, &a) in acc.iter().enumerate() {
-            let p = k * c + i;
-            if p < total_rows {
-                let r = perm[p] as usize;
-                out.write(r, a);
-                partial += x[r] * a;
-            }
-        }
+        scatter::<DOT>(k, total_rows, perm, acc, x, out, &mut partial);
     }
     partial
+}
+
+/// Dispatches on `lanes` (and, on x86-64, the host's vector unit)
+/// once, then runs the monomorphized loop.
+#[allow(clippy::too_many_arguments)]
+fn sell_chunks<const DOT: bool>(
+    lanes: LaneWidth,
+    chunks: Range<usize>,
+    c: usize,
+    total_rows: usize,
+    perm: &[u32],
+    chunk_ptr: &[usize],
+    chunk_width: &[u32],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &DisjointWriter<'_>,
+) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(partial) = super::x86::sell_chunks::<DOT>(
+        super::host_isa(),
+        lanes,
+        chunks.clone(),
+        c,
+        total_rows,
+        perm,
+        chunk_ptr,
+        chunk_width,
+        col_idx,
+        values,
+        x,
+        out,
+    ) {
+        return partial;
+    }
+    macro_rules! at {
+        ($w:literal) => {
+            sell_chunks_w::<$w, DOT>(
+                chunks,
+                c,
+                total_rows,
+                perm,
+                chunk_ptr,
+                chunk_width,
+                col_idx,
+                values,
+                x,
+                out,
+            )
+        };
+    }
+    match lanes {
+        LaneWidth::W1 => at!(1),
+        LaneWidth::W2 => at!(2),
+        LaneWidth::W4 => at!(4),
+        LaneWidth::W8 => at!(8),
+    }
+}
+
+/// SpMV over a SELL-C-σ chunk range, scattering through `perm`.
+#[allow(clippy::too_many_arguments)]
+pub fn sell_spmv_chunks(
+    lanes: LaneWidth,
+    chunks: Range<usize>,
+    c: usize,
+    total_rows: usize,
+    perm: &[u32],
+    chunk_ptr: &[usize],
+    chunk_width: &[u32],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &DisjointWriter<'_>,
+) {
+    sell_chunks::<false>(
+        lanes,
+        chunks,
+        c,
+        total_rows,
+        perm,
+        chunk_ptr,
+        chunk_width,
+        col_idx,
+        values,
+        x,
+        out,
+    );
 }
 
 /// Fused SpMV + dot over a SELL-C-σ chunk range: scatters each row sum
@@ -212,56 +205,19 @@ pub fn sell_spmv_dot_chunks(
     x: &[f64],
     out: &DisjointWriter<'_>,
 ) -> f64 {
-    match lanes {
-        LaneWidth::W1 => sell_dot_chunks_w::<1>(
-            chunks,
-            c,
-            total_rows,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            out,
-        ),
-        LaneWidth::W2 => sell_dot_chunks_w::<2>(
-            chunks,
-            c,
-            total_rows,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            out,
-        ),
-        LaneWidth::W4 => sell_dot_chunks_w::<4>(
-            chunks,
-            c,
-            total_rows,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            out,
-        ),
-        LaneWidth::W8 => sell_dot_chunks_w::<8>(
-            chunks,
-            c,
-            total_rows,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            x,
-            out,
-        ),
-    }
+    sell_chunks::<true>(
+        lanes,
+        chunks,
+        c,
+        total_rows,
+        perm,
+        chunk_ptr,
+        chunk_width,
+        col_idx,
+        values,
+        x,
+        out,
+    )
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 //! (lane `l` owns products `l, l+W, l+2W, …` of the full chunks) that
 //! are reduced pairwise, so sums at different widths agree only to
 //! floating-point tolerance; at a fixed width the order is exact and
-//! reproducible.
+//! reproducible. On x86-64 hosts with AVX2 or AVX-512 the W4 and W8
+//! rows run on the vector unit (`super::x86`), bit-identical to the
+//! bodies below.
 
 use super::{tree_sum, LaneWidth};
 use spmv_parallel::DisjointWriter;
@@ -14,7 +16,7 @@ use std::ops::Range;
 
 /// W-accumulator dot product of one row slice against the gathered x.
 #[inline]
-fn dot_w<const W: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
+pub(super) fn dot_w<const W: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     let mut acc = [0.0f64; W];
     let chunks = cols.len() / W;
     for i in 0..chunks {
@@ -30,40 +32,10 @@ fn dot_w<const W: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     tree_sum(&acc) + tail
 }
 
-fn csr_rows_w<const W: usize>(
-    rows: Range<usize>,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) {
-    for r in rows {
-        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-        out.write(r, dot_w::<W>(&col_idx[lo..hi], &values[lo..hi], x));
-    }
-}
-
-/// SpMV over a CSR row range: `out[r] = row_r · x` for `r` in `rows`.
-/// Dispatches on `width` once, then runs the monomorphized loop.
-pub fn csr_spmv_rows(
-    width: LaneWidth,
-    rows: Range<usize>,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) {
-    match width {
-        LaneWidth::W1 => csr_rows_w::<1>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W2 => csr_rows_w::<2>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W4 => csr_rows_w::<4>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W8 => csr_rows_w::<8>(rows, row_ptr, col_idx, values, x, out),
-    }
-}
-
-fn csr_dot_rows_w<const W: usize>(
+/// The scalar-lane body of both flavours: `out[r] = row_r · x`, and
+/// with `DOT` the partial `Σ x[r] · out[r]` in ascending row order
+/// (0.0 without).
+pub(super) fn csr_rows_w<const W: usize, const DOT: bool>(
     rows: Range<usize>,
     row_ptr: &[usize],
     col_idx: &[u32],
@@ -76,9 +48,56 @@ fn csr_dot_rows_w<const W: usize>(
         let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
         let yr = dot_w::<W>(&col_idx[lo..hi], &values[lo..hi], x);
         out.write(r, yr);
-        partial += x[r] * yr;
+        if DOT {
+            partial += x[r] * yr;
+        }
     }
     partial
+}
+
+/// Dispatches on `width` (and, on x86-64, the host's vector unit)
+/// once, then runs the monomorphized loop.
+fn csr_rows<const DOT: bool>(
+    width: LaneWidth,
+    rows: Range<usize>,
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &DisjointWriter<'_>,
+) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(partial) = super::x86::csr_rows::<DOT>(
+        super::host_isa(),
+        width,
+        rows.clone(),
+        row_ptr,
+        col_idx,
+        values,
+        x,
+        out,
+    ) {
+        return partial;
+    }
+    match width {
+        LaneWidth::W1 => csr_rows_w::<1, DOT>(rows, row_ptr, col_idx, values, x, out),
+        LaneWidth::W2 => csr_rows_w::<2, DOT>(rows, row_ptr, col_idx, values, x, out),
+        LaneWidth::W4 => csr_rows_w::<4, DOT>(rows, row_ptr, col_idx, values, x, out),
+        LaneWidth::W8 => csr_rows_w::<8, DOT>(rows, row_ptr, col_idx, values, x, out),
+    }
+}
+
+/// SpMV over a CSR row range: `out[r] = row_r · x` for `r` in `rows`.
+pub fn csr_spmv_rows(
+    width: LaneWidth,
+    rows: Range<usize>,
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &DisjointWriter<'_>,
+) {
+    csr_rows::<false>(width, rows, row_ptr, col_idx, values, x, out);
 }
 
 /// Fused SpMV + dot over a CSR row range: writes `out[r] = row_r · x`
@@ -99,12 +118,7 @@ pub fn csr_spmv_dot_rows(
     x: &[f64],
     out: &DisjointWriter<'_>,
 ) -> f64 {
-    match width {
-        LaneWidth::W1 => csr_dot_rows_w::<1>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W2 => csr_dot_rows_w::<2>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W4 => csr_dot_rows_w::<4>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W8 => csr_dot_rows_w::<8>(rows, row_ptr, col_idx, values, x, out),
-    }
+    csr_rows::<true>(width, rows, row_ptr, col_idx, values, x, out)
 }
 
 #[cfg(test)]

@@ -4,12 +4,20 @@
 //!
 //! The paper's premise (and SELL-C-σ's raison d'être, Kreutzer et
 //! al.) is that the inner gather·multiply·accumulate loop maps onto
-//! vector lanes. Stable Rust has no `std::simd`, so the microkernels
-//! here use the next best thing: **W independent accumulators** in a
-//! const-generic loop body that LLVM's auto-vectorizer reliably turns
-//! into packed FMAs. Dispatch over W happens *once per kernel call*
-//! (a `match` on [`LaneWidth`] selecting a monomorphized instance),
-//! never per row.
+//! vector lanes. The portable bodies express that as **W independent
+//! accumulators** in a const-generic loop. LLVM's auto-vectorizer does
+//! *not* turn those into vector code: with `avx2` or
+//! `avx512f,avx512vl` enabled, checked or unchecked indexing,
+//! `rustc -O` emits no `vgather*` for the gather-dot body at W4 or W8
+//! (the SLP vectorizer packs 128-bit pairs behind scalar loads), and
+//! as W scalar chains the "vectorized" formats measure slower than
+//! Naive-CSR. So on x86-64 the three single-vector modules below are
+//! **vectorized by hand**:
+//! [`x86`](self) (private; the crate's only `unsafe`) holds explicit
+//! `core::arch` gather microkernels, selected once per kernel call at
+//! the same `match width` site that picks the scalar-lane instance.
+//! Other targets, and x86-64 hosts without AVX2, run the scalar-lane
+//! bodies.
 //!
 //! Submodules by memory layout:
 //!
@@ -20,9 +28,38 @@
 //! | [`chunk`] | SELL-C-σ chunk-major slabs      | SELL-C-σ (C ∈ 4/8/16) |
 //!
 //! Those three hold the single-vector kernels (SpMV and the fused
-//! SpMV+dot). The multi-vector kernels of all three layouts live in
-//! [`panel`], which packs the right-hand sides row-major once per call
-//! and vectorizes over them.
+//! SpMV+dot; one body per layout serves both flavours). The
+//! multi-vector kernels of all three layouts live in [`panel`], which
+//! packs the right-hand sides row-major once per call and vectorizes
+//! over them; they are not hand-vectorized.
+//!
+//! ## Width rule
+//!
+//! [`LaneWidth`] is the only knob, and it means what its variants say:
+//!
+//! * **W1 is always the scalar code** — Naive-CSR,
+//!   [`LaneProfile::scalar`], `SPMV_LANES=1`.
+//! * `dot` at **W4** runs 256-bit vectors and at **W8** 512-bit ones
+//!   (2 × 256-bit with the same lane ownership on AVX2-only hosts);
+//!   W2, or a missing instruction set, runs the scalar-lane body of the
+//!   same W.
+//! * `chunk` and `slab`, whose results do not depend on W, use at any
+//!   W > 1 the widest unit the host has: blocks of 8 adjacent lanes
+//!   (512-bit, or 2 × 256) — taken two at a time while 16 lanes are
+//!   left, so a C = 16 chunk is streamed once —, then one block of 4
+//!   (256-bit; all of a C = 4 chunk), then scalar lanes.
+//!
+//! ## Arithmetic contract
+//!
+//! The vector bodies are **bit-identical** to the scalar-lane bodies:
+//! `vmulpd` then `vaddpd`, never FMA (a fused product rounds once, the
+//! scalar lanes and the panel kernels round twice; these kernels are
+//! gather- and bandwidth-bound anyway). Lane `l` of the vector
+//! accumulator owns exactly the products `acc[l]` owns in the scalar
+//! body, the horizontal reduction is `tree_sum`'s order, and a row's
+//! last `len mod W` products stay a sequential scalar sum. The scalar
+//! bodies are therefore the oracle of the vector ones, and every
+//! guarantee below holds on either.
 //!
 //! ## Determinism contract
 //!
@@ -37,13 +74,25 @@
 //!   accumulators (reduced pairwise), so different widths may differ
 //!   in the last ulps — cross-width agreement is within floating-point
 //!   tolerance only.
-
-use spmv_parallel::DisjointWriter;
+//!
+//! ## Safety contract
+//!
+//! `CsrMatrix::from_parts_unchecked` is a safe function, so column
+//! indices are not trusted by any kernel. The scalar bodies use checked
+//! indexing. The vector bodies take contiguous loads from sub-slices
+//! range-checked per row, chunk or slot row, and **mask every gather**
+//! with an unsigned `col ≤ x.len() − 1` compare: an out-of-range lane
+//! is never dereferenced, the masks are accumulated, and the kernel
+//! panics after its loop where the scalar body panics inside it.
+//! `vgatherdpd` sign-extends its 32-bit indices, so the vector path is
+//! taken only when `1 ≤ x.len() ≤ 2³¹`.
 
 pub mod chunk;
 pub mod dot;
 pub mod panel;
 pub mod slab;
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// Number of independent accumulator lanes a kernel instance unrolls.
 ///
@@ -115,8 +164,8 @@ impl LaneProfile {
     /// lane count, else a host CPU-feature probe. Resolved once and
     /// cached (mirroring `SPMV_THREADS` in `spmv-parallel`).
     pub fn current() -> Self {
-        let (env, host) = *probe();
-        LaneProfile::with_width(env.unwrap_or(host))
+        let probe = probe();
+        LaneProfile::with_width(probe.env.unwrap_or(probe.host))
     }
 
     /// Resolves the effective profile given an optional device hint:
@@ -125,10 +174,10 @@ impl LaneProfile {
     /// the hint so modeled devices keep their calibrated width unless
     /// the operator pins one.
     pub fn resolve(hint: Option<LaneProfile>) -> Self {
-        let (env, host) = *probe();
-        match env {
+        let probe = probe();
+        match probe.env {
             Some(w) => LaneProfile::with_width(w),
-            None => hint.unwrap_or_else(|| LaneProfile::with_width(host)),
+            None => hint.unwrap_or_else(|| LaneProfile::with_width(probe.host)),
         }
     }
 }
@@ -176,13 +225,46 @@ fn host_width() -> LaneWidth {
     }
 }
 
-/// (env override, host default), probed once per process.
-fn probe() -> &'static (Option<LaneWidth>, LaneWidth) {
-    static PROBE: std::sync::OnceLock<(Option<LaneWidth>, LaneWidth)> = std::sync::OnceLock::new();
-    PROBE.get_or_init(|| {
-        let env = std::env::var("SPMV_LANES").ok().and_then(|v| width_from_env_str(&v));
-        (env, host_width())
+/// What one look at the environment and the CPU found.
+struct Probe {
+    /// The `SPMV_LANES` override, if set to a parseable lane count.
+    env: Option<LaneWidth>,
+    /// Default width of the host.
+    host: LaneWidth,
+    /// Vector instruction set the lane kernels may use.
+    #[cfg(target_arch = "x86_64")]
+    isa: x86::Isa,
+}
+
+/// Probed once per process.
+fn probe() -> &'static Probe {
+    static PROBE: std::sync::OnceLock<Probe> = std::sync::OnceLock::new();
+    PROBE.get_or_init(|| Probe {
+        env: std::env::var("SPMV_LANES").ok().and_then(|v| width_from_env_str(&v)),
+        host: host_width(),
+        #[cfg(target_arch = "x86_64")]
+        isa: x86::Isa::detect(),
     })
+}
+
+/// The cached proof of the host's vector instruction set.
+#[cfg(target_arch = "x86_64")]
+fn host_isa() -> x86::Isa {
+    probe().isa
+}
+
+/// Name of the vector instruction set the single-vector lane kernels
+/// use on this host at W > 1 — `"avx512"`, `"avx2"` or `"scalar"` — for
+/// host records.
+pub fn vector_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        host_isa().name()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        "scalar"
+    }
 }
 
 /// Pairwise (tree) reduction of W accumulators. For W = 4 this is
@@ -197,19 +279,6 @@ pub(crate) fn tree_sum<const W: usize>(acc: &[f64; W]) -> f64 {
         4 => (acc[0] + acc[1]) + (acc[2] + acc[3]),
         8 => ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])),
         _ => unreachable!("unsupported lane width {W}"),
-    }
-}
-
-/// Writes `acc[lane]` to `out[first_row + lane]` for a full block of
-/// W rows.
-#[inline]
-pub(crate) fn write_block<const W: usize>(
-    out: &DisjointWriter<'_>,
-    first_row: usize,
-    acc: &[f64; W],
-) {
-    for (lane, &a) in acc.iter().enumerate() {
-        out.write(first_row + lane, a);
     }
 }
 
@@ -258,8 +327,7 @@ mod tests {
     fn resolve_prefers_hint_over_host_when_no_env_override() {
         let hint = LaneProfile::with_width(LaneWidth::W2);
         let resolved = LaneProfile::resolve(Some(hint));
-        let (env, _) = *probe();
-        match env {
+        match probe().env {
             // Operator pinned a width: the hint must lose.
             Some(w) => assert_eq!(resolved.width, w),
             None => assert_eq!(resolved, hint),

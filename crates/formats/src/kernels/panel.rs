@@ -289,7 +289,7 @@ pub(crate) struct Slab<'a> {
     pub cols: usize,
     /// Slots per row.
     pub width: usize,
-    /// Column of every slot (padding: column 0).
+    /// Column of every slot (padding: a column the row already reads).
     pub col_idx: &'a [u32],
     /// Value of every slot (padding: 0.0).
     pub values: &'a [f64],
@@ -375,7 +375,7 @@ pub(crate) struct SellChunks<'a> {
     pub chunk_ptr: &'a [usize],
     /// Slots per lane of each chunk.
     pub chunk_width: &'a [u32],
-    /// Column of every slot (padding: column 0).
+    /// Column of every slot (padding: a column the row already reads).
     pub col_idx: &'a [u32],
     /// Value of every slot (padding: 0.0).
     pub values: &'a [f64],

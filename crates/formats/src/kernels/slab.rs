@@ -1,73 +1,24 @@
 //! Microkernels for column-major ELL slabs (`width × rows`, entry
 //! (r, j) at `j * rows + r`): blocks of W adjacent rows advance
 //! through the slot columns together, each row owning exactly one
-//! accumulator.
+//! accumulator. On x86-64 hosts with AVX2 or AVX-512 every W > 1 runs
+//! blocks of 16, 8 and 4 rows on the vector unit instead
+//! (`super::x86`).
 //!
 //! Because accumulators map 1:1 to rows and every row's additions are
 //! j-sequential, the result is **bit-identical for every lane width**
-//! — W only changes how many rows move in lockstep (and how well LLVM
-//! can pack the j-step into vector FMAs). The multi-vector kernel over
-//! the same slab is [`super::panel::Slab`].
+//! and for the scalar and vector bodies — W only changes how many rows
+//! move in lockstep. The multi-vector kernel over the same slab is
+//! [`super::panel::Slab`].
 
-use super::{write_block, LaneWidth};
+use super::LaneWidth;
 use spmv_parallel::DisjointWriter;
 use std::ops::Range;
 
-fn slab_rows_w<const W: usize>(
-    rows: Range<usize>,
-    total_rows: usize,
-    width: usize,
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) {
-    let mut r = rows.start;
-    while r + W <= rows.end {
-        let mut acc = [0.0f64; W];
-        for j in 0..width {
-            let base = j * total_rows + r;
-            for lane in 0..W {
-                acc[lane] += values[base + lane] * x[col_idx[base + lane] as usize];
-            }
-        }
-        write_block(out, r, &acc);
-        r += W;
-    }
-    // Remainder rows: same j-sequential order, one accumulator each.
-    for rr in r..rows.end {
-        let mut a = 0.0f64;
-        for j in 0..width {
-            let p = j * total_rows + rr;
-            a += values[p] * x[col_idx[p] as usize];
-        }
-        out.write(rr, a);
-    }
-}
-
-/// SpMV over a row range of an ELL slab; `out[r]` is **overwritten**
-/// with the slab row sum (padding slots carry value 0, so they are
-/// harmless additions).
-#[allow(clippy::too_many_arguments)]
-pub fn slab_spmv_rows(
-    lanes: LaneWidth,
-    rows: Range<usize>,
-    total_rows: usize,
-    width: usize,
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) {
-    match lanes {
-        LaneWidth::W1 => slab_rows_w::<1>(rows, total_rows, width, col_idx, values, x, out),
-        LaneWidth::W2 => slab_rows_w::<2>(rows, total_rows, width, col_idx, values, x, out),
-        LaneWidth::W4 => slab_rows_w::<4>(rows, total_rows, width, col_idx, values, x, out),
-        LaneWidth::W8 => slab_rows_w::<8>(rows, total_rows, width, col_idx, values, x, out),
-    }
-}
-
-fn slab_dot_rows_w<const W: usize>(
+/// The scalar-lane body of both flavours: overwrites `out[r]` with the
+/// slab row sum and, with `DOT`, returns `Σ x[r] · out[r]` accumulated
+/// in ascending row order (0.0 without).
+pub(super) fn slab_rows_w<const W: usize, const DOT: bool>(
     rows: Range<usize>,
     total_rows: usize,
     width: usize,
@@ -86,14 +37,17 @@ fn slab_dot_rows_w<const W: usize>(
                 acc[lane] += values[base + lane] * x[col_idx[base + lane] as usize];
             }
         }
-        write_block(out, r, &acc);
         // Ascending-lane (= ascending-row) partial accumulation keeps
         // the fused dot order identical to the serial spmv-then-dot.
         for (lane, &a) in acc.iter().enumerate() {
-            partial += x[r + lane] * a;
+            out.write(r + lane, a);
+            if DOT {
+                partial += x[r + lane] * a;
+            }
         }
         r += W;
     }
+    // Remainder rows: same j-sequential order, one accumulator each.
     for rr in r..rows.end {
         let mut a = 0.0f64;
         for j in 0..width {
@@ -101,9 +55,63 @@ fn slab_dot_rows_w<const W: usize>(
             a += values[p] * x[col_idx[p] as usize];
         }
         out.write(rr, a);
-        partial += x[rr] * a;
+        if DOT {
+            partial += x[rr] * a;
+        }
     }
     partial
+}
+
+/// Dispatches on `lanes` (and, on x86-64, the host's vector unit)
+/// once, then runs the monomorphized loop.
+#[allow(clippy::too_many_arguments)]
+fn slab_rows<const DOT: bool>(
+    lanes: LaneWidth,
+    rows: Range<usize>,
+    total_rows: usize,
+    width: usize,
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &DisjointWriter<'_>,
+) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(partial) = super::x86::slab_rows::<DOT>(
+        super::host_isa(),
+        lanes,
+        rows.clone(),
+        total_rows,
+        width,
+        col_idx,
+        values,
+        x,
+        out,
+    ) {
+        return partial;
+    }
+    match lanes {
+        LaneWidth::W1 => slab_rows_w::<1, DOT>(rows, total_rows, width, col_idx, values, x, out),
+        LaneWidth::W2 => slab_rows_w::<2, DOT>(rows, total_rows, width, col_idx, values, x, out),
+        LaneWidth::W4 => slab_rows_w::<4, DOT>(rows, total_rows, width, col_idx, values, x, out),
+        LaneWidth::W8 => slab_rows_w::<8, DOT>(rows, total_rows, width, col_idx, values, x, out),
+    }
+}
+
+/// SpMV over a row range of an ELL slab; `out[r]` is **overwritten**
+/// with the slab row sum (padding slots carry value 0, so they are
+/// harmless additions).
+#[allow(clippy::too_many_arguments)]
+pub fn slab_spmv_rows(
+    lanes: LaneWidth,
+    rows: Range<usize>,
+    total_rows: usize,
+    width: usize,
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &DisjointWriter<'_>,
+) {
+    slab_rows::<false>(lanes, rows, total_rows, width, col_idx, values, x, out);
 }
 
 /// Fused SpMV + dot over a row range of an ELL slab: overwrites
@@ -123,12 +131,7 @@ pub fn slab_spmv_dot_rows(
     x: &[f64],
     out: &DisjointWriter<'_>,
 ) -> f64 {
-    match lanes {
-        LaneWidth::W1 => slab_dot_rows_w::<1>(rows, total_rows, width, col_idx, values, x, out),
-        LaneWidth::W2 => slab_dot_rows_w::<2>(rows, total_rows, width, col_idx, values, x, out),
-        LaneWidth::W4 => slab_dot_rows_w::<4>(rows, total_rows, width, col_idx, values, x, out),
-        LaneWidth::W8 => slab_dot_rows_w::<8>(rows, total_rows, width, col_idx, values, x, out),
-    }
+    slab_rows::<true>(lanes, rows, total_rows, width, col_idx, values, x, out)
 }
 
 #[cfg(test)]

@@ -1,0 +1,962 @@
+//! x86-64 vector implementations of the single-vector lane kernels
+//! (`dot`, `chunk`, `slab`): explicit `vgatherdpd` · `vmulpd` ·
+//! `vaddpd` microkernels, bit-identical to the scalar-lane bodies they
+//! stand in for. This is the only file of the crate with `unsafe`; the
+//! arithmetic, width and safety contracts are stated once in the
+//! [module docs](super).
+//!
+//! Structure: an [`Isa`] token proves which instruction set the host
+//! runs; an [`Operand`] proves `x` is addressable by a sign-extended
+//! 32-bit gather index; per instruction set a `Gather` owns the two
+//! masked gather·multiply primitives (`mul4`, `mul8`) and an eight-lane
+//! accumulator `V8`; everything above that — the per-row and per-block
+//! primitives and the three drivers, SpMV and fused dot alike — is
+//! written once in `kernels!` and instantiated inside each
+//! instruction set's `#[target_feature]` scope, so the whole row or
+//! chunk loop is compiled for the vector unit and dispatch happens
+//! once per call, outside it.
+
+use super::chunk::{self, ACC_STACK};
+use super::LaneWidth;
+use core::arch::x86_64::*;
+use spmv_parallel::DisjointWriter;
+use std::ops::Range;
+
+/// Proof that the host CPU executes an instruction-set level: the only
+/// constructor of a vector level is [`Isa::detect`], which asked the
+/// CPU. Holding `Isa` is what licenses the `unsafe` calls into the
+/// `#[target_feature]` drivers below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Isa(Level);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Level {
+    Scalar,
+    /// `avx2`.
+    Avx2,
+    /// `avx512f` + `avx512vl` (+ `avx2`, for the 256-bit value ops).
+    Avx512,
+}
+
+impl Isa {
+    /// Probes the host CPU.
+    pub(super) fn detect() -> Isa {
+        Isa(if !is_x86_feature_detected!("avx2") {
+            Level::Scalar
+        } else if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+            Level::Avx512
+        } else {
+            Level::Avx2
+        })
+    }
+
+    /// Name for host records.
+    pub(super) fn name(self) -> &'static str {
+        match self.0 {
+            Level::Scalar => "scalar",
+            Level::Avx2 => "avx2",
+            Level::Avx512 => "avx512",
+        }
+    }
+
+    /// Every level the host executes, narrowest first: an AVX-512 host
+    /// also runs the AVX2 and the scalar paths. Each token is still a
+    /// proof — `detect` reports a level only when the CPU has every
+    /// feature of the levels below it.
+    #[cfg(test)]
+    fn offered() -> Vec<Isa> {
+        let all = [Level::Scalar, Level::Avx2, Level::Avx512];
+        let have = all.iter().position(|&l| l == Isa::detect().0).expect("detect returns a level");
+        all[..=have].iter().map(|&l| Isa(l)).collect()
+    }
+}
+
+/// An `x` every in-range column can be gathered from: `vgatherdpd`
+/// sign-extends its 32-bit indices, so the largest valid column,
+/// `limit = x.len() − 1`, must not have the sign bit set. A column
+/// `c ≤ limit` (unsigned) is then both inside `x` and non-negative.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    x: &'a [f64],
+    limit: u32,
+}
+
+impl<'a> Operand<'a> {
+    fn new(x: &'a [f64]) -> Option<Self> {
+        Some(Self { x, limit: gather_limit(x.len())? })
+    }
+}
+
+/// The largest gatherable column of an `x` of `len` entries; `None`
+/// unless `1 ≤ len ≤ 2³¹`.
+fn gather_limit(len: usize) -> Option<u32> {
+    let limit = u32::try_from(len.checked_sub(1)?).ok()?;
+    (limit <= i32::MAX as u32).then_some(limit)
+}
+
+/// A column-major block of `slots` slot rows: lane `i` of slot `j`
+/// lives at `j * stride + i` (a SELL chunk: `stride = C`; an ELL slab:
+/// `stride = rows`).
+struct Slab<'a> {
+    cols: &'a [u32],
+    vals: &'a [f64],
+    stride: usize,
+    slots: usize,
+}
+
+/// The `N` entries from `at` on — range-checked, so a load through the
+/// result cannot leave `data` whatever arithmetic produced `at`.
+#[inline(always)]
+fn block<T, const N: usize>(data: &[T], at: usize) -> &[T; N] {
+    data[at..at + N].try_into().expect("the range is N long")
+}
+
+/// How far ahead of the entries being multiplied the matrix streams are
+/// prefetched, in elements (64 blocks of 8). On matrices that do not
+/// stay cached between calls the hardware prefetchers alone leave these
+/// kernels latency-bound. Measured on the reference host (one
+/// microarchitecture: the distance is not tuned beyond it), with and
+/// without, alternating: 20–30% per kernel at 256–1024 ahead on 32 MB
+/// operands cycled through the last-level cache, which end to end is
+/// 7% of the benchmark's `hot-large` `typical_us` (4 of 4 pairs); its
+/// cache-resident `hot-small` does not move.
+const AHEAD: usize = 512;
+
+/// Prefetches both matrix streams [`AHEAD`] elements past the start of
+/// `cols` / `vals`. The addresses are never dereferenced (past the end
+/// of the arrays the prefetch is a no-op), hence `wrapping_add`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn prefetch_ahead(cols: &[u32], vals: &[f64]) {
+    _mm_prefetch::<_MM_HINT_T0>(cols.as_ptr().wrapping_add(AHEAD).cast());
+    _mm_prefetch::<_MM_HINT_T0>(vals.as_ptr().wrapping_add(AHEAD).cast());
+}
+
+/// Four columns and their four values as vectors.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load4(cols: &[u32; 4], vals: &[f64; 4]) -> (__m128i, __m256d) {
+    // SAFETY: the references are to four `u32` (16 bytes) and four
+    // `f64` (32 bytes), exactly what the two loads read.
+    unsafe { (_mm_loadu_si128(cols.as_ptr().cast()), _mm256_loadu_pd(vals.as_ptr())) }
+}
+
+/// `(a0 + a1) + (a2 + a3)`: `tree_sum::<4>`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn tree4(acc: __m256d) -> f64 {
+    let pairs = _mm_hadd_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd::<1>(acc));
+    _mm_cvtsd_f64(_mm_add_sd(pairs, _mm_unpackhi_pd(pairs, pairs)))
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn store4(acc: __m256d) -> [f64; 4] {
+    let mut out = [0.0; 4];
+    // SAFETY: `out` is four doubles, the 32 bytes the store writes.
+    unsafe { _mm256_storeu_pd(out.as_mut_ptr(), acc) };
+    out
+}
+
+/// The ISA-independent layers, instantiated in a module that defines
+/// `Gather` (`new`, `mul4`, `mul8`, `finish`) and `V8` (`zero`, `add`,
+/// `tree_sum`, `store`) for the features named here.
+macro_rules! kernels {
+    ($features:literal) => {
+        impl Gather<'_> {
+            /// Sequential sum of a row's last `len mod W` products.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn tail(&self, cols: &[u32], vals: &[f64]) -> f64 {
+                // Rows shorter than a block are all tail: without this
+                // they would stream unprefetched.
+                prefetch_ahead(cols, vals);
+                let mut tail = 0.0;
+                for (&c, &v) in cols.iter().zip(vals) {
+                    tail += v * self.x[c as usize];
+                }
+                tail
+            }
+
+            /// One CSR row as `dot_w::<4>` sums it.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn dot4(&mut self, cols: &[u32], vals: &[f64]) -> f64 {
+                if cols.len() < 4 {
+                    // A row shorter than one block: `tree_sum` of the
+                    // untouched accumulator is 0.0, without the shuffles.
+                    return 0.0 + self.tail(cols, vals);
+                }
+                let ((cols, cols_tail), (vals, vals_tail)) =
+                    (cols.as_chunks::<4>(), vals.as_chunks::<4>());
+                let mut acc = _mm256_setzero_pd();
+                for (c, v) in cols.iter().zip(vals) {
+                    acc = _mm256_add_pd(acc, self.mul4(c, v));
+                }
+                tree4(acc) + self.tail(cols_tail, vals_tail)
+            }
+
+            /// One CSR row as `dot_w::<8>` sums it.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn dot8(&mut self, cols: &[u32], vals: &[f64]) -> f64 {
+                if cols.len() < 8 {
+                    // A row shorter than one block: `tree_sum` of the
+                    // untouched accumulator is 0.0, without the shuffles.
+                    return 0.0 + self.tail(cols, vals);
+                }
+                let ((cols, cols_tail), (vals, vals_tail)) =
+                    (cols.as_chunks::<8>(), vals.as_chunks::<8>());
+                let mut acc = V8::zero();
+                for (c, v) in cols.iter().zip(vals) {
+                    acc = acc.add(self.mul8(c, v));
+                }
+                acc.tree_sum() + self.tail(cols_tail, vals_tail)
+            }
+
+            /// `8 · N` adjacent lanes of a slab, summed slot by slot. The
+            /// `N` blocks advance together, so a C = 16 chunk is streamed
+            /// once, whole cache lines at a time, not once per block.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn lanes8<const N: usize>(&mut self, slab: &Slab<'_>, at: usize) -> [[f64; 8]; N] {
+                let mut acc = [V8::zero(); N];
+                for slot in 0..slab.slots {
+                    let mut p = slot * slab.stride + at;
+                    for a in &mut acc {
+                        *a = a.add(self.mul8(block(slab.cols, p), block(slab.vals, p)));
+                        p += 8;
+                    }
+                }
+                let mut out = [[0.0; 8]; N];
+                for (o, a) in out.iter_mut().zip(acc) {
+                    *o = a.store();
+                }
+                out
+            }
+
+            /// Four adjacent lanes of a slab.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn lanes4(&mut self, slab: &Slab<'_>, at: usize) -> [f64; 4] {
+                let mut acc = _mm256_setzero_pd();
+                for slot in 0..slab.slots {
+                    let p = slot * slab.stride + at;
+                    acc = _mm256_add_pd(acc, self.mul4(block(slab.cols, p), block(slab.vals, p)));
+                }
+                store4(acc)
+            }
+
+            /// `acc[i]` = lane `from + i` of the slab: blocks of 16, one
+            /// of 8, one of 4, scalar lanes for the rest. Each lane is
+            /// its own slot-sequential sum, so the blocking is invisible
+            /// in the result.
+            #[target_feature(enable = $features)]
+            fn lanes(&mut self, slab: &Slab<'_>, from: usize, acc: &mut [f64]) {
+                let (blocks16, rest) = acc.as_chunks_mut::<16>();
+                let (blocks8, rest) = rest.as_chunks_mut::<8>();
+                let (blocks4, singles) = rest.as_chunks_mut::<4>();
+                let mut at = from;
+                for b in blocks16 {
+                    b.copy_from_slice(self.lanes8::<2>(slab, at).as_flattened());
+                    at += 16;
+                }
+                for b in blocks8 {
+                    [*b] = self.lanes8::<1>(slab, at);
+                    at += 8;
+                }
+                for b in blocks4 {
+                    *b = self.lanes4(slab, at);
+                    at += 4;
+                }
+                for a in singles {
+                    *a = 0.0;
+                    for slot in 0..slab.slots {
+                        let p = slot * slab.stride + at;
+                        *a += slab.vals[p] * self.x[slab.cols[p] as usize];
+                    }
+                    at += 1;
+                }
+            }
+        }
+
+        /// `dot::csr_rows_w::<4 or 8, DOT>` on the vector unit.
+        #[target_feature(enable = $features)]
+        pub(super) fn csr_rows<const W8: bool, const DOT: bool>(
+            operand: Operand<'_>,
+            rows: Range<usize>,
+            row_ptr: &[usize],
+            col_idx: &[u32],
+            values: &[f64],
+            out: &DisjointWriter<'_>,
+        ) -> f64 {
+            let mut gather = Gather::new(operand);
+            let mut partial = 0.0;
+            for r in rows {
+                let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+                let (cols, vals) = (&col_idx[lo..hi], &values[lo..hi]);
+                let yr = if W8 { gather.dot8(cols, vals) } else { gather.dot4(cols, vals) };
+                out.write(r, yr);
+                if DOT {
+                    partial += operand.x[r] * yr;
+                }
+            }
+            gather.finish();
+            partial
+        }
+
+        /// `chunk::sell_chunks_w::<_, DOT>` on the vector unit
+        /// (`c ≤ ACC_STACK`).
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = $features)]
+        pub(super) fn sell_chunks<const DOT: bool>(
+            operand: Operand<'_>,
+            chunks: Range<usize>,
+            c: usize,
+            total_rows: usize,
+            perm: &[u32],
+            chunk_ptr: &[usize],
+            chunk_width: &[u32],
+            col_idx: &[u32],
+            values: &[f64],
+            out: &DisjointWriter<'_>,
+        ) -> f64 {
+            let mut gather = Gather::new(operand);
+            let mut stack = [0.0f64; ACC_STACK];
+            let acc = &mut stack[..c];
+            let mut partial = 0.0;
+            for k in chunks {
+                let slots = chunk_width[k] as usize;
+                let (lo, hi) = (chunk_ptr[k], chunk_ptr[k] + slots * c);
+                let slab = Slab { cols: &col_idx[lo..hi], vals: &values[lo..hi], stride: c, slots };
+                gather.lanes(&slab, 0, acc);
+                chunk::scatter::<DOT>(k, total_rows, perm, acc, operand.x, out, &mut partial);
+            }
+            gather.finish();
+            partial
+        }
+
+        /// `slab::slab_rows_w::<_, DOT>` on the vector unit.
+        #[target_feature(enable = $features)]
+        pub(super) fn slab_rows<const DOT: bool>(
+            operand: Operand<'_>,
+            rows: Range<usize>,
+            total_rows: usize,
+            width: usize,
+            col_idx: &[u32],
+            values: &[f64],
+            out: &DisjointWriter<'_>,
+        ) -> f64 {
+            let mut gather = Gather::new(operand);
+            let slab = Slab { cols: col_idx, vals: values, stride: total_rows, slots: width };
+            let mut partial = 0.0;
+            // A stack buffer of rows at a time: the lanes are computed
+            // blockwise, then written (and dotted) in ascending row order.
+            let mut stack = [0.0f64; ACC_STACK];
+            let mut r = rows.start;
+            while r < rows.end {
+                let acc = &mut stack[..ACC_STACK.min(rows.end - r)];
+                gather.lanes(&slab, r, acc);
+                for &a in acc.iter() {
+                    out.write(r, a);
+                    if DOT {
+                        partial += operand.x[r] * a;
+                    }
+                    r += 1;
+                }
+            }
+            gather.finish();
+            partial
+        }
+    };
+}
+
+mod avx2 {
+    use super::*;
+
+    /// Gathers from one `x`, remembering whether every lane so far was
+    /// in range.
+    pub(super) struct Gather<'a> {
+        x: &'a [f64],
+        limit: __m128i,
+        /// All-ones while no column exceeded `limit`.
+        ok: __m256i,
+    }
+
+    impl<'a> Gather<'a> {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new(operand: Operand<'a>) -> Self {
+            Self {
+                x: operand.x,
+                limit: _mm_set1_epi32(operand.limit as i32),
+                ok: _mm256_set1_epi64x(-1),
+            }
+        }
+
+        /// `vals[l] · x[cols[l]]` for four lanes. A lane whose column
+        /// is out of range is not read: it multiplies by 0.0 and
+        /// clears `ok`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn mul4(&mut self, cols: &[u32; 4], vals: &[f64; 4]) -> __m256d {
+            prefetch_ahead(cols, vals);
+            let (idx, v) = load4(cols, vals);
+            let in_range = _mm_cmpeq_epi32(_mm_min_epu32(idx, self.limit), idx);
+            let mask = _mm256_cvtepi32_epi64(in_range);
+            self.ok = _mm256_and_si256(self.ok, mask);
+            // SAFETY: the gather dereferences only lanes whose mask is
+            // set, i.e. `col ≤ limit = x.len() − 1` unsigned; `Operand`
+            // guarantees `limit ≤ i32::MAX`, so the sign extension of
+            // such a `col` is `col` and `x + 8·col` lies inside `x`.
+            let gathered = unsafe {
+                _mm256_mask_i32gather_pd::<8>(
+                    _mm256_setzero_pd(),
+                    self.x.as_ptr(),
+                    idx,
+                    _mm256_castsi256_pd(mask),
+                )
+            };
+            _mm256_mul_pd(v, gathered)
+        }
+
+        /// Eight lanes as 2 × 256 bits, lane `l` in half `l / 4`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn mul8(&mut self, cols: &[u32; 8], vals: &[f64; 8]) -> V8 {
+            V8(self.mul4(block(cols, 0), block(vals, 0)), self.mul4(block(cols, 4), block(vals, 4)))
+        }
+
+        /// Panics, as the scalar kernels' checked `x[col]` does, if
+        /// any gathered column was out of range.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn finish(self) {
+            let ok = _mm256_movemask_pd(_mm256_castsi256_pd(self.ok)) == 0b1111;
+            assert!(ok, "column index out of bounds: x has {} entries", self.x.len());
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    struct V8(__m256d, __m256d);
+
+    impl V8 {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn zero() -> Self {
+            V8(_mm256_setzero_pd(), _mm256_setzero_pd())
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn add(self, o: V8) -> V8 {
+            V8(_mm256_add_pd(self.0, o.0), _mm256_add_pd(self.1, o.1))
+        }
+
+        /// `tree_sum::<8>`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn tree_sum(self) -> f64 {
+            tree4(self.0) + tree4(self.1)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn store(self) -> [f64; 8] {
+            let (lo, hi) = (store4(self.0), store4(self.1));
+            std::array::from_fn(|l| if l < 4 { lo[l] } else { hi[l - 4] })
+        }
+    }
+
+    kernels!("avx2");
+}
+
+mod avx512 {
+    use super::*;
+
+    /// Gathers from one `x`, remembering whether every lane so far was
+    /// in range.
+    pub(super) struct Gather<'a> {
+        x: &'a [f64],
+        limit: __m256i,
+        /// Bit `l` stays set while no column in lane `l` exceeded `limit`.
+        ok: __mmask8,
+    }
+
+    impl<'a> Gather<'a> {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn new(operand: Operand<'a>) -> Self {
+            Self { x: operand.x, limit: _mm256_set1_epi32(operand.limit as i32), ok: 0xFF }
+        }
+
+        /// `vals[l] · x[cols[l]]` for four lanes; see `avx2::Gather::mul4`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn mul4(&mut self, cols: &[u32; 4], vals: &[f64; 4]) -> __m256d {
+            prefetch_ahead(cols, vals);
+            let (idx, v) = load4(cols, vals);
+            let in_range = _mm_cmple_epu32_mask(idx, _mm256_castsi256_si128(self.limit));
+            self.ok &= in_range | 0xF0;
+            // SAFETY: as in `mul8`, over the four lanes `in_range` has.
+            let gathered = unsafe {
+                _mm256_mmask_i32gather_pd::<8>(_mm256_setzero_pd(), in_range, idx, self.x.as_ptr())
+            };
+            _mm256_mul_pd(v, gathered)
+        }
+
+        /// `vals[l] · x[cols[l]]` for eight lanes. A lane whose column
+        /// is out of range is not read: it multiplies by 0.0 and
+        /// clears its `ok` bit.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn mul8(&mut self, cols: &[u32; 8], vals: &[f64; 8]) -> V8 {
+            prefetch_ahead(cols, vals);
+            // SAFETY: the references are to eight `u32` (32 bytes) and
+            // eight `f64` (64 bytes), exactly what the loads read.
+            let (idx, v) = unsafe {
+                (_mm256_loadu_si256(cols.as_ptr().cast()), _mm512_loadu_pd(vals.as_ptr()))
+            };
+            let in_range = _mm256_cmple_epu32_mask(idx, self.limit);
+            self.ok &= in_range;
+            // SAFETY: the gather dereferences only lanes whose mask bit
+            // is set, i.e. `col ≤ limit = x.len() − 1` unsigned;
+            // `Operand` guarantees `limit ≤ i32::MAX`, so the sign
+            // extension of such a `col` is `col` and `x + 8·col` lies
+            // inside `x`.
+            let gathered = unsafe {
+                _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), in_range, idx, self.x.as_ptr())
+            };
+            V8(_mm512_mul_pd(v, gathered))
+        }
+
+        /// Panics, as the scalar kernels' checked `x[col]` does, if
+        /// any gathered column was out of range.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn finish(self) {
+            assert!(self.ok == 0xFF, "column index out of bounds: x has {} entries", self.x.len());
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    struct V8(__m512d);
+
+    impl V8 {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn zero() -> Self {
+            V8(_mm512_setzero_pd())
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn add(self, o: V8) -> V8 {
+            V8(_mm512_add_pd(self.0, o.0))
+        }
+
+        /// `tree_sum::<8>` — not `_mm512_reduce_add_pd`, which pairs
+        /// lane `l` with lane `l + 4` first.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn tree_sum(self) -> f64 {
+            tree4(_mm512_castpd512_pd256(self.0)) + tree4(_mm512_extractf64x4_pd::<1>(self.0))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn store(self) -> [f64; 8] {
+            let mut out = [0.0; 8];
+            // SAFETY: `out` is eight doubles, the 64 bytes the store writes.
+            unsafe { _mm512_storeu_pd(out.as_mut_ptr(), self.0) };
+            out
+        }
+    }
+
+    kernels!("avx512f,avx512vl,avx2");
+}
+
+/// Runs `$driver` of the module `isa` names; `None` on a scalar host.
+macro_rules! on_isa {
+    ($isa:expr, $driver:ident::<$($generic:tt),+>($($arg:expr),* $(,)?)) => {
+        match $isa.0 {
+            Level::Scalar => None,
+            // SAFETY: `Level::Avx2` is constructed only by `Isa::detect`
+            // and only after the CPU reported `avx2`, the one feature
+            // the `avx2` drivers enable.
+            Level::Avx2 => Some(unsafe { avx2::$driver::<$($generic),+>($($arg),*) }),
+            // SAFETY: `Level::Avx512` is constructed only by
+            // `Isa::detect` and only after the CPU reported `avx512f`,
+            // `avx512vl` and `avx2`, the features the `avx512` drivers
+            // enable.
+            Level::Avx512 => Some(unsafe { avx512::$driver::<$($generic),+>($($arg),*) }),
+        }
+    };
+}
+
+/// CSR rows at W4 (256-bit) or W8 (512-bit, 2 × 256 on AVX2): the fused
+/// dot partial (0.0 for plain SpMV), or `None` when the caller must run
+/// the scalar-lane body — W1/W2, a scalar host, or an `x` no gather can
+/// index.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn csr_rows<const DOT: bool>(
+    isa: Isa,
+    width: LaneWidth,
+    rows: Range<usize>,
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &DisjointWriter<'_>,
+) -> Option<f64> {
+    let w8 = match width {
+        LaneWidth::W1 | LaneWidth::W2 => return None,
+        LaneWidth::W4 => false,
+        LaneWidth::W8 => true,
+    };
+    let x = Operand::new(x)?;
+    if w8 {
+        on_isa!(isa, csr_rows::<true, DOT>(x, rows, row_ptr, col_idx, values, out))
+    } else {
+        on_isa!(isa, csr_rows::<false, DOT>(x, rows, row_ptr, col_idx, values, out))
+    }
+}
+
+/// SELL-C-σ chunks at any W > 1, on the widest unit the host has; the
+/// fused dot partial, or `None` when the caller must run the scalar
+/// body.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn sell_chunks<const DOT: bool>(
+    isa: Isa,
+    lanes: LaneWidth,
+    chunks: Range<usize>,
+    c: usize,
+    total_rows: usize,
+    perm: &[u32],
+    chunk_ptr: &[usize],
+    chunk_width: &[u32],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &DisjointWriter<'_>,
+) -> Option<f64> {
+    // Taller chunks than the stack accumulator are the scalar body's.
+    if lanes == LaneWidth::W1 || c > ACC_STACK {
+        return None;
+    }
+    let x = Operand::new(x)?;
+    on_isa!(
+        isa,
+        sell_chunks::<DOT>(
+            x,
+            chunks,
+            c,
+            total_rows,
+            perm,
+            chunk_ptr,
+            chunk_width,
+            col_idx,
+            values,
+            out
+        )
+    )
+}
+
+/// ELL slab rows at any W > 1, on the widest unit the host has; the
+/// fused dot partial, or `None` when the caller must run the scalar
+/// body.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn slab_rows<const DOT: bool>(
+    isa: Isa,
+    lanes: LaneWidth,
+    rows: Range<usize>,
+    total_rows: usize,
+    width: usize,
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &DisjointWriter<'_>,
+) -> Option<f64> {
+    if lanes == LaneWidth::W1 {
+        return None;
+    }
+    let x = Operand::new(x)?;
+    on_isa!(isa, slab_rows::<DOT>(x, rows, total_rows, width, col_idx, values, out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{dot, slab};
+    use super::*;
+
+    const WIDE: [LaneWidth; 3] = [LaneWidth::W2, LaneWidth::W4, LaneWidth::W8];
+
+    fn operand(n: usize) -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0 + 0.1).collect()
+    }
+
+    /// `(y, partial)` of one kernel run; rows the kernel does not write
+    /// keep a sentinel.
+    fn run(
+        rows: usize,
+        kernel: impl FnOnce(&DisjointWriter<'_>) -> Option<f64>,
+    ) -> Option<(Vec<f64>, f64)> {
+        let mut y = vec![f64::MIN; rows];
+        let partial = kernel(&DisjointWriter::new(&mut y))?;
+        Some((y, partial))
+    }
+
+    /// `[spmv, fused dot]` runs of a kernel call written once with the
+    /// flavour spelled `DOT`.
+    macro_rules! flavours {
+        ($rows:expr, |$out:ident| $call:expr) => {
+            [
+                {
+                    const DOT: bool = false;
+                    run($rows, |$out| $call)
+                },
+                {
+                    const DOT: bool = true;
+                    run($rows, |$out| $call)
+                },
+            ]
+        };
+    }
+
+    /// A vector level must reproduce the oracle bit for bit; the scalar
+    /// level must decline.
+    fn judge(
+        isa: Isa,
+        got: [Option<(Vec<f64>, f64)>; 2],
+        want: &[Option<(Vec<f64>, f64)>; 2],
+        ctx: &str,
+    ) {
+        if isa.0 == Level::Scalar {
+            assert_eq!(got, [None, None], "{ctx}: no vector unit, no vector path");
+        } else {
+            assert_eq!(&got, want, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn gather_limit_admits_one_to_two_to_the_31() {
+        assert_eq!(gather_limit(0), None);
+        assert_eq!(gather_limit(1), Some(0));
+        assert_eq!(gather_limit(1 << 31), Some(i32::MAX as u32));
+        assert_eq!(gather_limit((1 << 31) + 1), None);
+        assert!(Operand::new(&[]).is_none());
+    }
+
+    #[test]
+    fn csr_rows_on_every_offered_isa_equal_the_scalar_lane_body_bitwise() {
+        // Square; row `r` has `r` nonzeros (0..=33: every `len mod 8`),
+        // the last one in the last column.
+        let n = 34;
+        let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        for r in 0..n {
+            for i in 0..r {
+                cols.push(if i + 1 == r { n as u32 - 1 } else { ((r * 5 + i * 3) % n) as u32 });
+                vals.push(((r * 7 + i) % 13) as f64 * 0.25 - 1.5);
+            }
+            row_ptr.push(cols.len());
+        }
+        let x = operand(n);
+        let want4 =
+            flavours!(n, |o| Some(dot::csr_rows_w::<4, DOT>(0..n, &row_ptr, &cols, &vals, &x, o)));
+        let want8 =
+            flavours!(n, |o| Some(dot::csr_rows_w::<8, DOT>(0..n, &row_ptr, &cols, &vals, &x, o)));
+        for isa in Isa::offered() {
+            for (width, want) in [(LaneWidth::W4, &want4), (LaneWidth::W8, &want8)] {
+                let got = flavours!(n, |o| csr_rows::<DOT>(
+                    isa,
+                    width,
+                    0..n,
+                    &row_ptr,
+                    &cols,
+                    &vals,
+                    &x,
+                    o
+                ));
+                judge(isa, got, want, &format!("{isa:?} {width:?}"));
+            }
+            for width in [LaneWidth::W1, LaneWidth::W2] {
+                let got = flavours!(n, |o| csr_rows::<DOT>(
+                    isa,
+                    width,
+                    0..n,
+                    &row_ptr,
+                    &cols,
+                    &vals,
+                    &x,
+                    o
+                ));
+                assert_eq!(got, [None, None], "{isa:?}: {width:?} is the scalar body's");
+            }
+        }
+    }
+
+    #[test]
+    fn sell_chunks_on_every_offered_isa_equal_the_scalar_body_bitwise() {
+        // 67 rows: a partial last chunk at every C. C = 1, 3: scalar
+        // lanes only; 12 = 8 + 4; 21 = 16 + 4 + 1. Row `p` has `p % 7`
+        // real slots, chunks are padded to their widest row with value
+        // 0, `perm` reverses each chunk.
+        let n = 67;
+        let x = operand(n);
+        for c in [1usize, 3, 4, 8, 12, 16, 21] {
+            let perm: Vec<u32> =
+                (0..n).map(|p| (p / c * c + (c.min(n - p / c * c) - 1 - p % c)) as u32).collect();
+            let (mut ptr, mut widths) = (vec![0usize], Vec::new());
+            let (mut cols, mut vals) = (Vec::new(), Vec::new());
+            for k in 0..n.div_ceil(c) {
+                let width = (k * c..((k + 1) * c).min(n)).map(|p| p % 7).max().unwrap_or(0);
+                for j in 0..width {
+                    for p in k * c..(k + 1) * c {
+                        let real = p < n && j < p % 7;
+                        cols.push(if real { ((p * 3 + j * 5) % n) as u32 } else { 0 });
+                        vals.push(if real { ((p + j) % 9) as f64 * 0.5 - 2.0 } else { 0.0 });
+                    }
+                }
+                widths.push(width as u32);
+                ptr.push(cols.len());
+            }
+            let chunks = 0..widths.len();
+            let want = flavours!(n, |o| Some(chunk::sell_chunks_w::<1, DOT>(
+                chunks.clone(),
+                c,
+                n,
+                &perm,
+                &ptr,
+                &widths,
+                &cols,
+                &vals,
+                &x,
+                o
+            )));
+            for isa in Isa::offered() {
+                for lanes in WIDE {
+                    let got = flavours!(n, |o| sell_chunks::<DOT>(
+                        isa,
+                        lanes,
+                        chunks.clone(),
+                        c,
+                        n,
+                        &perm,
+                        &ptr,
+                        &widths,
+                        &cols,
+                        &vals,
+                        &x,
+                        o
+                    ));
+                    judge(isa, got, &want, &format!("{isa:?} {lanes:?} C={c}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_rows_on_every_offered_isa_equal_the_scalar_body_bitwise() {
+        // 77 rows = the 64-row staging buffer (4 blocks of 16) + a
+        // block of 8 + one of 4 + 1; 150 crosses the buffer twice.
+        // Sub-ranges start off-block.
+        for n in [1usize, 7, 77, 150] {
+            let width = 5;
+            let x = operand(n);
+            let cols: Vec<u32> = (0..width * n).map(|p| ((p * 7 + 3) % n) as u32).collect();
+            let vals: Vec<f64> = (0..width * n).map(|p| (p % 11) as f64 * 0.5 - 2.0).collect();
+            for rows in [0..n, n / 3..n, 0..n / 2] {
+                let want = flavours!(n, |o| Some(slab::slab_rows_w::<1, DOT>(
+                    rows.clone(),
+                    n,
+                    width,
+                    &cols,
+                    &vals,
+                    &x,
+                    o
+                )));
+                for isa in Isa::offered() {
+                    for lanes in WIDE {
+                        let got = flavours!(n, |o| slab_rows::<DOT>(
+                            isa,
+                            lanes,
+                            rows.clone(),
+                            n,
+                            width,
+                            &cols,
+                            &vals,
+                            &x,
+                            o
+                        ));
+                        judge(isa, got, &want, &format!("{isa:?} {lanes:?} n={n} {rows:?}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether `kernel`, writing into a fresh `y`, panics.
+    fn panics(kernel: impl FnOnce(&DisjointWriter<'_>) + std::panic::UnwindSafe) -> bool {
+        std::panic::catch_unwind(|| kernel(&DisjointWriter::new(&mut [0.0; 24]))).is_err()
+    }
+
+    #[test]
+    fn an_out_of_range_column_panics_on_every_offered_isa_wherever_it_sits() {
+        // 24 entries with one bad column, read three ways: a CSR row
+        // (blocks of 4 or 8; as a 23-long row its last 3 or 7 entries
+        // are the scalar tail), an ELL slab of 24 rows × 1 slot (a block
+        // of 16 and one of 8), a SELL chunk of C = 12 × 2 slots (8 and 4
+        // lanes per slot). Column 2³¹ is the one with teeth: sign-extended
+        // it points 16 GiB *below* `x`, where a gather that ignored its
+        // mask would fault instead of panicking.
+        let n = 24usize;
+        let x = operand(n);
+        let vals = vec![1.0; n];
+        let perm: Vec<u32> = (0..12).collect();
+        for bad_at in [0usize, 3, 7, 9, 15, 16, 22, 23] {
+            for bad in [n as u32, 1 << 31, u32::MAX] {
+                let mut cols: Vec<u32> = (0..n as u32).collect();
+                cols[bad_at] = bad;
+                let (cols, vals, x, perm) = (&cols, &vals, &x, &perm);
+                let ctx = format!("column {bad} at {bad_at}");
+                for isa in Isa::offered().into_iter().filter(|isa| isa.0 != Level::Scalar) {
+                    for w in [LaneWidth::W4, LaneWidth::W8] {
+                        for len in [n, n - 1] {
+                            let hit = panics(move |o| {
+                                let row_ptr = [0, len];
+                                csr_rows::<false>(isa, w, 0..1, &row_ptr, cols, vals, x, o);
+                            });
+                            assert_eq!(hit, bad_at < len, "csr {isa:?} {w:?} len {len}: {ctx}");
+                        }
+                    }
+                    assert!(
+                        panics(move |o| {
+                            slab_rows::<true>(isa, LaneWidth::W2, 0..n, n, 1, cols, vals, x, o);
+                        }),
+                        "slab {isa:?}: {ctx}"
+                    );
+                    assert!(
+                        panics(move |o| {
+                            let (ptr, slots) = ([0, 24], [2]);
+                            sell_chunks::<false>(
+                                isa,
+                                LaneWidth::W8,
+                                0..1,
+                                12,
+                                12,
+                                perm,
+                                &ptr,
+                                &slots,
+                                cols,
+                                vals,
+                                x,
+                                o,
+                            );
+                        }),
+                        "sell {isa:?}: {ctx}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -77,6 +77,20 @@ impl FormatKind {
         FormatKind::SellC16,
     ];
 
+    /// The formats whose single-vector inner loops live in the shared
+    /// lane-kernel layer ([`crate::kernels`]: `dot`, `slab`, `chunk`) —
+    /// the ones a [`LaneProfile`] changes the code of.
+    pub const KERNEL_LAYER: [FormatKind; 8] = [
+        FormatKind::NaiveCsr,
+        FormatKind::VectorizedCsr,
+        FormatKind::BalancedCsr,
+        FormatKind::Ell,
+        FormatKind::Hyb,
+        FormatKind::SellC4,
+        FormatKind::SellCSigma,
+        FormatKind::SellC16,
+    ];
+
     /// The stable display name (matches `SparseFormat::name`).
     pub fn name(self) -> &'static str {
         match self {

@@ -126,7 +126,8 @@ pub struct SellCSigmaFormat {
     /// Width (max row length) of each chunk.
     chunk_width: Vec<u32>,
     /// Column-major per chunk: entry `(lane i, slot j)` of chunk `k`
-    /// lives at `chunk_ptr[k] + j*C + i`. Padding: col 0 / val 0.
+    /// lives at `chunk_ptr[k] + j*C + i`. Padding: the row's last real
+    /// column (column 0 in an empty row or lane) / val 0.
     col_idx: Vec<u32>,
     values: Vec<f64>,
     /// Lane width the kernels dispatch to.
@@ -189,6 +190,14 @@ impl SellCSigmaFormat {
                 for (j, (&cc, &vv)) in cs.iter().zip(vs).enumerate() {
                     col_idx[base + j * c + i] = cc;
                     values[base + j * c + i] = vv;
+                }
+                // Padding repeats the row's last real column (see the
+                // propagation policy on `SparseFormat`); an empty row
+                // has none and keeps column 0.
+                if let Some(&last) = cs.last() {
+                    for j in cs.len()..chunk_width[k] as usize {
+                        col_idx[base + j * c + i] = last;
+                    }
                 }
             }
         }

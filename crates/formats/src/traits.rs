@@ -40,6 +40,26 @@ impl std::error::Error for FormatBuildError {}
 /// Implementations guarantee that `spmv`, `spmv_parallel` and `spmm`
 /// produce the same `y = A·x` as the CSR reference up to floating-point
 /// reassociation.
+///
+/// # Non-finite operands
+///
+/// A NaN or infinity in `x` propagates by one rule: **a row of `y` is
+/// non-finite iff the row stores a slot whose `x` entry is non-finite**
+/// (`0 · NaN` is NaN, so a stored zero counts). For the CSR family the
+/// stored slots are the row's nonzeros. ELL, HYB's ELL half and
+/// SELL-C-σ also store padding slots of value 0; their padding repeats
+/// the row's *own last real column*, so it can only re-read an entry
+/// the row reads anyway and those formats answer finite exactly where
+/// CSR does. The one exception is an **all-empty row inside a padded
+/// slab or chunk**: it has no column of its own, its padding names
+/// column 0, and a non-finite `x[0]` makes it NaN where CSR answers 0.
+/// (Streams written before this rule padded every row with column 0;
+/// they still decode and multiply correctly on finite operands.) Formats
+/// whose zero fill-in belongs to *neighbouring* columns by construction
+/// (BCSR blocks, DIA diagonals, VSL) follow the rule as stated: the
+/// fill-in is a stored slot. Which non-finite value comes out is not
+/// promised across formats: `0 · ∞` in a padding slot turns an infinite
+/// row sum into NaN.
 pub trait SparseFormat: Send + Sync {
     /// Short, stable format name (used in reports and figures).
     fn name(&self) -> &'static str;

@@ -21,16 +21,7 @@ use std::collections::BTreeMap;
 /// The format kinds whose inner loops live in `kernels` (tentpole
 /// migration set): the three CSR variants, ELL, HYB (slab + COO tail)
 /// and the three SELL chunk widths.
-const MIGRATED: [FormatKind; 8] = [
-    FormatKind::NaiveCsr,
-    FormatKind::VectorizedCsr,
-    FormatKind::BalancedCsr,
-    FormatKind::Ell,
-    FormatKind::Hyb,
-    FormatKind::SellC4,
-    FormatKind::SellCSigma,
-    FormatKind::SellC16,
-];
+const MIGRATED: [FormatKind; 8] = FormatKind::KERNEL_LAYER;
 
 /// Random rectangular matrices with frequent empty rows: a quarter of
 /// the candidate rows receive no entries at all, and tall/wide shapes

@@ -9,7 +9,10 @@
 //! dance with its own pool call and its own raw-pointer writes; the
 //! [`Executor`] centralizes it behind three entry points, each of which
 //! spawns its chunks as independent tasks on the work-stealing
-//! scheduler ([`ThreadPool::run_tasks`]) and joins them:
+//! scheduler ([`ThreadPool::run_tasks`]) and joins them — except on a
+//! pool of one, where the single chunk is the whole schedule and the
+//! kernel runs on the caller directly (same result bits: one chunk's
+//! partial or carries reduce to themselves):
 //!
 //! * [`Executor::run_disjoint`] — one task per [`Schedule`] chunk,
 //!   each writing a disjoint set of output rows ([`DisjointWriter`]);
@@ -156,6 +159,19 @@ pub enum Schedule<'a> {
 }
 
 impl Schedule<'_> {
+    /// Number of items the schedule splits.
+    ///
+    /// # Panics
+    /// Panics if a `Balanced` prefix is empty.
+    fn items(&self) -> usize {
+        match *self {
+            Schedule::Static { items } | Schedule::StaticAligned { items, .. } => items,
+            Schedule::Balanced { prefix } => {
+                prefix.len().checked_sub(1).expect("prefix must have at least one element")
+            }
+        }
+    }
+
     /// Materializes the schedule into `chunks` contiguous ranges.
     fn partition(&self, chunks: usize) -> Partition {
         match *self {
@@ -304,8 +320,17 @@ impl<'p> Executor<'p> {
     where
         F: Fn(Range<usize>, &DisjointWriter<'_>) + Sync,
     {
-        let partition = schedule.partition(self.threads());
         let out = DisjointWriter::new(y);
+        if self.threads() == 1 {
+            // One chunk: the whole schedule, on the caller, with no
+            // partition to build and nothing to hand the pool.
+            let all = 0..schedule.items();
+            if !all.is_empty() {
+                f(all, &out);
+            }
+            return;
+        }
+        let partition = schedule.partition(self.threads());
         self.pool.run_tasks(partition.chunks(), |ci| {
             let range = partition.range(ci);
             if !range.is_empty() {
@@ -330,6 +355,11 @@ impl<'p> Executor<'p> {
         F: Fn(Range<usize>, &DisjointWriter<'_>) -> f64 + Sync,
     {
         let chunks = self.threads().clamp(1, MAX_REDUCE_CHUNKS);
+        if chunks == 1 {
+            // One partial reduces to itself.
+            let all = 0..schedule.items();
+            return if all.is_empty() { 0.0 } else { f(all, &DisjointWriter::new(y)) };
+        }
         let partition = schedule.partition(chunks);
         let mut partials = [0.0f64; MAX_REDUCE_CHUNKS];
         {
@@ -361,6 +391,13 @@ impl<'p> Executor<'p> {
             return;
         }
         let t = self.threads();
+        if t == 1 {
+            let c = f(0..items, &DisjointWriter::new(y));
+            for (row, sum) in c.first.into_iter().chain(c.last) {
+                y[row] += sum;
+            }
+            return;
+        }
         // Carry slots live on the stack for ordinary pool widths so a
         // tight caller loop (a solver iterating on a carry-chunked
         // format) never allocates; only pools wider than the inline cap
@@ -490,6 +527,61 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(run(&mut y), first);
         }
+    }
+
+    #[test]
+    fn a_pool_of_one_runs_the_whole_schedule_on_the_caller_and_submits_nothing() {
+        let pool = ThreadPool::new(1);
+        let exec = Executor::new(&pool);
+        let before = pool.stats();
+        let caller = std::thread::current().id();
+        let on_caller = |range: &Range<usize>, n: usize| {
+            assert_eq!(*range, 0..n, "one chunk covers the schedule");
+            assert_eq!(std::thread::current().id(), caller);
+        };
+
+        let prefix = [0usize, 3, 3, 9, 10];
+        for (schedule, n) in [
+            (Schedule::Static { items: 7 }, 7),
+            (Schedule::StaticAligned { items: 7, align: 4 }, 7),
+            (Schedule::Balanced { prefix: &prefix }, 4),
+        ] {
+            let mut y = vec![f64::NAN; n];
+            exec.run_disjoint(schedule, &mut y, |range, out| {
+                on_caller(&range, n);
+                range.for_each(|i| out.write(i, i as f64));
+            });
+            assert!(y.iter().enumerate().all(|(i, &v)| v == i as f64));
+            // The partial comes back as the kernel returned it, not
+            // re-summed (`0.0 + -0.0` would lose the sign).
+            for want in [0.1 + 0.2, -0.0] {
+                let partial = exec.run_disjoint_reduce(schedule, &mut y, |range, _| {
+                    on_caller(&range, n);
+                    want
+                });
+                assert_eq!(partial.to_bits(), want.to_bits());
+            }
+        }
+        for empty in [Schedule::Static { items: 0 }, Schedule::Balanced { prefix: &[0] }] {
+            exec.run_disjoint(empty, &mut [], |_, _| panic!("must not be called"));
+            let partial = exec.run_disjoint_reduce(empty, &mut [], |_, _| panic!("nor this"));
+            assert_eq!(partial, 0.0);
+        }
+
+        let rows = [0usize, 0, 1, 3, 3];
+        let mut y = vec![0.0; 4];
+        exec.run_chunks_carry(rows.len(), &mut y, |range, out| {
+            on_caller(&range, rows.len());
+            accumulate_rows(range, |i| rows[i], |i| (i + 1) as f64, out)
+        });
+        assert_eq!(y, vec![3.0, 3.0, 0.0, 9.0]);
+
+        let after = pool.stats();
+        assert_eq!(
+            (after.high_tasks, after.low_tasks, after.steals),
+            (before.high_tasks, before.low_tasks, before.steals),
+            "no task reached the scheduler"
+        );
     }
 
     #[test]

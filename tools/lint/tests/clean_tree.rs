@@ -47,6 +47,22 @@ fn unsafe_outside_the_whitelist_is_flagged() {
 }
 
 #[test]
+fn the_gather_microkernels_are_the_only_unsafe_file_of_spmv_formats() {
+    let gather = "fn g(x: &[f64], i: __m128i, m: __m256d) -> __m256d {\n    // SAFETY: `Isa` proved avx2; masked lanes are `<= x.len() - 1`.\n    unsafe { _mm256_mask_i32gather_pd::<8>(_mm256_setzero_pd(), x.as_ptr(), i, m) }\n}\n";
+    assert!(lint_source("crates/formats/src/kernels/x86.rs", gather).is_empty());
+    // The whitelist names the file, not the crate or the directory …
+    for elsewhere in ["crates/formats/src/kernels/dot.rs", "crates/formats/src/csr.rs"] {
+        assert_eq!(rules(&lint_source(elsewhere, gather)), ["unsafe-outside-whitelist"]);
+    }
+    // … and does not waive the comment.
+    let bare = gather.replace("// SAFETY:", "// safety:");
+    assert_eq!(
+        rules(&lint_source("crates/formats/src/kernels/x86.rs", &bare)),
+        ["unsafe-needs-safety-comment"]
+    );
+}
+
+#[test]
 fn unsafe_inside_strings_and_comments_is_ignored() {
     let src = "fn f() { let _ = \"unsafe\"; } // unsafe in prose\n";
     assert!(lint_source("crates/core/src/lib.rs", src).is_empty());
