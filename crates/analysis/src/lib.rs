@@ -18,7 +18,7 @@ pub mod wins;
 pub use mape::{ape_best, mape_to_median};
 pub use report::{ascii_boxplot_row, Table};
 pub use selector::{
-    best_observations, evaluate, fit_from_runs, FormatSelector, LabeledRun, Observation,
+    best_observations, evaluate, fit_from_runs, FormatSelector, LabeledRun, Observation, Run,
     SelectorFeatures, SelectorScore,
 };
 pub use stats::BoxStats;

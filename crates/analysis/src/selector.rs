@@ -77,31 +77,68 @@ pub struct LabeledRun {
     pub gflops: f64,
 }
 
+/// What selector training reads of one (matrix, format) measurement.
+/// [`LabeledRun`] is the owned form; a producer whose records already
+/// hold these four things implements this on a view of them, so
+/// training — which runs at every engine boot, over thousands of runs
+/// of which it keeps one per matrix — copies no strings.
+pub trait Run {
+    /// Identifier grouping runs of the same matrix.
+    fn matrix_id(&self) -> &str;
+    /// The matrix's features.
+    fn features(&self) -> SelectorFeatures;
+    /// Storage-format name of this run.
+    fn format(&self) -> &str;
+    /// Throughput in GFLOP/s.
+    fn gflops(&self) -> f64;
+}
+
+impl Run for LabeledRun {
+    fn matrix_id(&self) -> &str {
+        &self.matrix_id
+    }
+    fn features(&self) -> SelectorFeatures {
+        self.features
+    }
+    fn format(&self) -> &str {
+        &self.format
+    }
+    fn gflops(&self) -> f64 {
+        self.gflops
+    }
+}
+
 /// Reduces per-(matrix, format) runs to one labeled observation per
 /// matrix: the format with the highest throughput wins (ties break
 /// lexicographically by format name for determinism). Matrices whose
 /// runs all lack a finite positive throughput are dropped — NaN and
 /// infinite values (possible in imported measurement files) never win.
-pub fn best_observations(runs: &[LabeledRun]) -> Vec<Observation> {
-    let mut best: std::collections::BTreeMap<&str, &LabeledRun> = std::collections::BTreeMap::new();
+pub fn best_observations<R: Run>(runs: &[R]) -> Vec<Observation> {
+    use std::collections::btree_map::{BTreeMap, Entry};
+    let mut best: BTreeMap<&str, &R> = BTreeMap::new();
     for r in runs {
-        if !r.gflops.is_finite() || r.gflops <= 0.0 {
+        if !r.gflops().is_finite() || r.gflops() <= 0.0 {
             continue;
         }
-        match best.get(&r.matrix_id.as_str()) {
-            Some(b) if (b.gflops, r.format.as_str()) >= (r.gflops, b.format.as_str()) => {}
-            _ => {
-                best.insert(r.matrix_id.as_str(), r);
+        match best.entry(r.matrix_id()) {
+            Entry::Vacant(slot) => {
+                slot.insert(r);
+            }
+            Entry::Occupied(mut slot) => {
+                let b = *slot.get();
+                if (b.gflops(), r.format()) < (r.gflops(), b.format()) {
+                    slot.insert(r);
+                }
             }
         }
     }
     best.into_values()
-        .map(|r| Observation { features: r.features, best_format: r.format.clone() })
+        .map(|r| Observation { features: r.features(), best_format: r.format().to_string() })
         .collect()
 }
 
 /// Convenience: [`best_observations`] followed by [`FormatSelector::fit`].
-pub fn fit_from_runs(runs: &[LabeledRun], k: usize) -> FormatSelector {
+pub fn fit_from_runs<R: Run>(runs: &[R], k: usize) -> FormatSelector {
     FormatSelector::fit(&best_observations(runs), k)
 }
 
@@ -234,23 +271,54 @@ impl FormatSelector {
             return None;
         }
         let probe = features.embed();
-        // Partial selection of the k nearest (k is tiny; linear scan).
-        let mut nearest: Vec<(f64, &str)> =
-            self.embedded.iter().map(|(e, fmt)| (dist2(e, &probe), fmt.as_str())).collect();
-        nearest.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-        nearest.truncate(self.k);
+        // One pass keeping the k nearest, sorted by (distance, label),
+        // in a buffer that lives on the stack for every realistic k:
+        // this runs on the first-touch path of every admitted matrix.
+        const INLINE_K: usize = 8;
+        let mut inline = [(0.0f64, ""); INLINE_K];
+        let mut spilled = Vec::new();
+        let nearest: &mut [(f64, &str)] = if self.k <= INLINE_K {
+            &mut inline[..self.k]
+        } else {
+            spilled.resize(self.k, (0.0, ""));
+            &mut spilled
+        };
+        let closer = |a: &(f64, &str), b: &(f64, &str)| {
+            a.0.total_cmp(&b.0).then_with(|| a.1.cmp(b.1)).is_lt()
+        };
+        let mut held = 0usize;
+        for (e, fmt) in &self.embedded {
+            let entry = (dist2(e, &probe), fmt.as_str());
+            if held == nearest.len() {
+                if !closer(&entry, &nearest[held - 1]) {
+                    continue;
+                }
+                held -= 1; // the farthest neighbor drops out
+            }
+            let mut at = held;
+            while at > 0 && closer(&entry, &nearest[at - 1]) {
+                nearest[at] = nearest[at - 1];
+                at -= 1;
+            }
+            nearest[at] = entry;
+            held += 1;
+        }
+        let nearest = &nearest[..held];
 
-        let mut votes: Vec<(&str, usize)> = Vec::new();
-        for (_, fmt) in &nearest {
-            match votes.iter_mut().find(|(f, _)| f == fmt) {
-                Some((_, n)) => *n += 1,
-                None => votes.push((fmt, 1)),
+        // Majority vote; the strict `>` keeps, among formats with equal
+        // counts, the one whose first vote came from the closest
+        // neighbor.
+        let mut winner: Option<(&str, usize)> = None;
+        for (i, &(_, fmt)) in nearest.iter().enumerate() {
+            if nearest[..i].iter().any(|&(_, seen)| seen == fmt) {
+                continue;
+            }
+            let votes = nearest[i..].iter().filter(|&&(_, f)| f == fmt).count();
+            if winner.is_none_or(|(_, most)| votes > most) {
+                winner = Some((fmt, votes));
             }
         }
-        let max = votes.iter().map(|&(_, n)| n).max()?;
-        // First format reaching `max` in nearest-first insertion order
-        // is the tie-break toward the closest neighbor.
-        votes.iter().find(|&&(_, n)| n == max).map(|&(f, _)| f)
+        winner.map(|(fmt, _)| fmt)
     }
 }
 
@@ -462,6 +530,46 @@ mod tests {
         let sel = FormatSelector::fit(&[obs(1.0, 10.0, 0.0, "A")], 100);
         assert_eq!(sel.k(), 1);
         assert_eq!(FormatSelector::from_portable(&sel.to_portable()).unwrap().k(), 1);
+    }
+
+    /// The one-pass k-nearest buffer against the definition it
+    /// replaced: sort every observation by (distance, label), take k,
+    /// vote nearest-first — on both sides of the inline-buffer size and
+    /// with duplicated points, so exact distance ties occur.
+    #[test]
+    fn one_pass_recommendation_equals_the_full_sort_vote() {
+        let labels = ["A", "B", "C", "D"];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let mut train = Vec::new();
+        for i in 0..60 {
+            let o = obs(0.01 + 50.0 * next(), 1.0 + 100.0 * next(), 500.0 * next(), labels[i % 4]);
+            train.push(o.clone());
+            if i % 5 == 0 {
+                train.push(Observation { best_format: labels[(i + 1) % 4].into(), ..o });
+            }
+        }
+        for k in [1, 2, 3, 8, 9, 20, train.len()] {
+            let sel = FormatSelector::fit(&train, k);
+            for _ in 0..40 {
+                let probe = feat(0.01 + 50.0 * next(), 1.0 + 100.0 * next(), 500.0 * next());
+                let p = probe.embed();
+                let mut all: Vec<(f64, &str)> =
+                    sel.embedded.iter().map(|(e, f)| (dist2(e, &p), f.as_str())).collect();
+                all.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(b.1)));
+                all.truncate(k);
+                let count = |f: &str| all.iter().filter(|(_, g)| *g == f).count();
+                let most = all.iter().map(|(_, f)| count(f)).max().unwrap();
+                let want = all.iter().map(|&(_, f)| f).find(|f| count(f) == most);
+                assert_eq!(sel.recommend(&probe), want, "k = {k}");
+            }
+        }
+        // A training point itself is a distance tie between its two labels.
+        let sel = FormatSelector::fit(&train, 1);
+        assert_eq!(sel.recommend(&train[0].features), Some("A"));
     }
 
     #[test]

@@ -129,7 +129,13 @@ impl RunConfig {
 /// process arguments in pairs, prints `usage` and exits on `--help`,
 /// a missing value, or a flag `apply` rejects. `apply(flag, value)`
 /// returns `false` for unknown flags.
-pub fn parse_flag_pairs(usage: &str, mut apply: impl FnMut(&str, &str) -> bool) {
+pub fn parse_flag_pairs(usage: &str, apply: impl FnMut(&str, &str) -> bool) {
+    parse_flags(usage, &[], apply)
+}
+
+/// [`parse_flag_pairs`] for a binary that also has `switches`: flags
+/// that take no value, handed to `apply` with an empty one.
+pub fn parse_flags(usage: &str, switches: &[&str], mut apply: impl FnMut(&str, &str) -> bool) {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -138,15 +144,20 @@ pub fn parse_flag_pairs(usage: &str, mut apply: impl FnMut(&str, &str) -> bool) 
             println!("{usage}");
             std::process::exit(0);
         }
-        let Some(value) = argv.get(i + 1) else {
-            eprintln!("missing value for {flag}; usage: {usage}");
-            std::process::exit(2);
+        let is_switch = switches.contains(&flag);
+        let value = match argv.get(i + 1) {
+            _ if is_switch => "",
+            Some(value) => value.as_str(),
+            None => {
+                eprintln!("missing value for {flag}; usage: {usage}");
+                std::process::exit(2);
+            }
         };
         if !apply(flag, value) {
             eprintln!("unknown flag {flag}; usage: {usage}");
             std::process::exit(2);
         }
-        i += 2;
+        i += if is_switch { 1 } else { 2 };
     }
 }
 

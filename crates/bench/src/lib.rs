@@ -13,6 +13,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod args;
+pub mod calibration;
 pub mod classes;
 pub mod figures;
 pub mod grouping;

@@ -166,14 +166,9 @@ fn repo_root() -> &'static Path {
         .expect("crates/bench sits two levels deep")
 }
 
-/// What a reader needs to know about the machine and build a record
-/// came from: hardware threads, the `SPMV_THREADS` / `SPMV_LANES`
-/// overrides in force, the resolved lane profile, the vector
-/// instruction set the lane kernels detected, the CPU model and the git
-/// revision (`-dirty` when the tree has uncommitted changes).
-pub fn host_facts() -> Json {
-    let env = |name: &str| std::env::var(name).map(Json::Str).unwrap_or(Json::Str("unset".into()));
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+/// The CPU model string of `/proc/cpuinfo` (`"unknown"` elsewhere).
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|text| {
             text.lines()
@@ -181,10 +176,25 @@ pub fn host_facts() -> Json {
                 .and_then(|l| l.split(':').nth(1))
                 .map(|m| m.trim().to_string())
         })
-        .unwrap_or_else(|| "unknown".into());
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The git revision of the tree (`-dirty` when it has uncommitted
+/// changes; `"unknown"` without git or a repository).
+pub fn git_rev() -> String {
+    git(&["describe", "--always", "--dirty", "--abbrev=12"]).unwrap_or_else(|| "unknown".into())
+}
+
+/// What a reader needs to know about the machine and build a record
+/// came from: hardware threads, the `SPMV_THREADS` / `SPMV_LANES`
+/// overrides in force, the resolved lane profile, the vector
+/// instruction set the lane kernels detected, the CPU model and the git
+/// revision.
+pub fn host_facts() -> Json {
+    let env = |name: &str| std::env::var(name).map(Json::Str).unwrap_or(Json::Str("unset".into()));
     let lanes = LaneProfile::current();
     obj([
-        ("cpu_model", cpu_model.into()),
+        ("cpu_model", cpu_model().into()),
         (
             "hardware_threads",
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).into(),
@@ -194,12 +204,7 @@ pub fn host_facts() -> Json {
         ("lanes", lanes.width.lanes().into()),
         ("sell_c", lanes.sell_c.into()),
         ("vector_isa", vector_isa().into()),
-        (
-            "git_rev",
-            git(&["describe", "--always", "--dirty", "--abbrev=12"])
-                .unwrap_or_else(|| "unknown".into())
-                .into(),
-        ),
+        ("git_rev", git_rev().into()),
     ])
 }
 

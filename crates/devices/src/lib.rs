@@ -28,18 +28,22 @@
 //!
 //! The *kernels* of `spmv-formats` are real and host-benchmarked with
 //! Criterion; the models here exist to extrapolate the study to the
-//! paper's device zoo.
+//! paper's device zoo. The machine the kernels run on is a tenth
+//! profile, [`host`]: its records are timed kernels from a committed
+//! calibration table, and no model is ever run on it.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod campaign;
+pub mod host;
 pub mod model;
 pub mod noise;
 pub mod specs;
 pub mod summary;
 
 pub use campaign::{Campaign, Record};
+pub use host::{HostTable, HostTableError};
 pub use model::{estimate, estimate_with, Estimate, ModelConfig};
 pub use specs::{all_devices, device_by_name, DeviceClass, DeviceSpec};
 pub use summary::MatrixSummary;

@@ -71,6 +71,9 @@ pub enum ModelFailure {
     CapacityExceeded(String),
     /// The format is not available on this device (Table II).
     FormatUnavailable,
+    /// The device is the measured `Host` profile: its numbers come from
+    /// timed kernels ([`crate::host`]), and it has no model constants.
+    Unmodeled,
 }
 
 impl std::fmt::Display for ModelFailure {
@@ -78,6 +81,7 @@ impl std::fmt::Display for ModelFailure {
         match self {
             ModelFailure::CapacityExceeded(msg) => write!(f, "capacity exceeded: {msg}"),
             ModelFailure::FormatUnavailable => write!(f, "format unavailable on device"),
+            ModelFailure::Unmodeled => write!(f, "the Host profile is measured, not modeled"),
         }
     }
 }
@@ -336,6 +340,9 @@ pub fn estimate_with(
     kind: FormatKind,
     s: &MatrixSummary,
 ) -> Result<Estimate, ModelFailure> {
+    if dev.name == crate::host::NAME {
+        return Err(ModelFailure::Unmodeled);
+    }
     if !dev.formats.contains(&kind) {
         return Err(ModelFailure::FormatUnavailable);
     }

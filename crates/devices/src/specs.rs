@@ -298,8 +298,13 @@ pub fn all_devices() -> Vec<DeviceSpec> {
     ]
 }
 
-/// Finds a device by name (exact match).
+/// Finds a device by name (exact match): a Table II testbed, or the
+/// measured [`crate::host`] profile (`"Host"`), which is not one of the
+/// nine and so not in [`all_devices`].
 pub fn device_by_name(name: &str) -> Option<DeviceSpec> {
+    if name == crate::host::NAME {
+        return Some(crate::HostTable::committed_spec());
+    }
     all_devices().into_iter().find(|d| d.name == name)
 }
 

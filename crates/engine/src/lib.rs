@@ -12,9 +12,11 @@
 //!
 //! 1. **extract** — [`FeatureSet`] in one `O(nnz)` pass (cached per
 //!    matrix id);
-//! 2. **select** — k-NN vote over a training campaign's best-format
-//!    labels ([`FormatSelector`]), restricted to the formats the
-//!    configured device profile actually has (Table II);
+//! 2. **select** — k-NN vote over the best-format labels of the
+//!    configured device's campaign records ([`FormatSelector`]): timed
+//!    kernels of this machine for the default `Host` profile, the
+//!    analytic model for a Table II testbed — restricted to the formats
+//!    that profile actually has;
 //! 3. **convert** — build the chosen format, with a fallback chain for
 //!    formats that refuse a matrix (DIA/ELL padding budgets, VSL
 //!    channel capacity), and keep it in a byte-bounded LRU
@@ -111,11 +113,18 @@ pub enum Admission {
 /// Configuration of an [`Engine`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Device profile the selector optimizes for (a Table II testbed
-    /// name; the kernels still execute on the host).
+    /// Device profile the selector optimizes for. The default, `"Host"`,
+    /// is this machine as measured: the selector is fitted from the
+    /// timed kernels of the calibration table committed in
+    /// `spmv-devices` (swept on the reference host; see the README,
+    /// "calibrating for your host", for any other). A Table II testbed
+    /// name selects for that *modeled* device instead — the kernels
+    /// still execute on the host.
     pub device: String,
     /// Footprint divisor shared with the dataset/device scaling
-    /// machinery (see `spmv_gen::dataset::Dataset::scale`).
+    /// machinery (see `spmv_gen::dataset::Dataset::scale`). Scales the
+    /// modeled testbeds and their training lattice; measured `Host`
+    /// records are what they are, so it does not apply to them.
     pub scale: f64,
     /// Neighbor count of the k-NN vote. With lattice-dense training
     /// data the nearest neighbor alone is the best predictor, so the
@@ -150,7 +159,8 @@ pub struct EngineConfig {
     /// When conversions run: on the request path ([`Admission::Sync`],
     /// the default) or in background flights ([`Admission::Async`]).
     pub admission: Admission,
-    /// How the built-in training campaign samples the dataset.
+    /// How the built-in training campaign samples the dataset (modeled
+    /// testbeds only; `Host` loads its committed table).
     pub training: TrainingPlan,
     /// Path of an engine snapshot (written by [`Engine::snapshot`]) to
     /// restore before the first request. A missing file is a silent
@@ -165,7 +175,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            device: "AMD-EPYC-24".into(),
+            device: spmv_devices::host::NAME.into(),
             scale: 16.0,
             k: 1,
             cache_capacity_bytes: 256 << 20,
@@ -182,7 +192,8 @@ impl Default for EngineConfig {
 /// Errors raised while constructing an [`Engine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// The configured device name is not a Table II testbed.
+    /// The configured device name is neither `"Host"` (the measured
+    /// profile of this machine) nor a Table II testbed.
     UnknownDevice(String),
     /// The training campaign produced no usable (non-failed) records.
     EmptyTrainingSet,
@@ -196,7 +207,10 @@ impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::UnknownDevice(name) => {
-                write!(f, "unknown device profile {name:?} (expected a Table II testbed name)")
+                write!(
+                    f,
+                    "unknown device profile {name:?} (expected \"Host\" or a Table II testbed)"
+                )
             }
             EngineError::EmptyTrainingSet => {
                 write!(f, "training campaign produced no usable records")
@@ -398,9 +412,11 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Builds an engine with a selector trained from the built-in
-    /// campaign over `config.training` (noise-free model labels on the
-    /// configured device).
+    /// Builds an engine with a selector trained from the configured
+    /// device's records: the committed calibration table for `Host`
+    /// (measured labels, about a millisecond), the built-in campaign
+    /// over `config.training` for a Table II testbed (noise-free model
+    /// labels, seconds).
     pub fn new(config: EngineConfig) -> Result<Engine, EngineError> {
         // Resolve the device before spawning the pool or paying for
         // the training campaign: a typo must fail in microseconds, not
@@ -561,8 +577,10 @@ impl Engine {
     /// profile carries that variant. Selectors trained before the
     /// chunk-width split (or on coarse labels) keep recommending
     /// "SELL-C-s"; the device profile decides which C actually runs.
+    /// Not on `Host`: a measured "SELL-C-s" label is a timing of C = 8
+    /// that beat the timings of C = 4 and C = 16.
     fn remap_sell_chunk_width(&self, kind: FormatKind) -> FormatKind {
-        if kind != FormatKind::SellCSigma {
+        if kind != FormatKind::SellCSigma || self.device.name == spmv_devices::host::NAME {
             return kind;
         }
         FormatKind::sell_variant_for_c(self.state.lanes.sell_c)
@@ -1229,6 +1247,48 @@ mod tests {
         let engine = Engine::with_selector(cfg, FormatSelector::fit(&[sell], 1)).unwrap();
         let picked = engine.select(&FeatureSet::extract(&CsrMatrix::identity(64)));
         assert_eq!(picked, engine.default_format());
+    }
+
+    #[test]
+    fn default_engine_is_host_calibrated_and_boots_without_a_campaign() {
+        let engine = Engine::new(EngineConfig { threads: 2, ..EngineConfig::default() }).unwrap();
+        assert_eq!(engine.device().name, "Host");
+        let table = spmv_devices::HostTable::committed();
+        assert_eq!(engine.selector().len(), table.matrices.len());
+        assert!(table.formats.iter().all(|k| engine.device().formats.contains(k)));
+        if std::env::var("SPMV_LANES").is_err() {
+            assert_eq!(
+                engine.lane_profile().width.lanes(),
+                table.lanes,
+                "serves at the swept width"
+            );
+        }
+        let pool = engine.counters().pool;
+        assert_eq!((pool.high_tasks, pool.low_tasks), (0, 0), "the table is loaded, not swept");
+        // A modeled testbed's campaign does run on the pool.
+        assert!(Engine::new(quick_config()).unwrap().counters().pool.high_tasks > 0);
+    }
+
+    #[test]
+    fn measured_sell_labels_keep_their_chunk_width() {
+        // On `Host` a "SELL-C-s" label is a timing of C = 8 that beat
+        // C = 4 and C = 16 on that matrix: no lane profile, whatever
+        // `SPMV_LANES` says, may retarget it.
+        let sell = Observation {
+            features: SelectorFeatures {
+                footprint_mb: 1.0,
+                avg_nnz_per_row: 8.0,
+                skew: 0.0,
+                cross_row_sim: 0.5,
+                avg_num_neigh: 0.5,
+            },
+            best_format: "SELL-C-s".into(),
+        };
+        let cfg = EngineConfig { threads: 2, ..EngineConfig::default() };
+        let engine = Engine::with_selector(cfg, FormatSelector::fit(&[sell], 1)).unwrap();
+        let picked = engine.select(&FeatureSet::extract(&CsrMatrix::identity(64)));
+        assert_eq!(picked, FormatKind::SellCSigma);
+        assert_eq!(picked.sell_c(), Some(8));
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! Built-in selector training from campaign records.
 //!
 //! The engine's selector is a k-NN in the paper's five-feature space
-//! (`spmv-analysis`); its training data is a (device-filtered) campaign
-//! over the artificial dataset — by default the Medium lattice the
-//! paper's main analysis uses, subsampled so training stays in the
-//! hundreds of matrices. The campaign runs with the model's
-//! measurement-noise channel **off**: labels should encode the
-//! deterministic performance landscape, not one noise draw.
+//! (`spmv-analysis`); its training data is one device's campaign
+//! records. For the default `Host` device those are **measured**: the
+//! timed kernels of the calibration table committed in `spmv-devices`
+//! (`spmv_devices::host`), loaded in about a millisecond. For a Table
+//! II testbed they are a modeled campaign over the artificial dataset —
+//! by default the Medium lattice the paper's main analysis uses,
+//! subsampled so training stays in the hundreds of matrices — run with
+//! the model's measurement-noise channel **off**: labels should encode
+//! the deterministic performance landscape, not one noise draw.
 
 use spmv_analysis::{fit_from_runs, FormatSelector, LabeledRun, SelectorFeatures};
-use spmv_devices::{Campaign, ModelConfig, Record};
+use spmv_devices::{host, Campaign, HostTable, ModelConfig, Record};
 use spmv_gen::dataset::{Dataset, DatasetSize};
 use spmv_parallel::ThreadPool;
 
 /// How the built-in training campaign samples the artificial dataset.
+/// Applies to the modeled Table II testbeds only: the records of the
+/// measured `Host` device are the committed calibration table, whatever
+/// these fields say.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingPlan {
     /// Which lattice density to sweep (default: Medium, as in §V-E).
@@ -31,9 +37,15 @@ impl Default for TrainingPlan {
 }
 
 impl TrainingPlan {
-    /// Runs the noise-free training campaign for one device and returns
-    /// its records (one per (matrix, format) pair that ran).
+    /// The training records of one device, one per (matrix, format)
+    /// pair: for `Host` the committed calibration table's timed kernels
+    /// (no matrix is generated, `scale` and `pool` are not used, nothing
+    /// is modeled); for a Table II testbed the noise-free modeled
+    /// campaign over this plan's lattice, run on `pool`.
     pub fn records(&self, device: &str, scale: f64, pool: &ThreadPool) -> Vec<Record> {
+        if device == host::NAME {
+            return HostTable::committed().records();
+        }
         let specs = Dataset { size: self.size, scale, base_seed: self.base_seed }
             .specs_subsampled(self.stride);
         Campaign::new(scale)
@@ -64,10 +76,39 @@ pub fn labeled_runs(records: &[Record]) -> Vec<LabeledRun> {
         .collect()
 }
 
-/// Trains a selector directly from campaign records: reduce to the
-/// best format per matrix, then fit a k-NN on those labels.
+/// A successful campaign record as selector training reads it — what
+/// [`labeled_runs`] copies out, borrowed.
+struct RecordRun<'a>(&'a Record);
+
+impl spmv_analysis::Run for RecordRun<'_> {
+    fn matrix_id(&self) -> &str {
+        &self.0.matrix_id
+    }
+    fn features(&self) -> SelectorFeatures {
+        SelectorFeatures {
+            footprint_mb: self.0.footprint_mb,
+            avg_nnz_per_row: self.0.avg_nnz,
+            skew: self.0.skew,
+            cross_row_sim: self.0.crs,
+            avg_num_neigh: self.0.neigh,
+        }
+    }
+    fn format(&self) -> &str {
+        &self.0.format
+    }
+    fn gflops(&self) -> f64 {
+        self.0.gflops
+    }
+}
+
+/// Trains a selector directly from campaign records (failed runs
+/// dropped): reduce to the best format per matrix, then fit a k-NN on
+/// those labels. The selector is the one
+/// `fit_from_runs(&labeled_runs(records), k)` fits.
 pub fn selector_from_records(records: &[Record], k: usize) -> FormatSelector {
-    fit_from_runs(&labeled_runs(records), k)
+    let runs: Vec<RecordRun<'_>> =
+        records.iter().filter(|r| r.failed.is_none()).map(RecordRun).collect();
+    fit_from_runs(&runs, k)
 }
 
 #[cfg(test)]
@@ -103,6 +144,33 @@ mod tests {
         let runs = labeled_runs(&recs);
         for name in ["SELL-4-s", "SELL-16-s"] {
             assert!(runs.iter().any(|r| r.format == name), "{name} must survive labeling");
+        }
+    }
+
+    #[test]
+    fn host_records_are_the_committed_table_whatever_the_plan_says() {
+        let pool = ThreadPool::new(2);
+        let recs = TrainingPlan::default().records(host::NAME, 16.0, &pool);
+        assert_eq!(recs, HostTable::committed().records());
+        // Measured records have no lattice to sample and nothing to scale.
+        assert_eq!(quick_plan().records(host::NAME, 16384.0, &pool), recs);
+        let ran = pool.stats();
+        assert_eq!((ran.high_tasks, ran.low_tasks), (0, 0), "the table is loaded, not swept");
+        assert!(recs.iter().all(|r| r.device == host::NAME && r.failed.is_none()));
+    }
+
+    #[test]
+    fn selector_from_records_is_the_labeled_runs_fit_without_the_copies() {
+        let pool = ThreadPool::new(2);
+        let mut recs = quick_plan().records("Alveo-U280", 16.0, &pool);
+        assert!(recs.iter().any(|r| r.failed.is_some()), "a campaign with failed runs");
+        recs.extend(quick_plan().records("AMD-EPYC-24", 512.0, &pool));
+        recs.extend(HostTable::committed().records());
+        for k in [1, 3] {
+            assert_eq!(
+                selector_from_records(&recs, k).to_portable(),
+                fit_from_runs(&labeled_runs(&recs), k).to_portable()
+            );
         }
     }
 

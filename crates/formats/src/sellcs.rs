@@ -111,6 +111,25 @@ pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<SellCSigmaFormat, Wire
 pub const DEFAULT_C: usize = 8;
 /// Default sorting scope.
 pub const DEFAULT_SIGMA: usize = 256;
+/// Chunk slots (lanes × slot rows, 12 bytes each) the conversion
+/// scatters into at a time: 24 KB, inside any L1.
+const SCATTER_BLOCK_SLOTS: usize = 2048;
+
+/// Fills `region` (a whole number of patterns long) with `pattern`
+/// repeated, by doubling copies: a few large `memcpy`s instead of one
+/// call per repetition.
+fn fill_repeating(region: &mut [u32], pattern: &[u32]) {
+    if region.is_empty() {
+        return;
+    }
+    region[..pattern.len()].copy_from_slice(pattern);
+    let mut filled = pattern.len();
+    while filled < region.len() {
+        let n = filled.min(region.len() - filled);
+        region.copy_within(..n, filled);
+        filled += n;
+    }
+}
 
 /// SELL-C-σ storage.
 pub struct SellCSigmaFormat {
@@ -147,8 +166,149 @@ impl SellCSigmaFormat {
     }
 
     /// Converts from CSR with explicit chunk height, sorting scope and
-    /// lane profile.
+    /// lane profile. Produces exactly the storage of
+    /// [`from_csr_reference`](Self::from_csr_reference), which states
+    /// the layout plainly; this is the version tuned for the engine's
+    /// first-touch path.
     pub fn from_csr_with_profile(
+        csr: &CsrMatrix,
+        c: usize,
+        sigma: usize,
+        profile: LaneProfile,
+    ) -> Self {
+        let rows = csr.rows();
+        let c = c.max(1);
+        let sigma = sigma.max(1);
+        let row_ptr = csr.row_ptr();
+        let len = |r: u32| row_ptr[r as usize + 1] - row_ptr[r as usize];
+        // Window-local stable sort by descending row length. Row
+        // lengths inside a window almost always span a range no wider
+        // than the window, so a counting sort (no comparisons, no
+        // allocation per window) does it; a window holding an outlier
+        // row takes the comparison sort.
+        let mut perm: Vec<u32> = (0..rows as u32).collect();
+        let mut starts: Vec<u32> = Vec::new();
+        for (w, window) in perm.chunks_mut(sigma).enumerate() {
+            // The window still holds its rows in matrix order, so their
+            // lengths are one run of `row_ptr`.
+            let first = w * sigma;
+            let lens = || row_ptr[first..=first + window.len()].windows(2).map(|p| p[1] - p[0]);
+            let (lo, hi) = lens().fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
+            if lo == hi {
+                continue; // equal rows are in order already
+            }
+            if hi - lo >= 2 * window.len() {
+                window.sort_by_key(|&r| std::cmp::Reverse(len(r)));
+                continue;
+            }
+            // starts[b] = first position of the rows of length hi − b.
+            starts.clear();
+            starts.resize(hi - lo + 2, 0);
+            for l in lens() {
+                starts[hi - l + 1] += 1;
+            }
+            for b in 1..starts.len() {
+                starts[b] += starts[b - 1];
+            }
+            for (r, l) in (first..).zip(lens()) {
+                let at = &mut starts[hi - l];
+                window[*at as usize] = r as u32;
+                *at += 1;
+            }
+        }
+        let n_chunks = rows.div_ceil(c);
+        let mut chunk_ptr = Vec::with_capacity(n_chunks + 1);
+        let mut chunk_width = Vec::with_capacity(n_chunks);
+        let mut stored = 0usize;
+        chunk_ptr.push(stored);
+        for lanes in perm.chunks(c) {
+            let width = lanes.iter().map(|&r| len(r)).max().unwrap_or(0);
+            chunk_width.push(width as u32);
+            stored += width * c;
+            chunk_ptr.push(stored);
+        }
+        // Each chunk is zeroed just before it is written (value padding
+        // is then in place), while its lines are on their way into L1
+        // anyway — zeroing both arrays up front is a pass over memory of
+        // its own.
+        let mut col_idx: Vec<u32> = Vec::with_capacity(stored);
+        let mut values: Vec<f64> = Vec::with_capacity(stored);
+        // Each row is scattered into its lane with stride C — a block
+        // of slots at a time, so that the C lanes of a block are written
+        // while it sits in L1. Scattering whole rows streams a wide
+        // chunk (500 slots × 16 lanes is 96 KB) through the cache once
+        // per lane.
+        let block = (SCATTER_BLOCK_SLOTS / c).max(1);
+        // Column padding repeats each row's last real column (see the
+        // propagation policy on `SparseFormat`; an empty row or a lane
+        // without a row keeps column 0). A chunk of several blocks —
+        // where a skewed matrix keeps most of its padding — gets it by
+        // whole slot rows, copied from `pad_cols` before the rows still
+        // running are scattered over them.
+        let mut pad_cols = vec![0u32; c];
+        for ((lanes, &width), &base) in perm.chunks(c).zip(&chunk_width).zip(&chunk_ptr) {
+            let width = width as usize;
+            col_idx.resize(base + width * c, 0);
+            values.resize(base + width * c, 0.0);
+            let cols_k = &mut col_idx[base..];
+            let vals_k = &mut values[base..];
+            if width <= block {
+                for (i, &r) in lanes.iter().enumerate() {
+                    let (cs, vs) = csr.row(r as usize);
+                    for (j, (&cc, &vv)) in cs.iter().zip(vs).enumerate() {
+                        cols_k[j * c + i] = cc;
+                        vals_k[j * c + i] = vv;
+                    }
+                    if let Some(&last) = cs.last() {
+                        for j in cs.len()..width {
+                            cols_k[j * c + i] = last;
+                        }
+                    }
+                }
+                continue;
+            }
+            let mut shortest = if lanes.len() == c { width } else { 0 };
+            pad_cols[lanes.len()..].fill(0);
+            for (pad, &r) in pad_cols.iter_mut().zip(lanes) {
+                let (cs, _) = csr.row(r as usize);
+                *pad = cs.last().copied().unwrap_or(0);
+                shortest = shortest.min(cs.len());
+            }
+            for from in (0..width).step_by(block) {
+                let to = (from + block).min(width);
+                fill_repeating(&mut cols_k[shortest.clamp(from, to) * c..to * c], &pad_cols);
+                for (i, &r) in lanes.iter().enumerate() {
+                    let (cs, vs) = csr.row(r as usize);
+                    let run = from.min(cs.len())..to.min(cs.len());
+                    for (j, (&cc, &vv)) in run.clone().zip(cs[run.clone()].iter().zip(&vs[run])) {
+                        cols_k[j * c + i] = cc;
+                        vals_k[j * c + i] = vv;
+                    }
+                }
+            }
+        }
+        Self {
+            rows,
+            cols: csr.cols(),
+            nnz: csr.nnz(),
+            c,
+            sigma,
+            perm,
+            chunk_ptr,
+            chunk_width,
+            col_idx,
+            values,
+            lanes: profile.width,
+        }
+    }
+
+    /// The conversion written as the layout reads: stable-sort every
+    /// σ-window by descending row length, size the chunks, then scatter
+    /// each row into its lane with stride C. The oracle
+    /// [`from_csr_with_profile`](Self::from_csr_with_profile) is tested
+    /// against (identical storage, byte for byte) and the "before" side
+    /// of the conversion timings in `BENCH_engine.json`.
+    pub fn from_csr_reference(
         csr: &CsrMatrix,
         c: usize,
         sigma: usize,
@@ -401,6 +561,63 @@ mod tests {
             }
         }
         CsrMatrix::from_triplets(50, 60, &t).unwrap()
+    }
+
+    /// Long, short, empty and one very long row, in an order no window
+    /// finds sorted: chunks on both sides of `SLOT_MAJOR_MIN_WIDTH`,
+    /// rows ending mid-chunk, a ragged last chunk.
+    fn ragged_matrix(rows: usize) -> CsrMatrix {
+        let cols = 400usize;
+        let mut t = Vec::new();
+        for r in 0..rows {
+            let len = match r % 11 {
+                0 => 0,
+                3 => 40 + r % 9,
+                7 => 17,
+                _ => 1 + (r * 5) % 23,
+            };
+            let len = if r == rows / 2 { 333 } else { len };
+            for k in 0..len {
+                t.push((r, (r * 13 + k) % cols, ((r * 3 + k) as f64 * 0.23).cos()));
+            }
+        }
+        CsrMatrix::from_triplets(rows, cols, &t).unwrap()
+    }
+
+    #[test]
+    fn tuned_conversion_stores_exactly_what_the_reference_stores() {
+        // A regular block (every window of equal rows skips its sort)
+        // with 20-wide chunks, beside the ragged shapes.
+        let regular = {
+            let t: Vec<_> = (0..70usize)
+                .flat_map(|r| (0..20usize).map(move |k| (r, (r + 7 * k) % 150, 1.0 + k as f64)))
+                .collect();
+            CsrMatrix::from_triplets(70, 150, &t).unwrap()
+        };
+        // Chunks of several scatter blocks whose shortest row ends
+        // blocks after the first.
+        let tall = {
+            let t: Vec<_> = (0..37usize)
+                .flat_map(|r| (0..290 + (r * 7) % 60).map(move |k| (r, k, (r + k) as f64)))
+                .collect();
+            CsrMatrix::from_triplets(37, 350, &t).unwrap()
+        };
+        let cases = [mixed_matrix(), ragged_matrix(97), ragged_matrix(256), regular, tall];
+        for (n, m) in cases.iter().enumerate() {
+            for (c, sigma) in [(1, 1), (4, 8), (8, 256), (16, 256), (16, 4), (3, 7), (8, 1)] {
+                let want = SellCSigmaFormat::from_csr_reference(m, c, sigma, LaneProfile::scalar());
+                let got =
+                    SellCSigmaFormat::from_csr_with_profile(m, c, sigma, LaneProfile::scalar());
+                let what = format!("case {n} C={c} s={sigma}");
+                assert_eq!(got.perm, want.perm, "{what}: perm");
+                assert_eq!(got.chunk_ptr, want.chunk_ptr, "{what}: chunk_ptr");
+                assert_eq!(got.chunk_width, want.chunk_width, "{what}: chunk_width");
+                assert_eq!(got.col_idx, want.col_idx, "{what}: col_idx");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.values), bits(&want.values), "{what}: values");
+                assert_eq!((got.rows, got.cols, got.nnz), (want.rows, want.cols, want.nnz));
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`spmv_parallel`] (as `parallel`) — thread pool and partitioners;
 //! * [`spmv_formats`] (as `formats`) — the thirteen storage formats and kernels;
 //! * [`spmv_memsim`] (as `memsim`) — cache simulation for x-vector locality;
-//! * [`spmv_devices`] (as `devices`) — the nine calibrated device models;
+//! * [`spmv_devices`] (as `devices`) — the nine calibrated device models
+//!   and the measured `Host` profile;
 //! * [`spmv_analysis`] (as `analysis`) — statistics and reporting;
 //! * [`spmv_engine`] (as `engine`) — the adaptive serve-time engine
 //!   (feature-driven format selection, conversion cache, counters).
