@@ -1,5 +1,5 @@
-//! Tiny argument parser shared by the figure binaries (no external CLI
-//! dependency; flags are deliberately uniform across binaries).
+//! Tiny argument parser shared by the bench binaries (no external CLI
+//! dependency): the `figures` run configuration and the flag walker.
 
 use spmv_gen::dataset::{Dataset, DatasetSize};
 
@@ -35,59 +35,33 @@ impl Default for RunConfig {
     }
 }
 
-impl RunConfig {
-    /// Parses `--scale F --stride N --size small|medium|large --seed N
-    /// --csv DIR --threads N` from the process arguments; unknown flags
-    /// abort with a usage message.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
+/// Usage of the `figures` binary: the flags of [`RunConfig::parse`].
+pub const RUN_USAGE: &str = "figures <name>...|all [--scale F (default 16)] [--stride N (default \
+     12)] [--size small|medium|large] [--seed N] [--csv DIR] [--threads N]";
 
-    /// Parses from an explicit iterator (testable).
+impl RunConfig {
+    /// Parses the flags of [`RUN_USAGE`]; unknown ones abort with it.
     pub fn parse(args: impl Iterator<Item = String>) -> Self {
         let mut cfg = Self::default();
-        let argv: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let flag = argv[i].as_str();
-            let value = argv.get(i + 1).cloned();
-            let take = |name: &str| -> String {
-                value.clone().unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    std::process::exit(2);
-                })
-            };
+        parse_flags_from(args, RUN_USAGE, &[], |flag, value| {
             match flag {
-                "--scale" => cfg.scale = take("--scale").parse().expect("numeric --scale"),
-                "--stride" => cfg.stride = take("--stride").parse().expect("integer --stride"),
-                "--seed" => cfg.seed = take("--seed").parse().expect("integer --seed"),
-                "--threads" => cfg.threads = take("--threads").parse().expect("integer --threads"),
-                "--csv" => cfg.csv_dir = Some(take("--csv")),
+                "--scale" => cfg.scale = value.parse().expect("numeric --scale"),
+                "--stride" => cfg.stride = value.parse().expect("integer --stride"),
+                "--seed" => cfg.seed = value.parse().expect("integer --seed"),
+                "--threads" => cfg.threads = value.parse().expect("integer --threads"),
+                "--csv" => cfg.csv_dir = Some(value.to_string()),
                 "--size" => {
-                    cfg.size = match take("--size").as_str() {
+                    cfg.size = match value {
                         "small" => DatasetSize::Small,
                         "medium" => DatasetSize::Medium,
                         "large" => DatasetSize::Large,
-                        other => {
-                            eprintln!("unknown --size {other} (small|medium|large)");
-                            std::process::exit(2);
-                        }
+                        other => panic!("--size small|medium|large, not {other}"),
                     }
                 }
-                "--help" | "-h" => {
-                    println!(
-                        "flags: --scale F (default 16)  --stride N (default 12)  \
-                         --size small|medium|large  --seed N  --csv DIR  --threads N"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown flag {other}; see --help");
-                    std::process::exit(2);
-                }
+                _ => return false,
             }
-            i += 2;
-        }
+            true
+        });
         cfg
     }
 
@@ -109,34 +83,37 @@ impl RunConfig {
         }
     }
 
-    /// Prints the standard run banner.
-    pub fn banner(&self, figure: &str) {
-        println!("=== {figure} ===");
-        println!(
-            "config: scale 1/{} of paper sizes, dataset {} stride {} ({} matrices), seed {:#x}, {} threads",
+    /// The standard run banner (two lines, newline-terminated).
+    pub fn banner(&self, figure: &str) -> String {
+        format!(
+            "=== {figure} ===\nconfig: scale 1/{} of paper sizes, dataset {} stride {} ({} matrices), seed {:#x}, {} threads\n",
             self.scale,
             self.size.name(),
             self.stride,
             self.dataset().len().div_ceil(self.stride.max(1)),
             self.seed,
             self.threads,
-        );
+        )
     }
 }
 
-/// Shared `--flag value` parsing skeleton for binaries whose flag set
-/// does not fit [`RunConfig`] (e.g. `spmm_throughput`): walks the
-/// process arguments in pairs, prints `usage` and exits on `--help`,
-/// a missing value, or a flag `apply` rejects. `apply(flag, value)`
-/// returns `false` for unknown flags.
-pub fn parse_flag_pairs(usage: &str, apply: impl FnMut(&str, &str) -> bool) {
-    parse_flags(usage, &[], apply)
+/// Shared `--flag value` parsing skeleton of the bench binaries: walks
+/// the process arguments, prints `usage` and exits on `--help`, a
+/// missing value, or a flag `apply` rejects. `apply(flag, value)`
+/// returns `false` for unknown flags; `switches` are flags that take no
+/// value, handed to `apply` with an empty one.
+pub fn parse_flags(usage: &str, switches: &[&str], apply: impl FnMut(&str, &str) -> bool) {
+    parse_flags_from(std::env::args().skip(1), usage, switches, apply)
 }
 
-/// [`parse_flag_pairs`] for a binary that also has `switches`: flags
-/// that take no value, handed to `apply` with an empty one.
-pub fn parse_flags(usage: &str, switches: &[&str], mut apply: impl FnMut(&str, &str) -> bool) {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// [`parse_flags`] over an explicit argument list.
+pub fn parse_flags_from(
+    args: impl Iterator<Item = String>,
+    usage: &str,
+    switches: &[&str],
+    mut apply: impl FnMut(&str, &str) -> bool,
+) {
+    let argv: Vec<String> = args.collect();
     let mut i = 0;
     while i < argv.len() {
         let flag = argv[i].as_str();

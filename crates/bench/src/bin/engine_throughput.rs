@@ -24,7 +24,9 @@
 //! sets the label margin (the widest that costs the table's own
 //! leave-one-out regret next to nothing), keeps the formats that label
 //! at least one matrix in twenty, **overwrites the committed table
-//! file** and scores the new table instead (a selector fitted from it,
+//! file** (unless the sweep's median repeat spread exceeds 0.10: then
+//! it prints the quantiles, leaves the file alone and exits non-zero)
+//! and scores the new table instead (a selector fitted from it,
 //! handed to `Engine::with_selector` — the way a host other than the reference
 //! one is served). The run also reports what only a sweep can: the
 //! Spearman rank correlation per format between the modeled
@@ -64,27 +66,24 @@ struct Config {
     seed: u64,
 }
 
-impl Config {
-    fn from_env() -> Self {
-        let mut cfg = Self { calibrate: false, mb: vec![0.06, 1.0, 32.0], seed: 2 };
-        parse_flags(
-            "engine_throughput [--calibrate] [--mb F,F,...] [--seed N]",
-            &["--calibrate"],
-            |flag, value| {
-                match flag {
-                    "--calibrate" => cfg.calibrate = true,
-                    "--mb" => {
-                        cfg.mb =
-                            value.split(',').map(|f| f.parse().expect("--mb F,F,...")).collect()
-                    }
-                    "--seed" => cfg.seed = value.parse().expect("--seed N"),
-                    _ => return false,
+fn config() -> Config {
+    let mut cfg = Config { calibrate: false, mb: vec![0.06, 1.0, 32.0], seed: 2 };
+    parse_flags(
+        "engine_throughput [--calibrate] [--mb F,F,...] [--seed N]",
+        &["--calibrate"],
+        |flag, value| {
+            match flag {
+                "--calibrate" => cfg.calibrate = true,
+                "--mb" => {
+                    cfg.mb = value.split(',').map(|f| f.parse().expect("--mb F,F,...")).collect()
                 }
-                true
-            },
-        );
-        cfg
-    }
+                "--seed" => cfg.seed = value.parse().expect("--seed N"),
+                _ => return false,
+            }
+            true
+        },
+    );
+    cfg
 }
 
 /// Held-out bars on the table's own host.
@@ -329,7 +328,7 @@ fn sweep_report(sweep: &Sweep) -> Json {
 }
 
 fn main() {
-    let cfg = Config::from_env();
+    let cfg = config();
     // The engine a caller gets: from the committed table under the
     // default config, or around a selector fitted from a fresh sweep.
     let (table, engine, sweep_json, wins) = if cfg.calibrate {
@@ -337,6 +336,11 @@ fn main() {
         println!("calibrating at {:?} / C = {} ...", profile.width, profile.sell_c);
         let sweep = calibration::sweep(profile, |line| println!("  {line}"));
         let sweep_json = sweep_report(&sweep);
+        if !sweep.quiet_enough() {
+            let (max, path) = (calibration::MAX_COMMITTED_SPREAD_P50, table_path());
+            eprintln!("repeat spread p50 above {max}: too loud to commit, {path:?} is untouched");
+            std::process::exit(1);
+        }
         println!("\nwin table of the sweep:");
         let wins = win_table(&sweep.table);
         let (table, dropped) = calibration::without_rare_labels(&sweep.table);
@@ -511,13 +515,7 @@ fn main() {
             ]),
         ),
     ];
-    match report::write("engine", body) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write BENCH_engine.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    report::write("engine", body);
     println!("gate: {verdict}");
     if verdict == "failed" {
         eprintln!(

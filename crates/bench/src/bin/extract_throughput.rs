@@ -25,12 +25,12 @@
 //! `--reps N` (default 7).
 
 use spmv_analysis::stats::geomean;
-use spmv_bench::args::parse_flag_pairs;
+use spmv_bench::args::parse_flags;
+use spmv_bench::calibration::time_once as time;
 use spmv_bench::classes::{self, CLASSES};
 use spmv_bench::report::{self, obj, round3, Json};
 use spmv_core::{CsrMatrix, FeatureSet};
 use std::hint::black_box;
-use std::time::Instant;
 
 struct Config {
     mb: Vec<f64>,
@@ -38,25 +38,18 @@ struct Config {
     reps: usize,
 }
 
-impl Config {
-    fn from_env() -> Self {
-        let mut cfg = Self { mb: vec![0.5, 4.0], seed: 1, reps: 7 };
-        parse_flag_pairs(
-            "extract_throughput [--mb A,B,..] [--seed N] [--reps N]",
-            |flag, value| {
-                match flag {
-                    "--mb" => {
-                        cfg.mb = value.split(',').map(|v| v.parse().expect("--mb A,B,..")).collect()
-                    }
-                    "--seed" => cfg.seed = value.parse().expect("--seed N"),
-                    "--reps" => cfg.reps = value.parse::<usize>().expect("--reps N").max(1),
-                    _ => return false,
-                }
-                true
-            },
-        );
-        cfg
-    }
+fn config() -> Config {
+    let mut cfg = Config { mb: vec![0.5, 4.0], seed: 1, reps: 7 };
+    parse_flags("extract_throughput [--mb A,B,..] [--seed N] [--reps N]", &[], |flag, value| {
+        match flag {
+            "--mb" => cfg.mb = value.split(',').map(|v| v.parse().expect("--mb A,B,..")).collect(),
+            "--seed" => cfg.seed = value.parse().expect("--seed N"),
+            "--reps" => cfg.reps = value.parse::<usize>().expect("--reps N").max(1),
+            _ => return false,
+        }
+        true
+    });
+    cfg
 }
 
 /// The oracle must lose by this factor in the geomean over all cells.
@@ -91,13 +84,6 @@ fn operands(cfg: &Config) -> Vec<Operand> {
         }
     }
     out
-}
-
-/// Seconds of one call of `f`.
-fn time(f: impl FnOnce()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
 }
 
 /// `reps` rounds of three passes over the set, one per side.
@@ -156,7 +142,7 @@ fn misses(ops: &[Operand], times: &Times) -> Vec<String> {
 }
 
 fn main() {
-    let cfg = Config::from_env();
+    let cfg = config();
     let mut ops = operands(&cfg);
     println!(
         "Feature extraction vs oracle vs CSR SpMV ({} operands, cache-cold cycling, fastest of {} reps)",
@@ -248,23 +234,9 @@ fn main() {
         ),
         ("table", Json::Arr(table)),
     ];
-    match report::write("extract", body) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write BENCH_extract.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    report::write("extract", body);
 
-    if misses.is_empty() {
-        println!(
-            "gate: OK (geomean >= {MIN_GEOMEAN_SPEEDUP}x the oracle, no class slower than it)"
-        );
-    } else {
-        eprintln!("gate: FAILED");
-        for m in &misses {
-            eprintln!("  {m}");
-        }
-        std::process::exit(1);
-    }
+    let passed =
+        format!("OK (geomean >= {MIN_GEOMEAN_SPEEDUP}x the oracle, no class slower than it)");
+    report::gate(&passed, &misses);
 }

@@ -1,20 +1,22 @@
-//! Scalar-profile vs. host-profile lane kernels, single thread: what
-//! the vector unit buys each kernel-layer format
-//! (`spmv_formats::kernels`), per matrix class, and how close that
-//! lands to the host's memory roof.
+//! Scalar-profile vs. served-profile lane kernels, single thread: what
+//! the vector unit buys each kernel-layer format at the lane width the
+//! default engine serves, per matrix class, and how close that lands to
+//! the host's memory roof.
 //!
 //! The operands are the eight feature classes of the repo benchmark
 //! (`benchmark/src/inputs.rs`) at one footprint (default 32 MB, the
 //! `hot-large` size). Every kernel-layer format that accepts a class
 //! is built twice from the same CSR — at `LaneProfile::scalar()`, which
-//! always runs the scalar bodies, and at `LaneProfile::current()`, the
-//! host's (or `SPMV_LANES`') width, which on x86-64 with AVX2 or better
-//! runs the gather microkernels — and the two run sequential SpMV
-//! alternately; each side reports its fastest rep. Per cell: GFLOP/s of
-//! both, their ratio, the host side's computed GB/s (stored format
-//! bytes + `x` + `y` once each) and that as a fraction of the measured
-//! triad roof (`spmv_core::roofline::measured_triad_gbs` over a working
-//! set of the same footprint). The table is printed and written to
+//! always runs the scalar bodies, and at `report::served_profile()`,
+//! the width `Engine::new(default)` resolves (`SPMV_LANES`, else the
+//! committed host table's; the record's host block names the probe's
+//! beside it), which on x86-64 with AVX2 or better runs the gather
+//! microkernels — and the two run sequential SpMV alternately; each
+//! side reports its fastest rep. Per cell: GFLOP/s of both, their
+//! ratio, the host side's computed GB/s (stored format bytes + `x` +
+//! `y` once each) and that as a fraction of the measured triad roof
+//! (`spmv_core::roofline::measured_triad_gbs` over a working set of the
+//! same footprint). The table is printed and written to
 //! `BENCH_kernel.json` at the repo root.
 //!
 //! Exit status — enforced on every host with a vector unit, no
@@ -32,14 +34,14 @@
 //! Flags: `--mb F` (default 32), `--seed N` (default 1), `--reps N`
 //! (default 9).
 
-use spmv_bench::args::parse_flag_pairs;
+use spmv_bench::args::parse_flags;
+use spmv_bench::calibration::time_once;
 use spmv_bench::classes::{self, CLASSES};
 use spmv_bench::report::{self, obj, round3, Json};
 use spmv_core::roofline::{measured_triad_gbs, Roofline};
 use spmv_formats::kernels::vector_isa;
 use spmv_formats::{build_format_with, FormatKind, LaneProfile, LaneWidth, SparseFormat};
 use std::hint::black_box;
-use std::time::Instant;
 
 struct Config {
     mb: f64,
@@ -47,20 +49,18 @@ struct Config {
     reps: usize,
 }
 
-impl Config {
-    fn from_env() -> Self {
-        let mut cfg = Self { mb: 32.0, seed: 1, reps: 9 };
-        parse_flag_pairs("kernel_throughput [--mb F] [--seed N] [--reps N]", |flag, value| {
-            match flag {
-                "--mb" => cfg.mb = value.parse().expect("--mb F"),
-                "--seed" => cfg.seed = value.parse().expect("--seed N"),
-                "--reps" => cfg.reps = value.parse::<usize>().expect("--reps N").max(1),
-                _ => return false,
-            }
-            true
-        });
-        cfg
-    }
+fn config() -> Config {
+    let mut cfg = Config { mb: 32.0, seed: 1, reps: 9 };
+    parse_flags("kernel_throughput [--mb F] [--seed N] [--reps N]", &[], |flag, value| {
+        match flag {
+            "--mb" => cfg.mb = value.parse().expect("--mb F"),
+            "--seed" => cfg.seed = value.parse().expect("--seed N"),
+            "--reps" => cfg.reps = value.parse::<usize>().expect("--reps N").max(1),
+            _ => return false,
+        }
+        true
+    });
+    cfg
 }
 
 /// No format may fall below this fraction of its scalar twin.
@@ -78,11 +78,7 @@ fn measure(
     y: &mut [f64],
     reps: usize,
 ) -> (f64, f64) {
-    let mut time = |f: &dyn SparseFormat| {
-        let t0 = Instant::now();
-        f.spmv(black_box(x), black_box(y));
-        t0.elapsed().as_secs_f64()
-    };
+    let mut time = |f: &dyn SparseFormat| time_once(|| f.spmv(black_box(x), black_box(y)));
     let (mut t_scalar, mut t_host) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
         t_scalar = t_scalar.min(time(scalar));
@@ -101,8 +97,8 @@ fn bound(class: &str, kind: FormatKind) -> f64 {
 }
 
 fn main() {
-    let cfg = Config::from_env();
-    let profile = LaneProfile::current();
+    let cfg = config();
+    let profile = report::served_profile();
     let isa = vector_isa();
     let vectorized = isa != "scalar" && profile.width != LaneWidth::W1;
     // Three arrays that together weigh what one kernel streams.
@@ -203,19 +199,7 @@ fn main() {
         ),
         ("table", Json::Arr(table)),
     ];
-    match report::write("kernel", body) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write BENCH_kernel.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    report::write("kernel", body);
 
-    println!("gate: {verdict}");
-    if !misses.is_empty() {
-        for m in &misses {
-            eprintln!("  {m}");
-        }
-        std::process::exit(1);
-    }
+    report::gate(verdict, &misses);
 }

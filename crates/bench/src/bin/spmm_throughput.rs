@@ -45,11 +45,11 @@
 //! Flags: `--rows N` (default 40000), `--avg-nnz F` (default 16),
 //! `--seed N`, `--reps N` (default 5).
 
-use spmv_bench::args::parse_flag_pairs;
+use spmv_bench::args::parse_flags;
+use spmv_bench::calibration::time_once as time;
 use spmv_bench::report::{self, obj, round3, Json};
 use spmv_formats::{build_format, build_format_with, FormatKind, LaneProfile, SparseFormat};
 use spmv_gen::{GeneratorParams, RowDist};
-use std::time::Instant;
 
 struct Config {
     rows: usize,
@@ -58,24 +58,23 @@ struct Config {
     reps: usize,
 }
 
-impl Config {
-    fn from_env() -> Self {
-        let mut cfg = Self { rows: 40_000, avg_nnz: 16.0, seed: 0xBA7C4, reps: 5 };
-        parse_flag_pairs(
-            "spmm_throughput [--rows N] [--avg-nnz F] [--seed N] [--reps N]",
-            |flag, value| {
-                match flag {
-                    "--rows" => cfg.rows = value.parse().expect("--rows N"),
-                    "--avg-nnz" => cfg.avg_nnz = value.parse().expect("--avg-nnz F"),
-                    "--seed" => cfg.seed = value.parse().expect("--seed N"),
-                    "--reps" => cfg.reps = value.parse::<usize>().expect("--reps N").max(1),
-                    _ => return false,
-                }
-                true
-            },
-        );
-        cfg
-    }
+fn config() -> Config {
+    let mut cfg = Config { rows: 40_000, avg_nnz: 16.0, seed: 0xBA7C4, reps: 5 };
+    parse_flags(
+        "spmm_throughput [--rows N] [--avg-nnz F] [--seed N] [--reps N]",
+        &[],
+        |flag, value| {
+            match flag {
+                "--rows" => cfg.rows = value.parse().expect("--rows N"),
+                "--avg-nnz" => cfg.avg_nnz = value.parse().expect("--avg-nnz F"),
+                "--seed" => cfg.seed = value.parse().expect("--seed N"),
+                "--reps" => cfg.reps = value.parse::<usize>().expect("--reps N").max(1),
+                _ => return false,
+            }
+            true
+        },
+    );
+    cfg
 }
 
 /// The formats whose `spmm` is a panel kernel (see the table in
@@ -142,13 +141,6 @@ fn matrix(class: &str, cfg: &Config) -> spmv_core::CsrMatrix {
     p.generate().expect("bench matrix generates")
 }
 
-/// Seconds of one call of `f`.
-fn time(mut f: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
-}
-
 /// Fastest of `reps` alternating timings of (`k` SpMVs of `yardstick`,
 /// one SpMM of `fmt`), in seconds. When the yardstick is a twin, the
 /// two sides stream different copies of the matrix and each would start
@@ -195,7 +187,7 @@ fn bound(class: &str, kind: FormatKind, k: usize) -> Option<f64> {
 }
 
 fn main() {
-    let cfg = Config::from_env();
+    let cfg = config();
     println!(
         "SpMM throughput vs k independent SpMVs ({} rows, avg {} nnz/row, fastest of {} reps)",
         cfg.rows, cfg.avg_nnz, cfg.reps
@@ -292,25 +284,12 @@ fn main() {
         ),
         ("table", Json::Arr(table)),
     ];
-    match report::write("spmm", body) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write BENCH_spmm.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    report::write("spmm", body);
 
-    if misses.is_empty() {
-        println!(
-            "gate: OK (panel formats >= {MIN_PANEL_SPEEDUP}x scalar-lane spmvs at k >= 4 on \
-             regular/irregular, ELL >= {MIN_SMALL_K_SPEEDUP}x its own; \
-             no format < {MIN_SMALL_K_SPEEDUP}x at k <= 3)"
-        );
-    } else {
-        eprintln!("gate: FAILED");
-        for m in &misses {
-            eprintln!("  {m}");
-        }
-        std::process::exit(1);
-    }
+    let passed = format!(
+        "OK (panel formats >= {MIN_PANEL_SPEEDUP}x scalar-lane spmvs at k >= 4 on \
+         regular/irregular, ELL >= {MIN_SMALL_K_SPEEDUP}x its own; \
+         no format < {MIN_SMALL_K_SPEEDUP}x at k <= 3)"
+    );
+    report::gate(&passed, &misses);
 }

@@ -69,6 +69,14 @@ pub fn operand(cols: usize) -> Vec<f64> {
     (0..cols).map(|c| 1.0 + (c % 5) as f64 * 0.25).collect()
 }
 
+/// Seconds of one call of `f`: the clock of the gates that take the
+/// fastest of a few alternating reps.
+pub fn time_once(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
 /// Seconds per call of `call`: calls are batched until a sample lasts
 /// [`MIN_SAMPLE_S`], and the fastest of at least five samples (more
 /// while a millisecond lasts) is returned — the speed of the code when
@@ -152,10 +160,23 @@ pub fn widest_free_margin(table: &HostTable) -> f64 {
     widest.expect("the best margin is within the slack of itself") as f64 / 100.0
 }
 
+/// Median repeat spread above which a sweep is not committed: the two
+/// timing rounds of a typical (matrix, format) disagree by more than
+/// this, so its labels are the neighbours' load as much as the kernels.
+/// The four sweeps of the afternoon the committed table comes from read
+/// 0.033–0.065.
+pub const MAX_COMMITTED_SPREAD_P50: f64 = 0.10;
+
 impl Sweep {
     /// Quantile `q` of the repeat spread, as a relative difference.
     pub fn spread_quantile(&self, q: f64) -> f64 {
         self.spreads[((self.spreads.len() - 1) as f64 * q).round() as usize].exp_m1()
+    }
+
+    /// Whether the host was quiet enough for the sweep's table to be
+    /// committed ([`MAX_COMMITTED_SPREAD_P50`]).
+    pub fn quiet_enough(&self) -> bool {
+        self.spread_quantile(0.5) <= MAX_COMMITTED_SPREAD_P50
     }
 }
 
@@ -445,6 +466,26 @@ mod tests {
         assert!(tied > 0.9 && tied < 1.0, "{tied}");
         assert_eq!(spearman(&a, &[7.0; 5]), None);
         assert_eq!(spearman(&a[..2], &a[..2]), None);
+    }
+
+    #[test]
+    fn a_loud_sweep_is_not_committed() {
+        // Repeat spreads as `|ln(a / b)|`, sorted, as `sweep` leaves them.
+        let sweep_with = |spreads: Vec<f64>| Sweep {
+            table: HostTable { matrices: Vec::new(), ..HostTable::committed() },
+            spreads,
+            convert_s_per_nnz: Vec::new(),
+            modeled_gflops: Vec::new(),
+            other_width_ratio: Vec::new(),
+            other_width: LaneWidth::W8,
+            seconds: 0.0,
+        };
+        // A quiet afternoon (median 5%, a tail of 30%), then a loud one:
+        // the typical timing itself moves by 12% between rounds.
+        let quiet = sweep_with(vec![0.01, 0.03, 0.05f64.ln_1p(), 0.2, 0.3]);
+        assert!(quiet.quiet_enough(), "p50 {}", quiet.spread_quantile(0.5));
+        let loud = sweep_with(vec![0.01, 0.08, 0.12f64.ln_1p(), 0.2, 0.3]);
+        assert!(!loud.quiet_enough(), "p50 {}", loud.spread_quantile(0.5));
     }
 
     #[test]

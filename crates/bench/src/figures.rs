@@ -1,7 +1,17 @@
-//! Shared rendering for figure binaries: grouped boxplot blocks with a
-//! common log axis, like the paper's per-device boxplot panels.
+//! Shared rendering of the paper's figures: grouped boxplot blocks with
+//! a common log axis, like the paper's per-device boxplot panels.
 
 use spmv_analysis::{ascii_boxplot_row, BoxStats, Table};
+
+/// `println!` into a `String`: the figures return their text instead of
+/// printing it, so a test can pin it.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {{
+        $out.push_str(&format!($($arg)*));
+        $out.push('\n');
+    }};
+}
+pub(crate) use outln;
 
 /// One labelled distribution in a panel.
 pub struct Series {
@@ -11,10 +21,14 @@ pub struct Series {
     pub values: Vec<f64>,
 }
 
-/// Prints a panel of boxplots with a shared log axis, returning the
-/// rendered stats for optional CSV emission.
-pub fn print_panel(title: &str, series: &[Series]) -> Vec<(String, Option<BoxStats>)> {
-    println!("\n--- {title} ---");
+/// Appends a panel of boxplots with a shared log axis to `out`,
+/// returning the rendered stats for CSV emission.
+pub fn render_panel(
+    out: &mut String,
+    title: &str,
+    series: &[Series],
+) -> Vec<(String, Option<BoxStats>)> {
+    outln!(out, "\n--- {title} ---");
     let all: Vec<f64> = series
         .iter()
         .flat_map(|s| s.values.iter().copied())
@@ -23,7 +37,7 @@ pub fn print_panel(title: &str, series: &[Series]) -> Vec<(String, Option<BoxSta
     let stats_out: Vec<(String, Option<BoxStats>)> =
         series.iter().map(|s| (s.label.clone(), BoxStats::from_values(&s.values))).collect();
     if all.is_empty() {
-        println!("(no data)");
+        outln!(out, "(no data)");
         return stats_out;
     }
     let lo = all.iter().copied().fold(f64::INFINITY, f64::min);
@@ -34,12 +48,12 @@ pub fn print_panel(title: &str, series: &[Series]) -> Vec<(String, Option<BoxSta
         match st {
             Some(st) => {
                 let plot = ascii_boxplot_row(st, lo, hi, width, true);
-                println!("{label:label_w$} {plot} med {:>8.2}  n={}", st.median, st.count);
+                outln!(out, "{label:label_w$} {plot} med {:>8.2}  n={}", st.median, st.count);
             }
-            None => println!("{label:label_w$} (no runnable matrices)"),
+            None => outln!(out, "{label:label_w$} (no runnable matrices)"),
         }
     }
-    println!("{:label_w$} log axis: {:.2} .. {:.2}", "", lo, hi, label_w = label_w);
+    outln!(out, "{:label_w$} log axis: {:.2} .. {:.2}", "", lo, hi, label_w = label_w);
     stats_out
 }
 
@@ -48,36 +62,18 @@ pub fn panel_csv(figure: &str, panel: &str, stats: &[(String, Option<BoxStats>)]
     let mut t =
         Table::new(&["figure", "panel", "series", "n", "min", "q1", "median", "q3", "max", "mean"]);
     for (label, st) in stats {
+        let mut row = vec![figure.to_string(), panel.to_string(), label.clone()];
         match st {
             Some(s) => {
-                t.row(vec![
-                    figure.into(),
-                    panel.into(),
-                    label.clone(),
-                    s.count.to_string(),
-                    format!("{:.4}", s.min),
-                    format!("{:.4}", s.q1),
-                    format!("{:.4}", s.median),
-                    format!("{:.4}", s.q3),
-                    format!("{:.4}", s.max),
-                    format!("{:.4}", s.mean),
-                ]);
+                row.push(s.count.to_string());
+                row.extend([s.min, s.q1, s.median, s.q3, s.max, s.mean].map(|v| format!("{v:.4}")));
             }
             None => {
-                t.row(vec![
-                    figure.into(),
-                    panel.into(),
-                    label.clone(),
-                    "0".into(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ]);
+                row.push("0".into());
+                row.extend(std::iter::repeat_n(String::new(), 6));
             }
         }
+        t.row(row);
     }
     t
 }
@@ -92,7 +88,9 @@ mod tests {
             Series { label: "a".into(), values: vec![1.0, 2.0, 3.0] },
             Series { label: "b".into(), values: vec![] },
         ];
-        let stats = print_panel("test", &series);
+        let mut text = String::new();
+        let stats = render_panel(&mut text, "test", &series);
+        assert!(text.starts_with("\n--- test ---\na") && text.ends_with('\n'), "{text:?}");
         assert_eq!(stats.len(), 2);
         assert!(stats[0].1.is_some());
         assert!(stats[1].1.is_none());

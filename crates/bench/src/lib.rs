@@ -1,13 +1,15 @@
 //! # spmv-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper
-//! (see DESIGN.md §4 for the index) plus Criterion micro-benchmarks of
-//! the host kernels. This library holds the pieces the binaries share:
-//! argument parsing, the campaign configuration, grouping helpers and
-//! boxplot printing.
+//! The experiment harness: the `figures` binary, which reproduces every
+//! table and figure of the paper ([`paper::FIGURES`] is the index), the
+//! four `*_throughput` gate binaries that each write a committed
+//! `BENCH_*.json`, and Criterion micro-benchmarks. This library holds
+//! what they share: argument parsing, the figures themselves, grouping
+//! helpers, boxplot rendering, the calibration sweep and the JSON
+//! reporter.
 //!
-//! Every binary prints the reproduced table/series to stdout and, when
-//! `--csv DIR` is given, also writes a CSV per figure into `DIR`.
+//! `figures <name>` prints the reproduced table/series to stdout and,
+//! when `--csv DIR` is given, also writes a CSV per panel into `DIR`.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -17,6 +19,7 @@ pub mod calibration;
 pub mod classes;
 pub mod figures;
 pub mod grouping;
+pub mod paper;
 pub mod report;
 pub mod validation;
 

@@ -7,10 +7,11 @@
 //! order (insertion order) and one key per line, so committed files
 //! diff cleanly.
 
+use spmv_devices::HostTable;
 use spmv_formats::kernels::vector_isa;
 use spmv_formats::LaneProfile;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A JSON value. Objects keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,34 +28,21 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-impl From<bool> for Json {
-    fn from(v: bool) -> Self {
-        Json::Bool(v)
-    }
+macro_rules! json_from {
+    ($($from:ty => $make:expr;)*) => {$(
+        impl From<$from> for Json {
+            fn from(v: $from) -> Self {
+                $make(v)
+            }
+        }
+    )*};
 }
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Self {
-        Json::Num(v)
-    }
-}
-
-impl From<usize> for Json {
-    fn from(v: usize) -> Self {
-        Json::Num(v as f64)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(v: &str) -> Self {
-        Json::Str(v.to_string())
-    }
-}
-
-impl From<String> for Json {
-    fn from(v: String) -> Self {
-        Json::Str(v)
-    }
+json_from! {
+    bool => Json::Bool;
+    f64 => Json::Num;
+    usize => |v| Json::Num(v as f64);
+    &str => |v: &str| Json::Str(v.to_string());
+    String => Json::Str;
 }
 
 /// Builds a [`Json::Obj`] from `(key, value)` pairs.
@@ -185,14 +173,22 @@ pub fn git_rev() -> String {
     git(&["describe", "--always", "--dirty", "--abbrev=12"]).unwrap_or_else(|| "unknown".into())
 }
 
+/// The lane profile `Engine::new(EngineConfig::default())` serves at on
+/// this host: `SPMV_LANES` if set, else the width the committed host
+/// table was swept at — not necessarily the probe's.
+pub fn served_profile() -> LaneProfile {
+    LaneProfile::resolve(Some(HostTable::committed_spec().lane_profile()))
+}
+
 /// What a reader needs to know about the machine and build a record
 /// came from: hardware threads, the `SPMV_THREADS` / `SPMV_LANES`
-/// overrides in force, the resolved lane profile, the vector
-/// instruction set the lane kernels detected, the CPU model and the git
-/// revision.
+/// overrides in force, the lane profile of the host probe (`lanes`,
+/// `sell_c`) and the one the default engine serves at
+/// ([`served_profile`]), the vector instruction set the lane kernels
+/// detected, the CPU model and the git revision.
 pub fn host_facts() -> Json {
     let env = |name: &str| std::env::var(name).map(Json::Str).unwrap_or(Json::Str("unset".into()));
-    let lanes = LaneProfile::current();
+    let (lanes, served) = (LaneProfile::current(), served_profile());
     obj([
         ("cpu_model", cpu_model().into()),
         (
@@ -203,21 +199,40 @@ pub fn host_facts() -> Json {
         ("SPMV_LANES", env("SPMV_LANES")),
         ("lanes", lanes.width.lanes().into()),
         ("sell_c", lanes.sell_c.into()),
+        ("served_lanes", served.width.lanes().into()),
+        ("served_sell_c", served.sell_c.into()),
         ("vector_isa", vector_isa().into()),
         ("git_rev", git_rev().into()),
     ])
 }
 
 /// Writes `{"bench", "host", ...body}` to `BENCH_<bench>.json` at the
-/// repository root and returns the path.
-pub fn write<const N: usize>(bench: &str, body: [(&str, Json); N]) -> std::io::Result<PathBuf> {
+/// repository root and prints the path; a bench that cannot leave its
+/// record exits with status 1.
+pub fn write<const N: usize>(bench: &str, body: [(&str, Json); N]) {
     let Json::Obj(mut fields) = obj([("bench", bench.into()), ("host", host_facts())]) else {
         unreachable!("obj builds an object")
     };
     fields.extend(body.into_iter().map(|(k, v)| (k.to_string(), v)));
     let path = repo_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, Json::Obj(fields).render() + "\n")?;
-    Ok(path)
+    if let Err(e) = std::fs::write(&path, Json::Obj(fields).render() + "\n") {
+        eprintln!("could not write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    println!("wrote {}", path.display());
+}
+
+/// The verdict of a gate binary: `passed` on stdout, or the misses on
+/// stderr and exit status 1.
+pub fn gate(passed: &str, misses: &[String]) {
+    if misses.is_empty() {
+        return println!("gate: {passed}");
+    }
+    eprintln!("gate: FAILED");
+    for m in misses {
+        eprintln!("  {m}");
+    }
+    std::process::exit(1);
 }
 
 #[cfg(test)]
@@ -255,9 +270,15 @@ mod tests {
     fn host_facts_name_threads_lanes_and_revision() {
         let Json::Obj(fields) = host_facts() else { panic!("host facts are an object") };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        for key in
-            ["hardware_threads", "SPMV_THREADS", "SPMV_LANES", "lanes", "vector_isa", "git_rev"]
-        {
+        for key in [
+            "hardware_threads",
+            "SPMV_THREADS",
+            "SPMV_LANES",
+            "lanes",
+            "served_lanes",
+            "vector_isa",
+            "git_rev",
+        ] {
             assert!(keys.contains(&key), "{key} missing from {keys:?}");
         }
     }

@@ -3,12 +3,12 @@
 //! the configured scale), summarized, and evaluated on every device;
 //! the best format per matrix is kept, exactly as in §V-A.
 
-use crate::args::RunConfig;
+use crate::paper::Ctx;
+use spmv_analysis::{ape_best, mape_to_median};
 use spmv_core::roofline::{csr_spmv_oi, Roofline};
 use spmv_devices::{Campaign, MatrixSummary};
 use spmv_gen::dataset::{FeatureSpacePoint, MatrixSpec};
 use spmv_gen::validation::{crs_value, neigh_value, ValidationMatrix, VALIDATION_SUITE};
-use spmv_parallel::ThreadPool;
 use std::collections::BTreeMap;
 
 /// Outcome for one (device, validation matrix) pair.
@@ -48,8 +48,8 @@ fn spec_for(vm: &ValidationMatrix, params: spmv_gen::GeneratorParams, id: String
 
 /// Runs the full validation experiment; `friends` is the number of
 /// artificial friends per matrix (the paper uses ~70).
-pub fn run_validation(cfg: &RunConfig, friends: usize) -> Vec<ValidationPoint> {
-    let pool = ThreadPool::new(cfg.threads);
+pub fn run_validation(ctx: &Ctx, friends: usize) -> Vec<ValidationPoint> {
+    let cfg = &ctx.cfg;
     let campaign = Campaign::new(cfg.scale);
 
     // Build all specs: index 0 = the validation stand-in, then friends.
@@ -63,36 +63,24 @@ pub fn run_validation(cfg: &RunConfig, friends: usize) -> Vec<ValidationPoint> {
         }
     }
 
-    // Summaries in parallel.
-    let summaries: Vec<MatrixSummary> = {
-        let slots: parking_lot::Mutex<Vec<Option<MatrixSummary>>> =
-            parking_lot::Mutex::new(vec![None; all_specs.len()]);
-        pool.parallel_chunks(all_specs.len(), |range| {
-            for i in range {
-                let s = MatrixSummary::from_spec(&all_specs[i].2);
-                slots.lock()[i] = Some(s);
-            }
-        });
-        slots.into_inner().into_iter().map(|s| s.expect("filled")).collect()
-    };
+    // Summary and best format per device of every spec, in parallel.
+    let evaluated = ctx.parallel_map(&all_specs, |(_, _, spec)| {
+        let summary = MatrixSummary::from_spec(spec);
+        let best = Campaign::best_per_matrix_device(&campaign.run_summary(&summary));
+        (summary, best)
+    });
 
-    // Evaluate and reduce to best-per-device.
+    // Reduce to one point per (device, validation matrix).
     let mut out: BTreeMap<(String, usize), ValidationPoint> = BTreeMap::new();
-    for ((vm_id, is_friend, _spec), summary) in all_specs.iter().zip(&summaries) {
-        let records = campaign.run_summary(summary);
-        let best = Campaign::best_per_matrix_device(&records);
+    for ((vm_id, is_friend, _spec), (summary, best)) in all_specs.iter().zip(&evaluated) {
         for b in best {
             let vm = &VALIDATION_SUITE[vm_id - 1];
             let dev = campaign.devices.iter().find(|d| d.name == b.device).expect("device");
             let entry = out.entry((b.device.clone(), *vm_id)).or_insert_with(|| {
                 // Roofline bounds use the paper's CSR footprint and the
                 // device's measured bandwidths (Fig. 1 dashes).
-                let oi = csr_spmv_oi(
-                    summary.features.rows,
-                    summary.features.cols,
-                    summary.features.nnz.max(1),
-                    1.0,
-                );
+                let f = &summary.features;
+                let oi = csr_spmv_oi(f.rows, f.cols, f.nnz.max(1), 1.0);
                 ValidationPoint {
                     device: b.device.clone(),
                     matrix_id: *vm_id,
@@ -113,14 +101,23 @@ pub fn run_validation(cfg: &RunConfig, friends: usize) -> Vec<ValidationPoint> {
     out.into_values().collect()
 }
 
-/// Groups validation points per device as `(actual, friends)` pairs for
-/// the MAPE metrics.
-pub fn mape_pairs(points: &[ValidationPoint]) -> BTreeMap<String, Vec<(f64, Vec<f64>)>> {
-    let mut map: BTreeMap<String, Vec<(f64, Vec<f64>)>> = BTreeMap::new();
-    for p in points {
-        if p.gflops > 0.0 && !p.friends_gflops.is_empty() {
-            map.entry(p.device.clone()).or_default().push((p.gflops, p.friends_gflops.clone()));
-        }
+/// A row of Table IV: `(device, MAPE %, APE-best %, matrices)`.
+pub type MapeRow = (String, f64, f64, usize);
+
+/// Table IV's numbers: per device, the validation matrices against the
+/// median of their friends and against their closest friend, and the
+/// two averages over the devices.
+pub fn mape_rows(points: &[ValidationPoint]) -> (Vec<MapeRow>, f64, f64) {
+    let mut pairs: BTreeMap<&str, Vec<(f64, Vec<f64>)>> = BTreeMap::new();
+    for p in points.iter().filter(|p| p.gflops > 0.0 && !p.friends_gflops.is_empty()) {
+        pairs.entry(&p.device).or_default().push((p.gflops, p.friends_gflops.clone()));
     }
-    map
+    let row = |(device, p): (&str, Vec<(f64, Vec<f64>)>)| {
+        let (m, b) = (mape_to_median(&p).unwrap_or(f64::NAN), ape_best(&p).unwrap_or(f64::NAN));
+        (device.to_string(), m, b, p.len())
+    };
+    let rows: Vec<_> = pairs.into_iter().map(row).collect();
+    let n = rows.len().max(1) as f64;
+    let (ms, bs) = rows.iter().fold((0.0, 0.0), |(ms, bs), r| (ms + r.1, bs + r.2));
+    (rows, ms / n, bs / n)
 }

@@ -6,7 +6,7 @@
 //! We have no Tesla GPUs, EPYC sockets or Alveo FPGAs in this
 //! environment, so the paper's *measurement* infrastructure is
 //! substituted by *models* that encode exactly the mechanisms the
-//! paper uses to explain its results (see DESIGN.md):
+//! paper uses to explain its results:
 //!
 //! * hierarchical roofline — LLC vs DRAM/HBM bandwidth, switched by
 //!   the matrix footprint (the paper's f1 effect, Fig. 3);

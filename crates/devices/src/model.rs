@@ -259,7 +259,7 @@ fn format_bytes_per_nnz(
 
 /// Mechanism toggles for ablation studies: each flag disables one
 /// bottleneck term of the model so its contribution to a figure can be
-/// isolated (`cargo run -p spmv-bench --bin ablation_mechanisms`).
+/// isolated (`cargo run -p spmv-bench --bin figures -- ablation_mechanisms`).
 ///
 /// All mechanisms are enabled by default; [`estimate`] is
 /// `estimate_with(&ModelConfig::default(), ..)`.

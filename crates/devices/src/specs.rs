@@ -1,7 +1,6 @@
 //! The nine testbeds of Table II, with measured bandwidths and the
 //! format/library sets available on each (vendor libraries are mapped
-//! to the corresponding native formats of `spmv-formats`; see
-//! DESIGN.md for the mapping rationale).
+//! to the corresponding native formats of `spmv-formats`).
 
 use serde::{Deserialize, Serialize};
 use spmv_formats::{FormatKind, LaneProfile, LaneWidth};

@@ -81,8 +81,8 @@ pub fn analytic_x_hit_rate(inp: &LocalityInputs) -> f64 {
     // (slowly sliding) row window behave like the classic LRU law —
     // a warm access hits iff its line is among the C most recently
     // used of W, i.e. with probability ≈ min(1, C/W). Cross-validated
-    // against the trace simulator in the tests below and in
-    // `memsim_validation`. The caller is responsible for passing the
+    // against the trace simulator in the tests below and in `figures
+    // memsim_validation`. The caller is responsible for passing the
     // cache share actually available to x (the device models deduct
     // the streamed matrix's share). Each x line receives T = nnz·E/cols
     // touches total; the first touch per residency is compulsory.
@@ -154,8 +154,8 @@ mod tests {
                     // 200 000 aspect ratio (~1.6 touches per x line),
                     // the hardest regime for the touches model; square
                     // campaign-shaped matrices track within 0.02 (see
-                    // the `memsim_validation` binary, which asserts
-                    // 0.05 over 81 lattice corners).
+                    // `figures memsim_validation`, which asserts 0.05
+                    // over 81 lattice corners).
                     assert!(
                         err < 0.15,
                         "neigh={neigh} crs={crs} bw={bw}: sim {sim:.3} vs analytic {ana:.3}"

@@ -5,6 +5,9 @@
 //! semantics under streaming eviction pressure, the solve-racing-
 //! `forget` contract, and the typed breakdown errors.
 
+mod common;
+
+use common::poisson_2d;
 use spmv_suite::core::CsrMatrix;
 use spmv_suite::engine::{Engine, EngineConfig, SolveError, TrainingPlan};
 use spmv_suite::gen::dataset::DatasetSize;
@@ -28,31 +31,6 @@ fn engine_with(plan_capacity: usize) -> Engine {
 
 fn engine() -> Engine {
     engine_with(1 << 16)
-}
-
-/// 5-point Laplacian on an `n x n` grid: SPD, the classic CG matrix.
-fn poisson_2d(n: usize) -> CsrMatrix {
-    let dim = n * n;
-    let mut t: Vec<(usize, usize, f64)> = Vec::with_capacity(5 * dim);
-    for i in 0..n {
-        for j in 0..n {
-            let r = i * n + j;
-            t.push((r, r, 4.0));
-            if i > 0 {
-                t.push((r, r - n, -1.0));
-            }
-            if i + 1 < n {
-                t.push((r, r + n, -1.0));
-            }
-            if j > 0 {
-                t.push((r, r - 1, -1.0));
-            }
-            if j + 1 < n {
-                t.push((r, r + 1, -1.0));
-            }
-        }
-    }
-    CsrMatrix::from_triplets(dim, dim, &t).expect("stencil is valid")
 }
 
 /// Upwind convection-diffusion on an `n x n` grid: diagonally dominant
@@ -183,6 +161,47 @@ fn pinned_plan_survives_streaming_eviction_pressure() {
     assert_eq!(c.pinned_plans, 1);
     drop(handle);
     assert_eq!(engine.counters().pinned_plans, 0);
+}
+
+#[test]
+fn concurrent_handles_resolve_once_each_while_admissions_stream_past() {
+    // Four live pins and a streaming client on a 2-entry plan table:
+    // every streamed id evicts around the pins, and no solve may
+    // re-enter the serve path (one resolution per handle, none per solve).
+    let engine = engine_with(2);
+    let systems: Vec<(String, CsrMatrix)> =
+        (0..4).map(|i| (format!("solve-{i}"), poisson_2d(10 + 2 * i))).collect();
+    let (solves_each, streamed) = (3usize, 16u64);
+    let before = engine.counters();
+    std::thread::scope(|s| {
+        for (id, a) in &systems {
+            let engine = &engine;
+            s.spawn(move || {
+                let mut handle = engine.solver(id, a);
+                for salt in 0..solves_each {
+                    let b: Vec<f64> =
+                        (0..a.rows()).map(|i| 1.0 + ((i + salt) % 5) as f64).collect();
+                    let out = handle.cg(&b, 1e-10, 5_000).expect("SPD system converges");
+                    assert!(out.converged, "{id} stalled at residual {}", out.residual);
+                    assert!(residual_inf(a, handle.solution(), &b) < 1e-6);
+                }
+            });
+        }
+        s.spawn(|| {
+            let (m, x, mut y) = (CsrMatrix::identity(64), vec![1.0; 64], vec![0.0; 64]);
+            for i in 0..streamed {
+                engine.spmv(&format!("stream-{i}"), &m, &x, &mut y);
+            }
+        });
+    });
+
+    let c = engine.counters();
+    let resolutions = systems.len() as u64 + streamed;
+    assert_eq!(c.requests - before.requests, resolutions, "a solve re-entered the front door");
+    assert_eq!(c.cache_lookups - before.cache_lookups, resolutions, "a solve re-resolved");
+    assert_eq!(c.conversions - before.conversions, resolutions, "a pinned id reconverted");
+    assert_eq!(c.solves - before.solves, (systems.len() * solves_each) as u64);
+    assert_eq!(c.pinned_plans, 0, "every handle dropped its pin");
 }
 
 #[test]

@@ -36,7 +36,7 @@ pub const UNSAFE_WHITELIST: &[&str] = &[
     // stays free of `unsafe`.
     "crates/formats/src/kernels/x86.rs",
     // Counting GlobalAlloc for the zero-allocation solver gate.
-    "crates/bench/src/bin/solver_throughput.rs",
+    "tests/solver_alloc.rs",
     // Counting GlobalAlloc for the zero-allocation feature-extraction
     // tests (the extraction kernel itself has no `unsafe`).
     "crates/core/tests/features_kernel.rs",

@@ -63,6 +63,20 @@ fn the_gather_microkernels_are_the_only_unsafe_file_of_spmv_formats() {
 }
 
 #[test]
+fn the_counting_allocators_are_whitelisted_by_file() {
+    let alloc =
+        "// SAFETY: pure delegation to `System`.\nunsafe impl GlobalAlloc for Counting {}\n";
+    for whitelisted in ["tests/solver_alloc.rs", "crates/core/tests/features_kernel.rs"] {
+        assert!(lint_source(whitelisted, alloc).is_empty(), "{whitelisted}");
+    }
+    // The solver gate's old home (a bench binary) and its neighbours
+    // in `tests/` are not covered.
+    for elsewhere in ["crates/bench/src/bin/solver_throughput.rs", "tests/engine_solver.rs"] {
+        assert_eq!(rules(&lint_source(elsewhere, alloc)), ["unsafe-outside-whitelist"]);
+    }
+}
+
+#[test]
 fn unsafe_inside_strings_and_comments_is_ignored() {
     let src = "fn f() { let _ = \"unsafe\"; } // unsafe in prose\n";
     assert!(lint_source("crates/core/src/lib.rs", src).is_empty());
