@@ -18,8 +18,8 @@ use spmv_core::FeatureSet;
 use spmv_devices::specs::device_by_name;
 use spmv_devices::{all_devices, estimate_with, Campaign, MatrixSummary, ModelConfig, Record};
 use spmv_gen::dataset::{
-    Dataset, DatasetSize, FeatureSpacePoint, MatrixSpec, AVG_NEIGH_VALUES, AVG_NNZ_VALUES,
-    BW_SCALED_VALUES, CROSS_ROW_SIM_VALUES, FOOTPRINT_CLASSES_MB, SKEW_VALUES,
+    Dataset, DatasetSize, FeatureSpacePoint, AVG_NEIGH_VALUES, AVG_NNZ_VALUES, BW_SCALED_VALUES,
+    CROSS_ROW_SIM_VALUES, FOOTPRINT_CLASSES_MB, SKEW_VALUES,
 };
 use spmv_gen::validation::VALIDATION_SUITE;
 use spmv_gen::{GeneratorParams, RowDist};
@@ -115,7 +115,7 @@ impl Ctx {
         self.sweep.get_or_init(|| {
             let specs = self.cfg.dataset().specs_subsampled(self.cfg.stride);
             let t0 = Instant::now();
-            let records = self.run(&Campaign::new(self.cfg.scale), &specs);
+            let records = Campaign::new(self.cfg.scale).run_specs(&self.pool, &specs);
             let (secs, m, n) = (t0.elapsed().as_secs_f64(), specs.len(), records.len());
             let rate = n as f64 / secs;
             eprintln!("[campaign] {m} matrices -> {n} records in {secs:.1}s ({rate:.0} configs/s)");
@@ -126,13 +126,6 @@ impl Ctx {
 
     fn validation(&self) -> &[ValidationPoint] {
         self.validation.get_or_init(|| run_validation(self, FRIENDS))
-    }
-
-    /// `campaign.run_specs`, scheduled by [`Ctx::parallel_map`].
-    fn run(&self, campaign: &Campaign, specs: &[MatrixSpec]) -> Vec<Record> {
-        let per_spec =
-            self.parallel_map(specs, |s| campaign.run_summary(&MatrixSummary::from_spec(s)));
-        per_spec.into_iter().flatten().collect()
     }
 
     fn start(&self, figure: &str) -> Rendered {
@@ -459,7 +452,7 @@ fn fig8_dataset_size(ctx: &Ctx) -> Rendered {
         } else {
             let d = Dataset { size, scale: cfg.scale, base_seed: cfg.seed };
             let specs = d.specs_subsampled(cfg.stride);
-            (specs.len(), Campaign::best_per_matrix_device(&ctx.run(&campaign, &specs)))
+            (specs.len(), Campaign::best_per_matrix_device(&campaign.run_specs(&ctx.pool, &specs)))
         };
         let by_class = group_by(&best, |r| footprint_class_label(r.footprint_mb, cfg.scale));
         let series: Vec<Series> = by_class

@@ -6,6 +6,7 @@
 
 use crate::error::SparseError;
 use crate::{INDEX_BYTES, VALUE_BYTES};
+use std::sync::Arc;
 
 /// A sparse matrix in Compressed Sparse Row format.
 ///
@@ -17,13 +18,19 @@ use crate::{INDEX_BYTES, VALUE_BYTES};
 /// * `col_idx.len() == values.len() == nnz`;
 /// * within each row, column indices are strictly increasing (sorted,
 ///   no duplicates) and `< cols`.
+///
+/// The three arrays are shared immutable buffers: constructors wrap the
+/// caller's `Vec`s without copying, `clone()` is three reference-count
+/// bumps, and [`CsrMatrix::values_mut`] copies the values first if any
+/// clone still shares them. Whoever keeps a CSR operand — a format, a
+/// background flight — keeps a clone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f64>,
+    row_ptr: Arc<Vec<usize>>,
+    col_idx: Arc<Vec<u32>>,
+    values: Arc<Vec<f64>>,
 }
 
 impl CsrMatrix {
@@ -35,7 +42,7 @@ impl CsrMatrix {
         col_idx: Vec<u32>,
         values: Vec<f64>,
     ) -> Result<Self, SparseError> {
-        let m = Self { rows, cols, row_ptr, col_idx, values };
+        let m = Self::wrap(rows, cols, row_ptr, col_idx, values);
         m.validate()?;
         Ok(m)
     }
@@ -54,9 +61,27 @@ impl CsrMatrix {
         col_idx: Vec<u32>,
         values: Vec<f64>,
     ) -> Self {
-        let m = Self { rows, cols, row_ptr, col_idx, values };
+        let m = Self::wrap(rows, cols, row_ptr, col_idx, values);
         debug_assert!(m.validate().is_ok(), "invalid CSR from trusted producer");
         m
+    }
+
+    /// Takes ownership of the arrays as they are (`Arc<Vec<_>>` keeps
+    /// the caller's allocations; `Arc<[T]>::from` would copy them).
+    fn wrap(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        Self {
+            rows,
+            cols,
+            row_ptr: Arc::new(row_ptr),
+            col_idx: Arc::new(col_idx),
+            values: Arc::new(values),
+        }
     }
 
     /// Builds a CSR matrix from `(row, col, value)` triplets.
@@ -189,10 +214,12 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Mutable access to the values (structure stays fixed).
+    /// Mutable access to the values (structure stays fixed). Copy on
+    /// write: a matrix whose values a clone still shares gets its own
+    /// copy first, so the clone never sees the edit.
     #[inline]
     pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
+        Arc::make_mut(&mut self.values).as_mut_slice()
     }
 
     /// The number of nonzeros in row `r`.
@@ -246,12 +273,13 @@ impl CsrMatrix {
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "x length must equal cols");
         assert_eq!(y.len(), self.rows, "y length must equal rows");
+        let (row_ptr, col_idx, values) = (self.row_ptr(), self.col_idx(), self.values());
         #[allow(clippy::needless_range_loop)] // indexed kernel loops read clearest
         for r in 0..self.rows {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
             let mut acc = 0.0;
             for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
+                acc += values[k] * x[col_idx[k] as usize];
             }
             y[r] = acc;
         }
@@ -261,7 +289,7 @@ impl CsrMatrix {
     pub fn transpose(&self) -> CsrMatrix {
         // Counting sort over columns.
         let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.col_idx {
+        for &c in self.col_idx() {
             counts[c as usize + 1] += 1;
         }
         for i in 0..self.cols {
@@ -271,13 +299,14 @@ impl CsrMatrix {
         let mut col_idx_t = vec![0u32; self.nnz()];
         let mut values_t = vec![0.0f64; self.nnz()];
         let mut cursor = counts;
+        let (row_ptr, col_idx, values) = (self.row_ptr(), self.col_idx(), self.values());
         for r in 0..self.rows {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
             for k in lo..hi {
-                let c = self.col_idx[k] as usize;
+                let c = col_idx[k] as usize;
                 let dst = cursor[c];
                 col_idx_t[dst] = r as u32;
-                values_t[dst] = self.values[k];
+                values_t[dst] = values[k];
                 cursor[c] += 1;
             }
         }
@@ -322,24 +351,12 @@ impl CsrMatrix {
 
     /// An empty `rows × cols` matrix (no nonzeros).
     pub fn zeros(rows: usize, cols: usize) -> CsrMatrix {
-        CsrMatrix {
-            rows,
-            cols,
-            row_ptr: vec![0; rows + 1],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
+        CsrMatrix::wrap(rows, cols, vec![0; rows + 1], Vec::new(), Vec::new())
     }
 
     /// The `n × n` identity matrix.
     pub fn identity(n: usize) -> CsrMatrix {
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n as u32).collect(),
-            values: vec![1.0; n],
-        }
+        CsrMatrix::wrap(n, n, (0..=n).collect(), (0..n as u32).collect(), vec![1.0; n])
     }
 }
 
@@ -443,37 +460,19 @@ mod tests {
 
     #[test]
     fn validate_catches_unsorted_rows() {
-        let m = CsrMatrix {
-            rows: 1,
-            cols: 3,
-            row_ptr: vec![0, 2],
-            col_idx: vec![2, 0],
-            values: vec![1.0, 2.0],
-        };
+        let m = CsrMatrix::wrap(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 2.0]);
         assert!(matches!(m.validate(), Err(SparseError::UnsortedRow { row: 0 })));
     }
 
     #[test]
     fn validate_catches_duplicate_columns() {
-        let m = CsrMatrix {
-            rows: 1,
-            cols: 3,
-            row_ptr: vec![0, 2],
-            col_idx: vec![1, 1],
-            values: vec![1.0, 2.0],
-        };
+        let m = CsrMatrix::wrap(1, 3, vec![0, 2], vec![1, 1], vec![1.0, 2.0]);
         assert!(matches!(m.validate(), Err(SparseError::UnsortedRow { row: 0 })));
     }
 
     #[test]
     fn validate_catches_bad_row_ptr() {
-        let m = CsrMatrix {
-            rows: 2,
-            cols: 2,
-            row_ptr: vec![0, 1],
-            col_idx: vec![0],
-            values: vec![1.0],
-        };
+        let m = CsrMatrix::wrap(2, 2, vec![0, 1], vec![0], vec![1.0]);
         assert!(matches!(m.validate(), Err(SparseError::BadRowPtr(_))));
     }
 
@@ -501,5 +500,55 @@ mod tests {
         let t: Vec<_> = m.triplets().collect();
         let m2 = CsrMatrix::from_triplets(3, 3, &t).unwrap();
         assert_eq!(m, m2);
+    }
+
+    fn array_ptrs(m: &CsrMatrix) -> (*const usize, *const u32, *const f64) {
+        (m.row_ptr().as_ptr(), m.col_idx().as_ptr(), m.values().as_ptr())
+    }
+
+    #[test]
+    fn clone_shares_all_three_arrays() {
+        let a = small();
+        let b = a.clone();
+        assert_eq!(array_ptrs(&a), array_ptrs(&b));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn constructors_keep_the_callers_buffers() {
+        let (row_ptr, col_idx, values) = (vec![0usize, 2, 2, 4], vec![0u32, 2, 0, 1], vec![1.0; 4]);
+        let before = (row_ptr.as_ptr(), col_idx.as_ptr(), values.as_ptr());
+        let m = CsrMatrix::from_parts_unchecked(3, 3, row_ptr, col_idx, values);
+        assert_eq!(array_ptrs(&m), before);
+
+        let (row_ptr, col_idx, values) = (vec![0usize, 1], vec![0u32], vec![2.0]);
+        let before = (row_ptr.as_ptr(), col_idx.as_ptr(), values.as_ptr());
+        let m = CsrMatrix::new(1, 1, row_ptr, col_idx, values).unwrap();
+        assert_eq!(array_ptrs(&m), before);
+    }
+
+    #[test]
+    fn values_mut_on_a_clone_leaves_the_original_intact() {
+        let a = small();
+        let pristine = small();
+        let mut b = a.clone();
+        b.values_mut()[0] = -7.0;
+        assert_eq!(a.values(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(a, pristine);
+        assert_ne!(a, b);
+        assert_eq!(b.values(), &[-7.0, 2.0, 3.0, 4.0]);
+        // Only the values were copied; the structure is still shared.
+        assert_ne!(a.values().as_ptr(), b.values().as_ptr());
+        assert_eq!(a.row_ptr().as_ptr(), b.row_ptr().as_ptr());
+        assert_eq!(a.col_idx().as_ptr(), b.col_idx().as_ptr());
+    }
+
+    #[test]
+    fn values_mut_on_an_unshared_matrix_edits_in_place() {
+        let mut m = small();
+        let before = m.values().as_ptr();
+        m.values_mut()[3] = 9.0;
+        assert_eq!(m.values().as_ptr(), before);
+        assert_eq!(m.values(), &[1.0, 2.0, 3.0, 9.0]);
     }
 }

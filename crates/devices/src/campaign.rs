@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use spmv_gen::dataset::MatrixSpec;
 use spmv_parallel::ThreadPool;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One row of campaign output.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -115,15 +116,19 @@ impl Campaign {
     }
 
     /// Runs the sweep over dataset specs, building summaries in
-    /// parallel on the given pool.
+    /// parallel on the given pool; records come back in spec order.
+    /// Each worker claims one spec at a time, last spec first: datasets
+    /// are sorted by footprint, so contiguous chunks would leave the
+    /// heavy third of a sweep to one worker, and front-to-back claims
+    /// its heaviest matrix to the end of the run.
     pub fn run_specs(&self, pool: &ThreadPool, specs: &[MatrixSpec]) -> Vec<Record> {
+        let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Vec<Record>>> = Mutex::new(vec![Vec::new(); specs.len()]);
-        pool.parallel_chunks(specs.len(), |range| {
-            for i in range {
-                let summary = MatrixSummary::from_spec(&specs[i]);
-                let recs = self.run_summary(&summary);
-                results.lock()[i] = recs;
-            }
+        pool.parallel_chunks(pool.threads(), |_| loop {
+            let claimed = next.fetch_add(1, Ordering::Relaxed);
+            let Some(i) = specs.len().checked_sub(claimed + 1) else { break };
+            let recs = self.run_summary(&MatrixSummary::from_spec(&specs[i]));
+            results.lock()[i] = recs;
         });
         results.into_inner().into_iter().flatten().collect()
     }

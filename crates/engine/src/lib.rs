@@ -68,16 +68,16 @@ pub use cache::ConversionCache;
 pub use shard::{PlanState, PlanTable, ShardedConversions};
 pub use snapshot::{selector_from_snapshot, RestoreStats, SnapshotError, SNAPSHOT_MAGIC};
 pub use solve::{SolveError, SolveHandle, SolveOutcome};
-pub use training::{labeled_runs, selector_from_records, TrainingPlan};
+pub use training::{selector_from_records, TrainingPlan};
 
 use shard::{CachedFormat, Lookup};
 use spmv_analysis::{FormatSelector, SelectorFeatures};
 use spmv_core::{CsrMatrix, FeatureSet};
 use spmv_devices::{device_by_name, DeviceSpec};
-use spmv_formats::kernels::panel;
-use spmv_formats::{build_with_fallback_profile, FormatKind, LaneProfile, LaneWidth};
+use spmv_formats::csr::{CsrFormat, CsrVariant};
+use spmv_formats::{build_with_fallback_profile, FormatKind, LaneProfile, SparseFormat};
 use spmv_parallel::sync::{AtomicU64, AtomicUsize, Ordering};
-use spmv_parallel::{Executor, PoolStats, Schedule, ThreadPool};
+use spmv_parallel::{PoolStats, ThreadPool};
 use std::sync::Arc;
 
 /// When the engine pays for format conversion.
@@ -94,10 +94,12 @@ pub enum Admission {
     /// swapped atomically and later requests serve the converted
     /// format.
     ///
-    /// The one request that claims an admission pays an `O(nnz)`
-    /// snapshot of the operand (a memcpy — the flight must own its
-    /// input past the caller's borrow); that is the whole request-path
-    /// cost, in place of the full conversion `Sync` charges there.
+    /// The flight must own its input past the caller's borrow, so the
+    /// one request that claims an admission hands it a clone of the
+    /// operand — which shares the operand's arrays (three reference
+    /// counts, no copy). That, selection and the CSR-path answer are
+    /// the whole request-path cost, in place of the full conversion
+    /// `Sync` charges there.
     Async {
         /// Maximum background conversion flights outstanding (queued or
         /// building) at once. A cold request arriving at the cap serves
@@ -381,9 +383,22 @@ struct ServeState {
 enum Served {
     /// The engine-selected converted format (resident in the cache).
     Selected(CachedFormat, FormatKind),
-    /// The universal CSR path, straight off the caller's operand —
-    /// no conversion, no converted format involved.
-    CsrPath,
+    /// The universal CSR path, straight off the caller's operand (the
+    /// format shares its arrays) — no conversion, no converted format
+    /// involved: nnz-balanced row chunks, scalar rows, i.e. the
+    /// summation order of [`CsrMatrix::spmv_into`] in every kernel.
+    CsrPath(CsrFormat),
+}
+
+impl Served {
+    /// The format that answers the request, and the kind it is counted
+    /// and reported as.
+    fn format(&self) -> (&dyn SparseFormat, FormatKind) {
+        match self {
+            Served::Selected(fmt, kind) => (&***fmt, *kind),
+            Served::CsrPath(csr) => (csr, FormatKind::NaiveCsr),
+        }
+    }
 }
 
 /// The adaptive SpMV serving engine. See the [crate docs](self) for the
@@ -667,7 +682,11 @@ impl Engine {
         if !matches!(state, PlanState::Building(_)) {
             self.try_schedule_admission(id, csr, max_in_flight);
         }
-        Served::CsrPath
+        Served::CsrPath(CsrFormat::with_profile(
+            csr.clone(),
+            CsrVariant::Balanced,
+            LaneProfile::scalar(),
+        ))
     }
 
     /// Claims and schedules one background admission flight for `id`,
@@ -695,16 +714,15 @@ impl Engine {
         // peek and the claim. Re-check residency now that the claim is
         // exclusive (the only publisher for this id would be our own
         // flight, so a hit here is stable): re-pin and back out instead
-        // of paying for the operand snapshot and a no-op flight.
+        // of scheduling a no-op flight.
         if let Some((_, actual)) = st.conversions.peek(id, kind) {
             st.plans.finish_build(id, epoch, actual);
             st.in_flight.fetch_sub(1, Ordering::AcqRel);
             return;
         }
-        // The flight owns its operand (an O(nnz) snapshot — a memcpy,
-        // paid once per admission by the claiming request; the caller's
-        // borrow ends when this request returns, long before the
-        // flight lands).
+        // The flight owns a clone of its operand, sharing the arrays
+        // (the caller's borrow ends when this request returns, long
+        // before the flight lands).
         let state = Arc::clone(&self.state);
         let id = id.to_string();
         let csr = csr.clone();
@@ -722,17 +740,12 @@ impl Engine {
         };
         let c = &self.state.counters;
         c.requests.fetch_add(1, Ordering::Relaxed);
-        let executed = match &served {
-            Served::Selected(_, actual) => {
-                c.served_selected.fetch_add(1, Ordering::Relaxed);
-                *actual
-            }
-            Served::CsrPath => {
-                c.served_fallback.fetch_add(1, Ordering::Relaxed);
-                FormatKind::NaiveCsr
-            }
+        let by_path = match served {
+            Served::Selected(..) => &c.served_selected,
+            Served::CsrPath(_) => &c.served_fallback,
         };
-        c.selections[kind_index(executed)].fetch_add(1, Ordering::Relaxed);
+        by_path.fetch_add(1, Ordering::Relaxed);
+        c.selections[kind_index(served.format().1)].fetch_add(1, Ordering::Relaxed);
         served
     }
 
@@ -749,16 +762,10 @@ impl Engine {
     /// and `y` holds `rows` values.
     pub fn spmv(&self, id: &str, csr: &CsrMatrix, x: &[f64], y: &mut [f64]) -> FormatKind {
         check_operands(csr, x, 1, y);
-        match self.serve(id, csr) {
-            Served::Selected(fmt, kind) => {
-                fmt.spmv(x, y);
-                kind
-            }
-            Served::CsrPath => {
-                csr.spmv_into(x, y);
-                FormatKind::NaiveCsr
-            }
-        }
+        let served = self.serve(id, csr);
+        let (fmt, kind) = served.format();
+        fmt.spmv(x, y);
+        kind
     }
 
     /// Serves `y = A·x` on the engine's thread pool; returns the format
@@ -769,16 +776,10 @@ impl Engine {
     /// and `y` holds `rows` values.
     pub fn spmv_parallel(&self, id: &str, csr: &CsrMatrix, x: &[f64], y: &mut [f64]) -> FormatKind {
         check_operands(csr, x, 1, y);
-        match self.serve(id, csr) {
-            Served::Selected(fmt, kind) => {
-                fmt.spmv_parallel(&self.pool, x, y);
-                kind
-            }
-            Served::CsrPath => {
-                csr_path_spmv_parallel(&self.pool, csr, x, y);
-                FormatKind::NaiveCsr
-            }
-        }
+        let served = self.serve(id, csr);
+        let (fmt, kind) = served.format();
+        fmt.spmv_parallel(&self.pool, x, y);
+        kind
     }
 
     /// Serves the batched multi-vector product `Y = A·X` (`k` column-
@@ -798,18 +799,10 @@ impl Engine {
         y: &mut [f64],
     ) -> FormatKind {
         check_operands(csr, x, k, y);
-        match self.serve(id, csr) {
-            Served::Selected(fmt, kind) => {
-                fmt.spmm(x, k, y);
-                kind
-            }
-            Served::CsrPath => {
-                // W1 is the summation order of `spmv_into`, the CSR
-                // path's `spmv`.
-                panel::csr_spmm(LaneWidth::W1, csr, x, k, y);
-                FormatKind::NaiveCsr
-            }
-        }
+        let served = self.serve(id, csr);
+        let (fmt, kind) = served.format();
+        fmt.spmm(x, k, y);
+        kind
     }
 
     /// Creates a plan-once/run-many solver handle for `id` (see
@@ -912,22 +905,6 @@ impl Engine {
 fn check_operands(csr: &CsrMatrix, x: &[f64], k: usize, y: &[f64]) {
     assert_eq!(x.len(), csr.cols() * k, "x must be a column-major cols × k block");
     assert_eq!(y.len(), csr.rows() * k, "y must be a column-major rows × k block");
-}
-
-/// The universal CSR serve path for `spmv_parallel`: nnz-balanced row
-/// chunks over the raw operand (what the Balanced-CSR format does after
-/// conversion), each worker writing its own rows. Zero conversion.
-fn csr_path_spmv_parallel(pool: &ThreadPool, csr: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-    let (row_ptr, col_idx, values) = (csr.row_ptr(), csr.col_idx(), csr.values());
-    Executor::new(pool).run_disjoint(Schedule::Balanced { prefix: row_ptr }, y, |range, out| {
-        for r in range {
-            let mut acc = 0.0;
-            for i in row_ptr[r]..row_ptr[r + 1] {
-                acc += values[i] * x[col_idx[i] as usize];
-            }
-            out.write(r, acc);
-        }
-    });
 }
 
 /// One background admission flight: resolve `(id, kind)` through the

@@ -166,7 +166,7 @@ impl<'e> SolveHandle<'e> {
             Served::Selected(fmt, kind) => (fmt, kind),
             // `resolve` always converts (or waits for a conversion);
             // only the async peek path answers CsrPath.
-            Served::CsrPath => unreachable!("synchronous resolve always yields a format"),
+            Served::CsrPath(_) => unreachable!("synchronous resolve always yields a format"),
         };
         c.served_selected.fetch_add(1, Ordering::Relaxed);
         c.selections[kind_index(kind)].fetch_add(1, Ordering::Relaxed);

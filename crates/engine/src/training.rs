@@ -11,7 +11,7 @@
 //! the model's measurement-noise channel **off**: labels should encode
 //! the deterministic performance landscape, not one noise draw.
 
-use spmv_analysis::{fit_from_runs, FormatSelector, LabeledRun, SelectorFeatures};
+use spmv_analysis::{fit_from_runs, FormatSelector, SelectorFeatures};
 use spmv_devices::{host, Campaign, HostTable, ModelConfig, Record};
 use spmv_gen::dataset::{Dataset, DatasetSize};
 use spmv_parallel::ThreadPool;
@@ -55,29 +55,8 @@ impl TrainingPlan {
     }
 }
 
-/// Converts campaign records into the selector trainer's input,
-/// dropping failed runs.
-pub fn labeled_runs(records: &[Record]) -> Vec<LabeledRun> {
-    records
-        .iter()
-        .filter(|r| r.failed.is_none())
-        .map(|r| LabeledRun {
-            matrix_id: r.matrix_id.clone(),
-            features: SelectorFeatures {
-                footprint_mb: r.footprint_mb,
-                avg_nnz_per_row: r.avg_nnz,
-                skew: r.skew,
-                cross_row_sim: r.crs,
-                avg_num_neigh: r.neigh,
-            },
-            format: r.format.clone(),
-            gflops: r.gflops,
-        })
-        .collect()
-}
-
-/// A successful campaign record as selector training reads it — what
-/// [`labeled_runs`] copies out, borrowed.
+/// A successful campaign record as selector training reads it,
+/// borrowed.
 struct RecordRun<'a>(&'a Record);
 
 impl spmv_analysis::Run for RecordRun<'_> {
@@ -103,8 +82,7 @@ impl spmv_analysis::Run for RecordRun<'_> {
 
 /// Trains a selector directly from campaign records (failed runs
 /// dropped): reduce to the best format per matrix, then fit a k-NN on
-/// those labels. The selector is the one
-/// `fit_from_runs(&labeled_runs(records), k)` fits.
+/// those labels.
 pub fn selector_from_records(records: &[Record], k: usize) -> FormatSelector {
     let runs: Vec<RecordRun<'_>> =
         records.iter().filter(|r| r.failed.is_none()).map(RecordRun).collect();
@@ -139,11 +117,12 @@ mod tests {
         for name in ["SELL-C-s", "SELL-4-s", "SELL-16-s"] {
             assert!(formats.contains(name), "campaign must observe {name}, got {formats:?}");
         }
-        // The labeled runs keep them apart too — the selector can learn
-        // a chunk width, not just "some SELL".
-        let runs = labeled_runs(&recs);
+        // Labeling keeps them apart too — the selector can learn a chunk
+        // width, not just "some SELL".
         for name in ["SELL-4-s", "SELL-16-s"] {
-            assert!(runs.iter().any(|r| r.format == name), "{name} must survive labeling");
+            let only: Vec<Record> = recs.iter().filter(|r| r.format == name).cloned().collect();
+            let labels = selector_from_records(&only, 1).to_portable();
+            assert!(labels.lines().any(|l| l.ends_with(name)), "{name} must survive labeling");
         }
     }
 
@@ -160,21 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn selector_from_records_is_the_labeled_runs_fit_without_the_copies() {
-        let pool = ThreadPool::new(2);
-        let mut recs = quick_plan().records("Alveo-U280", 16.0, &pool);
-        assert!(recs.iter().any(|r| r.failed.is_some()), "a campaign with failed runs");
-        recs.extend(quick_plan().records("AMD-EPYC-24", 512.0, &pool));
-        recs.extend(HostTable::committed().records());
-        for k in [1, 3] {
-            assert_eq!(
-                selector_from_records(&recs, k).to_portable(),
-                fit_from_runs(&labeled_runs(&recs), k).to_portable()
-            );
-        }
-    }
-
-    #[test]
     fn selector_from_records_learns_one_label_per_matrix() {
         let pool = ThreadPool::new(2);
         let recs = quick_plan().records("AMD-EPYC-24", 512.0, &pool);
@@ -182,7 +146,7 @@ mod tests {
             recs.iter().map(|r| r.matrix_id.as_str()).collect();
         let sel = selector_from_records(&recs, 1);
         assert_eq!(sel.len(), matrices.len());
-        let runs = labeled_runs(&recs);
-        assert!(runs.len() > sel.len(), "several formats per matrix feed one label");
+        let usable = recs.iter().filter(|r| r.failed.is_none()).count();
+        assert!(usable > sel.len(), "several formats per matrix feed one label");
     }
 }

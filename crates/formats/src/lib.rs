@@ -12,10 +12,16 @@
 //! | ELL | [`ell`] | static rows, padded | ILP on regular matrices |
 //! | HYB (ELL+COO) | [`hyb`] | split at k = avg nnz/row | ELL without padding blow-up |
 //! | SELL-C-σ | [`sellcs`] | sorted chunks | SIMD without full-ELL padding |
-//! | CSR5-like | [`csr5`] | equal-nnz tiles + carries | imbalance + irregularity |
-//! | Merge-CSR | [`merge_csr`] | 2-D merge path | imbalance, zero preprocessing |
+//! | CSR5-like | [`csr`] | equal-nnz tiles + carries | imbalance + irregularity |
+//! | Merge-CSR | [`csr`] | 2-D merge path | imbalance, zero preprocessing |
 //! | SparseX-lite (CSX) | [`sparsex`] | nnz-balanced rows | memory footprint compression |
 //! | VSL (CSC variant) | [`vsl`] | HBM channel partitions | FPGA dataflow |
+//!
+//! The five CSR-family rows are one type, [`csr::CsrFormat`], over one
+//! storage: it keeps a clone of the operand, and a
+//! [`spmv_core::CsrMatrix`] clone shares the operand's arrays, so
+//! building any of them copies nothing (CSR5 adds its tile row
+//! pointer). Every other format materialises its own layout.
 //!
 //! The SIMD-style inner loops of the CSR variants, ELL, HYB and
 //! SELL-C-σ are not written per format: they live once in [`kernels`]
@@ -41,12 +47,10 @@
 pub mod bcsr;
 pub mod coo;
 pub mod csr;
-pub mod csr5;
 pub mod dia;
 pub mod ell;
 pub mod hyb;
 pub mod kernels;
-pub mod merge_csr;
 pub mod registry;
 pub mod sellcs;
 pub mod sparsex;

@@ -3,17 +3,16 @@
 //! throughput bench use. Every built format exposes the full
 //! [`SparseFormat`] surface, including the batched multi-vector
 //! [`SparseFormat::spmm`] kernel (panel kernels for the CSR family,
-//! ELL, SELL-C-σ and SparseX; the loop over SpMV elsewhere).
+//! ELL, SELL-C-σ and SparseX; the loop over SpMV elsewhere). The five
+//! CSR-family kinds are variants of one [`CsrFormat`].
 
 use crate::bcsr::BcsrFormat;
 use crate::coo::CooFormat;
 use crate::csr::{CsrFormat, CsrVariant};
-use crate::csr5::Csr5Format;
 use crate::dia::DiaFormat;
 use crate::ell::EllFormat;
 use crate::hyb::HybFormat;
 use crate::kernels::LaneProfile;
-use crate::merge_csr::MergeCsrFormat;
 use crate::sellcs::{SellCSigmaFormat, DEFAULT_SIGMA};
 use crate::sparsex::SparseXFormat;
 use crate::traits::{FormatBuildError, SparseFormat};
@@ -174,16 +173,16 @@ pub fn build_format_with(
     csr: &CsrMatrix,
     profile: LaneProfile,
 ) -> Result<Box<dyn SparseFormat>, FormatBuildError> {
+    // The CSR family keeps a clone of the operand, which shares its
+    // arrays: no O(nnz) copy.
+    let csr_family =
+        |variant| Box::new(CsrFormat::with_profile(csr.clone(), variant, profile)) as Box<_>;
     Ok(match kind {
-        FormatKind::NaiveCsr => {
-            Box::new(CsrFormat::with_profile(csr.clone(), CsrVariant::Naive, profile))
-        }
-        FormatKind::VectorizedCsr => {
-            Box::new(CsrFormat::with_profile(csr.clone(), CsrVariant::Vectorized, profile))
-        }
-        FormatKind::BalancedCsr => {
-            Box::new(CsrFormat::with_profile(csr.clone(), CsrVariant::Balanced, profile))
-        }
+        FormatKind::NaiveCsr => csr_family(CsrVariant::Naive),
+        FormatKind::VectorizedCsr => csr_family(CsrVariant::Vectorized),
+        FormatKind::BalancedCsr => csr_family(CsrVariant::Balanced),
+        FormatKind::Csr5 => csr_family(CsrVariant::Tiles),
+        FormatKind::MergeCsr => csr_family(CsrVariant::MergePath),
         FormatKind::Coo => Box::new(CooFormat::from_csr(csr)),
         FormatKind::Dia => Box::new(DiaFormat::from_csr(csr)?),
         FormatKind::Bcsr => Box::new(BcsrFormat::from_csr(csr)?),
@@ -203,8 +202,6 @@ pub fn build_format_with(
         FormatKind::SellC16 => {
             Box::new(SellCSigmaFormat::from_csr_with_profile(csr, 16, DEFAULT_SIGMA, profile))
         }
-        FormatKind::Csr5 => Box::new(Csr5Format::from_csr(csr)),
-        FormatKind::MergeCsr => Box::new(MergeCsrFormat::from_csr(csr)),
         FormatKind::SparseX => Box::new(SparseXFormat::from_csr(csr)?),
         FormatKind::Vsl => Box::new(VslFormat::from_csr(csr)?),
     })

@@ -107,8 +107,9 @@ pub trait SparseFormat: Send + Sync {
     /// The default implementation *is* that loop (over
     /// [`SparseFormat::spmv_with_scratch`], one shared scratch buffer
     /// per batch) and amortizes nothing; COO, HYB, DIA, BCSR and VSL
-    /// keep it. The CSR variants, Merge-CSR, CSR5, ELL, SELL-C-σ and
-    /// SparseX override it with the panel kernels of
+    /// keep it. The CSR family (all five kinds of
+    /// [`crate::csr::CsrFormat`]), ELL, SELL-C-σ and SparseX override
+    /// it with the panel kernels of
     /// [`crate::kernels::panel`], which pack `x` row-major once per
     /// call (into a per-thread reusable scratch) and stream the matrix
     /// once per 8 right-hand sides. Measured ratios against `k` SpMVs

@@ -442,8 +442,8 @@ fn decode_payload(
         FormatKind::Ell => Box::new(crate::ell::decode(r)?),
         FormatKind::Hyb => Box::new(crate::hyb::decode(r)?),
         FormatKind::SellCSigma => Box::new(crate::sellcs::decode(r)?),
-        FormatKind::Csr5 => Box::new(crate::csr5::decode(r)?),
-        FormatKind::MergeCsr => Box::new(crate::merge_csr::decode(r)?),
+        FormatKind::Csr5 => Box::new(crate::csr::decode(r, CsrVariant::Tiles)?),
+        FormatKind::MergeCsr => Box::new(crate::csr::decode(r, CsrVariant::MergePath)?),
         FormatKind::SparseX => Box::new(crate::sparsex::decode(r)?),
         FormatKind::Vsl => Box::new(crate::vsl::decode(r)?),
         // The chunk-width variants share SELL-C-σ's payload layout but

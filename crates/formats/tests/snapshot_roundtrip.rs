@@ -108,3 +108,39 @@ proptest! {
         }
     }
 }
+
+/// One fixed 67 × 67 matrix: a hot row, a run of empty rows, short
+/// rows of varying length — enough nonzeros for several CSR5 tiles.
+fn fixed_67() -> CsrMatrix {
+    let mut t = Vec::new();
+    for c in 0..67usize {
+        t.push((3usize, c, c as f64 * 0.125 - 4.0));
+    }
+    for r in (0..67usize).filter(|r| *r != 3 && !(20..27).contains(r)) {
+        for j in 0..1 + (r * 7) % 6 {
+            t.push((r, (r * 5 + j * 11) % 67, 0.5 + r as f64 * 0.25 - j as f64));
+        }
+    }
+    CsrMatrix::from_triplets(67, 67, &t).unwrap()
+}
+
+// The CSR family's wire bytes do not depend on who owns the arrays or
+// which type encodes them: digests of the full envelope, from when each
+// of Merge-CSR and CSR5 was a struct with a private copy of the arrays.
+#[test]
+fn csr_family_wire_bytes_are_pinned() {
+    let m = fixed_67();
+    let pinned: [(FormatKind, usize, u64); 5] = [
+        (FormatKind::NaiveCsr, 3861, 0xa9af51a851b7856c),
+        (FormatKind::VectorizedCsr, 3861, 0x3e99683c91460aa0),
+        (FormatKind::BalancedCsr, 3861, 0xfe2025e7fbdafa1e),
+        (FormatKind::Csr5, 3869, 0x51c37542a2e7e73e),
+        (FormatKind::MergeCsr, 3861, 0xfe955bd90e4931a9),
+    ];
+    for (kind, len, digest) in pinned {
+        let mut blob = Vec::new();
+        build_format(kind, &m).unwrap().serialize_into(&mut blob).unwrap();
+        let got = (blob.len(), spmv_core::xxh64(&blob, 0));
+        assert_eq!(got, (len, digest), "{} envelope moved: {:#018x}", kind.name(), got.1);
+    }
+}
