@@ -156,7 +156,7 @@ impl HostTable {
         let (n, lanes) = header("lanes")?;
         let lanes = match lanes.parse::<usize>() {
             Ok(w) if LaneWidth::ALL.iter().any(|l| l.lanes() == w) => w,
-            _ => return Err(err(n, format!("lanes must be 1, 2, 4 or 8, got {lanes:?}"))),
+            _ => return Err(err(n, format!("lanes must be 1, 4 or 8, got {lanes:?}"))),
         };
         let git_rev = header("git_rev")?.1.to_string();
         let (n, margin) = header("margin")?;

@@ -75,9 +75,10 @@ impl DeviceSpec {
     ///
     /// `dp_flops_per_cycle` is SIMD lanes × 2 (FMA), so halving it
     /// recovers the double-precision vector width: AVX-512 (16) → 8
-    /// lanes, AVX2 (8) → 4, NEON (4) → 2, scalar-rate GPUs (1) → 1.
-    /// The SELL-C-σ chunk width follows the lane width (a chunk is one
-    /// vector register of rows).
+    /// lanes, AVX2 (8) → 4; two-lane units (NEON, VSX: 4) and
+    /// scalar-rate GPUs (1) → 1, the lane kernels having no two-lane
+    /// width. The SELL-C-σ chunk width follows the lane width (a chunk
+    /// is one vector register of rows; 4 at one lane).
     pub fn lane_profile(&self) -> LaneProfile {
         LaneProfile::with_width(LaneWidth::from_lanes((self.dp_flops_per_cycle / 2.0) as usize))
     }
@@ -385,9 +386,9 @@ mod tests {
         let cases = [
             ("INTEL-XEON", LaneWidth::W8, 16), // AVX-512
             ("AMD-EPYC-24", LaneWidth::W4, 8), // AVX2
-            ("ARM-NEON", LaneWidth::W2, 4),    // NEON
+            ("ARM-NEON", LaneWidth::W1, 4),    // NEON: no two-lane kernels
             ("Tesla-A100", LaneWidth::W1, 4),  // scalar-rate FP64
-            ("IBM-POWER9", LaneWidth::W2, 4),  // VSX
+            ("IBM-POWER9", LaneWidth::W1, 4),  // VSX: likewise
         ];
         for (name, width, sell_c) in cases {
             let p = device_by_name(name).unwrap().lane_profile();

@@ -63,7 +63,7 @@ use crate::Engine;
 use spmv_analysis::FormatSelector;
 use spmv_core::xxh64;
 use spmv_formats::wire::{self, SectionReader};
-use spmv_formats::{FormatKind, WireError};
+use spmv_formats::{FormatKind, LaneProfile, WireError};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -172,9 +172,10 @@ fn read_string(r: &mut SectionReader<'_>) -> Result<String, SnapshotError> {
         .map_err(|e| SnapshotError::Malformed(format!("invalid UTF-8 in string: {e}")))
 }
 
-/// Checksum-verifies and fully decodes a snapshot stream. No engine
-/// state is involved: corruption is detected before any landing starts.
-fn parse(buf: &[u8]) -> Result<Parsed, SnapshotError> {
+/// Checksum-verifies and fully decodes a snapshot stream; the decoded
+/// formats run at `lanes`. No engine state is involved: corruption is
+/// detected before any landing starts.
+fn parse(buf: &[u8], lanes: LaneProfile) -> Result<Parsed, SnapshotError> {
     if buf.len() < SNAPSHOT_MAGIC.len() + 8 {
         return Err(SnapshotError::Truncated);
     }
@@ -217,7 +218,7 @@ fn parse(buf: &[u8]) -> Result<Parsed, SnapshotError> {
         // The envelope is self-delimiting (SectionReader implements
         // io::Read), and decoding re-runs the full structural
         // validation each format's wire decoder performs.
-        let fmt = wire::deserialize_from(&mut r)?;
+        let fmt = wire::deserialize_from_with(&mut r, lanes)?;
         let kind = FormatKind::from_name(fmt.name()).ok_or_else(|| {
             SnapshotError::Malformed(format!("format {:?} has no wire kind", fmt.name()))
         })?;
@@ -239,7 +240,8 @@ fn parse(buf: &[u8]) -> Result<Parsed, SnapshotError> {
 pub fn selector_from_snapshot(r: &mut dyn Read) -> Result<FormatSelector, SnapshotError> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
-    let parsed = parse(&buf)?;
+    // The conversions are decoded only to validate them.
+    let parsed = parse(&buf, LaneProfile::scalar())?;
     Ok(FormatSelector::from_portable(&parsed.selector).expect("validated by parse"))
 }
 
@@ -296,7 +298,9 @@ impl Engine {
     pub fn restore(&self, r: &mut dyn Read) -> Result<RestoreStats, SnapshotError> {
         let mut buf = Vec::new();
         r.read_to_end(&mut buf)?;
-        let parsed = parse(&buf)?;
+        // Restored conversions run at the engine's resolved profile,
+        // like the ones it builds.
+        let parsed = parse(&buf, self.state.lanes)?;
         let mut stats = RestoreStats::default();
 
         for (id, kind) in &parsed.plans {

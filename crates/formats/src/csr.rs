@@ -18,10 +18,13 @@
 //! The five differ in schedule and lane width, not in storage: every
 //! [`CsrFormat`] holds a [`CsrMatrix`] clone, which shares the
 //! operand's arrays. All inner loops live in [`crate::kernels::dot`]
-//! (SpMV) and [`crate::kernels::panel`] (SpMM); this file only holds
-//! scheduling and the lane-width policy per variant.
+//! (SpMV) and [`crate::kernels::panel`] (SpMM), reached through the
+//! format's [`CsrRows`] view; this file only holds scheduling and the
+//! lane-width policy per variant.
 
-use crate::kernels::{dot, panel, LaneProfile, LaneWidth};
+use crate::driver;
+use crate::kernels::dot::CsrRows;
+use crate::kernels::{panel, LaneProfile, LaneWidth};
 use crate::traits::SparseFormat;
 use crate::wire::{self, SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
@@ -31,19 +34,19 @@ use spmv_parallel::{
 use std::ops::Range;
 
 /// Decodes a CSR-family wire payload (the variant comes from the wire
-/// tag, not the payload; the lane width from the decoding process's
-/// profile). Merge-path coordinates are computed per call and never
-/// stored; CSR5's tile row pointer is *derived* data, so its payload
-/// carries only `tile_nnz` after the CSR sections and the tiles are
-/// rebuilt here — hostile tile metadata cannot be expressed on the
-/// wire.
+/// tag, not the payload; the lane width from `profile`). Merge-path
+/// coordinates are computed per call and never stored; CSR5's tile row
+/// pointer is *derived* data, so its payload carries only `tile_nnz`
+/// after the CSR sections and the tiles are rebuilt here — hostile tile
+/// metadata cannot be expressed on the wire.
 pub(crate) fn decode(
     r: &mut SectionReader<'_>,
     variant: CsrVariant,
+    profile: LaneProfile,
 ) -> Result<CsrFormat, WireError> {
     let csr = wire::decode_csr(r)?;
     if variant != CsrVariant::Tiles {
-        return Ok(CsrFormat::new(csr, variant));
+        return Ok(CsrFormat::with_profile(csr, variant, profile));
     }
     match r.dim()? {
         0 => Err(WireError::Malformed("CSR5 tile size 0".into())),
@@ -138,16 +141,8 @@ impl CsrFormat {
         self.tile_row.len().saturating_sub(1)
     }
 
-    fn spmv_rows(&self, rows: Range<usize>, x: &[f64], out: &DisjointWriter<'_>) {
-        dot::csr_spmv_rows(
-            self.lanes,
-            rows,
-            self.matrix.row_ptr(),
-            self.matrix.col_idx(),
-            self.matrix.values(),
-            x,
-            out,
-        );
+    fn view(&self) -> CsrRows<'_> {
+        CsrRows::of(self.lanes, &self.matrix)
     }
 
     /// The row partition of the three row-parallel variants; `None` for
@@ -247,58 +242,33 @@ impl SparseFormat for CsrFormat {
     }
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols());
-        assert_eq!(y.len(), self.rows());
-        let out = DisjointWriter::new(y);
-        self.spmv_rows(0..self.rows(), x, &out);
+        driver::spmv(&self.view(), x, y);
     }
 
     fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols());
-        assert_eq!(y.len(), self.rows());
         match self.row_schedule() {
-            Some(schedule) => Executor::new(pool)
-                .run_disjoint(schedule, y, |range, out| self.spmv_rows(range, x, out)),
-            None => self.spmv_carry(pool, x, y),
+            Some(schedule) => driver::spmv_parallel(&self.view(), schedule, pool, x, y),
+            None => {
+                driver::check_operands(&self.view(), x, y);
+                self.spmv_carry(pool, x, y);
+            }
         }
     }
 
     fn spmv_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
-        assert_eq!(self.rows(), self.cols(), "spmv_dot requires a square matrix");
-        assert_eq!(x.len(), self.cols());
-        assert_eq!(y.len(), self.rows());
-        let out = DisjointWriter::new(y);
-        dot::csr_spmv_dot_rows(
-            self.lanes,
-            0..self.rows(),
-            self.matrix.row_ptr(),
-            self.matrix.col_idx(),
-            self.matrix.values(),
-            x,
-            &out,
-        )
+        driver::spmv_dot(&self.view(), x, y)
     }
 
     fn spmv_dot_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) -> f64 {
-        assert_eq!(self.rows(), self.cols(), "spmv_dot requires a square matrix");
-        assert_eq!(x.len(), self.cols());
-        assert_eq!(y.len(), self.rows());
-        let Some(schedule) = self.row_schedule() else {
+        match self.row_schedule() {
+            Some(schedule) => driver::spmv_dot_parallel(&self.view(), schedule, pool, x, y),
             // A row split across workers has no one place to fuse at.
-            self.spmv_carry(pool, x, y);
-            return blas1::dot(pool, x, y);
-        };
-        Executor::new(pool).run_disjoint_reduce(schedule, y, |range, out| {
-            dot::csr_spmv_dot_rows(
-                self.lanes,
-                range,
-                self.matrix.row_ptr(),
-                self.matrix.col_idx(),
-                self.matrix.values(),
-                x,
-                out,
-            )
-        })
+            None => {
+                assert_eq!(self.rows(), self.cols(), "spmv_dot requires a square matrix");
+                self.spmv_parallel(pool, x, y);
+                blas1::dot(pool, x, y)
+            }
+        }
     }
 
     fn encode_payload(&self, out: &mut SectionWriter) {
@@ -309,7 +279,7 @@ impl SparseFormat for CsrFormat {
     }
 
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        panel::csr_spmm(self.lanes, &self.matrix, x, k, y);
+        panel::spmm(&self.view(), x, k, y);
     }
 }
 

@@ -5,63 +5,153 @@
 //! padding budget and refuse pathological matrices, exactly like real
 //! ELL users do.
 //!
-//! The inner loops live in [`crate::kernels::slab`]: W-row lane blocks
-//! with one accumulator per row, so results are bit-identical at every
-//! lane width (see the kernels module's determinism contract).
+//! The storage is an [`EllSlab`], shared with HYB's ELL half; the inner
+//! loops live in [`crate::kernels::slab`], reached through the slab's
+//! [`Slab`] view: one accumulator per row, so results are bit-identical
+//! at every lane width (see the kernels module's determinism contract).
 
-use crate::kernels::{panel, slab, LaneProfile, LaneWidth};
+use crate::driver;
+use crate::kernels::slab::Slab;
+use crate::kernels::{panel, LaneProfile, LaneWidth};
 use crate::traits::{FormatBuildError, SparseFormat};
 use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
-use spmv_parallel::{DisjointWriter, Executor, Schedule, ThreadPool};
+use spmv_parallel::ThreadPool;
 
-/// Decodes an ELL wire payload, re-validating slab geometry and
-/// column bounds (the kernel indexes `x` by `col_idx` unguarded).
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<EllFormat, WireError> {
-    let malformed = |m: String| WireError::Malformed(m);
+/// An owned column-major slab of `width` slots per row: entry `(r, j)`
+/// lives at `j * rows + r`. Padding repeats the row's last real column
+/// (column 0 in an empty row) at value 0.0.
+pub(crate) struct EllSlab {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    /// Slots per row.
+    pub(crate) width: usize,
+    col_idx: Vec<u32>,
+    values: Vec<f64>,
+    /// Lane width the kernels dispatch to.
+    pub(crate) lanes: LaneWidth,
+}
+
+impl EllSlab {
+    /// The first `width` nonzeros of every row of `csr`; the rest of a
+    /// longer row goes to `spill(row, col, value)`, in row-major order.
+    pub(crate) fn from_csr(
+        csr: &CsrMatrix,
+        width: usize,
+        profile: LaneProfile,
+        mut spill: impl FnMut(usize, u32, f64),
+    ) -> Self {
+        let rows = csr.rows();
+        let stored = width.saturating_mul(rows);
+        let mut col_idx = vec![0u32; stored];
+        let mut values = vec![0.0f64; stored];
+        for r in 0..rows {
+            let (cs, vs) = csr.row(r);
+            let kept = cs.len().min(width);
+            for (j, (&c, &v)) in cs[..kept].iter().zip(vs).enumerate() {
+                col_idx[j * rows + r] = c;
+                values[j * rows + r] = v;
+            }
+            for (&c, &v) in cs[kept..].iter().zip(&vs[kept..]) {
+                spill(r, c, v);
+            }
+            // Padding repeats the row's last real column (see the
+            // propagation policy on `SparseFormat`); an empty row has
+            // none and keeps column 0.
+            if let Some(&last) = cs.last() {
+                for j in cs.len()..width {
+                    col_idx[j * rows + r] = last;
+                }
+            }
+        }
+        Self { rows, cols: csr.cols(), width, col_idx, values, lanes: profile.width }
+    }
+
+    /// Reads the slab's two sections, re-validating geometry and column
+    /// bounds (the kernel indexes `x` by `col_idx` unguarded). `what`
+    /// names the slab in errors.
+    pub(crate) fn decode(
+        r: &mut SectionReader<'_>,
+        rows: usize,
+        cols: usize,
+        width: usize,
+        profile: LaneProfile,
+        what: &str,
+    ) -> Result<Self, WireError> {
+        let malformed = |m: String| WireError::Malformed(m);
+        let col_idx = r.vec_u32()?;
+        let values = r.vec_f64()?;
+        let stored = width
+            .checked_mul(rows)
+            .ok_or_else(|| malformed(format!("{what} slab {width}x{rows} overflows")))?;
+        if col_idx.len() != stored || values.len() != stored {
+            return Err(malformed(format!(
+                "{what} slab is {stored} entries, got {} columns / {} values",
+                col_idx.len(),
+                values.len()
+            )));
+        }
+        if let Some(&c) = col_idx.iter().find(|&&c| c as usize >= cols) {
+            return Err(malformed(format!("{what} column {c} out of bounds ({cols} cols)")));
+        }
+        Ok(Self { rows, cols, width, col_idx, values, lanes: profile.width })
+    }
+
+    /// Writes the two sections [`decode`](Self::decode) reads.
+    pub(crate) fn encode(&self, out: &mut SectionWriter) {
+        out.slice_u32(&self.col_idx);
+        out.slice_f64(&self.values);
+    }
+
+    /// The kernel view of the slab.
+    pub(crate) fn view(&self) -> Slab<'_> {
+        Slab {
+            lanes: self.lanes,
+            rows: self.rows,
+            cols: self.cols,
+            width: self.width,
+            col_idx: &self.col_idx,
+            values: &self.values,
+        }
+    }
+
+    /// Stored slots, padding included.
+    pub(crate) fn stored(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Bytes of the two arrays.
+    pub(crate) fn bytes(&self) -> usize {
+        self.values.len() * 8 + self.col_idx.len() * 4
+    }
+}
+
+/// Decodes an ELL wire payload.
+pub(crate) fn decode(
+    r: &mut SectionReader<'_>,
+    profile: LaneProfile,
+) -> Result<EllFormat, WireError> {
     let rows = r.dim()?;
     let cols = r.dim()?;
     let nnz = r.dim()?;
     let width = r.dim()?;
-    let col_idx = r.vec_u32()?;
-    let values = r.vec_f64()?;
-    let stored = width
-        .checked_mul(rows)
-        .ok_or_else(|| malformed(format!("ELL slab {width}x{rows} overflows")))?;
-    if col_idx.len() != stored || values.len() != stored {
-        return Err(malformed(format!(
-            "ELL slab is {stored} entries, got {} columns / {} values",
-            col_idx.len(),
-            values.len()
+    let slab = EllSlab::decode(r, rows, cols, width, profile, "ELL")?;
+    if nnz > slab.stored() {
+        return Err(WireError::Malformed(format!(
+            "ELL nnz {nnz} exceeds stored entries {}",
+            slab.stored()
         )));
     }
-    if let Some(&c) = col_idx.iter().find(|&&c| c as usize >= cols) {
-        return Err(malformed(format!("ELL column {c} out of bounds ({cols} cols)")));
-    }
-    if nnz > stored {
-        return Err(malformed(format!("ELL nnz {nnz} exceeds stored entries {stored}")));
-    }
-    Ok(EllFormat { rows, cols, nnz, width, col_idx, values, lanes: LaneProfile::current().width })
+    Ok(EllFormat { slab, nnz })
 }
 
 /// Default cap on `stored entries / nnz` before conversion refuses.
 pub const DEFAULT_MAX_PADDING_RATIO: f64 = 16.0;
 
-/// ELLPACK storage (column-major slabs).
+/// ELLPACK storage: a column-major slab as wide as the longest row.
 pub struct EllFormat {
-    rows: usize,
-    cols: usize,
+    slab: EllSlab,
     nnz: usize,
-    /// Width of the dense slab (`max_row_nnz`).
-    width: usize,
-    /// `width × rows` column indices, column-major:
-    /// entry `(r, j)` lives at `j * rows + r`. Padding repeats the
-    /// row's last real column (column 0 in an empty row).
-    col_idx: Vec<u32>,
-    /// Matching values; padding entries are `0.0`.
-    values: Vec<f64>,
-    /// Lane width the kernels dispatch to.
-    lanes: LaneWidth,
 }
 
 impl EllFormat {
@@ -97,47 +187,19 @@ impl EllFormat {
                 format: "ELL",
             });
         }
-        let mut col_idx = vec![0u32; stored];
-        let mut values = vec![0.0f64; stored];
-        for r in 0..rows {
-            let (cs, vs) = csr.row(r);
-            for (j, (&c, &v)) in cs.iter().zip(vs).enumerate() {
-                col_idx[j * rows + r] = c;
-                values[j * rows + r] = v;
-            }
-            // Padding repeats the row's last real column (see the
-            // propagation policy on `SparseFormat`); an empty row has
-            // none and keeps column 0.
-            if let Some(&last) = cs.last() {
-                for j in cs.len()..width {
-                    col_idx[j * rows + r] = last;
-                }
-            }
-        }
-        Ok(Self { rows, cols: csr.cols(), nnz, width, col_idx, values, lanes: profile.width })
+        let slab =
+            EllSlab::from_csr(csr, width, profile, |_, _, _| unreachable!("no row is wider"));
+        Ok(Self { slab, nnz })
     }
 
     /// Slab width (`max_row_nnz`).
     pub fn width(&self) -> usize {
-        self.width
+        self.slab.width
     }
 
     /// The lane width this instance dispatches to.
     pub fn lanes(&self) -> LaneWidth {
-        self.lanes
-    }
-
-    fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], out: &DisjointWriter<'_>) {
-        slab::slab_spmv_rows(
-            self.lanes,
-            rows,
-            self.rows,
-            self.width,
-            &self.col_idx,
-            &self.values,
-            x,
-            out,
-        );
+        self.slab.lanes
     }
 }
 
@@ -147,11 +209,11 @@ impl SparseFormat for EllFormat {
     }
 
     fn rows(&self) -> usize {
-        self.rows
+        self.slab.rows
     }
 
     fn cols(&self) -> usize {
-        self.cols
+        self.slab.cols
     }
 
     fn nnz(&self) -> usize {
@@ -159,88 +221,45 @@ impl SparseFormat for EllFormat {
     }
 
     fn bytes(&self) -> usize {
-        self.values.len() * 8 + self.col_idx.len() * 4
+        self.slab.bytes()
     }
 
     fn padding_ratio(&self) -> f64 {
         if self.nnz == 0 {
             1.0
         } else {
-            (self.width * self.rows) as f64 / self.nnz as f64
+            self.slab.stored() as f64 / self.nnz as f64
         }
     }
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        let out = DisjointWriter::new(y);
-        self.spmv_rows(0..self.rows, x, &out);
+        driver::spmv(&self.slab.view(), x, y);
     }
 
     fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        // Lane-aligned chunk seams: only the last chunk can see a
-        // partial W-row block.
-        let schedule = Schedule::StaticAligned { items: self.rows, align: self.lanes.lanes() };
-        Executor::new(pool).run_disjoint(schedule, y, |range, out| self.spmv_rows(range, x, out));
+        let slab = self.slab.view();
+        driver::spmv_parallel(&slab, slab.schedule(), pool, x, y);
     }
 
     fn spmv_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
-        assert_eq!(self.rows, self.cols, "spmv_dot requires a square matrix");
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        let out = DisjointWriter::new(y);
-        slab::slab_spmv_dot_rows(
-            self.lanes,
-            0..self.rows,
-            self.rows,
-            self.width,
-            &self.col_idx,
-            &self.values,
-            x,
-            &out,
-        )
+        driver::spmv_dot(&self.slab.view(), x, y)
     }
 
     fn spmv_dot_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) -> f64 {
-        assert_eq!(self.rows, self.cols, "spmv_dot requires a square matrix");
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        let schedule = Schedule::StaticAligned { items: self.rows, align: self.lanes.lanes() };
-        Executor::new(pool).run_disjoint_reduce(schedule, y, |range, out| {
-            slab::slab_spmv_dot_rows(
-                self.lanes,
-                range,
-                self.rows,
-                self.width,
-                &self.col_idx,
-                &self.values,
-                x,
-                out,
-            )
-        })
+        let slab = self.slab.view();
+        driver::spmv_dot_parallel(&slab, slab.schedule(), pool, x, y)
     }
 
     fn encode_payload(&self, out: &mut SectionWriter) {
-        out.usize(self.rows);
-        out.usize(self.cols);
+        out.usize(self.slab.rows);
+        out.usize(self.slab.cols);
         out.usize(self.nnz);
-        out.usize(self.width);
-        out.slice_u32(&self.col_idx);
-        out.slice_f64(&self.values);
+        out.usize(self.slab.width);
+        self.slab.encode(out);
     }
 
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        let slab = panel::Slab {
-            lanes: self.lanes,
-            rows: self.rows,
-            cols: self.cols,
-            width: self.width,
-            col_idx: &self.col_idx,
-            values: &self.values,
-        };
-        panel::spmm(&slab, x, k, y);
+        panel::spmm(&self.slab.view(), x, k, y);
     }
 }
 
@@ -282,7 +301,7 @@ mod tests {
         let x: Vec<f64> = (0..32).map(|i| (i as f64 * 0.71).sin()).collect();
         let scalar = EllFormat::from_csr_with(&m, 16.0, LaneProfile::scalar()).unwrap();
         let want = scalar.spmv_alloc(&x);
-        for width in [LaneWidth::W2, LaneWidth::W4, LaneWidth::W8] {
+        for width in [LaneWidth::W4, LaneWidth::W8] {
             let f = EllFormat::from_csr_with(&m, 16.0, LaneProfile::with_width(width)).unwrap();
             assert_eq!(f.spmv_alloc(&x), want, "{width:?}");
         }

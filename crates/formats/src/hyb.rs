@@ -4,42 +4,37 @@
 //! padding-light while the skewed tail goes to the balanced COO part —
 //! this is the cuSPARSE-9.2 HYB of the GPU testbeds.
 //!
-//! Neither half owns an inner loop anymore: the ELL slab runs on
-//! [`crate::kernels::slab`] (shared with [`crate::ell`]) and the COO
-//! tail runs on [`spmv_parallel::accumulate_rows`] (shared with
-//! [`crate::coo`]) in both the sequential and the parallel path.
+//! Neither half owns an inner loop: the ELL half is an
+//! [`EllSlab`](crate::ell) (storage, validation and kernels shared with
+//! ELL) and the COO tail runs on [`spmv_parallel::accumulate_rows`]
+//! (shared with [`crate::coo`]) in both the sequential and the parallel
+//! path.
 
-use crate::kernels::{slab, LaneProfile, LaneWidth};
+use crate::driver;
+use crate::ell::EllSlab;
+use crate::kernels::{LaneProfile, LaneWidth};
 use crate::traits::SparseFormat;
 use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
-use spmv_parallel::{accumulate_rows, DisjointWriter, Executor, Schedule, ThreadPool};
+use spmv_parallel::{accumulate_rows, DisjointWriter, Executor, ThreadPool};
 
 /// Decodes a HYB wire payload, re-validating both halves: ELL slab
 /// geometry and column bounds, plus a row-sorted, in-bounds COO tail
 /// (the carry kernel requires row-major order).
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<HybFormat, WireError> {
+pub(crate) fn decode(
+    r: &mut SectionReader<'_>,
+    profile: LaneProfile,
+) -> Result<HybFormat, WireError> {
     let malformed = |m: String| WireError::Malformed(m);
     let rows = r.dim()?;
     let cols = r.dim()?;
     let nnz = r.dim()?;
     let k = r.dim()?;
     let ell_nnz = r.dim()?;
-    let ell_col = r.vec_u32()?;
-    let ell_val = r.vec_f64()?;
+    let ell = EllSlab::decode(r, rows, cols, k, profile, "HYB ELL")?;
     let coo_row = r.vec_u32()?;
     let coo_col = r.vec_u32()?;
     let coo_val = r.vec_f64()?;
-    let stored = k
-        .checked_mul(rows)
-        .ok_or_else(|| malformed(format!("HYB ELL slab {k}x{rows} overflows")))?;
-    if ell_col.len() != stored || ell_val.len() != stored {
-        return Err(malformed(format!(
-            "HYB ELL slab is {stored} entries, got {} columns / {} values",
-            ell_col.len(),
-            ell_val.len()
-        )));
-    }
     if coo_row.len() != coo_val.len() || coo_col.len() != coo_val.len() {
         return Err(malformed(format!(
             "HYB COO tail lengths disagree: {} rows, {} columns, {} values",
@@ -48,7 +43,7 @@ pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<HybFormat, WireError> 
             coo_val.len()
         )));
     }
-    if let Some(&c) = ell_col.iter().chain(&coo_col).find(|&&c| c as usize >= cols) {
+    if let Some(&c) = coo_col.iter().find(|&&c| c as usize >= cols) {
         return Err(malformed(format!("HYB column {c} out of bounds ({cols} cols)")));
     }
     if let Some(&row) = coo_row.iter().find(|&&row| row as usize >= rows) {
@@ -57,46 +52,27 @@ pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<HybFormat, WireError> 
     if coo_row.windows(2).any(|w| w[0] > w[1]) {
         return Err(malformed("HYB COO tail not sorted by row".into()));
     }
-    if ell_nnz > stored || nnz != ell_nnz + coo_val.len() {
+    if ell_nnz > ell.stored() || nnz != ell_nnz + coo_val.len() {
         return Err(malformed(format!(
             "HYB entry accounting broken: nnz {nnz}, ell_nnz {ell_nnz}, coo {}",
             coo_val.len()
         )));
     }
-    Ok(HybFormat {
-        rows,
-        cols,
-        nnz,
-        k,
-        ell_col,
-        ell_val,
-        coo_row,
-        coo_col,
-        coo_val,
-        ell_nnz,
-        lanes: LaneProfile::current().width,
-    })
+    Ok(HybFormat { ell, nnz, coo_row, coo_col, coo_val, ell_nnz })
 }
 
 /// Hybrid ELL + COO storage.
 pub struct HybFormat {
-    rows: usize,
-    cols: usize,
+    /// The first `k` nonzeros of every row; its width is `k` (average
+    /// nonzeros per row, rounded up).
+    ell: EllSlab,
     nnz: usize,
-    /// ELL width `k` (average nonzeros per row, rounded up).
-    k: usize,
-    /// Column-major ELL slab, `k × rows`; padding repeats the row's
-    /// last real column (column 0 in an empty row) at value 0.
-    ell_col: Vec<u32>,
-    ell_val: Vec<f64>,
     /// COO tail (row-major sorted), holding `nnz - ell_nnz` entries.
     coo_row: Vec<u32>,
     coo_col: Vec<u32>,
     coo_val: Vec<f64>,
     /// Logical (non-padding) entries stored in the ELL part.
     ell_nnz: usize,
-    /// Lane width the ELL slab kernel dispatches to.
-    lanes: LaneWidth,
 }
 
 impl HybFormat {
@@ -120,54 +96,20 @@ impl HybFormat {
 
     /// Converts from CSR with an explicit ELL width and lane profile.
     pub fn from_csr_with(csr: &CsrMatrix, k: usize, profile: LaneProfile) -> Self {
-        let rows = csr.rows();
-        let stored = k.saturating_mul(rows);
-        let mut ell_col = vec![0u32; stored];
-        let mut ell_val = vec![0.0f64; stored];
-        let mut coo_row = Vec::new();
-        let mut coo_col = Vec::new();
-        let mut coo_val = Vec::new();
-        let mut ell_nnz = 0usize;
-        for r in 0..rows {
-            let (cs, vs) = csr.row(r);
-            for (j, (&c, &v)) in cs.iter().zip(vs).enumerate() {
-                if j < k {
-                    ell_col[j * rows + r] = c;
-                    ell_val[j * rows + r] = v;
-                    ell_nnz += 1;
-                } else {
-                    coo_row.push(r as u32);
-                    coo_col.push(c);
-                    coo_val.push(v);
-                }
-            }
-            // Padding repeats the row's last real column (see the
-            // propagation policy on `SparseFormat`); an empty row has
-            // none and keeps column 0.
-            if let Some(&last) = cs.last() {
-                for j in cs.len()..k {
-                    ell_col[j * rows + r] = last;
-                }
-            }
-        }
-        Self {
-            rows,
-            cols: csr.cols(),
-            nnz: csr.nnz(),
-            k,
-            ell_col,
-            ell_val,
-            coo_row,
-            coo_col,
-            coo_val,
-            ell_nnz,
-            lanes: profile.width,
-        }
+        let (mut coo_row, mut coo_col, mut coo_val) = (Vec::new(), Vec::new(), Vec::new());
+        let ell = EllSlab::from_csr(csr, k, profile, |r, c, v| {
+            coo_row.push(r as u32);
+            coo_col.push(c);
+            coo_val.push(v);
+        });
+        let nnz = csr.nnz();
+        let ell_nnz = nnz - coo_val.len();
+        Self { ell, nnz, coo_row, coo_col, coo_val, ell_nnz }
     }
 
     /// The ELL width `k`.
     pub fn k(&self) -> usize {
-        self.k
+        self.ell.width
     }
 
     /// Number of entries in the COO tail.
@@ -182,20 +124,7 @@ impl HybFormat {
 
     /// The lane width this instance dispatches to.
     pub fn lanes(&self) -> LaneWidth {
-        self.lanes
-    }
-
-    fn ell_rows(&self, rows: std::ops::Range<usize>, x: &[f64], out: &DisjointWriter<'_>) {
-        slab::slab_spmv_rows(
-            self.lanes,
-            rows,
-            self.rows,
-            self.k,
-            &self.ell_col,
-            &self.ell_val,
-            x,
-            out,
-        );
+        self.ell.lanes
     }
 
     /// Adds the COO tail on top of the ELL partial sums in `y` using
@@ -226,11 +155,11 @@ impl SparseFormat for HybFormat {
     }
 
     fn rows(&self) -> usize {
-        self.rows
+        self.ell.rows
     }
 
     fn cols(&self) -> usize {
-        self.cols
+        self.ell.cols
     }
 
     fn nnz(&self) -> usize {
@@ -238,57 +167,44 @@ impl SparseFormat for HybFormat {
     }
 
     fn bytes(&self) -> usize {
-        self.ell_val.len() * 8
-            + self.ell_col.len() * 4
-            + self.coo_val.len() * 8
-            + self.coo_col.len() * 4
-            + self.coo_row.len() * 4
+        self.ell.bytes() + self.coo_val.len() * 8 + self.coo_col.len() * 4 + self.coo_row.len() * 4
     }
 
     fn padding_ratio(&self) -> f64 {
         if self.nnz == 0 {
             1.0
         } else {
-            (self.k * self.rows + self.coo_nnz()) as f64 / self.nnz as f64
+            (self.ell.stored() + self.coo_nnz()) as f64 / self.nnz as f64
         }
     }
 
     fn encode_payload(&self, out: &mut SectionWriter) {
-        out.usize(self.rows);
-        out.usize(self.cols);
+        out.usize(self.ell.rows);
+        out.usize(self.ell.cols);
         out.usize(self.nnz);
-        out.usize(self.k);
+        out.usize(self.ell.width);
         out.usize(self.ell_nnz);
-        out.slice_u32(&self.ell_col);
-        out.slice_f64(&self.ell_val);
+        self.ell.encode(out);
         out.slice_u32(&self.coo_row);
         out.slice_u32(&self.coo_col);
         out.slice_f64(&self.coo_val);
     }
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        {
-            let out = DisjointWriter::new(y);
-            self.ell_rows(0..self.rows, x, &out);
-        }
+        driver::spmv(&self.ell.view(), x, y);
         self.coo_tail_sequential(x, y);
     }
 
     fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        let exec = Executor::new(pool);
         // Phase 1: ELL slab over lane-aligned static row chunks
         // (overwrites y).
-        let schedule = Schedule::StaticAligned { items: self.rows, align: self.lanes.lanes() };
-        exec.run_disjoint(schedule, y, |range, out| self.ell_rows(range, x, out));
+        let ell = self.ell.view();
+        driver::spmv_parallel(&ell, ell.schedule(), pool, x, y);
         // Phase 2: COO tail via the shared carry kernel, *adding* on
         // top of the ELL partial sums (interior rows are owned by
         // exactly one chunk; boundary rows merge sequentially).
         let (ri, ci, v) = (&self.coo_row, &self.coo_col, &self.coo_val);
-        exec.run_chunks_carry(self.coo_val.len(), y, |range, out| {
+        Executor::new(pool).run_chunks_carry(self.coo_val.len(), y, |range, out| {
             accumulate_rows(range, |i| ri[i] as usize, |i| v[i] * x[ci[i] as usize], out)
         });
     }
@@ -337,7 +253,7 @@ mod tests {
         let m = skewed_matrix();
         let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.33).sin()).collect();
         let want = HybFormat::from_csr_with(&m, 4, LaneProfile::scalar()).spmv_alloc(&x);
-        for width in [LaneWidth::W2, LaneWidth::W4, LaneWidth::W8] {
+        for width in [LaneWidth::W4, LaneWidth::W8] {
             let f = HybFormat::from_csr_with(&m, 4, LaneProfile::with_width(width));
             assert_eq!(f.spmv_alloc(&x), want, "{width:?}");
         }

@@ -1,6 +1,8 @@
-//! Gather-dot microkernels for CSR row slices: W-accumulator unrolled
-//! `Σ vals[i] · x[cols[i]]`. The multi-vector kernel over the same
-//! rows, in the same summation order, is [`super::panel::CsrRows`].
+//! Gather-dot kernels for CSR row slices: [`CsrRows`], the view every
+//! CSR-family format hands the kernels, and the W-accumulator unrolled
+//! `Σ vals[i] · x[cols[i]]` it runs per row. The multi-vector kernel
+//! over the same view, in the same summation order, is its
+//! `PanelKernel` block in [`super::panel`].
 //!
 //! Within a row, W splits the product stream across W accumulators
 //! (lane `l` owns products `l, l+W, l+2W, …` of the full chunks) that
@@ -10,7 +12,8 @@
 //! rows run on the vector unit (`super::x86`), bit-identical to the
 //! bodies below.
 
-use super::{tree_sum, LaneWidth};
+use super::{tree_sum, LaneWidth, View};
+use spmv_core::CsrMatrix;
 use spmv_parallel::DisjointWriter;
 use std::ops::Range;
 
@@ -32,98 +35,99 @@ pub(super) fn dot_w<const W: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f6
     tree_sum(&acc) + tail
 }
 
-/// The scalar-lane body of both flavours: `out[r] = row_r · x`, and
-/// with `DOT` the partial `Σ x[r] · out[r]` in ascending row order
-/// (0.0 without).
-pub(super) fn csr_rows_w<const W: usize, const DOT: bool>(
-    rows: Range<usize>,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) -> f64 {
-    let mut partial = 0.0;
-    for r in rows {
-        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-        let yr = dot_w::<W>(&col_idx[lo..hi], &values[lo..hi], x);
-        out.write(r, yr);
-        if DOT {
-            partial += x[r] * yr;
-        }
-    }
-    partial
-}
-
-/// Dispatches on `width` (and, on x86-64, the host's vector unit)
-/// once, then runs the monomorphized loop.
-fn csr_rows<const DOT: bool>(
-    width: LaneWidth,
-    rows: Range<usize>,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(partial) = super::x86::csr_rows::<DOT>(
-        super::host_isa(),
-        width,
-        rows.clone(),
-        row_ptr,
-        col_idx,
-        values,
-        x,
-        out,
-    ) {
-        return partial;
-    }
-    match width {
-        LaneWidth::W1 => csr_rows_w::<1, DOT>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W2 => csr_rows_w::<2, DOT>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W4 => csr_rows_w::<4, DOT>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W8 => csr_rows_w::<8, DOT>(rows, row_ptr, col_idx, values, x, out),
-    }
-}
-
-/// SpMV over a CSR row range: `out[r] = row_r · x` for `r` in `rows`.
-pub fn csr_spmv_rows(
-    width: LaneWidth,
-    rows: Range<usize>,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) {
-    csr_rows::<false>(width, rows, row_ptr, col_idx, values, x, out);
-}
-
-/// Fused SpMV + dot over a CSR row range: writes `out[r] = row_r · x`
-/// and returns the chunk's contribution `Σ x[r] · out[r]` from the
-/// same sweep, while each row sum is still hot. Requires a square
-/// matrix (`x` doubles as the row-indexed dot operand).
+/// CSR row slices (`row_ptr / col_idx / values`); a unit is a row.
 ///
-/// The partial accumulates in ascending row order — exactly the order
-/// a serial dot over the chunk would use — so fused and
+/// With `DOT` the partial accumulates in ascending row order — exactly
+/// the order a serial dot over the range would use — so fused and
 /// spmv-then-dot agree **bit-for-bit** at a fixed lane width and
 /// chunking.
-pub fn csr_spmv_dot_rows(
-    width: LaneWidth,
-    rows: Range<usize>,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) -> f64 {
-    csr_rows::<true>(width, rows, row_ptr, col_idx, values, x, out)
+#[derive(Clone, Copy)]
+pub struct CsrRows<'a> {
+    /// Lane width the rows are summed at.
+    pub lanes: LaneWidth,
+    /// Matrix columns.
+    pub cols: usize,
+    /// Row offsets (`rows + 1`).
+    pub row_ptr: &'a [usize],
+    /// Column of every nonzero.
+    pub col_idx: &'a [u32],
+    /// Value of every nonzero.
+    pub values: &'a [f64],
+}
+
+impl<'a> CsrRows<'a> {
+    /// The rows of `csr`, summed at `lanes` — `W1` is the order of
+    /// [`CsrMatrix::spmv_into`].
+    pub fn of(lanes: LaneWidth, csr: &'a CsrMatrix) -> Self {
+        CsrRows {
+            lanes,
+            cols: csr.cols(),
+            row_ptr: csr.row_ptr(),
+            col_idx: csr.col_idx(),
+            values: csr.values(),
+        }
+    }
+
+    /// One row's column and value slices.
+    #[inline]
+    pub(super) fn row(&self, r: usize) -> (&'a [u32], &'a [f64]) {
+        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        (&self.col_idx[lo..hi], &self.values[lo..hi])
+    }
+
+    /// The scalar-lane body of [`View::run`] at `W` lanes.
+    pub(super) fn run_w<const W: usize, const DOT: bool>(
+        &self,
+        rows: Range<usize>,
+        x: &[f64],
+        out: &DisjointWriter<'_>,
+    ) -> f64 {
+        let mut partial = 0.0;
+        for r in rows {
+            let (cols, vals) = self.row(r);
+            let yr = dot_w::<W>(cols, vals, x);
+            out.write(r, yr);
+            if DOT {
+                partial += x[r] * yr;
+            }
+        }
+        partial
+    }
+}
+
+impl View for CsrRows<'_> {
+    fn rows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn units(&self) -> usize {
+        self.rows()
+    }
+
+    /// Dispatches on the lane width (and, on x86-64, the host's vector
+    /// unit) once, then runs the monomorphized loop.
+    fn run<const DOT: bool>(&self, rows: Range<usize>, x: &[f64], out: &DisjointWriter<'_>) -> f64 {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(partial) =
+            super::x86::csr_rows::<DOT>(super::host_isa(), self, rows.clone(), x, out)
+        {
+            return partial;
+        }
+        match self.lanes {
+            LaneWidth::W1 => self.run_w::<1, DOT>(rows, x, out),
+            LaneWidth::W4 => self.run_w::<4, DOT>(rows, x, out),
+            LaneWidth::W8 => self.run_w::<8, DOT>(rows, x, out),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::panel::{self, CsrRows};
+    use super::super::panel;
     use super::*;
 
     #[test]
@@ -136,7 +140,6 @@ mod tests {
             for width in LaneWidth::ALL {
                 let got = match width {
                     LaneWidth::W1 => dot_w::<1>(&cols, &vals, &x),
-                    LaneWidth::W2 => dot_w::<2>(&cols, &vals, &x),
                     LaneWidth::W4 => dot_w::<4>(&cols, &vals, &x),
                     LaneWidth::W8 => dot_w::<8>(&cols, &vals, &x),
                 };
@@ -175,10 +178,17 @@ mod tests {
         let values = [1.5, -2.0, 0.5, 3.0, 1.25, -0.75, 2.0, 0.125];
         let x: Vec<f64> = (0..4).map(|i| (i as f64 * 0.91).sin() + 0.3).collect();
         for width in LaneWidth::ALL {
+            let rows = CsrRows {
+                lanes: width,
+                cols: 4,
+                row_ptr: &row_ptr,
+                col_idx: &col_idx,
+                values: &values,
+            };
             let mut y = vec![f64::NAN; 4];
             {
                 let out = DisjointWriter::new(&mut y);
-                csr_spmv_rows(width, 0..4, &row_ptr, &col_idx, &values, &x, &out);
+                rows.run::<false>(0..4, &x, &out);
             }
             let mut want = 0.0;
             for r in 0..4 {
@@ -187,7 +197,7 @@ mod tests {
             let mut fused = vec![f64::NAN; 4];
             let got = {
                 let out = DisjointWriter::new(&mut fused);
-                csr_spmv_dot_rows(width, 0..4, &row_ptr, &col_idx, &values, &x, &out)
+                rows.run::<true>(0..4, &x, &out)
             };
             assert_eq!(fused, y, "width {width:?}");
             assert_eq!(got, want, "width {width:?}");
@@ -217,15 +227,7 @@ mod tests {
                     let mut col = vec![f64::NAN; 3];
                     {
                         let out = DisjointWriter::new(&mut col);
-                        csr_spmv_rows(
-                            width,
-                            0..3,
-                            &row_ptr,
-                            &col_idx,
-                            &values,
-                            &x[j * 5..(j + 1) * 5],
-                            &out,
-                        );
+                        rows.run::<false>(0..3, &x[j * 5..(j + 1) * 5], &out);
                     }
                     assert_eq!(&y[j * 3..(j + 1) * 3], &col[..], "width {width:?} k {k} rhs {j}");
                 }

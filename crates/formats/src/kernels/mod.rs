@@ -1,35 +1,33 @@
 //! Shared lane-kernel layer: the SIMD-style inner loops of every
-//! row-major sparse kernel in this crate, written **once** and
-//! instantiated per lane width W ∈ {1, 2, 4, 8}.
+//! row-major sparse kernel in this crate, written **once** over two
+//! memory layouts and run at a lane width W ∈ {1, 4, 8}.
 //!
 //! The paper's premise (and SELL-C-σ's raison d'être, Kreutzer et
 //! al.) is that the inner gather·multiply·accumulate loop maps onto
-//! vector lanes. The portable bodies express that as **W independent
-//! accumulators** in a const-generic loop. LLVM's auto-vectorizer does
-//! *not* turn those into vector code: with `avx2` or
-//! `avx512f,avx512vl` enabled, checked or unchecked indexing,
-//! `rustc -O` emits no `vgather*` for the gather-dot body at W4 or W8
-//! (the SLP vectorizer packs 128-bit pairs behind scalar loads), and
-//! as W scalar chains the "vectorized" formats measure slower than
-//! Naive-CSR. So on x86-64 the three single-vector modules below are
-//! **vectorized by hand**:
-//! [`x86`](self) (private; the crate's only `unsafe`) holds explicit
-//! `core::arch` gather microkernels, selected once per kernel call at
-//! the same `match width` site that picks the scalar-lane instance.
-//! Other targets, and x86-64 hosts without AVX2, run the scalar-lane
-//! bodies.
+//! vector lanes. The portable bodies express that as independent
+//! accumulators. LLVM's auto-vectorizer does *not* turn those into
+//! vector code: with `avx2` or `avx512f,avx512vl` enabled, checked or
+//! unchecked indexing, `rustc -O` emits no `vgather*` for the
+//! gather-dot body at W4 or W8 (the SLP vectorizer packs 128-bit pairs
+//! behind scalar loads), and as W scalar chains the "vectorized"
+//! formats measure slower than Naive-CSR. So on x86-64 the
+//! single-vector kernels are **vectorized by hand**: [`x86`](self)
+//! (private; the crate's only `unsafe`) holds explicit `core::arch`
+//! gather microkernels, selected once per [`View::run`] call. Other
+//! targets, and x86-64 hosts without AVX2, run the scalar bodies.
 //!
-//! Submodules by memory layout:
+//! A kernel sees a matrix only through a [`View`], a borrowed
+//! description of one of two layouts that every format builds per call:
 //!
-//! | module  | layout                          | used by              |
-//! |---------|---------------------------------|----------------------|
-//! | [`dot`]   | CSR row slices (gather dot)     | Naive/Vectorized/Balanced CSR |
-//! | [`slab`]  | col-major `width × rows` slab   | ELL, HYB's ELL half  |
-//! | [`chunk`] | SELL-C-σ chunk-major slabs      | SELL-C-σ (C ∈ 4/8/16) |
+//! | module | layout | views | used by |
+//! |---|---|---|---|
+//! | [`dot`] | CSR row slices (gather dot) | [`dot::CsrRows`] | the five CSR kinds, the engine's CSR path |
+//! | [`slab`] | strided padded slab: `stride × slots`, lane-major | [`slab::Slab`] (stride = rows) | ELL, HYB's ELL half |
+//! | | | [`slab::SellChunks`] (stride = C, per chunk) | SELL-C-σ (C ∈ 4/8/16) |
 //!
-//! Those three hold the single-vector kernels (SpMV and the fused
-//! SpMV+dot; one body per layout serves both flavours). The
-//! multi-vector kernels of all three layouts live in [`panel`], which
+//! Those hold the single-vector kernels (SpMV and the fused SpMV+dot;
+//! one body per layout serves both flavours, [`View::run`]'s `DOT`).
+//! The multi-vector kernels of the same views live in [`panel`], which
 //! packs the right-hand sides row-major once per call and vectorizes
 //! over them; they are not hand-vectorized.
 //!
@@ -38,12 +36,12 @@
 //! [`LaneWidth`] is the only knob, and it means what its variants say:
 //!
 //! * **W1 is always the scalar code** — Naive-CSR,
-//!   [`LaneProfile::scalar`], `SPMV_LANES=1`.
-//! * `dot` at **W4** runs 256-bit vectors and at **W8** 512-bit ones
-//!   (2 × 256-bit with the same lane ownership on AVX2-only hosts);
-//!   W2, or a missing instruction set, runs the scalar-lane body of the
-//!   same W.
-//! * `chunk` and `slab`, whose results do not depend on W, use at any
+//!   [`LaneProfile::scalar`], `SPMV_LANES=1`, and every host without a
+//!   vector unit the kernels have code for.
+//! * CSR rows at **W4** run 256-bit vectors and at **W8** 512-bit ones
+//!   (2 × 256-bit with the same lane ownership on AVX2-only hosts); a
+//!   missing instruction set runs the scalar-lane body of the same W.
+//! * The padded slabs, whose results do not depend on W, use at any
 //!   W > 1 the widest unit the host has: blocks of 8 adjacent lanes
 //!   (512-bit, or 2 × 256) — taken two at a time while 16 lanes are
 //!   left, so a C = 16 chunk is streamed once —, then one block of 4
@@ -51,59 +49,92 @@
 //!
 //! ## Arithmetic contract
 //!
-//! The vector bodies are **bit-identical** to the scalar-lane bodies:
-//! `vmulpd` then `vaddpd`, never FMA (a fused product rounds once, the
-//! scalar lanes and the panel kernels round twice; these kernels are
-//! gather- and bandwidth-bound anyway). Lane `l` of the vector
-//! accumulator owns exactly the products `acc[l]` owns in the scalar
-//! body, the horizontal reduction is `tree_sum`'s order, and a row's
-//! last `len mod W` products stay a sequential scalar sum. The scalar
-//! bodies are therefore the oracle of the vector ones, and every
-//! guarantee below holds on either.
+//! What `run` computes per row is fixed by the view, not by the code
+//! path. A [`dot::CsrRows`] row at W lanes: lane `l` owns products
+//! `l, l + W, …` of the row's full W-blocks, the lanes reduce in
+//! `tree_sum`'s pairwise order, and the last `len mod W` products are a
+//! sequential sum added last. A padded-slab row: one accumulator,
+//! slot-sequential. The vector bodies are **bit-identical** to the
+//! scalar ones: `vmulpd` then `vaddpd`, never FMA (a fused product
+//! rounds once, the scalar lanes and the panel kernels round twice;
+//! these kernels are gather- and bandwidth-bound anyway), each vector
+//! lane owning exactly the products its scalar accumulator owns. The
+//! scalar bodies are therefore the oracle of the vector ones, every
+//! guarantee below holds on either, and `tests/kernel_digests.rs` pins
+//! the outputs as constants.
 //!
 //! ## Determinism contract
 //!
 //! * At a **fixed** [`LaneProfile`], every kernel is bit-reproducible
 //!   run to run and across thread counts: each accumulator maps to a
 //!   fixed set of products added in a fixed order.
-//! * For the slab and chunk kernels, accumulators map 1:1 to matrix
-//!   *rows*, so the per-row addition order is j-sequential regardless
-//!   of W — those kernels are bit-identical **across** lane widths
-//!   too.
-//! * For the gather-dot kernel, W splits a row's products across W
-//!   accumulators (reduced pairwise), so different widths may differ
-//!   in the last ulps — cross-width agreement is within floating-point
-//!   tolerance only.
+//! * For the padded slabs, accumulators map 1:1 to matrix *rows*, so
+//!   the per-row addition order is slot-sequential regardless of W —
+//!   those views are bit-identical **across** lane widths too.
+//! * For CSR rows, W splits a row's products across W accumulators, so
+//!   different widths may differ in the last ulps — cross-width
+//!   agreement is within floating-point tolerance only.
+//! * The fused dot adds `x[r] · out[r]` in the order `run` produces the
+//!   rows: ascending for [`dot::CsrRows`] and [`slab::Slab`] (equal to
+//!   spmv-then-dot bit for bit), packed (`perm`) order for
+//!   [`slab::SellChunks`].
 //!
 //! ## Safety contract
 //!
-//! `CsrMatrix::from_parts_unchecked` is a safe function, so column
-//! indices are not trusted by any kernel. The scalar bodies use checked
-//! indexing. The vector bodies take contiguous loads from sub-slices
-//! range-checked per row, chunk or slot row, and **mask every gather**
-//! with an unsigned `col ≤ x.len() − 1` compare: an out-of-range lane
-//! is never dereferenced, the masks are accumulated, and the kernel
-//! panics after its loop where the scalar body panics inside it.
-//! `vgatherdpd` sign-extends its 32-bit indices, so the vector path is
-//! taken only when `1 ≤ x.len() ≤ 2³¹`.
+//! The view types are plain public structs and
+//! `CsrMatrix::from_parts_unchecked` is a safe function, so neither the
+//! geometry nor the column indices of a view are trusted by any kernel.
+//! The scalar bodies use checked indexing. The vector bodies take
+//! contiguous loads from sub-slices range-checked per row, chunk or
+//! slot row, and **mask every gather** with an unsigned
+//! `col ≤ x.len() − 1` compare: an out-of-range lane is never
+//! dereferenced, the masks are accumulated, and the kernel panics after
+//! its loop where the scalar body panics inside it. `vgatherdpd`
+//! sign-extends its 32-bit indices, so the vector path is taken only
+//! when `1 ≤ x.len() ≤ 2³¹`.
 
-pub mod chunk;
 pub mod dot;
 pub mod panel;
 pub mod slab;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
+use spmv_parallel::DisjointWriter;
+use std::ops::Range;
+
+/// A borrowed view of one matrix layout — the only way a kernel sees a
+/// matrix. Every format of [`crate::FormatKind::KERNEL_LAYER`] builds
+/// one of the three implementors ([`dot::CsrRows`], [`slab::Slab`],
+/// [`slab::SellChunks`]) per call; the contracts in the [module
+/// docs](self) are what [`View::run`] promises.
+pub trait View {
+    /// Matrix rows.
+    fn rows(&self) -> usize;
+    /// Matrix columns.
+    fn cols(&self) -> usize;
+    /// The units `run` ranges over and a schedule partitions: rows, or
+    /// SELL chunks.
+    fn units(&self) -> usize;
+    /// SpMV over a unit range: overwrites `out[r]` with `row_r · x` for
+    /// every row `r` of `units`. With `DOT` (square matrices: `x`
+    /// doubles as the row-indexed operand) also returns the range's
+    /// share `Σ x[r] · out[r]` of the fused dot, accumulated in the
+    /// order the rows are produced, each sum still in a register; 0.0
+    /// without.
+    fn run<const DOT: bool>(&self, units: Range<usize>, x: &[f64], out: &DisjointWriter<'_>)
+        -> f64;
+}
+
 /// Number of independent accumulator lanes a kernel instance unrolls.
 ///
-/// Widths mirror the hardware the paper benchmarks: 1 (scalar), 2
-/// (NEON 128-bit / SSE2), 4 (AVX2), 8 (AVX-512).
+/// Widths mirror the vector units the lane kernels have code for: 1
+/// (scalar), 4 (AVX2), 8 (AVX-512). There is no two-lane width: it
+/// never had a vector path, and as two scalar chains it measured below
+/// Naive-CSR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LaneWidth {
     /// Scalar: one accumulator, strictly sequential sums.
     W1,
-    /// Two lanes (128-bit double vectors).
-    W2,
     /// Four lanes (256-bit double vectors, AVX2).
     W4,
     /// Eight lanes (512-bit double vectors, AVX-512).
@@ -112,14 +143,13 @@ pub enum LaneWidth {
 
 impl LaneWidth {
     /// Every width, narrowest first.
-    pub const ALL: [LaneWidth; 4] = [LaneWidth::W1, LaneWidth::W2, LaneWidth::W4, LaneWidth::W8];
+    pub const ALL: [LaneWidth; 3] = [LaneWidth::W1, LaneWidth::W4, LaneWidth::W8];
 
     /// The number of lanes as a plain count.
     #[inline]
     pub fn lanes(self) -> usize {
         match self {
             LaneWidth::W1 => 1,
-            LaneWidth::W2 => 2,
             LaneWidth::W4 => 4,
             LaneWidth::W8 => 8,
         }
@@ -128,8 +158,7 @@ impl LaneWidth {
     /// Largest supported width not exceeding `n` (0 rounds up to 1).
     pub fn from_lanes(n: usize) -> LaneWidth {
         match n {
-            0 | 1 => LaneWidth::W1,
-            2 | 3 => LaneWidth::W2,
+            0..=3 => LaneWidth::W1,
             4..=7 => LaneWidth::W4,
             _ => LaneWidth::W8,
         }
@@ -187,7 +216,7 @@ impl LaneProfile {
 /// vector unit.
 pub fn default_sell_c(width: LaneWidth) -> usize {
     match width {
-        LaneWidth::W1 | LaneWidth::W2 => 4,
+        LaneWidth::W1 => 4,
         LaneWidth::W4 => 8,
         LaneWidth::W8 => 16,
     }
@@ -203,7 +232,9 @@ fn width_from_env_str(v: &str) -> Option<LaneWidth> {
     }
 }
 
-/// Best width the *host* CPU supports, by feature detection.
+/// Best width the *host* CPU has lane kernels for, by feature
+/// detection: a vector width on x86-64 with AVX2 or AVX-512, scalar
+/// everywhere else.
 fn host_width() -> LaneWidth {
     #[cfg(target_arch = "x86_64")]
     {
@@ -212,14 +243,10 @@ fn host_width() -> LaneWidth {
         } else if std::arch::is_x86_feature_detected!("avx2") {
             LaneWidth::W4
         } else {
-            LaneWidth::W2
+            LaneWidth::W1
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        LaneWidth::W2
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         LaneWidth::W1
     }
@@ -292,7 +319,7 @@ mod tests {
             assert_eq!(LaneWidth::from_lanes(w.lanes()), w);
         }
         assert_eq!(LaneWidth::from_lanes(0), LaneWidth::W1);
-        assert_eq!(LaneWidth::from_lanes(3), LaneWidth::W2);
+        assert_eq!(LaneWidth::from_lanes(3), LaneWidth::W1);
         assert_eq!(LaneWidth::from_lanes(6), LaneWidth::W4);
         assert_eq!(LaneWidth::from_lanes(64), LaneWidth::W8);
     }
@@ -302,7 +329,7 @@ mod tests {
         // Mirrors the SPMV_THREADS contract: garbage and zero fall
         // through to the probe instead of erroring.
         assert_eq!(width_from_env_str("1"), Some(LaneWidth::W1));
-        assert_eq!(width_from_env_str("2"), Some(LaneWidth::W2));
+        assert_eq!(width_from_env_str("2"), Some(LaneWidth::W1));
         assert_eq!(width_from_env_str("4"), Some(LaneWidth::W4));
         assert_eq!(width_from_env_str("8"), Some(LaneWidth::W8));
         assert_eq!(width_from_env_str(" 8 "), Some(LaneWidth::W8));
@@ -315,7 +342,6 @@ mod tests {
     #[test]
     fn default_chunk_width_tracks_lane_width() {
         assert_eq!(default_sell_c(LaneWidth::W1), 4);
-        assert_eq!(default_sell_c(LaneWidth::W2), 4);
         assert_eq!(default_sell_c(LaneWidth::W4), 8);
         assert_eq!(default_sell_c(LaneWidth::W8), 16);
         for w in LaneWidth::ALL {
@@ -325,7 +351,9 @@ mod tests {
 
     #[test]
     fn resolve_prefers_hint_over_host_when_no_env_override() {
-        let hint = LaneProfile::with_width(LaneWidth::W2);
+        // A chunk width no probe defaults to, so the hint is told apart
+        // from the host on every host.
+        let hint = LaneProfile { width: LaneWidth::W4, sell_c: 32 };
         let resolved = LaneProfile::resolve(Some(hint));
         match probe().env {
             // Operator pinned a width: the hint must lose.

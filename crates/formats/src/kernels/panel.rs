@@ -13,7 +13,7 @@
 //! is the lane width, because it fixes the summation order; slab and
 //! chunk kernels, whose order does not depend on it, take the block
 //! height that keeps the accumulators in registers (see
-//! `dispatch_rows!`). `k` is consumed as blocks of 8, then one block of
+//! `padded_block`). `k` is consumed as blocks of 8, then one block of
 //! 4, then single columns, which run the layout's own SpMV kernel — so
 //! `k == 1` *is* `spmv`.
 //!
@@ -26,8 +26,8 @@
 //! | layout | panel kernel | formats |
 //! |---|---|---|
 //! | CSR rows | [`CsrRows`] | Naive/Vectorized/Balanced-CSR, Merge-CSR, CSR5, the engine's CSR path |
-//! | ELL slab | [`Slab`] | ELL |
-//! | SELL-C-σ chunks | [`SellChunks`] | SELL-C-s, SELL-4-s, SELL-16-s |
+//! | ELL slab | [`Slab`](super::slab::Slab) | ELL |
+//! | SELL-C-σ chunks | [`SellChunks`](super::slab::SellChunks) | SELL-C-s, SELL-4-s, SELL-16-s |
 //! | SparseX unit stream | in `sparsex.rs` | SparseX |
 //!
 //! COO, HYB, DIA, BCSR and VSL have no panel kernel; they keep the
@@ -42,8 +42,9 @@
 //! slot-sequential accumulator per row. SpMM therefore equals `k`
 //! SpMVs **bit-for-bit**.
 
-use super::{chunk, dot, slab, tree_sum, LaneWidth};
-use spmv_core::CsrMatrix;
+use super::dot::CsrRows;
+use super::slab::{Padded, Window, ACC_STACK};
+use super::{tree_sum, LaneWidth, View};
 use spmv_parallel::DisjointWriter;
 use std::cell::RefCell;
 
@@ -111,10 +112,8 @@ pub(crate) fn fma_row<const KB: usize>(acc: &mut [f64; KB], v: f64, row: &[f64; 
 
 /// A storage layout that can multiply against a packed panel.
 pub(crate) trait PanelKernel {
-    /// Matrix rows.
-    fn rows(&self) -> usize;
-    /// Matrix columns (= panel rows).
-    fn cols(&self) -> usize;
+    /// Matrix `(rows, cols)`; the panel has `cols` rows.
+    fn shape(&self) -> (usize, usize);
     /// `out[j][r] = Σ A[r, c] · panel[c·KB + j]` for every row `r`;
     /// `out` holds the `KB` output columns, each `rows` long and fully
     /// overwritten.
@@ -126,7 +125,7 @@ pub(crate) trait PanelKernel {
 /// Packs `KB` columns of `x` into the scratch panel and runs the block
 /// kernel into the matching `KB` columns of `y`.
 fn run_block<K: PanelKernel, const KB: usize>(kernel: &K, x: &[f64], y: &mut [f64]) {
-    let (rows, cols) = (kernel.rows(), kernel.cols());
+    let (rows, cols) = kernel.shape();
     with_scratch(cols * KB, |panel| {
         pack::<KB>(x, cols, panel);
         let mut columns = y.chunks_exact_mut(rows);
@@ -138,7 +137,7 @@ fn run_block<K: PanelKernel, const KB: usize>(kernel: &K, x: &[f64], y: &mut [f6
 /// `Y = A·X` for a column-major `cols × k` block `x` into the
 /// column-major `rows × k` block `y` (fully overwritten).
 pub(crate) fn spmm<K: PanelKernel>(kernel: &K, x: &[f64], k: usize, y: &mut [f64]) {
-    let (rows, cols) = (kernel.rows(), kernel.cols());
+    let (rows, cols) = kernel.shape();
     assert_eq!(x.len(), cols * k, "x must be a column-major cols × k block");
     assert_eq!(y.len(), rows * k, "y must be a column-major rows × k block");
     if rows == 0 {
@@ -167,45 +166,15 @@ macro_rules! dispatch_lanes {
     ($lanes:expr, $f:ident::<KB>($($arg:expr),* $(,)?)) => {
         match $lanes {
             LaneWidth::W1 => $f::<1, KB>($($arg),*),
-            LaneWidth::W2 => $f::<2, KB>($($arg),*),
             LaneWidth::W4 => $f::<4, KB>($($arg),*),
             LaneWidth::W8 => $f::<8, KB>($($arg),*),
         }
     };
 }
 
-/// Instantiates `$f::<R, KB>` with `R = 16 / KB` rows per block. Slab
-/// and chunk accumulators map 1:1 to rows, so how many rows move in
-/// lockstep changes no sum and is free to fit the register file:
-/// `R × KB = 16` doubles leave half of baseline x86-64's 16 vector
-/// registers for the gathered panel row. (Blocks as tall as the lane
-/// width — 8 × 8 = 64 accumulators at W8 — spill on every FMA: ELL
-/// measured 1.3× over `k` SpMVs that way, 2.0× this way.)
-macro_rules! dispatch_rows {
-    ($f:ident::<KB>($($arg:expr),* $(,)?)) => {
-        match KB {
-            BLOCK => $f::<2, KB>($($arg),*),
-            _ => $f::<4, KB>($($arg),*),
-        }
-    };
-}
-
-/// CSR row slices (`row_ptr / col_idx / values`).
-pub(crate) struct CsrRows<'a> {
-    /// Lane width whose SpMV order the kernel reproduces.
-    pub lanes: LaneWidth,
-    /// Matrix columns.
-    pub cols: usize,
-    /// Row offsets (`rows + 1`).
-    pub row_ptr: &'a [usize],
-    /// Column of every nonzero.
-    pub col_idx: &'a [u32],
-    /// Value of every nonzero.
-    pub values: &'a [f64],
-}
-
-/// The order of [`dot`]'s `dot_w::<W>`, `KB` right-hand sides at a
-/// time: lane `l` owns products `l, l+W, …` of the full chunks.
+/// The order of [`dot`](super::dot)'s `dot_w::<W>`, `KB` right-hand
+/// sides at a time: lane `l` owns products `l, l+W, …` of the full
+/// chunks.
 fn csr_block_w<const W: usize, const KB: usize>(
     m: &CsrRows<'_>,
     panel: &[f64],
@@ -232,13 +201,63 @@ fn csr_block_w<const W: usize, const KB: usize>(
     }
 }
 
-impl PanelKernel for CsrRows<'_> {
-    fn rows(&self) -> usize {
-        self.row_ptr.len() - 1
+/// Lanes `first .. first + R` of one window of a padded layout, one
+/// slot-sequential accumulator row each — the order of the layout's
+/// SpMV at every width. A SELL chunk's slab is L1-resident, so each
+/// block of `R` lanes strides through its own slots with its
+/// accumulators in registers.
+fn window_lanes<const R: usize, const KB: usize, P: Padded>(
+    m: &P,
+    w: &Window<'_>,
+    first: usize,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) {
+    let mut acc = [[0.0f64; KB]; R];
+    let block = w.block;
+    for j in 0..block.slots {
+        let at = j * block.stride + w.at + first;
+        let (cs, vs) = (&block.cols[at..at + R], &block.vals[at..at + R]);
+        for i in 0..R {
+            fma_row(&mut acc[i], vs[i], panel_row(panel, cs[i]));
+        }
     }
+    for (i, sums) in acc.iter().enumerate() {
+        // The last chunk's padding lanes have no row to write.
+        if let Some(r) = m.row(w.packed + first + i) {
+            for (column, &sum) in out.iter_mut().zip(sums) {
+                column[r] = sum;
+            }
+        }
+    }
+}
 
-    fn cols(&self) -> usize {
-        self.cols
+/// The block kernel of both padded layouts: every window in blocks of
+/// `R = 16 / KB` lanes. Slab and chunk accumulators map 1:1 to rows, so
+/// how many move in lockstep changes no sum and is free to fit the
+/// register file: `R × KB = 16` doubles leave half of baseline x86-64's
+/// 16 vector registers for the gathered panel row. (Blocks as tall as
+/// the lane width — 8 × 8 = 64 accumulators at W8 — spill on every FMA:
+/// ELL measured 1.3× over `k` SpMVs that way, 2.0× this way.)
+fn padded_block<const R: usize, const KB: usize, P: Padded>(
+    m: &P,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) {
+    m.for_windows(0..m.unit_count(), ACC_STACK, |w| {
+        let full = w.lanes - w.lanes % R;
+        for first in (0..full).step_by(R) {
+            window_lanes::<R, KB, P>(m, &w, first, panel, out);
+        }
+        for first in full..w.lanes {
+            window_lanes::<1, KB, P>(m, &w, first, panel, out);
+        }
+    });
+}
+
+impl PanelKernel for CsrRows<'_> {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols)
     }
 
     fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
@@ -246,221 +265,32 @@ impl PanelKernel for CsrRows<'_> {
     }
 
     fn column(&self, x: &[f64], y: &mut [f64]) {
-        let out = DisjointWriter::new(y);
-        dot::csr_spmv_rows(
-            self.lanes,
-            0..self.rows(),
-            self.row_ptr,
-            self.col_idx,
-            self.values,
-            x,
-            &out,
-        );
+        self.run::<false>(0..self.units(), x, &DisjointWriter::new(y));
     }
 }
 
-/// Panel SpMM over a CSR matrix, reproducing the SpMV summation order
-/// of lane width `lanes` per (row, right-hand side) — `W1` is the
-/// order of [`CsrMatrix::spmv_into`]. `x` is a column-major
-/// `cols × k` block, `y` the column-major `rows × k` result (fully
-/// overwritten).
-///
-/// # Panics
-/// Panics if `x` or `y` has the wrong length.
-pub fn csr_spmm(lanes: LaneWidth, csr: &CsrMatrix, x: &[f64], k: usize, y: &mut [f64]) {
-    let rows = CsrRows {
-        lanes,
-        cols: csr.cols(),
-        row_ptr: csr.row_ptr(),
-        col_idx: csr.col_idx(),
-        values: csr.values(),
-    };
-    spmm(&rows, x, k, y);
-}
-
-/// A column-major ELL slab (`width × rows`, entry (r, j) at
-/// `j * rows + r`).
-pub(crate) struct Slab<'a> {
-    /// Lane width of the single-column (SpMV) kernel.
-    pub lanes: LaneWidth,
-    /// Matrix rows.
-    pub rows: usize,
-    /// Matrix columns.
-    pub cols: usize,
-    /// Slots per row.
-    pub width: usize,
-    /// Column of every slot (padding: a column the row already reads).
-    pub col_idx: &'a [u32],
-    /// Value of every slot (padding: 0.0).
-    pub values: &'a [f64],
-}
-
-/// `R` adjacent rows per block, one slot-sequential accumulator row
-/// each — the order of [`slab::slab_spmv_rows`] at every width.
-fn slab_rows<const R: usize, const KB: usize>(
-    m: &Slab<'_>,
-    rows: std::ops::Range<usize>,
-    panel: &[f64],
-    out: &mut [&mut [f64]; KB],
-) {
-    for r in rows.step_by(R) {
-        let mut acc = [[0.0f64; KB]; R];
-        for j in 0..m.width {
-            let base = j * m.rows + r;
-            let (cs, vs) = (&m.col_idx[base..base + R], &m.values[base..base + R]);
-            for i in 0..R {
-                fma_row(&mut acc[i], vs[i], panel_row(panel, cs[i]));
-            }
-        }
-        for (j, column) in out.iter_mut().enumerate() {
-            for i in 0..R {
-                column[r + i] = acc[i][j];
-            }
-        }
-    }
-}
-
-fn slab_block<const R: usize, const KB: usize>(
-    m: &Slab<'_>,
-    panel: &[f64],
-    out: &mut [&mut [f64]; KB],
-) {
-    let full = m.rows - m.rows % R;
-    slab_rows::<R, KB>(m, 0..full, panel, out);
-    slab_rows::<1, KB>(m, full..m.rows, panel, out);
-}
-
-impl PanelKernel for Slab<'_> {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
+/// [`Slab`] and [`SellChunks`].
+impl<P: Padded> PanelKernel for P {
+    fn shape(&self) -> (usize, usize) {
+        Padded::shape(self)
     }
 
     fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
-        dispatch_rows!(slab_block::<KB>(self, panel, &mut out));
+        match KB {
+            BLOCK => padded_block::<2, KB, P>(self, panel, &mut out),
+            _ => padded_block::<4, KB, P>(self, panel, &mut out),
+        }
     }
 
     fn column(&self, x: &[f64], y: &mut [f64]) {
-        let out = DisjointWriter::new(y);
-        slab::slab_spmv_rows(
-            self.lanes,
-            0..self.rows,
-            self.rows,
-            self.width,
-            self.col_idx,
-            self.values,
-            x,
-            &out,
-        );
-    }
-}
-
-/// SELL-C-σ chunk slabs (entry (lane i, slot j) of chunk `n` at
-/// `chunk_ptr[n] + j*C + i`), scattered through `perm`.
-pub(crate) struct SellChunks<'a> {
-    /// Lane width of the single-column (SpMV) kernel.
-    pub lanes: LaneWidth,
-    /// Chunk height C.
-    pub c: usize,
-    /// Matrix rows.
-    pub rows: usize,
-    /// Matrix columns.
-    pub cols: usize,
-    /// `perm[packed position] = original row`.
-    pub perm: &'a [u32],
-    /// Start of each chunk's slab (`chunks + 1`).
-    pub chunk_ptr: &'a [usize],
-    /// Slots per lane of each chunk.
-    pub chunk_width: &'a [u32],
-    /// Column of every slot (padding: a column the row already reads).
-    pub col_idx: &'a [u32],
-    /// Value of every slot (padding: 0.0).
-    pub values: &'a [f64],
-}
-
-/// In-chunk lanes `first .. first + R` of one chunk, walked lane-major:
-/// the chunk's slab is L1-resident, so each block of `R` lanes strides
-/// through its own slots with its accumulators in registers — the
-/// slot-sequential order of [`chunk::sell_spmv_chunks`] per row.
-fn sell_lanes<const R: usize, const KB: usize>(
-    m: &SellChunks<'_>,
-    chunk: usize,
-    first: usize,
-    panel: &[f64],
-    out: &mut [&mut [f64]; KB],
-) {
-    let base = m.chunk_ptr[chunk] + first;
-    let mut acc = [[0.0f64; KB]; R];
-    for j in 0..m.chunk_width[chunk] as usize {
-        let slot = base + j * m.c;
-        let (cs, vs) = (&m.col_idx[slot..slot + R], &m.values[slot..slot + R]);
-        for i in 0..R {
-            fma_row(&mut acc[i], vs[i], panel_row(panel, cs[i]));
-        }
-    }
-    // The last chunk's padding lanes have no row to write.
-    let packed = chunk * m.c + first;
-    for (i, sums) in acc.iter().enumerate().take(m.rows.saturating_sub(packed)) {
-        let r = m.perm[packed + i] as usize;
-        for (column, &sum) in out.iter_mut().zip(sums) {
-            column[r] = sum;
-        }
-    }
-}
-
-fn sell_block<const R: usize, const KB: usize>(
-    m: &SellChunks<'_>,
-    panel: &[f64],
-    out: &mut [&mut [f64]; KB],
-) {
-    let full = m.c - m.c % R;
-    for chunk in 0..m.chunk_width.len() {
-        for first in (0..full).step_by(R) {
-            sell_lanes::<R, KB>(m, chunk, first, panel, out);
-        }
-        for first in full..m.c {
-            sell_lanes::<1, KB>(m, chunk, first, panel, out);
-        }
-    }
-}
-
-impl PanelKernel for SellChunks<'_> {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
-        dispatch_rows!(sell_block::<KB>(self, panel, &mut out));
-    }
-
-    fn column(&self, x: &[f64], y: &mut [f64]) {
-        let out = DisjointWriter::new(y);
-        chunk::sell_spmv_chunks(
-            self.lanes,
-            0..self.chunk_width.len(),
-            self.c,
-            self.rows,
-            self.perm,
-            self.chunk_ptr,
-            self.chunk_width,
-            self.col_idx,
-            self.values,
-            x,
-            &out,
-        );
+        self.run::<false>(0..self.units(), x, &DisjointWriter::new(y));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmv_core::CsrMatrix;
 
     /// `rows × cols` CSR with `per_row` nonzeros per row.
     fn matrix(rows: usize, cols: usize, per_row: usize) -> CsrMatrix {
@@ -505,13 +335,13 @@ mod tests {
         let k = 13; // a block of 8, a block of 4 and one column
         let x = operand(m.cols() * k);
         let mut y = vec![f64::NAN; m.rows() * k];
-        csr_spmm(LaneWidth::W4, &m, &x, k, &mut y);
+        spmm(&CsrRows::of(LaneWidth::W4, &m), &x, k, &mut y);
         let settled = scratch_capacity();
         assert!(settled >= m.cols() * BLOCK, "one block of the panel is resident");
         let first = y.clone();
         for _ in 0..5 {
             y.fill(f64::NAN);
-            csr_spmm(LaneWidth::W4, &m, &x, k, &mut y);
+            spmm(&CsrRows::of(LaneWidth::W4, &m), &x, k, &mut y);
             assert_eq!(scratch_capacity(), settled);
             assert_eq!(y, first);
         }
@@ -519,7 +349,7 @@ mod tests {
         let small = matrix(10, 20, 3);
         let xs = operand(small.cols() * k);
         let mut ys = vec![f64::NAN; small.rows() * k];
-        csr_spmm(LaneWidth::W4, &small, &xs, k, &mut ys);
+        spmm(&CsrRows::of(LaneWidth::W4, &small), &xs, k, &mut ys);
         assert_eq!(scratch_capacity(), settled);
     }
 
@@ -531,7 +361,7 @@ mod tests {
         for k in [1usize, 4, 8, 11] {
             let x = operand(m.cols() * k);
             let mut y = vec![f64::NAN; m.rows() * k];
-            csr_spmm(LaneWidth::W1, &m, &x, k, &mut y);
+            spmm(&CsrRows::of(LaneWidth::W1, &m), &x, k, &mut y);
             for j in 0..k {
                 let want = m.spmv(&x[j * m.cols()..(j + 1) * m.cols()]);
                 assert_eq!(&y[j * m.rows()..(j + 1) * m.rows()], &want[..], "k={k} rhs {j}");

@@ -1,5 +1,5 @@
 //! x86-64 vector implementations of the single-vector lane kernels
-//! (`dot`, `chunk`, `slab`): explicit `vgatherdpd` · `vmulpd` ·
+//! (`dot`, `slab`): explicit `vgatherdpd` · `vmulpd` ·
 //! `vaddpd` microkernels, bit-identical to the scalar-lane bodies they
 //! stand in for. This is the only file of the crate with `unsafe`; the
 //! arithmetic, width and safety contracts are stated once in the
@@ -10,13 +10,14 @@
 //! 32-bit gather index; per instruction set a `Gather` owns the two
 //! masked gather·multiply primitives (`mul4`, `mul8`) and an eight-lane
 //! accumulator `V8`; everything above that — the per-row and per-block
-//! primitives and the three drivers, SpMV and fused dot alike — is
-//! written once in `kernels!` and instantiated inside each
-//! instruction set's `#[target_feature]` scope, so the whole row or
-//! chunk loop is compiled for the vector unit and dispatch happens
-//! once per call, outside it.
+//! primitives and the two drivers (CSR rows, padded-slab windows), SpMV
+//! and fused dot alike — is written once in `kernels!` and instantiated
+//! inside each instruction set's `#[target_feature]` scope, so the
+//! whole row or window loop is compiled for the vector unit and
+//! dispatch happens once per call, outside it.
 
-use super::chunk::{self, ACC_STACK};
+use super::dot::CsrRows;
+use super::slab::{self, Block, Padded, ACC_STACK};
 use super::LaneWidth;
 use core::arch::x86_64::*;
 use spmv_parallel::DisjointWriter;
@@ -92,16 +93,6 @@ impl<'a> Operand<'a> {
 fn gather_limit(len: usize) -> Option<u32> {
     let limit = u32::try_from(len.checked_sub(1)?).ok()?;
     (limit <= i32::MAX as u32).then_some(limit)
-}
-
-/// A column-major block of `slots` slot rows: lane `i` of slot `j`
-/// lives at `j * stride + i` (a SELL chunk: `stride = C`; an ELL slab:
-/// `stride = rows`).
-struct Slab<'a> {
-    cols: &'a [u32],
-    vals: &'a [f64],
-    stride: usize,
-    slots: usize,
 }
 
 /// The `N` entries from `at` on — range-checked, so a load through the
@@ -219,7 +210,7 @@ macro_rules! kernels {
             /// once, whole cache lines at a time, not once per block.
             #[inline]
             #[target_feature(enable = $features)]
-            fn lanes8<const N: usize>(&mut self, slab: &Slab<'_>, at: usize) -> [[f64; 8]; N] {
+            fn lanes8<const N: usize>(&mut self, slab: &Block<'_>, at: usize) -> [[f64; 8]; N] {
                 let mut acc = [V8::zero(); N];
                 for slot in 0..slab.slots {
                     let mut p = slot * slab.stride + at;
@@ -238,7 +229,7 @@ macro_rules! kernels {
             /// Four adjacent lanes of a slab.
             #[inline]
             #[target_feature(enable = $features)]
-            fn lanes4(&mut self, slab: &Slab<'_>, at: usize) -> [f64; 4] {
+            fn lanes4(&mut self, slab: &Block<'_>, at: usize) -> [f64; 4] {
                 let mut acc = _mm256_setzero_pd();
                 for slot in 0..slab.slots {
                     let p = slot * slab.stride + at;
@@ -247,12 +238,12 @@ macro_rules! kernels {
                 store4(acc)
             }
 
-            /// `acc[i]` = lane `from + i` of the slab: blocks of 16, one
-            /// of 8, one of 4, scalar lanes for the rest. Each lane is
-            /// its own slot-sequential sum, so the blocking is invisible
-            /// in the result.
+            /// `Block::sums` on the vector unit: blocks of 16, one of 8,
+            /// one of 4, scalar lanes for the rest. Each lane is its own
+            /// slot-sequential sum, so the blocking is invisible in the
+            /// result.
             #[target_feature(enable = $features)]
-            fn lanes(&mut self, slab: &Slab<'_>, from: usize, acc: &mut [f64]) {
+            fn lanes(&mut self, slab: &Block<'_>, from: usize, acc: &mut [f64]) {
                 let (blocks16, rest) = acc.as_chunks_mut::<16>();
                 let (blocks8, rest) = rest.as_chunks_mut::<8>();
                 let (blocks4, singles) = rest.as_chunks_mut::<4>();
@@ -280,21 +271,18 @@ macro_rules! kernels {
             }
         }
 
-        /// `dot::csr_rows_w::<4 or 8, DOT>` on the vector unit.
+        /// `CsrRows::run_w::<4 or 8, DOT>` on the vector unit.
         #[target_feature(enable = $features)]
         pub(super) fn csr_rows<const W8: bool, const DOT: bool>(
             operand: Operand<'_>,
+            m: &CsrRows<'_>,
             rows: Range<usize>,
-            row_ptr: &[usize],
-            col_idx: &[u32],
-            values: &[f64],
             out: &DisjointWriter<'_>,
         ) -> f64 {
             let mut gather = Gather::new(operand);
             let mut partial = 0.0;
             for r in rows {
-                let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-                let (cols, vals) = (&col_idx[lo..hi], &values[lo..hi]);
+                let (cols, vals) = m.row(r);
                 let yr = if W8 { gather.dot8(cols, vals) } else { gather.dot4(cols, vals) };
                 out.write(r, yr);
                 if DOT {
@@ -305,66 +293,24 @@ macro_rules! kernels {
             partial
         }
 
-        /// `chunk::sell_chunks_w::<_, DOT>` on the vector unit
-        /// (`c ≤ ACC_STACK`).
-        #[allow(clippy::too_many_arguments)]
+        /// `slab::run_scalar::<DOT, P>` on the vector unit: the lanes of
+        /// a window are computed blockwise into a stack buffer, then
+        /// written (and dotted) in packed order.
         #[target_feature(enable = $features)]
-        pub(super) fn sell_chunks<const DOT: bool>(
+        pub(super) fn windows<const DOT: bool, P: Padded>(
             operand: Operand<'_>,
-            chunks: Range<usize>,
-            c: usize,
-            total_rows: usize,
-            perm: &[u32],
-            chunk_ptr: &[usize],
-            chunk_width: &[u32],
-            col_idx: &[u32],
-            values: &[f64],
+            layout: &P,
+            units: Range<usize>,
             out: &DisjointWriter<'_>,
         ) -> f64 {
             let mut gather = Gather::new(operand);
             let mut stack = [0.0f64; ACC_STACK];
-            let acc = &mut stack[..c];
             let mut partial = 0.0;
-            for k in chunks {
-                let slots = chunk_width[k] as usize;
-                let (lo, hi) = (chunk_ptr[k], chunk_ptr[k] + slots * c);
-                let slab = Slab { cols: &col_idx[lo..hi], vals: &values[lo..hi], stride: c, slots };
-                gather.lanes(&slab, 0, acc);
-                chunk::scatter::<DOT>(k, total_rows, perm, acc, operand.x, out, &mut partial);
-            }
-            gather.finish();
-            partial
-        }
-
-        /// `slab::slab_rows_w::<_, DOT>` on the vector unit.
-        #[target_feature(enable = $features)]
-        pub(super) fn slab_rows<const DOT: bool>(
-            operand: Operand<'_>,
-            rows: Range<usize>,
-            total_rows: usize,
-            width: usize,
-            col_idx: &[u32],
-            values: &[f64],
-            out: &DisjointWriter<'_>,
-        ) -> f64 {
-            let mut gather = Gather::new(operand);
-            let slab = Slab { cols: col_idx, vals: values, stride: total_rows, slots: width };
-            let mut partial = 0.0;
-            // A stack buffer of rows at a time: the lanes are computed
-            // blockwise, then written (and dotted) in ascending row order.
-            let mut stack = [0.0f64; ACC_STACK];
-            let mut r = rows.start;
-            while r < rows.end {
-                let acc = &mut stack[..ACC_STACK.min(rows.end - r)];
-                gather.lanes(&slab, r, acc);
-                for &a in acc.iter() {
-                    out.write(r, a);
-                    if DOT {
-                        partial += operand.x[r] * a;
-                    }
-                    r += 1;
-                }
-            }
+            layout.for_windows(units, ACC_STACK, |w| {
+                let acc = &mut stack[..w.lanes];
+                gather.lanes(w.block, w.at, acc);
+                slab::scatter::<DOT, P>(layout, w.packed, acc, operand.x, out, &mut partial);
+            });
             gather.finish();
             partial
         }
@@ -596,100 +542,51 @@ macro_rules! on_isa {
 
 /// CSR rows at W4 (256-bit) or W8 (512-bit, 2 × 256 on AVX2): the fused
 /// dot partial (0.0 for plain SpMV), or `None` when the caller must run
-/// the scalar-lane body — W1/W2, a scalar host, or an `x` no gather can
+/// the scalar-lane body — W1, a scalar host, or an `x` no gather can
 /// index.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn csr_rows<const DOT: bool>(
     isa: Isa,
-    width: LaneWidth,
+    m: &CsrRows<'_>,
     rows: Range<usize>,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
     x: &[f64],
     out: &DisjointWriter<'_>,
 ) -> Option<f64> {
-    let w8 = match width {
-        LaneWidth::W1 | LaneWidth::W2 => return None,
+    let w8 = match m.lanes {
+        LaneWidth::W1 => return None,
         LaneWidth::W4 => false,
         LaneWidth::W8 => true,
     };
     let x = Operand::new(x)?;
     if w8 {
-        on_isa!(isa, csr_rows::<true, DOT>(x, rows, row_ptr, col_idx, values, out))
+        on_isa!(isa, csr_rows::<true, DOT>(x, m, rows, out))
     } else {
-        on_isa!(isa, csr_rows::<false, DOT>(x, rows, row_ptr, col_idx, values, out))
+        on_isa!(isa, csr_rows::<false, DOT>(x, m, rows, out))
     }
 }
 
-/// SELL-C-σ chunks at any W > 1, on the widest unit the host has; the
-/// fused dot partial, or `None` when the caller must run the scalar
-/// body.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn sell_chunks<const DOT: bool>(
+/// The windows of a padded layout at any W > 1, on the widest unit the
+/// host has; the fused dot partial, or `None` when the caller must run
+/// the scalar body.
+pub(super) fn windows<const DOT: bool, P: Padded>(
     isa: Isa,
-    lanes: LaneWidth,
-    chunks: Range<usize>,
-    c: usize,
-    total_rows: usize,
-    perm: &[u32],
-    chunk_ptr: &[usize],
-    chunk_width: &[u32],
-    col_idx: &[u32],
-    values: &[f64],
+    layout: &P,
+    units: Range<usize>,
     x: &[f64],
     out: &DisjointWriter<'_>,
 ) -> Option<f64> {
-    // Taller chunks than the stack accumulator are the scalar body's.
-    if lanes == LaneWidth::W1 || c > ACC_STACK {
+    if layout.lane_width() == LaneWidth::W1 {
         return None;
     }
     let x = Operand::new(x)?;
-    on_isa!(
-        isa,
-        sell_chunks::<DOT>(
-            x,
-            chunks,
-            c,
-            total_rows,
-            perm,
-            chunk_ptr,
-            chunk_width,
-            col_idx,
-            values,
-            out
-        )
-    )
-}
-
-/// ELL slab rows at any W > 1, on the widest unit the host has; the
-/// fused dot partial, or `None` when the caller must run the scalar
-/// body.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn slab_rows<const DOT: bool>(
-    isa: Isa,
-    lanes: LaneWidth,
-    rows: Range<usize>,
-    total_rows: usize,
-    width: usize,
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) -> Option<f64> {
-    if lanes == LaneWidth::W1 {
-        return None;
-    }
-    let x = Operand::new(x)?;
-    on_isa!(isa, slab_rows::<DOT>(x, rows, total_rows, width, col_idx, values, out))
+    on_isa!(isa, windows::<DOT, P>(x, layout, units, out))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{dot, slab};
+    use super::super::slab::{SellChunks, Slab};
     use super::*;
 
-    const WIDE: [LaneWidth; 3] = [LaneWidth::W2, LaneWidth::W4, LaneWidth::W8];
+    const WIDE: [LaneWidth; 2] = [LaneWidth::W4, LaneWidth::W8];
 
     fn operand(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0 + 0.1).collect()
@@ -761,37 +658,17 @@ mod tests {
             row_ptr.push(cols.len());
         }
         let x = operand(n);
-        let want4 =
-            flavours!(n, |o| Some(dot::csr_rows_w::<4, DOT>(0..n, &row_ptr, &cols, &vals, &x, o)));
-        let want8 =
-            flavours!(n, |o| Some(dot::csr_rows_w::<8, DOT>(0..n, &row_ptr, &cols, &vals, &x, o)));
+        let at =
+            |lanes| CsrRows { lanes, cols: n, row_ptr: &row_ptr, col_idx: &cols, values: &vals };
+        let want4 = flavours!(n, |o| Some(at(LaneWidth::W4).run_w::<4, DOT>(0..n, &x, o)));
+        let want8 = flavours!(n, |o| Some(at(LaneWidth::W8).run_w::<8, DOT>(0..n, &x, o)));
         for isa in Isa::offered() {
             for (width, want) in [(LaneWidth::W4, &want4), (LaneWidth::W8, &want8)] {
-                let got = flavours!(n, |o| csr_rows::<DOT>(
-                    isa,
-                    width,
-                    0..n,
-                    &row_ptr,
-                    &cols,
-                    &vals,
-                    &x,
-                    o
-                ));
+                let got = flavours!(n, |o| csr_rows::<DOT>(isa, &at(width), 0..n, &x, o));
                 judge(isa, got, want, &format!("{isa:?} {width:?}"));
             }
-            for width in [LaneWidth::W1, LaneWidth::W2] {
-                let got = flavours!(n, |o| csr_rows::<DOT>(
-                    isa,
-                    width,
-                    0..n,
-                    &row_ptr,
-                    &cols,
-                    &vals,
-                    &x,
-                    o
-                ));
-                assert_eq!(got, [None, None], "{isa:?}: {width:?} is the scalar body's");
-            }
+            let got = flavours!(n, |o| csr_rows::<DOT>(isa, &at(LaneWidth::W1), 0..n, &x, o));
+            assert_eq!(got, [None, None], "{isa:?}: W1 is the scalar body's");
         }
     }
 
@@ -821,34 +698,27 @@ mod tests {
                 ptr.push(cols.len());
             }
             let chunks = 0..widths.len();
-            let want = flavours!(n, |o| Some(chunk::sell_chunks_w::<1, DOT>(
-                chunks.clone(),
+            let at = |lanes| SellChunks {
+                lanes,
                 c,
-                n,
-                &perm,
-                &ptr,
-                &widths,
-                &cols,
-                &vals,
+                rows: n,
+                cols: n,
+                perm: &perm,
+                chunk_ptr: &ptr,
+                chunk_width: &widths,
+                col_idx: &cols,
+                values: &vals,
+            };
+            let want = flavours!(n, |o| Some(slab::run_scalar::<DOT, _>(
+                &at(LaneWidth::W1),
+                chunks.clone(),
                 &x,
                 o
             )));
             for isa in Isa::offered() {
                 for lanes in WIDE {
-                    let got = flavours!(n, |o| sell_chunks::<DOT>(
-                        isa,
-                        lanes,
-                        chunks.clone(),
-                        c,
-                        n,
-                        &perm,
-                        &ptr,
-                        &widths,
-                        &cols,
-                        &vals,
-                        &x,
-                        o
-                    ));
+                    let got =
+                        flavours!(n, |o| windows::<DOT, _>(isa, &at(lanes), chunks.clone(), &x, o));
                     judge(isa, got, &want, &format!("{isa:?} {lanes:?} C={c}"));
                 }
             }
@@ -865,26 +735,20 @@ mod tests {
             let x = operand(n);
             let cols: Vec<u32> = (0..width * n).map(|p| ((p * 7 + 3) % n) as u32).collect();
             let vals: Vec<f64> = (0..width * n).map(|p| (p % 11) as f64 * 0.5 - 2.0).collect();
+            let at = |lanes| Slab { lanes, rows: n, cols: n, width, col_idx: &cols, values: &vals };
             for rows in [0..n, n / 3..n, 0..n / 2] {
-                let want = flavours!(n, |o| Some(slab::slab_rows_w::<1, DOT>(
+                let want = flavours!(n, |o| Some(slab::run_scalar::<DOT, _>(
+                    &at(LaneWidth::W1),
                     rows.clone(),
-                    n,
-                    width,
-                    &cols,
-                    &vals,
                     &x,
                     o
                 )));
                 for isa in Isa::offered() {
                     for lanes in WIDE {
-                        let got = flavours!(n, |o| slab_rows::<DOT>(
+                        let got = flavours!(n, |o| windows::<DOT, _>(
                             isa,
-                            lanes,
+                            &at(lanes),
                             rows.clone(),
-                            n,
-                            width,
-                            &cols,
-                            &vals,
                             &x,
                             o
                         ));
@@ -924,34 +788,47 @@ mod tests {
                         for len in [n, n - 1] {
                             let hit = panics(move |o| {
                                 let row_ptr = [0, len];
-                                csr_rows::<false>(isa, w, 0..1, &row_ptr, cols, vals, x, o);
+                                let row = CsrRows {
+                                    lanes: w,
+                                    cols: n,
+                                    row_ptr: &row_ptr,
+                                    col_idx: cols,
+                                    values: vals,
+                                };
+                                csr_rows::<false>(isa, &row, 0..1, x, o);
                             });
                             assert_eq!(hit, bad_at < len, "csr {isa:?} {w:?} len {len}: {ctx}");
                         }
                     }
                     assert!(
                         panics(move |o| {
-                            slab_rows::<true>(isa, LaneWidth::W2, 0..n, n, 1, cols, vals, x, o);
+                            let ell = Slab {
+                                lanes: LaneWidth::W4,
+                                rows: n,
+                                cols: n,
+                                width: 1,
+                                col_idx: cols,
+                                values: vals,
+                            };
+                            windows::<true, _>(isa, &ell, 0..n, x, o);
                         }),
                         "slab {isa:?}: {ctx}"
                     );
                     assert!(
                         panics(move |o| {
                             let (ptr, slots) = ([0, 24], [2]);
-                            sell_chunks::<false>(
-                                isa,
-                                LaneWidth::W8,
-                                0..1,
-                                12,
-                                12,
+                            let sell = SellChunks {
+                                lanes: LaneWidth::W8,
+                                c: 12,
+                                rows: 12,
+                                cols: n,
                                 perm,
-                                &ptr,
-                                &slots,
-                                cols,
-                                vals,
-                                x,
-                                o,
-                            );
+                                chunk_ptr: &ptr,
+                                chunk_width: &slots,
+                                col_idx: cols,
+                                values: vals,
+                            };
+                            windows::<false, _>(isa, &sell, 0..1, x, o);
                         }),
                         "sell {isa:?}: {ctx}"
                     );

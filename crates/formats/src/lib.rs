@@ -25,12 +25,16 @@
 //!
 //! The SIMD-style inner loops of the CSR variants, ELL, HYB and
 //! SELL-C-σ are not written per format: they live once in [`kernels`]
-//! as width-generic lane microkernels (gather-dot, dense slab, sliced
-//! chunk), instantiated at lane widths 1/2/4/8 and dispatched once per
-//! matrix from a [`kernels::LaneProfile`] chosen at startup (the
-//! `SPMV_LANES` environment variable overrides the probed default).
-//! The multi-vector (`spmm`) kernels of the CSR family, ELL, SELL-C-σ
-//! and SparseX are the row-major panel kernels of [`kernels::panel`].
+//! as lane kernels over two layouts — gather-dot over CSR rows, and one
+//! slot-sequential sum per lane of a strided padded slab (ELL: stride =
+//! rows; SELL-C-σ: stride = C) — run at lane widths 1/4/8 and
+//! dispatched once per matrix from a [`kernels::LaneProfile`] chosen at
+//! startup (the `SPMV_LANES` environment variable overrides the probed
+//! default). A format hands the kernels a borrowed [`kernels::View`] of
+//! its arrays; the single-vector [`SparseFormat`] methods of those
+//! formats are one shared driver over that view. The multi-vector
+//! (`spmm`) kernels of the CSR family, ELL, SELL-C-σ and SparseX are
+//! the row-major panel kernels of [`kernels::panel`].
 //!
 //! Every format implements [`SparseFormat`]: conversion from CSR,
 //! sequential SpMV, parallel SpMV over a [`spmv_parallel::ThreadPool`],
@@ -48,6 +52,7 @@ pub mod bcsr;
 pub mod coo;
 pub mod csr;
 pub mod dia;
+mod driver;
 pub mod ell;
 pub mod hyb;
 pub mod kernels;
@@ -63,4 +68,4 @@ pub use registry::{
     build_format, build_format_with, build_with_fallback, build_with_fallback_profile, FormatKind,
 };
 pub use traits::{FormatBuildError, SparseFormat};
-pub use wire::{deserialize_from, SectionReader, SectionWriter, WireError};
+pub use wire::{deserialize_from, deserialize_from_with, SectionReader, SectionWriter, WireError};

@@ -77,8 +77,10 @@ impl FormatKind {
     ];
 
     /// The formats whose single-vector inner loops live in the shared
-    /// lane-kernel layer ([`crate::kernels`]: `dot`, `slab`, `chunk`) —
-    /// the ones a [`LaneProfile`] changes the code of.
+    /// lane-kernel layer ([`crate::kernels`]: CSR rows in `dot`, ELL's
+    /// and SELL's padded slabs in `slab`) — the ones that build a
+    /// [`crate::kernels::View`] and a [`LaneProfile`] changes the code
+    /// of.
     pub const KERNEL_LAYER: [FormatKind; 8] = [
         FormatKind::NaiveCsr,
         FormatKind::VectorizedCsr,

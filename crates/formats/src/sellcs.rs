@@ -10,21 +10,27 @@
 //! default C = 8 ("SELL-C-s"), the registry exposes pinned C = 4
 //! ("SELL-4-s") and C = 16 ("SELL-16-s") variants so the selector can
 //! learn which chunk width suits a matrix class on a given device.
-//! The inner loops live in [`crate::kernels::chunk`] (lane-blocked,
-//! bit-identical across lane widths).
+//! The inner loops live in [`crate::kernels::slab`] (bit-identical
+//! across lane widths), reached through the format's [`SellChunks`]
+//! view — ELL's window kernel at stride C.
 
-use crate::kernels::{chunk, panel, LaneProfile, LaneWidth};
+use crate::driver;
+use crate::kernels::slab::SellChunks;
+use crate::kernels::{panel, LaneProfile, LaneWidth};
 use crate::traits::SparseFormat;
 use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
-use spmv_parallel::{DisjointWriter, Executor, Schedule, ThreadPool};
+use spmv_parallel::ThreadPool;
 
 /// Decodes a SELL-C-σ wire payload. Beyond chunk geometry, `perm`
 /// must be a *bijection* on `0..rows`: the scatter kernel writes
 /// `y[perm[p]]` through a [`DisjointWriter`], so a duplicated entry
 /// would alias two lanes onto one row — a data race under the
 /// parallel schedule, not just a wrong answer.
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<SellCSigmaFormat, WireError> {
+pub(crate) fn decode(
+    r: &mut SectionReader<'_>,
+    profile: LaneProfile,
+) -> Result<SellCSigmaFormat, WireError> {
     let malformed = |m: String| WireError::Malformed(m);
     let rows = r.dim()?;
     let cols = r.dim()?;
@@ -103,7 +109,7 @@ pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<SellCSigmaFormat, Wire
         chunk_width,
         col_idx,
         values,
-        lanes: LaneProfile::current().width,
+        lanes: profile.width,
     })
 }
 
@@ -396,20 +402,18 @@ impl SellCSigmaFormat {
         self.lanes
     }
 
-    fn spmv_chunks(&self, chunks: std::ops::Range<usize>, x: &[f64], out: &DisjointWriter<'_>) {
-        chunk::sell_spmv_chunks(
-            self.lanes,
-            chunks,
-            self.c,
-            self.rows,
-            &self.perm,
-            &self.chunk_ptr,
-            &self.chunk_width,
-            &self.col_idx,
-            &self.values,
-            x,
-            out,
-        );
+    fn view(&self) -> SellChunks<'_> {
+        SellChunks {
+            lanes: self.lanes,
+            c: self.c,
+            rows: self.rows,
+            cols: self.cols,
+            perm: &self.perm,
+            chunk_ptr: &self.chunk_ptr,
+            chunk_width: &self.chunk_width,
+            col_idx: &self.col_idx,
+            values: &self.values,
+        }
     }
 }
 
@@ -454,10 +458,7 @@ impl SparseFormat for SellCSigmaFormat {
     }
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        let out = DisjointWriter::new(y);
-        self.spmv_chunks(0..self.chunk_width.len(), x, &out);
+        driver::spmv(&self.view(), x, y);
     }
 
     fn encode_payload(&self, out: &mut SectionWriter) {
@@ -474,76 +475,21 @@ impl SparseFormat for SellCSigmaFormat {
     }
 
     fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        // Chunks own disjoint packed rows, so a chunk partition is a
-        // disjoint row partition (via the injective `perm`). Balance by
-        // stored entries using the chunk pointer as the weight prefix.
-        Executor::new(pool).run_disjoint(
-            Schedule::Balanced { prefix: &self.chunk_ptr },
-            y,
-            |chunks, out| self.spmv_chunks(chunks, x, out),
-        );
+        let chunks = self.view();
+        driver::spmv_parallel(&chunks, chunks.schedule(), pool, x, y);
     }
 
     fn spmv_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
-        assert_eq!(self.rows, self.cols, "spmv_dot requires a square matrix");
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        let out = DisjointWriter::new(y);
-        chunk::sell_spmv_dot_chunks(
-            self.lanes,
-            0..self.chunk_width.len(),
-            self.c,
-            self.rows,
-            &self.perm,
-            &self.chunk_ptr,
-            &self.chunk_width,
-            &self.col_idx,
-            &self.values,
-            x,
-            &out,
-        )
+        driver::spmv_dot(&self.view(), x, y)
     }
 
     fn spmv_dot_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) -> f64 {
-        assert_eq!(self.rows, self.cols, "spmv_dot requires a square matrix");
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        Executor::new(pool).run_disjoint_reduce(
-            Schedule::Balanced { prefix: &self.chunk_ptr },
-            y,
-            |chunks, out| {
-                chunk::sell_spmv_dot_chunks(
-                    self.lanes,
-                    chunks,
-                    self.c,
-                    self.rows,
-                    &self.perm,
-                    &self.chunk_ptr,
-                    &self.chunk_width,
-                    &self.col_idx,
-                    &self.values,
-                    x,
-                    out,
-                )
-            },
-        )
+        let chunks = self.view();
+        driver::spmv_dot_parallel(&chunks, chunks.schedule(), pool, x, y)
     }
 
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        let chunks = panel::SellChunks {
-            lanes: self.lanes,
-            c: self.c,
-            rows: self.rows,
-            cols: self.cols,
-            perm: &self.perm,
-            chunk_ptr: &self.chunk_ptr,
-            chunk_width: &self.chunk_width,
-            col_idx: &self.col_idx,
-            values: &self.values,
-        };
-        panel::spmm(&chunks, x, k, y);
+        panel::spmm(&self.view(), x, k, y);
     }
 }
 
@@ -681,7 +627,7 @@ mod tests {
         for c in [4usize, 8, 16] {
             let scalar = SellCSigmaFormat::from_csr_with_profile(&m, c, 32, LaneProfile::scalar());
             let want = scalar.spmv_alloc(&x);
-            for width in [LaneWidth::W2, LaneWidth::W4, LaneWidth::W8] {
+            for width in [LaneWidth::W4, LaneWidth::W8] {
                 let f = SellCSigmaFormat::from_csr_with_profile(
                     &m,
                     c,

@@ -349,12 +349,8 @@ impl SparseFormat for SparseXFormat {
 /// every nonzero feeds `KB` right-hand sides, with the single
 /// sequential accumulator per (row, rhs) that `spmv_rows` uses.
 impl PanelKernel for SparseXFormat {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
+    fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
     }
 
     fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {

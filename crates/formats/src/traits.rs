@@ -108,11 +108,11 @@ pub trait SparseFormat: Send + Sync {
     /// [`SparseFormat::spmv_with_scratch`], one shared scratch buffer
     /// per batch) and amortizes nothing; COO, HYB, DIA, BCSR and VSL
     /// keep it. The CSR family (all five kinds of
-    /// [`crate::csr::CsrFormat`]), ELL, SELL-C-σ and SparseX override
-    /// it with the panel kernels of
-    /// [`crate::kernels::panel`], which pack `x` row-major once per
-    /// call (into a per-thread reusable scratch) and stream the matrix
-    /// once per 8 right-hand sides. Measured ratios against `k` SpMVs
+    /// [`crate::csr::CsrFormat`]), ELL and SELL-C-σ (each through the
+    /// kernel view it also runs `spmv` on) and SparseX override it with
+    /// the panel kernels of [`crate::kernels::panel`], which pack `x`
+    /// row-major once per call (into a per-thread reusable scratch) and
+    /// stream the matrix once per 8 right-hand sides. Measured ratios against `k` SpMVs
     /// are in `BENCH_spmm.json` at the repository root.
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
         let (rows, cols) = (self.rows(), self.cols());

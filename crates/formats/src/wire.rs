@@ -26,6 +26,7 @@
 //! on (index bounds, pointer monotonicity, permutation validity) is
 //! re-validated on the way in. No `unsafe` anywhere on this path.
 
+use crate::kernels::LaneProfile;
 use crate::registry::FormatKind;
 use crate::traits::SparseFormat;
 use spmv_core::{xxh64, CsrMatrix};
@@ -400,7 +401,22 @@ fn read_exact_or_truncated(r: &mut dyn Read, buf: &mut [u8]) -> Result<(), WireE
 /// arrive, so a hostile length yields [`WireError::Truncated`] instead
 /// of a pre-allocation OOM. The checksum is verified before any
 /// structural decoding.
+///
+/// The rebuilt format's kernels run at the process-wide
+/// [`LaneProfile::current`]; [`deserialize_from_with`] takes the
+/// profile explicitly.
 pub fn deserialize_from(r: &mut dyn Read) -> Result<Box<dyn SparseFormat>, WireError> {
+    deserialize_from_with(r, LaneProfile::current())
+}
+
+/// [`deserialize_from`] with an explicit lane profile — the hook the
+/// engine uses so a restored conversion runs at the engine's resolved
+/// width, like one it built with
+/// [`build_format_with`](crate::registry::build_format_with).
+pub fn deserialize_from_with(
+    r: &mut dyn Read,
+    profile: LaneProfile,
+) -> Result<Box<dyn SparseFormat>, WireError> {
     let mut head = [0u8; 17];
     read_exact_or_truncated(r, &mut head)?;
     if head[..8] != FORMAT_MAGIC {
@@ -422,7 +438,7 @@ pub fn deserialize_from(r: &mut dyn Read) -> Result<Box<dyn SparseFormat>, WireE
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
     let mut payload = SectionReader::new(&body[17..]);
-    let fmt = decode_payload(kind, &mut payload)?;
+    let fmt = decode_payload(kind, &mut payload, profile)?;
     payload.finish()?;
     Ok(fmt)
 }
@@ -430,28 +446,30 @@ pub fn deserialize_from(r: &mut dyn Read) -> Result<Box<dyn SparseFormat>, WireE
 fn decode_payload(
     kind: FormatKind,
     r: &mut SectionReader<'_>,
+    profile: LaneProfile,
 ) -> Result<Box<dyn SparseFormat>, WireError> {
     use crate::csr::CsrVariant;
+    let csr_family = |r, variant| crate::csr::decode(r, variant, profile);
     Ok(match kind {
-        FormatKind::NaiveCsr => Box::new(crate::csr::decode(r, CsrVariant::Naive)?),
-        FormatKind::VectorizedCsr => Box::new(crate::csr::decode(r, CsrVariant::Vectorized)?),
-        FormatKind::BalancedCsr => Box::new(crate::csr::decode(r, CsrVariant::Balanced)?),
+        FormatKind::NaiveCsr => Box::new(csr_family(r, CsrVariant::Naive)?),
+        FormatKind::VectorizedCsr => Box::new(csr_family(r, CsrVariant::Vectorized)?),
+        FormatKind::BalancedCsr => Box::new(csr_family(r, CsrVariant::Balanced)?),
         FormatKind::Coo => Box::new(crate::coo::decode(r)?),
         FormatKind::Dia => Box::new(crate::dia::decode(r)?),
         FormatKind::Bcsr => Box::new(crate::bcsr::decode(r)?),
-        FormatKind::Ell => Box::new(crate::ell::decode(r)?),
-        FormatKind::Hyb => Box::new(crate::hyb::decode(r)?),
-        FormatKind::SellCSigma => Box::new(crate::sellcs::decode(r)?),
-        FormatKind::Csr5 => Box::new(crate::csr::decode(r, CsrVariant::Tiles)?),
-        FormatKind::MergeCsr => Box::new(crate::csr::decode(r, CsrVariant::MergePath)?),
+        FormatKind::Ell => Box::new(crate::ell::decode(r, profile)?),
+        FormatKind::Hyb => Box::new(crate::hyb::decode(r, profile)?),
+        FormatKind::SellCSigma => Box::new(crate::sellcs::decode(r, profile)?),
+        FormatKind::Csr5 => Box::new(csr_family(r, CsrVariant::Tiles)?),
+        FormatKind::MergeCsr => Box::new(csr_family(r, CsrVariant::MergePath)?),
         FormatKind::SparseX => Box::new(crate::sparsex::decode(r)?),
         FormatKind::Vsl => Box::new(crate::vsl::decode(r)?),
         // The chunk-width variants share SELL-C-σ's payload layout but
         // their tag pins C; a payload whose stored C disagrees with its
         // tag was tampered with or mis-labelled. (The legacy SellCSigma
         // tag stays permissive for pre-variant snapshots.)
-        FormatKind::SellC4 => Box::new(decode_sell_pinned(r, 4)?),
-        FormatKind::SellC16 => Box::new(decode_sell_pinned(r, 16)?),
+        FormatKind::SellC4 => Box::new(decode_sell_pinned(r, 4, profile)?),
+        FormatKind::SellC16 => Box::new(decode_sell_pinned(r, 16, profile)?),
     })
 }
 
@@ -459,8 +477,9 @@ fn decode_payload(
 fn decode_sell_pinned(
     r: &mut SectionReader<'_>,
     c: usize,
+    profile: LaneProfile,
 ) -> Result<crate::sellcs::SellCSigmaFormat, WireError> {
-    let f = crate::sellcs::decode(r)?;
+    let f = crate::sellcs::decode(r, profile)?;
     if f.c() != c {
         return Err(malformed(format!("SELL chunk width {} under a C={c} wire tag", f.c())));
     }

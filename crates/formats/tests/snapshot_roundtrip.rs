@@ -7,7 +7,8 @@
 
 use proptest::prelude::*;
 use spmv_core::CsrMatrix;
-use spmv_formats::{build_format, deserialize_from, FormatKind, WireError};
+use spmv_formats::ell::EllFormat;
+use spmv_formats::{build_format, deserialize_from, FormatKind, SparseFormat, WireError};
 use std::collections::BTreeMap;
 
 /// Random sparse matrices from raw (row, col, value) triplets, with
@@ -127,19 +128,31 @@ fn fixed_67() -> CsrMatrix {
 // The CSR family's wire bytes do not depend on who owns the arrays or
 // which type encodes them: digests of the full envelope, from when each
 // of Merge-CSR and CSR5 was a struct with a private copy of the arrays.
+// Likewise the padded formats': from when ELL and HYB each spelled out
+// their own slab (captured on issue 24's parent commit).
 #[test]
 fn csr_family_wire_bytes_are_pinned() {
     let m = fixed_67();
-    let pinned: [(FormatKind, usize, u64); 5] = [
+    let pinned: [(FormatKind, usize, u64); 10] = [
         (FormatKind::NaiveCsr, 3861, 0xa9af51a851b7856c),
         (FormatKind::VectorizedCsr, 3861, 0x3e99683c91460aa0),
         (FormatKind::BalancedCsr, 3861, 0xfe2025e7fbdafa1e),
         (FormatKind::Csr5, 3869, 0x51c37542a2e7e73e),
         (FormatKind::MergeCsr, 3861, 0xfe955bd90e4931a9),
+        (FormatKind::Ell, 53941, 0x71b087fa1c922b70),
+        (FormatKind::Hyb, 5277, 0x3f4e3409d969db83),
+        (FormatKind::SellC4, 6153, 0x1df600f0a3fc4d24),
+        (FormatKind::SellCSigma, 9129, 0xe24d8b38e0bff7e2),
+        (FormatKind::SellC16, 15225, 0xecf093f5e84c6137),
     ];
     for (kind, len, digest) in pinned {
         let mut blob = Vec::new();
-        build_format(kind, &m).unwrap().serialize_into(&mut blob).unwrap();
+        let built: Box<dyn SparseFormat> = match kind {
+            // The hot row is past the registry's padding budget.
+            FormatKind::Ell => Box::new(EllFormat::from_csr_with_budget(&m, 64.0).unwrap()),
+            _ => build_format(kind, &m).unwrap(),
+        };
+        built.serialize_into(&mut blob).unwrap();
         let got = (blob.len(), spmv_core::xxh64(&blob, 0));
         assert_eq!(got, (len, digest), "{} envelope moved: {:#018x}", kind.name(), got.1);
     }

@@ -24,7 +24,9 @@
 //! thread override sizes the pool `spmv_parallel` runs on.
 
 use spmv_core::CsrMatrix;
-use spmv_formats::kernels::{chunk, dot, slab};
+use spmv_formats::kernels::dot::CsrRows;
+use spmv_formats::kernels::slab::{SellChunks, Slab};
+use spmv_formats::kernels::View;
 use spmv_formats::{build_format_with, FormatBuildError, FormatKind, LaneProfile, LaneWidth};
 use spmv_parallel::{DisjointWriter, ThreadPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -268,62 +270,66 @@ fn an_out_of_range_column_panics_on_every_width_wherever_it_sits() {
                 // One CSR row of 24 (whole blocks) or 23 (a tail).
                 for len in [n, n - 1] {
                     let row_ptr = [0, len];
+                    let row = CsrRows {
+                        lanes: width,
+                        cols: n,
+                        row_ptr: &row_ptr,
+                        col_idx: &cols,
+                        values: &vals,
+                    };
                     let hit = panics(1, |o| {
-                        dot::csr_spmv_rows(width, 0..1, &row_ptr, &cols, &vals, &x, o);
+                        row.run::<false>(0..1, &x, o);
                     });
                     assert_eq!(hit, bad_at < len, "csr len {len}, {ctx}");
                     let hit = panics(n, |o| {
-                        dot::csr_spmv_dot_rows(width, 0..1, &row_ptr, &cols, &vals, &x, o);
+                        row.run::<true>(0..1, &x, o);
                     });
                     assert_eq!(hit, bad_at < len, "csr fused len {len}, {ctx}");
                 }
                 // An ELL slab of 24 rows × 1 slot.
+                let ell = Slab {
+                    lanes: width,
+                    rows: n,
+                    cols: n,
+                    width: 1,
+                    col_idx: &cols,
+                    values: &vals,
+                };
                 assert!(
-                    panics(n, |o| slab::slab_spmv_rows(width, 0..n, n, 1, &cols, &vals, &x, o)),
+                    panics(n, |o| {
+                        ell.run::<false>(0..n, &x, o);
+                    }),
                     "slab, {ctx}"
                 );
                 assert!(
                     panics(n, |o| {
-                        slab::slab_spmv_dot_rows(width, 0..n, n, 1, &cols, &vals, &x, o);
+                        ell.run::<true>(0..n, &x, o);
                     }),
                     "slab fused, {ctx}"
                 );
                 // A SELL chunk of C = 12 × 2 slots: a block of 8 and one
                 // of 4 per slot.
                 let (ptr, slots) = ([0, 24], [2]);
+                let sell = SellChunks {
+                    lanes: width,
+                    c: 12,
+                    rows: 12,
+                    cols: n,
+                    perm: &perm,
+                    chunk_ptr: &ptr,
+                    chunk_width: &slots,
+                    col_idx: &cols,
+                    values: &vals,
+                };
                 assert!(
                     panics(12, |o| {
-                        chunk::sell_spmv_chunks(
-                            width,
-                            0..1,
-                            12,
-                            12,
-                            &perm,
-                            &ptr,
-                            &slots,
-                            &cols,
-                            &vals,
-                            &x,
-                            o,
-                        );
+                        sell.run::<false>(0..1, &x, o);
                     }),
                     "sell, {ctx}"
                 );
                 assert!(
                     panics(n, |o| {
-                        chunk::sell_spmv_dot_chunks(
-                            width,
-                            0..1,
-                            12,
-                            12,
-                            &perm,
-                            &ptr,
-                            &slots,
-                            &cols,
-                            &vals,
-                            &x,
-                            o,
-                        );
+                        sell.run::<true>(0..1, &x, o);
                     }),
                     "sell fused, {ctx}"
                 );

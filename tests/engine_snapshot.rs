@@ -151,3 +151,113 @@ fn snapshot_under_load_restores_into_a_warm_engine() {
     assert_eq!(c.cache_hits + c.cache_misses + c.coalesced, c.cache_lookups);
     assert_eq!(c.total_selections(), c.requests);
 }
+
+/// A symmetric, strictly diagonally dominant (so SPD) band matrix with
+/// 41-entry rows: long enough that the W4 and the W8 lane orders of the
+/// CSR row kernel round differently.
+fn spd_band(n: usize) -> CsrMatrix {
+    let mut t = Vec::new();
+    for i in 0..n {
+        let mut off = 0.0;
+        for j in i.saturating_sub(20)..(i + 21).min(n) {
+            if i != j {
+                let (lo, d) = (i.min(j), i.abs_diff(j));
+                let v = ((lo * 7 + d * 3) % 13) as f64 * 0.173 - 1.31;
+                off += v.abs();
+                t.push((i, j, v));
+            }
+        }
+        t.push((i, i, off + 1.0 + (i % 5) as f64 * 0.219));
+    }
+    CsrMatrix::from_triplets(n, n, &t).expect("band matrix")
+}
+
+/// A restored conversion must run at the engine's resolved lane
+/// profile, not at the restoring process's probe: an engine modeling a
+/// device whose vector width differs from the host's has to answer the
+/// same id with the same bits cold and restored.
+#[test]
+fn a_restored_conversion_serves_at_the_engines_lane_profile() {
+    use spmv_suite::analysis::{FormatSelector, Observation, SelectorFeatures};
+    use spmv_suite::formats::{build_format_with, FormatKind, LaneProfile};
+
+    if std::env::var_os("SPMV_LANES").is_some() {
+        // The override wins on both sides: every profile is the same.
+        return;
+    }
+    let host = LaneProfile::current();
+    let device = spmv_suite::devices::all_devices()
+        .into_iter()
+        .find(|d| {
+            d.formats.contains(&FormatKind::VectorizedCsr) && d.lane_profile().width != host.width
+        })
+        .expect("Table II has CPUs at W4 and at W8");
+    let modeled = device.lane_profile();
+
+    let m = spd_band(120);
+    let n = m.rows();
+    let x: Vec<f64> = (0..n).map(|i| ((i * 13 + 7) % 29) as f64 * 0.219 - 3.1).collect();
+    let at = |profile| {
+        build_format_with(FormatKind::VectorizedCsr, &m, profile)
+            .expect("CSR builds")
+            .spmv_alloc(&x)
+    };
+    assert_ne!(at(modeled), at(host), "premise: {modeled:?} and {host:?} sum these rows apart");
+
+    // Every matrix is labeled Vectorized-CSR, the kind whose sums
+    // follow the lane width.
+    let everything = Observation {
+        features: SelectorFeatures {
+            footprint_mb: 1.0,
+            avg_nnz_per_row: 41.0,
+            skew: 0.0,
+            cross_row_sim: 0.5,
+            avg_num_neigh: 1.0,
+        },
+        best_format: FormatKind::VectorizedCsr.name().into(),
+    };
+    let engine = || {
+        Engine::with_selector(
+            EngineConfig {
+                device: device.name.into(),
+                scale: SCALE,
+                cache_capacity_bytes: 64 << 20,
+                threads: 3,
+                ..EngineConfig::default()
+            },
+            FormatSelector::fit(std::slice::from_ref(&everything), 1),
+        )
+        .expect("engine")
+    };
+
+    // spmv, a 5-wide spmm (a panel block of 4 and one plain column) and
+    // the CG residual after 1..=6 iterations.
+    let k = 5;
+    let xs: Vec<f64> = (0..n * k).map(|i| ((i * 11 + 3) % 31) as f64 * 0.173 - 2.6).collect();
+    let answers = |engine: &Engine| {
+        let mut y = vec![f64::NAN; n];
+        assert_eq!(engine.spmv("band", &m, &x, &mut y), FormatKind::VectorizedCsr);
+        let mut ys = vec![f64::NAN; n * k];
+        engine.spmm("band", &m, &xs, k, &mut ys);
+        let mut solver = engine.solver("band", &m);
+        let history: Vec<u64> = (1..=6)
+            .map(|iters| solver.cg(&x, 0.0, iters).expect("SPD system").residual.to_bits())
+            .collect();
+        (y, ys, history)
+    };
+
+    let cold = engine();
+    assert_eq!(cold.lane_profile(), modeled);
+    let want = answers(&cold);
+    assert_eq!(want.0, at(modeled), "the cold engine serves at the modeled width");
+    let mut blob = Vec::new();
+    cold.snapshot(&mut blob).expect("snapshot");
+
+    let restored = engine();
+    assert_eq!(restored.restore(&mut &blob[..]).expect("restore").conversions_restored, 1);
+    let got = answers(&restored);
+    assert_eq!(restored.counters().conversions, 0, "served from the restored conversion");
+    assert_eq!(got.0, want.0, "spmv of the restored id");
+    assert_eq!(got.1, want.1, "spmm of the restored id");
+    assert_eq!(got.2, want.2, "CG residual history of the restored id");
+}
