@@ -2,7 +2,7 @@
 //! `(matrix id, format)` and bounded by resident bytes.
 //!
 //! Conversion is the expensive step of adaptive serving (building
-//! SELL-C-σ or BCSR costs many times one SpMV), so the engine keeps
+//! SELL-C-σ costs many times one SpMV), so the engine keeps
 //! converted matrices around and evicts by least-recent use when the
 //! configured byte budget overflows. Entries are handed out as `Arc`s:
 //! an eviction never invalidates a format a request is still running

@@ -16,10 +16,12 @@
 //!    configured device's campaign records ([`FormatSelector`]): timed
 //!    kernels of this machine for the default `Host` profile, the
 //!    analytic model for a Table II testbed — restricted to the formats
-//!    that profile actually has;
+//!    that profile actually has and the engine serves
+//!    ([`FormatKind::SERVING`]: the CSR family, ELL, HYB and SELL-C-σ;
+//!    a modeled device's other formats are for its figures only);
 //! 3. **convert** — build the chosen format, with a fallback chain for
-//!    formats that refuse a matrix (DIA/ELL padding budgets, VSL
-//!    channel capacity), and keep it in a byte-bounded LRU
+//!    a format that refuses a matrix (of the serving set, only ELL does:
+//!    its padding budget), and keep it in a byte-bounded LRU
 //!    [`ConversionCache`]. *When* the build runs is the admission
 //!    policy ([`Admission`]): synchronously on the first request, or in
 //!    a background flight while requests are served via the universal
@@ -30,7 +32,7 @@
 //!
 //! ## Asynchronous admission
 //!
-//! Conversion is the expensive step — SELL-C-σ or BCSR cost many
+//! Conversion is the expensive step — SELL-C-σ costs many
 //! SpMV-equivalents to build — and under [`Admission::Sync`] the first
 //! client of a cold matrix pays that latency before seeing any result:
 //! exactly backwards for a serving system. Under [`Admission::Async`]
@@ -287,8 +289,8 @@ pub struct EngineCounters {
     /// completed its build; abandoned builds are misses that never
     /// become conversions).
     pub conversions: u64,
-    /// Conversion candidates that refused a matrix (padding budgets,
-    /// channel capacities) before a fallback format accepted it.
+    /// Conversion candidates that refused a matrix (ELL's padding
+    /// budget) before a fallback format accepted it.
     pub fallbacks: u64,
     /// Bytes of converted formats currently resident in the cache.
     pub bytes_resident: usize,
@@ -521,12 +523,8 @@ impl Engine {
     }
 
     fn universal_format(device: &DeviceSpec) -> FormatKind {
-        const TOTAL: [FormatKind; 4] = [
-            FormatKind::NaiveCsr,
-            FormatKind::VectorizedCsr,
-            FormatKind::BalancedCsr,
-            FormatKind::Coo,
-        ];
+        const TOTAL: [FormatKind; 3] =
+            [FormatKind::NaiveCsr, FormatKind::VectorizedCsr, FormatKind::BalancedCsr];
         TOTAL.into_iter().find(|k| device.formats.contains(k)).unwrap_or(FormatKind::NaiveCsr)
     }
 
@@ -568,9 +566,10 @@ impl Engine {
 
     /// Pure selection: the format the engine would pick for a matrix
     /// with these features — the k-NN recommendation when it names a
-    /// format available on the device profile, the device default
-    /// otherwise. No counters move; serving paths layer caching and
-    /// fallback on top of this.
+    /// format available on the device profile that the engine serves
+    /// ([`FormatKind::SERVING`]), the device default otherwise. No
+    /// counters move; serving paths layer caching and fallback on top
+    /// of this.
     pub fn select(&self, features: &FeatureSet) -> FormatKind {
         let probe = SelectorFeatures {
             footprint_mb: features.mem_footprint_mb,
@@ -582,7 +581,7 @@ impl Engine {
         self.selector
             .recommend(&probe)
             .and_then(FormatKind::from_name)
-            .filter(|k| self.device.formats.contains(k))
+            .filter(|k| self.device.formats.contains(k) && FormatKind::SERVING.contains(k))
             .map(|k| self.remap_sell_chunk_width(k))
             .unwrap_or_else(|| self.default_format())
     }
@@ -1288,25 +1287,45 @@ mod tests {
 
     #[test]
     fn unavailable_recommendation_falls_back_to_device_default() {
-        // A selector that only ever recommends SparseX, serving a GPU
-        // profile that does not have SparseX (Tesla-A100, Table II).
-        let obs = vec![spmv_analysis::Observation {
-            features: SelectorFeatures {
-                footprint_mb: 1.0,
-                avg_nnz_per_row: 10.0,
-                skew: 0.0,
-                cross_row_sim: 0.5,
-                avg_num_neigh: 0.5,
-            },
-            best_format: "SparseX".into(),
-        }];
-        let cfg = EngineConfig { device: "Tesla-A100".into(), ..quick_config() };
-        let engine = Engine::with_selector(cfg, FormatSelector::fit(&obs, 1)).unwrap();
-        let m = CsrMatrix::identity(32);
-        let f = FeatureSet::extract(&m);
-        let kind = engine.select(&f);
-        assert!(engine.device().formats.contains(&kind));
-        assert_eq!(kind, engine.default_format());
+        // Selectors that only ever recommend one format the engine may
+        // not serve: SparseX on a GPU profile that does not have it
+        // (Tesla-A100, Table II), and figure-set formats on the profiles
+        // that list them (SparseX on AMD-EPYC-24, VSL on Alveo-U280).
+        let mut t: Vec<_> = (0..48usize).map(|r| (r, (r * 5 + 1) % 48, 1.0 + r as f64)).collect();
+        t.extend((0..20usize).map(|c| (7, c * 2, 0.25 - c as f64)));
+        let m = CsrMatrix::from_triplets(48, 48, &t).unwrap();
+        let x: Vec<f64> = (0..48).map(|i| (i as f64 * 0.43).sin()).collect();
+        let reference = spmv_core::DenseMatrix::from_csr(&m).spmv(&x);
+        for (device, best) in
+            [("Tesla-A100", "SparseX"), ("AMD-EPYC-24", "SparseX"), ("Alveo-U280", "VSL")]
+        {
+            let obs = vec![spmv_analysis::Observation {
+                features: SelectorFeatures {
+                    footprint_mb: 1.0,
+                    avg_nnz_per_row: 10.0,
+                    skew: 0.0,
+                    cross_row_sim: 0.5,
+                    avg_num_neigh: 0.5,
+                },
+                best_format: best.into(),
+            }];
+            let cfg = EngineConfig { device: device.into(), ..quick_config() };
+            let engine = Engine::with_selector(cfg, FormatSelector::fit(&obs, 1)).unwrap();
+            let kind = engine.select(&FeatureSet::extract(&m));
+            // Alveo-U280 lists VSL alone: its default is the host's CSR.
+            assert!(engine.device().formats.contains(&kind) || kind == FormatKind::NaiveCsr);
+            assert_eq!(kind, engine.default_format(), "{device}");
+
+            let mut y = vec![f64::NAN; 48];
+            assert_eq!(engine.spmv("m", &m, &x, &mut y), kind, "{device}");
+            assert_eq!(spmv_core::vec_mismatch(&y, &reference, 1e-9, 1e-9), None, "{device}");
+            let mut y = vec![f64::NAN; 48];
+            assert_eq!(engine.spmv_parallel("m", &m, &x, &mut y), kind, "{device}");
+            assert_eq!(spmv_core::vec_mismatch(&y, &reference, 1e-9, 1e-9), None, "{device}");
+            for (k, n) in engine.counters().selections {
+                assert!(FormatKind::SERVING.contains(&k) || n == 0, "{device} served {k:?}");
+            }
+        }
     }
 
     /// `Async { max_in_flight: 0 }` never converts anywhere: the

@@ -17,7 +17,7 @@
 //!   concurrent misses on the same `(id, format)` coalesce onto one
 //!   builder (the *leader*) while every other thread (*waiters*) blocks
 //!   on the flight's slot instead of converting its own duplicate copy.
-//!   Conversion can cost many SpMV-equivalents (SELL-C-σ, BCSR), so a
+//!   Conversion can cost many SpMV-equivalents (SELL-C-σ), so a
 //!   thundering herd of M clients must pay it once, not M times.
 //!
 //! # Flight publication is atomic with the plan update

@@ -3,7 +3,7 @@
 //!
 //! A long-lived serving process accumulates state that is expensive to
 //! recompute — the trained selector, one plan per admitted matrix id,
-//! and the converted formats themselves (SELL-C-σ or BCSR cost many
+//! and the converted formats themselves (SELL-C-σ costs many
 //! SpMV-equivalents to build). [`Engine::snapshot`] dumps all three to
 //! one self-contained stream; [`Engine::restore`] (or the
 //! [`EngineConfig::warm_start`](crate::EngineConfig::warm_start) knob)
@@ -32,9 +32,11 @@
 //!
 //! Restore is **validate fully, then land**: the whole stream is
 //! checksummed and parsed — every embedded format decoded and
-//! structurally re-validated, duplicate records rejected — before the
-//! engine is touched, so a corrupt snapshot leaves a live engine
-//! unchanged. Landing then goes through the *same* admission machinery
+//! structurally re-validated, duplicate records rejected, and any plan
+//! or conversion of a kind the engine does not serve (outside
+//! [`FormatKind::SERVING`]) refused as [`SnapshotError::NotServed`] —
+//! before the engine is touched, so a corrupt snapshot leaves a live
+//! engine unchanged. Landing then goes through the *same* admission machinery
 //! a background conversion flight uses ([`PlanTable::try_begin_build`]
 //! epoch tickets, [`FlightGuard::finish_with`] publication), which is
 //! what makes restore safe to run concurrently with live serves:
@@ -97,6 +99,11 @@ pub enum SnapshotError {
     DuplicatePlan(String),
     /// Two conversion records named the same `(id, format)` key.
     DuplicateConversion(String, FormatKind),
+    /// A plan or conversion record names a kind outside
+    /// [`FormatKind::SERVING`] — one the engine never builds, so a
+    /// stream carrying it was not written by this engine. The id's
+    /// next request plans and converts a serving kind.
+    NotServed(FormatKind),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -118,6 +125,9 @@ impl std::fmt::Display for SnapshotError {
                 "malformed snapshot: duplicate conversion record for ({id:?}, {})",
                 kind.name()
             ),
+            SnapshotError::NotServed(kind) => {
+                write!(f, "snapshot names {}, which the engine does not serve", kind.name())
+            }
         }
     }
 }
@@ -135,6 +145,7 @@ impl From<WireError> for SnapshotError {
         match e {
             WireError::Io(io) => SnapshotError::Io(io.to_string()),
             WireError::Truncated { .. } => SnapshotError::Truncated,
+            WireError::NotServed(kind) => SnapshotError::NotServed(kind),
             // An embedded envelope's own bad magic/tag/checksum inside
             // an outer-checksummed stream is corruption of the stream
             // structure, not of the transport.
@@ -204,6 +215,9 @@ fn parse(buf: &[u8], lanes: LaneProfile) -> Result<Parsed, SnapshotError> {
         let tag = r.u8()?;
         let kind = wire::kind_of(tag)
             .ok_or_else(|| SnapshotError::Malformed(format!("unknown plan format tag {tag}")))?;
+        if !FormatKind::SERVING.contains(&kind) {
+            return Err(SnapshotError::NotServed(kind));
+        }
         if !seen_plans.insert(id.clone()) {
             return Err(SnapshotError::DuplicatePlan(id));
         }
@@ -217,7 +231,8 @@ fn parse(buf: &[u8], lanes: LaneProfile) -> Result<Parsed, SnapshotError> {
         let id = read_string(&mut r)?;
         // The envelope is self-delimiting (SectionReader implements
         // io::Read), and decoding re-runs the full structural
-        // validation each format's wire decoder performs.
+        // validation each format's wire decoder performs; a figure-set
+        // tag decodes to `NotServed`.
         let fmt = wire::deserialize_from_with(&mut r, lanes)?;
         let kind = FormatKind::from_name(fmt.name()).ok_or_else(|| {
             SnapshotError::Malformed(format!("format {:?} has no wire kind", fmt.name()))

@@ -9,70 +9,12 @@
 //!
 //! The converter auto-selects `b` from a small candidate set by total
 //! stored bytes (like OSKI-style autotuners), or takes it explicitly.
+//! A figure-set format (see
+//! [`FormatKind::SERVING`](crate::FormatKind::SERVING)).
 
 use crate::traits::{FormatBuildError, SparseFormat};
-use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
-use spmv_parallel::{DisjointWriter, Executor, Schedule, ThreadPool};
 use std::collections::BTreeSet;
-
-/// Decodes a BCSR wire payload, re-validating block geometry: a
-/// CSR-style monotone block pointer, in-bounds block columns and a
-/// dense `block²` value slab per stored block.
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<BcsrFormat, WireError> {
-    let malformed = |m: String| WireError::Malformed(m);
-    let rows = r.dim()?;
-    let cols = r.dim()?;
-    let nnz = r.dim()?;
-    let block = r.dim()?;
-    let block_ptr = r.vec_usize()?;
-    let block_col = r.vec_u32()?;
-    let values = r.vec_f64()?;
-    if block == 0 {
-        return Err(malformed("BCSR block size 0".into()));
-    }
-    let block_rows = rows.div_ceil(block);
-    if block_ptr.len() != block_rows + 1 || block_ptr.first() != Some(&0) {
-        return Err(malformed(format!(
-            "BCSR block pointer must be {} entries starting at 0, got {}",
-            block_rows + 1,
-            block_ptr.len()
-        )));
-    }
-    if block_ptr.windows(2).any(|w| w[0] > w[1]) {
-        return Err(malformed("BCSR block pointer not monotone".into()));
-    }
-    if *block_ptr.last().expect("non-empty") != block_col.len() {
-        return Err(malformed(format!(
-            "BCSR block pointer ends at {}, but {} blocks are stored",
-            block_ptr.last().expect("non-empty"),
-            block_col.len()
-        )));
-    }
-    let per_block = block
-        .checked_mul(block)
-        .ok_or_else(|| malformed(format!("BCSR block size {block} overflows")))?;
-    let stored = block_col
-        .len()
-        .checked_mul(per_block)
-        .ok_or_else(|| malformed("BCSR value slab overflows".into()))?;
-    if values.len() != stored {
-        return Err(malformed(format!(
-            "BCSR value slab is {stored} entries, got {}",
-            values.len()
-        )));
-    }
-    let block_cols = cols.div_ceil(block);
-    if let Some(&bc) = block_col.iter().find(|&&bc| bc as usize >= block_cols) {
-        return Err(malformed(format!(
-            "BCSR block column {bc} out of bounds ({block_cols} block columns)"
-        )));
-    }
-    if nnz > stored {
-        return Err(malformed(format!("BCSR nnz {nnz} exceeds stored entries {stored}")));
-    }
-    Ok(BcsrFormat { rows, cols, nnz, block, block_rows, block_ptr, block_col, values })
-}
 
 /// Block sizes the auto-tuner considers.
 pub const CANDIDATE_BLOCK_SIZES: [usize; 3] = [2, 4, 8];
@@ -187,42 +129,6 @@ impl BcsrFormat {
             self.nnz as f64 / self.values.len() as f64
         }
     }
-
-    /// SpMV over a range of block rows. `acc` is the caller-provided
-    /// per-block-row accumulator (at least `block` entries); passing it
-    /// in lets [`SparseFormat::spmv_with_scratch`] reuse one buffer
-    /// across an entire SpMM batch.
-    fn spmv_block_rows(
-        &self,
-        block_rows: std::ops::Range<usize>,
-        x: &[f64],
-        acc: &mut [f64],
-        out: &DisjointWriter<'_>,
-    ) {
-        let b = self.block;
-        let acc = &mut acc[..b];
-        for br in block_rows {
-            acc.iter_mut().for_each(|a| *a = 0.0);
-            for k in self.block_ptr[br]..self.block_ptr[br + 1] {
-                let c0 = self.block_col[k] as usize * b;
-                let vals = &self.values[k * b * b..(k + 1) * b * b];
-                let width = b.min(self.cols.saturating_sub(c0));
-                for (i, a) in acc.iter_mut().enumerate() {
-                    let row_vals = &vals[i * b..i * b + width];
-                    let xs = &x[c0..c0 + width];
-                    let mut s = 0.0;
-                    for (v, xv) in row_vals.iter().zip(xs) {
-                        s += v * xv;
-                    }
-                    *a += s;
-                }
-            }
-            let r0 = br * b;
-            for (i, &a) in acc.iter().enumerate().take(self.rows.saturating_sub(r0).min(b)) {
-                out.write(r0 + i, a);
-            }
-        }
-    }
 }
 
 impl SparseFormat for BcsrFormat {
@@ -255,40 +161,31 @@ impl SparseFormat for BcsrFormat {
     }
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_with_scratch(x, y, &mut Vec::new());
-    }
-
-    fn spmv_with_scratch(&self, x: &[f64], y: &mut [f64], scratch: &mut Vec<f64>) {
         assert_eq!(x.len(), self.cols);
         assert_eq!(y.len(), self.rows);
-        if scratch.len() < self.block {
-            scratch.resize(self.block, 0.0);
+        let b = self.block;
+        let mut acc = vec![0.0f64; b];
+        for br in 0..self.block_rows {
+            acc.iter_mut().for_each(|a| *a = 0.0);
+            for k in self.block_ptr[br]..self.block_ptr[br + 1] {
+                let c0 = self.block_col[k] as usize * b;
+                let vals = &self.values[k * b * b..(k + 1) * b * b];
+                let width = b.min(self.cols.saturating_sub(c0));
+                for (i, a) in acc.iter_mut().enumerate() {
+                    let row_vals = &vals[i * b..i * b + width];
+                    let xs = &x[c0..c0 + width];
+                    let mut s = 0.0;
+                    for (v, xv) in row_vals.iter().zip(xs) {
+                        s += v * xv;
+                    }
+                    *a += s;
+                }
+            }
+            let r0 = br * b;
+            for (i, &a) in acc.iter().enumerate().take(self.rows.saturating_sub(r0).min(b)) {
+                y[r0 + i] = a;
+            }
         }
-        let out = DisjointWriter::new(y);
-        self.spmv_block_rows(0..self.block_rows, x, scratch, &out);
-    }
-
-    fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        // Block-row chunks map to disjoint row ranges (block row `br`
-        // owns rows `br·b .. br·b + b`), satisfying the executor's
-        // kernel contract. Each chunk allocates its own accumulator.
-        Executor::new(pool).run_disjoint(
-            Schedule::Static { items: self.block_rows },
-            y,
-            |range, out| self.spmv_block_rows(range, x, &mut vec![0.0f64; self.block], out),
-        );
-    }
-
-    fn encode_payload(&self, out: &mut SectionWriter) {
-        out.usize(self.rows);
-        out.usize(self.cols);
-        out.usize(self.nnz);
-        out.usize(self.block);
-        out.slice_usize(&self.block_ptr);
-        out.slice_u32(&self.block_col);
-        out.slice_f64(&self.values);
     }
 }
 
@@ -348,18 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let m = blocked_matrix();
-        let x: Vec<f64> = (0..m.cols()).map(|i| i as f64 - 11.0).collect();
-        let f = BcsrFormat::from_csr(&m).unwrap();
-        let want = f.spmv_alloc(&x);
-        let pool = ThreadPool::new(4);
-        let mut got = vec![f64::NAN; m.rows()];
-        f.spmv_parallel(&pool, &x, &mut got);
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn autotuner_prefers_the_natural_block_size() {
         let m = blocked_matrix();
         let f = BcsrFormat::from_csr(&m).unwrap();
@@ -402,19 +287,6 @@ mod tests {
         let f1 = BcsrFormat::from_csr_with_block(&m, 1).unwrap();
         assert_eq!(f1.blocks(), m.nnz());
         assert!((f1.padding_ratio() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spmm_default_with_shared_scratch_matches_spmv() {
-        let m = blocked_matrix();
-        let f = BcsrFormat::from_csr(&m).unwrap();
-        let k = 3usize;
-        let x: Vec<f64> = (0..m.cols() * k).map(|i| (i as f64 * 0.3).cos()).collect();
-        let got = f.spmm_alloc(&x, k);
-        for j in 0..k {
-            let want = f.spmv_alloc(&x[j * m.cols()..(j + 1) * m.cols()]);
-            assert_eq!(&got[j * m.rows()..(j + 1) * m.rows()], &want[..], "column {j}");
-        }
     }
 
     #[test]

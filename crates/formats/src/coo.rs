@@ -1,27 +1,12 @@
-//! COO SpMV (§II-B.1): trivially balanced (equal nonzero chunks per
-//! worker) at the cost of redundant row metadata. This mirrors the
-//! cuSPARSE COO algorithm: each worker owns a contiguous nonzero range
-//! and hands partial sums of its boundary rows to a fix-up pass, so no
-//! atomics are needed — the `accumulate_rows` carry kernel shared with
-//! the HYB COO tail, orchestrated by the executor.
+//! COO SpMV (§II-B.1): one row index per nonzero — the redundant row
+//! metadata that buys cuSPARSE's COO algorithm its trivial balance
+//! (equal nonzero chunks per worker). A figure-set format (see
+//! [`FormatKind::SERVING`](crate::FormatKind::SERVING)): the GPU
+//! profiles' figures need its conversion, a sequential `spmv` and its
+//! footprint; the engine never serves it.
 
 use crate::traits::SparseFormat;
-use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::{CooMatrix, CsrMatrix};
-use spmv_parallel::{accumulate_rows, Executor, ThreadPool};
-
-/// Decodes a COO wire payload through the validating
-/// [`CooMatrix::new`] constructor (length, bound and ordering checks).
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<CooFormat, WireError> {
-    let rows = r.dim()?;
-    let cols = r.dim()?;
-    let row_idx = r.vec_u32()?;
-    let col_idx = r.vec_u32()?;
-    let values = r.vec_f64()?;
-    let coo = CooMatrix::new(rows, cols, row_idx, col_idx, values)
-        .map_err(|e| WireError::Malformed(format!("COO sections: {e}")))?;
-    Ok(CooFormat { coo })
-}
 
 /// COO storage (row-major sorted triplets).
 pub struct CooFormat {
@@ -70,28 +55,6 @@ impl SparseFormat for CooFormat {
             y[ri[i] as usize] += v[i] * x[ci[i] as usize];
         }
     }
-
-    fn encode_payload(&self, out: &mut SectionWriter) {
-        out.usize(self.coo.rows());
-        out.usize(self.coo.cols());
-        out.slice_u32(self.coo.row_idx());
-        out.slice_u32(self.coo.col_idx());
-        out.slice_f64(self.coo.values());
-    }
-
-    fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols());
-        assert_eq!(y.len(), self.rows());
-        let exec = Executor::new(pool);
-        exec.zero(y);
-        let (ri, ci, v) = (self.coo.row_idx(), self.coo.col_idx(), self.coo.values());
-        // Equal nonzero chunks; interior rows are accumulated directly
-        // (y is zeroed), boundary rows come back as carries and are
-        // merged sequentially by the executor.
-        exec.run_chunks_carry(self.nnz(), y, |range, out| {
-            accumulate_rows(range, |i| ri[i] as usize, |i| v[i] * x[ci[i] as usize], out)
-        });
-    }
 }
 
 #[cfg(test)]
@@ -100,8 +63,7 @@ mod tests {
     use spmv_core::DenseMatrix;
 
     fn skewed_matrix() -> CsrMatrix {
-        // Row 0 holds most of the mass — the worst case for chunked COO
-        // because many workers share row 0.
+        // Row 0 holds most of the mass.
         let mut t: Vec<(usize, usize, f64)> =
             (0..500).map(|c| (0usize, c, 0.01 * c as f64 - 1.0)).collect();
         t.push((3, 2, 4.0));
@@ -119,42 +81,6 @@ mod tests {
         for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_even_with_shared_rows() {
-        let m = skewed_matrix();
-        let x: Vec<f64> = (0..m.cols()).map(|i| (i as f64 * 0.11).cos()).collect();
-        let f = CooFormat::from_csr(&m);
-        let want = f.spmv_alloc(&x);
-        for threads in [1, 2, 3, 4, 8, 16] {
-            let pool = ThreadPool::new(threads);
-            let mut got = vec![f64::NAN; m.rows()];
-            f.spmv_parallel(&pool, &x, &mut got);
-            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                assert!((a - b).abs() < 1e-10, "threads {threads}, row {i}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn more_threads_than_nonzeros() {
-        let m = CsrMatrix::from_triplets(3, 3, &[(1, 1, 2.0)]).unwrap();
-        let f = CooFormat::from_csr(&m);
-        let pool = ThreadPool::new(8);
-        let mut y = vec![f64::NAN; 3];
-        f.spmv_parallel(&pool, &[1.0, 3.0, 1.0], &mut y);
-        assert_eq!(y, vec![0.0, 6.0, 0.0]);
-    }
-
-    #[test]
-    fn empty_matrix_parallel() {
-        let m = CsrMatrix::zeros(4, 4);
-        let f = CooFormat::from_csr(&m);
-        let pool = ThreadPool::new(4);
-        let mut y = vec![9.0; 4];
-        f.spmv_parallel(&pool, &[0.0; 4], &mut y);
-        assert_eq!(y, vec![0.0; 4]);
     }
 
     #[test]

@@ -271,11 +271,12 @@ impl SparseFormat for CsrFormat {
         }
     }
 
-    fn encode_payload(&self, out: &mut SectionWriter) {
+    fn encode_payload(&self, out: &mut SectionWriter) -> Result<(), WireError> {
         wire::encode_csr(&self.matrix, out);
         if self.variant == CsrVariant::Tiles {
             out.usize(self.tile_nnz);
         }
+        Ok(())
     }
 
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {

@@ -4,49 +4,13 @@
 //! per element and perfectly streamed x accesses along each diagonal,
 //! but padding explodes as soon as nonzeros scatter off a small set of
 //! diagonals — conversion therefore enforces a padding budget like
-//! [`EllFormat`](crate::ell::EllFormat) does.
+//! [`EllFormat`](crate::ell::EllFormat) does. A figure-set format
+//! (see [`FormatKind::SERVING`](crate::FormatKind::SERVING)).
 
 use crate::traits::{FormatBuildError, SparseFormat};
-use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
-use spmv_parallel::{DisjointWriter, Executor, Schedule, ThreadPool};
+use spmv_parallel::DisjointWriter;
 use std::collections::BTreeMap;
-
-/// Decodes a DIA wire payload, re-validating the invariants the
-/// kernels index by: strictly ascending offsets and one lane per
-/// offset sized exactly to its in-bounds span.
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<DiaFormat, WireError> {
-    let malformed = |m: String| WireError::Malformed(m);
-    let rows = r.dim()?;
-    let cols = r.dim()?;
-    let nnz = r.dim()?;
-    let offsets = r.vec_i64()?;
-    let mut lanes = Vec::with_capacity(offsets.len());
-    let mut stored = 0usize;
-    for (d, &off) in offsets.iter().enumerate() {
-        if d > 0 && off <= offsets[d - 1] {
-            return Err(malformed(format!("DIA offsets not strictly ascending at lane {d}")));
-        }
-        if off.unsigned_abs() > crate::wire::MAX_DIM {
-            return Err(malformed(format!("DIA offset {off} out of range")));
-        }
-        let lane = r.vec_f64()?;
-        let (lo, hi) = lane_span(rows, cols, off);
-        if lane.len() != hi - lo {
-            return Err(malformed(format!(
-                "DIA lane {d} has {} entries, span is {}",
-                lane.len(),
-                hi - lo
-            )));
-        }
-        stored += lane.len();
-        lanes.push(lane);
-    }
-    if nnz > stored {
-        return Err(malformed(format!("DIA nnz {nnz} exceeds stored entries {stored}")));
-    }
-    Ok(DiaFormat { rows, cols, nnz, offsets, lanes })
-}
 
 /// Default cap on `stored entries / nnz` before conversion refuses.
 pub const DEFAULT_MAX_PADDING_RATIO: f64 = 16.0;
@@ -199,30 +163,13 @@ impl SparseFormat for DiaFormat {
         let out = DisjointWriter::new(y);
         self.spmv_rows(0..self.rows, x, &out);
     }
-
-    fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        Executor::new(pool).run_disjoint(Schedule::Static { items: self.rows }, y, |range, out| {
-            self.spmv_rows(range, x, out)
-        });
-    }
-
-    fn encode_payload(&self, out: &mut SectionWriter) {
-        out.usize(self.rows);
-        out.usize(self.cols);
-        out.usize(self.nnz);
-        out.slice_i64(&self.offsets);
-        for lane in &self.lanes {
-            out.slice_f64(lane);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spmv_core::DenseMatrix;
+    use spmv_parallel::ThreadPool;
 
     /// Tridiagonal + one superdiagonal at +3: 4 diagonals.
     fn banded_matrix() -> CsrMatrix {
@@ -254,18 +201,6 @@ mod tests {
         for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let m = banded_matrix();
-        let x: Vec<f64> = (0..m.cols()).map(|i| 0.3 * i as f64 - 2.0).collect();
-        let f = DiaFormat::from_csr(&m).unwrap();
-        let want = f.spmv_alloc(&x);
-        let pool = ThreadPool::new(5);
-        let mut got = vec![f64::NAN; m.rows()];
-        f.spmv_parallel(&pool, &x, &mut got);
-        assert_eq!(got, want);
     }
 
     #[test]

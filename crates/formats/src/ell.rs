@@ -250,12 +250,13 @@ impl SparseFormat for EllFormat {
         driver::spmv_dot_parallel(&slab, slab.schedule(), pool, x, y)
     }
 
-    fn encode_payload(&self, out: &mut SectionWriter) {
+    fn encode_payload(&self, out: &mut SectionWriter) -> Result<(), WireError> {
         out.usize(self.slab.rows);
         out.usize(self.slab.cols);
         out.usize(self.nnz);
         out.usize(self.slab.width);
         self.slab.encode(out);
+        Ok(())
     }
 
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {

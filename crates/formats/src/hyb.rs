@@ -178,7 +178,7 @@ impl SparseFormat for HybFormat {
         }
     }
 
-    fn encode_payload(&self, out: &mut SectionWriter) {
+    fn encode_payload(&self, out: &mut SectionWriter) -> Result<(), WireError> {
         out.usize(self.ell.rows);
         out.usize(self.ell.cols);
         out.usize(self.nnz);
@@ -188,6 +188,7 @@ impl SparseFormat for HybFormat {
         out.slice_u32(&self.coo_row);
         out.slice_u32(&self.coo_col);
         out.slice_f64(&self.coo_val);
+        Ok(())
     }
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {

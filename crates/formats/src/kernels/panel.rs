@@ -28,19 +28,18 @@
 //! | CSR rows | [`CsrRows`] | Naive/Vectorized/Balanced-CSR, Merge-CSR, CSR5, the engine's CSR path |
 //! | ELL slab | [`Slab`](super::slab::Slab) | ELL |
 //! | SELL-C-σ chunks | [`SellChunks`](super::slab::SellChunks) | SELL-C-s, SELL-4-s, SELL-16-s |
-//! | SparseX unit stream | in `sparsex.rs` | SparseX |
 //!
-//! COO, HYB, DIA, BCSR and VSL have no panel kernel; they keep the
-//! trait's default loop of `k` SpMVs.
+//! HYB and the figure-set formats (COO, DIA, BCSR, VSL, SparseX) have
+//! no panel kernel; they keep the trait's default loop of `k` SpMVs.
 //!
 //! ## Determinism
 //!
 //! Per (row, right-hand side) the summation order is exactly the
 //! layout's SpMV order at the same [`LaneWidth`] — for CSR rows, `W`
 //! lane accumulators over the full chunks, [`tree_sum`], plus the
-//! sequential tail; for slab, chunk and unit-stream layouts, one
-//! slot-sequential accumulator per row. SpMM therefore equals `k`
-//! SpMVs **bit-for-bit**.
+//! sequential tail; for slab and chunk layouts, one slot-sequential
+//! accumulator per row. SpMM therefore equals `k` SpMVs
+//! **bit-for-bit**.
 
 use super::dot::CsrRows;
 use super::slab::{Padded, Window, ACC_STACK};
@@ -97,14 +96,14 @@ fn pack<const KB: usize>(x: &[f64], cols: usize, panel: &mut [f64]) {
 
 /// Panel row `col`: the `KB` right-hand-side values of one `X` row.
 #[inline(always)]
-pub(crate) fn panel_row<const KB: usize>(panel: &[f64], col: u32) -> &[f64; KB] {
+fn panel_row<const KB: usize>(panel: &[f64], col: u32) -> &[f64; KB] {
     let base = col as usize * KB;
     panel[base..base + KB].try_into().expect("a panel row is KB wide")
 }
 
 /// `acc[j] += v · row[j]` for the `KB` right-hand sides of one nonzero.
 #[inline(always)]
-pub(crate) fn fma_row<const KB: usize>(acc: &mut [f64; KB], v: f64, row: &[f64; KB]) {
+fn fma_row<const KB: usize>(acc: &mut [f64; KB], v: f64, row: &[f64; KB]) {
     for (a, &x) in acc.iter_mut().zip(row) {
         *a += v * x;
     }

@@ -3,19 +3,28 @@
 //! Native Rust implementations of every sparse storage format and SpMV
 //! implementation surveyed by the paper (§II-B, Table II):
 //!
-//! | paper format | module | work distribution | targets |
-//! |---|---|---|---|
-//! | COO | [`coo`] | nnz chunks + carries | load balance |
-//! | Naive-CSR | [`csr`] | static row chunks | baseline |
-//! | Vectorized-CSR | [`csr`] | static rows, unrolled | ILP / SIMD |
-//! | Balanced-CSR | [`csr`] | nnz-balanced rows | imbalance |
-//! | ELL | [`ell`] | static rows, padded | ILP on regular matrices |
-//! | HYB (ELL+COO) | [`hyb`] | split at k = avg nnz/row | ELL without padding blow-up |
-//! | SELL-C-σ | [`sellcs`] | sorted chunks | SIMD without full-ELL padding |
-//! | CSR5-like | [`csr`] | equal-nnz tiles + carries | imbalance + irregularity |
-//! | Merge-CSR | [`csr`] | 2-D merge path | imbalance, zero preprocessing |
-//! | SparseX-lite (CSX) | [`sparsex`] | nnz-balanced rows | memory footprint compression |
-//! | VSL (CSC variant) | [`vsl`] | HBM channel partitions | FPGA dataflow |
+//! | paper format | module | work distribution | targets | set |
+//! |---|---|---|---|---|
+//! | Naive-CSR | [`csr`] | static row chunks | baseline | serving |
+//! | Vectorized-CSR | [`csr`] | static rows, unrolled | ILP / SIMD | serving |
+//! | Balanced-CSR | [`csr`] | nnz-balanced rows | imbalance | serving |
+//! | ELL | [`ell`] | static rows, padded | ILP on regular matrices | serving |
+//! | HYB (ELL+COO) | [`hyb`] | split at k = avg nnz/row | ELL without padding blow-up | serving |
+//! | SELL-C-σ (C = 4, 8, 16) | [`sellcs`] | sorted chunks | SIMD without full-ELL padding | serving |
+//! | CSR5-like | [`csr`] | equal-nnz tiles + carries | imbalance + irregularity | serving |
+//! | Merge-CSR | [`csr`] | 2-D merge path | imbalance, zero preprocessing | serving |
+//! | COO | [`coo`] | sequential | load balance (GPUs) | figure |
+//! | DIA | [`dia`] | sequential | stencil diagonals | figure |
+//! | BCSR | [`bcsr`] | sequential | dense sub-blocks | figure |
+//! | SparseX-lite (CSX) | [`sparsex`] | sequential | memory footprint compression | figure |
+//! | VSL (CSC variant) | [`vsl`] | sequential | FPGA dataflow | figure |
+//!
+//! The *serving* set ([`FormatKind::SERVING`]) is what the engine may
+//! build, serve, cache and snapshot. The *figure* set is what only the
+//! modeled devices' figures read: each converts from CSR, runs a
+//! correct sequential `spmv` and reports its storage statistics, and
+//! takes the trait's defaults for the rest — its `spmv_parallel` runs
+//! `spmv`, its `spmm` is `k` of them, and it has no wire codec.
 //!
 //! The five CSR-family rows are one type, [`csr::CsrFormat`], over one
 //! storage: it keeps a clone of the operand, and a
@@ -33,13 +42,14 @@
 //! default). A format hands the kernels a borrowed [`kernels::View`] of
 //! its arrays; the single-vector [`SparseFormat`] methods of those
 //! formats are one shared driver over that view. The multi-vector
-//! (`spmm`) kernels of the CSR family, ELL, SELL-C-σ and SparseX are
-//! the row-major panel kernels of [`kernels::panel`].
+//! (`spmm`) kernels of the CSR family, ELL and SELL-C-σ are the
+//! row-major panel kernels of [`kernels::panel`].
 //!
 //! Every format implements [`SparseFormat`]: conversion from CSR,
-//! sequential SpMV, parallel SpMV over a [`spmv_parallel::ThreadPool`],
-//! and byte-accurate storage accounting (including padding and
-//! metadata — the quantity the device models feed into the roofline).
+//! sequential SpMV, SpMV over a [`spmv_parallel::ThreadPool`] (parallel
+//! for the serving set), and byte-accurate storage accounting
+//! (including padding and metadata — the quantity the device models
+//! feed into the roofline).
 //!
 //! All kernels are verified against the dense reference on generated
 //! matrices spanning the paper's feature lattice (see

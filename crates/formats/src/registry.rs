@@ -1,10 +1,12 @@
 //! Format registry: enumerate, name and build every format uniformly —
 //! the glue the campaign runner, the figure binaries and the SpMM
 //! throughput bench use. Every built format exposes the full
-//! [`SparseFormat`] surface, including the batched multi-vector
-//! [`SparseFormat::spmm`] kernel (panel kernels for the CSR family,
-//! ELL, SELL-C-σ and SparseX; the loop over SpMV elsewhere). The five
-//! CSR-family kinds are variants of one [`CsrFormat`].
+//! [`SparseFormat`] surface; what is behind it depends on the kind's
+//! set. The ten kinds of [`FormatKind::SERVING`], the engine's, have
+//! parallel, panel SpMM (all but HYB), fused-dot and wire code of their
+//! own; the other five are the figure set and keep the trait's
+//! defaults. The five CSR-family kinds are variants of one
+//! [`CsrFormat`].
 
 use crate::bcsr::BcsrFormat;
 use crate::coo::CooFormat;
@@ -90,6 +92,27 @@ impl FormatKind {
         FormatKind::SellC4,
         FormatKind::SellCSigma,
         FormatKind::SellC16,
+    ];
+
+    /// The kinds the engine may build, serve, cache and snapshot: the
+    /// kernel layer plus CSR5 and Merge-CSR, i.e. every kind of
+    /// [`CsrFormat`], [`EllFormat`], [`HybFormat`] and
+    /// [`SellCSigmaFormat`]. The other five — COO, DIA, BCSR, VSL and
+    /// SparseX, the *figure set* — exist for the modeled devices'
+    /// figures: they convert, run a sequential `spmv` and report their
+    /// storage statistics, and take the trait's defaults for everything
+    /// else (`spmv_parallel` runs `spmv`; no panel kernel, no wire codec).
+    pub const SERVING: [FormatKind; 10] = [
+        FormatKind::NaiveCsr,
+        FormatKind::VectorizedCsr,
+        FormatKind::BalancedCsr,
+        FormatKind::Ell,
+        FormatKind::Hyb,
+        FormatKind::SellC4,
+        FormatKind::SellCSigma,
+        FormatKind::SellC16,
+        FormatKind::Csr5,
+        FormatKind::MergeCsr,
     ];
 
     /// The stable display name (matches `SparseFormat::name`).
@@ -302,6 +325,23 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn figure_kinds_run_their_sequential_spmv_in_parallel() {
+        // Banded, so that DIA and BCSR accept it too.
+        let t: Vec<_> =
+            (0..120usize).map(|i| (i / 3, (i / 3 + i % 3) % 40, 0.5 + i as f64)).collect();
+        let m = CsrMatrix::from_triplets(40, 40, &t).unwrap();
+        let x: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).cos()).collect();
+        let pool = spmv_parallel::ThreadPool::new(4);
+        for kind in FormatKind::ALL.into_iter().filter(|k| !FormatKind::SERVING.contains(k)) {
+            let f = build_format(kind, &m).unwrap();
+            let mut y = vec![f64::NAN; 40];
+            f.spmv_parallel(&pool, &x, &mut y);
+            let want = f.spmv_alloc(&x);
+            assert!(y.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()), "{kind:?}");
         }
     }
 

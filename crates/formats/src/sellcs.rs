@@ -461,7 +461,7 @@ impl SparseFormat for SellCSigmaFormat {
         driver::spmv(&self.view(), x, y);
     }
 
-    fn encode_payload(&self, out: &mut SectionWriter) {
+    fn encode_payload(&self, out: &mut SectionWriter) -> Result<(), WireError> {
         out.usize(self.rows);
         out.usize(self.cols);
         out.usize(self.nnz);
@@ -472,6 +472,7 @@ impl SparseFormat for SellCSigmaFormat {
         out.slice_u32(&self.chunk_width);
         out.slice_u32(&self.col_idx);
         out.slice_f64(&self.values);
+        Ok(())
     }
 
     fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {

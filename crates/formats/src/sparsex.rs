@@ -16,22 +16,16 @@
 //! stream, which shrinks from 4 B/nnz to as little as ~0.02 B/nnz for
 //! dense runs — "a highly compressed representation of the matrix,
 //! something that can be beneficial especially for large matrices".
+//!
+//! A figure-set format (see
+//! [`FormatKind::SERVING`](crate::FormatKind::SERVING)): one of the
+//! paper's CPU formats, so the modeled CPUs' figures need it, but it
+//! labels no matrix of the measured host table and the engine never
+//! serves it.
 
-use crate::kernels::panel::{self, PanelKernel};
 use crate::traits::{FormatBuildError, SparseFormat};
-use crate::wire::{self, SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
-use spmv_parallel::{DisjointWriter, Executor, Schedule, ThreadPool};
-
-/// Decodes a SparseX wire payload. The payload carries the *CSR*
-/// sections, not the unit stream: `encode_row` is deterministic, so
-/// re-running the converter reproduces the stream byte-for-byte while
-/// a hostile "stream program" (with out-of-bounds columns or counts
-/// that overrun `values`) simply cannot be expressed on the wire.
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<SparseXFormat, WireError> {
-    let csr = wire::decode_csr(r)?;
-    SparseXFormat::from_csr(&csr).map_err(|e| WireError::Malformed(format!("SparseX rebuild: {e}")))
-}
+use spmv_parallel::DisjointWriter;
 
 /// Minimum run length that is worth a DENSE unit.
 const MIN_DENSE_RUN: usize = 4;
@@ -56,7 +50,7 @@ pub struct SparseXFormat {
     /// Byte offset of each row's units in `stream` (`rows + 1`).
     stream_ptr: Vec<u32>,
     /// Offset of each row's first value in `values` (`rows + 1`) —
-    /// the CSR row pointer, retained for balanced partitioning.
+    /// the CSR row pointer.
     val_ptr: Vec<usize>,
 }
 
@@ -95,67 +89,6 @@ impl SparseXFormat {
         } else {
             self.stream.len() as f64 / (4.0 * self.nnz as f64)
         }
-    }
-
-    /// Replays row `r`'s units in storage order — the exact inverse of
-    /// `encode_row` — calling `visit(values, columns)` once per unit.
-    #[inline(always)]
-    fn for_each_unit(&self, r: usize, mut visit: impl FnMut(&[f64], &[u32])) {
-        let mut cols = [0u32; MAX_UNIT];
-        let mut s = self.stream_ptr[r] as usize;
-        let end = self.stream_ptr[r + 1] as usize;
-        let mut k = self.val_ptr[r];
-        while s < end {
-            let tag = self.stream[s];
-            let count = self.stream[s + 1] as usize;
-            let cols = &mut cols[..count];
-            cols[0] = u32::from_le_bytes(self.stream[s + 2..s + 6].try_into().expect("start col"));
-            s += 6;
-            let deltas = &self.stream[s..];
-            let width = match tag {
-                T_DENSE => {
-                    running_sum(cols, std::iter::repeat(1));
-                    0
-                }
-                T_DELTA8 => {
-                    running_sum(cols, deltas.iter().map(|&d| d as u32));
-                    1
-                }
-                T_DELTA16 => {
-                    running_sum(
-                        cols,
-                        deltas
-                            .chunks_exact(2)
-                            .map(|d| u16::from_le_bytes(d.try_into().expect("d16")) as u32),
-                    );
-                    2
-                }
-                _ => {
-                    running_sum(
-                        cols,
-                        deltas
-                            .chunks_exact(4)
-                            .map(|d| u32::from_le_bytes(d.try_into().expect("d32"))),
-                    );
-                    4
-                }
-            };
-            s += width * (count - 1);
-            visit(&self.values[k..k + count], cols);
-            k += count;
-        }
-    }
-
-    /// Reconstructs the CSR matrix this format was converted from.
-    /// Values are already in CSR order and `val_ptr` *is* the CSR row
-    /// pointer, so only the column indices need decoding.
-    fn to_csr(&self) -> CsrMatrix {
-        let mut col_idx: Vec<u32> = Vec::with_capacity(self.nnz);
-        for r in 0..self.rows {
-            self.for_each_unit(r, |_, cols| col_idx.extend_from_slice(cols));
-        }
-        CsrMatrix::new(self.rows, self.cols, self.val_ptr.clone(), col_idx, self.values.clone())
-            .expect("a converted SparseX stream always replays to its source CSR")
     }
 
     fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], out: &DisjointWriter<'_>) {
@@ -221,17 +154,6 @@ impl SparseXFormat {
             }
             out.write(r, acc);
         }
-    }
-}
-
-/// `cols[i] = cols[i - 1] + deltas[i - 1]`, from the unit's start
-/// column already in `cols[0]`.
-#[inline(always)]
-fn running_sum(cols: &mut [u32], deltas: impl Iterator<Item = u32>) {
-    let mut c = cols[0];
-    for (slot, d) in cols[1..].iter_mut().zip(deltas) {
-        c += d;
-        *slot = c;
     }
 }
 
@@ -325,51 +247,6 @@ impl SparseFormat for SparseXFormat {
         let out = DisjointWriter::new(y);
         self.spmv_rows(0..self.rows, x, &out);
     }
-
-    fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        Executor::new(pool).run_disjoint(
-            Schedule::Balanced { prefix: &self.val_ptr },
-            y,
-            |range, out| self.spmv_rows(range, x, out),
-        );
-    }
-
-    fn encode_payload(&self, out: &mut SectionWriter) {
-        wire::encode_csr(&self.to_csr(), out);
-    }
-
-    fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        panel::spmm(self, x, k, y);
-    }
-}
-
-/// The unit-stream panel kernel: each row's units are decoded once and
-/// every nonzero feeds `KB` right-hand sides, with the single
-/// sequential accumulator per (row, rhs) that `spmv_rows` uses.
-impl PanelKernel for SparseXFormat {
-    fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
-        for r in 0..self.rows {
-            let mut acc = [0.0f64; KB];
-            self.for_each_unit(r, |values, cols| {
-                for (&v, &c) in values.iter().zip(cols) {
-                    panel::fma_row(&mut acc, v, panel::panel_row(panel, c));
-                }
-            });
-            for (column, &sum) in out.iter_mut().zip(&acc) {
-                column[r] = sum;
-            }
-        }
-    }
-
-    fn column(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv(x, y);
-    }
 }
 
 #[cfg(test)]
@@ -420,22 +297,6 @@ mod tests {
         let got = f.spmv_alloc(&x);
         for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let m = banded_matrix();
-        let x: Vec<f64> = (0..72).map(|i| i as f64 - 36.0).collect();
-        let f = SparseXFormat::from_csr(&m).unwrap();
-        let want = f.spmv_alloc(&x);
-        for threads in [1, 3, 8] {
-            let pool = ThreadPool::new(threads);
-            let mut got = vec![f64::NAN; 64];
-            f.spmv_parallel(&pool, &x, &mut got);
-            for (a, b) in got.iter().zip(&want) {
-                assert!((a - b).abs() < 1e-10);
-            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! The common interface of all storage formats.
 
+use crate::wire::{SectionWriter, WireError};
 use spmv_parallel::ThreadPool;
 use std::fmt;
 
@@ -82,17 +83,13 @@ pub trait SparseFormat: Send + Sync {
     fn spmv(&self, x: &[f64], y: &mut [f64]);
 
     /// Parallel SpMV over the given pool into `y`.
-    fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]);
-
-    /// Sequential SpMV that may reuse `scratch` for internal working
-    /// storage across calls (the buffer is resized as needed and its
-    /// contents are meaningless between calls). The default ignores
-    /// `scratch`; formats whose `spmv` allocates per call (e.g. BCSR's
-    /// block accumulator) override this so the batched default
-    /// [`SparseFormat::spmm`] allocates once per *batch* instead of
-    /// once per column.
-    fn spmv_with_scratch(&self, x: &[f64], y: &mut [f64], scratch: &mut Vec<f64>) {
-        let _ = scratch;
+    ///
+    /// The default runs the sequential [`SparseFormat::spmv`] and leaves
+    /// the pool idle. The figure-set formats (COO, DIA, BCSR, VSL,
+    /// SparseX: see [`FormatKind::SERVING`](crate::FormatKind::SERVING))
+    /// keep it; the engine never serves them.
+    fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
+        let _ = pool;
         self.spmv(x, y);
     }
 
@@ -104,12 +101,10 @@ pub trait SparseFormat: Send + Sync {
     /// fully overwritten. Every implementation equals `k` calls of
     /// [`SparseFormat::spmv`] bit-for-bit.
     ///
-    /// The default implementation *is* that loop (over
-    /// [`SparseFormat::spmv_with_scratch`], one shared scratch buffer
-    /// per batch) and amortizes nothing; COO, HYB, DIA, BCSR and VSL
-    /// keep it. The CSR family (all five kinds of
-    /// [`crate::csr::CsrFormat`]), ELL and SELL-C-σ (each through the
-    /// kernel view it also runs `spmv` on) and SparseX override it with
+    /// The default implementation *is* that loop and amortizes nothing;
+    /// HYB and the five figure-set formats keep it. The CSR family (all
+    /// five kinds of [`crate::csr::CsrFormat`]), ELL and SELL-C-σ (each
+    /// through the kernel view it also runs `spmv` on) override it with
     /// the panel kernels of [`crate::kernels::panel`], which pack `x`
     /// row-major once per call (into a per-thread reusable scratch) and
     /// stream the matrix once per 8 right-hand sides. Measured ratios against `k` SpMVs
@@ -118,13 +113,8 @@ pub trait SparseFormat: Send + Sync {
         let (rows, cols) = (self.rows(), self.cols());
         assert_eq!(x.len(), cols * k, "x must be a column-major cols × k block");
         assert_eq!(y.len(), rows * k, "y must be a column-major rows × k block");
-        let mut scratch = Vec::new();
         for j in 0..k {
-            self.spmv_with_scratch(
-                &x[j * cols..(j + 1) * cols],
-                &mut y[j * rows..(j + 1) * rows],
-                &mut scratch,
-            );
+            self.spmv(&x[j * cols..(j + 1) * cols], &mut y[j * rows..(j + 1) * rows]);
         }
     }
 
@@ -187,16 +177,21 @@ pub trait SparseFormat: Send + Sync {
     ///
     /// Implementation detail of [`SparseFormat::serialize_into`]; the
     /// matching decoder lives next to each implementation and is
-    /// dispatched by wire tag in [`crate::wire::deserialize_from`].
-    fn encode_payload(&self, out: &mut crate::wire::SectionWriter);
+    /// dispatched by wire tag in [`crate::wire::deserialize_from`]. The
+    /// default answers [`WireError::NotServed`]: the figure-set formats
+    /// keep it, as the engine never snapshots what it never serves.
+    fn encode_payload(&self, out: &mut SectionWriter) -> Result<(), WireError> {
+        let _ = out;
+        Err(WireError::NotServed(crate::wire::kind_named(self.name())?))
+    }
 
     /// Writes the versioned, checksummed binary envelope for this
     /// format: magic, per-format tag, length-prefixed payload from
     /// [`SparseFormat::encode_payload`], and an XXH64 checksum. The
     /// inverse is [`crate::wire::deserialize_from`].
-    fn serialize_into(&self, w: &mut dyn std::io::Write) -> Result<(), crate::wire::WireError> {
-        let mut payload = crate::wire::SectionWriter::new();
-        self.encode_payload(&mut payload);
+    fn serialize_into(&self, w: &mut dyn std::io::Write) -> Result<(), WireError> {
+        let mut payload = SectionWriter::new();
+        self.encode_payload(&mut payload)?;
         crate::wire::write_envelope(self.name(), payload, w)
     }
 }

@@ -11,70 +11,14 @@
 //! multiple of the accumulation pipeline depth, and a hard per-channel
 //! capacity check — conversion *fails* when padding overflows the
 //! channel, exactly like the 10 validation matrices that "fail to
-//! execute on the FPGA due to HBM capacity limitations" (§V-A).
+//! execute on the FPGA due to HBM capacity limitations" (§V-A). A
+//! figure-set format (see
+//! [`FormatKind::SERVING`](crate::FormatKind::SERVING)): the Alveo-U280
+//! figures need it, the engine never serves it.
 
 use crate::traits::{FormatBuildError, SparseFormat};
-use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::{CscMatrix, CsrMatrix};
-use spmv_parallel::{Executor, Partition, ThreadPool};
-
-/// Decodes a VSL wire payload, re-validating every channel: a
-/// monotone local column pointer, row indices within `rows` (the
-/// kernel scatters into `y_local[row_idx]` unguarded), and channels
-/// forming a contiguous partition of the column range from 0.
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<VslFormat, WireError> {
-    let malformed = |m: String| WireError::Malformed(m);
-    let rows = r.dim()?;
-    let cols = r.dim()?;
-    let nnz = r.dim()?;
-    let padded_nnz = r.dim()?;
-    let n_channels = r.dim()?;
-    let mut channels = Vec::new();
-    let mut next_col = 0usize;
-    let mut stored = 0usize;
-    for ch in 0..n_channels {
-        let col_start = r.dim()?;
-        let col_ptr = r.vec_usize()?;
-        let row_idx = r.vec_u32()?;
-        let values = r.vec_f64()?;
-        if col_start != next_col {
-            return Err(malformed(format!(
-                "VSL channel {ch} starts at column {col_start}, expected {next_col}"
-            )));
-        }
-        if col_ptr.first() != Some(&0) {
-            return Err(malformed(format!("VSL channel {ch} column pointer must start at 0")));
-        }
-        if col_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(malformed(format!("VSL channel {ch} column pointer not monotone")));
-        }
-        let entries = *col_ptr.last().expect("checked non-empty");
-        if row_idx.len() != entries || values.len() != entries {
-            return Err(malformed(format!(
-                "VSL channel {ch} stores {entries} entries, got {} rows / {} values",
-                row_idx.len(),
-                values.len()
-            )));
-        }
-        if let Some(&row) = row_idx.iter().find(|&&row| row as usize >= rows) {
-            return Err(malformed(format!(
-                "VSL channel {ch} row {row} out of bounds ({rows} rows)"
-            )));
-        }
-        next_col += col_ptr.len() - 1;
-        stored += entries;
-        channels.push(Channel { col_start, col_ptr, row_idx, values });
-    }
-    if next_col != cols {
-        return Err(malformed(format!("VSL channels cover {next_col} of {cols} columns")));
-    }
-    if padded_nnz != stored || nnz > padded_nnz {
-        return Err(malformed(format!(
-            "VSL entry accounting broken: nnz {nnz}, padded {padded_nnz}, stored {stored}"
-        )));
-    }
-    Ok(VslFormat { rows, cols, nnz, padded_nnz, channels })
-}
+use spmv_parallel::Partition;
 
 /// Number of HBM channels feeding execution units (the U280 setup uses
 /// 16 of its 32 channels for the matrix).
@@ -240,52 +184,13 @@ impl SparseFormat for VslFormat {
             self.channel_spmv(ch, x, y);
         }
     }
-
-    fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        let n_ch = self.channels.len();
-        if n_ch == 0 || self.rows == 0 {
-            y.fill(0.0);
-            return;
-        }
-        let exec = Executor::new(pool);
-        // Each execution unit scatters into a private output replica
-        // (the FPGA's per-unit URAM accumulators): workers own disjoint
-        // contiguous channel chunks, so each replica has one writer.
-        let mut locals: Vec<Vec<f64>> = (0..n_ch).map(|_| vec![0.0; self.rows]).collect();
-        exec.for_each_chunk_mut(&mut locals, |offset, chunk| {
-            for (i, y_local) in chunk.iter_mut().enumerate() {
-                self.channel_spmv(&self.channels[offset + i], x, y_local);
-            }
-        });
-        // Row-parallel reduction of the replicas into y.
-        exec.for_each_chunk_mut(y, |offset, chunk| {
-            for (i, out) in chunk.iter_mut().enumerate() {
-                *out = locals.iter().map(|l| l[offset + i]).sum();
-            }
-        });
-    }
-
-    fn encode_payload(&self, out: &mut SectionWriter) {
-        out.usize(self.rows);
-        out.usize(self.cols);
-        out.usize(self.nnz);
-        out.usize(self.padded_nnz);
-        out.usize(self.channels.len());
-        for ch in &self.channels {
-            out.usize(ch.col_start);
-            out.slice_usize(&ch.col_ptr);
-            out.slice_u32(&ch.row_idx);
-            out.slice_f64(&ch.values);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spmv_core::DenseMatrix;
+    use spmv_parallel::ThreadPool;
 
     fn medium_matrix() -> CsrMatrix {
         let mut t = Vec::new();
@@ -307,22 +212,6 @@ mod tests {
         let got = f.spmv_alloc(&x);
         for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let m = medium_matrix();
-        let x: Vec<f64> = (0..64).map(|i| i as f64 * 0.02 - 0.5).collect();
-        let f = VslFormat::from_csr(&m).unwrap();
-        let want = f.spmv_alloc(&x);
-        for threads in [1, 2, 4, 16, 32] {
-            let pool = ThreadPool::new(threads);
-            let mut got = vec![f64::NAN; 48];
-            f.spmv_parallel(&pool, &x, &mut got);
-            for (a, b) in got.iter().zip(&want) {
-                assert!((a - b).abs() < 1e-10);
-            }
         }
     }
 

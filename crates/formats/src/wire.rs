@@ -1,7 +1,8 @@
 //! Versioned, checksummed binary wire format for storage formats.
 //!
-//! Every [`SparseFormat`] can round-trip through a self-delimiting
-//! binary envelope:
+//! Every format the engine serves ([`FormatKind::SERVING`]) can
+//! round-trip through a self-delimiting binary envelope; the figure-set
+//! kinds answer [`WireError::NotServed`] both ways:
 //!
 //! ```text
 //! offset   size  field
@@ -38,9 +39,9 @@ use std::io::{self, Read, Write};
 pub const FORMAT_MAGIC: [u8; 8] = *b"SPMVFMT1";
 
 /// Upper bound on any decoded dimension or structural parameter
-/// (rows, cols, nnz, block sizes …). Keeps all downstream arithmetic
-/// — `rows * cols` products, `i64` diagonal offsets — overflow-free
-/// even on hostile inputs.
+/// (rows, cols, nnz, slab widths …). Keeps all downstream arithmetic
+/// — `rows * cols` products, padded slab sizes — overflow-free even on
+/// hostile inputs.
 pub const MAX_DIM: u64 = 1 << 48;
 
 /// Errors raised while reading or writing the binary wire format.
@@ -53,6 +54,10 @@ pub enum WireError {
     BadMagic,
     /// The format tag does not name any `FormatKind` of this build.
     UnknownTag(u8),
+    /// The kind is outside [`FormatKind::SERVING`]: figure-set formats
+    /// are never snapshotted, so they neither encode nor decode. (Their
+    /// tags are retired, never reused.)
+    NotServed(FormatKind),
     /// The checksum over the received bytes does not match the stored
     /// digest — the payload was corrupted or tampered with.
     ChecksumMismatch {
@@ -80,6 +85,7 @@ impl fmt::Display for WireError {
             WireError::Io(e) => write!(f, "i/o error: {e}"),
             WireError::BadMagic => write!(f, "bad magic: not a SPMVFMT1 stream"),
             WireError::UnknownTag(t) => write!(f, "unknown format tag {t}"),
+            WireError::NotServed(kind) => write!(f, "{} is not a serving format", kind.name()),
             WireError::ChecksumMismatch { stored, computed } => {
                 write!(f, "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}")
             }
@@ -144,17 +150,6 @@ impl SectionWriter {
         self.u64(v as u64);
     }
 
-    /// Appends an `i64`, little-endian.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern, little-endian
-    /// (bit-exact round-trip, including signed zeros and NaN payloads).
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a length-prefixed raw byte array.
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
@@ -169,14 +164,6 @@ impl SectionWriter {
         }
     }
 
-    /// Appends a length-prefixed `i64` array.
-    pub fn slice_i64(&mut self, v: &[i64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
     /// Appends a length-prefixed `usize` array (stored as `u64`s).
     pub fn slice_usize(&mut self, v: &[usize]) {
         self.usize(v.len());
@@ -185,7 +172,8 @@ impl SectionWriter {
         }
     }
 
-    /// Appends a length-prefixed `f64` array (bit patterns).
+    /// Appends a length-prefixed `f64` array as IEEE-754 bit patterns
+    /// (bit-exact round-trip, including signed zeros and NaN payloads).
     pub fn slice_f64(&mut self, v: &[f64]) {
         self.usize(v.len());
         for &x in v {
@@ -255,16 +243,6 @@ impl<'a> SectionReader<'a> {
         usize::try_from(v).map_err(|_| malformed(format!("dimension {v} exceeds usize")))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
-    }
-
-    /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
-    }
-
     /// Reads an array length prefix for elements of `elem_size` bytes,
     /// verifying the declared bytes are actually present.
     fn elems(&mut self, elem_size: usize) -> Result<usize, WireError> {
@@ -292,13 +270,6 @@ impl<'a> SectionReader<'a> {
         let n = self.elems(4)?;
         let raw = self.take(4 * n)?;
         Ok(raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4B"))).collect())
-    }
-
-    /// Reads a length-prefixed `i64` array.
-    pub fn vec_i64(&mut self) -> Result<Vec<i64>, WireError> {
-        let n = self.elems(8)?;
-        let raw = self.take(8 * n)?;
-        Ok(raw.chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().expect("8B"))).collect())
     }
 
     /// Reads a length-prefixed `usize` array (stored as `u64`s), each
@@ -354,6 +325,12 @@ pub fn kind_of(tag: u8) -> Option<FormatKind> {
     FormatKind::ALL.get(tag as usize).copied()
 }
 
+/// The kind a format names itself as ([`SparseFormat::name`]).
+pub(crate) fn kind_named(name: &str) -> Result<FormatKind, WireError> {
+    FormatKind::from_name(name)
+        .ok_or_else(|| malformed(format!("format name {name:?} has no wire tag")))
+}
+
 /// Writes the full envelope (magic, tag, length, payload, checksum)
 /// for a format whose payload was already encoded into `payload`.
 pub(crate) fn write_envelope(
@@ -361,8 +338,7 @@ pub(crate) fn write_envelope(
     payload: SectionWriter,
     w: &mut dyn Write,
 ) -> Result<(), WireError> {
-    let kind = FormatKind::from_name(name)
-        .ok_or_else(|| malformed(format!("format name {name:?} has no wire tag")))?;
+    let kind = kind_named(name)?;
     let payload = payload.into_bytes();
     let mut framed = Vec::with_capacity(FORMAT_MAGIC.len() + 9 + payload.len() + 8);
     framed.extend_from_slice(&FORMAT_MAGIC);
@@ -454,16 +430,17 @@ fn decode_payload(
         FormatKind::NaiveCsr => Box::new(csr_family(r, CsrVariant::Naive)?),
         FormatKind::VectorizedCsr => Box::new(csr_family(r, CsrVariant::Vectorized)?),
         FormatKind::BalancedCsr => Box::new(csr_family(r, CsrVariant::Balanced)?),
-        FormatKind::Coo => Box::new(crate::coo::decode(r)?),
-        FormatKind::Dia => Box::new(crate::dia::decode(r)?),
-        FormatKind::Bcsr => Box::new(crate::bcsr::decode(r)?),
         FormatKind::Ell => Box::new(crate::ell::decode(r, profile)?),
         FormatKind::Hyb => Box::new(crate::hyb::decode(r, profile)?),
         FormatKind::SellCSigma => Box::new(crate::sellcs::decode(r, profile)?),
         FormatKind::Csr5 => Box::new(csr_family(r, CsrVariant::Tiles)?),
         FormatKind::MergeCsr => Box::new(csr_family(r, CsrVariant::MergePath)?),
-        FormatKind::SparseX => Box::new(crate::sparsex::decode(r)?),
-        FormatKind::Vsl => Box::new(crate::vsl::decode(r)?),
+        // Retired tags of the figure set: never written, never decoded.
+        FormatKind::Coo
+        | FormatKind::Dia
+        | FormatKind::Bcsr
+        | FormatKind::SparseX
+        | FormatKind::Vsl => return Err(WireError::NotServed(kind)),
         // The chunk-width variants share SELL-C-σ's payload layout but
         // their tag pins C; a payload whose stored C disagrees with its
         // tag was tampered with or mis-labelled. (The legacy SellCSigma
@@ -487,7 +464,7 @@ fn decode_sell_pinned(
 }
 
 /// Encodes the standard CSR section group (rows, cols, row pointer,
-/// column indices, values) — shared by every CSR-backed payload.
+/// column indices, values) — the body of every CSR-family payload.
 pub(crate) fn encode_csr(m: &CsrMatrix, out: &mut SectionWriter) {
     out.usize(m.rows());
     out.usize(m.cols());
@@ -538,7 +515,7 @@ mod tests {
     fn every_format_round_trips() {
         let m = test_matrix();
         let x: Vec<f64> = (0..m.cols()).map(|i| (i as f64 * 0.31).sin()).collect();
-        for kind in FormatKind::ALL {
+        for kind in FormatKind::SERVING {
             let Ok(f) = build_format(kind, &m) else { continue };
             let mut blob = Vec::new();
             f.serialize_into(&mut blob).unwrap();
@@ -559,13 +536,13 @@ mod tests {
     #[test]
     fn envelopes_are_self_delimiting_in_a_stream() {
         let m = test_matrix();
-        let a = build_format(FormatKind::Coo, &m).unwrap();
+        let a = build_format(FormatKind::NaiveCsr, &m).unwrap();
         let b = build_format(FormatKind::Ell, &m).unwrap();
         let mut blob = Vec::new();
         a.serialize_into(&mut blob).unwrap();
         b.serialize_into(&mut blob).unwrap();
         let mut cursor = blob.as_slice();
-        assert_eq!(deserialize_from(&mut cursor).unwrap().name(), "COO");
+        assert_eq!(deserialize_from(&mut cursor).unwrap().name(), "Naive-CSR");
         assert_eq!(deserialize_from(&mut cursor).unwrap().name(), "ELL");
         assert!(cursor.is_empty());
     }
@@ -573,7 +550,10 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let mut blob = Vec::new();
-        build_format(FormatKind::Coo, &test_matrix()).unwrap().serialize_into(&mut blob).unwrap();
+        build_format(FormatKind::NaiveCsr, &test_matrix())
+            .unwrap()
+            .serialize_into(&mut blob)
+            .unwrap();
         blob[0] ^= 0xFF;
         assert!(matches!(deserialize_from(&mut blob.as_slice()), Err(WireError::BadMagic)));
     }
@@ -581,7 +561,10 @@ mod tests {
     #[test]
     fn unknown_tag_is_rejected() {
         let mut blob = Vec::new();
-        build_format(FormatKind::Coo, &test_matrix()).unwrap().serialize_into(&mut blob).unwrap();
+        build_format(FormatKind::NaiveCsr, &test_matrix())
+            .unwrap()
+            .serialize_into(&mut blob)
+            .unwrap();
         blob[8] = 0xEE;
         assert!(matches!(deserialize_from(&mut blob.as_slice()), Err(WireError::UnknownTag(0xEE))));
     }
@@ -589,7 +572,10 @@ mod tests {
     #[test]
     fn truncation_is_an_error_not_a_panic() {
         let mut blob = Vec::new();
-        build_format(FormatKind::Coo, &test_matrix()).unwrap().serialize_into(&mut blob).unwrap();
+        build_format(FormatKind::NaiveCsr, &test_matrix())
+            .unwrap()
+            .serialize_into(&mut blob)
+            .unwrap();
         for cut in [0, 3, 8, 16, 17, 40, blob.len() - 1] {
             let r = deserialize_from(&mut &blob[..cut]);
             assert!(r.is_err(), "truncation at {cut} must error");
@@ -630,6 +616,25 @@ mod tests {
     }
 
     #[test]
+    fn retired_tags_decode_as_not_served() {
+        // A valid CSR payload under each figure-set tag, checksummed: the
+        // tag alone refuses it.
+        let mut payload = SectionWriter::new();
+        encode_csr(&test_matrix(), &mut payload);
+        let payload = payload.into_bytes();
+        for kind in FormatKind::ALL.into_iter().filter(|k| !FormatKind::SERVING.contains(k)) {
+            let mut blob = FORMAT_MAGIC.to_vec();
+            blob.push(tag_of(kind));
+            blob.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            blob.extend_from_slice(&payload);
+            let digest = xxh64(&blob, 0);
+            blob.extend_from_slice(&digest.to_le_bytes());
+            let got = deserialize_from(&mut blob.as_slice()).err();
+            assert!(matches!(got, Some(WireError::NotServed(k)) if k == kind), "{kind:?}");
+        }
+    }
+
+    #[test]
     fn every_flipped_byte_is_detected() {
         let m = test_matrix();
         let f = build_format(FormatKind::SellCSigma, &m).unwrap();
@@ -664,10 +669,10 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_are_rejected() {
-        // Extend a COO payload by one byte and re-checksum: the decode
+        // Extend a Naive-CSR payload by one byte and re-checksum: the decode
         // must notice the unconsumed byte.
         let m = test_matrix();
-        let f = build_format(FormatKind::Coo, &m).unwrap();
+        let f = build_format(FormatKind::NaiveCsr, &m).unwrap();
         let mut blob = Vec::new();
         f.serialize_into(&mut blob).unwrap();
         let payload_len = u64::from_le_bytes(blob[9..17].try_into().unwrap()) as usize;

@@ -1,6 +1,7 @@
 //! Property tests of the wire serialization layer over adversarial
-//! triplet-built matrices: for every format that accepts a matrix,
-//! serialize → deserialize must reproduce the SpMV bit for bit, and a
+//! triplet-built matrices: for every serving format that accepts a
+//! matrix, serialize → deserialize must reproduce the SpMV bit for bit
+//! (a figure-set format refuses to serialize at all), and a
 //! stream with any single byte flipped must come back as a typed
 //! [`WireError`] — never a panic, and never a silently different
 //! matrix.
@@ -41,7 +42,12 @@ proptest! {
     #[test]
     fn every_format_round_trips_bit_exactly(m in arb_matrix()) {
         let x: Vec<f64> = (0..m.cols()).map(|i| ((i * 13 + 7) % 11) as f64 * 0.375 - 1.5).collect();
-        for kind in FormatKind::ALL {
+        for kind in FormatKind::ALL.into_iter().filter(|k| !FormatKind::SERVING.contains(k)) {
+            let Ok(f) = build_format(kind, &m) else { continue };
+            let refused = f.serialize_into(&mut Vec::new());
+            prop_assert!(matches!(refused, Err(WireError::NotServed(k)) if k == kind), "{}", f.name());
+        }
+        for kind in FormatKind::SERVING {
             let Ok(f) = build_format(kind, &m) else { continue };
             let mut blob = Vec::new();
             f.serialize_into(&mut blob).expect("writing to a Vec cannot fail");
@@ -72,7 +78,7 @@ proptest! {
     // trailer, so the decode must error (and must not panic).
     #[test]
     fn every_single_byte_flip_is_a_typed_error(m in arb_matrix(), flip in 0usize..1 << 20) {
-        for kind in FormatKind::ALL {
+        for kind in FormatKind::SERVING {
             let Ok(f) = build_format(kind, &m) else { continue };
             let mut blob = Vec::new();
             f.serialize_into(&mut blob).expect("writing to a Vec cannot fail");
@@ -83,6 +89,7 @@ proptest! {
                 Err(
                     WireError::BadMagic
                     | WireError::UnknownTag(_)
+                    | WireError::NotServed(_)
                     | WireError::ChecksumMismatch { .. }
                     | WireError::Truncated { .. }
                     | WireError::Malformed(_)
@@ -97,7 +104,7 @@ proptest! {
     // actually present.
     #[test]
     fn every_truncation_is_a_typed_error(m in arb_matrix(), cut in 0usize..1 << 20) {
-        for kind in FormatKind::ALL {
+        for kind in FormatKind::SERVING {
             let Ok(f) = build_format(kind, &m) else { continue };
             let mut blob = Vec::new();
             f.serialize_into(&mut blob).expect("writing to a Vec cannot fail");

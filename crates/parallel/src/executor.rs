@@ -130,8 +130,7 @@ impl<'y> DisjointWriter<'y> {
 #[derive(Debug, Clone, Copy)]
 pub enum Schedule<'a> {
     /// Equal-count contiguous chunks over `0..items` — the OpenMP
-    /// `schedule(static)` default (Naive-CSR, ELL, DIA, BCSR, the HYB
-    /// ELL phase).
+    /// `schedule(static)` default (Naive-CSR, Vectorized-CSR).
     Static {
         /// Number of items to split.
         items: usize,
@@ -149,8 +148,7 @@ pub enum Schedule<'a> {
     },
     /// Weight-balanced contiguous chunks over `0..prefix.len()-1`,
     /// boundaries chosen on the cumulative-weight array (Balanced-CSR
-    /// with `row_ptr`, SELL-C-σ with `chunk_ptr`, SparseX with its
-    /// value pointer).
+    /// with `row_ptr`, SELL-C-σ with `chunk_ptr`).
     Balanced {
         /// Cumulative weights: `prefix[0] == 0`, non-decreasing,
         /// `prefix.len() == items + 1`.
@@ -207,14 +205,13 @@ impl Carries {
 /// Accumulates a contiguous range of row-sorted items into `out`,
 /// returning the boundary rows as [`Carries`] — the one shared
 /// implementation of the COO-style "chunk with boundary carry" kernel
-/// (used verbatim by the COO format and the HYB COO tail, which
-/// previously kept two subtly diverging copies).
+/// (the HYB COO tail's).
 ///
 /// `row_of(i)` must be non-decreasing over the range (row-major sorted
 /// data); `contrib(i)` is item `i`'s contribution to its row. Rows
 /// strictly inside the range are *added* to `out` (the caller must have
-/// initialized those entries — zeroed for standalone COO, holding the
-/// ELL partial sums for HYB); the first and last rows are returned as
+/// initialized those entries — for HYB they hold the ELL partial
+/// sums); the first and last rows are returned as
 /// carries because neighboring chunks may also contribute to them.
 /// Interior rows are owned exclusively: the data is row-sorted and
 /// chunks are contiguous, so a row that starts and ends inside one
@@ -378,8 +375,8 @@ impl<'p> Executor<'p> {
     /// runs `f(chunk, writer)` concurrently, then merges the returned
     /// [`Carries`] into `y` sequentially, in chunk order.
     ///
-    /// This is the nnz-chunk-with-carry pattern of COO, the HYB COO
-    /// tail, CSR5 tiles and Merge-CSR segments: interior rows are
+    /// This is the nnz-chunk-with-carry pattern of the HYB COO tail,
+    /// CSR5 tiles and Merge-CSR segments: interior rows are
     /// written directly (they are owned by exactly one chunk), boundary
     /// rows — which several chunks may share — come back as carries and
     /// are accumulated here, race-free, after the barrier.

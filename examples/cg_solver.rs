@@ -122,9 +122,10 @@ fn main() {
             FormatKind::VectorizedCsr,
             FormatKind::SellCSigma,
             FormatKind::MergeCsr,
+            // Figure-set formats: `spmv_parallel` runs their sequential
+            // kernel (the engine never serves them). The stencil is what
+            // DIA and BCSR exist for: five diagonals / dense blocks.
             FormatKind::SparseX,
-            // The stencil structure is exactly what these two exist
-            // for: five occupied diagonals / dense blocks.
             FormatKind::Dia,
             FormatKind::Bcsr,
         ],

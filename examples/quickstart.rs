@@ -42,6 +42,9 @@ fn main() {
     );
 
     // 3. Run the kernel through a few formats and check correctness.
+    //    The figure-set formats (COO, SparseX, BCSR, DIA) exist for the
+    //    modeled devices' figures: their "par" column runs the
+    //    sequential kernel, as the engine never serves them.
     let x: Vec<f64> = (0..csr.cols()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
     let reference = csr.spmv(&x);
     let pool = ThreadPool::with_all_cores();

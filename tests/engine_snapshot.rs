@@ -261,3 +261,101 @@ fn a_restored_conversion_serves_at_the_engines_lane_profile() {
     assert_eq!(got.1, want.1, "spmm of the restored id");
     assert_eq!(got.2, want.2, "CG residual history of the restored id");
 }
+
+/// A snapshot naming a figure-set kind — a plan record or a conversion
+/// envelope — was not written by this engine (it never builds one), so
+/// restore refuses it whole with a typed error naming the kind, and the
+/// id it named converts a serving kind on its next request.
+#[test]
+fn a_snapshot_naming_a_figure_kind_is_refused_whole() {
+    use spmv_suite::analysis::{FormatSelector, Observation, SelectorFeatures};
+    use spmv_suite::core::xxh64;
+    use spmv_suite::engine::SnapshotError;
+    use spmv_suite::formats::wire::{tag_of, SectionWriter, FORMAT_MAGIC};
+    use spmv_suite::formats::FormatKind;
+
+    let sell = Observation {
+        features: SelectorFeatures {
+            footprint_mb: 1.0,
+            avg_nnz_per_row: 8.0,
+            skew: 0.0,
+            cross_row_sim: 0.5,
+            avg_num_neigh: 0.5,
+        },
+        best_format: FormatKind::SellCSigma.name().into(),
+    };
+    let engine = Engine::with_selector(
+        EngineConfig {
+            device: "AMD-EPYC-24".into(),
+            scale: SCALE,
+            threads: 2,
+            ..Default::default()
+        },
+        FormatSelector::fit(&[sell], 1),
+    )
+    .expect("engine");
+    let m = spd_band(90);
+    let x: Vec<f64> = (0..m.cols()).map(|i| ((i * 7 + 2) % 17) as f64 * 0.31 - 2.0).collect();
+    let reference = DenseMatrix::from_csr(&m).spmv(&x);
+    let mut y = vec![f64::NAN; m.rows()];
+    engine.spmv("warm", &m, &x, &mut y);
+
+    // wire.rs's envelope: magic, tag, u64 payload length, payload (the
+    // CSR sections SparseX used to carry), xxh64 of all of it.
+    assert_eq!(tag_of(FormatKind::SparseX), 11, "retired tags keep their numbers");
+    let mut payload = SectionWriter::new();
+    payload.usize(m.rows());
+    payload.usize(m.cols());
+    payload.slice_usize(m.row_ptr());
+    payload.slice_u32(m.col_idx());
+    payload.slice_f64(m.values());
+    let payload = payload.into_bytes();
+    let mut envelope = FORMAT_MAGIC.to_vec();
+    envelope.push(11);
+    envelope.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    envelope.extend_from_slice(&payload);
+    let digest = xxh64(&envelope, 0);
+    envelope.extend_from_slice(&digest.to_le_bytes());
+
+    // The snapshot stream around it (snapshot.rs's module docs), with
+    // or without a DIA plan record for the same id.
+    let selector = engine.selector().to_portable();
+    let snapshot = |dia_plan: bool| {
+        let string = |buf: &mut Vec<u8>, s: &[u8]| {
+            buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
+            buf.extend_from_slice(s);
+        };
+        let mut buf = b"SPMVSNP1".to_vec();
+        string(&mut buf, selector.as_bytes());
+        buf.extend_from_slice(&u64::from(dia_plan).to_le_bytes());
+        if dia_plan {
+            string(&mut buf, b"x");
+            buf.push(tag_of(FormatKind::Dia));
+        }
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        string(&mut buf, b"x");
+        buf.extend_from_slice(&envelope);
+        let sum = xxh64(&buf, 0);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
+    };
+
+    let counters = engine.counters();
+    let mut state = Vec::new();
+    engine.snapshot(&mut state).expect("snapshot");
+    for (dia_plan, kind) in [(true, FormatKind::Dia), (false, FormatKind::SparseX)] {
+        let err = engine.restore(&mut &snapshot(dia_plan)[..]).unwrap_err();
+        assert_eq!(err, SnapshotError::NotServed(kind));
+        assert!(err.to_string().contains(kind.name()), "{err}");
+    }
+    assert_eq!(engine.counters(), counters, "a refused restore moves no counter");
+    let mut after = Vec::new();
+    engine.snapshot(&mut after).expect("snapshot");
+    assert_eq!(after, state, "a refused restore lands no plan and no conversion");
+
+    let mut y = vec![f64::NAN; m.rows()];
+    let kind = engine.spmv("x", &m, &x, &mut y);
+    assert!(FormatKind::SERVING.contains(&kind), "{kind:?}");
+    assert_eq!(vec_mismatch(&y, &reference, 1e-9, 1e-9), None);
+    assert_eq!(engine.counters().conversions, counters.conversions + 1, "x converted");
+}
