@@ -1,11 +1,11 @@
 //! Model tests for snapshot-restore publication
 //! ([`spmv_engine::snapshot`]): a restore lands conversions through the
-//! same plan-claim + single-flight machinery a live admission uses, so
-//! these tests explore a restore racing a live resolver and a `forget`
-//! under the deterministic scheduler, mirroring the protocol
-//! `Engine::restore` runs per conversion record (insert_pending →
-//! try_begin_build → begin → Hit: finish_build / Wait: abort_build /
-//! Lead: finish_with).
+//! same plan claim and [`ShardedConversions::land`] a live admission
+//! uses, so these tests explore a restore racing a live resolver and a
+//! `forget` under the deterministic scheduler. Each side calls the
+//! production `land`; only the claim in front of it (`insert_pending` →
+//! `try_begin_build`, as `Engine::restore` does per record) is spelled
+//! out here.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg spmv_model_check"`.
 #![cfg(spmv_model_check)]
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use spmv_check::Checker;
 use spmv_core::CsrMatrix;
-use spmv_engine::shard::{CachedFormat, Lookup, PlanState, PlanTable, ShardedConversions};
+use spmv_engine::shard::{CachedFormat, PlanState, PlanTable, ShardedConversions};
 use spmv_formats::FormatKind;
 use spmv_parallel::sync::thread;
 
@@ -23,47 +23,33 @@ fn tiny_format() -> CachedFormat {
     Arc::new(spmv_formats::build_format(FormatKind::NaiveCsr, &CsrMatrix::identity(2)).unwrap())
 }
 
-/// One restore record landing, exactly as `Engine::restore` does it.
+/// A `land` build that counts its calls and never refuses.
+fn counted(
+    builds: &AtomicUsize,
+) -> impl FnOnce(FormatKind) -> (CachedFormat, FormatKind, usize) + '_ {
+    move |kind| {
+        builds.fetch_add(1, Ordering::Relaxed);
+        (tiny_format(), kind, 0)
+    }
+}
+
+/// One restore record landing: claim the plan, then `land` with the
+/// claim's ticket (the build stands in for the decoded format).
 fn restore_one(plans: &PlanTable, conv: &ShardedConversions, builds: &AtomicUsize) {
     let kind = FormatKind::NaiveCsr;
     plans.insert_pending("m", kind);
     let Some((_, epoch)) = plans.try_begin_build("m") else {
         return; // a live flight owns the plan: skip
     };
-    match conv.begin("m", kind) {
-        Lookup::Hit(_, actual) => {
-            plans.finish_build("m", epoch, actual);
-        }
-        Lookup::Wait(_) => {
-            // Never block a restore on a live flight.
-            plans.abort_build("m", epoch);
-        }
-        Lookup::Lead(guard) => {
-            builds.fetch_add(1, Ordering::Relaxed);
-            guard.finish_with(tiny_format(), kind, |actual| plans.finish_build("m", epoch, actual));
-        }
-    }
+    conv.land(plans, "m", kind, Some(epoch), counted(builds));
 }
 
-/// A synchronous serve-path resolver (`Engine::resolve`): no plan
-/// claim, publication re-pins via `pin`.
+/// A synchronous serve: no plan claim, so `land` without a ticket.
 fn resolve_one(plans: &PlanTable, conv: &ShardedConversions, builds: &AtomicUsize) {
     let kind = FormatKind::NaiveCsr;
     plans.insert_pending("m", kind);
-    match conv.begin("m", kind) {
-        Lookup::Hit(_, actual) => assert_eq!(actual, kind),
-        Lookup::Wait(flight) => {
-            let (_, actual) = flight.wait().expect("neither leader abandons here");
-            assert_eq!(actual, kind);
-        }
-        Lookup::Lead(guard) => {
-            builds.fetch_add(1, Ordering::Relaxed);
-            guard.finish_with(tiny_format(), kind, |actual| {
-                plans.pin("m", actual);
-                true
-            });
-        }
-    }
+    let (_, actual, _) = conv.land(plans, "m", kind, None, counted(builds));
+    assert_eq!(actual, kind);
 }
 
 /// Restore racing a live synchronous resolver on the same cold
@@ -131,17 +117,8 @@ fn restore_flight_never_resurrects_a_forgotten_id() {
 
         let restorer = {
             let (p, c, b) = (Arc::clone(&plans), Arc::clone(&conv), Arc::clone(&builds));
-            thread::spawn(move || match c.begin("m", kind) {
-                Lookup::Hit(_, actual) => {
-                    p.finish_build("m", epoch, actual);
-                }
-                Lookup::Wait(_) => p.abort_build("m", epoch),
-                Lookup::Lead(guard) => {
-                    b.fetch_add(1, Ordering::Relaxed);
-                    guard.finish_with(tiny_format(), kind, |actual| {
-                        p.finish_build("m", epoch, actual)
-                    });
-                }
+            thread::spawn(move || {
+                c.land(&p, "m", kind, Some(epoch), counted(&b));
             })
         };
         // Forget the id mid-restore, then re-admit under another plan.

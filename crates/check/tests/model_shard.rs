@@ -1,7 +1,8 @@
 //! Model tests for the engine's sharded serving state
-//! ([`spmv_engine::shard`]): single-flight conversion publication and
-//! the epoch-ticket staleness protocol, explored under the
-//! deterministic scheduler.
+//! ([`spmv_engine::shard`]): single-flight conversion publication, the
+//! epoch-ticket staleness protocol and one conversion per id, explored
+//! under the deterministic scheduler through the production
+//! [`ShardedConversions::land`].
 //!
 //! Compiled only under `RUSTFLAGS="--cfg spmv_model_check"`.
 #![cfg(spmv_model_check)]
@@ -19,10 +20,12 @@ fn tiny_format() -> CachedFormat {
     Arc::new(spmv_formats::build_format(FormatKind::NaiveCsr, &CsrMatrix::identity(2)).unwrap())
 }
 
-/// Exactly-once flight publication: three claimants race a cold
-/// `(id, format)` lookup. The single-flight register must elect exactly
-/// one leader (one conversion is built) while every claimant — leader,
-/// waiters, and late hitters — comes back with the format.
+/// Exactly-once flight publication: three claimants race a cold id
+/// through the register's own `begin`/`finish` (the API the benchmark's
+/// hot-path twin files formats with). The single-flight register must
+/// elect exactly one leader (one conversion is built) while every
+/// claimant — leader, waiters, and late hitters — comes back with the
+/// format.
 #[test]
 fn flight_publication_is_exactly_once_under_racing_claimants() {
     let report = Checker::dfs().preemption_bound(None).max_schedules(30_000).check(|| {
@@ -73,12 +76,8 @@ fn stale_flight_never_resurrects_a_forgotten_plan() {
         // The admission flight, racing the forgetter below.
         let builder = {
             let (p, c) = (Arc::clone(&plans), Arc::clone(&conv));
-            thread::spawn(move || match c.begin("m", kind) {
-                Lookup::Lead(guard) => {
-                    let fmt = tiny_format();
-                    guard.finish_with(fmt, kind, |actual| p.finish_build("m", epoch, actual));
-                }
-                _ => p.abort_build("m", epoch),
+            thread::spawn(move || {
+                c.land(&p, "m", kind, Some(epoch), |kind| (tiny_format(), kind, 0));
             })
         };
         // Forget the matrix mid-flight, then re-admit it under a
@@ -116,6 +115,57 @@ fn stale_flight_never_resurrects_a_forgotten_plan() {
         );
         assert!(conv.peek("m", FormatKind::NaiveCsr).is_none(), "stale conversion resident");
         assert_eq!(conv.bytes_resident(), 0, "forgotten bytes still accounted");
+    });
+    report.assert_ok();
+    assert!(report.schedules >= 1_000, "insufficient exploration: {} schedules", report.schedules);
+}
+
+/// The window a per-kind cache left open, closed by one conversion per
+/// id: a `land` whose build refuses the planned ELL and builds the CSR
+/// fallback races a reader that `land`s with the refused kind (a plan
+/// read before the re-pin). Whichever leads, the conversion builds
+/// once, one entry is resident, both get the fallback, and the plan ends
+/// pinned to it.
+#[test]
+fn a_stale_refused_kind_lands_on_the_fallback() {
+    let report = Checker::dfs().preemption_bound(None).max_schedules(30_000).check(|| {
+        let plans = Arc::new(PlanTable::new(8, 1));
+        let conv = Arc::new(ShardedConversions::new(1 << 20, 1));
+        let builds = Arc::new(AtomicUsize::new(0));
+        plans.insert_pending("m", FormatKind::Ell);
+        // ELL refuses the matrix; CSR accepts it.
+        let landers: Vec<_> = (0..2)
+            .map(|_| {
+                let (p, c, b) = (Arc::clone(&plans), Arc::clone(&conv), Arc::clone(&builds));
+                thread::spawn(move || {
+                    let (_, kind, _) = c.land(&p, "m", FormatKind::Ell, None, |_| {
+                        b.fetch_add(1, Ordering::Relaxed);
+                        (tiny_format(), FormatKind::NaiveCsr, 1)
+                    });
+                    assert_eq!(kind, FormatKind::NaiveCsr, "a stale reader got the refused kind");
+                })
+            })
+            .collect();
+        // An assert-free reader widens the explored interleavings.
+        let reader = {
+            let (p, c) = (Arc::clone(&plans), Arc::clone(&conv));
+            thread::spawn(move || {
+                let _ = p.get("m");
+                let _ = c.peek("m", FormatKind::Ell);
+            })
+        };
+        for t in landers {
+            t.join().unwrap();
+        }
+        reader.join().unwrap();
+
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "the refused kind converted twice");
+        assert_eq!(conv.len(), 1, "exactly one entry resident for the id");
+        assert_eq!(
+            plans.get("m"),
+            Some(PlanState::Pinned(FormatKind::NaiveCsr)),
+            "plan must end pinned to the fallback"
+        );
     });
     report.assert_ok();
     assert!(report.schedules >= 1_000, "insufficient exploration: {} schedules", report.schedules);

@@ -1,10 +1,12 @@
-//! LRU cache of converted storage formats, keyed by
-//! `(matrix id, format)` and bounded by resident bytes.
+//! LRU cache of converted storage formats, one per matrix id, bounded
+//! by resident bytes.
 //!
 //! Conversion is the expensive step of adaptive serving (building
 //! SELL-C-σ costs many times one SpMV), so the engine keeps
 //! converted matrices around and evicts by least-recent use when the
-//! configured byte budget overflows. Entries are handed out as `Arc`s:
+//! configured byte budget overflows. An id has at most one resident
+//! conversion, like it has at most one plan: inserting another kind
+//! for the id replaces the entry. Entries are handed out as `Arc`s:
 //! an eviction never invalidates a format a request is still running
 //! on, it only drops the cache's own reference.
 
@@ -14,6 +16,7 @@ use std::sync::Arc;
 
 /// A cached converted format plus bookkeeping.
 struct CacheEntry {
+    kind: FormatKind,
     fmt: Arc<Box<dyn SparseFormat>>,
     bytes: usize,
     last_used: u64,
@@ -30,7 +33,7 @@ pub struct ConversionCache {
     capacity_bytes: usize,
     bytes: usize,
     tick: u64,
-    entries: BTreeMap<String, BTreeMap<FormatKind, CacheEntry>>,
+    entries: BTreeMap<String, CacheEntry>,
 }
 
 impl std::fmt::Debug for ConversionCache {
@@ -60,9 +63,9 @@ impl ConversionCache {
         self.bytes
     }
 
-    /// Number of resident entries.
+    /// Number of resident entries (= ids with a resident conversion).
     pub fn len(&self) -> usize {
-        self.entries.values().map(|m| m.len()).sum()
+        self.entries.len()
     }
 
     /// `true` when nothing is cached.
@@ -70,30 +73,35 @@ impl ConversionCache {
         self.entries.is_empty()
     }
 
-    /// Looks up `(id, kind)`, refreshing its recency on a hit.
-    pub fn get(&mut self, id: &str, kind: FormatKind) -> Option<Arc<Box<dyn SparseFormat>>> {
+    /// The conversion resident for `id` and its kind, whatever kind the
+    /// caller planned; refreshes its recency on a hit.
+    pub fn resident(&mut self, id: &str) -> Option<(Arc<Box<dyn SparseFormat>>, FormatKind)> {
         self.tick += 1;
-        let tick = self.tick;
-        let entry = self.entries.get_mut(id)?.get_mut(&kind)?;
-        entry.last_used = tick;
-        Some(Arc::clone(&entry.fmt))
+        let entry = self.entries.get_mut(id)?;
+        entry.last_used = self.tick;
+        Some((Arc::clone(&entry.fmt), entry.kind))
     }
 
-    /// Inserts a converted format (replacing any previous entry under
-    /// the same key) and evicts least-recently-used entries until the
-    /// budget holds again.
+    /// The conversion resident for `id` if it is of `kind`.
+    pub fn get(&mut self, id: &str, kind: FormatKind) -> Option<Arc<Box<dyn SparseFormat>>> {
+        self.resident(id).filter(|&(_, k)| k == kind).map(|(fmt, _)| fmt)
+    }
+
+    /// Inserts a converted format (replacing the id's resident entry,
+    /// whatever its kind) and evicts least-recently-used entries until
+    /// the budget holds again.
     pub fn insert(&mut self, id: &str, kind: FormatKind, fmt: Arc<Box<dyn SparseFormat>>) {
         self.tick += 1;
         let bytes = fmt.bytes();
-        let entry = CacheEntry { fmt, bytes, last_used: self.tick };
-        // Re-insert over a resident key: the displaced entry's bytes
+        let entry = CacheEntry { kind, fmt, bytes, last_used: self.tick };
+        // Re-insert over a resident id: the displaced entry's bytes
         // must come off the account before the new entry's go on,
         // otherwise `bytes_resident` drifts upward on every replace.
-        if let Some(old) = self.entries.entry(id.to_string()).or_default().insert(kind, entry) {
+        if let Some(old) = self.entries.insert(id.to_string(), entry) {
             self.bytes -= old.bytes;
         }
         self.bytes += bytes;
-        self.evict_to_fit(id, kind);
+        self.evict_to_fit(id);
         self.debug_check();
     }
 
@@ -101,50 +109,32 @@ impl ConversionCache {
     /// Does not refresh recency — snapshotting the cache must not
     /// perturb the LRU order it is snapshotting.
     pub fn iter(&self) -> impl Iterator<Item = (&str, FormatKind, &Arc<Box<dyn SparseFormat>>)> {
-        self.entries
-            .iter()
-            .flat_map(|(id, m)| m.iter().map(move |(&k, e)| (id.as_str(), k, &e.fmt)))
+        self.entries.iter().map(|(id, e)| (id.as_str(), e.kind, &e.fmt))
     }
 
-    /// Drops every entry of one matrix (e.g. when the caller knows the
+    /// Drops the entry of one matrix (e.g. when the caller knows the
     /// matrix changed); returns the bytes released.
     pub fn forget(&mut self, id: &str) -> usize {
-        let released = self
-            .entries
-            .remove(id)
-            .map(|m| m.values().map(|e| e.bytes).sum::<usize>())
-            .unwrap_or(0);
+        let released = self.entries.remove(id).map_or(0, |e| e.bytes);
         self.bytes -= released;
         self.debug_check();
         released
     }
 
-    /// Empties the cache.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
-    }
-
-    /// Evicts globally-LRU entries (sparing the just-inserted key)
+    /// Evicts globally-LRU entries (sparing the just-inserted id)
     /// until `bytes <= capacity` or only the spared entry remains.
-    fn evict_to_fit(&mut self, keep_id: &str, keep_kind: FormatKind) {
+    fn evict_to_fit(&mut self, keep_id: &str) {
         while self.bytes > self.capacity_bytes {
             let victim = self
                 .entries
                 .iter()
-                .flat_map(|(id, m)| m.iter().map(move |(k, e)| (id, *k, e.last_used, e.bytes)))
-                .filter(|(id, k, _, _)| !(id.as_str() == keep_id && *k == keep_kind))
-                .min_by_key(|&(_, _, last_used, _)| last_used);
-            let Some((id, kind, _, bytes)) = victim.map(|(id, k, t, b)| (id.clone(), k, t, b))
-            else {
+                .filter(|(id, _)| id.as_str() != keep_id)
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(id, _)| id.clone());
+            let Some(id) = victim else {
                 break; // only the spared entry left
             };
-            let per_id = self.entries.get_mut(&id).expect("victim id present");
-            per_id.remove(&kind);
-            if per_id.is_empty() {
-                self.entries.remove(&id);
-            }
-            self.bytes -= bytes;
+            self.bytes -= self.entries.remove(&id).expect("victim id present").bytes;
         }
         self.debug_check();
     }
@@ -158,7 +148,7 @@ impl ConversionCache {
     fn debug_check(&self) {
         #[cfg(debug_assertions)]
         {
-            let sum: usize = self.entries.values().flat_map(|m| m.values()).map(|e| e.bytes).sum();
+            let sum: usize = self.entries.values().map(|e| e.bytes).sum();
             debug_assert_eq!(sum, self.bytes, "bytes_resident drifted from the entry sum");
             debug_assert!(
                 self.bytes <= self.capacity_bytes || self.len() == 1,
@@ -255,7 +245,7 @@ mod tests {
         assert!(released > 0);
         assert_eq!(c.len(), 1);
         assert_eq!(c.bytes_resident(), b10);
-        c.clear();
+        c.forget("z");
         assert!(c.is_empty());
         assert_eq!(c.bytes_resident(), 0);
     }

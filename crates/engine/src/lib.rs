@@ -45,7 +45,7 @@
 //! calling thread.
 //! When the flight lands, the converted format is published and the
 //! plan re-pinned *inside one critical section* (see
-//! [`shard::FlightGuard::finish_with`]), and subsequent requests serve
+//! [`ShardedConversions::land`]), and subsequent requests serve
 //! the selected format. [`EngineCounters::served_fallback`] /
 //! [`EngineCounters::served_selected`] / [`EngineCounters::swaps`]
 //! make the transition observable, and
@@ -53,9 +53,9 @@
 //!
 //! The serve path is built for concurrent clients: the plan table and
 //! conversion cache are split over hash shards with independent locks,
-//! and concurrent misses on the same `(id, format)` coalesce onto a
-//! single conversion (see the [`shard`] module). Conversions never run
-//! under a lock.
+//! and concurrent misses on the same id coalesce onto a single
+//! conversion (see the [`shard`] module). Conversions never run under a
+//! lock.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -72,7 +72,7 @@ pub use snapshot::{selector_from_snapshot, RestoreStats, SnapshotError, SNAPSHOT
 pub use solve::{SolveError, SolveHandle, SolveOutcome};
 pub use training::{selector_from_records, TrainingPlan};
 
-use shard::{CachedFormat, Lookup};
+use shard::{CachedFormat, Landed};
 use spmv_analysis::{FormatSelector, SelectorFeatures};
 use spmv_core::{CsrMatrix, FeatureSet};
 use spmv_devices::{device_by_name, DeviceSpec};
@@ -249,12 +249,12 @@ impl From<SnapshotError> for EngineError {
 ///   runs.
 ///
 /// Duplicate racing conversions would show up as `conversions`
-/// exceeding the number of distinct `(id, format)` pairs resident;
-/// single-flight — plus the redirect recorded at fallback publication,
-/// which stops a stale plan read from leading a second refused
-/// conversion — keeps that difference at zero on an eviction-free mix.
-/// An LRU eviction legitimately rebuilds on the next request — alert on
-/// sustained growth of the difference, not on any nonzero value.
+/// exceeding the number of ids resident; single-flight per id — which
+/// also hands a stale read of a refused plan the resident fallback
+/// instead of a second refused conversion — keeps that difference at
+/// zero on an eviction-free mix. An LRU eviction legitimately rebuilds
+/// on the next request — alert on sustained growth of the difference,
+/// not on any nonzero value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Serve calls (`spmv` + `spmv_parallel` + `spmm`).
@@ -270,8 +270,8 @@ pub struct EngineCounters {
     /// Background admission flights whose own conversion landed: the
     /// flight built the format, published it, and re-pinned its plan
     /// (`Building → Pinned`) in one critical section. Exactly one per
-    /// converted `(id, format)` — a flight that finds the format
-    /// already resident re-pins without counting a swap.
+    /// converted id — a flight that finds the id's conversion already
+    /// resident re-pins without counting a swap.
     pub swaps: u64,
     /// Conversion-cache lookups (see the invariants above for how they
     /// relate to `requests` per admission mode).
@@ -281,13 +281,13 @@ pub struct EngineCounters {
     /// Lookups that missed and led a conversion themselves.
     pub cache_misses: u64,
     /// Lookups that missed while another thread was already converting
-    /// the same `(id, format)` and waited for its result instead of
+    /// the same id and waited for its result instead of
     /// duplicating the work. Without this class, coalesced work would
     /// silently under-report as neither hit nor miss.
     pub coalesced: u64,
     /// Format conversions actually executed (each a cache miss that
-    /// completed its build; abandoned builds are misses that never
-    /// become conversions).
+    /// completed its build; a lookup whose build panicked counts as
+    /// nothing, and the waiter that retries counts its own).
     pub conversions: u64,
     /// Conversion candidates that refused a matrix (ELL's padding
     /// budget) before a fallback format accepted it.
@@ -381,6 +381,38 @@ struct ServeState {
     lanes: LaneProfile,
 }
 
+impl ServeState {
+    /// Lands `(id, kind)`, building a miss with the fallback chain, and
+    /// counts the lookup: the one place a landing moves counters.
+    fn land(
+        &self,
+        id: &str,
+        csr: &CsrMatrix,
+        kind: FormatKind,
+        ticket: Option<u64>,
+    ) -> (CachedFormat, FormatKind, Landed) {
+        let (fmt, kind, landed) = self.conversions.land(&self.plans, id, kind, ticket, |kind| {
+            let (built, actual, refused) =
+                build_with_fallback_profile(kind, csr, &self.fallback_chain, self.lanes)
+                    .expect("fallback chain ends in CSR, which accepts any matrix");
+            (Arc::new(built), actual, refused)
+        });
+        let c = &self.counters;
+        c.lookups.fetch_add(1, Ordering::Relaxed);
+        let class = match landed {
+            Landed::Hit => &c.hits,
+            Landed::Coalesced => &c.coalesced,
+            Landed::Built { refused, .. } => {
+                c.fallbacks.fetch_add(refused as u64, Ordering::Relaxed);
+                c.conversions.fetch_add(1, Ordering::Relaxed);
+                &c.misses
+            }
+        };
+        class.fetch_add(1, Ordering::Relaxed);
+        (fmt, kind, landed)
+    }
+}
+
 /// How one request was answered.
 enum Served {
     /// The engine-selected converted format (resident in the cache).
@@ -406,8 +438,8 @@ impl Served {
 /// The adaptive SpMV serving engine. See the [crate docs](self) for the
 /// pipeline; all methods take `&self` and are built for concurrent
 /// callers: the plan table and conversion cache are sharded by
-/// matrix-id hash, racing misses on one `(id, format)` coalesce onto a
-/// single conversion, and counters are atomic.
+/// matrix-id hash, racing misses on one id coalesce onto a single
+/// conversion, and counters are atomic.
 pub struct Engine {
     device: DeviceSpec,
     selector: FormatSelector,
@@ -615,57 +647,6 @@ impl Engine {
         self.state.plans.insert_pending(id, kind)
     }
 
-    /// Synchronous resolution: cache lookup → single-flight conversion
-    /// on miss (with fallback) → publish and re-pin the plan inside the
-    /// flight's critical section. Exactly one of a set of racing misses
-    /// converts; the others block on its flight and share the result
-    /// (counted as `coalesced`).
-    fn resolve(&self, id: &str, csr: &CsrMatrix, planned: FormatKind) -> Served {
-        let c = &self.state.counters;
-        c.lookups.fetch_add(1, Ordering::Relaxed);
-        loop {
-            match self.state.conversions.begin(id, planned) {
-                Lookup::Hit(fmt, actual) => {
-                    c.hits.fetch_add(1, Ordering::Relaxed);
-                    return Served::Selected(fmt, actual);
-                }
-                Lookup::Wait(flight) => {
-                    if let Some((fmt, actual)) = flight.wait() {
-                        c.coalesced.fetch_add(1, Ordering::Relaxed);
-                        return Served::Selected(fmt, actual);
-                    }
-                    // The leader abandoned (panicked) without
-                    // publishing; retry — this lookup will now lead.
-                }
-                Lookup::Lead(guard) => {
-                    c.misses.fetch_add(1, Ordering::Relaxed);
-                    // Conversion runs with no shard lock held: it can
-                    // take many SpMV-equivalents, and other matrices on
-                    // the same shard must keep serving meanwhile.
-                    let (built, actual, refused) = build_with_fallback_profile(
-                        guard.kind(),
-                        csr,
-                        &self.state.fallback_chain,
-                        self.state.lanes,
-                    )
-                    .expect("fallback chain ends in CSR, which accepts any matrix");
-                    c.fallbacks.fetch_add(refused as u64, Ordering::Relaxed);
-                    c.conversions.fetch_add(1, Ordering::Relaxed);
-                    let fmt: CachedFormat = Arc::new(built);
-                    // Publication and plan re-pin share one critical
-                    // section: no reader can observe the resident
-                    // fallback entry while still being handed the
-                    // refusing plan (the old re-plan window).
-                    guard.finish_with(Arc::clone(&fmt), actual, |actual| {
-                        self.state.plans.pin(id, actual);
-                        true
-                    });
-                    return Served::Selected(fmt, actual);
-                }
-            }
-        }
-    }
-
     /// Asynchronous serve: answer from the cache when the selected
     /// format is resident, otherwise ensure a background flight is on
     /// its way and answer via the CSR path — never converting (or
@@ -729,11 +710,12 @@ impl Engine {
         self.pool.submit_low(move || run_admission(&state, &id, &csr, kind, epoch));
     }
 
-    fn serve(&self, id: &str, csr: &CsrMatrix) -> Served {
-        let served = match self.admission {
+    /// Serves and counts one request (a solver handle forces `Sync`).
+    fn serve(&self, id: &str, csr: &CsrMatrix, admission: Admission) -> Served {
+        let served = match admission {
             Admission::Sync => {
-                let planned = self.plan(id, csr).kind();
-                self.resolve(id, csr, planned)
+                let (fmt, kind, _) = self.state.land(id, csr, self.plan(id, csr).kind(), None);
+                Served::Selected(fmt, kind)
             }
             Admission::Async { max_in_flight } => self.serve_async(id, csr, max_in_flight),
         };
@@ -761,7 +743,7 @@ impl Engine {
     /// and `y` holds `rows` values.
     pub fn spmv(&self, id: &str, csr: &CsrMatrix, x: &[f64], y: &mut [f64]) -> FormatKind {
         check_operands(csr, x, 1, y);
-        let served = self.serve(id, csr);
+        let served = self.serve(id, csr, self.admission);
         let (fmt, kind) = served.format();
         fmt.spmv(x, y);
         kind
@@ -775,7 +757,7 @@ impl Engine {
     /// and `y` holds `rows` values.
     pub fn spmv_parallel(&self, id: &str, csr: &CsrMatrix, x: &[f64], y: &mut [f64]) -> FormatKind {
         check_operands(csr, x, 1, y);
-        let served = self.serve(id, csr);
+        let served = self.serve(id, csr, self.admission);
         let (fmt, kind) = served.format();
         fmt.spmv_parallel(&self.pool, x, y);
         kind
@@ -798,7 +780,7 @@ impl Engine {
         y: &mut [f64],
     ) -> FormatKind {
         check_operands(csr, x, k, y);
-        let served = self.serve(id, csr);
+        let served = self.serve(id, csr, self.admission);
         let (fmt, kind) = served.format();
         fmt.spmm(x, k, y);
         kind
@@ -906,85 +888,35 @@ fn check_operands(csr: &CsrMatrix, x: &[f64], k: usize, y: &[f64]) {
     assert_eq!(y.len(), csr.rows() * k, "y must be a column-major rows × k block");
 }
 
-/// One background admission flight: resolve `(id, kind)` through the
-/// single-flight register, then land the plan (`Building → Pinned`)
-/// with the `epoch` ticket. Runs on the thread pool's background lane;
-/// `state` is the engine's shared serving state, `csr` the flight's own
-/// clone of the operand.
+/// One background admission flight: land `(id, kind)` with the `epoch`
+/// ticket (`Building → Pinned`). Runs on the thread pool's background
+/// lane; `state` is the engine's shared serving state, `csr` the
+/// flight's own clone of the operand.
 fn run_admission(state: &Arc<ServeState>, id: &str, csr: &CsrMatrix, kind: FormatKind, epoch: u64) {
-    /// Releases the admission slot on every exit; reverts the plan to
-    /// `Pending` unless the flight landed (so a panicking build does
-    /// not wedge the id in `Building` forever — the next request
-    /// re-schedules).
+    /// Releases the admission slot on every exit and reverts a plan the
+    /// flight left `Building` to `Pending` (a panicking build must not
+    /// wedge the id — the next request re-schedules); a landed plan is
+    /// no longer `Building` under this epoch, so then it is a no-op.
     struct Slot<'a> {
         state: &'a ServeState,
         id: &'a str,
         epoch: u64,
-        landed: bool,
     }
     impl Drop for Slot<'_> {
         fn drop(&mut self) {
-            if !self.landed {
-                self.state.plans.abort_build(self.id, self.epoch);
-            }
+            self.state.plans.abort_build(self.id, self.epoch);
             self.state.in_flight.fetch_sub(1, Ordering::AcqRel);
         }
     }
-    let mut slot = Slot { state, id, epoch, landed: false };
-
-    let c = &state.counters;
-    c.lookups.fetch_add(1, Ordering::Relaxed);
-    loop {
-        match state.conversions.begin(id, kind) {
-            Lookup::Hit(_, actual) => {
-                // Already resident (an earlier flight of this id under
-                // another plan generation): just land the plan. Not a
-                // `swap` — that counter tracks conversions this flight
-                // itself built and published, so it stays exactly one
-                // per `(id, format)` no matter how claims interleave.
-                c.hits.fetch_add(1, Ordering::Relaxed);
-                if state.plans.finish_build(id, epoch, actual) {
-                    slot.landed = true;
-                }
-                return;
-            }
-            Lookup::Wait(flight) => {
-                if let Some((_, actual)) = flight.wait() {
-                    c.coalesced.fetch_add(1, Ordering::Relaxed);
-                    if state.plans.finish_build(id, epoch, actual) {
-                        slot.landed = true;
-                    }
-                    return;
-                }
-                // Leader abandoned; retry — this flight will now lead.
-            }
-            Lookup::Lead(guard) => {
-                c.misses.fetch_add(1, Ordering::Relaxed);
-                let (built, actual, refused) = build_with_fallback_profile(
-                    guard.kind(),
-                    csr,
-                    &state.fallback_chain,
-                    state.lanes,
-                )
-                .expect("fallback chain ends in CSR, which accepts any matrix");
-                c.fallbacks.fetch_add(refused as u64, Ordering::Relaxed);
-                c.conversions.fetch_add(1, Ordering::Relaxed);
-                let mut landed = false;
-                // Atomic landing: cache insert + plan re-pin in one
-                // critical section, both vetoed if the id was forgotten
-                // (flight deregistered) or forgotten-and-re-admitted
-                // (epoch mismatch) while we built.
-                guard.finish_with(Arc::new(built), actual, |actual| {
-                    landed = state.plans.finish_build(id, epoch, actual);
-                    landed
-                });
-                if landed {
-                    c.swaps.fetch_add(1, Ordering::Relaxed);
-                    slot.landed = true;
-                }
-                return;
-            }
-        }
+    let _slot = Slot { state, id, epoch };
+    let (_, _, landed) = state.land(id, csr, kind, Some(epoch));
+    // A format already resident (an earlier flight of this id under
+    // another plan generation) or coalesced just lands the plan. Not a
+    // `swap` — that counter tracks conversions this flight itself built
+    // and published, so it stays exactly one per converted id no matter
+    // how claims interleave.
+    if matches!(landed, Landed::Built { published: true, .. }) {
+        state.counters.swaps.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -14,35 +14,33 @@
 //!   on every admission once the table filled.
 //! * [`ShardedConversions`] — the converted-format cache, one
 //!   [`ConversionCache`] per shard plus a **single-flight** register:
-//!   concurrent misses on the same `(id, format)` coalesce onto one
-//!   builder (the *leader*) while every other thread (*waiters*) blocks
-//!   on the flight's slot instead of converting its own duplicate copy.
+//!   concurrent misses on the same id coalesce onto one builder (the
+//!   *leader*) while every other thread (*waiters*) blocks on the
+//!   flight's slot instead of converting its own duplicate copy.
 //!   Conversion can cost many SpMV-equivalents (SELL-C-σ), so a
 //!   thundering herd of M clients must pay it once, not M times.
 //!
-//! # Flight publication is atomic with the plan update
+//! # One conversion per id, landed one way
 //!
-//! When a planned format refuses a matrix and a fallback builds
-//! instead, the publication ([`FlightGuard::finish_with`]) does three
-//! things inside **one** conversion-shard critical section: insert the
-//! built format into the cache, record a *redirect*
-//! (`(id, refused kind) → actual kind`) so a reader still holding the
-//! stale plan resolves to the resident entry instead of leading a
-//! second (refused) conversion, and run the caller's publish hook —
-//! which the engine uses to re-pin the plan. Before this, a client
-//! that read the stale plan between flight deregistration and the
-//! plan re-pin could lead one redundant refused conversion (the old
-//! ROADMAP "fallback re-plan window").
+//! The conversion side holds what the plan table holds: at most one
+//! entry and at most one flight per matrix id. A lookup that finds the
+//! id resident is a hit whatever kind the caller planned, and reports
+//! the resident kind, so a reader still holding a refused plan (ELL over
+//! its padding budget) finds the fallback that built instead. Every
+//! caller that needs a format — the synchronous serve, a background
+//! admission flight, a solver handle, snapshot restore — goes through
+//! [`ShardedConversions::land`], which publishes a build and re-pins the
+//! plan inside **one** conversion-shard critical section, so no reader
+//! sees the resident entry while still being handed the refused plan.
 //!
 //! # Lock ordering
 //!
 //! Both structures hash ids with FNV-1a. A conversion-shard lock may be
-//! held while taking a plan-shard lock (that is exactly what
-//! `finish_with`'s publish hook does); the reverse never happens — no
-//! `PlanTable` method calls into `ShardedConversions` — so lock
-//! ordering is acyclic. Conversion itself always runs *outside* the
-//! shard lock — only the registration and publication of the result
-//! lock the shard.
+//! held while taking a plan-shard lock (that is exactly what `land`'s
+//! publication does); the reverse never happens — no `PlanTable` method
+//! calls into `ShardedConversions` — so lock ordering is acyclic.
+//! Conversion itself always runs *outside* the shard lock — only the
+//! registration and publication of the result lock the shard.
 
 use crate::cache::ConversionCache;
 use spmv_formats::{FormatKind, SparseFormat};
@@ -429,8 +427,8 @@ enum FlightState {
     /// The leader is still converting.
     Pending,
     /// The conversion finished; waiters take the shared result. The
-    /// format kind is the one that actually built (fallbacks may differ
-    /// from the planned kind the flight is keyed under).
+    /// format kind is the one that actually built (a fallback may differ
+    /// from the kind the leader was asked for).
     Done(CachedFormat, FormatKind),
     /// The leader died (panicked) without publishing; waiters must
     /// retry the whole lookup.
@@ -458,57 +456,25 @@ impl Flight {
     }
 }
 
-/// Per-shard bound on remembered redirects. Redirects are a
-/// correctness-window optimization, not required state: dropping one
-/// costs at most one extra refused conversion the next time a stale
-/// plan of that id is read, so a hard cap (arbitrary-order overflow
-/// eviction) is enough to keep a long-running engine's memory bounded.
-const REDIRECTS_PER_SHARD: usize = 4096;
-
 struct ConversionShard {
     cache: ConversionCache,
-    inflight: BTreeMap<(String, FormatKind), Arc<Flight>>,
-    /// `(id, refused kind) → kind that actually built`: written inside
-    /// the publication critical section, consulted by every lookup, so
-    /// a reader holding a stale plan resolves to the resident fallback
-    /// entry instead of leading a second (refused) conversion. Bounded
-    /// by [`REDIRECTS_PER_SHARD`]; cleared per id on `forget`.
-    redirects: BTreeMap<(String, FormatKind), FormatKind>,
-}
-
-impl ConversionShard {
-    /// The effective cache/flight key after following a redirect. The
-    /// empty-map check keeps the fallback-free hot path free of the
-    /// key allocation the `BTreeMap` probe needs.
-    fn resolve_kind(&self, id: &str, kind: FormatKind) -> FormatKind {
-        if self.redirects.is_empty() {
-            return kind;
-        }
-        self.redirects.get(&(id.to_string(), kind)).copied().unwrap_or(kind)
-    }
-
-    fn record_redirect(&mut self, id: &str, refused: FormatKind, actual: FormatKind) {
-        while self.redirects.len() >= REDIRECTS_PER_SHARD {
-            self.redirects.pop_first();
-        }
-        self.redirects.insert((id.to_string(), refused), actual);
-    }
+    inflight: BTreeMap<String, Arc<Flight>>,
 }
 
 /// The outcome of [`ShardedConversions::begin`]: exactly one of the
 /// racing callers leads the conversion, everyone else hits or waits.
 pub enum Lookup<'a> {
-    /// The converted format was resident; recency refreshed. The kind
+    /// The id's conversion was resident; recency refreshed. The kind
     /// is the resident one — it differs from the requested kind when a
-    /// redirect (recorded fallback) rewrote the lookup.
+    /// fallback built in place of a refusing plan.
     Hit(CachedFormat, FormatKind),
-    /// Another thread is already converting this `(id, format)`; call
+    /// Another thread is already converting this id; call
     /// [`Flight::wait`] for the shared result.
     Wait(Arc<Flight>),
     /// This caller owns the conversion: build the format named by
     /// [`FlightGuard::kind`], then publish it with
-    /// [`FlightGuard::finish_with`]. Dropping the guard without
-    /// finishing abandons the flight and wakes the waiters.
+    /// [`FlightGuard::finish`]. Dropping the guard without finishing
+    /// abandons the flight and wakes the waiters.
     Lead(FlightGuard<'a>),
 }
 
@@ -523,8 +489,8 @@ pub struct FlightGuard<'a> {
 }
 
 impl FlightGuard<'_> {
-    /// The format this flight is converting (the effective kind after
-    /// any redirect) — what the leader should build.
+    /// The format this flight was asked to convert — what the leader
+    /// should build.
     pub fn kind(&self) -> FormatKind {
         self.kind
     }
@@ -532,10 +498,9 @@ impl FlightGuard<'_> {
     /// Publishes the built format atomically with the caller's plan
     /// update: inside one conversion-shard critical section, runs
     /// `publish(actual)` and — when it returns `true` — inserts the
-    /// format into the shard's cache under the kind that actually built
-    /// and records a redirect if that differs from the flight's kind.
-    /// Then wakes every waiter (they receive the result either way:
-    /// their requests raced whatever invalidated the publication).
+    /// format into the shard's cache under the kind that actually
+    /// built. Then wakes every waiter (they receive the result either
+    /// way: their requests raced whatever invalidated the publication).
     ///
     /// `publish` returning `false` means the caller found its admission
     /// stale (the id was forgotten, or forgotten and re-admitted, while
@@ -547,7 +512,7 @@ impl FlightGuard<'_> {
     /// `publish` runs with the conversion-shard lock held and may take
     /// a plan-shard lock (see the module docs on lock ordering); it
     /// must not call back into [`ShardedConversions`].
-    pub fn finish_with<P>(mut self, fmt: CachedFormat, actual: FormatKind, publish: P)
+    fn finish_with<P>(mut self, fmt: CachedFormat, actual: FormatKind, publish: P)
     where
         P: FnOnce(FormatKind) -> bool,
     {
@@ -555,9 +520,6 @@ impl FlightGuard<'_> {
             let mut shard = self.owner.shards[self.shard].lock();
             if self.deregister(&mut shard) && publish(actual) {
                 shard.cache.insert(&self.id, actual, Arc::clone(&fmt));
-                if actual != self.kind {
-                    shard.record_redirect(&self.id, self.kind, actual);
-                }
             }
         }
         *self.flight.state.lock() = FlightState::Done(fmt, actual);
@@ -575,10 +537,9 @@ impl FlightGuard<'_> {
     /// `false` when the entry is gone or belongs to a successor leader
     /// (a `forget` intervened), in which case this build is stale.
     fn deregister(&self, shard: &mut ConversionShard) -> bool {
-        let key = (self.id.clone(), self.kind);
-        match shard.inflight.get(&key) {
+        match shard.inflight.get(&self.id) {
             Some(f) if Arc::ptr_eq(f, &self.flight) => {
-                shard.inflight.remove(&key);
+                shard.inflight.remove(&self.id);
                 true
             }
             _ => false,
@@ -601,6 +562,23 @@ impl Drop for FlightGuard<'_> {
         *self.flight.state.lock() = FlightState::Abandoned;
         self.flight.ready.notify_all();
     }
+}
+
+/// How a [`ShardedConversions::land`] call obtained its format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Landed {
+    /// The id's conversion was resident.
+    Hit,
+    /// Another caller was converting the id; this one waited for it.
+    Coalesced,
+    /// This caller built the format and, unless vetoed, published it
+    /// and re-pinned the plan.
+    Built {
+        /// Candidates that refused the matrix before one accepted it.
+        refused: usize,
+        /// `false` when a `forget` or a stale claim vetoed publication.
+        published: bool,
+    },
 }
 
 /// Sharded conversion cache with single-flight miss coalescing.
@@ -629,8 +607,7 @@ impl ShardedConversions {
     /// conversions that hash to one full shard evict each other even
     /// while other shards sit idle. Size the budget so one shard holds
     /// a plausible per-shard working set, or lower `shards` for
-    /// few-but-huge matrix mixes. (A globally shared byte budget needs
-    /// cross-shard eviction coordination — see ROADMAP.)
+    /// few-but-huge matrix mixes.
     pub fn new(capacity_bytes: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let per_shard = capacity_bytes.div_ceil(shards);
@@ -640,33 +617,31 @@ impl ShardedConversions {
                     Mutex::new(ConversionShard {
                         cache: ConversionCache::new(per_shard),
                         inflight: BTreeMap::new(),
-                        redirects: BTreeMap::new(),
                     })
                 })
                 .collect(),
         }
     }
 
-    /// Atomically classifies a lookup of `(id, kind)` — after following
-    /// any redirect — as resident → [`Lookup::Hit`], already converting
-    /// → [`Lookup::Wait`], neither → this caller becomes the leader
+    /// Atomically classifies a lookup of `id` as resident (whatever its
+    /// kind) → [`Lookup::Hit`], already converting → [`Lookup::Wait`],
+    /// neither → this caller becomes the leader of a `kind` conversion
     /// ([`Lookup::Lead`]). Cache check and flight registration happen
     /// under one shard lock, so between a leader's registration and its
     /// publication every other caller is funneled onto the flight — no
-    /// window in which a second conversion of the same key can start.
+    /// window in which a second conversion of the same id can start.
     pub fn begin(&self, id: &str, kind: FormatKind) -> Lookup<'_> {
         let si = shard_of(id, self.shards.len());
         let mut shard = self.shards[si].lock();
-        let kind = shard.resolve_kind(id, kind);
-        if let Some(fmt) = shard.cache.get(id, kind) {
-            return Lookup::Hit(fmt, kind);
+        if let Some((fmt, resident)) = shard.cache.resident(id) {
+            return Lookup::Hit(fmt, resident);
         }
-        if let Some(flight) = shard.inflight.get(&(id.to_string(), kind)) {
+        if let Some(flight) = shard.inflight.get(id) {
             return Lookup::Wait(Arc::clone(flight));
         }
         let flight =
             Arc::new(Flight { state: Mutex::new(FlightState::Pending), ready: Condvar::new() });
-        shard.inflight.insert((id.to_string(), kind), Arc::clone(&flight));
+        shard.inflight.insert(id.to_string(), Arc::clone(&flight));
         Lookup::Lead(FlightGuard {
             owner: self,
             shard: si,
@@ -677,34 +652,82 @@ impl ShardedConversions {
         })
     }
 
-    /// Non-registering lookup: the resident format for `(id, kind)` —
-    /// after following any redirect — with recency refreshed, or `None`.
-    /// Never waits and never leads; the asynchronous serve path uses
-    /// this so a request thread cannot be drafted into a conversion.
-    pub fn peek(&self, id: &str, kind: FormatKind) -> Option<(CachedFormat, FormatKind)> {
-        let mut shard = self.shards[shard_of(id, self.shards.len())].lock();
-        let kind = shard.resolve_kind(id, kind);
-        shard.cache.get(id, kind).map(|fmt| (fmt, kind))
+    /// Non-registering lookup: the format resident for `id` (whatever
+    /// kind the caller's plan names) and its kind, with recency
+    /// refreshed, or `None`. Never waits and never leads; the
+    /// asynchronous serve path uses this so a request thread cannot be
+    /// drafted into a conversion.
+    pub fn peek(&self, id: &str, _planned: FormatKind) -> Option<(CachedFormat, FormatKind)> {
+        self.shards[shard_of(id, self.shards.len())].lock().cache.resident(id)
     }
 
-    /// Drops every cached conversion and redirect of one matrix id;
-    /// returns the bytes released. In-flight conversions of the id are
-    /// deregistered (not interrupted): their leaders finish and serve
-    /// their waiters, but the stale result is discarded instead of
-    /// cached, so a conversion racing a forget can never re-populate
-    /// the cache with the pre-forget matrix.
+    /// Lands a format for `id`: the one landing protocol. Returns the
+    /// format to serve, its kind (the built or resident one, not always
+    /// `kind`) and how it was obtained: a hit; a wait on the leader's
+    /// flight (retried, possibly leading, if that leader abandoned); or
+    /// a lead, which calls `build(kind) -> (format, built kind, refused)`
+    /// with no lock held, then publishes the format and re-pins the plan
+    /// in one critical section.
+    ///
+    /// With a claim `ticket` ([`PlanTable::try_begin_build`]'s epoch) the
+    /// plan lands by `finish_build` on every outcome, and a stale ticket
+    /// (the id was forgotten meanwhile) vetoes the publication. Without
+    /// one, only a leader re-pins the plan, by `pin`. A panicking `build`
+    /// abandons the flight (its waiters retry) and propagates.
+    pub fn land<B>(
+        &self,
+        plans: &PlanTable,
+        id: &str,
+        kind: FormatKind,
+        ticket: Option<u64>,
+        build: B,
+    ) -> (CachedFormat, FormatKind, Landed)
+    where
+        B: FnOnce(FormatKind) -> (CachedFormat, FormatKind, usize),
+    {
+        let (fmt, kind, landed) = loop {
+            match self.begin(id, kind) {
+                Lookup::Hit(fmt, resident) => break (fmt, resident, Landed::Hit),
+                Lookup::Wait(flight) => {
+                    if let Some((fmt, built)) = flight.wait() {
+                        break (fmt, built, Landed::Coalesced);
+                    }
+                    // The leader abandoned; retry — this call may lead.
+                }
+                Lookup::Lead(guard) => {
+                    let (fmt, actual, refused) = build(guard.kind());
+                    let mut published = false;
+                    guard.finish_with(Arc::clone(&fmt), actual, |actual| {
+                        published = match ticket {
+                            // A claim publishes only into its own plan
+                            // generation; `pin` never inserts a plan.
+                            Some(epoch) => plans.finish_build(id, epoch, actual),
+                            None => {
+                                plans.pin(id, actual);
+                                true
+                            }
+                        };
+                        published
+                    });
+                    return (fmt, actual, Landed::Built { refused, published });
+                }
+            }
+        };
+        if let Some(epoch) = ticket {
+            plans.finish_build(id, epoch, kind);
+        }
+        (fmt, kind, landed)
+    }
+
+    /// Drops the cached conversion of one matrix id; returns the bytes
+    /// released. An in-flight conversion of the id is deregistered (not
+    /// interrupted): its leader finishes and serves its waiters, but the
+    /// stale result is discarded instead of cached, so a conversion
+    /// racing a forget can never re-populate the cache with the
+    /// pre-forget matrix.
     pub fn forget(&self, id: &str) -> usize {
         let mut shard = self.shards[shard_of(id, self.shards.len())].lock();
-        let stale: Vec<(String, FormatKind)> =
-            shard.inflight.keys().filter(|(fid, _)| fid == id).cloned().collect();
-        for key in stale {
-            shard.inflight.remove(&key);
-        }
-        let old: Vec<(String, FormatKind)> =
-            shard.redirects.keys().filter(|(rid, _)| rid == id).cloned().collect();
-        for key in old {
-            shard.redirects.remove(&key);
-        }
+        shard.inflight.remove(id);
         shard.cache.forget(id)
     }
 
@@ -1015,14 +1038,13 @@ mod tests {
 
     /// Regression for the fallback re-plan window: after a fallback
     /// publication, a reader still holding the *refused* kind (a stale
-    /// plan) must resolve to the resident fallback entry — not lead a
+    /// plan) must hit the id's resident fallback entry — not lead a
     /// second doomed conversion.
     #[test]
-    fn stale_plan_lookup_redirects_to_the_fallback_entry() {
+    fn stale_kind_lookup_hits_the_fallback_entry() {
         let c = ShardedConversions::new(1 << 20, 2);
         let Lookup::Lead(guard) = c.begin("m", FormatKind::Dia) else { panic!("lead") };
-        // DIA refused; CSR built instead. Publication records the
-        // redirect inside the same critical section.
+        // DIA refused; CSR built instead.
         let mut pinned = None;
         guard.finish_with(fmt_of(8), FormatKind::NaiveCsr, |actual| {
             pinned = Some(actual);
@@ -1034,11 +1056,11 @@ mod tests {
             Lookup::Hit(_, kind) => assert_eq!(kind, FormatKind::NaiveCsr),
             _ => panic!("stale-plan lookup led a second refused conversion"),
         }
-        // peek() follows the same redirect.
-        let (_, kind) = c.peek("m", FormatKind::Dia).expect("resident via redirect");
+        // peek() answers the same way.
+        let (_, kind) = c.peek("m", FormatKind::Dia).expect("the id's entry is resident");
         assert_eq!(kind, FormatKind::NaiveCsr);
         assert_eq!(c.len(), 1, "exactly one resident entry");
-        // forget clears the redirect with the entries.
+        // forget clears the entry.
         c.forget("m");
         assert!(c.peek("m", FormatKind::Dia).is_none());
         assert!(matches!(c.begin("m", FormatKind::Dia), Lookup::Lead(_)));
@@ -1047,7 +1069,7 @@ mod tests {
     /// The re-plan window, end to end and under racing readers: from
     /// the moment a flight for a refusing kind is registered, no reader
     /// of that kind can ever lead a second conversion — it waits on the
-    /// flight before publication and hits via the redirect after, with
+    /// flight before publication and hits the id's entry after, with
     /// the plan re-pinned inside the same critical section.
     #[test]
     fn racing_readers_never_lead_a_second_refused_conversion() {
@@ -1071,7 +1093,7 @@ mod tests {
                                 let _ = f.wait();
                             }
                             Lookup::Hit(_, kind) => {
-                                assert_eq!(kind, FormatKind::NaiveCsr, "hit via redirect");
+                                assert_eq!(kind, FormatKind::NaiveCsr, "hit the fallback");
                             }
                         }
                         std::thread::yield_now();
@@ -1194,14 +1216,56 @@ mod tests {
         assert_eq!(c.len(), 1);
     }
 
+    /// Fault containment at the landing, with no production hook: the
+    /// leader's build panics while a second thread lands the same id.
+    /// The waiter retries and builds exactly once, nothing of the
+    /// panicking leader becomes resident, and the register still elects
+    /// leaders.
     #[test]
-    fn different_formats_of_one_id_fly_independently() {
-        let c = ShardedConversions::new(1 << 20, 4);
-        let Lookup::Lead(a) = c.begin("m", FormatKind::NaiveCsr) else { panic!("lead csr") };
-        // A different target format is a different flight key.
-        let Lookup::Lead(b) = c.begin("m", FormatKind::Coo) else { panic!("lead coo") };
-        a.finish(fmt_of(8), FormatKind::NaiveCsr);
-        b.finish(fmt_of(8), FormatKind::Coo);
-        assert_eq!(c.len(), 2);
+    fn a_panicking_build_is_contained_and_its_waiter_builds_once() {
+        let c = ShardedConversions::new(1 << 20, 2);
+        let plans = PlanTable::new(16, 2);
+        plans.insert_pending("m", FormatKind::NaiveCsr);
+        let builds = AtomicUsize::new(0);
+        let (building, fail) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let ((fmt, _, landed), leader) = std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    c.land(&plans, "m", FormatKind::NaiveCsr, None, |_| {
+                        building.wait();
+                        fail.wait();
+                        panic!("injected conversion fault")
+                    })
+                }))
+            });
+            building.wait(); // the leader's flight is registered
+            let Lookup::Wait(flight) = c.begin("m", FormatKind::NaiveCsr) else {
+                panic!("the leader's flight is registered")
+            };
+            let waiter = s.spawn(|| {
+                c.land(&plans, "m", FormatKind::NaiveCsr, None, |kind| {
+                    builds.fetch_add(1, Ordering::Relaxed);
+                    (fmt_of(8), kind, 0)
+                })
+            });
+            // Register, leader, this probe and the waiter's own `Wait`:
+            // the waiter is on the flight before the leader fails.
+            while Arc::strong_count(&flight) < 4 {
+                std::thread::yield_now();
+            }
+            drop(flight);
+            fail.wait();
+            (waiter.join().unwrap(), leader.join().unwrap())
+        });
+        assert!(leader.is_err(), "the fault propagates to the leader's caller");
+        assert_eq!(landed, Landed::Built { refused: 0, published: true });
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "the waiter built exactly once");
+        assert_eq!(c.len(), 1);
+        match c.begin("m", FormatKind::NaiveCsr) {
+            Lookup::Hit(resident, _) => assert!(Arc::ptr_eq(&resident, &fmt), "the waiter's build"),
+            _ => panic!("the waiter's build is resident"),
+        }
+        assert_eq!(plans.get("m"), Some(PlanState::Pinned(FormatKind::NaiveCsr)));
+        assert!(matches!(c.begin("fresh", FormatKind::NaiveCsr), Lookup::Lead(_)));
     }
 }

@@ -38,14 +38,15 @@
 //! before the engine is touched, so a corrupt snapshot leaves a live
 //! engine unchanged. Landing then goes through the *same* admission machinery
 //! a background conversion flight uses ([`PlanTable::try_begin_build`]
-//! epoch tickets, [`FlightGuard::finish_with`] publication), which is
+//! epoch tickets, [`ShardedConversions::land`] publication), which is
 //! what makes restore safe to run concurrently with live serves:
 //!
 //! * a plan already present wins over the snapshot's (first writer
-//!   wins, exactly like racing admissions);
-//! * a key whose conversion is already resident or mid-flight is
-//!   skipped — restore never blocks on, or double-publishes over, a
-//!   live flight;
+//!   wins, exactly like racing admissions), and a plan a live
+//!   admission flight owns is skipped;
+//! * an id whose conversion is already resident keeps it, and an id a
+//!   live leader is converting is waited for — restore never publishes
+//!   over a live flight; either way the record counts as skipped;
 //! * a `forget` racing the restore vetoes the publication through the
 //!   usual epoch check, so restore cannot resurrect a forgotten id;
 //! * restored conversions land through the shard caches' normal
@@ -58,9 +59,9 @@
 //! across a snapshot/restore cycle.
 //!
 //! [`PlanTable::try_begin_build`]: crate::shard::PlanTable::try_begin_build
-//! [`FlightGuard::finish_with`]: crate::shard::FlightGuard::finish_with
+//! [`ShardedConversions::land`]: crate::shard::ShardedConversions::land
 
-use crate::shard::{CachedFormat, Lookup};
+use crate::shard::{CachedFormat, Landed};
 use crate::Engine;
 use spmv_analysis::FormatSelector;
 use spmv_core::xxh64;
@@ -164,8 +165,9 @@ pub struct RestoreStats {
     /// Conversions landed into the cache by this restore.
     pub conversions_restored: usize,
     /// Conversion records skipped because live state won the race: the
-    /// format was already resident, a live flight owned the key or the
-    /// plan, or a concurrent `forget` vetoed the publication.
+    /// id's conversion was already resident or being built (restore
+    /// waits for that flight), a live admission flight owned the plan,
+    /// or a concurrent `forget` vetoed the publication.
     pub conversions_skipped: usize,
 }
 
@@ -334,38 +336,15 @@ impl Engine {
                 stats.conversions_skipped += 1;
                 continue;
             };
-            match self.state.conversions.begin(&id, kind) {
-                Lookup::Hit(_, actual) => {
-                    // Already resident (e.g. a flight landed between
-                    // snapshot and restore): keep the live entry, just
-                    // re-pin the plan we claimed.
-                    self.state.plans.finish_build(&id, epoch, actual);
-                    stats.conversions_skipped += 1;
-                }
-                Lookup::Wait(_) => {
-                    // A live leader is mid-conversion on this key.
-                    // Restore must never block on (or publish over) a
-                    // live flight — release the claim and move on; the
-                    // leader pins the plan when it lands.
-                    self.state.plans.abort_build(&id, epoch);
-                    stats.conversions_skipped += 1;
-                }
-                Lookup::Lead(guard) => {
-                    let mut landed = false;
-                    // `kind` is the decoded format's own kind, so the
-                    // publication records a redirect exactly when the
-                    // flight key was rewritten — same as a fallback
-                    // build in a live flight.
-                    guard.finish_with(fmt, kind, |actual| {
-                        landed = self.state.plans.finish_build(&id, epoch, actual);
-                        landed
-                    });
-                    if landed {
-                        stats.conversions_restored += 1;
-                    } else {
-                        stats.conversions_skipped += 1;
-                    }
-                }
+            // A resident conversion, or a live leader's (waited for), wins
+            // over the snapshot's; else the "build" is the decoded format.
+            let st = &self.state;
+            let (_, _, landed) =
+                st.conversions.land(&st.plans, &id, kind, Some(epoch), |_| (fmt, kind, 0));
+            if matches!(landed, Landed::Built { published: true, .. }) {
+                stats.conversions_restored += 1;
+            } else {
+                stats.conversions_skipped += 1;
             }
         }
         Ok(stats)

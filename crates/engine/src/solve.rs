@@ -9,9 +9,9 @@
 //!
 //! - **Resolve once.** The handle resolves the plan synchronously at
 //!   construction (even under asynchronous admission: the conversion
-//!   will be amortized over the whole solve) and holds the resulting
-//!   [`CachedFormat`] for its lifetime. Iterations never touch the
-//!   plan table or conversion cache again.
+//!   will be amortized over the whole solve) and holds the served
+//!   format for its lifetime. Iterations never touch the plan table or
+//!   conversion cache again.
 //! - **Pin once.** Construction takes a solver pin on the plan entry
 //!   ([`PlanTable::acquire_solver_pin`](crate::shard::PlanTable)),
 //!   which spares it from LRU eviction while any solve is running.
@@ -31,8 +31,7 @@
 //! Residual histories are therefore reproducible run-to-run at a fixed
 //! `SPMV_THREADS`; across thread counts they agree to rounding.
 
-use crate::shard::CachedFormat;
-use crate::{kind_index, Engine, Served};
+use crate::{Admission, Engine, Served};
 use spmv_core::CsrMatrix;
 use spmv_formats::FormatKind;
 use spmv_parallel::blas1;
@@ -49,11 +48,10 @@ pub struct SolveHandle<'e> {
     /// Incarnation ticket from `acquire_solver_pin`; quoted back at
     /// release so a stale drop can never unpin a re-inserted id.
     ticket: u64,
-    /// The resolved format, held directly — iterations bypass the
+    /// The served format, held directly — iterations bypass the
     /// conversion cache entirely, and a concurrent `forget` cannot
     /// pull it out from under a running solve.
-    fmt: CachedFormat,
-    kind: FormatKind,
+    served: Served,
     n: usize,
     /// Solution iterate (readable via [`SolveHandle::solution`]).
     x: Vec<f64>,
@@ -153,30 +151,15 @@ impl<'e> SolveHandle<'e> {
     pub(crate) fn new(engine: &'e Engine, id: &str, csr: &CsrMatrix) -> SolveHandle<'e> {
         assert_eq!(csr.rows(), csr.cols(), "solver requires a square system");
         let n = csr.rows();
-        // Resolve synchronously regardless of the admission mode: the
-        // conversion is amortized over the whole solve. This counts as
-        // one full request (it performs one cache lookup inside
-        // `resolve`, so the Sync-mode `cache_lookups == requests`
-        // reconciliation stays exact).
-        let planned = engine.plan(id, csr).kind();
-        let served = engine.resolve(id, csr, planned);
-        let c = &engine.state.counters;
-        c.requests.fetch_add(1, Ordering::Relaxed);
-        let (fmt, kind) = match served {
-            Served::Selected(fmt, kind) => (fmt, kind),
-            // `resolve` always converts (or waits for a conversion);
-            // only the async peek path answers CsrPath.
-            Served::CsrPath(_) => unreachable!("synchronous resolve always yields a format"),
-        };
-        c.served_selected.fetch_add(1, Ordering::Relaxed);
-        c.selections[kind_index(kind)].fetch_add(1, Ordering::Relaxed);
-        let ticket = engine.state.plans.acquire_solver_pin(id, kind);
+        // Serve synchronously whatever the admission mode (the conversion
+        // is amortized over the whole solve); it counts as one request.
+        let served = engine.serve(id, csr, Admission::Sync);
+        let ticket = engine.state.plans.acquire_solver_pin(id, served.format().1);
         SolveHandle {
             engine,
             id: id.to_string(),
             ticket,
-            fmt,
-            kind,
+            served,
             n,
             x: vec![0.0; n],
             r: vec![0.0; n],
@@ -191,7 +174,7 @@ impl<'e> SolveHandle<'e> {
     /// The format the whole solve runs on (resolved once, at
     /// construction).
     pub fn kind(&self) -> FormatKind {
-        self.kind
+        self.served.format().1
     }
 
     /// System dimension (rows = cols).
@@ -256,7 +239,7 @@ impl<'e> SolveHandle<'e> {
         let mut residual = 1.0;
         while *iters < max_iters {
             // One sweep computes v = A·p and p·v.
-            let p_ap = self.fmt.spmv_dot_parallel(pool, &self.p, &mut self.v);
+            let p_ap = self.served.format().0.spmv_dot_parallel(pool, &self.p, &mut self.v);
             if !p_ap.is_finite() || p_ap <= 0.0 {
                 return Err(SolveError::CurvatureBreakdown { iteration: *iters });
             }
@@ -337,7 +320,7 @@ impl<'e> SolveHandle<'e> {
             // p = r + beta * (p - omega * v)
             blas1::axpy(pool, -omega, &self.v, &mut self.p);
             blas1::xpby(pool, &self.r, beta, &mut self.p);
-            self.fmt.spmv_parallel(pool, &self.p, &mut self.v);
+            self.served.format().0.spmv_parallel(pool, &self.p, &mut self.v);
             let rhat_v = blas1::dot(pool, &self.r_hat, &self.v);
             if rhat_v == 0.0 || !rhat_v.is_finite() {
                 return Err(SolveError::RhoBreakdown { iteration: *iters });
@@ -358,7 +341,7 @@ impl<'e> SolveHandle<'e> {
                 return Ok(SolveOutcome { iterations: *iters, residual, converged: true });
             }
             // One sweep computes t = A·s and s·t.
-            let ts = self.fmt.spmv_dot_parallel(pool, &self.s, &mut self.t);
+            let ts = self.served.format().0.spmv_dot_parallel(pool, &self.s, &mut self.t);
             let tt = blas1::dot(pool, &self.t, &self.t);
             if tt == 0.0 {
                 return Err(SolveError::OmegaBreakdown { iteration: *iters });
@@ -397,6 +380,6 @@ impl Drop for SolveHandle<'_> {
 }
 
 #[allow(dead_code)]
-fn _cached_format_is_send_sync(f: CachedFormat) -> impl Send + Sync {
-    f
+fn _served_is_send_sync(s: Served) -> impl Send + Sync {
+    s
 }

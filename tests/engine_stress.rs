@@ -214,8 +214,8 @@ fn concurrent_mixed_serving_is_correct_and_converts_once_per_format() {
     // config, and the matrix set is chosen so every planned format
     // accepts its matrix (with zero fallbacks the flight key equals
     // the cache key and the exactly-once bound is exact; a refusal
-    // would merely shift the resident kind, since the redirect recorded
-    // at publication keeps stale plans from converting twice).
+    // would merely shift the resident kind, since an id holds one
+    // conversion whatever kind a stale plan asks it for).
     assert_eq!(c.fallbacks, 0, "matrix set must be fallback-free for the exact bound");
     let distinct_pairs: u64 = kinds_seen.values().map(|s| s.len() as u64).sum();
     for (i, kinds) in &kinds_seen {
