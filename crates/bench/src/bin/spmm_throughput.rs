@@ -4,37 +4,26 @@
 //! workload where format choice pays off most.
 //!
 //! For each matrix class, format and k ∈ {1, 2, 3, 4, 8, 16}, (a) `k`
-//! sequential `spmv` passes and (b) one `spmm` over the same
-//! column-major block are timed alternately; each side reports its
+//! sequential `spmv` passes of the format and (b) one `spmm` over the
+//! same column-major block are timed alternately; each side reports its
 //! fastest rep (the speed of the code when the host leaves it alone).
 //! The table is printed and written to `BENCH_spmm.json` at the repo
 //! root. Formats without a panel kernel (HYB and the figure-set formats
 //! COO, DIA, BCSR, VSL and SparseX) run the trait's default loop of `k`
 //! SpMVs, sit at ~1.0× and are gated at k ≤ 3 only.
 //!
-//! Whose SpMV side (a) runs depends on `k`. Up to k = 3 `spmm` *is* a
-//! loop over the format's own `spmv`, and that is what it is timed
-//! against. From k = 4 the panel kernels take over, and the yardstick
-//! has to stand still for the ratio to say anything about them: they
-//! are scalar-lane code, while the own SpMV of Vectorized/Balanced-CSR
-//! and the SELL formats runs gather microkernels wherever the host has
-//! AVX2 (`spmv_formats::kernels`) — 1.3–2× faster there, with `spmm`
-//! not moving. For those formats ([`TWINNED`]) side (a) is from k = 4
-//! the SpMV of the *scalar-lane twin*: the same layout built at
-//! `LaneProfile::scalar()`, the same plain code on every host. (What
-//! the vector unit buys the SpMV itself is `kernel_throughput`'s
-//! table.)
+//! The yardstick is every format's own SpMV at every `k`. Up to k = 3
+//! `spmm` *is* a loop over it; from k = 4 the panel kernels take over,
+//! and both sides use the same hardware: wherever the host has AVX2 the
+//! SpMV runs gather microkernels and the panel blocks run line loads
+//! and broadcasts on the vector unit (`spmv_formats::kernels`), on
+//! other hosts both run their scalar bodies.
 //!
 //! Exit status — enforced on every host, no thread-count escape:
 //!
 //! * at k ∈ {4, 8, 16} every format with a panel kernel runs `spmm`
-//!   ≥ 1.5× faster than `k` SpMVs (scalar-lane, see above) on the
-//!   `regular` and `irregular` classes (`skewed` and `banded` are
-//!   reported, not gated). ELL is the exception: it stays on its own
-//!   SpMV and must only not lose to it (≥ 0.95×). Its scalar-lane twin
-//!   is no yardstick — one row at a time down a column-major slab runs
-//!   at 0.5 or at 1.3 GFLOP/s depending on the shape — and against its
-//!   vector SpMV the untouched panel kernel measures 1.0–2.1×;
+//!   ≥ 1.5× faster than `k` SpMVs on the `regular` and `irregular`
+//!   classes (`skewed` and `banded` are reported, not gated);
 //! * at k ∈ {1, 2, 3} no format on any class is more than 5% slower
 //!   than `k` SpMVs (those `k` run the format's own SpMV kernel per
 //!   column, so this guards the dispatch around it).
@@ -49,7 +38,7 @@
 use spmv_bench::args::parse_flags;
 use spmv_bench::calibration::time_once as time;
 use spmv_bench::report::{self, obj, round3, Json};
-use spmv_formats::{build_format, build_format_with, FormatKind, LaneProfile, SparseFormat};
+use spmv_formats::{build_format, FormatKind, SparseFormat};
 use spmv_gen::{GeneratorParams, RowDist};
 
 struct Config {
@@ -92,25 +81,13 @@ const PANEL: [FormatKind; 9] = [
     FormatKind::MergeCsr,
 ];
 
-/// The panel formats timed against their scalar-lane twin from k = 4:
-/// the ones whose own SpMV a vector unit changes (Naive-CSR is its own
-/// twin; ELL: see the module docs).
-const TWINNED: [FormatKind; 5] = [
-    FormatKind::VectorizedCsr,
-    FormatKind::BalancedCsr,
-    FormatKind::SellCSigma,
-    FormatKind::SellC4,
-    FormatKind::SellC16,
-];
-
 const CLASSES: [&str; 4] = ["regular", "irregular", "skewed", "banded"];
 /// Classes the ≥ 1.5× gate applies to.
 const GATED_CLASSES: [&str; 2] = ["regular", "irregular"];
 const KS: [usize; 6] = [1, 2, 3, 4, 8, 16];
 /// `spmm` must beat `k` SpMVs by this factor at `k ≥ 4` (panel formats).
 const MIN_PANEL_SPEEDUP: f64 = 1.5;
-/// `spmm` may not fall below this fraction of `k` SpMVs at `k ≤ 3` (ELL:
-/// at any gated `k`).
+/// `spmm` may not fall below this fraction of `k` SpMVs at `k ≤ 3`.
 const MIN_SMALL_K_SPEEDUP: f64 = 0.95;
 /// Re-measurements granted to a cell that misses its bound.
 const RETRIES: usize = 3;
@@ -141,34 +118,17 @@ fn matrix(class: &str, cfg: &Config) -> spmv_core::CsrMatrix {
     p.generate().expect("bench matrix generates")
 }
 
-/// Fastest of `reps` alternating timings of (`k` SpMVs of `yardstick`,
-/// one SpMM of `fmt`), in seconds. When the yardstick is a twin, the
-/// two sides stream different copies of the matrix and each would start
-/// with its own evicted by the other's; one untimed pass first puts
-/// each side where sharing a copy puts it.
-fn measure(
-    yardstick: &dyn SparseFormat,
-    fmt: &dyn SparseFormat,
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-    reps: usize,
-) -> (f64, f64) {
+/// Fastest of `reps` alternating timings of (`k` SpMVs, one SpMM) of
+/// `fmt`, in seconds.
+fn measure(fmt: &dyn SparseFormat, x: &[f64], k: usize, y: &mut [f64], reps: usize) -> (f64, f64) {
     let (rows, cols) = (fmt.rows(), fmt.cols());
-    let twinned = !std::ptr::addr_eq(yardstick, fmt);
     let (mut t_spmv, mut t_spmm) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
-        if twinned {
-            yardstick.spmv(&x[..cols], &mut y[..rows]);
-        }
         t_spmv = t_spmv.min(time(|| {
             for j in 0..k {
-                yardstick.spmv(&x[j * cols..(j + 1) * cols], &mut y[j * rows..(j + 1) * rows]);
+                fmt.spmv(&x[j * cols..(j + 1) * cols], &mut y[j * rows..(j + 1) * rows]);
             }
         }));
-        if twinned {
-            fmt.spmv(&x[..cols], &mut y[..rows]);
-        }
         t_spmm = t_spmm.min(time(|| fmt.spmm(x, k, y)));
     }
     std::hint::black_box(&y);
@@ -180,7 +140,7 @@ fn bound(class: &str, kind: FormatKind, k: usize) -> Option<f64> {
     if k <= 3 {
         Some(MIN_SMALL_K_SPEEDUP)
     } else if PANEL.contains(&kind) && GATED_CLASSES.contains(&class) {
-        Some(if kind == FormatKind::Ell { MIN_SMALL_K_SPEEDUP } else { MIN_PANEL_SPEEDUP })
+        Some(MIN_PANEL_SPEEDUP)
     } else {
         None
     }
@@ -203,11 +163,7 @@ fn main() {
         let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
         for kind in FormatKind::ALL {
             let Ok(fmt) = build_format(kind, &csr) else { continue };
-            let twin = TWINNED.contains(&kind).then(|| {
-                build_format_with(kind, &csr, LaneProfile::scalar()).expect("the host build did")
-            });
             for k in KS {
-                let yardstick = twin.as_deref().filter(|_| k >= 4).unwrap_or(fmt.as_ref());
                 let x: Vec<f64> = (0..cols * k).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect();
                 let mut y = vec![0.0; rows * k];
                 let flops = (2 * nnz * k) as f64;
@@ -215,12 +171,12 @@ fn main() {
 
                 let clears =
                     |(t_spmv, t_spmm): (f64, f64)| bound.is_none_or(|b| t_spmv / t_spmm >= b);
-                let mut timed = measure(yardstick, fmt.as_ref(), &x, k, &mut y, cfg.reps);
+                let mut timed = measure(fmt.as_ref(), &x, k, &mut y, cfg.reps);
                 for retry in 1..=RETRIES {
                     if clears(timed) {
                         break;
                     }
-                    timed = measure(yardstick, fmt.as_ref(), &x, k, &mut y, cfg.reps * (retry + 1));
+                    timed = measure(fmt.as_ref(), &x, k, &mut y, cfg.reps * (retry + 1));
                 }
                 let (t_spmv, t_spmm) = timed;
                 let (speedup, pass) = (t_spmv / t_spmm, clears(timed));
@@ -239,10 +195,6 @@ fn main() {
                     ("class", class.into()),
                     ("format", fmt.name().into()),
                     ("k", k.into()),
-                    (
-                        "spmv_side",
-                        if twin.is_some() && k >= 4 { "scalar-lane twin" } else { "own" }.into(),
-                    ),
                     ("spmv_gflops", round3(flops / t_spmv / 1e9).into()),
                     ("spmm_gflops", round3(flops / t_spmm / 1e9).into()),
                     ("speedup", round3(speedup).into()),
@@ -276,8 +228,6 @@ fn main() {
                 ("panel_formats", Json::Arr(PANEL.iter().map(|k| k.name().into()).collect())),
                 ("gated_classes", Json::Arr(GATED_CLASSES.iter().map(|&c| c.into()).collect())),
                 ("min_speedup_k_4_8_16", MIN_PANEL_SPEEDUP.into()),
-                ("min_speedup_k_4_8_16_ell", MIN_SMALL_K_SPEEDUP.into()),
-                ("scalar_lane_twin", Json::Arr(TWINNED.iter().map(|k| k.name().into()).collect())),
                 ("min_speedup_k_1_2_3", MIN_SMALL_K_SPEEDUP.into()),
                 ("misses", Json::Arr(misses.iter().map(|m| m.as_str().into()).collect())),
             ]),
@@ -287,9 +237,8 @@ fn main() {
     report::write("spmm", body);
 
     let passed = format!(
-        "OK (panel formats >= {MIN_PANEL_SPEEDUP}x scalar-lane spmvs at k >= 4 on \
-         regular/irregular, ELL >= {MIN_SMALL_K_SPEEDUP}x its own; \
-         no format < {MIN_SMALL_K_SPEEDUP}x at k <= 3)"
+        "OK (panel formats >= {MIN_PANEL_SPEEDUP}x their own spmvs at k >= 4 on \
+         regular/irregular; no format < {MIN_SMALL_K_SPEEDUP}x at k <= 3)"
     );
     report::gate(&passed, &misses);
 }

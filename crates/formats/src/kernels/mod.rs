@@ -10,11 +10,12 @@
 //! unchecked indexing, `rustc -O` emits no `vgather*` for the
 //! gather-dot body at W4 or W8 (the SLP vectorizer packs 128-bit pairs
 //! behind scalar loads), and as W scalar chains the "vectorized"
-//! formats measure slower than Naive-CSR. So on x86-64 the
-//! single-vector kernels are **vectorized by hand**: [`x86`](self)
-//! (private; the crate's only `unsafe`) holds explicit `core::arch`
-//! gather microkernels, selected once per [`View::run`] call. Other
-//! targets, and x86-64 hosts without AVX2, run the scalar bodies.
+//! formats measure slower than Naive-CSR. So on x86-64 the kernels
+//! are **vectorized by hand**: [`x86`](self) (private; the crate's only
+//! `unsafe`) holds explicit `core::arch` gather microkernels, selected
+//! once per [`View::run`] call, and the panel blocks of SpMM, selected
+//! once per block. Other targets, and x86-64 hosts without AVX2, run
+//! the scalar bodies.
 //!
 //! A kernel sees a matrix only through a [`View`], a borrowed
 //! description of one of two layouts that every format builds per call:
@@ -28,16 +29,18 @@
 //! Those hold the single-vector kernels (SpMV and the fused SpMV+dot;
 //! one body per layout serves both flavours, [`View::run`]'s `DOT`).
 //! The multi-vector kernels of the same views live in [`panel`], which
-//! packs the right-hand sides row-major once per call and vectorizes
-//! over them; they are not hand-vectorized.
+//! packs the right-hand sides row-major once per call, so the `k`
+//! values one nonzero multiplies are one contiguous panel row: the
+//! vector bodies in `x86` take it with one line load and one broadcast
+//! of the value per nonzero, no gather.
 //!
 //! ## Width rule
 //!
 //! [`LaneWidth`] is the only knob, and it means what its variants say:
 //!
-//! * **W1 is always the scalar code** — Naive-CSR,
-//!   [`LaneProfile::scalar`], `SPMV_LANES=1`, and every host without a
-//!   vector unit the kernels have code for.
+//! * **W1 is always the scalar code** of the single-vector kernels —
+//!   Naive-CSR, [`LaneProfile::scalar`], `SPMV_LANES=1`, and every host
+//!   without a vector unit the kernels have code for.
 //! * CSR rows at **W4** run 256-bit vectors and at **W8** 512-bit ones
 //!   (2 × 256-bit with the same lane ownership on AVX2-only hosts); a
 //!   missing instruction set runs the scalar-lane body of the same W.
@@ -46,6 +49,11 @@
 //!   (512-bit, or 2 × 256) — taken two at a time while 16 lanes are
 //!   left, so a C = 16 chunk is streamed once —, then one block of 4
 //!   (256-bit; all of a C = 4 chunk), then scalar lanes.
+//! * The panel blocks vectorize across the right-hand sides, not
+//!   across W, so they use the vector unit at **every** W, W1 included,
+//!   wherever the host has AVX2: a block of 8 right-hand sides is one
+//!   512-bit vector (2 × 256 on AVX2), a block of 4 one 256-bit vector.
+//!   For CSR rows W still fixes the summation order, as in SpMV.
 //!
 //! ## Arithmetic contract
 //!
@@ -91,7 +99,9 @@
 //! dereferenced, the masks are accumulated, and the kernel panics after
 //! its loop where the scalar body panics inside it. `vgatherdpd`
 //! sign-extends its 32-bit indices, so the vector path is taken only
-//! when `1 ≤ x.len() ≤ 2³¹`.
+//! when `1 ≤ x.len() ≤ 2³¹`. The panel blocks gather nothing: each
+//! panel row is loaded through a range-checked slice, so a column
+//! outside the panel panics before the load, as the scalar body does.
 
 pub mod dot;
 pub mod panel;

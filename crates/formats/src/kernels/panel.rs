@@ -6,16 +6,24 @@
 //! call therefore **packs** `X` into a row-major *panel*, one block of
 //! [`BLOCK`] = 8 right-hand sides at a time: panel row `c` holds
 //! `X[c, j0 .. j0+8]` in one 64-byte line, and a gathered `X` row costs
-//! one line instead of eight. The block kernels are const-generic over
-//! `<W, KB>`: `W × KB` accumulators in a local array, every loaded
-//! `(value, column)` pair feeding `KB` independent FMAs, the `KB`
-//! output columns written as `KB` sequential streams. For CSR rows `W`
-//! is the lane width, because it fixes the summation order; slab and
-//! chunk kernels, whose order does not depend on it, take the block
-//! height that keeps the accumulators in registers (see
-//! `padded_block`). `k` is consumed as blocks of 8, then one block of
-//! 4, then single columns, which run the layout's own SpMV kernel — so
-//! `k == 1` *is* `spmv`.
+//! one line instead of eight. A block kernel keeps one accumulator of
+//! `KB` right-hand sides per lane: every loaded `(value, column)` pair
+//! multiplies the whole panel row into it, and the `KB` output columns
+//! are written as `KB` sequential streams. For CSR rows there are `W`
+//! lanes per row, `W` the lane width, because it fixes the summation
+//! order; slab and chunk kernels, whose order does not depend on it,
+//! move as many rows in lockstep as keep the accumulators in registers.
+//! `k` is consumed as blocks of 8, then one block of 4, then single
+//! columns, which run the layout's own SpMV kernel — so `k == 1` *is*
+//! `spmv`.
+//!
+//! On x86-64 hosts with AVX2 or AVX-512 the blocks run on the vector
+//! unit (`super::x86`) at every lane width: an accumulator is one
+//! vector (a block of 8 is one 512-bit register, 2 × 256-bit on AVX2; a
+//! block of 4 one 256-bit register), and a nonzero costs one load of
+//! its panel row, one broadcast of its value, one `vmulpd` and one
+//! `vaddpd`. The const-generic `<W, KB>` bodies below are the scalar
+//! path of other hosts and the oracle of the vector one.
 //!
 //! The panel lives in a per-thread, grow-only scratch (one
 //! `cols × 8` block, reused by every block of every call on the
@@ -38,7 +46,8 @@
 //! layout's SpMV order at the same [`LaneWidth`] — for CSR rows, `W`
 //! lane accumulators over the full chunks, [`tree_sum`], plus the
 //! sequential tail; for slab and chunk layouts, one slot-sequential
-//! accumulator per row. SpMM therefore equals `k` SpMVs
+//! accumulator per row — on the scalar and the vector path alike (a
+//! multiply, then an add; never FMA). SpMM therefore equals `k` SpMVs
 //! **bit-for-bit**.
 
 use super::dot::CsrRows;
@@ -160,17 +169,6 @@ pub(crate) fn spmm<K: PanelKernel>(kernel: &K, x: &[f64], k: usize, y: &mut [f64
     }
 }
 
-/// Instantiates `$f::<W, KB>` for the runtime lane width.
-macro_rules! dispatch_lanes {
-    ($lanes:expr, $f:ident::<KB>($($arg:expr),* $(,)?)) => {
-        match $lanes {
-            LaneWidth::W1 => $f::<1, KB>($($arg),*),
-            LaneWidth::W4 => $f::<4, KB>($($arg),*),
-            LaneWidth::W8 => $f::<8, KB>($($arg),*),
-        }
-    };
-}
-
 /// The order of [`dot`](super::dot)'s `dot_w::<W>`, `KB` right-hand
 /// sides at a time: lane `l` owns products `l, l+W, …` of the full
 /// chunks.
@@ -231,27 +229,50 @@ fn window_lanes<const R: usize, const KB: usize, P: Padded>(
     }
 }
 
-/// The block kernel of both padded layouts: every window in blocks of
-/// `R = 16 / KB` lanes. Slab and chunk accumulators map 1:1 to rows, so
-/// how many move in lockstep changes no sum and is free to fit the
-/// register file: `R × KB = 16` doubles leave half of baseline x86-64's
-/// 16 vector registers for the gathered panel row. (Blocks as tall as
-/// the lane width — 8 × 8 = 64 accumulators at W8 — spill on every FMA:
-/// ELL measured 1.3× over `k` SpMVs that way, 2.0× this way.)
-fn padded_block<const R: usize, const KB: usize, P: Padded>(
+/// The scalar block kernel of CSR rows, at the rows' lane width.
+pub(super) fn csr_block<const KB: usize>(
+    m: &CsrRows<'_>,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) {
+    match m.lanes {
+        LaneWidth::W1 => csr_block_w::<1, KB>(m, panel, out),
+        LaneWidth::W4 => csr_block_w::<4, KB>(m, panel, out),
+        LaneWidth::W8 => csr_block_w::<8, KB>(m, panel, out),
+    }
+}
+
+/// The scalar block kernel of both padded layouts: every window in
+/// blocks of `R = 16 / KB` lanes. Slab and chunk accumulators map 1:1
+/// to rows, so how many move in lockstep changes no sum and is free to
+/// fit the register file: the vector body (`super::x86`) sizes its
+/// blocks to the vector registers of its instruction set, this one
+/// keeps `R × KB = 16` scalar accumulators (taller blocks spilled on
+/// every multiply-add).
+pub(super) fn padded_block<const KB: usize, P: Padded>(
     m: &P,
     panel: &[f64],
     out: &mut [&mut [f64]; KB],
 ) {
-    m.for_windows(0..m.unit_count(), ACC_STACK, |w| {
-        let full = w.lanes - w.lanes % R;
-        for first in (0..full).step_by(R) {
-            window_lanes::<R, KB, P>(m, &w, first, panel, out);
-        }
-        for first in full..w.lanes {
-            window_lanes::<1, KB, P>(m, &w, first, panel, out);
-        }
-    });
+    fn blocks<const R: usize, const KB: usize, P: Padded>(
+        m: &P,
+        panel: &[f64],
+        out: &mut [&mut [f64]; KB],
+    ) {
+        m.for_windows(0..m.unit_count(), ACC_STACK, |w| {
+            let full = w.lanes - w.lanes % R;
+            for first in (0..full).step_by(R) {
+                window_lanes::<R, KB, P>(m, &w, first, panel, out);
+            }
+            for first in full..w.lanes {
+                window_lanes::<1, KB, P>(m, &w, first, panel, out);
+            }
+        });
+    }
+    match KB {
+        BLOCK => blocks::<2, KB, P>(m, panel, out),
+        _ => blocks::<4, KB, P>(m, panel, out),
+    }
 }
 
 impl PanelKernel for CsrRows<'_> {
@@ -260,7 +281,11 @@ impl PanelKernel for CsrRows<'_> {
     }
 
     fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
-        dispatch_lanes!(self.lanes, csr_block_w::<KB>(self, panel, &mut out));
+        #[cfg(target_arch = "x86_64")]
+        if super::x86::csr_panel(super::host_isa(), self, panel, &mut out).is_some() {
+            return;
+        }
+        csr_block(self, panel, &mut out);
     }
 
     fn column(&self, x: &[f64], y: &mut [f64]) {
@@ -275,10 +300,11 @@ impl<P: Padded> PanelKernel for P {
     }
 
     fn block<const KB: usize>(&self, panel: &[f64], mut out: [&mut [f64]; KB]) {
-        match KB {
-            BLOCK => padded_block::<2, KB, P>(self, panel, &mut out),
-            _ => padded_block::<4, KB, P>(self, panel, &mut out),
+        #[cfg(target_arch = "x86_64")]
+        if super::x86::windows_panel(super::host_isa(), self, panel, &mut out).is_some() {
+            return;
         }
+        padded_block(self, panel, &mut out);
     }
 
     fn column(&self, x: &[f64], y: &mut [f64]) {

@@ -1,23 +1,26 @@
-//! x86-64 vector implementations of the single-vector lane kernels
-//! (`dot`, `slab`): explicit `vgatherdpd` · `vmulpd` ·
-//! `vaddpd` microkernels, bit-identical to the scalar-lane bodies they
-//! stand in for. This is the only file of the crate with `unsafe`; the
-//! arithmetic, width and safety contracts are stated once in the
-//! [module docs](super).
+//! x86-64 vector implementations of the lane kernels: the single-vector
+//! ones (`dot`, `slab`) as explicit `vgatherdpd` · `vmulpd` · `vaddpd`
+//! microkernels, and the panel blocks of SpMM (`panel`) as one line
+//! load · broadcast · `vmulpd` · `vaddpd` per nonzero — each
+//! bit-identical to the scalar body it stands in for. This is the only
+//! file of the crate with `unsafe`; the arithmetic, width and safety
+//! contracts are stated once in the [module docs](super).
 //!
 //! Structure: an [`Isa`] token proves which instruction set the host
 //! runs; an [`Operand`] proves `x` is addressable by a sign-extended
 //! 32-bit gather index; per instruction set a `Gather` owns the two
 //! masked gather·multiply primitives (`mul4`, `mul8`) and an eight-lane
-//! accumulator `V8`; everything above that — the per-row and per-block
-//! primitives and the two drivers (CSR rows, padded-slab windows), SpMV
-//! and fused dot alike — is written once in `kernels!` and instantiated
-//! inside each instruction set's `#[target_feature]` scope, so the
-//! whole row or window loop is compiled for the vector unit and
-//! dispatch happens once per call, outside it.
+//! vector `V8`, beside the four-lane [`V4`] both sets share; everything
+//! above that — the per-row and per-block primitives and the drivers
+//! (CSR rows, padded-slab windows, and their panel blocks of 8 and 4
+//! right-hand sides), SpMV and fused dot alike — is written once in
+//! `kernels!` and `panel_kernels!` and instantiated inside each
+//! instruction set's `#[target_feature]` scope, so the whole row or
+//! window loop is compiled for the vector unit and dispatch happens
+//! once per call, outside it.
 
 use super::dot::CsrRows;
-use super::slab::{self, Block, Padded, ACC_STACK};
+use super::slab::{self, Block, Padded, Window, ACC_STACK};
 use super::LaneWidth;
 use core::arch::x86_64::*;
 use spmv_parallel::DisjointWriter;
@@ -149,11 +152,206 @@ fn store4(acc: __m256d) -> [f64; 4] {
     out
 }
 
+/// Four right-hand sides of a panel block: one 256-bit vector on both
+/// instruction sets.
+#[derive(Clone, Copy)]
+struct V4(__m256d);
+
+impl V4 {
+    /// Vector registers one value occupies.
+    const REGS: usize = 1;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn zero() -> Self {
+        V4(_mm256_setzero_pd())
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add(self, o: V4) -> V4 {
+        V4(_mm256_add_pd(self.0, o.0))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(row: &[f64; 4]) -> V4 {
+        // SAFETY: the reference is to four doubles, the 32 bytes the
+        // load reads.
+        V4(unsafe { _mm256_loadu_pd(row.as_ptr()) })
+    }
+
+    /// `v · self` in every lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn scale(self, v: f64) -> V4 {
+        V4(_mm256_mul_pd(_mm256_set1_pd(v), self.0))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store(self) -> [f64; 4] {
+        store4(self.0)
+    }
+}
+
+/// The panel block kernels of `$kb` right-hand sides held in one `$V`
+/// (`V8` or [`V4`]): `$csr` is `panel::csr_block_w` and `$windows` is
+/// `panel::padded_block` on the vector unit. Per nonzero they take one
+/// range-checked load of the packed panel row — contiguous, so no
+/// gather — and one broadcast of the value, then `vmulpd` and `vaddpd`
+/// into the row's accumulator: per (row, right-hand side) the scalar
+/// body's operations in the scalar body's order. A column outside the
+/// panel fails the range check and panics before anything is read.
+/// Both prefetch the matrix streams [`AHEAD`] entries ahead, as the
+/// SpMV kernels do: measured on the reference host (AVX-512), alternating
+/// with and without on 32 MB operands of the benchmark's eight feature
+/// classes at k = 8, that made the CSR panel at W4 12–15% faster in the
+/// geomean and the SELL panels 15–18%.
+macro_rules! panel_kernels {
+    ($features:literal, $V:ident, $kb:literal, $csr:ident, $windows:ident) => {
+        /// `panel::csr_block_w::<W, KB>` at the rows' lane width: `W`
+        /// lane accumulators over the full chunks, pairwise-summed, plus
+        /// the sequential tail.
+        #[target_feature(enable = $features)]
+        pub(super) fn $csr(m: &CsrRows<'_>, panel: &[f64], out: &mut [&mut [f64]; $kb]) {
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn rows<const W: usize>(m: &CsrRows<'_>, panel: &[f64], out: &mut [&mut [f64]; $kb]) {
+                for (r, bounds) in m.row_ptr.windows(2).enumerate() {
+                    let cols = &m.col_idx[bounds[0]..bounds[1]];
+                    let vals = &m.values[bounds[0]..bounds[1]];
+                    let ((cw, ct), (vw, vt)) = (cols.as_chunks::<W>(), vals.as_chunks::<W>());
+                    // The matrix streams are prefetched from the row's start
+                    // and per chunk — except at W1, whose one accumulator
+                    // chain, not memory, sets the pace (prefetching there
+                    // measured no faster).
+                    if W > 1 {
+                        prefetch_ahead(cols, vals);
+                    }
+                    let mut acc = [$V::zero(); W];
+                    for (c, v) in cw.iter().zip(vw) {
+                        if W > 1 {
+                            prefetch_ahead(c, v);
+                        }
+                        for lane in 0..W {
+                            let row = $V::load(block(panel, c[lane] as usize * $kb));
+                            acc[lane] = acc[lane].add(row.scale(v[lane]));
+                        }
+                    }
+                    let mut tail = $V::zero();
+                    for (&c, &v) in ct.iter().zip(vt) {
+                        tail = tail.add($V::load(block(panel, c as usize * $kb)).scale(v));
+                    }
+                    // `tree_sum::<W>`, every right-hand side at once.
+                    let sum = match W {
+                        1 => acc[0],
+                        4 => acc[0].add(acc[1]).add(acc[2].add(acc[3])),
+                        8 => acc[0]
+                            .add(acc[1])
+                            .add(acc[2].add(acc[3]))
+                            .add(acc[4].add(acc[5]).add(acc[6].add(acc[7]))),
+                        _ => unreachable!("unsupported lane width {W}"),
+                    };
+                    for (column, &y) in out.iter_mut().zip(&sum.add(tail).store()) {
+                        column[r] = y;
+                    }
+                }
+            }
+            match m.lanes {
+                LaneWidth::W1 => rows::<1>(m, panel, out),
+                LaneWidth::W4 => rows::<4>(m, panel, out),
+                LaneWidth::W8 => rows::<8>(m, panel, out),
+            }
+        }
+
+        /// `panel::padded_block`: every window in blocks of
+        /// `ACC_REGS / $V::REGS` lanes (one accumulator register budget),
+        /// then of 8 and 4, then single lanes — each lane a
+        /// slot-sequential sum, so the blocking is invisible in the
+        /// result.
+        #[target_feature(enable = $features)]
+        pub(super) fn $windows<P: Padded>(m: &P, panel: &[f64], out: &mut [&mut [f64]; $kb]) {
+            /// Lanes `first .. first + R` of `w`, written through the
+            /// layout's row map.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn lanes<const R: usize, P: Padded>(
+                m: &P,
+                w: &Window<'_>,
+                first: usize,
+                panel: &[f64],
+                out: &mut [&mut [f64]; $kb],
+            ) {
+                let mut acc = [$V::zero(); R];
+                let slab = w.block;
+                for slot in 0..slab.slots {
+                    let at = slot * slab.stride + w.at + first;
+                    let (cs, vs) = (block::<u32, R>(slab.cols, at), block::<f64, R>(slab.vals, at));
+                    // Every line of the slot row's values: an ELL slab's
+                    // slot rows lie `rows` apart, beyond the hardware
+                    // prefetchers' reach, and one prefetch per 16 lanes
+                    // left half of them cold (ELL 1.3× slower at 32 MB).
+                    for i in (0..R).step_by(8) {
+                        prefetch_ahead(&cs[i..], &vs[i..]);
+                    }
+                    for i in 0..R {
+                        let row = $V::load(block(panel, cs[i] as usize * $kb));
+                        acc[i] = acc[i].add(row.scale(vs[i]));
+                    }
+                }
+                for (i, a) in acc.iter().enumerate() {
+                    // The last chunk's padding lanes have no row to write.
+                    if let Some(r) = m.row(w.packed + first + i) {
+                        for (column, &y) in out.iter_mut().zip(&a.store()) {
+                            column[r] = y;
+                        }
+                    }
+                }
+            }
+
+            /// Blocks of `R` lanes from `first` on while they fit; the
+            /// first lane left.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn blocks<const R: usize, P: Padded>(
+                m: &P,
+                w: &Window<'_>,
+                mut first: usize,
+                panel: &[f64],
+                out: &mut [&mut [f64]; $kb],
+            ) -> usize {
+                while w.lanes - first >= R {
+                    lanes::<R, P>(m, w, first, panel, out);
+                    first += R;
+                }
+                first
+            }
+
+            const ROWS: usize = ACC_REGS / $V::REGS;
+            m.for_windows(0..m.unit_count(), ACC_STACK, |w| {
+                let mut first = blocks::<ROWS, P>(m, &w, 0, panel, out);
+                if ROWS > 8 {
+                    first = blocks::<8, P>(m, &w, first, panel, out);
+                }
+                if ROWS > 4 {
+                    first = blocks::<4, P>(m, &w, first, panel, out);
+                }
+                blocks::<1, P>(m, &w, first, panel, out);
+            });
+        }
+    };
+}
+
 /// The ISA-independent layers, instantiated in a module that defines
-/// `Gather` (`new`, `mul4`, `mul8`, `finish`) and `V8` (`zero`, `add`,
-/// `tree_sum`, `store`) for the features named here.
+/// `Gather` (`new`, `mul4`, `mul8`, `finish`), `V8` (`zero`, `add`,
+/// `load`, `scale`, `tree_sum`, `store`, and `REGS`) and the register
+/// budget `ACC_REGS` for the features named here.
 macro_rules! kernels {
     ($features:literal) => {
+        panel_kernels!($features, V8, 8, csr_panel8, windows_panel8);
+        panel_kernels!($features, V4, 4, csr_panel4, windows_panel4);
+
         impl Gather<'_> {
             /// Sequential sum of a row's last `len mod W` products.
             #[inline]
@@ -383,10 +581,16 @@ mod avx2 {
         }
     }
 
+    /// Vector registers a panel block's accumulators may take: half of
+    /// the sixteen `ymm`, the rest hold the loaded rows and broadcasts.
+    const ACC_REGS: usize = 8;
+
     #[derive(Clone, Copy)]
     struct V8(__m256d, __m256d);
 
     impl V8 {
+        const REGS: usize = 2;
+
         #[inline]
         #[target_feature(enable = "avx2")]
         fn zero() -> Self {
@@ -397,6 +601,20 @@ mod avx2 {
         #[target_feature(enable = "avx2")]
         fn add(self, o: V8) -> V8 {
             V8(_mm256_add_pd(self.0, o.0), _mm256_add_pd(self.1, o.1))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn load(row: &[f64; 8]) -> V8 {
+            V8(V4::load(block(row, 0)).0, V4::load(block(row, 4)).0)
+        }
+
+        /// `v · self` in every lane.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn scale(self, v: f64) -> V8 {
+            let v = _mm256_set1_pd(v);
+            V8(_mm256_mul_pd(v, self.0), _mm256_mul_pd(v, self.1))
         }
 
         /// `tree_sum::<8>`.
@@ -485,10 +703,17 @@ mod avx512 {
         }
     }
 
+    /// Vector registers a panel block's accumulators may take: half of
+    /// the thirty-two `zmm` (`ymm` for [`V4`], which `avx512vl` gives
+    /// the same thirty-two).
+    const ACC_REGS: usize = 16;
+
     #[derive(Clone, Copy)]
     struct V8(__m512d);
 
     impl V8 {
+        const REGS: usize = 1;
+
         #[inline]
         #[target_feature(enable = "avx512f,avx512vl,avx2")]
         fn zero() -> Self {
@@ -499,6 +724,21 @@ mod avx512 {
         #[target_feature(enable = "avx512f,avx512vl,avx2")]
         fn add(self, o: V8) -> V8 {
             V8(_mm512_add_pd(self.0, o.0))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn load(row: &[f64; 8]) -> V8 {
+            // SAFETY: the reference is to eight doubles, the 64 bytes the
+            // load reads.
+            V8(unsafe { _mm512_loadu_pd(row.as_ptr()) })
+        }
+
+        /// `v · self` in every lane.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn scale(self, v: f64) -> V8 {
+            V8(_mm512_mul_pd(_mm512_set1_pd(v), self.0))
         }
 
         /// `tree_sum::<8>` — not `_mm512_reduce_add_pd`, which pairs
@@ -524,20 +764,60 @@ mod avx512 {
 
 /// Runs `$driver` of the module `isa` names; `None` on a scalar host.
 macro_rules! on_isa {
-    ($isa:expr, $driver:ident::<$($generic:tt),+>($($arg:expr),* $(,)?)) => {
+    ($isa:expr, $driver:ident $(::<$($generic:tt),+>)? ($($arg:expr),* $(,)?)) => {
         match $isa.0 {
             Level::Scalar => None,
             // SAFETY: `Level::Avx2` is constructed only by `Isa::detect`
             // and only after the CPU reported `avx2`, the one feature
             // the `avx2` drivers enable.
-            Level::Avx2 => Some(unsafe { avx2::$driver::<$($generic),+>($($arg),*) }),
+            Level::Avx2 => Some(unsafe { avx2::$driver $(::<$($generic),+>)? ($($arg),*) }),
             // SAFETY: `Level::Avx512` is constructed only by
             // `Isa::detect` and only after the CPU reported `avx512f`,
             // `avx512vl` and `avx2`, the features the `avx512` drivers
             // enable.
-            Level::Avx512 => Some(unsafe { avx512::$driver::<$($generic),+>($($arg),*) }),
+            Level::Avx512 => Some(unsafe { avx512::$driver $(::<$($generic),+>)? ($($arg),*) }),
         }
     };
+}
+
+/// `Some` with the `KB`-wide panel block's output columns as the
+/// kernels' array of 8 or 4.
+fn columns<'o, 'y, const KB: usize, const N: usize>(
+    out: &'o mut [&'y mut [f64]; KB],
+) -> Option<&'o mut [&'y mut [f64]; N]> {
+    out.as_mut_slice().try_into().ok()
+}
+
+/// The panel block of CSR rows on the host's vector unit, at every lane
+/// width (the vector runs over the `KB` right-hand sides; W only fixes
+/// the order); `None` on a scalar host or for a `KB` other than 8 and 4.
+pub(super) fn csr_panel<const KB: usize>(
+    isa: Isa,
+    m: &CsrRows<'_>,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) -> Option<()> {
+    if let Some(out) = columns::<KB, 8>(out) {
+        on_isa!(isa, csr_panel8(m, panel, out))
+    } else {
+        on_isa!(isa, csr_panel4(m, panel, columns::<KB, 4>(out)?))
+    }
+}
+
+/// The panel block of a padded layout on the host's vector unit, at
+/// every lane width; `None` on a scalar host or for a `KB` other than 8
+/// and 4.
+pub(super) fn windows_panel<const KB: usize, P: Padded>(
+    isa: Isa,
+    layout: &P,
+    panel: &[f64],
+    out: &mut [&mut [f64]; KB],
+) -> Option<()> {
+    if let Some(out) = columns::<KB, 8>(out) {
+        on_isa!(isa, windows_panel8::<P>(layout, panel, out))
+    } else {
+        on_isa!(isa, windows_panel4::<P>(layout, panel, columns::<KB, 4>(out)?))
+    }
 }
 
 /// CSR rows at W4 (256-bit) or W8 (512-bit, 2 × 256 on AVX2): the fused
@@ -583,6 +863,7 @@ pub(super) fn windows<const DOT: bool, P: Padded>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::panel;
     use super::super::slab::{SellChunks, Slab};
     use super::*;
 
@@ -644,10 +925,10 @@ mod tests {
         assert!(Operand::new(&[]).is_none());
     }
 
-    #[test]
-    fn csr_rows_on_every_offered_isa_equal_the_scalar_lane_body_bitwise() {
-        // Square; row `r` has `r` nonzeros (0..=33: every `len mod 8`),
-        // the last one in the last column.
+    /// `(row_ptr, col_idx, values)` of a square CSR matrix of 34 rows:
+    /// row `r` has `r` nonzeros (0..=33: every `len mod 8`, row 0
+    /// empty), the last one in the last column.
+    fn staircase() -> (Vec<usize>, Vec<u32>, Vec<f64>) {
         let n = 34;
         let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
         for r in 0..n {
@@ -657,6 +938,13 @@ mod tests {
             }
             row_ptr.push(cols.len());
         }
+        (row_ptr, cols, vals)
+    }
+
+    #[test]
+    fn csr_rows_on_every_offered_isa_equal_the_scalar_lane_body_bitwise() {
+        let (row_ptr, cols, vals) = staircase();
+        let n = row_ptr.len() - 1;
         let x = operand(n);
         let at =
             |lanes| CsrRows { lanes, cols: n, row_ptr: &row_ptr, col_idx: &cols, values: &vals };
@@ -672,15 +960,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sell_chunks_on_every_offered_isa_equal_the_scalar_body_bitwise() {
-        // 67 rows: a partial last chunk at every C. C = 1, 3: scalar
-        // lanes only; 12 = 8 + 4; 21 = 16 + 4 + 1. Row `p` has `p % 7`
-        // real slots, chunks are padded to their widest row with value
-        // 0, `perm` reverses each chunk.
-        let n = 67;
-        let x = operand(n);
-        for c in [1usize, 3, 4, 8, 12, 16, 21] {
+    /// SELL-C-σ storage of `n` rows × `n` columns: row `p` has `p % 7`
+    /// real slots, chunks are padded to their widest row with value 0,
+    /// `perm` reverses each chunk.
+    struct Sell {
+        n: usize,
+        c: usize,
+        perm: Vec<u32>,
+        ptr: Vec<usize>,
+        widths: Vec<u32>,
+        cols: Vec<u32>,
+        vals: Vec<f64>,
+    }
+
+    impl Sell {
+        fn new(n: usize, c: usize) -> Self {
             let perm: Vec<u32> =
                 (0..n).map(|p| (p / c * c + (c.min(n - p / c * c) - 1 - p % c)) as u32).collect();
             let (mut ptr, mut widths) = (vec![0usize], Vec::new());
@@ -697,28 +991,48 @@ mod tests {
                 widths.push(width as u32);
                 ptr.push(cols.len());
             }
-            let chunks = 0..widths.len();
-            let at = |lanes| SellChunks {
+            Sell { n, c, perm, ptr, widths, cols, vals }
+        }
+
+        fn at(&self, lanes: LaneWidth) -> SellChunks<'_> {
+            SellChunks {
                 lanes,
-                c,
-                rows: n,
-                cols: n,
-                perm: &perm,
-                chunk_ptr: &ptr,
-                chunk_width: &widths,
-                col_idx: &cols,
-                values: &vals,
-            };
+                c: self.c,
+                rows: self.n,
+                cols: self.n,
+                perm: &self.perm,
+                chunk_ptr: &self.ptr,
+                chunk_width: &self.widths,
+                col_idx: &self.cols,
+                values: &self.vals,
+            }
+        }
+    }
+
+    #[test]
+    fn sell_chunks_on_every_offered_isa_equal_the_scalar_body_bitwise() {
+        // 67 rows: a partial last chunk at every C. C = 1, 3: scalar
+        // lanes only; 12 = 8 + 4; 21 = 16 + 4 + 1.
+        let n = 67;
+        let x = operand(n);
+        for c in [1usize, 3, 4, 8, 12, 16, 21] {
+            let sell = Sell::new(n, c);
+            let chunks = 0..sell.widths.len();
             let want = flavours!(n, |o| Some(slab::run_scalar::<DOT, _>(
-                &at(LaneWidth::W1),
+                &sell.at(LaneWidth::W1),
                 chunks.clone(),
                 &x,
                 o
             )));
             for isa in Isa::offered() {
                 for lanes in WIDE {
-                    let got =
-                        flavours!(n, |o| windows::<DOT, _>(isa, &at(lanes), chunks.clone(), &x, o));
+                    let got = flavours!(n, |o| windows::<DOT, _>(
+                        isa,
+                        &sell.at(lanes),
+                        chunks.clone(),
+                        &x,
+                        o
+                    ));
                     judge(isa, got, &want, &format!("{isa:?} {lanes:?} C={c}"));
                 }
             }
@@ -835,5 +1149,192 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The `KB` output columns (`rows` long, sentinel-filled, one after
+    /// the other) of one panel block run; `None` when the kernel
+    /// declined.
+    fn panel_run<const KB: usize>(
+        rows: usize,
+        kernel: impl FnOnce(&mut [&mut [f64]; KB]) -> Option<()>,
+    ) -> Option<Vec<u64>> {
+        let mut y = vec![f64::MIN; rows * KB];
+        let mut columns = y.chunks_exact_mut(rows);
+        kernel(&mut std::array::from_fn(|_| columns.next().expect("y holds KB columns")))?;
+        Some(y.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// A vector level must reproduce the scalar panel body bit for bit;
+    /// the scalar level must decline.
+    fn judge_panel(isa: Isa, got: Option<Vec<u64>>, want: &[u64], ctx: &str) {
+        if isa.0 == Level::Scalar {
+            assert_eq!(got, None, "{ctx}: no vector unit, no vector path");
+        } else {
+            assert_eq!(got.as_deref(), Some(want), "{ctx}");
+        }
+    }
+
+    fn csr_panels<const KB: usize>() {
+        let (row_ptr, cols, vals) = staircase();
+        let n = row_ptr.len() - 1;
+        let panel = operand(n * KB);
+        for lanes in LaneWidth::ALL {
+            let m = CsrRows { lanes, cols: n, row_ptr: &row_ptr, col_idx: &cols, values: &vals };
+            let want = panel_run::<KB>(n, |out| {
+                panel::csr_block(&m, &panel, out);
+                Some(())
+            })
+            .expect("the scalar body runs");
+            for isa in Isa::offered() {
+                let got = panel_run::<KB>(n, |out| csr_panel(isa, &m, &panel, out));
+                judge_panel(isa, got, &want, &format!("{isa:?} {lanes:?} KB={KB}"));
+            }
+        }
+    }
+
+    #[test]
+    fn csr_panels_on_every_offered_isa_equal_the_scalar_panel_body_bitwise() {
+        csr_panels::<4>();
+        csr_panels::<8>();
+    }
+
+    fn padded_panels<const KB: usize>() {
+        // SELL: 67 rows, a partial last chunk at every C; per C the
+        // blocks of 16/8/4/1 (AVX-512), 4/1 (AVX2, KB = 8) or 8/4/1
+        // (AVX2, KB = 4) all meet a remainder.
+        let n = 67;
+        let panel = operand(n * KB);
+        for c in [1usize, 3, 4, 8, 12, 16, 21] {
+            let sell = Sell::new(n, c);
+            for lanes in LaneWidth::ALL {
+                let m = sell.at(lanes);
+                let want = panel_run::<KB>(n, |out| {
+                    panel::padded_block(&m, &panel, out);
+                    Some(())
+                })
+                .expect("the scalar body runs");
+                for isa in Isa::offered() {
+                    let got = panel_run::<KB>(n, |out| windows_panel(isa, &m, &panel, out));
+                    judge_panel(isa, got, &want, &format!("{isa:?} {lanes:?} C={c} KB={KB}"));
+                }
+            }
+        }
+        // ELL: 150 rows cross the 64-lane window twice.
+        for n in [1usize, 7, 77, 150] {
+            let width = 5;
+            let panel = operand(n * KB);
+            let cols: Vec<u32> = (0..width * n).map(|p| ((p * 7 + 3) % n) as u32).collect();
+            let vals: Vec<f64> = (0..width * n).map(|p| (p % 11) as f64 * 0.5 - 2.0).collect();
+            for lanes in LaneWidth::ALL {
+                let m = Slab { lanes, rows: n, cols: n, width, col_idx: &cols, values: &vals };
+                let want = panel_run::<KB>(n, |out| {
+                    panel::padded_block(&m, &panel, out);
+                    Some(())
+                })
+                .expect("the scalar body runs");
+                for isa in Isa::offered() {
+                    let got = panel_run::<KB>(n, |out| windows_panel(isa, &m, &panel, out));
+                    judge_panel(isa, got, &want, &format!("{isa:?} {lanes:?} n={n} KB={KB}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sell_and_slab_panels_on_every_offered_isa_equal_the_scalar_panel_body_bitwise() {
+        padded_panels::<4>();
+        padded_panels::<8>();
+    }
+
+    /// Whether the panel block `kernel` runs on the vector unit of `isa`
+    /// — or, on the scalar level, the scalar body — panics.
+    fn panel_panics<const KB: usize>(
+        rows: usize,
+        kernel: impl FnOnce(&mut [&mut [f64]; KB]) + std::panic::UnwindSafe,
+    ) -> bool {
+        std::panic::catch_unwind(|| {
+            panel_run::<KB>(rows, |out| {
+                kernel(out);
+                Some(())
+            })
+        })
+        .is_err()
+    }
+
+    fn out_of_range_panels<const KB: usize>() {
+        // The shapes of `an_out_of_range_column_…` against a panel of
+        // `n` rows. A bad column's row starts `col · KB` doubles into
+        // the panel: at 2³¹ and `u32::MAX` far past its end, where an
+        // unchecked load would fault or read another allocation.
+        let n = 24usize;
+        let panel = operand(n * KB);
+        let vals = vec![1.0; n];
+        let perm: Vec<u32> = (0..12).collect();
+        for bad_at in [0usize, 3, 7, 9, 15, 16, 22, 23] {
+            for bad in [n as u32, 1 << 31, u32::MAX] {
+                let mut cols: Vec<u32> = (0..n as u32).collect();
+                cols[bad_at] = bad;
+                let (cols, vals, panel, perm) = (&cols, &vals, &panel, &perm);
+                let ctx = format!("KB={KB} column {bad} at {bad_at}");
+                for isa in Isa::offered() {
+                    for lanes in LaneWidth::ALL {
+                        for len in [n, n - 1] {
+                            let hit = panel_panics::<KB>(1, move |out| {
+                                let row_ptr = [0, len];
+                                let m = CsrRows {
+                                    lanes,
+                                    cols: n,
+                                    row_ptr: &row_ptr,
+                                    col_idx: cols,
+                                    values: vals,
+                                };
+                                if csr_panel(isa, &m, panel, out).is_none() {
+                                    panel::csr_block(&m, panel, out);
+                                }
+                            });
+                            assert_eq!(hit, bad_at < len, "csr {isa:?} {lanes:?} len {len}: {ctx}");
+                        }
+                    }
+                    let ell = panel_panics::<KB>(n, move |out| {
+                        let m = Slab {
+                            lanes: LaneWidth::W4,
+                            rows: n,
+                            cols: n,
+                            width: 1,
+                            col_idx: cols,
+                            values: vals,
+                        };
+                        if windows_panel(isa, &m, panel, out).is_none() {
+                            panel::padded_block(&m, panel, out);
+                        }
+                    });
+                    assert!(ell, "slab {isa:?}: {ctx}");
+                    let sell = panel_panics::<KB>(12, move |out| {
+                        let (ptr, slots) = ([0, 24], [2]);
+                        let m = SellChunks {
+                            lanes: LaneWidth::W8,
+                            c: 12,
+                            rows: 12,
+                            cols: n,
+                            perm,
+                            chunk_ptr: &ptr,
+                            chunk_width: &slots,
+                            col_idx: cols,
+                            values: vals,
+                        };
+                        if windows_panel(isa, &m, panel, out).is_none() {
+                            panel::padded_block(&m, panel, out);
+                        }
+                    });
+                    assert!(sell, "sell {isa:?}: {ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_panel_column_panics_on_every_offered_isa_wherever_it_sits() {
+        out_of_range_panels::<4>();
+        out_of_range_panels::<8>();
     }
 }
