@@ -153,7 +153,6 @@ struct HeldOut {
 
 fn score_held_out(cfg: &Config, engine: &Engine) -> HeldOut {
     let lanes = engine.lane_profile();
-    let chain = [engine.default_format(), FormatKind::NaiveCsr];
     let mut out = HeldOut {
         rows: Vec::new(),
         regret: Vec::new(),
@@ -170,8 +169,9 @@ fn score_held_out(cfg: &Config, engine: &Engine) -> HeldOut {
             let csr = classes::generate(i, mb, cfg.seed, (f * CLASSES.len() + i) as u64);
             let (x, mut y) = (operand(csr.cols()), vec![0.0; csr.rows()]);
             let planned = engine.select(&FeatureSet::extract(&csr));
-            let (_, selected, _) = build_with_fallback_profile(planned, &csr, &chain, lanes)
-                .expect("the chain ends in CSR, which accepts any matrix");
+            let fallback = [engine.default_format()];
+            let (_, selected, _) = build_with_fallback_profile(planned, &csr, &fallback, lanes)
+                .expect("the fallback is Naive-CSR, which accepts any matrix");
             let mut secs = vec![f64::INFINITY; SWEPT.len()];
             for (k, kind) in SWEPT.into_iter().enumerate() {
                 let t = Instant::now();
@@ -333,7 +333,7 @@ fn main() {
     // default config, or around a selector fitted from a fresh sweep.
     let (table, engine, sweep_json, wins) = if cfg.calibrate {
         let profile = spmv_formats::LaneProfile::current();
-        println!("calibrating at {:?} / C = {} ...", profile.width, profile.sell_c);
+        println!("calibrating at {:?} ...", profile.width);
         let sweep = calibration::sweep(profile, |line| println!("  {line}"));
         let sweep_json = sweep_report(&sweep);
         if !sweep.quiet_enough() {

@@ -182,9 +182,9 @@ pub fn served_profile() -> LaneProfile {
 
 /// What a reader needs to know about the machine and build a record
 /// came from: hardware threads, the `SPMV_THREADS` / `SPMV_LANES`
-/// overrides in force, the lane profile of the host probe (`lanes`,
-/// `sell_c`) and the one the default engine serves at
-/// ([`served_profile`]), the vector instruction set the lane kernels
+/// overrides in force, the lane width of the host probe (`lanes`) and
+/// the one the default engine serves at (`served_lanes`,
+/// [`served_profile`]), the vector instruction set the lane kernels
 /// detected, the CPU model and the git revision.
 pub fn host_facts() -> Json {
     let env = |name: &str| std::env::var(name).map(Json::Str).unwrap_or(Json::Str("unset".into()));
@@ -198,9 +198,7 @@ pub fn host_facts() -> Json {
         ("SPMV_THREADS", env("SPMV_THREADS")),
         ("SPMV_LANES", env("SPMV_LANES")),
         ("lanes", lanes.width.lanes().into()),
-        ("sell_c", lanes.sell_c.into()),
         ("served_lanes", served.width.lanes().into()),
-        ("served_sell_c", served.sell_c.into()),
         ("vector_isa", vector_isa().into()),
         ("git_rev", git_rev().into()),
     ])

@@ -77,8 +77,7 @@ impl DeviceSpec {
     /// recovers the double-precision vector width: AVX-512 (16) → 8
     /// lanes, AVX2 (8) → 4; two-lane units (NEON, VSX: 4) and
     /// scalar-rate GPUs (1) → 1, the lane kernels having no two-lane
-    /// width. The SELL-C-σ chunk width follows the lane width (a chunk
-    /// is one vector register of rows; 4 at one lane).
+    /// width.
     pub fn lane_profile(&self) -> LaneProfile {
         LaneProfile::with_width(LaneWidth::from_lanes((self.dp_flops_per_cycle / 2.0) as usize))
     }
@@ -384,16 +383,14 @@ mod tests {
     #[test]
     fn lane_profiles_follow_simd_width() {
         let cases = [
-            ("INTEL-XEON", LaneWidth::W8, 16), // AVX-512
-            ("AMD-EPYC-24", LaneWidth::W4, 8), // AVX2
-            ("ARM-NEON", LaneWidth::W1, 4),    // NEON: no two-lane kernels
-            ("Tesla-A100", LaneWidth::W1, 4),  // scalar-rate FP64
-            ("IBM-POWER9", LaneWidth::W1, 4),  // VSX: likewise
+            ("INTEL-XEON", LaneWidth::W8),  // AVX-512
+            ("AMD-EPYC-24", LaneWidth::W4), // AVX2
+            ("ARM-NEON", LaneWidth::W1),    // NEON: no two-lane kernels
+            ("Tesla-A100", LaneWidth::W1),  // scalar-rate FP64
+            ("IBM-POWER9", LaneWidth::W1),  // VSX: likewise
         ];
-        for (name, width, sell_c) in cases {
-            let p = device_by_name(name).unwrap().lane_profile();
-            assert_eq!(p.width, width, "{name}");
-            assert_eq!(p.sell_c, sell_c, "{name}");
+        for (name, width) in cases {
+            assert_eq!(device_by_name(name).unwrap().lane_profile().width, width, "{name}");
         }
     }
 

@@ -16,12 +16,14 @@
 //!    configured device's campaign records ([`FormatSelector`]): timed
 //!    kernels of this machine for the default `Host` profile, the
 //!    analytic model for a Table II testbed — restricted to the formats
-//!    that profile actually has and the engine serves
-//!    ([`FormatKind::SERVING`]: the CSR family, ELL, HYB and SELL-C-σ;
-//!    a modeled device's other formats are for its figures only);
-//! 3. **convert** — build the chosen format, with a fallback chain for
-//!    a format that refuses a matrix (of the serving set, only ELL does:
-//!    its padding budget), and keep it in a byte-bounded LRU
+//!    that profile actually has, and served as one of the seven kinds
+//!    of [`FormatKind::SERVING`] ([`FormatKind::served_as`]: Naive-CSR,
+//!    Balanced-CSR for every other CSR-family label, ELL, HYB and the
+//!    three SELL-C-σ chunk heights; a modeled device's other formats
+//!    are for its figures only);
+//! 3. **convert** — build the chosen format, falling back to Naive-CSR
+//!    for a format that refuses a matrix (of the serving set, only ELL
+//!    does: its padding budget), and keep it in a byte-bounded LRU
 //!    [`ConversionCache`]. *When* the build runs is the admission
 //!    policy ([`Admission`]): synchronously on the first request, or in
 //!    a background flight while requests are served via the universal
@@ -373,17 +375,15 @@ struct ServeState {
     counters: CounterBank,
     /// Outstanding background admissions (queued or building).
     in_flight: AtomicUsize,
-    /// Fallback chain appended after the planned kind (device default,
-    /// then universal CSR).
-    fallback_chain: [FormatKind; 2],
     /// Lane profile every conversion (foreground or flight) builds at:
     /// `SPMV_LANES` when set, else the device profile's SIMD width.
     lanes: LaneProfile,
 }
 
 impl ServeState {
-    /// Lands `(id, kind)`, building a miss with the fallback chain, and
-    /// counts the lookup: the one place a landing moves counters.
+    /// Lands `(id, kind)`, building a miss with Naive-CSR as the
+    /// fallback, and counts the lookup: the one place a landing moves
+    /// counters.
     fn land(
         &self,
         id: &str,
@@ -393,8 +393,8 @@ impl ServeState {
     ) -> (CachedFormat, FormatKind, Landed) {
         let (fmt, kind, landed) = self.conversions.land(&self.plans, id, kind, ticket, |kind| {
             let (built, actual, refused) =
-                build_with_fallback_profile(kind, csr, &self.fallback_chain, self.lanes)
-                    .expect("fallback chain ends in CSR, which accepts any matrix");
+                build_with_fallback_profile(kind, csr, &[FormatKind::NaiveCsr], self.lanes)
+                    .expect("the fallback is CSR, which accepts any matrix");
             (Arc::new(built), actual, refused)
         });
         let c = &self.counters;
@@ -484,7 +484,7 @@ impl Engine {
 
     /// Builds an engine around an already-fitted (possibly
     /// deserialized) selector. An empty selector is allowed: every
-    /// request then serves the device's default format.
+    /// request then serves [`Engine::default_format`].
     pub fn with_selector(
         config: EngineConfig,
         selector: FormatSelector,
@@ -535,7 +535,6 @@ impl Engine {
         selector: FormatSelector,
         pool: ThreadPool,
     ) -> Engine {
-        let default_format = Self::universal_format(&device);
         let lanes = LaneProfile::resolve(Some(device.lane_profile()));
         Engine {
             device,
@@ -548,16 +547,9 @@ impl Engine {
                 conversions: ShardedConversions::new(config.cache_capacity_bytes, config.shards),
                 counters: CounterBank::default(),
                 in_flight: AtomicUsize::new(0),
-                fallback_chain: [default_format, FormatKind::NaiveCsr],
                 lanes,
             }),
         }
-    }
-
-    fn universal_format(device: &DeviceSpec) -> FormatKind {
-        const TOTAL: [FormatKind; 3] =
-            [FormatKind::NaiveCsr, FormatKind::VectorizedCsr, FormatKind::BalancedCsr];
-        TOTAL.into_iter().find(|k| device.formats.contains(k)).unwrap_or(FormatKind::NaiveCsr)
     }
 
     /// The (scaled) device profile selections are optimized for.
@@ -582,26 +574,25 @@ impl Engine {
         self.admission
     }
 
-    /// The format every fallback chain ends in: a format of the device
-    /// profile that accepts any matrix if one exists, else Naive-CSR
-    /// (which always does — the host executes regardless).
+    /// The format served when a recommendation names nothing the engine
+    /// may serve on this device, and the one a refused conversion falls
+    /// back to: Naive-CSR, which accepts any matrix, on every device.
     pub fn default_format(&self) -> FormatKind {
-        self.state.fallback_chain[0]
+        FormatKind::NaiveCsr
     }
 
     /// The lane profile conversions run at: the `SPMV_LANES` override
-    /// when set, otherwise the device profile's SIMD width (and the
-    /// SELL-C-σ chunk width that rides with it).
+    /// when set, otherwise the device profile's SIMD width.
     pub fn lane_profile(&self) -> LaneProfile {
         self.state.lanes
     }
 
     /// Pure selection: the format the engine would pick for a matrix
-    /// with these features — the k-NN recommendation when it names a
-    /// format available on the device profile that the engine serves
-    /// ([`FormatKind::SERVING`]), the device default otherwise. No
-    /// counters move; serving paths layer caching and fallback on top
-    /// of this.
+    /// with these features — the serving kind of the k-NN
+    /// recommendation ([`FormatKind::served_as`]) when the device
+    /// profile has the recommended format, [`Engine::default_format`]
+    /// otherwise. No counters move; serving paths layer caching and
+    /// fallback on top of this.
     pub fn select(&self, features: &FeatureSet) -> FormatKind {
         let probe = SelectorFeatures {
             footprint_mb: features.mem_footprint_mb,
@@ -613,25 +604,9 @@ impl Engine {
         self.selector
             .recommend(&probe)
             .and_then(FormatKind::from_name)
-            .filter(|k| self.device.formats.contains(k) && FormatKind::SERVING.contains(k))
-            .map(|k| self.remap_sell_chunk_width(k))
+            .filter(|k| self.device.formats.contains(k))
+            .and_then(FormatKind::served_as)
             .unwrap_or_else(|| self.default_format())
-    }
-
-    /// Re-targets a default-width SELL-C-σ recommendation onto the
-    /// chunk-width variant matching the lane profile, when the device
-    /// profile carries that variant. Selectors trained before the
-    /// chunk-width split (or on coarse labels) keep recommending
-    /// "SELL-C-s"; the device profile decides which C actually runs.
-    /// Not on `Host`: a measured "SELL-C-s" label is a timing of C = 8
-    /// that beat the timings of C = 4 and C = 16.
-    fn remap_sell_chunk_width(&self, kind: FormatKind) -> FormatKind {
-        if kind != FormatKind::SellCSigma || self.device.name == spmv_devices::host::NAME {
-            return kind;
-        }
-        FormatKind::sell_variant_for_c(self.state.lanes.sell_c)
-            .filter(|v| self.device.formats.contains(v))
-            .unwrap_or(kind)
     }
 
     /// The per-matrix plan: select once per id, remember the outcome.
@@ -1107,17 +1082,15 @@ mod tests {
         let expected = LaneProfile::resolve(Some(engine.device().lane_profile()));
         assert_eq!(engine.lane_profile(), expected);
         // Without an env override, the device profile decides (EPYC-24
-        // is AVX2 → 4 lanes, C=8).
+        // is AVX2 → 4 lanes).
         if std::env::var("SPMV_LANES").is_err() {
             assert_eq!(engine.lane_profile().width, spmv_formats::LaneWidth::W4);
-            assert_eq!(engine.lane_profile().sell_c, 8);
         }
     }
 
-    #[test]
-    fn sell_recommendations_follow_the_profiled_chunk_width() {
-        // A selector that always recommends default-width SELL-C-σ.
-        let sell = Observation {
+    /// A selector that recommends `label` for every matrix.
+    fn always(label: FormatKind) -> FormatSelector {
+        let obs = Observation {
             features: SelectorFeatures {
                 footprint_mb: 1.0,
                 avg_nnz_per_row: 8.0,
@@ -1125,36 +1098,62 @@ mod tests {
                 cross_row_sim: 0.5,
                 avg_num_neigh: 0.5,
             },
-            best_format: "SELL-C-s".into(),
+            best_format: label.name().into(),
         };
-        let engine =
-            Engine::with_selector(quick_config(), FormatSelector::fit(&[sell], 1)).unwrap();
-        let picked = engine.select(&FeatureSet::extract(&CsrMatrix::identity(64)));
-        // EPYC-24 carries every chunk-width variant, so the pick must
-        // be the variant matching the lane profile's C.
-        let expected = FormatKind::sell_variant_for_c(engine.lane_profile().sell_c).unwrap();
-        assert_eq!(picked, expected);
-        assert_eq!(picked.sell_c(), Some(engine.lane_profile().sell_c));
+        FormatSelector::fit(&[obs], 1)
+    }
+
+    #[test]
+    fn sell_recommendations_follow_the_profiled_chunk_width() {
+        // The chunk height belongs to the kind: each SELL label serves
+        // at the C its campaign timed, whatever the device's lane width
+        // or `SPMV_LANES` says.
+        for device in ["AMD-EPYC-24", "INTEL-XEON"] {
+            for label in [FormatKind::SellC4, FormatKind::SellCSigma, FormatKind::SellC16] {
+                let cfg = EngineConfig { device: device.into(), ..quick_config() };
+                let engine = Engine::with_selector(cfg, always(label)).unwrap();
+                let picked = engine.select(&FeatureSet::extract(&CsrMatrix::identity(64)));
+                assert_eq!(picked, label, "{device}");
+                assert_eq!(picked.sell_c(), label.sell_c(), "{device}");
+            }
+        }
     }
 
     #[test]
     fn sell_remap_is_identity_without_device_variants() {
         // POWER9 has no SELL formats at all: the recommendation is
-        // filtered to the device default, remap never fires.
-        let sell = Observation {
-            features: SelectorFeatures {
-                footprint_mb: 1.0,
-                avg_nnz_per_row: 8.0,
-                skew: 0.0,
-                cross_row_sim: 0.5,
-                avg_num_neigh: 0.5,
-            },
-            best_format: "SELL-C-s".into(),
-        };
+        // filtered to the device default.
         let cfg = EngineConfig { device: "IBM-POWER9".into(), ..quick_config() };
-        let engine = Engine::with_selector(cfg, FormatSelector::fit(&[sell], 1)).unwrap();
+        let engine = Engine::with_selector(cfg, always(FormatKind::SellCSigma)).unwrap();
         let picked = engine.select(&FeatureSet::extract(&CsrMatrix::identity(64)));
         assert_eq!(picked, engine.default_format());
+    }
+
+    #[test]
+    fn measured_sell_labels_keep_their_chunk_width() {
+        // On `Host` a "SELL-C-s" label is a timing of C = 8 that beat
+        // C = 4 and C = 16 on that matrix: no lane profile, whatever
+        // `SPMV_LANES` says, may retarget it.
+        let cfg = EngineConfig { threads: 2, ..EngineConfig::default() };
+        let engine = Engine::with_selector(cfg, always(FormatKind::SellCSigma)).unwrap();
+        let picked = engine.select(&FeatureSet::extract(&CsrMatrix::identity(64)));
+        assert_eq!(picked, FormatKind::SellCSigma);
+        assert_eq!(picked.sell_c(), Some(8));
+    }
+
+    #[test]
+    fn every_other_csr_family_label_serves_as_balanced_csr() {
+        let m = skewed_matrix();
+        let x: Vec<f64> = (0..m.cols()).map(|i| (i as f64 * 0.23).cos()).collect();
+        let reference = m.spmv(&x);
+        for label in [FormatKind::VectorizedCsr, FormatKind::MergeCsr, FormatKind::Csr5] {
+            let cfg = EngineConfig { device: "Host".into(), ..quick_config() };
+            let engine = Engine::with_selector(cfg, always(label)).unwrap();
+            assert_eq!(engine.select(&FeatureSet::extract(&m)), FormatKind::BalancedCsr);
+            let mut y = vec![f64::NAN; m.rows()];
+            assert_eq!(engine.spmv("m", &m, &x, &mut y), FormatKind::BalancedCsr, "{label:?}");
+            assert_eq!(spmv_core::vec_mismatch(&y, &reference, 1e-9, 1e-9), None, "{label:?}");
+        }
     }
 
     #[test]
@@ -1175,28 +1174,6 @@ mod tests {
         assert_eq!((pool.high_tasks, pool.low_tasks), (0, 0), "the table is loaded, not swept");
         // A modeled testbed's campaign does run on the pool.
         assert!(Engine::new(quick_config()).unwrap().counters().pool.high_tasks > 0);
-    }
-
-    #[test]
-    fn measured_sell_labels_keep_their_chunk_width() {
-        // On `Host` a "SELL-C-s" label is a timing of C = 8 that beat
-        // C = 4 and C = 16 on that matrix: no lane profile, whatever
-        // `SPMV_LANES` says, may retarget it.
-        let sell = Observation {
-            features: SelectorFeatures {
-                footprint_mb: 1.0,
-                avg_nnz_per_row: 8.0,
-                skew: 0.0,
-                cross_row_sim: 0.5,
-                avg_num_neigh: 0.5,
-            },
-            best_format: "SELL-C-s".into(),
-        };
-        let cfg = EngineConfig { threads: 2, ..EngineConfig::default() };
-        let engine = Engine::with_selector(cfg, FormatSelector::fit(&[sell], 1)).unwrap();
-        let picked = engine.select(&FeatureSet::extract(&CsrMatrix::identity(64)));
-        assert_eq!(picked, FormatKind::SellCSigma);
-        assert_eq!(picked.sell_c(), Some(8));
     }
 
     #[test]
@@ -1228,24 +1205,14 @@ mod tests {
         let m = CsrMatrix::from_triplets(48, 48, &t).unwrap();
         let x: Vec<f64> = (0..48).map(|i| (i as f64 * 0.43).sin()).collect();
         let reference = spmv_core::DenseMatrix::from_csr(&m).spmv(&x);
-        for (device, best) in
-            [("Tesla-A100", "SparseX"), ("AMD-EPYC-24", "SparseX"), ("Alveo-U280", "VSL")]
-        {
-            let obs = vec![spmv_analysis::Observation {
-                features: SelectorFeatures {
-                    footprint_mb: 1.0,
-                    avg_nnz_per_row: 10.0,
-                    skew: 0.0,
-                    cross_row_sim: 0.5,
-                    avg_num_neigh: 0.5,
-                },
-                best_format: best.into(),
-            }];
+        for (device, best) in [
+            ("Tesla-A100", FormatKind::SparseX),
+            ("AMD-EPYC-24", FormatKind::SparseX),
+            ("Alveo-U280", FormatKind::Vsl),
+        ] {
             let cfg = EngineConfig { device: device.into(), ..quick_config() };
-            let engine = Engine::with_selector(cfg, FormatSelector::fit(&obs, 1)).unwrap();
+            let engine = Engine::with_selector(cfg, always(best)).unwrap();
             let kind = engine.select(&FeatureSet::extract(&m));
-            // Alveo-U280 lists VSL alone: its default is the host's CSR.
-            assert!(engine.device().formats.contains(&kind) || kind == FormatKind::NaiveCsr);
             assert_eq!(kind, engine.default_format(), "{device}");
 
             let mut y = vec![f64::NAN; 48];

@@ -1,61 +1,38 @@
-//! CSR storage and the five ways the study runs it. The three CSR
-//! SpMV implementations of the paper's CPU testbeds (Fig. 7):
+//! CSR storage and the ways the study runs it. The three CSR SpMV
+//! implementations of the paper's CPU testbeds (Fig. 7):
 //! **Naive-CSR** (static row chunks, pinned to the scalar lane kernel —
 //! it *is* the baseline), **Vectorized-CSR** (static row chunks with
 //! the lane-unrolled gather-dot kernel, standing in for the AVX2
 //! kernels of the paper), and **Balanced-CSR** (nnz-balanced row
 //! chunks — "adds nonzero balancing (row resolution)" — on the same
-//! lane kernel). And its two CSR extensions (§II-B.5), which split
-//! *nonzeros* rather than rows, so even a single giant row is shared
-//! between workers: **Merge-CSR** (Merrill & Garland, SC'16; "a
-//! lightweight extension of CSR, with no preprocessing cost" — equal
-//! segments of the `(rows + nnz)` merge path, computed per call) and a
-//! **CSR5**-like tiling (Liu & Vinter, ICS'15; equal-nnz tiles with a
-//! per-tile row pointer, the "additional metadata for row splitting"
-//! that "slightly increases memory footprint"; the tile interior stays
-//! in plain CSR order).
+//! lane kernel). And the names of its two CSR extensions (§II-B.5),
+//! **Merge-CSR** (Merrill & Garland, SC'16) and **CSR5** (Liu & Vinter,
+//! ICS'15), which split *nonzeros* rather than rows on a wide pool:
+//! here they are figure-set names that run Naive-CSR's scalar rows on
+//! the static schedule, and CSR5 is charged the 4-byte row pointer of
+//! each of its 128-nonzero tiles.
 //!
-//! The five differ in schedule and lane width, not in storage: every
+//! The kinds differ in schedule and lane width, not in storage: every
 //! [`CsrFormat`] holds a [`CsrMatrix`] clone, which shares the
 //! operand's arrays. All inner loops live in [`crate::kernels::dot`]
 //! (SpMV) and [`crate::kernels::panel`] (SpMM), reached through the
 //! format's [`CsrRows`] view; this file only holds scheduling and the
-//! lane-width policy per variant.
+//! lane-width policy per variant. The engine serves two of them
+//! (Naive-CSR and Balanced-CSR, see
+//! [`FormatKind::served_as`](crate::FormatKind::served_as)); the other
+//! three answer [`WireError::NotServed`] on the wire.
 
 use crate::driver;
 use crate::kernels::dot::CsrRows;
 use crate::kernels::{panel, LaneProfile, LaneWidth};
 use crate::traits::SparseFormat;
-use crate::wire::{self, SectionReader, SectionWriter, WireError};
+use crate::wire::{self, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
-use spmv_parallel::{
-    blas1, merge_path_partition, Carries, DisjointWriter, Executor, Schedule, ThreadPool,
-};
-use std::ops::Range;
+use spmv_parallel::{Schedule, ThreadPool};
 
-/// Decodes a CSR-family wire payload (the variant comes from the wire
-/// tag, not the payload; the lane width from `profile`). Merge-path
-/// coordinates are computed per call and never stored; CSR5's tile row
-/// pointer is *derived* data, so its payload carries only `tile_nnz`
-/// after the CSR sections and the tiles are rebuilt here — hostile tile
-/// metadata cannot be expressed on the wire.
-pub(crate) fn decode(
-    r: &mut SectionReader<'_>,
-    variant: CsrVariant,
-    profile: LaneProfile,
-) -> Result<CsrFormat, WireError> {
-    let csr = wire::decode_csr(r)?;
-    if variant != CsrVariant::Tiles {
-        return Ok(CsrFormat::with_profile(csr, variant, profile));
-    }
-    match r.dim()? {
-        0 => Err(WireError::Malformed("CSR5 tile size 0".into())),
-        tile_nnz => Ok(CsrFormat::tiled(csr, tile_nnz)),
-    }
-}
-
-/// Default CSR5 tile size in nonzeros (ω·σ of the original design).
-pub const DEFAULT_TILE_NNZ: usize = 128;
+/// CSR5's tile size in nonzeros (ω·σ of the original design): what its
+/// tile row pointer, 4 bytes per tile, is charged at.
+const CSR5_TILE_NNZ: usize = 128;
 
 /// Which CSR kernel variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,11 +44,9 @@ pub enum CsrVariant {
     Vectorized,
     /// Lane-unrolled loop, nnz-balanced row partition.
     Balanced,
-    /// Merge-CSR: scalar loop, one merge-path segment per worker,
-    /// shared boundary rows merged by carries.
+    /// Merge-CSR's name: scalar loop, static row partition.
     MergePath,
-    /// CSR5: scalar loop, equal-nnz tiles in contiguous ranges per
-    /// worker, shared boundary rows merged by carries.
+    /// CSR5's name: scalar loop, static row partition.
     Tiles,
 }
 
@@ -80,11 +55,6 @@ pub struct CsrFormat {
     matrix: CsrMatrix,
     variant: CsrVariant,
     lanes: LaneWidth,
-    /// Tile size in nonzeros ([`CsrVariant::Tiles`] only).
-    tile_nnz: usize,
-    /// `tile_row[t]` = row containing nonzero offset `t · tile_nnz`
-    /// ([`CsrVariant::Tiles`] only; empty otherwise).
-    tile_row: Vec<u32>,
 }
 
 impl CsrFormat {
@@ -98,32 +68,13 @@ impl CsrFormat {
     /// Vectorized and Balanced variants follow the profile: Naive-CSR
     /// is the scalar baseline the other kernels are measured against,
     /// and Merge-CSR and CSR5 run W = 1, the summation order of
-    /// [`CsrMatrix::spmv_into`]. Nothing is preprocessed except CSR5's
-    /// tile row pointer (at [`DEFAULT_TILE_NNZ`]).
+    /// [`CsrMatrix::spmv_into`]. Nothing is preprocessed.
     pub fn with_profile(matrix: CsrMatrix, variant: CsrVariant, profile: LaneProfile) -> Self {
         let lanes = match variant {
             CsrVariant::Vectorized | CsrVariant::Balanced => profile.width,
-            CsrVariant::Tiles => return Self::tiled(matrix, DEFAULT_TILE_NNZ),
-            CsrVariant::Naive | CsrVariant::MergePath => LaneWidth::W1,
+            CsrVariant::Naive | CsrVariant::MergePath | CsrVariant::Tiles => LaneWidth::W1,
         };
-        Self { matrix, variant, lanes, tile_nnz: 0, tile_row: Vec::new() }
-    }
-
-    /// CSR5 with an explicit tile size (in nonzeros, at least 1).
-    pub fn tiled(matrix: CsrMatrix, tile_nnz: usize) -> Self {
-        let tile_nnz = tile_nnz.max(1);
-        let nnz = matrix.nnz();
-        let row_ptr = matrix.row_ptr();
-        let last_row = matrix.rows().saturating_sub(1);
-        let tile_row = (0..=nnz.div_ceil(tile_nnz))
-            .map(|t| {
-                let off = (t * tile_nnz).min(nnz);
-                // Row containing offset `off`: last r with row_ptr[r] <= off.
-                let r = row_ptr.partition_point(|&p| p <= off).saturating_sub(1);
-                r.min(last_row) as u32
-            })
-            .collect();
-        Self { matrix, variant: CsrVariant::Tiles, lanes: LaneWidth::W1, tile_nnz, tile_row }
+        Self { matrix, variant, lanes }
     }
 
     /// Borrow of the underlying CSR matrix.
@@ -136,79 +87,16 @@ impl CsrFormat {
         self.lanes
     }
 
-    /// Number of CSR5 tiles (0 for every other variant).
-    pub fn tiles(&self) -> usize {
-        self.tile_row.len().saturating_sub(1)
-    }
-
     fn view(&self) -> CsrRows<'_> {
         CsrRows::of(self.lanes, &self.matrix)
     }
 
-    /// The row partition of the three row-parallel variants; `None` for
-    /// the two that split nonzeros and merge carries instead.
-    fn row_schedule(&self) -> Option<Schedule<'_>> {
+    /// The row partition: nnz-balanced for Balanced-CSR, static for
+    /// every other variant.
+    fn row_schedule(&self) -> Schedule<'_> {
         match self.variant {
-            CsrVariant::Naive | CsrVariant::Vectorized => {
-                Some(Schedule::Static { items: self.rows() })
-            }
-            CsrVariant::Balanced => Some(Schedule::Balanced { prefix: self.matrix.row_ptr() }),
-            CsrVariant::MergePath | CsrVariant::Tiles => None,
-        }
-    }
-
-    /// Parallel SpMV of the two carry schedules: each worker owns one
-    /// contiguous nonzero range — a merge-path segment, or a contiguous
-    /// range of tiles — and runs a segmented sum over it. The range's
-    /// first (possibly shared) row comes back as a carry; later rows
-    /// are written directly, a shared last row as the partial the next
-    /// range's carry is added to.
-    fn spmv_carry(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        let row_ptr = self.matrix.row_ptr();
-        let col_idx = self.matrix.col_idx();
-        let values = self.matrix.values();
-        let segment = |first_row: usize, nz: Range<usize>, out: &DisjointWriter<'_>| {
-            if nz.is_empty() {
-                return Carries::none(); // only empty rows, already zeroed
-            }
-            let (mut k, mut r, mut carry) = (nz.start, first_row, 0.0);
-            loop {
-                let row_end = row_ptr[r + 1].min(nz.end);
-                let mut acc = 0.0;
-                while k < row_end {
-                    acc += values[k] * x[col_idx[k] as usize];
-                    k += 1;
-                }
-                if r == first_row {
-                    carry = acc;
-                } else {
-                    out.write(r, acc);
-                }
-                if k >= nz.end {
-                    break;
-                }
-                // Skip empty rows (their range is empty).
-                r += 1;
-                while row_ptr[r + 1] <= k {
-                    r += 1;
-                }
-            }
-            Carries { first: Some((first_row, carry)), last: None }
-        };
-        let exec = Executor::new(pool);
-        exec.zero(y);
-        if self.variant == CsrVariant::MergePath {
-            let coords = merge_path_partition(row_ptr, exec.threads());
-            exec.run_chunks_carry(coords.len() - 1, y, |seg, out| {
-                let (start, end) = (coords[seg.start], coords[seg.end]);
-                segment(start.row, start.nz..end.nz, out)
-            });
-        } else {
-            let nnz = self.nnz();
-            exec.run_chunks_carry(self.tiles(), y, |tiles, out| {
-                let nz = tiles.start * self.tile_nnz..(tiles.end * self.tile_nnz).min(nnz);
-                segment(self.tile_row[tiles.start] as usize, nz, out)
-            });
+            CsrVariant::Balanced => Schedule::Balanced { prefix: self.matrix.row_ptr() },
+            _ => Schedule::Static { items: self.rows() },
         }
     }
 }
@@ -237,8 +125,14 @@ impl SparseFormat for CsrFormat {
     }
 
     fn bytes(&self) -> usize {
-        // CSR arrays + CSR5's 4-byte tile row pointers.
-        self.matrix.mem_footprint_bytes() + 4 * self.tile_row.len()
+        // CSR arrays + CSR5's 4-byte tile row pointers, one past the
+        // last tile.
+        let tile_ptrs = if self.variant == CsrVariant::Tiles {
+            self.nnz().div_ceil(CSR5_TILE_NNZ) + 1
+        } else {
+            0
+        };
+        self.matrix.mem_footprint_bytes() + 4 * tile_ptrs
     }
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
@@ -246,13 +140,7 @@ impl SparseFormat for CsrFormat {
     }
 
     fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        match self.row_schedule() {
-            Some(schedule) => driver::spmv_parallel(&self.view(), schedule, pool, x, y),
-            None => {
-                driver::check_operands(&self.view(), x, y);
-                self.spmv_carry(pool, x, y);
-            }
-        }
+        driver::spmv_parallel(&self.view(), self.row_schedule(), pool, x, y);
     }
 
     fn spmv_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
@@ -260,22 +148,15 @@ impl SparseFormat for CsrFormat {
     }
 
     fn spmv_dot_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) -> f64 {
-        match self.row_schedule() {
-            Some(schedule) => driver::spmv_dot_parallel(&self.view(), schedule, pool, x, y),
-            // A row split across workers has no one place to fuse at.
-            None => {
-                assert_eq!(self.rows(), self.cols(), "spmv_dot requires a square matrix");
-                self.spmv_parallel(pool, x, y);
-                blas1::dot(pool, x, y)
-            }
-        }
+        driver::spmv_dot_parallel(&self.view(), self.row_schedule(), pool, x, y)
     }
 
     fn encode_payload(&self, out: &mut SectionWriter) -> Result<(), WireError> {
-        wire::encode_csr(&self.matrix, out);
-        if self.variant == CsrVariant::Tiles {
-            out.usize(self.tile_nnz);
+        if let CsrVariant::Vectorized | CsrVariant::MergePath | CsrVariant::Tiles = self.variant {
+            // Served as Balanced-CSR, so never snapshotted under its own tag.
+            return Err(WireError::NotServed(wire::kind_named(self.name())?));
         }
+        wire::encode_csr(&self.matrix, out);
         Ok(())
     }
 
@@ -356,14 +237,8 @@ mod tests {
             let mut par = vec![f64::NAN; m.rows()];
             f.spmv_parallel(&pool, &x, &mut par);
             // Row sums are per-row deterministic, so parallel equals
-            // sequential bit-for-bit at a fixed profile — except where
-            // a carry schedule splits the 40-nonzero row.
-            if f.row_schedule().is_some() {
-                assert_eq!(par, seq, "{variant:?}");
-            }
-            for (a, b) in par.iter().zip(&seq) {
-                assert!((a - b).abs() < 1e-12, "{variant:?}: {a} vs {b}");
-            }
+            // sequential bit-for-bit at a fixed profile.
+            assert_eq!(par, seq, "{variant:?}");
         }
     }
 
@@ -447,15 +322,14 @@ mod tests {
         }
     }
 
-    // ---- Merge-CSR ----
+    // ---- Merge-CSR: a name for scalar rows on the static schedule ----
 
     fn merge(m: &CsrMatrix) -> CsrFormat {
         CsrFormat::new(m.clone(), CsrVariant::MergePath)
     }
 
     fn hot_row_matrix() -> CsrMatrix {
-        // Row 5 holds 900 of 960 nonzeros: static partitions collapse,
-        // merge path must split row 5 across workers.
+        // Row 5 holds 900 of 960 nonzeros: one worker gets all of it.
         let mut t = Vec::new();
         for r in 0..5usize {
             for k in 0..6usize {
@@ -527,7 +401,7 @@ mod tests {
         assert_eq!(f.padding_ratio(), 1.0);
     }
 
-    // ---- CSR5 ----
+    // ---- CSR5: the same, charged its tile row pointers ----
 
     fn irregular_matrix() -> CsrMatrix {
         let mut t = Vec::new();
@@ -545,41 +419,17 @@ mod tests {
     }
 
     #[test]
-    fn csr5_tile_rows_are_monotone_and_correct() {
-        let m = irregular_matrix();
-        let f = CsrFormat::tiled(m.clone(), 32);
-        assert_eq!(f.tiles(), m.nnz().div_ceil(32));
-        for w in f.tile_row.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-        // First tile starts in the first non-empty row... offset 0 is
-        // contained in row 0 (which may be empty only if row_ptr[1]=0).
-        for (t, &r) in f.tile_row.iter().enumerate() {
-            let off = (t * 32).min(m.nnz());
-            assert!(m.row_ptr()[r as usize] <= off);
-            if off < m.nnz() {
-                assert!(off < m.row_ptr()[r as usize + 1]);
-            }
-        }
-    }
-
-    #[test]
     fn csr5_parallel_matches_dense() {
         let m = irregular_matrix();
         let x: Vec<f64> = (0..300).map(|i| (i as f64 * 0.017).sin()).collect();
         let want = DenseMatrix::from_csr(&m).spmv(&x);
-        for tile in [1, 16, 128] {
-            let f = CsrFormat::tiled(m.clone(), tile);
-            for threads in [1, 2, 4, 8] {
-                let pool = ThreadPool::new(threads);
-                let mut got = vec![f64::NAN; 40];
-                f.spmv_parallel(&pool, &x, &mut got);
-                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        (a - b).abs() < 1e-9,
-                        "tile {tile} threads {threads} row {i}: {a} vs {b}"
-                    );
-                }
+        let f = CsrFormat::new(m, CsrVariant::Tiles);
+        for threads in [1, 2, 4, 8] {
+            let pool = ThreadPool::new(threads);
+            let mut got = vec![f64::NAN; 40];
+            f.spmv_parallel(&pool, &x, &mut got);
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert!((a - b).abs() < 1e-9, "threads {threads} row {i}: {a} vs {b}");
             }
         }
     }
@@ -598,7 +448,7 @@ mod tests {
     fn csr5_empty_matrix() {
         let m = CsrMatrix::zeros(4, 4);
         let f = CsrFormat::new(m, CsrVariant::Tiles);
-        assert_eq!(f.tiles(), 0);
+        assert_eq!(f.bytes(), CsrMatrix::zeros(4, 4).mem_footprint_bytes() + 4);
         let pool = ThreadPool::new(2);
         let mut y = vec![5.0; 4];
         f.spmv_parallel(&pool, &[0.0; 4], &mut y);

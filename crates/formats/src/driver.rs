@@ -7,7 +7,7 @@ use crate::kernels::View;
 use spmv_parallel::{DisjointWriter, Executor, Schedule, ThreadPool};
 
 /// Panics unless `x` and `y` fit the view.
-pub(crate) fn check_operands(view: &impl View, x: &[f64], y: &[f64]) {
+fn check_operands(view: &impl View, x: &[f64], y: &[f64]) {
     assert_eq!(x.len(), view.cols());
     assert_eq!(y.len(), view.rows());
 }

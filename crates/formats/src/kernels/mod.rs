@@ -175,28 +175,27 @@ impl LaneWidth {
     }
 }
 
-/// The lane configuration chosen once at startup (or per engine) and
-/// threaded through format construction, so every kernel call
-/// dispatches on a pre-resolved width instead of re-probing.
+/// The lane width chosen once at startup (or per engine) and threaded
+/// through format construction, so every kernel call dispatches on a
+/// pre-resolved width instead of re-probing. It is the width and the
+/// policy that picks it ([`LaneProfile::current`],
+/// [`LaneProfile::resolve`]); a SELL-C-σ kind pins its own chunk
+/// height C.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneProfile {
     /// Unroll width for the inner loops.
     pub width: LaneWidth,
-    /// Preferred SELL-C-σ chunk width for this profile; chunks of C
-    /// rows feed C accumulators, so C tracks (a small multiple of)
-    /// the vector width.
-    pub sell_c: usize,
 }
 
 impl LaneProfile {
-    /// Strictly scalar profile: W = 1, C = 4.
+    /// Strictly scalar profile: W = 1.
     pub fn scalar() -> Self {
         LaneProfile::with_width(LaneWidth::W1)
     }
 
-    /// Profile for an explicit width, with the matching default C.
+    /// Profile for an explicit width.
     pub fn with_width(width: LaneWidth) -> Self {
-        LaneProfile { width, sell_c: default_sell_c(width) }
+        LaneProfile { width }
     }
 
     /// The process-wide profile: `SPMV_LANES` if set to a parseable
@@ -218,17 +217,6 @@ impl LaneProfile {
             Some(w) => LaneProfile::with_width(w),
             None => hint.unwrap_or_else(|| LaneProfile::with_width(probe.host)),
         }
-    }
-}
-
-/// Default SELL chunk width per lane width: narrow profiles want small
-/// chunks (less padding), wide profiles want chunks that fill the
-/// vector unit.
-pub fn default_sell_c(width: LaneWidth) -> usize {
-    match width {
-        LaneWidth::W1 => 4,
-        LaneWidth::W4 => 8,
-        LaneWidth::W8 => 16,
     }
 }
 
@@ -350,20 +338,11 @@ mod tests {
     }
 
     #[test]
-    fn default_chunk_width_tracks_lane_width() {
-        assert_eq!(default_sell_c(LaneWidth::W1), 4);
-        assert_eq!(default_sell_c(LaneWidth::W4), 8);
-        assert_eq!(default_sell_c(LaneWidth::W8), 16);
-        for w in LaneWidth::ALL {
-            assert_eq!(LaneProfile::with_width(w).sell_c, default_sell_c(w));
-        }
-    }
-
-    #[test]
     fn resolve_prefers_hint_over_host_when_no_env_override() {
-        // A chunk width no probe defaults to, so the hint is told apart
-        // from the host on every host.
-        let hint = LaneProfile { width: LaneWidth::W4, sell_c: 32 };
+        // A width the host probe does not pick, so the hint is told
+        // apart from the host on every host.
+        let width = LaneWidth::ALL.into_iter().find(|&w| w != probe().host).unwrap();
+        let hint = LaneProfile::with_width(width);
         let resolved = LaneProfile::resolve(Some(hint));
         match probe().env {
             // Operator pinned a width: the hint must lose.

@@ -6,13 +6,13 @@
 //! | paper format | module | work distribution | targets | set |
 //! |---|---|---|---|---|
 //! | Naive-CSR | [`csr`] | static row chunks | baseline | serving |
-//! | Vectorized-CSR | [`csr`] | static rows, unrolled | ILP / SIMD | serving |
+//! | Vectorized-CSR | [`csr`] | static rows, unrolled | ILP / SIMD | label |
 //! | Balanced-CSR | [`csr`] | nnz-balanced rows | imbalance | serving |
 //! | ELL | [`ell`] | static rows, padded | ILP on regular matrices | serving |
 //! | HYB (ELL+COO) | [`hyb`] | split at k = avg nnz/row | ELL without padding blow-up | serving |
 //! | SELL-C-σ (C = 4, 8, 16) | [`sellcs`] | sorted chunks | SIMD without full-ELL padding | serving |
-//! | CSR5-like | [`csr`] | equal-nnz tiles + carries | imbalance + irregularity | serving |
-//! | Merge-CSR | [`csr`] | 2-D merge path | imbalance, zero preprocessing | serving |
+//! | CSR5-like | [`csr`] | static rows (name only) | imbalance + irregularity | label |
+//! | Merge-CSR | [`csr`] | static rows (name only) | imbalance, zero preprocessing | label |
 //! | COO | [`coo`] | sequential | load balance (GPUs) | figure |
 //! | DIA | [`dia`] | sequential | stencil diagonals | figure |
 //! | BCSR | [`bcsr`] | sequential | dense sub-blocks | figure |
@@ -20,7 +20,10 @@
 //! | VSL (CSC variant) | [`vsl`] | sequential | FPGA dataflow | figure |
 //!
 //! The *serving* set ([`FormatKind::SERVING`]) is what the engine may
-//! build, serve, cache and snapshot. The *figure* set is what only the
+//! build, serve, cache and snapshot, one kind per sequential kernel. A
+//! *label* kind is a selector label the engine serves as Balanced-CSR
+//! ([`FormatKind::served_as`]); it builds and runs like its serving
+//! twin, but has no wire codec. The *figure* set is what only the
 //! modeled devices' figures read: each converts from CSR, runs a
 //! correct sequential `spmv` and reports its storage statistics, and
 //! takes the trait's defaults for the rest — its `spmv_parallel` runs
@@ -29,8 +32,9 @@
 //! The five CSR-family rows are one type, [`csr::CsrFormat`], over one
 //! storage: it keeps a clone of the operand, and a
 //! [`spmv_core::CsrMatrix`] clone shares the operand's arrays, so
-//! building any of them copies nothing (CSR5 adds its tile row
-//! pointer). Every other format materialises its own layout.
+//! building any of them copies nothing (CSR5 is charged a tile row
+//! pointer it does not build). Every other format materialises its own
+//! layout.
 //!
 //! The SIMD-style inner loops of the CSR variants, ELL, HYB and
 //! SELL-C-σ are not written per format: they live once in [`kernels`]

@@ -2,11 +2,13 @@
 //! the glue the campaign runner, the figure binaries and the SpMM
 //! throughput bench use. Every built format exposes the full
 //! [`SparseFormat`] surface; what is behind it depends on the kind's
-//! set. The ten kinds of [`FormatKind::SERVING`], the engine's, have
-//! parallel, panel SpMM (all but HYB), fused-dot and wire code of their
-//! own; the other five are the figure set and keep the trait's
-//! defaults. The five CSR-family kinds are variants of one
-//! [`CsrFormat`].
+//! set. The seven kinds of [`FormatKind::SERVING`], the engine's, are
+//! its distinct sequential kernels: CSR at W1 and at the profile's W,
+//! the ELL slab, HYB's slab plus tail and SELL at C ∈ {4, 8, 16}. They
+//! have parallel, panel SpMM (all but HYB), fused-dot and wire code of
+//! their own. Every other kind is a selector label
+//! [`FormatKind::served_as`] maps onto one of them or onto none. The
+//! five CSR-family kinds are variants of one [`CsrFormat`].
 
 use crate::bcsr::BcsrFormat;
 use crate::coo::CooFormat;
@@ -43,17 +45,17 @@ pub enum FormatKind {
     Hyb,
     /// SELL-C-σ.
     SellCSigma,
-    /// CSR5-like equal-nnz tiles.
+    /// CSR5's name: static scalar rows, charged a tile row pointer.
     Csr5,
-    /// Merge-path CSR.
+    /// Merge-CSR's name: static scalar rows.
     MergeCsr,
     /// SparseX-lite compressed CSR.
     SparseX,
     /// Vitis Sparse Library CSC variant (FPGA).
     Vsl,
-    /// SELL-C-σ pinned to chunk width C = 4 (narrow-vector profile).
+    /// SELL-C-σ pinned to chunk width C = 4.
     SellC4,
-    /// SELL-C-σ pinned to chunk width C = 16 (wide-vector profile).
+    /// SELL-C-σ pinned to chunk width C = 16.
     SellC16,
 }
 
@@ -95,25 +97,48 @@ impl FormatKind {
     ];
 
     /// The kinds the engine may build, serve, cache and snapshot: the
-    /// kernel layer plus CSR5 and Merge-CSR, i.e. every kind of
-    /// [`CsrFormat`], [`EllFormat`], [`HybFormat`] and
-    /// [`SellCSigmaFormat`]. The other five — COO, DIA, BCSR, VSL and
-    /// SparseX, the *figure set* — exist for the modeled devices'
-    /// figures: they convert, run a sequential `spmv` and report their
-    /// storage statistics, and take the trait's defaults for everything
-    /// else (`spmv_parallel` runs `spmv`; no panel kernel, no wire codec).
-    pub const SERVING: [FormatKind; 10] = [
+    /// image of [`FormatKind::served_as`], one kind per sequential
+    /// kernel. The figure set — COO, DIA, BCSR, VSL and SparseX — exists
+    /// for the modeled devices' figures: those kinds convert, run a
+    /// sequential `spmv` and report their storage statistics, and take
+    /// the trait's defaults for everything else (`spmv_parallel` runs
+    /// `spmv`; no panel kernel, no wire codec).
+    pub const SERVING: [FormatKind; 7] = [
         FormatKind::NaiveCsr,
-        FormatKind::VectorizedCsr,
         FormatKind::BalancedCsr,
         FormatKind::Ell,
         FormatKind::Hyb,
         FormatKind::SellC4,
         FormatKind::SellCSigma,
         FormatKind::SellC16,
-        FormatKind::Csr5,
-        FormatKind::MergeCsr,
     ];
+
+    /// The serving kind that runs a selector label of this kind, if any.
+    /// Vectorized-CSR runs Balanced-CSR's row kernel at the same width,
+    /// and on a pool one worker wide every row schedule runs on the
+    /// caller; Merge-CSR's and CSR5's nonzero splits are schedules of
+    /// the same rows. So every CSR-family label but Naive-CSR's serves
+    /// as Balanced-CSR, whose nnz-balanced rows are never worse than
+    /// static ones. The figure set serves as nothing.
+    pub fn served_as(self) -> Option<FormatKind> {
+        match self {
+            FormatKind::VectorizedCsr | FormatKind::Csr5 | FormatKind::MergeCsr => {
+                Some(FormatKind::BalancedCsr)
+            }
+            FormatKind::NaiveCsr
+            | FormatKind::BalancedCsr
+            | FormatKind::Ell
+            | FormatKind::Hyb
+            | FormatKind::SellC4
+            | FormatKind::SellCSigma
+            | FormatKind::SellC16 => Some(self),
+            FormatKind::Coo
+            | FormatKind::Dia
+            | FormatKind::Bcsr
+            | FormatKind::SparseX
+            | FormatKind::Vsl => None,
+        }
+    }
 
     /// The stable display name (matches `SparseFormat::name`).
     pub fn name(self) -> &'static str {
@@ -156,17 +181,6 @@ impl FormatKind {
             FormatKind::SellC4 => Some(4),
             FormatKind::SellCSigma => Some(crate::sellcs::DEFAULT_C),
             FormatKind::SellC16 => Some(16),
-            _ => None,
-        }
-    }
-
-    /// The SELL variant whose pinned chunk width matches `c`, when one
-    /// exists (4, 8 or 16).
-    pub fn sell_variant_for_c(c: usize) -> Option<FormatKind> {
-        match c {
-            4 => Some(FormatKind::SellC4),
-            8 => Some(FormatKind::SellCSigma),
-            16 => Some(FormatKind::SellC16),
             _ => None,
         }
     }
@@ -406,10 +420,27 @@ mod tests {
         assert_eq!(FormatKind::SellCSigma.sell_c(), Some(8));
         assert_eq!(FormatKind::SellC16.sell_c(), Some(16));
         assert_eq!(FormatKind::NaiveCsr.sell_c(), None);
-        for kind in [FormatKind::SellC4, FormatKind::SellCSigma, FormatKind::SellC16] {
-            assert_eq!(FormatKind::sell_variant_for_c(kind.sell_c().unwrap()), Some(kind));
+    }
+
+    #[test]
+    fn serving_is_the_image_of_served_as() {
+        use FormatKind::*;
+        for kind in FormatKind::SERVING {
+            assert_eq!(kind.served_as(), Some(kind), "{kind:?} serves as itself");
         }
-        assert_eq!(FormatKind::sell_variant_for_c(2), None);
+        let mut image: Vec<_> =
+            FormatKind::ALL.into_iter().filter_map(FormatKind::served_as).collect();
+        image.sort();
+        image.dedup();
+        let mut serving = FormatKind::SERVING.to_vec();
+        serving.sort();
+        assert_eq!(image, serving);
+        for kind in [Coo, Dia, Bcsr, SparseX, Vsl] {
+            assert_eq!(kind.served_as(), None, "{kind:?} is a figure kind");
+        }
+        for kind in [VectorizedCsr, BalancedCsr, MergeCsr, Csr5] {
+            assert_eq!(kind.served_as(), Some(BalancedCsr), "{kind:?}");
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! match the underlying hardware capabilities without increasing
 //! memory latency overheads".
 //!
-//! The chunk width C is a *device-profile parameter*: besides the
-//! default C = 8 ("SELL-C-s"), the registry exposes pinned C = 4
-//! ("SELL-4-s") and C = 16 ("SELL-16-s") variants so the selector can
-//! learn which chunk width suits a matrix class on a given device.
+//! The chunk width C is a parameter of the kind: besides the default
+//! C = 8 ("SELL-C-s"), the registry exposes pinned C = 4 ("SELL-4-s")
+//! and C = 16 ("SELL-16-s") variants so the selector can learn which
+//! chunk width suits a matrix class on a given device.
 //! The inner loops live in [`crate::kernels::slab`] (bit-identical
 //! across lane widths), reached through the format's [`SellChunks`]
 //! view — ELL's window kernel at stride C.

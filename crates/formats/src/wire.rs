@@ -424,19 +424,22 @@ fn decode_payload(
     r: &mut SectionReader<'_>,
     profile: LaneProfile,
 ) -> Result<Box<dyn SparseFormat>, WireError> {
-    use crate::csr::CsrVariant;
-    let csr_family = |r, variant| crate::csr::decode(r, variant, profile);
+    use crate::csr::{CsrFormat, CsrVariant};
+    // The variant comes from the tag, the lane width from `profile`.
+    let csr_family =
+        |r, variant| decode_csr(r).map(|m| CsrFormat::with_profile(m, variant, profile));
     Ok(match kind {
         FormatKind::NaiveCsr => Box::new(csr_family(r, CsrVariant::Naive)?),
-        FormatKind::VectorizedCsr => Box::new(csr_family(r, CsrVariant::Vectorized)?),
         FormatKind::BalancedCsr => Box::new(csr_family(r, CsrVariant::Balanced)?),
         FormatKind::Ell => Box::new(crate::ell::decode(r, profile)?),
         FormatKind::Hyb => Box::new(crate::hyb::decode(r, profile)?),
         FormatKind::SellCSigma => Box::new(crate::sellcs::decode(r, profile)?),
-        FormatKind::Csr5 => Box::new(csr_family(r, CsrVariant::Tiles)?),
-        FormatKind::MergeCsr => Box::new(csr_family(r, CsrVariant::MergePath)?),
-        // Retired tags of the figure set: never written, never decoded.
-        FormatKind::Coo
+        // Retired tags: the figure set, and the CSR-family labels that
+        // serve as Balanced-CSR. Never written, never decoded.
+        FormatKind::VectorizedCsr
+        | FormatKind::Csr5
+        | FormatKind::MergeCsr
+        | FormatKind::Coo
         | FormatKind::Dia
         | FormatKind::Bcsr
         | FormatKind::SparseX

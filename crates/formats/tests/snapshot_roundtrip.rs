@@ -118,7 +118,7 @@ proptest! {
 }
 
 /// One fixed 67 × 67 matrix: a hot row, a run of empty rows, short
-/// rows of varying length — enough nonzeros for several CSR5 tiles.
+/// rows of varying length.
 fn fixed_67() -> CsrMatrix {
     let mut t = Vec::new();
     for c in 0..67usize {
@@ -134,18 +134,14 @@ fn fixed_67() -> CsrMatrix {
 
 // The CSR family's wire bytes do not depend on who owns the arrays or
 // which type encodes them: digests of the full envelope, from when each
-// of Merge-CSR and CSR5 was a struct with a private copy of the arrays.
-// Likewise the padded formats': from when ELL and HYB each spelled out
-// their own slab (captured on issue 24's parent commit).
+// CSR kind kept a private copy of the arrays. Likewise the padded
+// formats': from when ELL and HYB each spelled out their own slab.
 #[test]
 fn csr_family_wire_bytes_are_pinned() {
     let m = fixed_67();
-    let pinned: [(FormatKind, usize, u64); 10] = [
+    let pinned: [(FormatKind, usize, u64); 7] = [
         (FormatKind::NaiveCsr, 3861, 0xa9af51a851b7856c),
-        (FormatKind::VectorizedCsr, 3861, 0x3e99683c91460aa0),
         (FormatKind::BalancedCsr, 3861, 0xfe2025e7fbdafa1e),
-        (FormatKind::Csr5, 3869, 0x51c37542a2e7e73e),
-        (FormatKind::MergeCsr, 3861, 0xfe955bd90e4931a9),
         (FormatKind::Ell, 53941, 0x71b087fa1c922b70),
         (FormatKind::Hyb, 5277, 0x3f4e3409d969db83),
         (FormatKind::SellC4, 6153, 0x1df600f0a3fc4d24),

@@ -1,9 +1,9 @@
 //! The shared parallel execution layer all storage formats run on.
 //!
 //! Every SpMV kernel in `spmv-formats` decomposes the same way: split
-//! some index space (rows, ELL chunks, block rows, nonzeros, merge-path
-//! segments) into contiguous chunk tasks, let each task produce the
-//! output rows it *owns*, and — for nonzero-chunked kernels — fix up
+//! some index space (rows, SELL chunks, nonzeros) into contiguous
+//! chunk tasks, let each task produce the output rows it *owns*, and
+//! — for nonzero-chunked kernels — fix up
 //! the boundary rows that straddle two chunks with a sequential carry
 //! merge. Before this module existed each format hand-rolled that
 //! dance with its own pool call and its own raw-pointer writes; the
@@ -17,7 +17,7 @@
 //! * [`Executor::run_disjoint`] — one task per [`Schedule`] chunk,
 //!   each writing a disjoint set of output rows ([`DisjointWriter`]);
 //! * [`Executor::run_chunks_carry`] — equal contiguous item chunks
-//!   (nonzeros, tiles, merge segments) whose boundary rows are returned
+//!   (nonzeros of HYB's COO tail) whose boundary rows are returned
 //!   as [`Carries`] and merged sequentially by the executor;
 //! * [`Executor::for_each_chunk_mut`] — a safe parallel-for over
 //!   disjoint sub-slices of a `&mut [T]` (zeroing, per-channel
@@ -375,9 +375,8 @@ impl<'p> Executor<'p> {
     /// runs `f(chunk, writer)` concurrently, then merges the returned
     /// [`Carries`] into `y` sequentially, in chunk order.
     ///
-    /// This is the nnz-chunk-with-carry pattern of the HYB COO tail,
-    /// CSR5 tiles and Merge-CSR segments: interior rows are
-    /// written directly (they are owned by exactly one chunk), boundary
+    /// This is the nnz-chunk-with-carry pattern of the HYB COO tail:
+    /// interior rows are written directly (they are owned by exactly one chunk), boundary
     /// rows — which several chunks may share — come back as carries and
     /// are accumulated here, race-free, after the barrier.
     pub fn run_chunks_carry<F>(&self, items: usize, y: &mut [f64], f: F)

@@ -2,17 +2,14 @@
 //!
 //! The parallel execution substrate of the SpMV study: a persistent
 //! [`ThreadPool`] (the role OpenMP plays in the paper's CPU
-//! implementations) and the three work-distribution policies the
+//! implementations) and the two row-distribution policies the
 //! storage formats rely on:
 //!
 //! * [`partition::Partition::static_rows`] — contiguous row chunking
 //!   (what `Naive-CSR` does; sensitive to row-length skew);
 //! * [`partition::Partition::balanced_by_prefix`] — nnz-balanced row
 //!   chunking (`Balanced-CSR`; insensitive to skew up to the longest
-//!   single row);
-//! * [`merge`] — 2-D merge-path partitioning over the
-//!   `(rows + nnz)` decision path (Merrill & Garland's Merge-CSR;
-//!   perfectly balanced even within rows).
+//!   single row).
 //!
 //! The pool pins one worker per logical thread and schedules
 //! work-stealing chunk tasks ([`ThreadPool::run_tasks`]) with borrowed
@@ -34,7 +31,6 @@
 
 pub mod blas1;
 pub mod executor;
-pub mod merge;
 #[cfg(spmv_model_check)]
 pub mod model_demo;
 pub mod partition;
@@ -42,6 +38,5 @@ pub mod pool;
 pub mod sync;
 
 pub use executor::{accumulate_rows, Carries, DisjointWriter, Executor, Schedule};
-pub use merge::{merge_path_partition, MergeCoord};
 pub use partition::Partition;
 pub use pool::{PoolStats, ThreadPool};

@@ -205,7 +205,7 @@ fn a_restored_conversion_serves_at_the_engines_lane_profile() {
     assert_ne!(at(modeled), at(host), "premise: {modeled:?} and {host:?} sum these rows apart");
 
     // Every matrix is labeled Vectorized-CSR, the kind whose sums
-    // follow the lane width.
+    // follow the lane width; it serves as Balanced-CSR, the same rows.
     let everything = Observation {
         features: SelectorFeatures {
             footprint_mb: 1.0,
@@ -236,7 +236,7 @@ fn a_restored_conversion_serves_at_the_engines_lane_profile() {
     let xs: Vec<f64> = (0..n * k).map(|i| ((i * 11 + 3) % 31) as f64 * 0.173 - 2.6).collect();
     let answers = |engine: &Engine| {
         let mut y = vec![f64::NAN; n];
-        assert_eq!(engine.spmv("band", &m, &x, &mut y), FormatKind::VectorizedCsr);
+        assert_eq!(engine.spmv("band", &m, &x, &mut y), FormatKind::BalancedCsr);
         let mut ys = vec![f64::NAN; n * k];
         engine.spmm("band", &m, &xs, k, &mut ys);
         let mut solver = engine.solver("band", &m);
@@ -262,10 +262,12 @@ fn a_restored_conversion_serves_at_the_engines_lane_profile() {
     assert_eq!(got.2, want.2, "CG residual history of the restored id");
 }
 
-/// A snapshot naming a figure-set kind — a plan record or a conversion
-/// envelope — was not written by this engine (it never builds one), so
-/// restore refuses it whole with a typed error naming the kind, and the
-/// id it named converts a serving kind on its next request.
+/// A snapshot naming a kind outside the serving set — a figure-set kind
+/// or a CSR-family label that serves as Balanced-CSR, in a plan record
+/// or a conversion envelope — was not written by this engine (it never
+/// builds one), so restore refuses it whole with a typed error naming
+/// the kind, and the id it named converts a serving kind on its next
+/// request.
 #[test]
 fn a_snapshot_naming_a_figure_kind_is_refused_whole() {
     use spmv_suite::analysis::{FormatSelector, Observation, SelectorFeatures};
@@ -301,8 +303,10 @@ fn a_snapshot_naming_a_figure_kind_is_refused_whole() {
     engine.spmv("warm", &m, &x, &mut y);
 
     // wire.rs's envelope: magic, tag, u64 payload length, payload (the
-    // CSR sections SparseX used to carry), xxh64 of all of it.
+    // CSR sections SparseX and Merge-CSR used to carry), xxh64 of all
+    // of it.
     assert_eq!(tag_of(FormatKind::SparseX), 11, "retired tags keep their numbers");
+    assert_eq!(tag_of(FormatKind::MergeCsr), 10, "retired tags keep their numbers");
     let mut payload = SectionWriter::new();
     payload.usize(m.rows());
     payload.usize(m.cols());
@@ -310,17 +314,20 @@ fn a_snapshot_naming_a_figure_kind_is_refused_whole() {
     payload.slice_u32(m.col_idx());
     payload.slice_f64(m.values());
     let payload = payload.into_bytes();
-    let mut envelope = FORMAT_MAGIC.to_vec();
-    envelope.push(11);
-    envelope.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    envelope.extend_from_slice(&payload);
-    let digest = xxh64(&envelope, 0);
-    envelope.extend_from_slice(&digest.to_le_bytes());
+    let envelope = |tag: u8| {
+        let mut envelope = FORMAT_MAGIC.to_vec();
+        envelope.push(tag);
+        envelope.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        envelope.extend_from_slice(&payload);
+        let digest = xxh64(&envelope, 0);
+        envelope.extend_from_slice(&digest.to_le_bytes());
+        envelope
+    };
 
     // The snapshot stream around it (snapshot.rs's module docs), with
     // or without a DIA plan record for the same id.
     let selector = engine.selector().to_portable();
-    let snapshot = |dia_plan: bool| {
+    let snapshot = |dia_plan: bool, tag: u8| {
         let string = |buf: &mut Vec<u8>, s: &[u8]| {
             buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
             buf.extend_from_slice(s);
@@ -334,7 +341,7 @@ fn a_snapshot_naming_a_figure_kind_is_refused_whole() {
         }
         buf.extend_from_slice(&1u64.to_le_bytes());
         string(&mut buf, b"x");
-        buf.extend_from_slice(&envelope);
+        buf.extend_from_slice(&envelope(tag));
         let sum = xxh64(&buf, 0);
         buf.extend_from_slice(&sum.to_le_bytes());
         buf
@@ -343,8 +350,12 @@ fn a_snapshot_naming_a_figure_kind_is_refused_whole() {
     let counters = engine.counters();
     let mut state = Vec::new();
     engine.snapshot(&mut state).expect("snapshot");
-    for (dia_plan, kind) in [(true, FormatKind::Dia), (false, FormatKind::SparseX)] {
-        let err = engine.restore(&mut &snapshot(dia_plan)[..]).unwrap_err();
+    for (dia_plan, tag, kind) in [
+        (true, 11, FormatKind::Dia),
+        (false, 11, FormatKind::SparseX),
+        (false, 10, FormatKind::MergeCsr),
+    ] {
+        let err = engine.restore(&mut &snapshot(dia_plan, tag)[..]).unwrap_err();
         assert_eq!(err, SnapshotError::NotServed(kind));
         assert!(err.to_string().contains(kind.name()), "{err}");
     }
