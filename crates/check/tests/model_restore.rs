@@ -41,14 +41,15 @@ fn restore_one(plans: &PlanTable, conv: &ShardedConversions, builds: &AtomicUsiz
     let Some((_, epoch)) = plans.try_begin_build("m") else {
         return; // a live flight owns the plan: skip
     };
-    conv.land(plans, "m", kind, Some(epoch), counted(builds));
+    conv.land(plans, "m", || kind, Some(epoch), counted(builds));
 }
 
-/// A synchronous serve: no plan claim, so `land` without a ticket.
+/// A synchronous serve: no plan claim, so `land` without a ticket,
+/// with the plan named lazily as `Engine::plan` names it.
 fn resolve_one(plans: &PlanTable, conv: &ShardedConversions, builds: &AtomicUsize) {
     let kind = FormatKind::NaiveCsr;
-    plans.insert_pending("m", kind);
-    let (_, actual, _) = conv.land(plans, "m", kind, None, counted(builds));
+    let plan = || plans.get_or_insert_with("m", || kind).kind();
+    let (_, actual, _) = conv.land(plans, "m", plan, None, counted(builds));
     assert_eq!(actual, kind);
 }
 
@@ -76,7 +77,7 @@ fn restore_and_live_resolver_publish_exactly_once() {
             let (p, c) = (Arc::clone(&plans), Arc::clone(&conv));
             thread::spawn(move || {
                 let _ = p.get("m");
-                let _ = c.peek("m", FormatKind::NaiveCsr);
+                let _ = c.peek("m");
             })
         };
         restorer.join().unwrap();
@@ -118,7 +119,7 @@ fn restore_flight_never_resurrects_a_forgotten_id() {
         let restorer = {
             let (p, c, b) = (Arc::clone(&plans), Arc::clone(&conv), Arc::clone(&builds));
             thread::spawn(move || {
-                c.land(&p, "m", kind, Some(epoch), counted(&b));
+                c.land(&p, "m", || kind, Some(epoch), counted(&b));
             })
         };
         // Forget the id mid-restore, then re-admit under another plan.
@@ -135,7 +136,7 @@ fn restore_flight_never_resurrects_a_forgotten_id() {
             let (p, c) = (Arc::clone(&plans), Arc::clone(&conv));
             thread::spawn(move || {
                 let _ = p.get("m");
-                let _ = c.peek("m", kind);
+                let _ = c.peek("m");
             })
         };
         restorer.join().unwrap();
@@ -150,7 +151,7 @@ fn restore_flight_never_resurrects_a_forgotten_id() {
             Some(PlanState::Pending(FormatKind::Coo)),
             "stale restore landing touched the successor plan"
         );
-        assert!(conv.peek("m", kind).is_none(), "forgotten conversion resurrected by restore");
+        assert!(conv.peek("m").is_none(), "forgotten conversion resurrected by restore");
         assert_eq!(conv.bytes_resident(), 0, "forgotten bytes still accounted");
     });
     report.assert_ok();

@@ -1,7 +1,8 @@
 //! Model tests for the engine's sharded serving state
 //! ([`spmv_engine::shard`]): single-flight conversion publication, the
-//! epoch-ticket staleness protocol and one conversion per id, explored
-//! under the deterministic scheduler through the production
+//! epoch-ticket staleness protocol, one conversion per id and the
+//! hit-first serve (only a flight leader plans), explored under the
+//! deterministic scheduler through the production
 //! [`ShardedConversions::land`].
 //!
 //! Compiled only under `RUSTFLAGS="--cfg spmv_model_check"`.
@@ -12,12 +13,62 @@ use std::sync::Arc;
 
 use spmv_check::Checker;
 use spmv_core::CsrMatrix;
-use spmv_engine::shard::{CachedFormat, Lookup, PlanState, PlanTable, ShardedConversions};
+use spmv_engine::shard::{CachedFormat, Landed, Lookup, PlanState, PlanTable, ShardedConversions};
 use spmv_formats::FormatKind;
 use spmv_parallel::sync::thread;
 
 fn tiny_format() -> CachedFormat {
     Arc::new(spmv_formats::build_format(FormatKind::NaiveCsr, &CsrMatrix::identity(2)).unwrap())
+}
+
+/// What the serves of one model execution did, counted the way the
+/// engine counts a landing — except that a miss is counted by the build
+/// itself and a plan by the plan closure, so the reconciliation below
+/// checks `land`'s classification rather than restating it.
+#[derive(Default)]
+struct Tally {
+    lookups: AtomicUsize,
+    hits: AtomicUsize,
+    coalesced: AtomicUsize,
+    builds: AtomicUsize,
+    plans: AtomicUsize,
+}
+
+impl Tally {
+    fn get(n: &AtomicUsize) -> usize {
+        n.load(Ordering::Relaxed)
+    }
+
+    /// `hits + misses + coalesced == lookups`, and every leader — and
+    /// no one else — planned once.
+    fn assert_reconciles(&self) {
+        let (lookups, hits, coalesced) =
+            (Self::get(&self.lookups), Self::get(&self.hits), Self::get(&self.coalesced));
+        let builds = Self::get(&self.builds);
+        assert_eq!(hits + builds + coalesced, lookups, "a lookup misclassified");
+        assert_eq!(Self::get(&self.plans), builds, "a hit or a waiter planned");
+    }
+}
+
+/// A synchronous serve as `Engine::serve` makes it: the production
+/// `land` without a ticket, the plan named lazily through the
+/// production `get_or_insert_with`.
+fn sync_serve(plans: &PlanTable, conv: &ShardedConversions, tally: &Tally) -> CachedFormat {
+    let plan = || {
+        tally.plans.fetch_add(1, Ordering::Relaxed);
+        plans.get_or_insert_with("m", || FormatKind::NaiveCsr).kind()
+    };
+    let (fmt, _, landed) = conv.land(plans, "m", plan, None, |kind| {
+        tally.builds.fetch_add(1, Ordering::Relaxed);
+        (tiny_format(), kind, 0)
+    });
+    tally.lookups.fetch_add(1, Ordering::Relaxed);
+    match landed {
+        Landed::Hit => tally.hits.fetch_add(1, Ordering::Relaxed),
+        Landed::Coalesced => tally.coalesced.fetch_add(1, Ordering::Relaxed),
+        Landed::Built { .. } => 0,
+    };
+    fmt
 }
 
 /// Exactly-once flight publication: three claimants race a cold id
@@ -77,7 +128,7 @@ fn stale_flight_never_resurrects_a_forgotten_plan() {
         let builder = {
             let (p, c) = (Arc::clone(&plans), Arc::clone(&conv));
             thread::spawn(move || {
-                c.land(&p, "m", kind, Some(epoch), |kind| (tiny_format(), kind, 0));
+                c.land(&p, "m", || kind, Some(epoch), |kind| (tiny_format(), kind, 0));
             })
         };
         // Forget the matrix mid-flight, then re-admit it under a
@@ -95,9 +146,9 @@ fn stale_flight_never_resurrects_a_forgotten_plan() {
             let (p, c) = (Arc::clone(&plans), Arc::clone(&conv));
             thread::spawn(move || {
                 let _ = p.get("m");
-                let _ = c.peek("m", FormatKind::NaiveCsr);
+                let _ = c.peek("m");
                 let _ = p.get("m");
-                let _ = c.peek("m", FormatKind::Coo);
+                let _ = c.peek("m");
             })
         };
         builder.join().unwrap();
@@ -113,7 +164,7 @@ fn stale_flight_never_resurrects_a_forgotten_plan() {
             Some(PlanState::Pending(FormatKind::Coo)),
             "stale flight touched the successor plan"
         );
-        assert!(conv.peek("m", FormatKind::NaiveCsr).is_none(), "stale conversion resident");
+        assert!(conv.peek("m").is_none(), "stale conversion resident");
         assert_eq!(conv.bytes_resident(), 0, "forgotten bytes still accounted");
     });
     report.assert_ok();
@@ -138,10 +189,16 @@ fn a_stale_refused_kind_lands_on_the_fallback() {
             .map(|_| {
                 let (p, c, b) = (Arc::clone(&plans), Arc::clone(&conv), Arc::clone(&builds));
                 thread::spawn(move || {
-                    let (_, kind, _) = c.land(&p, "m", FormatKind::Ell, None, |_| {
-                        b.fetch_add(1, Ordering::Relaxed);
-                        (tiny_format(), FormatKind::NaiveCsr, 1)
-                    });
+                    let (_, kind, _) = c.land(
+                        &p,
+                        "m",
+                        || FormatKind::Ell,
+                        None,
+                        |_| {
+                            b.fetch_add(1, Ordering::Relaxed);
+                            (tiny_format(), FormatKind::NaiveCsr, 1)
+                        },
+                    );
                     assert_eq!(kind, FormatKind::NaiveCsr, "a stale reader got the refused kind");
                 })
             })
@@ -151,7 +208,7 @@ fn a_stale_refused_kind_lands_on_the_fallback() {
             let (p, c) = (Arc::clone(&plans), Arc::clone(&conv));
             thread::spawn(move || {
                 let _ = p.get("m");
-                let _ = c.peek("m", FormatKind::Ell);
+                let _ = c.peek("m");
             })
         };
         for t in landers {
@@ -169,4 +226,96 @@ fn a_stale_refused_kind_lands_on_the_fallback() {
     });
     report.assert_ok();
     assert!(report.schedules >= 1_000, "insufficient exploration: {} schedules", report.schedules);
+}
+
+/// Hit before plan, against a ticketed flight: two synchronous serves
+/// of a cold id race the background admission flight that claimed its
+/// plan. Whoever leads, the id builds once, every caller gets that one
+/// format, only a leading serve plans, and the plan ends pinned.
+#[test]
+fn lazy_plan_sync_serves_race_a_ticketed_flight_onto_one_build() {
+    let report = Checker::dfs().preemption_bound(None).max_schedules(30_000).check(|| {
+        let plans = Arc::new(PlanTable::new(8, 1));
+        let conv = Arc::new(ShardedConversions::new(1 << 20, 1));
+        let (tally, flight_builds) = (Arc::new(Tally::default()), Arc::new(AtomicUsize::new(0)));
+        plans.insert_pending("m", FormatKind::NaiveCsr);
+        let (kind, epoch) = plans.try_begin_build("m").expect("pending is claimable");
+
+        let flight = {
+            let (p, c, b) = (Arc::clone(&plans), Arc::clone(&conv), Arc::clone(&flight_builds));
+            thread::spawn(move || {
+                let (fmt, _, _) = c.land(
+                    &p,
+                    "m",
+                    || kind,
+                    Some(epoch),
+                    |kind| {
+                        b.fetch_add(1, Ordering::Relaxed);
+                        (tiny_format(), kind, 0)
+                    },
+                );
+                fmt
+            })
+        };
+        let server = {
+            let (p, c, t) = (Arc::clone(&plans), Arc::clone(&conv), Arc::clone(&tally));
+            thread::spawn(move || sync_serve(&p, &c, &t))
+        };
+        let here = sync_serve(&plans, &conv, &tally);
+        let (flown, served) = (flight.join().unwrap(), server.join().unwrap());
+
+        tally.assert_reconciles();
+        let builds = Tally::get(&tally.builds) + Tally::get(&flight_builds);
+        assert_eq!(builds, 1, "the id built more than once");
+        assert!(Arc::ptr_eq(&flown, &served) && Arc::ptr_eq(&served, &here), "two formats");
+        assert_eq!(conv.len(), 1, "exactly one entry resident");
+        assert_eq!(plans.get("m"), Some(PlanState::Pinned(kind)), "the plan must end pinned");
+    });
+    report.assert_ok();
+    assert!(report.schedules >= 1_000, "insufficient exploration: {} schedules", report.schedules);
+}
+
+/// Hit before plan, against `forget`: the id is resident when a
+/// client serving twice races a forgetter that then serves the id.
+/// The racing serves may still hit the pre-forget format, but the serve
+/// started after `forget` returned never does; the new incarnation
+/// builds exactly once, and every lookup is classified once.
+#[test]
+fn no_serve_after_forget_sees_the_pre_forget_format() {
+    let report = Checker::dfs().preemption_bound(None).max_schedules(30_000).check(|| {
+        let plans = Arc::new(PlanTable::new(8, 1));
+        let conv = Arc::new(ShardedConversions::new(1 << 20, 1));
+        let tally = Arc::new(Tally::default());
+        let old = sync_serve(&plans, &conv, &Tally::default());
+
+        let server = {
+            let (p, c, t) = (Arc::clone(&plans), Arc::clone(&conv), Arc::clone(&tally));
+            thread::spawn(move || {
+                sync_serve(&p, &c, &t);
+                sync_serve(&p, &c, &t);
+            })
+        };
+        let forgetter = {
+            let (p, c, t) = (Arc::clone(&plans), Arc::clone(&conv), Arc::clone(&tally));
+            let old = Arc::clone(&old);
+            thread::spawn(move || {
+                p.remove("m");
+                c.forget("m");
+                let fmt = sync_serve(&p, &c, &t);
+                assert!(!Arc::ptr_eq(&fmt, &old), "a post-forget serve got the forgotten format");
+            })
+        };
+        server.join().unwrap();
+        forgetter.join().unwrap();
+
+        tally.assert_reconciles();
+        assert_eq!(Tally::get(&tally.builds), 1, "the new incarnation built more than once");
+        let resident = conv.peek("m").expect("the new incarnation is resident");
+        assert!(!Arc::ptr_eq(&resident.0, &old), "the forgotten format is resident");
+        assert_eq!(conv.len(), 1);
+        assert_eq!(plans.get("m"), Some(PlanState::Pinned(FormatKind::NaiveCsr)));
+    });
+    report.assert_ok();
+    // Small enough to explore every interleaving.
+    assert!(report.exhausted, "unexplored interleavings after {} schedules", report.schedules);
 }

@@ -82,6 +82,7 @@ use spmv_formats::csr::{CsrFormat, CsrVariant};
 use spmv_formats::{build_with_fallback_profile, FormatKind, LaneProfile, SparseFormat};
 use spmv_parallel::sync::{AtomicU64, AtomicUsize, Ordering};
 use spmv_parallel::{PoolStats, ThreadPool};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// When the engine pays for format conversion.
@@ -146,11 +147,13 @@ pub struct EngineConfig {
     /// Maximum matrix ids remembered in the selection-plan table
     /// (default 65 536). Plans are tiny, but a serve stream of
     /// unboundedly many distinct ids must not grow memory without
-    /// bound; evicted ids simply re-extract features on their next
-    /// request. Under [`Admission::Async`] the bound can transiently
-    /// overshoot by up to `max_in_flight` entries: `Building` plans
-    /// are spared from eviction until their flight lands (evicting one
-    /// would discard the finished conversion and convert twice).
+    /// bound. Plans are consulted, and their recency refreshed, on
+    /// misses only: a resident id serves whatever its plan, and an
+    /// evicted plan is re-extracted on the id's next miss. Under
+    /// [`Admission::Async`] the bound can transiently overshoot by up
+    /// to `max_in_flight` entries: `Building` plans are spared from
+    /// eviction until their flight lands (evicting one would discard
+    /// the finished conversion and convert twice).
     pub plan_capacity: usize,
     /// Worker threads for `spmv_parallel`/training (0 = all cores).
     pub threads: usize,
@@ -343,8 +346,10 @@ impl EngineCounters {
     }
 }
 
+/// One thread's share of the counters, alone on its cache lines.
 #[derive(Default)]
-struct CounterBank {
+#[repr(align(128))]
+struct Stripe {
     requests: AtomicU64,
     served_selected: AtomicU64,
     served_fallback: AtomicU64,
@@ -361,8 +366,37 @@ struct CounterBank {
     selections: [AtomicU64; FormatKind::ALL.len()],
 }
 
-fn kind_index(kind: FormatKind) -> usize {
-    FormatKind::ALL.iter().position(|&k| k == kind).expect("kind is in ALL")
+/// Counter stripes per engine; threads beyond it share stripes.
+const STRIPES: usize = 16;
+
+thread_local! {
+    /// This thread's stripe, handed out round-robin on its first count.
+    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The engine's counters, striped per thread and summed on read.
+#[derive(Default)]
+struct CounterBank {
+    stripes: [Stripe; STRIPES],
+    next: AtomicUsize,
+}
+
+impl CounterBank {
+    /// The calling thread's stripe.
+    fn mine(&self) -> &Stripe {
+        let i = STRIPE.with(|s| {
+            if s.get() == usize::MAX {
+                s.set(self.next.fetch_add(1, Ordering::Relaxed) % STRIPES);
+            }
+            s.get()
+        });
+        &self.stripes[i]
+    }
+
+    /// One counter summed over the stripes.
+    fn sum(&self, counter: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
+        self.stripes.iter().map(|s| counter(s).load(Ordering::Relaxed)).sum()
+    }
 }
 
 /// The shared serving state background admission flights hold onto:
@@ -381,23 +415,23 @@ struct ServeState {
 }
 
 impl ServeState {
-    /// Lands `(id, kind)`, building a miss with Naive-CSR as the
-    /// fallback, and counts the lookup: the one place a landing moves
-    /// counters.
+    /// Lands `id`, building a miss of the kind `plan` names with
+    /// Naive-CSR as the fallback, and counts the lookup: the one place
+    /// a landing moves counters.
     fn land(
         &self,
         id: &str,
         csr: &CsrMatrix,
-        kind: FormatKind,
+        plan: impl FnMut() -> FormatKind,
         ticket: Option<u64>,
     ) -> (CachedFormat, FormatKind, Landed) {
-        let (fmt, kind, landed) = self.conversions.land(&self.plans, id, kind, ticket, |kind| {
+        let (fmt, kind, landed) = self.conversions.land(&self.plans, id, plan, ticket, |kind| {
             let (built, actual, refused) =
                 build_with_fallback_profile(kind, csr, &[FormatKind::NaiveCsr], self.lanes)
                     .expect("the fallback is CSR, which accepts any matrix");
             (Arc::new(built), actual, refused)
         });
-        let c = &self.counters;
+        let c = self.counters.mine();
         c.lookups.fetch_add(1, Ordering::Relaxed);
         let class = match landed {
             Landed::Hit => &c.hits,
@@ -438,8 +472,9 @@ impl Served {
 /// The adaptive SpMV serving engine. See the [crate docs](self) for the
 /// pipeline; all methods take `&self` and are built for concurrent
 /// callers: the plan table and conversion cache are sharded by
-/// matrix-id hash, racing misses on one id coalesce onto a single
-/// conversion, and counters are atomic.
+/// matrix-id hash, a hit takes one shard lock, racing misses on one id
+/// coalesce onto a single conversion, and each thread counts on its own
+/// stripe of atomics.
 pub struct Engine {
     device: DeviceSpec,
     selector: FormatSelector,
@@ -609,17 +644,12 @@ impl Engine {
             .unwrap_or_else(|| self.default_format())
     }
 
-    /// The per-matrix plan: select once per id, remember the outcome.
+    /// The per-matrix plan, selected once per id; asked for on misses.
     fn plan(&self, id: &str, csr: &CsrMatrix) -> PlanState {
-        if let Some(state) = self.state.plans.get(id) {
-            return state;
-        }
-        // Extract outside any lock: O(nnz), one to two SpMVs' worth on
-        // the request thread under both admission modes. Racing
-        // duplicates each pay it again and agree on the result, so the
-        // first-writer-wins insert below is deterministic.
-        let kind = self.select(&FeatureSet::extract(csr));
-        self.state.plans.insert_pending(id, kind)
+        // Extract outside any lock: O(nnz), one to two SpMVs' worth. A
+        // Sync serve plans only as the id's conversion leader; racing
+        // Async serves each extract and agree (first writer wins).
+        self.state.plans.get_or_insert_with(id, || self.select(&FeatureSet::extract(csr)))
     }
 
     /// Asynchronous serve: answer from the cache when the selected
@@ -627,14 +657,13 @@ impl Engine {
     /// its way and answer via the CSR path — never converting (or
     /// waiting on a conversion) on this thread.
     fn serve_async(&self, id: &str, csr: &CsrMatrix, max_in_flight: usize) -> Served {
-        let state = self.plan(id, csr);
-        let c = &self.state.counters;
-        if let Some((fmt, actual)) = self.state.conversions.peek(id, state.kind()) {
+        if let Some((fmt, actual)) = self.state.conversions.peek(id) {
+            let c = self.state.counters.mine();
             c.lookups.fetch_add(1, Ordering::Relaxed);
             c.hits.fetch_add(1, Ordering::Relaxed);
             return Served::Selected(fmt, actual);
         }
-        if !matches!(state, PlanState::Building(_)) {
+        if !matches!(self.plan(id, csr), PlanState::Building(_)) {
             self.try_schedule_admission(id, csr, max_in_flight);
         }
         Served::CsrPath(CsrFormat::with_profile(
@@ -670,7 +699,7 @@ impl Engine {
         // exclusive (the only publisher for this id would be our own
         // flight, so a hit here is stable): re-pin and back out instead
         // of scheduling a no-op flight.
-        if let Some((_, actual)) = st.conversions.peek(id, kind) {
+        if let Some((_, actual)) = st.conversions.peek(id) {
             st.plans.finish_build(id, epoch, actual);
             st.in_flight.fetch_sub(1, Ordering::AcqRel);
             return;
@@ -681,7 +710,7 @@ impl Engine {
         let state = Arc::clone(&self.state);
         let id = id.to_string();
         let csr = csr.clone();
-        st.counters.flights_scheduled.fetch_add(1, Ordering::Relaxed);
+        st.counters.mine().flights_scheduled.fetch_add(1, Ordering::Relaxed);
         self.pool.submit_low(move || run_admission(&state, &id, &csr, kind, epoch));
     }
 
@@ -689,19 +718,19 @@ impl Engine {
     fn serve(&self, id: &str, csr: &CsrMatrix, admission: Admission) -> Served {
         let served = match admission {
             Admission::Sync => {
-                let (fmt, kind, _) = self.state.land(id, csr, self.plan(id, csr).kind(), None);
+                let (fmt, kind, _) = self.state.land(id, csr, || self.plan(id, csr).kind(), None);
                 Served::Selected(fmt, kind)
             }
             Admission::Async { max_in_flight } => self.serve_async(id, csr, max_in_flight),
         };
-        let c = &self.state.counters;
+        let c = self.state.counters.mine();
         c.requests.fetch_add(1, Ordering::Relaxed);
         let by_path = match served {
             Served::Selected(..) => &c.served_selected,
             Served::CsrPath(_) => &c.served_fallback,
         };
         by_path.fetch_add(1, Ordering::Relaxed);
-        c.selections[kind_index(served.format().1)].fetch_add(1, Ordering::Relaxed);
+        c.selections[served.format().1 as usize].fetch_add(1, Ordering::Relaxed);
         served
     }
 
@@ -818,38 +847,39 @@ impl Engine {
         }
     }
 
-    /// Snapshots the instrumentation counters. The snapshot is not one
-    /// atomic cut across concurrent serves — each field is exact, but a
-    /// request in flight while snapshotting may have moved some of its
-    /// counters and not yet others; with the serve paths quiesced (and,
-    /// under asynchronous admission, [`Engine::drain_admissions`]
-    /// called) the documented invariants hold exactly.
+    /// Snapshots the instrumentation counters, summed over the
+    /// per-thread stripes. The snapshot is not one atomic cut across
+    /// concurrent serves — each field is exact, but a request in flight
+    /// while snapshotting may have moved some of its counters and not
+    /// yet others; with the serve paths quiesced (and, under
+    /// asynchronous admission, [`Engine::drain_admissions`] called) the
+    /// documented invariants hold exactly.
     pub fn counters(&self) -> EngineCounters {
         let (bytes_resident, cached_entries) = self.state.conversions.totals();
         let c = &self.state.counters;
         EngineCounters {
-            requests: c.requests.load(Ordering::Relaxed),
-            served_selected: c.served_selected.load(Ordering::Relaxed),
-            served_fallback: c.served_fallback.load(Ordering::Relaxed),
-            swaps: c.swaps.load(Ordering::Relaxed),
-            cache_lookups: c.lookups.load(Ordering::Relaxed),
-            cache_hits: c.hits.load(Ordering::Relaxed),
-            cache_misses: c.misses.load(Ordering::Relaxed),
-            coalesced: c.coalesced.load(Ordering::Relaxed),
-            conversions: c.conversions.load(Ordering::Relaxed),
-            fallbacks: c.fallbacks.load(Ordering::Relaxed),
+            requests: c.sum(|s| &s.requests),
+            served_selected: c.sum(|s| &s.served_selected),
+            served_fallback: c.sum(|s| &s.served_fallback),
+            swaps: c.sum(|s| &s.swaps),
+            cache_lookups: c.sum(|s| &s.lookups),
+            cache_hits: c.sum(|s| &s.hits),
+            cache_misses: c.sum(|s| &s.misses),
+            coalesced: c.sum(|s| &s.coalesced),
+            conversions: c.sum(|s| &s.conversions),
+            fallbacks: c.sum(|s| &s.fallbacks),
             bytes_resident,
             cached_entries,
             planned_entries: self.state.plans.len(),
             admissions_in_flight: self.state.in_flight.load(Ordering::Relaxed),
-            flights_scheduled: c.flights_scheduled.load(Ordering::Relaxed),
-            solves: c.solves.load(Ordering::Relaxed),
-            solver_iterations: c.solver_iterations.load(Ordering::Relaxed),
+            flights_scheduled: c.sum(|s| &s.flights_scheduled),
+            solves: c.sum(|s| &s.solves),
+            solver_iterations: c.sum(|s| &s.solver_iterations),
             pinned_plans: self.state.plans.pinned_count(),
             pool: self.pool.stats(),
             selections: FormatKind::ALL
                 .iter()
-                .map(|&k| (k, c.selections[kind_index(k)].load(Ordering::Relaxed)))
+                .map(|&k| (k, c.sum(|s| &s.selections[k as usize])))
                 .collect(),
         }
     }
@@ -884,14 +914,14 @@ fn run_admission(state: &Arc<ServeState>, id: &str, csr: &CsrMatrix, kind: Forma
         }
     }
     let _slot = Slot { state, id, epoch };
-    let (_, _, landed) = state.land(id, csr, kind, Some(epoch));
+    let (_, _, landed) = state.land(id, csr, || kind, Some(epoch));
     // A format already resident (an earlier flight of this id under
     // another plan generation) or coalesced just lands the plan. Not a
     // `swap` — that counter tracks conversions this flight itself built
     // and published, so it stays exactly one per converted id no matter
     // how claims interleave.
     if matches!(landed, Landed::Built { published: true, .. }) {
-        state.counters.swaps.fetch_add(1, Ordering::Relaxed);
+        state.counters.mine().swaps.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -26,7 +26,8 @@
 //! entry and at most one flight per matrix id. A lookup that finds the
 //! id resident is a hit whatever kind the caller planned, and reports
 //! the resident kind, so a reader still holding a refused plan (ELL over
-//! its padding budget) finds the fallback that built instead. Every
+//! its padding budget) finds the fallback that built instead, and a
+//! serve asks for its plan only when it leads a conversion. Every
 //! caller that needs a format — the synchronous serve, a background
 //! admission flight, a solver handle, snapshot restore — goes through
 //! [`ShardedConversions::land`], which publishes a build and re-pins the
@@ -231,6 +232,12 @@ impl PlanTable {
         } else {
             None
         }
+    }
+
+    /// [`PlanTable::get`], or else [`PlanTable::insert_pending`] of the
+    /// kind `select` names; `select` runs with no lock held.
+    pub fn get_or_insert_with(&self, id: &str, select: impl FnOnce() -> FormatKind) -> PlanState {
+        self.get(id).unwrap_or_else(|| self.insert_pending(id, select()))
     }
 
     /// Inserts a `Pending` plan unless an entry is already present
@@ -631,62 +638,75 @@ impl ShardedConversions {
     /// publication every other caller is funneled onto the flight — no
     /// window in which a second conversion of the same id can start.
     pub fn begin(&self, id: &str, kind: FormatKind) -> Lookup<'_> {
+        self.begin_with(id, || kind)
+    }
+
+    /// [`ShardedConversions::begin`] with the kind named lazily: only a
+    /// registered leader calls `plan`, with no lock held (a panicking
+    /// `plan` drops the guard, which abandons the flight).
+    fn begin_with(&self, id: &str, plan: impl FnOnce() -> FormatKind) -> Lookup<'_> {
         let si = shard_of(id, self.shards.len());
-        let mut shard = self.shards[si].lock();
-        if let Some((fmt, resident)) = shard.cache.resident(id) {
-            return Lookup::Hit(fmt, resident);
-        }
-        if let Some(flight) = shard.inflight.get(id) {
-            return Lookup::Wait(Arc::clone(flight));
-        }
-        let flight =
-            Arc::new(Flight { state: Mutex::new(FlightState::Pending), ready: Condvar::new() });
-        shard.inflight.insert(id.to_string(), Arc::clone(&flight));
-        Lookup::Lead(FlightGuard {
+        let flight = {
+            let mut shard = self.shards[si].lock();
+            if let Some((fmt, resident)) = shard.cache.resident(id) {
+                return Lookup::Hit(fmt, resident);
+            }
+            if let Some(flight) = shard.inflight.get(id) {
+                return Lookup::Wait(Arc::clone(flight));
+            }
+            let flight =
+                Arc::new(Flight { state: Mutex::new(FlightState::Pending), ready: Condvar::new() });
+            shard.inflight.insert(id.to_string(), Arc::clone(&flight));
+            flight
+        };
+        let mut guard = FlightGuard {
             owner: self,
             shard: si,
             id: id.to_string(),
-            kind,
+            kind: FormatKind::NaiveCsr,
             flight,
             finished: false,
-        })
+        };
+        guard.kind = plan();
+        Lookup::Lead(guard)
     }
 
-    /// Non-registering lookup: the format resident for `id` (whatever
-    /// kind the caller's plan names) and its kind, with recency
-    /// refreshed, or `None`. Never waits and never leads; the
-    /// asynchronous serve path uses this so a request thread cannot be
-    /// drafted into a conversion.
-    pub fn peek(&self, id: &str, _planned: FormatKind) -> Option<(CachedFormat, FormatKind)> {
+    /// Non-registering lookup: the format resident for `id` and its
+    /// kind, with recency refreshed, or `None`. Never waits and never
+    /// leads; the asynchronous serve path uses this so a request thread
+    /// cannot be drafted into a conversion.
+    pub fn peek(&self, id: &str) -> Option<(CachedFormat, FormatKind)> {
         self.shards[shard_of(id, self.shards.len())].lock().cache.resident(id)
     }
 
     /// Lands a format for `id`: the one landing protocol. Returns the
     /// format to serve, its kind (the built or resident one, not always
-    /// `kind`) and how it was obtained: a hit; a wait on the leader's
-    /// flight (retried, possibly leading, if that leader abandoned); or
-    /// a lead, which calls `build(kind) -> (format, built kind, refused)`
+    /// the planned one) and how it was obtained: a hit; a wait on the
+    /// leader's flight (retried, possibly leading, if that leader
+    /// abandoned); or a lead, which asks `plan()` for the kind to build
+    /// and calls `build(kind) -> (format, built kind, refused)`, both
     /// with no lock held, then publishes the format and re-pins the plan
-    /// in one critical section.
+    /// in one critical section. A hit or a wait never calls `plan`.
     ///
     /// With a claim `ticket` ([`PlanTable::try_begin_build`]'s epoch) the
     /// plan lands by `finish_build` on every outcome, and a stale ticket
     /// (the id was forgotten meanwhile) vetoes the publication. Without
     /// one, only a leader re-pins the plan, by `pin`. A panicking `build`
     /// abandons the flight (its waiters retry) and propagates.
-    pub fn land<B>(
+    pub fn land<P, B>(
         &self,
         plans: &PlanTable,
         id: &str,
-        kind: FormatKind,
+        mut plan: P,
         ticket: Option<u64>,
         build: B,
     ) -> (CachedFormat, FormatKind, Landed)
     where
+        P: FnMut() -> FormatKind,
         B: FnOnce(FormatKind) -> (CachedFormat, FormatKind, usize),
     {
         let (fmt, kind, landed) = loop {
-            match self.begin(id, kind) {
+            match self.begin_with(id, &mut plan) {
                 Lookup::Hit(fmt, resident) => break (fmt, resident, Landed::Hit),
                 Lookup::Wait(flight) => {
                     if let Some((fmt, built)) = flight.wait() {
@@ -1057,12 +1077,12 @@ mod tests {
             _ => panic!("stale-plan lookup led a second refused conversion"),
         }
         // peek() answers the same way.
-        let (_, kind) = c.peek("m", FormatKind::Dia).expect("the id's entry is resident");
+        let (_, kind) = c.peek("m").expect("the id's entry is resident");
         assert_eq!(kind, FormatKind::NaiveCsr);
         assert_eq!(c.len(), 1, "exactly one resident entry");
         // forget clears the entry.
         c.forget("m");
-        assert!(c.peek("m", FormatKind::Dia).is_none());
+        assert!(c.peek("m").is_none());
         assert!(matches!(c.begin("m", FormatKind::Dia), Lookup::Lead(_)));
     }
 
@@ -1132,12 +1152,12 @@ mod tests {
     #[test]
     fn peek_never_leads_or_waits() {
         let c = ShardedConversions::new(1 << 20, 2);
-        assert!(c.peek("m", FormatKind::NaiveCsr).is_none());
+        assert!(c.peek("m").is_none());
         // An open flight: peek still returns None instead of blocking.
         let Lookup::Lead(guard) = c.begin("m", FormatKind::NaiveCsr) else { panic!("lead") };
-        assert!(c.peek("m", FormatKind::NaiveCsr).is_none(), "peek must not wait on the flight");
+        assert!(c.peek("m").is_none(), "peek must not wait on the flight");
         guard.finish(fmt_of(8), FormatKind::NaiveCsr);
-        assert!(c.peek("m", FormatKind::NaiveCsr).is_some());
+        assert!(c.peek("m").is_some());
     }
 
     #[test]
@@ -1231,11 +1251,17 @@ mod tests {
         let ((fmt, _, landed), leader) = std::thread::scope(|s| {
             let leader = s.spawn(|| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    c.land(&plans, "m", FormatKind::NaiveCsr, None, |_| {
-                        building.wait();
-                        fail.wait();
-                        panic!("injected conversion fault")
-                    })
+                    c.land(
+                        &plans,
+                        "m",
+                        || FormatKind::NaiveCsr,
+                        None,
+                        |_| {
+                            building.wait();
+                            fail.wait();
+                            panic!("injected conversion fault")
+                        },
+                    )
                 }))
             });
             building.wait(); // the leader's flight is registered
@@ -1243,10 +1269,16 @@ mod tests {
                 panic!("the leader's flight is registered")
             };
             let waiter = s.spawn(|| {
-                c.land(&plans, "m", FormatKind::NaiveCsr, None, |kind| {
-                    builds.fetch_add(1, Ordering::Relaxed);
-                    (fmt_of(8), kind, 0)
-                })
+                c.land(
+                    &plans,
+                    "m",
+                    || FormatKind::NaiveCsr,
+                    None,
+                    |kind| {
+                        builds.fetch_add(1, Ordering::Relaxed);
+                        (fmt_of(8), kind, 0)
+                    },
+                )
             });
             // Register, leader, this probe and the waiter's own `Wait`:
             // the waiter is on the flight before the leader fails.

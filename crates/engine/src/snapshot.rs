@@ -340,7 +340,7 @@ impl Engine {
             // over the snapshot's; else the "build" is the decoded format.
             let st = &self.state;
             let (_, _, landed) =
-                st.conversions.land(&st.plans, &id, kind, Some(epoch), |_| (fmt, kind, 0));
+                st.conversions.land(&st.plans, &id, || kind, Some(epoch), |_| (fmt, kind, 0));
             if matches!(landed, Landed::Built { published: true, .. }) {
                 stats.conversions_restored += 1;
             } else {

@@ -207,10 +207,10 @@ impl<'e> SolveHandle<'e> {
         max_iters: usize,
     ) -> Result<SolveOutcome, SolveError> {
         let engine = self.engine;
-        engine.state.counters.solves.fetch_add(1, Ordering::Relaxed);
+        engine.state.counters.mine().solves.fetch_add(1, Ordering::Relaxed);
         let mut iters = 0usize;
         let out = self.cg_inner(b, tol, max_iters, &mut iters);
-        engine.state.counters.solver_iterations.fetch_add(iters as u64, Ordering::Relaxed);
+        engine.state.counters.mine().solver_iterations.fetch_add(iters as u64, Ordering::Relaxed);
         out
     }
 
@@ -277,10 +277,10 @@ impl<'e> SolveHandle<'e> {
         max_iters: usize,
     ) -> Result<SolveOutcome, SolveError> {
         let engine = self.engine;
-        engine.state.counters.solves.fetch_add(1, Ordering::Relaxed);
+        engine.state.counters.mine().solves.fetch_add(1, Ordering::Relaxed);
         let mut iters = 0usize;
         let out = self.bicgstab_inner(b, tol, max_iters, &mut iters);
-        engine.state.counters.solver_iterations.fetch_add(iters as u64, Ordering::Relaxed);
+        engine.state.counters.mine().solver_iterations.fetch_add(iters as u64, Ordering::Relaxed);
         out
     }
 

@@ -61,7 +61,8 @@ pub enum FormatKind {
 
 impl FormatKind {
     /// All formats, in a stable report order. Positions are wire tags
-    /// (see `wire::tag_of`), so new kinds append at the END only.
+    /// (see `wire::tag_of`), so new kinds append at the END only; each
+    /// position is the kind's discriminant (`kind as usize`).
     pub const ALL: [FormatKind; 15] = [
         FormatKind::NaiveCsr,
         FormatKind::VectorizedCsr,
@@ -297,6 +298,13 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), FormatKind::ALL.len());
+    }
+
+    #[test]
+    fn all_positions_are_discriminants() {
+        for (i, kind) in FormatKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
     }
 
     #[test]

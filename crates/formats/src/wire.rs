@@ -317,7 +317,7 @@ impl Read for SectionReader<'_> {
 /// The wire tag of a format kind: its index in [`FormatKind::ALL`]
 /// (the order is append-only, so tags are stable across versions).
 pub fn tag_of(kind: FormatKind) -> u8 {
-    FormatKind::ALL.iter().position(|k| *k == kind).expect("every kind appears in ALL") as u8
+    kind as u8
 }
 
 /// The format kind a wire tag names, if any.

@@ -4,8 +4,9 @@
 //! serving entry points, and the instrumentation counters must
 //! reconcile (selections == requests, hits + misses == lookups).
 
+use spmv_suite::core::CsrMatrix;
 use spmv_suite::core::{vec_mismatch, DenseMatrix};
-use spmv_suite::engine::{Engine, EngineConfig, TrainingPlan};
+use spmv_suite::engine::{Admission, Engine, EngineConfig, TrainingPlan};
 use spmv_suite::formats::FormatKind;
 use spmv_suite::gen::dataset::{Dataset, DatasetSize};
 
@@ -13,8 +14,8 @@ use spmv_suite::gen::dataset::{Dataset, DatasetSize};
 /// scale 1) shrinks to ~128 KB, so dense references stay affordable.
 const SCALE: f64 = 16384.0;
 
-fn engine() -> Engine {
-    Engine::new(EngineConfig {
+fn config() -> EngineConfig {
+    EngineConfig {
         device: "AMD-EPYC-24".into(),
         scale: SCALE,
         k: 1,
@@ -22,8 +23,11 @@ fn engine() -> Engine {
         threads: 3,
         training: TrainingPlan { size: DatasetSize::Small, stride: 40, base_seed: 0xA11CE },
         ..EngineConfig::default()
-    })
-    .expect("builtin training")
+    }
+}
+
+fn engine() -> Engine {
+    Engine::new(config()).expect("builtin training")
 }
 
 #[test]
@@ -128,7 +132,7 @@ fn engine_counters_start_at_zero_and_forget_releases_bytes() {
     assert_eq!((c.solves, c.solver_iterations, c.pinned_plans), (0, 0, 0));
     assert_eq!(c.bytes_resident, 0);
 
-    let m = spmv_suite::core::CsrMatrix::identity(128);
+    let m = CsrMatrix::identity(128);
     let x = vec![2.0; 128];
     let mut y = vec![f64::NAN; 128];
     engine.spmv("one", &m, &x, &mut y);
@@ -137,4 +141,53 @@ fn engine_counters_start_at_zero_and_forget_releases_bytes() {
     assert_eq!(engine.counters().bytes_resident, 0);
     // Counters are cumulative, not tied to residency.
     assert_eq!(engine.counters().requests, 1);
+}
+
+/// Plans are consulted only on a miss: with room for one plan, two
+/// alternating resident ids keep serving their conversions although
+/// each one's plan was evicted by the other's admission — no
+/// re-conversion, no flight, every request served as selected.
+#[test]
+fn a_resident_id_whose_plan_was_evicted_keeps_serving_its_conversion() {
+    let mats: Vec<(&str, CsrMatrix)> = [("a", 0usize), ("b", 1)]
+        .into_iter()
+        .map(|(id, seed)| {
+            let n = 300usize;
+            let mut t: Vec<_> = (0..n).map(|r| (r, (r * 7 + seed) % n, 1.0 + r as f64)).collect();
+            t.extend((0..40usize).map(|c| (seed, (c * 3 + seed) % n, 0.5 - c as f64)));
+            (id, CsrMatrix::from_triplets(n, n, &t).expect("valid triplets"))
+        })
+        .collect();
+    for admission in [Admission::Sync, Admission::Async { max_in_flight: 2 }] {
+        let engine = Engine::new(EngineConfig { plan_capacity: 1, admission, ..config() })
+            .expect("builtin training");
+        let serve = |id: &str, m: &CsrMatrix| {
+            let x: Vec<f64> = (0..m.cols()).map(|i| ((i * 13 + 5) % 17) as f64 - 8.0).collect();
+            let mut y = vec![f64::NAN; m.rows()];
+            engine.spmv(id, m, &x, &mut y);
+            assert_eq!(vec_mismatch(&y, &m.spmv(&x), 1e-9, 1e-9), None, "{id} {admission:?}");
+        };
+        for (id, m) in &mats {
+            serve(id, m);
+            engine.drain_admissions();
+        }
+        let before = engine.counters();
+        assert_eq!(before.conversions, 2, "{admission:?}");
+        assert_eq!(before.planned_entries, 1, "b's admission evicted a's plan ({admission:?})");
+
+        for _ in 0..5 {
+            for (id, m) in &mats {
+                serve(id, m);
+            }
+        }
+        engine.drain_admissions();
+        let after = engine.counters();
+        let requests = after.requests - before.requests;
+        assert_eq!(requests, 10, "{admission:?}");
+        assert_eq!(after.conversions, 2, "a resident id re-converted ({admission:?})");
+        assert_eq!(after.served_selected - before.served_selected, requests, "{admission:?}");
+        assert_eq!(after.cache_hits - before.cache_hits, requests, "{admission:?}");
+        assert_eq!(after.flights_scheduled, before.flights_scheduled, "{admission:?}");
+        assert_eq!(after.cached_entries, 2, "{admission:?}");
+    }
 }
