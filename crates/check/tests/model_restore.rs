@@ -48,7 +48,7 @@ fn restore_one(plans: &PlanTable, conv: &ShardedConversions, builds: &AtomicUsiz
 /// with the plan named lazily as `Engine::plan` names it.
 fn resolve_one(plans: &PlanTable, conv: &ShardedConversions, builds: &AtomicUsize) {
     let kind = FormatKind::NaiveCsr;
-    let plan = || plans.get_or_insert_with("m", || kind).kind();
+    let plan = || plans.get_or_insert_with("m", || kind);
     let (_, actual, _) = conv.land(plans, "m", plan, None, counted(builds));
     assert_eq!(actual, kind);
 }

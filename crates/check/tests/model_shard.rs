@@ -1,8 +1,10 @@
 //! Model tests for the engine's sharded serving state
 //! ([`spmv_engine::shard`]): single-flight conversion publication, the
 //! epoch-ticket staleness protocol, one conversion per id and the
-//! hit-first serve (only a flight leader plans), explored under the
-//! deterministic scheduler through the production
+//! hit-first serve (only a flight leader plans), and the admission
+//! flight of a claim that names no kind yet (it extracts and selects
+//! itself), explored under the deterministic scheduler through the
+//! production [`PlanTable::try_begin_build`] and
 //! [`ShardedConversions::land`].
 //!
 //! Compiled only under `RUSTFLAGS="--cfg spmv_model_check"`.
@@ -23,8 +25,9 @@ fn tiny_format() -> CachedFormat {
 
 /// What the serves of one model execution did, counted the way the
 /// engine counts a landing — except that a miss is counted by the build
-/// itself and a plan by the plan closure, so the reconciliation below
-/// checks `land`'s classification rather than restating it.
+/// itself, a plan by the plan closure and a feature pass by the select
+/// closure, so the reconciliation below checks `land`'s classification
+/// rather than restating it.
 #[derive(Default)]
 struct Tally {
     lookups: AtomicUsize,
@@ -32,11 +35,42 @@ struct Tally {
     coalesced: AtomicUsize,
     builds: AtomicUsize,
     plans: AtomicUsize,
+    extractions: AtomicUsize,
+    published: AtomicUsize,
 }
 
 impl Tally {
     fn get(n: &AtomicUsize) -> usize {
         n.load(Ordering::Relaxed)
+    }
+
+    fn bump(n: &AtomicUsize) -> usize {
+        n.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Classifies one landing.
+    fn count(&self, landed: Landed) {
+        Self::bump(&self.lookups);
+        match landed {
+            Landed::Hit => Self::bump(&self.hits),
+            Landed::Coalesced => Self::bump(&self.coalesced),
+            Landed::Built { published: true, .. } => Self::bump(&self.published),
+            Landed::Built { .. } => 0,
+        };
+    }
+
+    /// A feature pass and the selection it feeds.
+    fn extract(&self) -> FormatKind {
+        Self::bump(&self.extractions);
+        FormatKind::NaiveCsr
+    }
+
+    /// A counted build whose format names its build number in its row
+    /// count, so a resident format tells which build it came from.
+    fn build(&self, kind: FormatKind) -> (CachedFormat, FormatKind, usize) {
+        let n = Self::bump(&self.builds);
+        let fmt = spmv_formats::build_format(kind, &CsrMatrix::identity(n)).unwrap();
+        (Arc::new(fmt), kind, 0)
     }
 
     /// `hits + misses + coalesced == lookups`, and every leader — and
@@ -55,20 +89,70 @@ impl Tally {
 /// production `get_or_insert_with`.
 fn sync_serve(plans: &PlanTable, conv: &ShardedConversions, tally: &Tally) -> CachedFormat {
     let plan = || {
-        tally.plans.fetch_add(1, Ordering::Relaxed);
-        plans.get_or_insert_with("m", || FormatKind::NaiveCsr).kind()
+        Tally::bump(&tally.plans);
+        plans.get_or_insert_with("m", || tally.extract())
     };
-    let (fmt, _, landed) = conv.land(plans, "m", plan, None, |kind| {
-        tally.builds.fetch_add(1, Ordering::Relaxed);
-        (tiny_format(), kind, 0)
-    });
-    tally.lookups.fetch_add(1, Ordering::Relaxed);
-    match landed {
-        Landed::Hit => tally.hits.fetch_add(1, Ordering::Relaxed),
-        Landed::Coalesced => tally.coalesced.fetch_add(1, Ordering::Relaxed),
-        Landed::Built { .. } => 0,
-    };
+    let (fmt, _, landed) = conv.land(plans, "m", plan, None, |kind| tally.build(kind));
+    tally.count(landed);
     fmt
+}
+
+/// An admission flight as `run_admission` flies one: the production
+/// `land` with the claim's ticket, naming the claimed kind — or, for a
+/// claim that named none, running `select` — only as the id's
+/// conversion leader; on every exit (a panic included) the production
+/// `abort_build` and the release of the flight's admission slot.
+fn flight(
+    plans: &PlanTable,
+    conv: &ShardedConversions,
+    (kind, epoch): (Option<FormatKind>, u64),
+    tally: &Tally,
+    slots: &AtomicUsize,
+    select: impl Fn() -> FormatKind,
+) {
+    struct Slot<'a>(&'a PlanTable, u64, &'a AtomicUsize);
+    impl Drop for Slot<'_> {
+        fn drop(&mut self) {
+            self.0.abort_build("m", self.1);
+            self.2.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+    let _slot = Slot(plans, epoch, slots);
+    let plan = || {
+        Tally::bump(&tally.plans);
+        kind.unwrap_or_else(&select)
+    };
+    let (_, _, landed) = conv.land(plans, "m", plan, Some(epoch), |kind| tally.build(kind));
+    tally.count(landed);
+}
+
+/// A cold asynchronous serve as `Engine::serve_async` makes it: a
+/// resident id is a hit; otherwise reserve a slot, claim, re-check
+/// residency, and fly (inline: the scheduler delays it at will).
+fn async_serve(plans: &PlanTable, conv: &ShardedConversions, tally: &Tally, slots: &AtomicUsize) {
+    if conv.peek("m").is_some() {
+        return tally.count(Landed::Hit);
+    }
+    slots.fetch_add(1, Ordering::Relaxed);
+    let Some(claim) = plans.try_begin_build("m") else {
+        slots.fetch_sub(1, Ordering::Relaxed);
+        return;
+    };
+    if let Some((_, actual)) = conv.peek("m") {
+        plans.finish_build("m", claim.1, actual);
+        slots.fetch_sub(1, Ordering::Relaxed);
+        return;
+    }
+    flight(plans, conv, claim, tally, slots, || tally.extract());
+}
+
+/// The serving state at the start of an unplanned flight: an absent
+/// id claimed by the first cold asynchronous request, its slot held.
+fn unplanned_claim() -> (Arc<PlanTable>, Arc<ShardedConversions>, (Option<FormatKind>, u64)) {
+    let plans = Arc::new(PlanTable::new(8, 1));
+    let claim = plans.try_begin_build("m").expect("an absent id is claimable");
+    assert_eq!((claim.0, plans.get("m")), (None, Some(PlanState::Building(None))));
+    (plans, Arc::new(ShardedConversions::new(1 << 20, 1)), claim)
 }
 
 /// Exactly-once flight publication: three claimants race a cold id
@@ -122,7 +206,9 @@ fn stale_flight_never_resurrects_a_forgotten_plan() {
         let plans = Arc::new(PlanTable::new(8, 1));
         let conv = Arc::new(ShardedConversions::new(1 << 20, 1));
         plans.insert_pending("m", FormatKind::NaiveCsr);
-        let (kind, epoch) = plans.try_begin_build("m").expect("pending is claimable");
+        let Some((Some(kind), epoch)) = plans.try_begin_build("m") else {
+            panic!("a pending plan is claimable under its kind")
+        };
 
         // The admission flight, racing the forgetter below.
         let builder = {
@@ -239,7 +325,9 @@ fn lazy_plan_sync_serves_race_a_ticketed_flight_onto_one_build() {
         let conv = Arc::new(ShardedConversions::new(1 << 20, 1));
         let (tally, flight_builds) = (Arc::new(Tally::default()), Arc::new(AtomicUsize::new(0)));
         plans.insert_pending("m", FormatKind::NaiveCsr);
-        let (kind, epoch) = plans.try_begin_build("m").expect("pending is claimable");
+        let Some((Some(kind), epoch)) = plans.try_begin_build("m") else {
+            panic!("a pending plan is claimable under its kind")
+        };
 
         let flight = {
             let (p, c, b) = (Arc::clone(&plans), Arc::clone(&conv), Arc::clone(&flight_builds));
@@ -318,4 +406,115 @@ fn no_serve_after_forget_sees_the_pre_forget_format() {
     report.assert_ok();
     // Small enough to explore every interleaving.
     assert!(report.exhausted, "unexplored interleavings after {} schedules", report.schedules);
+}
+
+/// The asynchronous first touch: the flight of a claim that names no
+/// kind races a second asynchronous claim and a synchronous leader that
+/// plans through `get_or_insert_with`. Whoever leads, the id is planned
+/// once — one feature pass — and built once, the plan ends
+/// `Pinned(actual)`, every lookup is classified once and every slot is
+/// released.
+#[test]
+fn an_unplanned_flight_races_a_second_claim_and_a_sync_leader() {
+    let report = Checker::dfs().preemption_bound(Some(3)).max_schedules(100_000).check(|| {
+        let (plans, conv, claim) = unplanned_claim();
+        let (tally, slots) = (Arc::new(Tally::default()), Arc::new(AtomicUsize::new(1)));
+        let flown = {
+            let (p, c, t, n) = (plans.clone(), conv.clone(), tally.clone(), slots.clone());
+            thread::spawn(move || flight(&p, &c, claim, &t, &n, || t.extract()))
+        };
+        let second = {
+            let (p, c, t, n) = (plans.clone(), conv.clone(), tally.clone(), slots.clone());
+            thread::spawn(move || async_serve(&p, &c, &t, &n))
+        };
+        sync_serve(&plans, &conv, &tally);
+        flown.join().unwrap();
+        second.join().unwrap();
+
+        tally.assert_reconciles();
+        assert_eq!(Tally::get(&tally.builds), 1, "the id built more than once");
+        assert_eq!(Tally::get(&tally.extractions), 1, "the id was extracted more than once");
+        assert_eq!(conv.len(), 1, "exactly one entry resident");
+        assert_eq!(plans.get("m"), Some(PlanState::Pinned(FormatKind::NaiveCsr)));
+        assert_eq!(slots.load(Ordering::Relaxed), 0, "a slot leaked");
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "unexplored interleavings after {} schedules", report.schedules);
+}
+
+/// The same race with a `forget` thrown in. There are now two
+/// incarnations, so at most two published builds; a flight whose claim
+/// the forget made stale may still lead and build, but its publication
+/// is vetoed. Only leaders plan, one feature pass per plan at most; no
+/// conversion built before the forget is resident after it; and the
+/// plan is never left `Building`. It ends `Pinned(actual)`, `Pending`
+/// (a synchronous leader's plan that outlived its vetoed publication)
+/// or absent — the last also beside a resident conversion, when an
+/// aborted unplanned claim was removed under a synchronous leader that
+/// planned for itself: the id then serves its conversion, as it does
+/// after a plan eviction.
+#[test]
+fn an_unplanned_flight_racing_forget_resurrects_nothing() {
+    let report = Checker::dfs().preemption_bound(Some(3)).max_schedules(100_000).check(|| {
+        let (plans, conv, claim) = unplanned_claim();
+        let (tally, slots) = (Arc::new(Tally::default()), Arc::new(AtomicUsize::new(1)));
+        let racers = [
+            {
+                let (p, c, t, n) = (plans.clone(), conv.clone(), tally.clone(), slots.clone());
+                thread::spawn(move || flight(&p, &c, claim, &t, &n, || t.extract()))
+            },
+            {
+                let (p, c, t, n) = (plans.clone(), conv.clone(), tally.clone(), slots.clone());
+                thread::spawn(move || async_serve(&p, &c, &t, &n))
+            },
+            {
+                let (p, c, t) = (plans.clone(), conv.clone(), tally.clone());
+                thread::spawn(move || drop(sync_serve(&p, &c, &t)))
+            },
+        ];
+        let before_forget = Tally::get(&tally.builds);
+        plans.remove("m");
+        conv.forget("m");
+        for r in racers {
+            r.join().unwrap();
+        }
+
+        tally.assert_reconciles();
+        assert!(Tally::get(&tally.published) <= 2, "more than one publication per incarnation");
+        assert!(Tally::get(&tally.extractions) <= Tally::get(&tally.plans));
+        assert_eq!(slots.load(Ordering::Relaxed), 0, "a slot leaked");
+        let resident = conv.peek("m");
+        if let Some((fmt, _)) = &resident {
+            assert!(fmt.rows() > before_forget, "a pre-forget build resurrected");
+        }
+        let plan = plans.get("m");
+        assert!(!matches!(plan, Some(PlanState::Building(_))), "the plan was left {plan:?}");
+        if let Some(PlanState::Pinned(kind)) = plan {
+            assert_eq!(kind, FormatKind::NaiveCsr);
+        }
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "unexplored interleavings after {} schedules", report.schedules);
+}
+
+/// A flight whose plan panics — its feature pass or selection failing —
+/// leaves no entry, releases its slot and abandons its conversion
+/// flight, so the next serve of the id plans and builds it once. Run on
+/// real threads, outside the scheduler: a model thread's panic is a
+/// violation, and an unwinding thread leaves the scheduler.
+#[test]
+fn an_unplanned_flight_whose_plan_panics_leaves_no_entry() {
+    let (plans, conv, claim) = unplanned_claim();
+    let (tally, slots) = (Tally::default(), AtomicUsize::new(1));
+    let flown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        flight(&plans, &conv, claim, &tally, &slots, || panic!("injected feature-pass fault"))
+    }));
+    assert!(flown.is_err(), "the fault propagates to the flight's runner");
+    assert_eq!(plans.get("m"), None, "an aborted unplanned claim made up a kind");
+    assert_eq!(slots.load(Ordering::Relaxed), 0, "the slot leaked");
+    assert!(conv.is_empty());
+
+    sync_serve(&plans, &conv, &tally);
+    assert_eq!((Tally::get(&tally.builds), Tally::get(&tally.extractions)), (1, 1));
+    assert_eq!(plans.get("m"), Some(PlanState::Pinned(FormatKind::NaiveCsr)));
 }

@@ -10,8 +10,9 @@
 //!
 //! Pipeline per admitted matrix:
 //!
-//! 1. **extract** — [`FeatureSet`] in one `O(nnz)` pass (cached per
-//!    matrix id);
+//! 1. **extract** — [`FeatureSet`] in one `O(nnz)` pass (once per
+//!    matrix id, by the id's conversion leader: under
+//!    [`Admission::Async`], its background flight);
 //! 2. **select** — k-NN vote over the best-format labels of the
 //!    configured device's campaign records ([`FormatSelector`]): timed
 //!    kernels of this machine for the default `Host` profile, the
@@ -39,12 +40,13 @@
 //! client of a cold matrix pays that latency before seeing any result:
 //! exactly backwards for a serving system. Under [`Admission::Async`]
 //! the plan moves through a staged lifecycle
-//! ([`PlanState`]: `Pending → Building → Pinned`): a cold request
-//! selects the format, claims a background conversion flight — a
+//! ([`PlanState`]: `Building → Pinned`): a cold request peeks the
+//! cache, claims the id's one background admission flight — a
 //! low-priority task on the work-stealing thread pool, which workers
 //! run only when no serve task wants the core — and is answered
-//! immediately from the raw CSR operand — zero conversion work on the
-//! calling thread.
+//! immediately from the raw CSR operand. The request path runs no
+//! feature pass, no selection and no conversion: the flight extracts
+//! the features, selects the format and converts it.
 //! When the flight lands, the converted format is published and the
 //! plan re-pinned *inside one critical section* (see
 //! [`ShardedConversions::land`]), and subsequent requests serve
@@ -102,9 +104,9 @@ pub enum Admission {
     /// The flight must own its input past the caller's borrow, so the
     /// one request that claims an admission hands it a clone of the
     /// operand — which shares the operand's arrays (three reference
-    /// counts, no copy). That, selection and the CSR-path answer are
-    /// the whole request-path cost, in place of the full conversion
-    /// `Sync` charges there.
+    /// counts, no copy). That, the claim and the CSR-path answer are
+    /// the whole request-path cost: the feature pass, the selection and
+    /// the conversion `Sync` charges there all run in the flight.
     Async {
         /// Maximum background conversion flights outstanding (queued or
         /// building) at once. A cold request arriving at the cap serves
@@ -294,6 +296,12 @@ pub struct EngineCounters {
     /// completed its build; a lookup whose build panicked counts as
     /// nothing, and the waiter that retries counts its own).
     pub conversions: u64,
+    /// Feature passes the engine ran to select a format: one per
+    /// conversion leader that found no kind planned for its id — the
+    /// request thread under `Sync`, the admission flight under
+    /// `Async`. On an eviction-free `Sync` mix, `extractions ==
+    /// conversions`.
+    pub extractions: u64,
     /// Conversion candidates that refused a matrix (ELL's padding
     /// budget) before a fallback format accepted it.
     pub fallbacks: u64,
@@ -359,6 +367,7 @@ struct Stripe {
     misses: AtomicU64,
     coalesced: AtomicU64,
     conversions: AtomicU64,
+    extractions: AtomicU64,
     fallbacks: AtomicU64,
     flights_scheduled: AtomicU64,
     solves: AtomicU64,
@@ -404,6 +413,8 @@ impl CounterBank {
 /// it has long returned. `Arc`-shared between the [`Engine`] and every
 /// queued flight, so an engine drop never dangles a flight.
 struct ServeState {
+    device: DeviceSpec,
+    selector: FormatSelector,
     plans: PlanTable,
     conversions: ShardedConversions,
     counters: CounterBank,
@@ -415,6 +426,31 @@ struct ServeState {
 }
 
 impl ServeState {
+    /// See [`Engine::select`].
+    fn select(&self, features: &FeatureSet) -> FormatKind {
+        let probe = SelectorFeatures {
+            footprint_mb: features.mem_footprint_mb,
+            avg_nnz_per_row: features.avg_nnz_per_row,
+            skew: features.skew_coeff,
+            cross_row_sim: features.cross_row_sim,
+            avg_num_neigh: features.avg_num_neigh,
+        };
+        self.selector
+            .recommend(&probe)
+            .and_then(FormatKind::from_name)
+            .filter(|k| self.device.formats.contains(k))
+            .and_then(FormatKind::served_as)
+            .unwrap_or(FormatKind::NaiveCsr)
+    }
+
+    /// One feature pass and the selection it feeds, counted in
+    /// `extractions`: run with no lock held, `O(nnz)`, one to two
+    /// SpMVs' worth.
+    fn extract_and_select(&self, csr: &CsrMatrix) -> FormatKind {
+        self.counters.mine().extractions.fetch_add(1, Ordering::Relaxed);
+        self.select(&FeatureSet::extract(csr))
+    }
+
     /// Lands `id`, building a miss of the kind `plan` names with
     /// Naive-CSR as the fallback, and counts the lookup: the one place
     /// a landing moves counters.
@@ -476,8 +512,6 @@ impl Served {
 /// coalesce onto a single conversion, and each thread counts on its own
 /// stripe of atomics.
 pub struct Engine {
-    device: DeviceSpec,
-    selector: FormatSelector,
     pool: ThreadPool,
     admission: Admission,
     warm_start: Option<std::path::PathBuf>,
@@ -487,8 +521,8 @@ pub struct Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("device", &self.device.name)
-            .field("selector_len", &self.selector.len())
+            .field("device", &self.state.device.name)
+            .field("selector_len", &self.state.selector.len())
             .field("threads", &self.pool.threads())
             .field("admission", &self.admission)
             .finish()
@@ -572,12 +606,12 @@ impl Engine {
     ) -> Engine {
         let lanes = LaneProfile::resolve(Some(device.lane_profile()));
         Engine {
-            device,
-            selector,
             pool,
             admission: config.admission,
             warm_start: config.warm_start.clone(),
             state: Arc::new(ServeState {
+                device,
+                selector,
                 plans: PlanTable::new(config.plan_capacity, config.shards),
                 conversions: ShardedConversions::new(config.cache_capacity_bytes, config.shards),
                 counters: CounterBank::default(),
@@ -589,13 +623,13 @@ impl Engine {
 
     /// The (scaled) device profile selections are optimized for.
     pub fn device(&self) -> &DeviceSpec {
-        &self.device
+        &self.state.device
     }
 
     /// The fitted selector (serialize it with
     /// [`FormatSelector::to_portable`] to skip training next time).
     pub fn selector(&self) -> &FormatSelector {
-        &self.selector
+        &self.state.selector
     }
 
     /// The engine's worker pool (shared with `spmv_parallel` serving
@@ -629,33 +663,20 @@ impl Engine {
     /// otherwise. No counters move; serving paths layer caching and
     /// fallback on top of this.
     pub fn select(&self, features: &FeatureSet) -> FormatKind {
-        let probe = SelectorFeatures {
-            footprint_mb: features.mem_footprint_mb,
-            avg_nnz_per_row: features.avg_nnz_per_row,
-            skew: features.skew_coeff,
-            cross_row_sim: features.cross_row_sim,
-            avg_num_neigh: features.avg_num_neigh,
-        };
-        self.selector
-            .recommend(&probe)
-            .and_then(FormatKind::from_name)
-            .filter(|k| self.device.formats.contains(k))
-            .and_then(FormatKind::served_as)
-            .unwrap_or_else(|| self.default_format())
+        self.state.select(features)
     }
 
-    /// The per-matrix plan, selected once per id; asked for on misses.
-    fn plan(&self, id: &str, csr: &CsrMatrix) -> PlanState {
-        // Extract outside any lock: O(nnz), one to two SpMVs' worth. A
-        // Sync serve plans only as the id's conversion leader; racing
-        // Async serves each extract and agree (first writer wins).
-        self.state.plans.get_or_insert_with(id, || self.select(&FeatureSet::extract(csr)))
+    /// The kind a `Sync` conversion leader builds: its id's plan, or a
+    /// fresh selection (inserted `Pending` when the id is absent).
+    /// Only a leader plans, so racing serves of a cold id extract once.
+    fn plan(&self, id: &str, csr: &CsrMatrix) -> FormatKind {
+        self.state.plans.get_or_insert_with(id, || self.state.extract_and_select(csr))
     }
 
     /// Asynchronous serve: answer from the cache when the selected
     /// format is resident, otherwise ensure a background flight is on
-    /// its way and answer via the CSR path — never converting (or
-    /// waiting on a conversion) on this thread.
+    /// its way and answer via the CSR path — never extracting,
+    /// converting or waiting on a conversion on this thread.
     fn serve_async(&self, id: &str, csr: &CsrMatrix, max_in_flight: usize) -> Served {
         if let Some((fmt, actual)) = self.state.conversions.peek(id) {
             let c = self.state.counters.mine();
@@ -663,9 +684,7 @@ impl Engine {
             c.hits.fetch_add(1, Ordering::Relaxed);
             return Served::Selected(fmt, actual);
         }
-        if !matches!(self.plan(id, csr), PlanState::Building(_)) {
-            self.try_schedule_admission(id, csr, max_in_flight);
-        }
+        self.try_schedule_admission(id, csr, max_in_flight);
         Served::CsrPath(CsrFormat::with_profile(
             csr.clone(),
             CsrVariant::Balanced,
@@ -675,7 +694,8 @@ impl Engine {
 
     /// Claims and schedules one background admission flight for `id`,
     /// respecting `max_in_flight`. The slot is reserved before the
-    /// claim so an over-cap caller backs off without touching the plan.
+    /// claim so an over-cap caller backs off without touching the plan
+    /// table.
     fn try_schedule_admission(&self, id: &str, csr: &CsrMatrix, max_in_flight: usize) {
         let st = &self.state;
         if st
@@ -688,17 +708,16 @@ impl Engine {
             return; // at capacity: serve the CSR path, retry next request
         }
         let Some((kind, epoch)) = st.plans.try_begin_build(id) else {
-            // Another request claimed the build between our plan read
-            // and now; give the slot back.
+            // Another request's flight owns the build; give the slot
+            // back.
             st.in_flight.fetch_sub(1, Ordering::AcqRel);
             return;
         };
-        // Our peek raced a landing flight: the plan we just re-claimed
-        // may have been `Pinned` by a flight that published between the
-        // peek and the claim. Re-check residency now that the claim is
-        // exclusive (the only publisher for this id would be our own
-        // flight, so a hit here is stable): re-pin and back out instead
-        // of scheduling a no-op flight.
+        // Our peek raced a landing: the plan we just claimed may have
+        // been `Pinned` (or inserted) by a conversion that published
+        // between the peek and the claim. Re-check residency now that
+        // the claim is exclusive: re-pin and back out instead of
+        // scheduling a no-op flight.
         if let Some((_, actual)) = st.conversions.peek(id) {
             st.plans.finish_build(id, epoch, actual);
             st.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -718,7 +737,7 @@ impl Engine {
     fn serve(&self, id: &str, csr: &CsrMatrix, admission: Admission) -> Served {
         let served = match admission {
             Admission::Sync => {
-                let (fmt, kind, _) = self.state.land(id, csr, || self.plan(id, csr).kind(), None);
+                let (fmt, kind, _) = self.state.land(id, csr, || self.plan(id, csr), None);
                 Served::Selected(fmt, kind)
             }
             Admission::Async { max_in_flight } => self.serve_async(id, csr, max_in_flight),
@@ -867,6 +886,7 @@ impl Engine {
             cache_misses: c.sum(|s| &s.misses),
             coalesced: c.sum(|s| &s.coalesced),
             conversions: c.sum(|s| &s.conversions),
+            extractions: c.sum(|s| &s.extractions),
             fallbacks: c.sum(|s| &s.fallbacks),
             bytes_resident,
             cached_entries,
@@ -893,15 +913,23 @@ fn check_operands(csr: &CsrMatrix, x: &[f64], k: usize, y: &[f64]) {
     assert_eq!(y.len(), csr.rows() * k, "y must be a column-major rows × k block");
 }
 
-/// One background admission flight: land `(id, kind)` with the `epoch`
-/// ticket (`Building → Pinned`). Runs on the thread pool's background
-/// lane; `state` is the engine's shared serving state, `csr` the
-/// flight's own clone of the operand.
-fn run_admission(state: &Arc<ServeState>, id: &str, csr: &CsrMatrix, kind: FormatKind, epoch: u64) {
-    /// Releases the admission slot on every exit and reverts a plan the
-    /// flight left `Building` to `Pending` (a panicking build must not
-    /// wedge the id — the next request re-schedules); a landed plan is
-    /// no longer `Building` under this epoch, so then it is a no-op.
+/// One background admission flight: land `id` with the `epoch` ticket
+/// (`Building → Pinned`), building the claimed `kind` — or, for a claim
+/// that named none, the kind its own feature pass selects, run only if
+/// the flight leads the id's conversion. Runs on the thread pool's
+/// background lane; `state` is the engine's shared serving state, `csr`
+/// the flight's own clone of the operand.
+fn run_admission(
+    state: &Arc<ServeState>,
+    id: &str,
+    csr: &CsrMatrix,
+    kind: Option<FormatKind>,
+    epoch: u64,
+) {
+    /// Releases the admission slot on every exit and aborts a claim the
+    /// flight left `Building` (a panicking build must not wedge the id
+    /// — the next request re-schedules); a landed plan is no longer
+    /// `Building` under this epoch, so then it is a no-op.
     struct Slot<'a> {
         state: &'a ServeState,
         id: &'a str,
@@ -914,7 +942,8 @@ fn run_admission(state: &Arc<ServeState>, id: &str, csr: &CsrMatrix, kind: Forma
         }
     }
     let _slot = Slot { state, id, epoch };
-    let (_, _, landed) = state.land(id, csr, || kind, Some(epoch));
+    let plan = || kind.unwrap_or_else(|| state.extract_and_select(csr));
+    let (_, _, landed) = state.land(id, csr, plan, Some(epoch));
     // A format already resident (an earlier flight of this id under
     // another plan generation) or coalesced just lands the plan. Not a
     // `swap` — that counter tracks conversions this flight itself built
@@ -1283,6 +1312,8 @@ mod tests {
         assert_eq!(c.served_fallback, 6, "every request served via the CSR path");
         assert_eq!(c.served_selected, 0);
         assert_eq!(c.conversions, 0, "no conversion anywhere, calling thread or background");
+        assert_eq!(c.extractions, 0, "no feature pass either");
+        assert_eq!(c.planned_entries, 0, "a request over the cap claims nothing");
         assert_eq!(c.cache_misses, 0);
         assert_eq!(c.swaps, 0);
         assert_eq!(c.admissions_in_flight, 0);

@@ -65,9 +65,11 @@ fn shard_of(id: &str, shards: usize) -> usize {
 /// Lifecycle of one matrix's serving plan.
 ///
 /// ```text
-/// (admit) → Pending ──claim──→ Building ──flight lands──→ Pinned
-///              ▲                  │                          │
-///              └──────abort───────┘        (cache eviction) ─┴→ Building
+///  (absent) ──claim──→ Building(None) ──abort──→ (absent)
+///                           │
+/// (admit) → Pending ──claim──→ Building(kind) ──flight lands──→ Pinned
+///              ▲                  │                               │
+///              └──────abort───────┘             (cache eviction) ─┴→ Building
 /// ```
 ///
 /// * `Pending` — the format is selected but no conversion has been
@@ -75,7 +77,8 @@ fn shard_of(id: &str, shards: usize) -> usize {
 /// * `Building` — a background admission flight owns the conversion
 ///   (at most one per plan entry, enforced by
 ///   [`PlanTable::try_begin_build`]); requests keep serving the CSR
-///   path until it lands.
+///   path until it lands. A claim of an absent id names no kind yet:
+///   its flight extracts and selects before it converts.
 /// * `Pinned` — the conversion landed (or a synchronous resolve
 ///   published); requests serve the converted format.
 ///
@@ -84,17 +87,20 @@ fn shard_of(id: &str, shards: usize) -> usize {
 pub enum PlanState {
     /// Format selected, conversion not yet scheduled.
     Pending(FormatKind),
-    /// A background flight is building the selected format.
-    Building(FormatKind),
+    /// A background flight is building the selected format — or, for
+    /// `None`, will select it first.
+    Building(Option<FormatKind>),
     /// The conversion landed; serve this format.
     Pinned(FormatKind),
 }
 
 impl PlanState {
-    /// The format this plan currently names, whatever the stage.
-    pub fn kind(&self) -> FormatKind {
+    /// The format this plan names, whatever the stage; `None` for a
+    /// claim whose flight has not selected yet.
+    pub fn kind(&self) -> Option<FormatKind> {
         match *self {
-            PlanState::Pending(k) | PlanState::Building(k) | PlanState::Pinned(k) => k,
+            PlanState::Pending(k) | PlanState::Pinned(k) => Some(k),
+            PlanState::Building(k) => k,
         }
     }
 }
@@ -186,6 +192,25 @@ impl PlanShard {
             self.recency.remove(&e.last_used);
         }
     }
+
+    /// Touches `id`, or inserts it in `state` as a fresh incarnation
+    /// when absent (first writer wins); then evicts down to `capacity`,
+    /// sparing `id`. Returns `id`'s entry.
+    fn insert(&mut self, id: &str, state: PlanState, capacity: usize) -> &mut PlanEntry {
+        if self.map.contains_key(id) {
+            self.touch(id);
+        } else {
+            let tick = self.next_tick();
+            self.epoch += 1;
+            let key: Arc<str> = Arc::from(id);
+            let e =
+                PlanEntry { state, last_used: tick, epoch: 0, incarnation: self.epoch, pins: 0 };
+            self.map.insert(Arc::clone(&key), e);
+            self.recency.insert(tick, key);
+        }
+        self.evict_to_fit(capacity, id);
+        self.map.get_mut(id).expect("the kept entry survives eviction")
+    }
 }
 
 /// Sharded map of matrix id → [`PlanState`] with per-shard `O(log n)`
@@ -234,10 +259,16 @@ impl PlanTable {
         }
     }
 
-    /// [`PlanTable::get`], or else [`PlanTable::insert_pending`] of the
-    /// kind `select` names; `select` runs with no lock held.
-    pub fn get_or_insert_with(&self, id: &str, select: impl FnOnce() -> FormatKind) -> PlanState {
-        self.get(id).unwrap_or_else(|| self.insert_pending(id, select()))
+    /// The kind `id`'s plan names, recency refreshed; or else — the id
+    /// absent, or claimed by a flight that has not selected yet — the
+    /// kind `select` names, run with no lock held and inserted as
+    /// [`PlanTable::insert_pending`] inserts it.
+    pub fn get_or_insert_with(&self, id: &str, select: impl FnOnce() -> FormatKind) -> FormatKind {
+        if let Some(kind) = self.get(id).and_then(|s| s.kind()) {
+            return kind;
+        }
+        let kind = select();
+        self.insert_pending(id, kind).kind().unwrap_or(kind)
     }
 
     /// Inserts a `Pending` plan unless an entry is already present
@@ -245,51 +276,28 @@ impl PlanTable {
     /// winning state. The entry is touched either way, and the shard
     /// evicted down to capacity.
     pub fn insert_pending(&self, id: &str, kind: FormatKind) -> PlanState {
-        let mut s = self.shard(id).lock();
-        if !s.map.contains_key(id) {
-            let tick = s.next_tick();
-            let key: Arc<str> = Arc::from(id);
-            s.epoch += 1;
-            let incarnation = s.epoch;
-            s.map.insert(
-                Arc::clone(&key),
-                PlanEntry {
-                    state: PlanState::Pending(kind),
-                    last_used: tick,
-                    epoch: 0,
-                    incarnation,
-                    pins: 0,
-                },
-            );
-            s.recency.insert(tick, key);
-        } else {
-            s.touch(id);
-        }
-        let state = s.map[id].state;
-        s.evict_to_fit(self.per_shard_capacity, id);
-        state
+        self.shard(id).lock().insert(id, PlanState::Pending(kind), self.per_shard_capacity).state
     }
 
     /// Claims the build of `id`'s plan: `Pending` or `Pinned` (cache
-    /// evicted, needs re-admission) becomes `Building` and the caller
-    /// receives `(kind, epoch)` — its ticket for
-    /// [`PlanTable::finish_build`]. Returns `None` when the entry is
-    /// absent or already `Building` (someone else owns the flight), so
+    /// evicted, needs re-admission) becomes `Building` under its kind,
+    /// and an absent id is inserted `Building(None)` — its flight
+    /// selects. The caller receives `(kind, epoch)`, the epoch being its
+    /// ticket for [`PlanTable::finish_build`]. Returns `None` when the
+    /// entry is already `Building` (someone else owns the flight), so
     /// at most one background admission exists per plan entry.
-    pub fn try_begin_build(&self, id: &str) -> Option<(FormatKind, u64)> {
+    pub fn try_begin_build(&self, id: &str) -> Option<(Option<FormatKind>, u64)> {
         let mut s = self.shard(id).lock();
-        match s.map.get(id).map(|e| e.state) {
-            Some(PlanState::Pending(kind)) | Some(PlanState::Pinned(kind)) => {
-                s.epoch += 1;
-                let epoch = s.epoch;
-                s.touch(id);
-                let e = s.map.get_mut(id).expect("just touched");
-                e.state = PlanState::Building(kind);
-                e.epoch = epoch;
-                Some((kind, epoch))
-            }
-            _ => None,
+        if matches!(s.map.get(id), Some(e) if matches!(e.state, PlanState::Building(_))) {
+            return None;
         }
+        s.epoch += 1;
+        let epoch = s.epoch;
+        let e = s.insert(id, PlanState::Building(None), self.per_shard_capacity);
+        let kind = e.state.kind();
+        e.state = PlanState::Building(kind);
+        e.epoch = epoch;
+        Some((kind, epoch))
     }
 
     /// Lands a build claimed with `epoch`: `Building` → `Pinned(actual)`.
@@ -310,16 +318,18 @@ impl PlanTable {
     }
 
     /// Reverts an aborted build (leader panicked or was cancelled):
-    /// `Building` → `Pending`, so a later request can re-schedule.
+    /// `Building(kind)` → `Pending(kind)`, and a claim that never
+    /// selected is removed, so a later request can re-schedule.
     /// Epoch-checked like [`PlanTable::finish_build`].
     pub fn abort_build(&self, id: &str, epoch: u64) {
         let mut s = self.shard(id).lock();
-        if let Some(e) = s.map.get_mut(id) {
-            if let PlanState::Building(kind) = e.state {
-                if e.epoch == epoch {
-                    e.state = PlanState::Pending(kind);
-                }
-            }
+        match s.map.get_mut(id) {
+            Some(e) if e.epoch == epoch => match e.state {
+                PlanState::Building(Some(kind)) => e.state = PlanState::Pending(kind),
+                PlanState::Building(None) => s.remove(id),
+                _ => {}
+            },
+            _ => {}
         }
     }
 
@@ -347,30 +357,9 @@ impl PlanTable {
     /// `forget` (an explicit drop) still removes it.
     pub fn acquire_solver_pin(&self, id: &str, kind: FormatKind) -> u64 {
         let mut s = self.shard(id).lock();
-        if !s.map.contains_key(id) {
-            let tick = s.next_tick();
-            s.epoch += 1;
-            let incarnation = s.epoch;
-            let key: Arc<str> = Arc::from(id);
-            s.map.insert(
-                Arc::clone(&key),
-                PlanEntry {
-                    state: PlanState::Pinned(kind),
-                    last_used: tick,
-                    epoch: 0,
-                    incarnation,
-                    pins: 0,
-                },
-            );
-            s.recency.insert(tick, key);
-        } else {
-            s.touch(id);
-        }
-        let e = s.map.get_mut(id).expect("entry resident after insert-or-touch");
+        let e = s.insert(id, PlanState::Pinned(kind), self.per_shard_capacity);
         e.pins += 1;
-        let ticket = e.incarnation;
-        s.evict_to_fit(self.per_shard_capacity, id);
-        ticket
+        e.incarnation
     }
 
     /// Releases a solver pin acquired with `ticket`. Returns `true`
@@ -403,14 +392,17 @@ impl PlanTable {
         self.shard(id).lock().remove(id);
     }
 
-    /// Snapshot export: every remembered plan as `(id, state)`. Each
+    /// Snapshot export: every plan that names a kind, as `(id, kind)`
+    /// (a claim whose flight has not selected yet is skipped). Each
     /// shard is locked once and recency is deliberately not refreshed —
     /// exporting the table must not reorder the LRU it is exporting.
-    pub fn export(&self) -> Vec<(String, PlanState)> {
+    pub fn export(&self) -> Vec<(String, FormatKind)> {
         let mut out = Vec::new();
         for s in &self.shards {
             let shard = s.lock();
-            out.extend(shard.map.iter().map(|(id, e)| (id.to_string(), e.state)));
+            out.extend(
+                shard.map.iter().filter_map(|(id, e)| Some((id.to_string(), e.state.kind()?))),
+            );
         }
         out
     }
@@ -814,7 +806,7 @@ mod tests {
         t.insert_pending("aaa-hot", FormatKind::NaiveCsr);
         for i in 0..10 {
             assert_eq!(
-                t.get("aaa-hot").map(|s| s.kind()),
+                t.get("aaa-hot").and_then(|s| s.kind()),
                 Some(FormatKind::NaiveCsr),
                 "hot id evicted after {i} admissions"
             );
@@ -822,7 +814,7 @@ mod tests {
             assert!(t.len() <= 3, "capacity violated");
         }
         // The cold streamers are gone, the hot id survived.
-        assert_eq!(t.get("aaa-hot").map(|s| s.kind()), Some(FormatKind::NaiveCsr));
+        assert_eq!(t.get("aaa-hot").and_then(|s| s.kind()), Some(FormatKind::NaiveCsr));
         assert_eq!(t.get("zz-0"), None, "cold LRU entries must be the victims");
     }
 
@@ -906,17 +898,26 @@ mod tests {
     #[test]
     fn build_lifecycle_pending_building_pinned() {
         let t = PlanTable::new(8, 1);
-        assert_eq!(t.try_begin_build("m"), None, "absent id cannot be claimed");
+        // An absent id is claimable with no kind; aborting the claim
+        // removes it rather than making a kind up.
+        let (kind, epoch) = t.try_begin_build("m").expect("absent is claimable");
+        assert_eq!((kind, t.get("m")), (None, Some(PlanState::Building(None))));
+        assert_eq!(t.try_begin_build("m"), None, "an unplanned claim has one owner too");
+        assert!(t.export().is_empty(), "export skips an unplanned claim");
+        assert_eq!(t.get_or_insert_with("m", || FormatKind::Coo), FormatKind::Coo);
+        assert_eq!(t.get("m"), Some(PlanState::Building(None)), "a Sync plan leaves the claim");
+        t.abort_build("m", epoch);
+        assert_eq!(t.get("m"), None);
         t.insert_pending("m", FormatKind::Ell);
         let (kind, epoch) = t.try_begin_build("m").expect("pending is claimable");
-        assert_eq!(kind, FormatKind::Ell);
-        assert_eq!(t.get("m"), Some(PlanState::Building(FormatKind::Ell)));
+        assert_eq!(kind, Some(FormatKind::Ell));
+        assert_eq!(t.get("m"), Some(PlanState::Building(Some(FormatKind::Ell))));
         assert_eq!(t.try_begin_build("m"), None, "a building plan has one owner");
         assert!(t.finish_build("m", epoch, FormatKind::NaiveCsr));
         assert_eq!(t.get("m"), Some(PlanState::Pinned(FormatKind::NaiveCsr)));
         // A pinned plan is re-claimable (cache eviction → re-admission).
         let (kind2, epoch2) = t.try_begin_build("m").expect("pinned is re-claimable");
-        assert_eq!(kind2, FormatKind::NaiveCsr);
+        assert_eq!(kind2, Some(FormatKind::NaiveCsr), "re-admission keeps the kind");
         assert!(epoch2 > epoch, "every claim gets a fresh epoch");
         t.abort_build("m", epoch2);
         assert_eq!(t.get("m"), Some(PlanState::Pending(FormatKind::NaiveCsr)));
@@ -933,7 +934,7 @@ mod tests {
         let (_, new_epoch) = t.try_begin_build("m").unwrap();
         assert!(!t.finish_build("m", old_epoch, FormatKind::NaiveCsr), "stale finish refused");
         t.abort_build("m", old_epoch); // must be a no-op
-        assert_eq!(t.get("m"), Some(PlanState::Building(FormatKind::Dia)));
+        assert_eq!(t.get("m"), Some(PlanState::Building(Some(FormatKind::Dia))));
         assert!(t.finish_build("m", new_epoch, FormatKind::Dia));
     }
 
@@ -949,7 +950,7 @@ mod tests {
             t.insert_pending(&format!("s{i}"), FormatKind::NaiveCsr);
             assert_eq!(
                 t.get("building"),
-                Some(PlanState::Building(FormatKind::Ell)),
+                Some(PlanState::Building(Some(FormatKind::Ell))),
                 "building plan evicted under streaming pressure (step {i})"
             );
         }

@@ -272,16 +272,16 @@ impl Engine {
     pub fn snapshot(&self, w: &mut dyn Write) -> Result<(), SnapshotError> {
         let mut buf = Vec::new();
         buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        let selector = self.selector.to_portable();
+        let selector = self.state.selector.to_portable();
         buf.extend_from_slice(&(selector.len() as u64).to_le_bytes());
         buf.extend_from_slice(selector.as_bytes());
 
         let plans = self.state.plans.export();
         buf.extend_from_slice(&(plans.len() as u64).to_le_bytes());
-        for (id, state) in &plans {
+        for (id, kind) in &plans {
             buf.extend_from_slice(&(id.len() as u64).to_le_bytes());
             buf.extend_from_slice(id.as_bytes());
-            buf.push(wire::tag_of(state.kind()));
+            buf.push(wire::tag_of(*kind));
         }
 
         let conversions = self.state.conversions.export();

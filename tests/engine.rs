@@ -101,6 +101,7 @@ fn engine_selected_formats_match_dense_reference_and_counters_reconcile() {
     assert_eq!(c.cache_hits, 2 * specs.len() as u64);
     assert_eq!(c.coalesced, 0, "single-threaded serving never coalesces");
     assert_eq!(c.conversions, c.cache_misses, "every miss led exactly one build");
+    assert_eq!(c.extractions, c.conversions, "only a conversion leader extracts, once");
     assert_eq!(c.cached_entries, specs.len());
     assert!(c.bytes_resident > 0);
     // Pool-level reconciliation: synchronous admission never touches

@@ -3,13 +3,14 @@
 //! The acceptance bar for the async serving pipeline, pinned without
 //! sleeps or timing assumptions:
 //!
-//! 1. **Zero conversion on the calling thread** — while the pool's
-//!    low-priority class is parked behind one gate job per worker (low
-//!    jobs are dequeued FIFO, so every worker blocks on a gate before
-//!    any flight can start), cold requests can only have been answered
-//!    by the request threads themselves; `conversions` staying at zero
-//!    proves no request converted (or waited on a conversion), and
-//!    every result still matches the dense reference on
+//! 1. **Zero feature passes and conversions on the calling thread** —
+//!    while the pool's low-priority class is parked behind one gate
+//!    job per worker (low jobs are dequeued FIFO, so every worker
+//!    blocks on a gate before any flight can start), cold requests can
+//!    only have been answered by the request threads themselves;
+//!    `extractions` and `conversions` staying at zero prove no request
+//!    ran the feature pass or converted (or waited on a conversion),
+//!    and every result still matches the dense reference on
 //!    garbage-prefilled outputs. High-priority serve tasks keep
 //!    flowing throughout — the gates occupy only the low class.
 //! 2. **The swap** — after releasing the gates and draining the low
@@ -150,6 +151,11 @@ fn async_admission_serves_immediately_then_swaps_deterministically() {
          only have been on a calling thread"
     );
     assert_eq!(c.cache_misses, 0, "no request entered the conversion machinery");
+    assert_eq!(
+        c.extractions, 0,
+        "a feature pass ran while the background lane was parked: the request \
+         path extracted"
+    );
     assert_eq!(c.served_fallback, cold_requests, "every cold request served the CSR path");
     assert_eq!(c.served_selected, 0);
     assert_eq!(c.swaps, 0, "nothing can land while the low class is parked");
@@ -182,6 +188,7 @@ fn async_admission_serves_immediately_then_swaps_deterministically() {
          each id claimed the flight, every later request deferred to it"
     );
     assert_eq!(c.swaps, cases.len() as u64, "every flight landed and re-pinned its plan");
+    assert_eq!(c.extractions, cases.len() as u64, "each flight extracted its id once");
     assert_eq!(c.cached_entries, cases.len(), "one resident conversion per matrix");
     assert_eq!(c.fallbacks, 0, "dataset mix is fallback-free");
     assert!(c.bytes_resident > 0);
