@@ -168,7 +168,8 @@ fn score_held_out(cfg: &Config, engine: &Engine) -> HeldOut {
         for (i, &(class, ..)) in CLASSES.iter().enumerate() {
             let csr = classes::generate(i, mb, cfg.seed, (f * CLASSES.len() + i) as u64);
             let (x, mut y) = (operand(csr.cols()), vec![0.0; csr.rows()]);
-            let planned = engine.select(&FeatureSet::extract(&csr));
+            // The engine plans from the estimate (`extract_and_select`).
+            let planned = engine.select(&FeatureSet::estimate(&csr));
             let fallback = [engine.default_format()];
             let (_, selected, _) = build_with_fallback_profile(planned, &csr, &fallback, lanes)
                 .expect("the fallback is Naive-CSR, which accepts any matrix");

@@ -40,6 +40,51 @@ pub const SWEEP_LOCALITY: [(f64, f64, f64); 3] =
 /// seeds.
 pub const SWEEP_SEED: u64 = 0xCA11_B8A7;
 
+/// One matrix of the sweep's lattice: footprint, row length, skew, a
+/// [`SWEEP_LOCALITY`] setting, and the seed it is generated under.
+#[derive(Debug, Clone, Copy)]
+pub struct LatticePoint {
+    /// CSR footprint in MB, one of [`SWEEP_MB`].
+    pub mb: f64,
+    /// Average nonzeros per row.
+    pub avg: f64,
+    /// Skew coefficient.
+    pub skew: f64,
+    /// `(cross_row_sim, avg_num_neigh, bw_scaled)`.
+    pub locality: (f64, f64, f64),
+    /// The matrix's generator seed.
+    pub seed: u64,
+}
+
+impl LatticePoint {
+    /// The lattice matrix, as the sweep generates it.
+    pub fn generate(&self) -> CsrMatrix {
+        let (crs, neigh, bw) = self.locality;
+        params_for_features(self.mb, self.avg, self.skew, crs, neigh, bw, self.seed)
+            .generate()
+            .expect("lattice parameters are satisfiable")
+    }
+}
+
+/// The sweep's 576 lattice points, in sweep order (footprint, row
+/// length, skew, locality), each with its seed under [`SWEEP_SEED`].
+pub fn lattice() -> impl Iterator<Item = LatticePoint> {
+    let grid = SWEEP_MB.into_iter().flat_map(|mb| {
+        AVG_NNZ_VALUES.into_iter().flat_map(move |avg| {
+            SKEW_VALUES.into_iter().flat_map(move |skew| {
+                SWEEP_LOCALITY.into_iter().map(move |locality| (mb, avg, skew, locality))
+            })
+        })
+    });
+    grid.zip(0..).map(|((mb, avg, skew, locality), index)| LatticePoint {
+        mb,
+        avg,
+        skew,
+        locality,
+        seed: child_seed(SWEEP_SEED, index),
+    })
+}
+
 /// The formats the sweep times: the serving registry without DIA, BCSR
 /// and VSL, which on the benchmark's traces run at 0.2–0.3 of the CSR
 /// formats or refuse the matrix, and whose conversion would cost most of
@@ -207,19 +252,9 @@ pub fn sweep(profile: LaneProfile, mut progress: impl FnMut(&str)) -> Sweep {
         other_width,
         seconds: 0.0,
     };
-    let mut index = 0u64;
     for &mb in &SWEEP_MB {
-        for &avg in &AVG_NNZ_VALUES {
-            for &skew in &SKEW_VALUES {
-                for &(crs, neigh, bw) in &SWEEP_LOCALITY {
-                    let seed = child_seed(SWEEP_SEED, index);
-                    index += 1;
-                    let csr = params_for_features(mb, avg, skew, crs, neigh, bw, seed)
-                        .generate()
-                        .expect("lattice parameters are satisfiable");
-                    sweep_matrix(&mut out, &csr, profile, &epyc, &quiet);
-                }
-            }
+        for point in lattice().filter(|p| p.mb == mb) {
+            sweep_matrix(&mut out, &point.generate(), profile, &epyc, &quiet);
         }
         progress(&format!(
             "{mb} MB done: {} matrices, {:.0} s",
@@ -457,6 +492,17 @@ pub fn spearman(a: &[f64], b: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_lattice_is_the_sweep_grid_in_sweep_order() {
+        let points: Vec<LatticePoint> = lattice().collect();
+        assert_eq!(points.len(), 576);
+        let per_mb = points.len() / SWEEP_MB.len();
+        for (i, p) in points.iter().enumerate() {
+            assert_eq!((p.mb, p.seed), (SWEEP_MB[i / per_mb], child_seed(SWEEP_SEED, i as u64)));
+            assert_eq!(p.locality, SWEEP_LOCALITY[i % SWEEP_LOCALITY.len()]);
+        }
+    }
 
     #[test]
     fn spearman_reads_monotone_and_reversed_samples() {

@@ -27,3 +27,23 @@ pub fn generate(class: usize, mb: f64, seed: u64, stream: u64) -> CsrMatrix {
         .generate()
         .expect("class parameters are satisfiable")
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spmv_core::features::SAMPLE_NNZ;
+    use spmv_core::FeatureSet;
+
+    /// The engine's sampled cross-row similarity stays within 0.03 of
+    /// the exact value on every class at 1 MB, a size it samples.
+    #[test]
+    fn estimated_cross_row_similarity_is_close_on_every_class() {
+        for (i, &(class, ..)) in CLASSES.iter().enumerate() {
+            let csr = generate(i, 1.0, 1, i as u64);
+            assert!(csr.nnz() >= 2 * SAMPLE_NNZ, "{class}: 1 MB is not sampled");
+            let (exact, estimate) = (FeatureSet::extract(&csr), FeatureSet::estimate(&csr));
+            let error = (estimate.cross_row_sim - exact.cross_row_sim).abs();
+            assert!(error <= 0.03, "{class}: {exact:?} vs {estimate:?}");
+        }
+    }
+}

@@ -22,20 +22,27 @@
 //!
 //! # Cost
 //!
-//! Extraction is exact and costs one to two SpMVs over the same operand
-//! (`BENCH_extract.json`). Everything but f4.a is a sweep of `row_ptr`
-//! plus one flat, vectorizable pass over `col_idx`. f4.a — which rows
-//! of a pair share a column neighbourhood — is the only data-dependent
-//! part, and it is counted by **mark and probe**: the columns of row
-//! *r + 1* are set in a table, every column `c` of row *r* tests
-//! `c − 1 ..= c + 1` with loads that do not depend on one another, and
-//! the marks are cleared again. The table is per-thread, grow-only
-//! scratch of one byte per column, all-zero between calls; it is only
-//! used while it is no larger than the column-index array being read
-//! (`mark_table_bytes`). When the column space dwarfs the nonzeros the
-//! sorted two-pointer merge `count_with_cross_neighbor` counts
+//! [`FeatureSet::extract`] is exact and costs one to two SpMVs over the
+//! same operand (`BENCH_extract.json`). Everything but f4.a is a sweep
+//! of `row_ptr` plus one flat, vectorizable pass over `col_idx`. f4.a —
+//! which rows of a pair share a column neighbourhood — is the only
+//! data-dependent part, and it is counted by **mark and probe**: the
+//! columns of row *r + 1* are set in a table, every column `c` of row
+//! *r* tests `c − 1 ..= c + 1` with loads that do not depend on one
+//! another, and the marks are cleared again. The table is per-thread,
+//! grow-only scratch of one byte per column, all-zero between calls; it
+//! is only used while it is no larger than the column-index array being
+//! read (`mark_table_bytes`). When the column space dwarfs the nonzeros
+//! the sorted two-pointer merge `count_with_cross_neighbor` counts
 //! instead — the definition the mark-and-probe kernel is tested
 //! against, kept whole in [`FeatureSet::extract_reference`].
+//!
+//! [`FeatureSet::estimate`] is the engine's feature pass. It keeps the
+//! `row_ptr` sweep and the flat same-row neighbour pass exact, and runs
+//! the row-pair kernel on a fixed, stratified sample of rows that reads
+//! about [`SAMPLE_NNZ`] nonzeros, so f4.a (and `bandwidth_scaled`) stops
+//! costing a pass over `col_idx`. Below `2 × SAMPLE_NNZ` nonzeros it is
+//! `extract`, bit for bit.
 //!
 //! [`FeatureSet::extract`] walks the CSR arrays in place;
 //! [`FeatureAccumulator`] consumes one row of sorted column indices at
@@ -140,6 +147,52 @@ impl FeatureSet {
         // the adjacent pairs that straddle two rows are not neighbors.
         acc.neigh_pairs = adjacent_pairs(col_idx) - straddling_pairs(row_ptr, col_idx);
         acc.rows_seen = csr.rows();
+        acc.finish()
+    }
+
+    /// The engine's feature pass: [`FeatureSet::extract`] with f4.a and
+    /// `bandwidth_scaled` taken from a fixed, stratified sample of rows
+    /// and their successors ([`SAMPLE_NNZ`] nonzeros, about). The other
+    /// fields are `extract`'s, bit for bit: f4.b stays the flat pass (it
+    /// is nnz-weighted; a row sample misreads it on skewed operands).
+    /// Below `2 × SAMPLE_NNZ` nonzeros it is `extract`. Deterministic.
+    pub fn estimate(csr: &CsrMatrix) -> Self {
+        Self::estimate_within(csr, SAMPLE_NNZ)
+    }
+
+    /// [`FeatureSet::estimate`] at a budget of `budget` sampled nonzeros.
+    fn estimate_within(csr: &CsrMatrix, budget: usize) -> Self {
+        let (rows, nnz) = (csr.rows(), csr.nnz());
+        if nnz < 2 * budget {
+            return Self::extract(csr);
+        }
+        let (row_ptr, col_idx) = (csr.row_ptr(), csr.col_idx());
+        let mut acc = FeatureAccumulator::new(rows, csr.cols());
+        // `straddling_pairs`, in the same sweep of `row_ptr`.
+        let mut straddling = 0;
+        for w in row_ptr.windows(2) {
+            acc.note_len(w[1] - w[0]);
+            straddling += usize::from(straddles(w, col_idx));
+        }
+        acc.neigh_pairs = adjacent_pairs(col_idx) - straddling;
+        // One row per stratum, read with its successor: 2 · mean row
+        // length per stratum, `budget` nonzeros in all.
+        let strata = (budget * rows / (2 * nnz)).clamp(1, rows);
+        with_cross_kernel(csr.cols(), nnz, |kernel| {
+            for k in 0..strata {
+                let r = stratum_row(k, strata, rows);
+                let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+                if row.is_empty() {
+                    continue;
+                }
+                acc.note_span(row);
+                if r + 1 < rows {
+                    let next = &col_idx[row_ptr[r + 1]..row_ptr[r + 2]];
+                    acc.note_pair(row.len(), kernel.matches(row, next));
+                }
+            }
+        });
+        acc.rows_seen = rows;
         acc.finish()
     }
 
@@ -280,17 +333,27 @@ impl FeatureAccumulator {
 
     /// Row-length and bandwidth statistics of one row.
     fn note_row(&mut self, cols: &[u32]) {
-        let len = cols.len();
+        self.note_len(cols.len());
+        if !cols.is_empty() {
+            self.note_span(cols);
+        }
+    }
+
+    /// Row-length statistics of a row of `len` nonzeros.
+    fn note_len(&mut self, len: usize) {
         self.nnz += len;
         self.max_row = self.max_row.max(len);
         self.sum_sq_row += (len * len) as f64;
         if len == 0 {
             self.empty_rows += 1;
-        } else {
-            self.nonempty_rows += 1;
-            let span = (cols[len - 1] - cols[0]) as f64 + 1.0;
-            self.bw_sum += span / self.cols.max(1) as f64;
         }
+    }
+
+    /// Bandwidth of one non-empty row.
+    fn note_span(&mut self, cols: &[u32]) {
+        self.nonempty_rows += 1;
+        let span = (cols[cols.len() - 1] - cols[0]) as f64 + 1.0;
+        self.bw_sum += span / self.cols.max(1) as f64;
     }
 
     /// Cross-row similarity of one non-empty row of `len` nonzeros,
@@ -339,26 +402,50 @@ impl FeatureAccumulator {
     }
 }
 
+/// Nonzeros, about, in the rows [`FeatureSet::estimate`] samples and
+/// their successors; below twice as many it extracts the whole operand.
+pub const SAMPLE_NNZ: usize = 16384;
+
+/// The row [`FeatureSet::estimate`] samples in stratum `k` of `strata`
+/// equal strata of `0..rows`. A fixed scramble of `k` (the SplitMix64
+/// finalizer) places it, so the sample does not fall in step with a
+/// matrix's row period.
+fn stratum_row(k: usize, strata: usize, rows: usize) -> usize {
+    let (lo, hi) = (k * rows / strata, (k + 1) * rows / strata);
+    let z = (k as u64).wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    lo + ((z ^ (z >> 31)) % (hi - lo) as u64) as usize
+}
+
 /// Same-row neighbor pairs of a sorted row: adjacent entries at column
 /// distance exactly 1 (each pair gives both endpoints one neighbor).
 /// Over a whole `col_idx` array this also counts the pairs that straddle
 /// two rows ([`straddling_pairs`]); a descending step wraps to a
 /// distance that is never 1.
 fn adjacent_pairs(cols: &[u32]) -> usize {
-    cols.windows(2).filter(|w| w[1].wrapping_sub(w[0]) == 1).count()
+    // Counted in `u32` lanes a chunk at a time: the loop vectorizes
+    // twice as wide as a `usize` count.
+    const CHUNK: usize = 1 << 16;
+    let next = cols.get(1..).unwrap_or_default();
+    let count = |(a, b): (&[u32], &[u32])| {
+        a.iter().zip(b).map(|(c, d)| u32::from(d.wrapping_sub(*c) == 1)).sum::<u32>() as usize
+    };
+    cols.chunks(CHUNK).zip(next.chunks(CHUNK)).map(count).sum()
 }
 
 /// The adjacent `col_idx` pairs at distance 1 whose two entries lie in
 /// different rows: a non-empty row's last column and the first column
 /// of the next non-empty row.
 fn straddling_pairs(row_ptr: &[usize], col_idx: &[u32]) -> usize {
-    row_ptr
-        .windows(2)
-        // A row end that is not the end of the array, once per
-        // non-empty row.
-        .filter(|w| w[0] < w[1] && w[1] < col_idx.len())
-        .filter(|w| col_idx[w[1]].wrapping_sub(col_idx[w[1] - 1]) == 1)
-        .count()
+    row_ptr.windows(2).filter(|w| straddles(w, col_idx)).count()
+}
+
+/// Whether the row `w[0]..w[1]` of `col_idx` ends in a pair that
+/// straddles two rows: a non-empty row whose end is not the end of the
+/// array, at column distance 1 from the entry that follows it.
+fn straddles(w: &[usize], col_idx: &[u32]) -> bool {
+    w[0] < w[1] && w[1] < col_idx.len() && col_idx[w[1]].wrapping_sub(col_idx[w[1] - 1]) == 1
 }
 
 /// How the entries of a row with a cross-row neighbor are counted.
@@ -687,6 +774,124 @@ mod tests {
         // A descending step across rows is not a pair either way.
         assert_eq!(adjacent_pairs(&[5, 4]), 0);
         assert_eq!(straddling_pairs(&[0, 1, 2], &[5, 4]), 0);
+    }
+
+    /// A `rows × cols` matrix from per-row sorted column lists.
+    fn matrix(cols: usize, rows: &[Vec<u32>]) -> CsrMatrix {
+        let row_ptr = std::iter::once(0)
+            .chain(rows.iter().scan(0, |end, row| {
+                *end += row.len();
+                Some(*end)
+            }))
+            .collect();
+        let col_idx: Vec<u32> = rows.concat();
+        let values = vec![1.0; col_idx.len()];
+        CsrMatrix::new(rows.len(), cols, row_ptr, col_idx, values).unwrap()
+    }
+
+    /// Rows of 0–8 scattered columns in `0..cols`, one in seven empty.
+    fn scattered(rows: usize, cols: u32, seed: u64) -> Vec<Vec<u32>> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        (0..rows)
+            .map(|r| {
+                let len = if r % 7 == 3 { 0 } else { next() % 9 };
+                let mut row: Vec<u32> =
+                    (0..len).map(|_| ((next() << 31 | next()) % u64::from(cols)) as u32).collect();
+                row.sort_unstable();
+                row.dedup();
+                row
+            })
+            .collect()
+    }
+
+    /// Every field, `f64`s by their bits.
+    fn bits(f: &FeatureSet) -> [u64; 12] {
+        [
+            f.rows as u64,
+            f.cols as u64,
+            f.nnz as u64,
+            f.mem_footprint_mb.to_bits(),
+            f.avg_nnz_per_row.to_bits(),
+            f.std_nnz_per_row.to_bits(),
+            f.max_nnz_per_row as u64,
+            f.skew_coeff.to_bits(),
+            f.cross_row_sim.to_bits(),
+            f.avg_num_neigh.to_bits(),
+            f.bandwidth_scaled.to_bits(),
+            f.empty_row_frac.to_bits(),
+        ]
+    }
+
+    /// The fields `estimate` leaves exact must be `extract`'s bits.
+    fn assert_exact_fields(m: &CsrMatrix, budget: usize) -> (FeatureSet, FeatureSet) {
+        let (est, exact) = (FeatureSet::estimate_within(m, budget), FeatureSet::extract(m));
+        let sampled = [8, 10]; // cross_row_sim, bandwidth_scaled
+        for (i, (a, b)) in bits(&est).into_iter().zip(bits(&exact)).enumerate() {
+            assert!(sampled.contains(&i) || a == b, "field {i}: {est:?} vs {exact:?}");
+        }
+        assert!((0.0..=1.0).contains(&est.cross_row_sim), "{est:?}");
+        (est, exact)
+    }
+
+    #[test]
+    fn estimate_is_extract_below_twice_the_budget() {
+        // The mark table serves the first, the merge the second.
+        let dense = matrix(2000, &scattered(7000, 2000, 1));
+        let wide = matrix(1 << 32, &scattered(7000, u32::MAX, 2));
+        assert!(mark_table_bytes(dense.cols(), dense.nnz()).is_some());
+        assert!(mark_table_bytes(wide.cols(), wide.nnz()).is_none());
+        for m in [&dense, &wide] {
+            assert!(m.nnz() < 2 * SAMPLE_NNZ && m.nnz() > SAMPLE_NNZ);
+            assert_eq!(bits(&FeatureSet::estimate(m)), bits(&FeatureSet::extract(m)));
+            // Just below a budget of its own size, it samples.
+            let (est, exact) = assert_exact_fields(m, m.nnz() / 2);
+            assert_ne!(bits(&est), bits(&exact));
+        }
+    }
+
+    #[test]
+    fn estimate_is_deterministic_and_exact_where_it_is_cheap() {
+        let rows = scattered(20_000, 30_000, 3);
+        let m = matrix(30_000, &rows);
+        assert!(m.nnz() >= 2 * SAMPLE_NNZ);
+        let (est, exact) = assert_exact_fields(&m, SAMPLE_NNZ);
+        assert_eq!(bits(&est), bits(&FeatureSet::estimate(&matrix(30_000, &rows))));
+        assert!((est.cross_row_sim - exact.cross_row_sim).abs() < 0.03, "{est:?} vs {exact:?}");
+    }
+
+    #[test]
+    fn estimate_edge_cases() {
+        // Every other row empty: every sampled row is empty or pairs
+        // with an empty successor, so nothing matches.
+        let gaps: Vec<Vec<u32>> =
+            (0..40).map(|r| if r % 2 == 0 { vec![r, r + 1] } else { vec![] }).collect();
+        let (est, exact) = assert_exact_fields(&matrix(48, &gaps), 4);
+        assert_eq!((est.cross_row_sim, exact.cross_row_sim), (0.0, 0.0));
+        // Identical rows: every pair matches in full, so a sampled last
+        // row (no successor) must add bandwidth but no similarity.
+        let band = |n: u32| (0..n).map(|_| vec![3, 4, 5]).collect::<Vec<_>>();
+        let rows = (16..200).find(|&n| stratum_row(3, 4, n) == n - 1).expect("a last-row sample");
+        let (est, exact) = assert_exact_fields(&matrix(8, &band(rows as u32)), 24);
+        assert_eq!(bits(&est), bits(&exact));
+        // Trailing empty rows.
+        let mut tail = band(40);
+        tail.resize(60, vec![]);
+        let (est, _) = assert_exact_fields(&matrix(8, &tail), 30);
+        assert!(est.empty_row_frac > 0.3, "{est:?}");
+        // A single row; no nonzeros at all.
+        let (est, exact) = assert_exact_fields(&matrix(64, &[(0..60).collect()]), 1);
+        assert_eq!((est.cross_row_sim, est.bandwidth_scaled), (0.0, exact.bandwidth_scaled));
+        assert_exact_fields(&matrix(8, &[vec![], vec![], vec![]]), 1);
+        // Column `u32::MAX`, through the merge.
+        let top: Vec<Vec<u32>> = (0..20)
+            .map(|r| if r % 2 == 0 { vec![r, u32::MAX - 2, u32::MAX] } else { vec![r, u32::MAX] })
+            .collect();
+        let (est, _) = assert_exact_fields(&matrix(1 << 32, &top), 10);
+        assert!(est.cross_row_sim > 0.6, "{est:?}");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! Pipeline per admitted matrix:
 //!
-//! 1. **extract** — [`FeatureSet`] in one `O(nnz)` pass (once per
-//!    matrix id, by the id's conversion leader: under
-//!    [`Admission::Async`], its background flight);
+//! 1. **extract** — [`FeatureSet::estimate`]: exact row statistics and
+//!    neighbours, cross-row similarity from a fixed row sample (once per
+//!    id, by its conversion leader: under `Async`, its flight);
 //! 2. **select** — k-NN vote over the best-format labels of the
 //!    configured device's campaign records ([`FormatSelector`]): timed
 //!    kernels of this machine for the default `Host` profile, the
@@ -296,11 +296,11 @@ pub struct EngineCounters {
     /// completed its build; a lookup whose build panicked counts as
     /// nothing, and the waiter that retries counts its own).
     pub conversions: u64,
-    /// Feature passes the engine ran to select a format: one per
-    /// conversion leader that found no kind planned for its id — the
-    /// request thread under `Sync`, the admission flight under
-    /// `Async`. On an eviction-free `Sync` mix, `extractions ==
-    /// conversions`.
+    /// Feature passes ([`FeatureSet::estimate`]) the engine ran to
+    /// select a format: one per conversion leader that found no kind
+    /// planned for its id — the request thread under `Sync`, the
+    /// admission flight under `Async`. On an eviction-free `Sync` mix,
+    /// `extractions == conversions`.
     pub extractions: u64,
     /// Conversion candidates that refused a matrix (ELL's padding
     /// budget) before a fallback format accepted it.
@@ -444,11 +444,11 @@ impl ServeState {
     }
 
     /// One feature pass and the selection it feeds, counted in
-    /// `extractions`: run with no lock held, `O(nnz)`, one to two
-    /// SpMVs' worth.
+    /// `extractions`: run with no lock held; the estimate's cost is in
+    /// `BENCH_extract.json` (`estimate_us`).
     fn extract_and_select(&self, csr: &CsrMatrix) -> FormatKind {
         self.counters.mine().extractions.fetch_add(1, Ordering::Relaxed);
-        self.select(&FeatureSet::extract(csr))
+        self.select(&FeatureSet::estimate(csr))
     }
 
     /// Lands `id`, building a miss of the kind `plan` names with

@@ -20,8 +20,9 @@ fn class(avg: f64, skew: f64, crs: f64, neigh: f64, bw: f64, mb: f64, seed: u64)
     params_for_features(mb, avg, skew, crs, neigh, bw, seed).generate().expect("satisfiable")
 }
 
+/// What the engine serves `csr` as: it selects from the estimate.
 fn selected(engine: &Engine, csr: &CsrMatrix) -> FormatKind {
-    engine.select(&FeatureSet::extract(csr))
+    engine.select(&FeatureSet::estimate(csr))
 }
 
 /// SparseX served the 32 MB `very-long` matrix at 5 045 µs a call where
