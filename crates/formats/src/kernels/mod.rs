@@ -13,9 +13,11 @@
 //! formats measure slower than Naive-CSR. So on x86-64 the kernels
 //! are **vectorized by hand**: [`x86`](self) (private; the crate's only
 //! `unsafe`) holds explicit `core::arch` gather microkernels, selected
-//! once per [`View::run`] call, and the panel blocks of SpMM, selected
-//! once per block. Other targets, and x86-64 hosts without AVX2, run
-//! the scalar bodies.
+//! once per [`View::run`] call, the panel blocks of SpMM, selected
+//! once per block, and the chunk transpose that fills SELL-C-σ's slot
+//! arrays on conversion (`slab::SellPlan`), selected once per
+//! conversion. Other targets, and x86-64 hosts without AVX2, run the
+//! scalar bodies.
 //!
 //! A kernel sees a matrix only through a [`View`], a borrowed
 //! description of one of two layouts that every format builds per call:
@@ -54,6 +56,10 @@
 //!   wherever the host has AVX2: a block of 8 right-hand sides is one
 //!   512-bit vector (2 × 256 on AVX2), a block of 4 one 256-bit vector.
 //!   For CSR rows W still fixes the summation order, as in SpMV.
+//! * The SELL-C-σ conversion stores the same bytes on every path. At
+//!   any W > 1, for C ∈ {4, 8, 16}, it transposes its chunks on the
+//!   widest unit the host has: blocks of 8 lanes on AVX-512 (one of 4
+//!   for C = 4), of 4 on AVX2. At W1 it runs its scalar scatter.
 //!
 //! ## Arithmetic contract
 //!
@@ -102,6 +108,11 @@
 //! when `1 ≤ x.len() ≤ 2³¹`. The panel blocks gather nothing: each
 //! panel row is loaded through a range-checked slice, so a column
 //! outside the panel panics before the load, as the scalar body does.
+//! The SELL conversion's transpose gathers a chunk's rows by 64-bit
+//! position, each lane masked to its row's extent, which it first
+//! range-checks against both CSR arrays (`CsrRows::row`): a `row_ptr`
+//! that runs past them panics before any gather. It writes the slot
+//! arrays into reserved capacity, every slot exactly once.
 
 pub mod dot;
 pub mod panel;

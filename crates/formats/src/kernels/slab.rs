@@ -20,8 +20,10 @@
 //! in blocks of 16, 8 and 4 lanes on the vector unit (`super::x86`);
 //! [`Block::sums`] is the scalar body. The multi-vector kernel over
 //! the same windows is the views' `PanelKernel` block in
-//! [`super::panel`].
+//! [`super::panel`]. SELL-C-σ's conversion builds its chunk slabs from
+//! a `SellPlan`, on the vector unit where `sell_transpose` can.
 
+use super::dot::CsrRows;
 use super::{LaneWidth, View};
 use spmv_parallel::{DisjointWriter, Schedule};
 use std::ops::Range;
@@ -246,6 +248,38 @@ pub struct SellChunks<'a> {
     pub col_idx: &'a [u32],
     /// Value of every slot (padding: 0.0).
     pub values: &'a [f64],
+}
+
+/// What a SELL-C-σ conversion fills its slot arrays from: the CSR rows
+/// (at the conversion's lane width) and the chunk geometry it sized.
+/// Chunk `k` holds the rows `perm[k·C..]`, `chunk_width[k]` slot rows
+/// of C lanes; `stored` slots in all.
+pub(crate) struct SellPlan<'a> {
+    /// The rows, and the lane width the format will run at.
+    pub rows: CsrRows<'a>,
+    /// Chunk height C.
+    pub c: usize,
+    /// `perm[packed position] = original row`.
+    pub perm: &'a [u32],
+    /// Slots per lane of each chunk.
+    pub chunk_width: &'a [u32],
+    /// Slots of all chunks.
+    pub stored: usize,
+}
+
+/// The `(col_idx, values)` slot arrays of `plan` transposed on the
+/// host's vector unit; `None` where the caller must scatter them itself
+/// (W1, a host without one, a C the transpose has no blocks for).
+pub(crate) fn sell_transpose(plan: &SellPlan<'_>) -> Option<(Vec<u32>, Vec<f64>)> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        super::x86::sell_transpose(super::host_isa(), plan)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = plan;
+        None
+    }
 }
 
 impl<'a> SellChunks<'a> {

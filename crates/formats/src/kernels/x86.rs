@@ -2,7 +2,9 @@
 //! ones (`dot`, `slab`) as explicit `vgatherdpd` · `vmulpd` · `vaddpd`
 //! microkernels, and the panel blocks of SpMM (`panel`) as one line
 //! load · broadcast · `vmulpd` · `vaddpd` per nonzero — each
-//! bit-identical to the scalar body it stands in for. This is the only
+//! bit-identical to the scalar body it stands in for — and the chunk
+//! transpose of the SELL-C-σ conversion (`sell_transpose`), which
+//! stores exactly what the scalar scatter stores. This is the only
 //! file of the crate with `unsafe`; the arithmetic, width and safety
 //! contracts are stated once in the [module docs](super).
 //!
@@ -20,10 +22,11 @@
 //! once per call, outside it.
 
 use super::dot::CsrRows;
-use super::slab::{self, Block, Padded, Window, ACC_STACK};
+use super::slab::{self, Block, Padded, SellPlan, Window, ACC_STACK};
 use super::LaneWidth;
 use core::arch::x86_64::*;
 use spmv_parallel::DisjointWriter;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// Proof that the host CPU executes an instruction-set level: the only
@@ -515,6 +518,101 @@ macro_rules! kernels {
     };
 }
 
+/// SELL-C-σ slot arrays being written front to back, each slot once,
+/// into the spare capacity of arrays reserved for all of them: nothing
+/// is zeroed first. The first `len` slots of both are written.
+struct Slots {
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+    len: usize,
+}
+
+impl Slots {
+    fn with_capacity(slots: usize) -> Self {
+        Slots { cols: Vec::with_capacity(slots), vals: Vec::with_capacity(slots), len: 0 }
+    }
+
+    /// Hands `fill` the `n` slots after the written ones — range-checked
+    /// against the capacity, once — and counts them as written.
+    ///
+    /// # Safety
+    ///
+    /// A caller must make `fill` store every slot of both slices
+    /// (SAFETY: `into_arrays` hands them out as initialized).
+    #[inline(always)]
+    unsafe fn write(
+        &mut self,
+        n: usize,
+        fill: impl FnOnce(&mut [MaybeUninit<u32>], &mut [MaybeUninit<f64>]),
+    ) {
+        let at = self.len;
+        fill(
+            &mut self.cols.spare_capacity_mut()[at..at + n],
+            &mut self.vals.spare_capacity_mut()[at..at + n],
+        );
+        self.len = at + n;
+    }
+
+    /// The written slots.
+    fn into_arrays(mut self) -> (Vec<u32>, Vec<f64>) {
+        // SAFETY: `len` only grows past slots `write`'s contract says
+        // were stored, inside the capacity it checked them against.
+        unsafe {
+            self.cols.set_len(self.len);
+            self.vals.set_len(self.len);
+        }
+        (self.cols, self.vals)
+    }
+}
+
+/// The rows of one block of `L` transpose lanes: lane `l`'s row
+/// `rows[l]` has its entries at `lo[l]..hi[l]` of `col_idx` and
+/// `values` — `CsrRows::row` range-checked that extent against both
+/// arrays — and pads with `pad[l]`, its last column. A lane without a
+/// row, like an empty row, has an empty extent and pads with column 0.
+#[inline]
+fn extents<const L: usize>(m: &CsrRows<'_>, rows: &[u32]) -> ([u64; L], [u64; L], [u32; L]) {
+    let (mut lo, mut hi, mut pad) = ([0u64; L], [0u64; L], [0u32; L]);
+    for (l, &r) in rows.iter().enumerate() {
+        let (cols, _) = m.row(r as usize);
+        lo[l] = m.row_ptr[r as usize] as u64;
+        hi[l] = lo[l] + cols.len() as u64;
+        pad[l] = cols.last().copied().unwrap_or(0);
+    }
+    (lo, hi, pad)
+}
+
+/// `$chunks::<N>` transposes every chunk of a plan whose C is `N`
+/// blocks of `$L`-lane `$Lanes`: slot row by slot row, each block
+/// gathers its lanes' next entries and stores them.
+macro_rules! transposer {
+    ($features:literal, $Lanes:ident, $L:literal, $chunks:ident) => {
+        #[target_feature(enable = $features)]
+        pub(super) fn $chunks<const N: usize>(plan: &SellPlan<'_>, out: &mut Slots) {
+            let c = N * $L;
+            for (rows, &width) in plan.perm.chunks(c).zip(plan.chunk_width) {
+                let mut blocks = rows.chunks($L);
+                let mut lanes: [$Lanes<'_>; N] = std::array::from_fn(|_| {
+                    $Lanes::new(&plan.rows, blocks.next().unwrap_or_default())
+                });
+                let fill = |cols: &mut [MaybeUninit<u32>], vals: &mut [MaybeUninit<f64>]| {
+                    for (cols, vals) in cols.chunks_exact_mut(c).zip(vals.chunks_exact_mut(c)) {
+                        let (cols, vals) =
+                            (cols.as_chunks_mut::<$L>().0, vals.as_chunks_mut::<$L>().0);
+                        for ((block, cols), vals) in lanes.iter_mut().zip(cols).zip(vals) {
+                            block.slot(cols, vals);
+                        }
+                    }
+                };
+                // SAFETY: the chunk's `width · C` slots are `width` slot
+                // rows of C = N · L lanes, and each of the N blocks stores
+                // its L lanes of every row.
+                unsafe { out.write(width as usize * c, fill) };
+            }
+        }
+    };
+}
+
 mod avx2 {
     use super::*;
 
@@ -629,6 +727,94 @@ mod avx2 {
         fn store(self) -> [f64; 8] {
             let (lo, hi) = (store4(self.0), store4(self.1));
             std::array::from_fn(|l| if l < 4 { lo[l] } else { hi[l - 4] })
+        }
+    }
+
+    /// Four lanes of a SELL chunk being transposed: where each lane's
+    /// row reads next (`pos`), where it ends and the column it pads
+    /// with; `cols` and `vals` are the arrays `pos` indexes.
+    struct Lanes4<'a> {
+        cols: &'a [u32],
+        vals: &'a [f64],
+        pos: __m256i,
+        end: __m256i,
+        pad: __m128i,
+    }
+
+    impl<'a> Lanes4<'a> {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new(m: &CsrRows<'a>, rows: &[u32]) -> Self {
+            let (lo, hi, pad) = extents::<4>(m, rows);
+            // SAFETY: `lo` and `hi` are four `u64` (32 bytes each) and
+            // `pad` four `u32` (16 bytes), what the loads read.
+            unsafe {
+                Self {
+                    cols: m.col_idx,
+                    vals: m.values,
+                    pos: _mm256_loadu_si256(lo.as_ptr().cast()),
+                    end: _mm256_loadu_si256(hi.as_ptr().cast()),
+                    pad: _mm_loadu_si128(pad.as_ptr().cast()),
+                }
+            }
+        }
+
+        /// Stores the lanes' next slot and steps past it: a lane still
+        /// inside its row gathers its entry, the others pad.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn slot(&mut self, cols: &mut [MaybeUninit<u32>; 4], vals: &mut [MaybeUninit<f64>; 4]) {
+            // Positions and ends are below 2⁶² (entries of a `u32`
+            // slice, plus fewer than 2³² slots), so the signed compare
+            // is the unsigned one.
+            let live = _mm256_cmpgt_epi64(self.end, self.pos);
+            let (c, v) = if _mm256_testz_si256(live, live) != 0 {
+                (self.pad, _mm256_setzero_pd())
+            } else {
+                let live32 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+                    live,
+                    _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6),
+                ));
+                // SAFETY: the gathers read only the lanes `live` sets,
+                // whose `pos` lies in an extent `extents` checked
+                // against both `cols` and `vals`.
+                unsafe {
+                    (
+                        _mm256_mask_i64gather_epi32::<4>(
+                            self.pad,
+                            self.cols.as_ptr().cast(),
+                            self.pos,
+                            live32,
+                        ),
+                        _mm256_mask_i64gather_pd::<8>(
+                            _mm256_setzero_pd(),
+                            self.vals.as_ptr(),
+                            self.pos,
+                            _mm256_castsi256_pd(live),
+                        ),
+                    )
+                }
+            };
+            self.pos = _mm256_add_epi64(self.pos, _mm256_set1_epi64x(1));
+            // SAFETY: `cols` is four `u32` slots and `vals` four `f64`
+            // slots, the 16 and 32 bytes the stores write.
+            unsafe {
+                _mm_storeu_si128(cols.as_mut_ptr().cast(), c);
+                _mm256_storeu_pd(vals.as_mut_ptr().cast(), v);
+            }
+        }
+    }
+
+    transposer!("avx2", Lanes4, 4, chunks4);
+
+    /// The slot arrays of `plan` (C ∈ {4, 8, 16}) in blocks of 4 lanes.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn transpose(plan: &SellPlan<'_>, out: &mut Slots) {
+        match plan.c {
+            4 => chunks4::<1>(plan, out),
+            8 => chunks4::<2>(plan, out),
+            16 => chunks4::<4>(plan, out),
+            c => unreachable!("no transpose blocks for C = {c}"),
         }
     }
 
@@ -759,6 +945,87 @@ mod avx512 {
         }
     }
 
+    /// Eight lanes of a SELL chunk being transposed; see
+    /// `avx2::Lanes4`, which runs the four of a C = 4 chunk here too.
+    struct Lanes8<'a> {
+        cols: &'a [u32],
+        vals: &'a [f64],
+        pos: __m512i,
+        end: __m512i,
+        pad: __m256i,
+    }
+
+    impl<'a> Lanes8<'a> {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn new(m: &CsrRows<'a>, rows: &[u32]) -> Self {
+            let (lo, hi, pad) = extents::<8>(m, rows);
+            // SAFETY: `lo` and `hi` are eight `u64` (64 bytes each) and
+            // `pad` eight `u32` (32 bytes), what the loads read.
+            unsafe {
+                Self {
+                    cols: m.col_idx,
+                    vals: m.values,
+                    pos: _mm512_loadu_si512(lo.as_ptr().cast()),
+                    end: _mm512_loadu_si512(hi.as_ptr().cast()),
+                    pad: _mm256_loadu_si256(pad.as_ptr().cast()),
+                }
+            }
+        }
+
+        /// Stores the lanes' next slot and steps past it: a lane still
+        /// inside its row gathers its entry, the others pad.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn slot(&mut self, cols: &mut [MaybeUninit<u32>; 8], vals: &mut [MaybeUninit<f64>; 8]) {
+            let live = _mm512_cmplt_epu64_mask(self.pos, self.end);
+            let (c, v) = if live == 0 {
+                (self.pad, _mm512_setzero_pd())
+            } else {
+                // SAFETY: the gathers read only the lanes `live` sets,
+                // whose `pos` lies in an extent `extents` checked
+                // against both `cols` and `vals`.
+                unsafe {
+                    (
+                        _mm512_mask_i64gather_epi32::<4>(
+                            self.pad,
+                            live,
+                            self.pos,
+                            self.cols.as_ptr().cast(),
+                        ),
+                        _mm512_mask_i64gather_pd::<8>(
+                            _mm512_setzero_pd(),
+                            live,
+                            self.pos,
+                            self.vals.as_ptr(),
+                        ),
+                    )
+                }
+            };
+            self.pos = _mm512_add_epi64(self.pos, _mm512_set1_epi64(1));
+            // SAFETY: `cols` is eight `u32` slots and `vals` eight `f64`
+            // slots, the 32 and 64 bytes the stores write.
+            unsafe {
+                _mm256_storeu_si256(cols.as_mut_ptr().cast(), c);
+                _mm512_storeu_pd(vals.as_mut_ptr().cast(), v);
+            }
+        }
+    }
+
+    transposer!("avx512f,avx512vl,avx2", Lanes8, 8, chunks8);
+
+    /// The slot arrays of `plan` (C ∈ {4, 8, 16}) in blocks of 8 lanes,
+    /// or, for C = 4, one block of AVX2's 4.
+    #[target_feature(enable = "avx512f,avx512vl,avx2")]
+    pub(super) fn transpose(plan: &SellPlan<'_>, out: &mut Slots) {
+        match plan.c {
+            4 => avx2::chunks4::<1>(plan, out),
+            8 => chunks8::<1>(plan, out),
+            16 => chunks8::<2>(plan, out),
+            c => unreachable!("no transpose blocks for C = {c}"),
+        }
+    }
+
     kernels!("avx512f,avx512vl,avx2");
 }
 
@@ -861,11 +1128,31 @@ pub(super) fn windows<const DOT: bool, P: Padded>(
     on_isa!(isa, windows::<DOT, P>(x, layout, units, out))
 }
 
+/// The `(col_idx, values)` slot arrays of a SELL-C-σ plan, transposed
+/// from its CSR rows on the host's vector unit: per chunk and slot row,
+/// each block of lanes reads its rows' next entries with masked gathers
+/// (64-bit positions) and stores the slot row whole; a lane past its
+/// row's end pads — its last column, value 0.0. `None` when the caller
+/// must scatter the slots itself: W1, a scalar host, or a C other than
+/// 4, 8 and 16.
+pub(super) fn sell_transpose(isa: Isa, plan: &SellPlan<'_>) -> Option<(Vec<u32>, Vec<f64>)> {
+    if plan.rows.lanes == LaneWidth::W1 || !matches!(plan.c, 4 | 8 | 16) || isa.0 == Level::Scalar {
+        return None;
+    }
+    let mut out = Slots::with_capacity(plan.stored);
+    on_isa!(isa, transpose(plan, &mut out))?;
+    assert_eq!(out.len, plan.stored, "the chunks fill the plan's slots");
+    Some(out.into_arrays())
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::panel;
     use super::super::slab::{SellChunks, Slab};
+    use super::super::LaneProfile;
     use super::*;
+    use crate::sellcs::SellCSigmaFormat;
+    use spmv_core::CsrMatrix;
 
     const WIDE: [LaneWidth; 2] = [LaneWidth::W4, LaneWidth::W8];
 
@@ -1068,6 +1355,123 @@ mod tests {
                         ));
                         judge(isa, got, &want, &format!("{isa:?} {lanes:?} n={n} {rows:?}"));
                     }
+                }
+            }
+        }
+    }
+
+    /// SELL-C-σ conversions to transpose: 101 rows (a partial last chunk
+    /// and lanes without a row at every C) of ragged lengths — empty
+    /// rows, rows ending mid-chunk, one row of 2 300 entries (wider than
+    /// the scalar scatter's 2 048-slot block), some values −0.0 — and a
+    /// matrix of three rows, fewer than one chunk.
+    fn sell_cases() -> Vec<CsrMatrix> {
+        let ragged = {
+            let (rows, cols) = (101usize, 2500usize);
+            let mut t = Vec::new();
+            for r in 0..rows {
+                let len = match r % 9 {
+                    _ if r == 50 => 2300,
+                    0 => 0,
+                    4 => 31 + r % 17,
+                    _ => (r * 7) % 23,
+                };
+                for k in 0..len {
+                    let v = if (r + k) % 13 == 0 { -0.0 } else { ((r * 3 + k) as f64).cos() };
+                    t.push((r, (r * 29 + k * 3) % cols, v));
+                }
+            }
+            CsrMatrix::from_triplets(rows, cols, &t).unwrap()
+        };
+        let short =
+            CsrMatrix::from_triplets(3, 9, &[(0, 8, 1.5), (2, 0, -2.0), (2, 5, 3.0)]).unwrap();
+        vec![ragged, short, CsrMatrix::zeros(21, 4)]
+    }
+
+    #[test]
+    fn sell_conversion_on_every_offered_isa_stores_exactly_what_the_reference_stores() {
+        for (n, m) in sell_cases().iter().enumerate() {
+            for c in [4usize, 8, 16] {
+                for sigma in [1usize, 7, 256] {
+                    let want =
+                        SellCSigmaFormat::from_csr_reference(m, c, sigma, LaneProfile::scalar());
+                    for isa in Isa::offered() {
+                        let ctx = format!("{isa:?} case {n} C={c} s={sigma}");
+                        let mut answered = None;
+                        let profile = LaneProfile::with_width(LaneWidth::W8);
+                        let got = SellCSigmaFormat::convert(m, c, sigma, profile, |plan| {
+                            assert_eq!(
+                                sell_transpose(
+                                    isa,
+                                    &SellPlan {
+                                        rows: CsrRows { lanes: LaneWidth::W1, ..plan.rows },
+                                        ..*plan
+                                    }
+                                ),
+                                None,
+                                "{ctx}: W1 is the scalar scatter's"
+                            );
+                            let slots = sell_transpose(isa, plan);
+                            answered = Some(slots.is_some());
+                            slots
+                        });
+                        assert_eq!(
+                            answered,
+                            Some(isa.0 != Level::Scalar),
+                            "{ctx}: vector unit, vector path"
+                        );
+                        assert_eq!(got.storage_bits(), want.storage_bits(), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sell_conversion_declines_other_chunk_heights() {
+        let m = &sell_cases()[0];
+        for isa in Isa::offered() {
+            for c in [1usize, 3, 12, 32] {
+                SellCSigmaFormat::convert(
+                    m,
+                    c,
+                    7,
+                    LaneProfile::with_width(LaneWidth::W8),
+                    |plan| {
+                        assert_eq!(sell_transpose(isa, plan), None, "{isa:?} C={c}");
+                        None
+                    },
+                );
+            }
+        }
+    }
+
+    /// Debug builds refuse the matrix in `from_parts_unchecked`; release
+    /// builds hand it to the conversion, which must panic before it
+    /// gathers from outside the arrays.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn a_row_pointer_past_the_arrays_panics_in_the_sell_conversion_on_every_offered_isa() {
+        // Row 1 claims entries 4..40 of 10 columns and 10 values, of 40
+        // columns and 10 values, and of 10 columns and 40 values.
+        let row_ptr = vec![0, 4, 40, 40, 40, 40];
+        for (cols, vals) in [(10, 10), (40, 10), (10, 40)] {
+            let m = CsrMatrix::from_parts_unchecked(
+                5,
+                8,
+                row_ptr.clone(),
+                (0..cols).map(|i| i % 8).collect(),
+                vec![1.0; vals],
+            );
+            for isa in Isa::offered() {
+                for c in [4usize, 8, 16] {
+                    let profile = LaneProfile::with_width(LaneWidth::W8);
+                    let converted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        SellCSigmaFormat::convert(&m, c, 256, profile, |plan| {
+                            sell_transpose(isa, plan)
+                        })
+                    }));
+                    assert!(converted.is_err(), "{isa:?} C={c}: {cols} cols, {vals} vals");
                 }
             }
         }

@@ -13,9 +13,24 @@
 //! The inner loops live in [`crate::kernels::slab`] (bit-identical
 //! across lane widths), reached through the format's [`SellChunks`]
 //! view — ELL's window kernel at stride C.
+//!
+//! **Conversion.** Under synchronous admission the conversion runs on
+//! the request path, and it is the largest step of a first touch. It
+//! sorts the σ-windows from one array of row lengths, sizes the chunks,
+//! then fills the slot arrays. At W > 1 on an x86-64 host with AVX2 or
+//! AVX-512, for C ∈ {4, 8, 16}, the fill is a transpose on the vector
+//! unit (`kernels::x86`): per slot row, masked gathers read the next
+//! entry of each of the C rows and the slot row is stored whole, each
+//! slot once. Elsewhere, and at W1, the rows are scattered into their
+//! lanes with stride C. Both store exactly what
+//! [`SellCSigmaFormat::from_csr_reference`] stores. On the reference
+//! host (AVX-512, `BENCH_engine.json`, held-out operands of 60 KB to
+//! 32 MB) the whole conversion runs 1.63× faster than with the scalar
+//! scatter for C = 8 and 1.56× for C = 16, in the geomean.
 
 use crate::driver;
-use crate::kernels::slab::SellChunks;
+use crate::kernels::dot::CsrRows;
+use crate::kernels::slab::{self, SellChunks, SellPlan};
 use crate::kernels::{panel, LaneProfile, LaneWidth};
 use crate::traits::SparseFormat;
 use crate::wire::{SectionReader, SectionWriter, WireError};
@@ -117,8 +132,8 @@ pub(crate) fn decode(
 pub const DEFAULT_C: usize = 8;
 /// Default sorting scope.
 pub const DEFAULT_SIGMA: usize = 256;
-/// Chunk slots (lanes × slot rows, 12 bytes each) the conversion
-/// scatters into at a time: 24 KB, inside any L1.
+/// Chunk slots (lanes × slot rows, 12 bytes each) the scalar
+/// conversion scatters into at a time: 24 KB, inside any L1.
 const SCATTER_BLOCK_SLOTS: usize = 2048;
 
 /// Fills `region` (a whole number of patterns long) with `pattern`
@@ -135,6 +150,72 @@ fn fill_repeating(region: &mut [u32], pattern: &[u32]) {
         region.copy_within(..n, filled);
         filled += n;
     }
+}
+
+/// The slot arrays of `plan` by scalar scatter: each chunk is zeroed
+/// just before it is written (value padding is then in place), while
+/// its lines are on their way into L1 anyway — zeroing both arrays up
+/// front is a pass over memory of its own — and each row is scattered
+/// into its lane with stride C.
+fn scatter(csr: &CsrMatrix, plan: &SellPlan<'_>) -> (Vec<u32>, Vec<f64>) {
+    let c = plan.c;
+    let mut col_idx: Vec<u32> = Vec::with_capacity(plan.stored);
+    let mut values: Vec<f64> = Vec::with_capacity(plan.stored);
+    // Rows are scattered a block of slots at a time, so that the C
+    // lanes of a block are written while it sits in L1. Scattering
+    // whole rows streams a wide chunk (500 slots × 16 lanes is 96 KB)
+    // through the cache once per lane.
+    let block = (SCATTER_BLOCK_SLOTS / c).max(1);
+    // Column padding repeats each row's last real column (see the
+    // propagation policy on `SparseFormat`; an empty row or a lane
+    // without a row keeps column 0). A chunk of several blocks — where
+    // a skewed matrix keeps most of its padding — gets it by whole slot
+    // rows, copied from `pad_cols` before the rows still running are
+    // scattered over them.
+    let mut pad_cols = vec![0u32; c];
+    for (lanes, &width) in plan.perm.chunks(c).zip(plan.chunk_width) {
+        let width = width as usize;
+        let base = col_idx.len();
+        col_idx.resize(base + width * c, 0);
+        values.resize(base + width * c, 0.0);
+        let cols_k = &mut col_idx[base..];
+        let vals_k = &mut values[base..];
+        if width <= block {
+            for (i, &r) in lanes.iter().enumerate() {
+                let (cs, vs) = csr.row(r as usize);
+                for (j, (&cc, &vv)) in cs.iter().zip(vs).enumerate() {
+                    cols_k[j * c + i] = cc;
+                    vals_k[j * c + i] = vv;
+                }
+                if let Some(&last) = cs.last() {
+                    for j in cs.len()..width {
+                        cols_k[j * c + i] = last;
+                    }
+                }
+            }
+            continue;
+        }
+        let mut shortest = if lanes.len() == c { width } else { 0 };
+        pad_cols[lanes.len()..].fill(0);
+        for (pad, &r) in pad_cols.iter_mut().zip(lanes) {
+            let (cs, _) = csr.row(r as usize);
+            *pad = cs.last().copied().unwrap_or(0);
+            shortest = shortest.min(cs.len());
+        }
+        for from in (0..width).step_by(block) {
+            let to = (from + block).min(width);
+            fill_repeating(&mut cols_k[shortest.clamp(from, to) * c..to * c], &pad_cols);
+            for (i, &r) in lanes.iter().enumerate() {
+                let (cs, vs) = csr.row(r as usize);
+                let run = from.min(cs.len())..to.min(cs.len());
+                for (j, (&cc, &vv)) in run.clone().zip(cs[run.clone()].iter().zip(&vs[run])) {
+                    cols_k[j * c + i] = cc;
+                    vals_k[j * c + i] = vv;
+                }
+            }
+        }
+    }
+    (col_idx, values)
 }
 
 /// SELL-C-σ storage.
@@ -172,21 +253,37 @@ impl SellCSigmaFormat {
     }
 
     /// Converts from CSR with explicit chunk height, sorting scope and
-    /// lane profile. Produces exactly the storage of
+    /// lane profile: the version tuned for the engine's first-touch path
+    /// (module docs, **Conversion**). Produces exactly the storage of
     /// [`from_csr_reference`](Self::from_csr_reference), which states
-    /// the layout plainly; this is the version tuned for the engine's
-    /// first-touch path.
+    /// the layout plainly.
     pub fn from_csr_with_profile(
         csr: &CsrMatrix,
         c: usize,
         sigma: usize,
         profile: LaneProfile,
     ) -> Self {
+        Self::convert(csr, c, sigma, profile, slab::sell_transpose)
+    }
+
+    /// [`from_csr_with_profile`](Self::from_csr_with_profile) with the
+    /// slot arrays filled by `transpose`, or by `scatter` where it
+    /// declines.
+    pub(crate) fn convert(
+        csr: &CsrMatrix,
+        c: usize,
+        sigma: usize,
+        profile: LaneProfile,
+        transpose: impl FnOnce(&SellPlan<'_>) -> Option<(Vec<u32>, Vec<f64>)>,
+    ) -> Self {
         let rows = csr.rows();
         let c = c.max(1);
         let sigma = sigma.max(1);
-        let row_ptr = csr.row_ptr();
-        let len = |r: u32| row_ptr[r as usize + 1] - row_ptr[r as usize];
+        let lens: Vec<u32> = csr
+            .row_ptr()
+            .windows(2)
+            .map(|p| u32::try_from(p[1] - p[0]).expect("a SELL-C-s row holds < 2^32 entries"))
+            .collect();
         // Window-local stable sort by descending row length. Row
         // lengths inside a window almost always span a range no wider
         // than the window, so a counting sort (no comparisons, no
@@ -194,31 +291,31 @@ impl SellCSigmaFormat {
         // row takes the comparison sort.
         let mut perm: Vec<u32> = (0..rows as u32).collect();
         let mut starts: Vec<u32> = Vec::new();
-        for (w, window) in perm.chunks_mut(sigma).enumerate() {
-            // The window still holds its rows in matrix order, so their
-            // lengths are one run of `row_ptr`.
-            let first = w * sigma;
-            let lens = || row_ptr[first..=first + window.len()].windows(2).map(|p| p[1] - p[0]);
-            let (lo, hi) = lens().fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
+        for (window, window_lens) in perm.chunks_mut(sigma).zip(lens.chunks(sigma)) {
+            let (lo, hi) =
+                window_lens.iter().fold((u32::MAX, 0), |(lo, hi), &l| (lo.min(l), hi.max(l)));
             if lo == hi {
                 continue; // equal rows are in order already
             }
-            if hi - lo >= 2 * window.len() {
-                window.sort_by_key(|&r| std::cmp::Reverse(len(r)));
+            let span = (hi - lo) as usize;
+            if span >= 2 * window.len() {
+                window.sort_by_key(|&r| std::cmp::Reverse(lens[r as usize]));
                 continue;
             }
+            // The window still holds its rows in matrix order.
             // starts[b] = first position of the rows of length hi − b.
             starts.clear();
-            starts.resize(hi - lo + 2, 0);
-            for l in lens() {
-                starts[hi - l + 1] += 1;
+            starts.resize(span + 2, 0);
+            for &l in window_lens {
+                starts[(hi - l) as usize + 1] += 1;
             }
             for b in 1..starts.len() {
                 starts[b] += starts[b - 1];
             }
-            for (r, l) in (first..).zip(lens()) {
-                let at = &mut starts[hi - l];
-                window[*at as usize] = r as u32;
+            let first = window[0];
+            for (r, &l) in (first..).zip(window_lens) {
+                let at = &mut starts[(hi - l) as usize];
+                window[*at as usize] = r;
                 *at += 1;
             }
         }
@@ -228,71 +325,19 @@ impl SellCSigmaFormat {
         let mut stored = 0usize;
         chunk_ptr.push(stored);
         for lanes in perm.chunks(c) {
-            let width = lanes.iter().map(|&r| len(r)).max().unwrap_or(0);
-            chunk_width.push(width as u32);
-            stored += width * c;
+            let width = lanes.iter().map(|&r| lens[r as usize]).max().unwrap_or(0);
+            chunk_width.push(width);
+            stored += width as usize * c;
             chunk_ptr.push(stored);
         }
-        // Each chunk is zeroed just before it is written (value padding
-        // is then in place), while its lines are on their way into L1
-        // anyway — zeroing both arrays up front is a pass over memory of
-        // its own.
-        let mut col_idx: Vec<u32> = Vec::with_capacity(stored);
-        let mut values: Vec<f64> = Vec::with_capacity(stored);
-        // Each row is scattered into its lane with stride C — a block
-        // of slots at a time, so that the C lanes of a block are written
-        // while it sits in L1. Scattering whole rows streams a wide
-        // chunk (500 slots × 16 lanes is 96 KB) through the cache once
-        // per lane.
-        let block = (SCATTER_BLOCK_SLOTS / c).max(1);
-        // Column padding repeats each row's last real column (see the
-        // propagation policy on `SparseFormat`; an empty row or a lane
-        // without a row keeps column 0). A chunk of several blocks —
-        // where a skewed matrix keeps most of its padding — gets it by
-        // whole slot rows, copied from `pad_cols` before the rows still
-        // running are scattered over them.
-        let mut pad_cols = vec![0u32; c];
-        for ((lanes, &width), &base) in perm.chunks(c).zip(&chunk_width).zip(&chunk_ptr) {
-            let width = width as usize;
-            col_idx.resize(base + width * c, 0);
-            values.resize(base + width * c, 0.0);
-            let cols_k = &mut col_idx[base..];
-            let vals_k = &mut values[base..];
-            if width <= block {
-                for (i, &r) in lanes.iter().enumerate() {
-                    let (cs, vs) = csr.row(r as usize);
-                    for (j, (&cc, &vv)) in cs.iter().zip(vs).enumerate() {
-                        cols_k[j * c + i] = cc;
-                        vals_k[j * c + i] = vv;
-                    }
-                    if let Some(&last) = cs.last() {
-                        for j in cs.len()..width {
-                            cols_k[j * c + i] = last;
-                        }
-                    }
-                }
-                continue;
-            }
-            let mut shortest = if lanes.len() == c { width } else { 0 };
-            pad_cols[lanes.len()..].fill(0);
-            for (pad, &r) in pad_cols.iter_mut().zip(lanes) {
-                let (cs, _) = csr.row(r as usize);
-                *pad = cs.last().copied().unwrap_or(0);
-                shortest = shortest.min(cs.len());
-            }
-            for from in (0..width).step_by(block) {
-                let to = (from + block).min(width);
-                fill_repeating(&mut cols_k[shortest.clamp(from, to) * c..to * c], &pad_cols);
-                for (i, &r) in lanes.iter().enumerate() {
-                    let (cs, vs) = csr.row(r as usize);
-                    let run = from.min(cs.len())..to.min(cs.len());
-                    for (j, (&cc, &vv)) in run.clone().zip(cs[run.clone()].iter().zip(&vs[run])) {
-                        cols_k[j * c + i] = cc;
-                        vals_k[j * c + i] = vv;
-                    }
-                }
-            }
-        }
+        let plan = SellPlan {
+            rows: CsrRows::of(profile.width, csr),
+            c,
+            perm: &perm,
+            chunk_width: &chunk_width,
+            stored,
+        };
+        let (col_idx, values) = transpose(&plan).unwrap_or_else(|| scatter(csr, &plan));
         Self {
             rows,
             cols: csr.cols(),
@@ -400,6 +445,21 @@ impl SellCSigmaFormat {
     /// The lane width this instance dispatches to.
     pub fn lanes(&self) -> LaneWidth {
         self.lanes
+    }
+
+    /// Everything the conversion stored — shape, `perm`, `chunk_ptr`,
+    /// `chunk_width`, `col_idx`, and `values` as bits.
+    #[cfg(test)]
+    pub(crate) fn storage_bits(&self) -> [Vec<u64>; 6] {
+        let wide = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect();
+        [
+            [self.rows, self.cols, self.nnz, self.c, self.sigma].map(|x| x as u64).to_vec(),
+            wide(&self.perm),
+            self.chunk_ptr.iter().map(|&x| x as u64).collect(),
+            wide(&self.chunk_width),
+            wide(&self.col_idx),
+            self.values.iter().map(|v| v.to_bits()).collect(),
+        ]
     }
 
     fn view(&self) -> SellChunks<'_> {

@@ -30,10 +30,11 @@ use std::path::{Path, PathBuf};
 pub const UNSAFE_WHITELIST: &[&str] = &[
     "crates/parallel/src/pool.rs",
     "crates/parallel/src/executor.rs",
-    // The x86-64 gather microkernels of the lane-kernel layer: vector
-    // loads, masked gathers and the calls into `#[target_feature]`
-    // drivers, licensed by the `Isa` token. The rest of `spmv-formats`
-    // stays free of `unsafe`.
+    // The x86-64 gather microkernels of the lane-kernel layer and the
+    // SELL-C-σ conversion's chunk transpose: vector loads and stores,
+    // masked gathers, the transpose's writes into reserved capacity and
+    // the calls into `#[target_feature]` drivers, licensed by the `Isa`
+    // token. The rest of `spmv-formats` stays free of `unsafe`.
     "crates/formats/src/kernels/x86.rs",
     // Counting GlobalAlloc for the zero-allocation solver gate.
     "tests/solver_alloc.rs",
