@@ -19,6 +19,12 @@
 //! same footprint). The table is printed and written to
 //! `BENCH_kernel.json` at the repo root.
 //!
+//! Naive-CSR at the served profile runs its W1 order across rows on the
+//! vector unit; per class the record also states what that buys against
+//! the layout it borrows from — its host GFLOP/s over SELL-16-s's and
+//! SELL-C-s's, and its roof fraction (`naive_csr`) — with ROADMAP item
+//! 6's bars on those numbers reported, not enforced (`item6_bars`).
+//!
 //! Exit status — enforced on every host with a vector unit, no
 //! thread-count escape:
 //!
@@ -69,6 +75,21 @@ const MIN_RATIO: f64 = 0.9;
 const SELL_GATE: (&str, FormatKind, f64) = ("mid-regular", FormatKind::SellCSigma, 1.5);
 /// Re-measurements granted to a cell that misses its bound.
 const RETRIES: usize = 3;
+/// ROADMAP item 6's bars for Naive-CSR's rows across the lanes (reported,
+/// not enforced): a roof fraction on `short-regular`, and a fraction of
+/// SELL-C-s on the classes with regular, longer rows.
+const ITEM6_ROOF: (&str, f64) = ("short-regular", 0.45);
+const ITEM6_SELL: ([&str; 3], f64) = (["mid-regular", "banded", "long-rows"], 0.85);
+
+/// One class's Naive-CSR against the SELL layouts, at the served profile.
+struct NaiveVsSell {
+    class: &'static str,
+    naive_gflops: f64,
+    naive_roof_frac: f64,
+    /// Host GFLOP/s of SELL-16-s and SELL-C-s.
+    sell16_gflops: f64,
+    sell_c_s_gflops: f64,
+}
 
 /// Fastest of `reps` alternating timings of (scalar, host), in seconds.
 fn measure(
@@ -116,12 +137,20 @@ fn main() {
 
     let mut table = Vec::new();
     let mut misses = Vec::new();
+    let mut naive = Vec::new();
     for (i, &(class, ..)) in CLASSES.iter().enumerate() {
         let csr = classes::generate(i, cfg.mb, cfg.seed, i as u64);
         let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
         let x: Vec<f64> = (0..cols).map(|c| 1.0 + (c % 5) as f64 * 0.25).collect();
         let mut y = vec![0.0; rows];
         let flops = 2.0 * nnz as f64;
+        let mut row = NaiveVsSell {
+            class,
+            naive_gflops: 0.0,
+            naive_roof_frac: 0.0,
+            sell16_gflops: 0.0,
+            sell_c_s_gflops: 0.0,
+        };
         for kind in FormatKind::KERNEL_LAYER {
             // ELL refuses the skewed classes on its padding budget.
             let Ok(scalar) = build_format_with(kind, &csr, LaneProfile::scalar()) else { continue };
@@ -149,6 +178,15 @@ fn main() {
                 gbs,
                 roof_frac
             );
+            let host_gflops = flops / t_host / 1e9;
+            match kind {
+                FormatKind::NaiveCsr => {
+                    (row.naive_gflops, row.naive_roof_frac) = (host_gflops, roof_frac)
+                }
+                FormatKind::SellC16 => row.sell16_gflops = host_gflops,
+                FormatKind::SellCSigma => row.sell_c_s_gflops = host_gflops,
+                _ => {}
+            }
             if vectorized && ratio < bound {
                 misses.push(format!("{class} {}: {ratio:.2}x scalar < {bound}x", kind.name()));
             }
@@ -164,7 +202,42 @@ fn main() {
                 ("roof_frac", round3(roof_frac).into()),
             ]));
         }
+        naive.push(row);
     }
+
+    println!("\nNaive-CSR at {:?} against the SELL layouts", profile.width);
+    println!(
+        "{:<14} {:>9} {:>6} {:>11} {:>10}",
+        "class", "GF/s", "roof", "/SELL-16-s", "/SELL-C-s"
+    );
+    for n in &naive {
+        println!(
+            "{:<14} {:>9.2} {:>6.2} {:>10.2}x {:>9.2}x",
+            n.class,
+            n.naive_gflops,
+            n.naive_roof_frac,
+            n.naive_gflops / n.sell16_gflops,
+            n.naive_gflops / n.sell_c_s_gflops
+        );
+    }
+    let roof_bar = naive.iter().find(|n| n.class == ITEM6_ROOF.0).map(|n| n.naive_roof_frac);
+    let sell_bars: Vec<(&str, f64)> = naive
+        .iter()
+        .filter(|n| ITEM6_SELL.0.contains(&n.class))
+        .map(|n| (n.class, n.naive_gflops / n.sell_c_s_gflops))
+        .collect();
+    let roof_met = roof_bar.is_some_and(|f| f >= ITEM6_ROOF.1);
+    let sell_met = sell_bars.iter().all(|&(_, r)| r >= ITEM6_SELL.1);
+    println!(
+        "item 6 bars (reported, not enforced): {} roof {:.2} >= {} {}; Naive-CSR/SELL-C-s on {} >= {} {}",
+        ITEM6_ROOF.0,
+        roof_bar.unwrap_or(f64::NAN),
+        ITEM6_ROOF.1,
+        if roof_met { "met" } else { "not met" },
+        ITEM6_SELL.0.join("/"),
+        ITEM6_SELL.1,
+        if sell_met { "met" } else { "not met" },
+    );
 
     let verdict = match (vectorized, misses.is_empty()) {
         (false, _) => "skipped: scalar host",
@@ -198,6 +271,40 @@ fn main() {
             ]),
         ),
         ("table", Json::Arr(table)),
+        (
+            "naive_csr",
+            Json::Arr(
+                naive
+                    .iter()
+                    .map(|n| {
+                        obj([
+                            ("class", n.class.into()),
+                            ("host_gflops", round3(n.naive_gflops).into()),
+                            ("roof_frac", round3(n.naive_roof_frac).into()),
+                            ("over_sell_16_s", round3(n.naive_gflops / n.sell16_gflops).into()),
+                            ("over_sell_c_s", round3(n.naive_gflops / n.sell_c_s_gflops).into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "item6_bars",
+            obj([
+                ("enforced", false.into()),
+                ("short_regular_min_roof_frac", ITEM6_ROOF.1.into()),
+                ("short_regular_roof_frac", round3(roof_bar.unwrap_or(f64::NAN)).into()),
+                ("roof_met", roof_met.into()),
+                ("min_over_sell_c_s", ITEM6_SELL.1.into()),
+                (
+                    "over_sell_c_s",
+                    Json::Obj(
+                        sell_bars.iter().map(|&(c, r)| (c.to_string(), round3(r).into())).collect(),
+                    ),
+                ),
+                ("sell_met", sell_met.into()),
+            ]),
+        ),
     ];
     report::write("kernel", body);
 

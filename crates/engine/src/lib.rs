@@ -80,7 +80,7 @@ use shard::{CachedFormat, Landed};
 use spmv_analysis::{FormatSelector, SelectorFeatures};
 use spmv_core::{CsrMatrix, FeatureSet};
 use spmv_devices::{device_by_name, DeviceSpec};
-use spmv_formats::csr::{CsrFormat, CsrVariant};
+use spmv_formats::csr::CsrFormat;
 use spmv_formats::{build_with_fallback_profile, FormatKind, LaneProfile, SparseFormat};
 use spmv_parallel::sync::{AtomicU64, AtomicUsize, Ordering};
 use spmv_parallel::{PoolStats, ThreadPool};
@@ -489,8 +489,11 @@ enum Served {
     Selected(CachedFormat, FormatKind),
     /// The universal CSR path, straight off the caller's operand (the
     /// format shares its arrays) — no conversion, no converted format
-    /// involved: nnz-balanced row chunks, scalar rows, i.e. the
-    /// summation order of [`CsrMatrix::spmv_into`] in every kernel.
+    /// involved: nnz-balanced row chunks, each row one sequential sum,
+    /// i.e. the summation order of [`CsrMatrix::spmv_into`] bit for bit
+    /// in every kernel. Built at the engine's lane profile, it runs
+    /// that order as Naive-CSR does: across rows on the vector unit at
+    /// a vector profile, the scalar loop at `LaneProfile::scalar()`.
     CsrPath(CsrFormat),
 }
 
@@ -685,11 +688,7 @@ impl Engine {
             return Served::Selected(fmt, actual);
         }
         self.try_schedule_admission(id, csr, max_in_flight);
-        Served::CsrPath(CsrFormat::with_profile(
-            csr.clone(),
-            CsrVariant::Balanced,
-            LaneProfile::scalar(),
-        ))
+        Served::CsrPath(CsrFormat::balanced_in_order(csr.clone(), self.state.lanes))
     }
 
     /// Claims and schedules one background admission flight for `id`,

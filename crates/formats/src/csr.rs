@@ -1,16 +1,22 @@
 //! CSR storage and the ways the study runs it. The three CSR SpMV
 //! implementations of the paper's CPU testbeds (Fig. 7):
-//! **Naive-CSR** (static row chunks, pinned to the scalar lane kernel —
-//! it *is* the baseline), **Vectorized-CSR** (static row chunks with
-//! the lane-unrolled gather-dot kernel, standing in for the AVX2
+//! **Naive-CSR** (static row chunks, pinned to the scalar summation
+//! order — it *is* the baseline), **Vectorized-CSR** (static row chunks
+//! with the lane-unrolled gather-dot kernel, standing in for the AVX2
 //! kernels of the paper), and **Balanced-CSR** (nnz-balanced row
 //! chunks — "adds nonzero balancing (row resolution)" — on the same
 //! lane kernel). And the names of its two CSR extensions (§II-B.5),
 //! **Merge-CSR** (Merrill & Garland, SC'16) and **CSR5** (Liu & Vinter,
 //! ICS'15), which split *nonzeros* rather than rows on a wide pool:
-//! here they are figure-set names that run Naive-CSR's scalar rows on
-//! the static schedule, and CSR5 is charged the 4-byte row pointer of
-//! each of its 128-nonzero tiles.
+//! here they are figure-set names that run Naive-CSR's rows on the
+//! static schedule, and CSR5 is charged the 4-byte row pointer of each
+//! of its 128-nonzero tiles.
+//!
+//! Naive-CSR's order is W1, [`CsrMatrix::spmv_into`]'s: one sequential
+//! sum per row. Built at a vector profile it runs that order on the
+//! vector unit, consecutive rows across the lanes (Kreutzer et al.'s
+//! SELL-C-σ layout, read in place), bit-identical to the scalar loop it
+//! runs at [`LaneProfile::scalar`].
 //!
 //! The kinds differ in schedule and lane width, not in storage: every
 //! [`CsrFormat`] holds a [`CsrMatrix`] clone, which shares the
@@ -50,11 +56,13 @@ pub enum CsrVariant {
     Tiles,
 }
 
-/// CSR storage plus a kernel-variant tag and resolved lane width.
+/// CSR storage plus a kernel-variant tag, resolved lane width and
+/// whether the rows may run on the vector unit.
 pub struct CsrFormat {
     matrix: CsrMatrix,
     variant: CsrVariant,
     lanes: LaneWidth,
+    vector: bool,
 }
 
 impl CsrFormat {
@@ -65,16 +73,25 @@ impl CsrFormat {
     }
 
     /// Wraps a CSR matrix with an explicit lane profile. Only the
-    /// Vectorized and Balanced variants follow the profile: Naive-CSR
-    /// is the scalar baseline the other kernels are measured against,
-    /// and Merge-CSR and CSR5 run W = 1, the summation order of
-    /// [`CsrMatrix::spmv_into`]. Nothing is preprocessed.
+    /// Vectorized and Balanced variants take the profile's width as
+    /// their order: Naive-CSR is the baseline the other kernels are
+    /// measured against, and Merge-CSR and CSR5 run its order, W = 1,
+    /// the summation order of [`CsrMatrix::spmv_into`] — on the vector
+    /// unit at a vector profile, in the scalar loop at
+    /// [`LaneProfile::scalar`]. Nothing is preprocessed.
     pub fn with_profile(matrix: CsrMatrix, variant: CsrVariant, profile: LaneProfile) -> Self {
         let lanes = match variant {
             CsrVariant::Vectorized | CsrVariant::Balanced => profile.width,
             CsrVariant::Naive | CsrVariant::MergePath | CsrVariant::Tiles => LaneWidth::W1,
         };
-        Self { matrix, variant, lanes }
+        Self { matrix, variant, lanes, vector: profile.width != LaneWidth::W1 }
+    }
+
+    /// The engine's CSR path: Balanced-CSR's nnz-balanced schedule over
+    /// Naive-CSR's order — [`CsrMatrix::spmv_into`]'s sums bit for bit
+    /// in every kernel — run at `profile` as Naive-CSR runs it.
+    pub fn balanced_in_order(matrix: CsrMatrix, profile: LaneProfile) -> Self {
+        Self { lanes: LaneWidth::W1, ..Self::with_profile(matrix, CsrVariant::Balanced, profile) }
     }
 
     /// Borrow of the underlying CSR matrix.
@@ -82,13 +99,13 @@ impl CsrFormat {
         &self.matrix
     }
 
-    /// The lane width this instance dispatches to.
+    /// The lane width this instance sums its rows at.
     pub fn lanes(&self) -> LaneWidth {
         self.lanes
     }
 
     fn view(&self) -> CsrRows<'_> {
-        CsrRows::of(self.lanes, &self.matrix)
+        CsrRows { vector: self.vector, ..CsrRows::of(self.lanes, &self.matrix) }
     }
 
     /// The row partition: nnz-balanced for Balanced-CSR, static for
@@ -322,7 +339,7 @@ mod tests {
         }
     }
 
-    // ---- Merge-CSR: a name for scalar rows on the static schedule ----
+    // ---- Merge-CSR: a name for Naive-CSR's rows on the static schedule ----
 
     fn merge(m: &CsrMatrix) -> CsrFormat {
         CsrFormat::new(m.clone(), CsrVariant::MergePath)

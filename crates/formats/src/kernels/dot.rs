@@ -9,7 +9,9 @@
 //! are reduced pairwise, so sums at different widths agree only to
 //! floating-point tolerance; at a fixed width the order is exact and
 //! reproducible. On x86-64 hosts with AVX2 or AVX-512 the W4 and W8
-//! rows run on the vector unit (`super::x86`), bit-identical to the
+//! rows run on the vector unit (`super::x86`), one row at a time, and a
+//! W1 order built at a vector profile ([`CsrRows::vector`]) runs there
+//! too, consecutive rows across the lanes — each bit-identical to the
 //! bodies below.
 
 use super::{tree_sum, LaneWidth, View};
@@ -43,8 +45,14 @@ pub(super) fn dot_w<const W: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f6
 /// chunking.
 #[derive(Clone, Copy)]
 pub struct CsrRows<'a> {
-    /// Lane width the rows are summed at.
+    /// Lane width the rows are summed at: the summation order.
     pub lanes: LaneWidth,
+    /// Whether the rows may run on the vector unit, i.e. the view was
+    /// built at a vector profile. A W4 or W8 order then runs one row at
+    /// a time in vector lanes; a W1 order runs consecutive rows across
+    /// the lanes, one row per lane. Unset, every order runs its
+    /// scalar-lane body.
+    pub vector: bool,
     /// Matrix columns.
     pub cols: usize,
     /// Row offsets (`rows + 1`).
@@ -56,11 +64,13 @@ pub struct CsrRows<'a> {
 }
 
 impl<'a> CsrRows<'a> {
-    /// The rows of `csr`, summed at `lanes` — `W1` is the order of
-    /// [`CsrMatrix::spmv_into`].
+    /// The rows of `csr`, summed at `lanes` on the unit a profile of
+    /// that width runs — `W1` is the order of [`CsrMatrix::spmv_into`],
+    /// run by the scalar loop.
     pub fn of(lanes: LaneWidth, csr: &'a CsrMatrix) -> Self {
         CsrRows {
             lanes,
+            vector: lanes != LaneWidth::W1,
             cols: csr.cols(),
             row_ptr: csr.row_ptr(),
             col_idx: csr.col_idx(),
@@ -180,6 +190,7 @@ mod tests {
         for width in LaneWidth::ALL {
             let rows = CsrRows {
                 lanes: width,
+                vector: true,
                 cols: 4,
                 row_ptr: &row_ptr,
                 col_idx: &col_idx,
@@ -216,6 +227,7 @@ mod tests {
             for width in LaneWidth::ALL {
                 let rows = CsrRows {
                     lanes: width,
+                    vector: true,
                     cols: 5,
                     row_ptr: &row_ptr,
                     col_idx: &col_idx,

@@ -13,7 +13,8 @@
 //! formats measure slower than Naive-CSR. So on x86-64 the kernels
 //! are **vectorized by hand**: [`x86`](self) (private; the crate's only
 //! `unsafe`) holds explicit `core::arch` gather microkernels, selected
-//! once per [`View::run`] call, the panel blocks of SpMM, selected
+//! once per [`View::run`] call — among them Naive-CSR's W1 order run
+//! across rows, one row per lane —, the panel blocks of SpMM, selected
 //! once per block, and the chunk transpose that fills SELL-C-σ's slot
 //! arrays on conversion (`slab::SellPlan`), selected once per
 //! conversion. Other targets, and x86-64 hosts without AVX2, run the
@@ -40,9 +41,16 @@
 //!
 //! [`LaneWidth`] is the only knob, and it means what its variants say:
 //!
-//! * **W1 is always the scalar code** of the single-vector kernels —
-//!   Naive-CSR, [`LaneProfile::scalar`], `SPMV_LANES=1`, and every host
-//!   without a vector unit the kernels have code for.
+//! * **W1 fixes the order, the profile the unit.** A W1 view —
+//!   Naive-CSR, Merge-CSR, CSR5 and the engine's CSR path, or any view
+//!   at [`LaneProfile::scalar`] — sums each row sequentially. Built at
+//!   [`LaneProfile::scalar`] (or `SPMV_LANES=1`, or on a host without a
+//!   vector unit the kernels have code for) it runs the scalar loop.
+//!   Built at a vector profile ([`dot::CsrRows::vector`]), CSR rows in
+//!   that order run on AVX-512 across the lanes: 8 consecutive rows, one
+//!   per lane, slot by slot. AVX2-only hosts keep the scalar loop (with
+//!   AVX2 encodings, 4 rows per block, it measured 0.65–0.72× the loop
+//!   on the reference host).
 //! * CSR rows at **W4** run 256-bit vectors and at **W8** 512-bit ones
 //!   (2 × 256-bit with the same lane ownership on AVX2-only hosts); a
 //!   missing instruction set runs the scalar-lane body of the same W.
@@ -67,15 +75,21 @@
 //! path. A [`dot::CsrRows`] row at W lanes: lane `l` owns products
 //! `l, l + W, …` of the row's full W-blocks, the lanes reduce in
 //! `tree_sum`'s pairwise order, and the last `len mod W` products are a
-//! sequential sum added last. A padded-slab row: one accumulator,
-//! slot-sequential. The vector bodies are **bit-identical** to the
-//! scalar ones: `vmulpd` then `vaddpd`, never FMA (a fused product
-//! rounds once, the scalar lanes and the panel kernels round twice;
-//! these kernels are gather- and bandwidth-bound anyway), each vector
-//! lane owning exactly the products its scalar accumulator owns. The
-//! scalar bodies are therefore the oracle of the vector ones, every
-//! guarantee below holds on either, and `tests/kernel_digests.rs` pins
-//! the outputs as constants.
+//! sequential sum added last; at W1 that is one sequential sum from
+//! 0.0, [`spmv_core::CsrMatrix::spmv_into`]'s. A padded-slab row: one
+//! accumulator, slot-sequential. The vector bodies are
+//! **bit-identical** to the scalar ones: `vmulpd` then `vaddpd`, never
+//! FMA (a fused product rounds once, the scalar lanes and the panel
+//! kernels round twice; these kernels are gather- and bandwidth-bound
+//! anyway), each vector lane owning exactly the products its scalar
+//! accumulator owns. Across rows, a lane is a row: it adds its row's
+//! products slot by slot, and a lane past its row's end is masked out
+//! of the add, never padded, so no lane adds a product of an entry
+//! outside its row. (Bit-identical for every non-NaN answer; a NaN's
+//! sign and payload are whichever operand's the compiler put first,
+//! which Rust leaves unspecified.) The scalar bodies are therefore the
+//! oracle of the vector ones, every guarantee below holds on either,
+//! and `tests/kernel_digests.rs` pins the outputs as constants.
 //!
 //! ## Determinism contract
 //!
@@ -112,7 +126,12 @@
 //! position, each lane masked to its row's extent, which it first
 //! range-checks against both CSR arrays (`CsrRows::row`): a `row_ptr`
 //! that runs past them panics before any gather. It writes the slot
-//! arrays into reserved capacity, every slot exactly once.
+//! arrays into reserved capacity, every slot exactly once. CSR rows run
+//! across the lanes the same way: each block of 8 rows range-checks all
+//! 8 extents against both arrays before it loads anything, then reads
+//! entries inside them only — by position gathers or masked loads
+//! confined to the extent, or unmasked loads of windows every row of
+//! the block fills — and gathers from `x` under the column mask above.
 
 pub mod dot;
 pub mod panel;

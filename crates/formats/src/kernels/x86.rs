@@ -19,9 +19,12 @@
 //! `kernels!` and `panel_kernels!` and instantiated inside each
 //! instruction set's `#[target_feature]` scope, so the whole row or
 //! window loop is compiled for the vector unit and dispatch happens
-//! once per call, outside it.
+//! once per call, outside it. One driver is AVX-512's alone:
+//! `avx512::csr_across`, CSR rows in the W1 order with 8 consecutive
+//! rows across the lanes; a [`RowBlock`] of them picks its [`Path`]
+//! from its row lengths.
 
-use super::dot::CsrRows;
+use super::dot::{dot_w, CsrRows};
 use super::slab::{self, Block, Padded, SellPlan, Window, ACC_STACK};
 use super::LaneWidth;
 use core::arch::x86_64::*;
@@ -127,6 +130,14 @@ const AHEAD: usize = 512;
 fn prefetch_ahead(cols: &[u32], vals: &[f64]) {
     _mm_prefetch::<_MM_HINT_T0>(cols.as_ptr().wrapping_add(AHEAD).cast());
     _mm_prefetch::<_MM_HINT_T0>(vals.as_ptr().wrapping_add(AHEAD).cast());
+}
+
+/// Prefetches the line [`AHEAD`] entries past entry `at` of `data`; `at`
+/// may lie anywhere, the address is never dereferenced.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn prefetch_past<T>(data: &[T], at: usize) {
+    _mm_prefetch::<_MM_HINT_T0>(data.as_ptr().wrapping_add(at).wrapping_add(AHEAD).cast());
 }
 
 /// Four columns and their four values as vectors.
@@ -516,6 +527,140 @@ macro_rules! kernels {
             partial
         }
     };
+}
+
+/// Rows a block of a W1 order spreads across the lanes: one per `zmm`
+/// lane.
+const ACROSS: usize = 8;
+
+/// Up to [`ACROSS`] consecutive CSR rows read across the lanes: lane `l`
+/// holds row `rows.start + l`, whose entries are `lo[l]..hi[l]` of
+/// `col_idx` and `values`; lanes past the end of `rows` are empty.
+/// `new` range-checked every extent against both arrays.
+struct RowBlock {
+    rows: Range<usize>,
+    lo: [u64; ACROSS],
+    hi: [u64; ACROSS],
+    /// The longest row's length.
+    width: usize,
+    /// The shortest row's length (0 for a block short of rows).
+    short: usize,
+    /// The rows' entries.
+    nnz: usize,
+}
+
+/// How a [`RowBlock`] runs.
+enum Path {
+    /// Slot by slot, three masked gathers each: position → column,
+    /// value, `x`.
+    Gather,
+    /// Windows of [`ACROSS`] slots: each row's entries by contiguous
+    /// loads and one gather from `x`, the products transposed so that
+    /// one vector holds one slot of every row. Unmasked while every row
+    /// fills the window, masked while at least half of the rows have
+    /// entries left; the entries after that run on the scalar body.
+    Transpose,
+    /// The scalar body, row by row.
+    Scalar,
+}
+
+impl RowBlock {
+    #[inline(always)]
+    fn new(m: &CsrRows<'_>, rows: Range<usize>) -> Self {
+        let (mut lo, mut hi) = ([0u64; ACROSS], [0u64; ACROSS]);
+        let n = rows.len();
+        for (d, &p) in lo[..n].iter_mut().zip(&m.row_ptr[rows.start..rows.end]) {
+            *d = p as u64;
+        }
+        for (d, &p) in hi[..n].iter_mut().zip(&m.row_ptr[rows.start + 1..=rows.end]) {
+            *d = p as u64;
+        }
+        // `CsrRows::row`'s range check, for all the rows at once.
+        let stored = m.col_idx.len().min(m.values.len()) as u64;
+        let (mut inside, mut width, mut short) = (true, 0, u64::MAX);
+        for (&lo, &hi) in lo.iter().zip(&hi) {
+            inside &= (lo <= hi) & (hi <= stored);
+            width = width.max(hi.wrapping_sub(lo));
+            short = short.min(hi.wrapping_sub(lo));
+        }
+        assert!(inside, "a row of {rows:?} runs outside the CSR arrays");
+        let nnz = (hi[..n].last().copied().unwrap_or(0) - lo[0]) as usize;
+        RowBlock { rows, lo, hi, width: width as usize, short: short as usize, nnz }
+    }
+
+    /// Every lane runs `width` slots, so a ragged block wastes the slots
+    /// past its shorter rows: above 40% of them it runs the scalar body.
+    /// Otherwise a block at most two vectors wide gathers, a wider one
+    /// transposes. Measured on the reference host (AVX-512) over the
+    /// benchmark's `cold-*` operands: the gather path beats the
+    /// transpose up to 16–20 slots, and ragged blocks ran no faster on
+    /// either vector path than on the scalar body.
+    #[inline]
+    fn path(&self) -> Path {
+        if 5 * self.nnz < 3 * ACROSS * self.width {
+            Path::Scalar
+        } else if self.width <= 2 * ACROSS {
+            Path::Gather
+        } else {
+            Path::Transpose
+        }
+    }
+
+    /// The rows by the scalar body, `CsrRows::run_w::<1, DOT>`, adding
+    /// to `partial` as that does.
+    #[inline(always)]
+    fn scalar<const DOT: bool>(
+        &self,
+        m: &CsrRows<'_>,
+        x: &[f64],
+        out: &DisjointWriter<'_>,
+        partial: &mut f64,
+    ) {
+        for r in self.rows.clone() {
+            let (cols, vals) = m.row(r);
+            let y = dot_w::<1>(cols, vals, x);
+            out.write(r, y);
+            if DOT {
+                *partial += x[r] * y;
+            }
+        }
+    }
+
+    /// How many of the [`ACROSS`] slots from `at` on lane `l`'s row
+    /// fills.
+    #[inline]
+    fn left(&self, l: usize, at: usize) -> u32 {
+        (self.hi[l] - self.lo[l]).saturating_sub(at as u64).min(ACROSS as u64) as u32
+    }
+
+    /// Whether at least half of the rows have entries from `at` on.
+    #[inline]
+    fn half_live(&self, at: usize) -> bool {
+        let live = self.lo.iter().zip(&self.hi).filter(|&(&lo, &hi)| lo + (at as u64) < hi);
+        2 * live.count() >= ACROSS
+    }
+
+    /// The rows' sums `ys` of their first `at` entries, finished on the
+    /// scalar body: each row's remaining entries added one by one, as
+    /// `dot_w::<1>` adds them.
+    #[inline(always)]
+    fn finish(
+        &self,
+        m: &CsrRows<'_>,
+        x: &[f64],
+        mut ys: [f64; ACROSS],
+        at: usize,
+    ) -> [f64; ACROSS] {
+        for ((y, &lo), &hi) in ys.iter_mut().zip(&self.lo).zip(&self.hi) {
+            let (lo, hi) = ((lo as usize + at).min(hi as usize), hi as usize);
+            let mut acc = *y;
+            for (&c, &v) in m.col_idx[lo..hi].iter().zip(&m.values[lo..hi]) {
+                acc += v * x[c as usize];
+            }
+            *y = acc;
+        }
+        ys
+    }
 }
 
 /// SELL-C-σ slot arrays being written front to back, each slot once,
@@ -1012,6 +1157,246 @@ mod avx512 {
         }
     }
 
+    /// `CsrRows::run_w::<1, DOT>` on the vector unit: blocks of
+    /// [`ACROSS`] consecutive rows, one row per lane, each lane summed
+    /// slot by slot from 0.0 as `dot_w::<1>` sums it — `vmulpd`, then a
+    /// `vaddpd` masked to the lanes whose row has that slot. A block runs
+    /// the path `RowBlock::path` picks for its row lengths.
+    #[target_feature(enable = "avx512f,avx512vl,avx2")]
+    pub(super) fn csr_across<const DOT: bool>(
+        operand: Operand<'_>,
+        m: &CsrRows<'_>,
+        rows: Range<usize>,
+        out: &DisjointWriter<'_>,
+    ) -> f64 {
+        let mut gather = Gather::new(operand);
+        let mut partial = 0.0;
+        for first in rows.clone().step_by(ACROSS) {
+            let block = RowBlock::new(m, first..rows.end.min(first + ACROSS));
+            let ys = match block.path() {
+                Path::Gather => gather.across_gather(m, &block),
+                Path::Transpose => {
+                    let (ys, at) = gather.across_transpose(m, &block);
+                    block.finish(m, operand.x, ys, at)
+                }
+                Path::Scalar => {
+                    block.scalar::<DOT>(m, operand.x, out, &mut partial);
+                    continue;
+                }
+            };
+            for (r, &y) in block.rows.clone().zip(&ys) {
+                out.write(r, y);
+                if DOT {
+                    partial += operand.x[r] * y;
+                }
+            }
+        }
+        gather.finish();
+        partial
+    }
+
+    impl Gather<'_> {
+        /// `x[idx[l]]` for the lanes of `live`. A live lane whose column
+        /// is out of range is not read (0.0) and clears its `ok` bit.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn x8(&mut self, idx: __m256i, live: __mmask8) -> __m512d {
+            let in_range = _mm256_cmple_epu32_mask(idx, self.limit);
+            self.ok &= in_range | !live;
+            // SAFETY: as in `mul8`, over the lanes both `live` and
+            // `in_range` set.
+            unsafe {
+                _mm512_mask_i32gather_pd::<8>(
+                    _mm512_setzero_pd(),
+                    live & in_range,
+                    idx,
+                    self.x.as_ptr(),
+                )
+            }
+        }
+
+        /// `Path::Gather` of eight rows.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn across_gather(&mut self, m: &CsrRows<'_>, b: &RowBlock) -> [f64; ACROSS] {
+            // SAFETY: `lo` and `hi` are eight `u64`, the 64 bytes each
+            // load reads.
+            let (mut pos, end) = unsafe {
+                (_mm512_loadu_si512(b.lo.as_ptr().cast()), _mm512_loadu_si512(b.hi.as_ptr().cast()))
+            };
+            // Gathers leave the hardware prefetchers nothing to follow:
+            // every line of the block's entries.
+            for at in (b.lo[0] as usize..b.hi[b.rows.len() - 1] as usize).step_by(8) {
+                prefetch_past(m.values, at);
+                if at.is_multiple_of(16) {
+                    prefetch_past(m.col_idx, at);
+                }
+            }
+            let mut acc = _mm512_setzero_pd();
+            for _ in 0..b.width {
+                let live = _mm512_cmplt_epu64_mask(pos, end);
+                // SAFETY: the gathers read only the lanes `live` sets,
+                // whose `pos` lies in an extent `RowBlock::new` checked
+                // against both `col_idx` and `values`.
+                let (cols, vals) = unsafe {
+                    (
+                        _mm512_mask_i64gather_epi32::<4>(
+                            _mm256_setzero_si256(),
+                            live,
+                            pos,
+                            m.col_idx.as_ptr().cast(),
+                        ),
+                        _mm512_mask_i64gather_pd::<8>(
+                            _mm512_setzero_pd(),
+                            live,
+                            pos,
+                            m.values.as_ptr(),
+                        ),
+                    )
+                };
+                acc = _mm512_mask_add_pd(acc, live, _mm512_mul_pd(vals, self.x8(cols, live)), acc);
+                pos = _mm512_add_epi64(pos, _mm512_set1_epi64(1));
+            }
+            V8(acc).store()
+        }
+
+        /// `Path::Transpose` of eight rows: the windows every row fills
+        /// unmasked, then masked ones while at least half of the rows
+        /// have entries left. The rows' sums so far and the slots the
+        /// windows covered; `RowBlock::finish` adds the rest.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx2")]
+        fn across_transpose(&mut self, m: &CsrRows<'_>, b: &RowBlock) -> ([f64; ACROSS], usize) {
+            let full = b.short / ACROSS * ACROSS;
+            let mut acc = _mm512_setzero_pd();
+            // The largest column loaded (a masked-out lane loads 0),
+            // checked against `x` once, at the end.
+            let mut top = _mm256_setzero_si256();
+            for at in (0..full).step_by(ACROSS) {
+                let p: [__m512d; ACROSS] = std::array::from_fn(|l| {
+                    let start = b.lo[l] as usize + at;
+                    // Every line of the values, every other one of the
+                    // columns.
+                    prefetch_past(m.values, start);
+                    if at.is_multiple_of(16) {
+                        prefetch_past(m.col_idx, start);
+                    }
+                    // SAFETY: the loads read entries `start .. start + 8`,
+                    // and `start + 8 ≤ lo + short ≤ hi`: inside a row
+                    // extent `RowBlock::new` checked against both arrays.
+                    let (idx, v) = unsafe {
+                        (
+                            _mm256_loadu_si256(m.col_idx.as_ptr().add(start).cast()),
+                            _mm512_loadu_pd(m.values.as_ptr().add(start)),
+                        )
+                    };
+                    top = _mm256_max_epu32(top, idx);
+                    let in_range = _mm256_cmple_epu32_mask(idx, self.limit);
+                    // SAFETY: as in `mul8`.
+                    let x = unsafe {
+                        _mm512_mask_i32gather_pd::<8>(
+                            _mm512_setzero_pd(),
+                            in_range,
+                            idx,
+                            self.x.as_ptr(),
+                        )
+                    };
+                    _mm512_mul_pd(v, x)
+                });
+                for q in transpose8(p) {
+                    acc = _mm512_add_pd(q, acc);
+                }
+            }
+            // SAFETY: `lo` and `hi` are eight `u64`, the 64 bytes each
+            // load reads.
+            let (lo, end) = unsafe {
+                (_mm512_loadu_si512(b.lo.as_ptr().cast()), _mm512_loadu_si512(b.hi.as_ptr().cast()))
+            };
+            let mut at = full;
+            while at < b.width && b.half_live(at) {
+                let p: [__m512d; ACROSS] = std::array::from_fn(|l| {
+                    let first = ((1u32 << b.left(l, at)) - 1) as __mmask8;
+                    let start = b.lo[l] as usize + at;
+                    prefetch_past(m.values, start);
+                    if at.is_multiple_of(16) {
+                        prefetch_past(m.col_idx, start);
+                    }
+                    // SAFETY: the loads read only the lanes `first` sets,
+                    // entries `start .. start + left` of a row extent
+                    // `RowBlock::new` checked against both arrays; with
+                    // no lane set they read nothing, wherever `start`
+                    // points.
+                    let (idx, v) = unsafe {
+                        (
+                            _mm256_maskz_loadu_epi32(
+                                first,
+                                m.col_idx.as_ptr().wrapping_add(start).cast(),
+                            ),
+                            _mm512_maskz_loadu_pd(first, m.values.as_ptr().wrapping_add(start)),
+                        )
+                    };
+                    // The lanes `first` leaves out load column 0.
+                    top = _mm256_max_epu32(top, idx);
+                    let in_range = _mm256_cmple_epu32_mask(idx, self.limit);
+                    // SAFETY: as in `mul8`, over the lanes both `first`
+                    // and `in_range` set.
+                    let x = unsafe {
+                        _mm512_mask_i32gather_pd::<8>(
+                            _mm512_setzero_pd(),
+                            first & in_range,
+                            idx,
+                            self.x.as_ptr(),
+                        )
+                    };
+                    _mm512_mul_pd(v, x)
+                });
+                for (s, &q) in transpose8(p).iter().enumerate().take(b.width - at) {
+                    let pos = _mm512_add_epi64(lo, _mm512_set1_epi64((at + s) as i64));
+                    acc = _mm512_mask_add_pd(acc, _mm512_cmplt_epu64_mask(pos, end), q, acc);
+                }
+                at += ACROSS;
+            }
+            self.ok &= _mm256_cmple_epu32_mask(top, self.limit);
+            (V8(acc).store(), at)
+        }
+    }
+
+    /// The 8 × 8 transpose: lane `l` of `q[s]` is lane `s` of `p[l]`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vl,avx2")]
+    fn transpose8(p: [__m512d; 8]) -> [__m512d; 8] {
+        // Row pairs: `t[2i]` holds the even slots of rows 2i and 2i + 1,
+        // interleaved, `t[2i + 1]` the odd ones.
+        let t: [__m512d; 8] = std::array::from_fn(|i| {
+            let (a, b) = (p[i & !1], p[i | 1]);
+            if i % 2 == 0 {
+                _mm512_unpacklo_pd(a, b)
+            } else {
+                _mm512_unpackhi_pd(a, b)
+            }
+        });
+        // Row quads: slots s and s + 4 of four rows, for s = 0, 2 from
+        // the even pairs and s = 1, 3 from the odd ones.
+        let (lo, hi) = (
+            _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13),
+            _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15),
+        );
+        let u: [__m512d; 8] = std::array::from_fn(|i| {
+            let (a, b) = (t[i / 4 * 4 + i % 2], t[i / 4 * 4 + i % 2 + 2]);
+            _mm512_permutex2var_pd(a, if i % 4 < 2 { lo } else { hi }, b)
+        });
+        // u[0..4] (rows 0–3) hold slots (0, 4), (1, 5), (2, 6), (3, 7);
+        // u[4..8] the same of rows 4–7.
+        std::array::from_fn(|s| {
+            let (a, b) = (u[s % 4], u[4 + s % 4]);
+            if s < 4 {
+                _mm512_shuffle_f64x2::<0b01_00_01_00>(a, b)
+            } else {
+                _mm512_shuffle_f64x2::<0b11_10_11_10>(a, b)
+            }
+        })
+    }
+
     transposer!("avx512f,avx512vl,avx2", Lanes8, 8, chunks8);
 
     /// The slot arrays of `plan` (C ∈ {4, 8, 16}) in blocks of 8 lanes,
@@ -1087,10 +1472,14 @@ pub(super) fn windows_panel<const KB: usize, P: Padded>(
     }
 }
 
-/// CSR rows at W4 (256-bit) or W8 (512-bit, 2 × 256 on AVX2): the fused
+/// CSR rows on the host's vector unit: at W4 (256-bit) or W8 (512-bit,
+/// 2 × 256 on AVX2) one row at a time, at W1 consecutive rows across
+/// the lanes ([`across`]) when the range holds at least
+/// [`ACROSS_MIN_ENTRIES`] and `x` at most [`ACROSS_MAX_X`]. The fused
 /// dot partial (0.0 for plain SpMV), or `None` when the caller must run
-/// the scalar-lane body — W1, a scalar host, or an `x` no gather can
-/// index.
+/// the scalar-lane body — a view not built at a vector profile, a
+/// scalar host, a small W1 range or a large `x`, or an `x` no gather
+/// can index.
 pub(super) fn csr_rows<const DOT: bool>(
     isa: Isa,
     m: &CsrRows<'_>,
@@ -1098,16 +1487,54 @@ pub(super) fn csr_rows<const DOT: bool>(
     x: &[f64],
     out: &DisjointWriter<'_>,
 ) -> Option<f64> {
-    let w8 = match m.lanes {
-        LaneWidth::W1 => return None,
-        LaneWidth::W4 => false,
-        LaneWidth::W8 => true,
-    };
-    let x = Operand::new(x)?;
-    if w8 {
-        on_isa!(isa, csr_rows::<true, DOT>(x, m, rows, out))
-    } else {
-        on_isa!(isa, csr_rows::<false, DOT>(x, m, rows, out))
+    if !m.vector {
+        return None;
+    }
+    match m.lanes {
+        LaneWidth::W1 => {
+            let entries = m.row_ptr.get(rows.end)?.checked_sub(*m.row_ptr.get(rows.start)?)?;
+            if entries < ACROSS_MIN_ENTRIES || x.len() > ACROSS_MAX_X {
+                return None;
+            }
+            across::<DOT>(isa, Operand::new(x)?, m, rows, out)
+        }
+        LaneWidth::W4 => on_isa!(isa, csr_rows::<false, DOT>(Operand::new(x)?, m, rows, out)),
+        LaneWidth::W8 => on_isa!(isa, csr_rows::<true, DOT>(Operand::new(x)?, m, rows, out)),
+    }
+}
+
+/// Entries below which a W1 range runs the scalar loop even at a vector
+/// profile: the across-rows body's fixed cost per call outweighs what it
+/// saves. Measured on the reference host (AVX-512), cache-resident, in
+/// one process against the scalar loop: the benchmark's `hot-small`
+/// matrices (55–5 450 entries) read 0.59–1.24×, 0.84× in the geomean,
+/// and `short-regular` / `mid-regular` operands of 820–1 720 entries
+/// 0.79–0.96×, against 0.94–1.06× at 6 500–55 000.
+const ACROSS_MIN_ENTRIES: usize = 8192;
+
+/// Entries of `x` above which a W1 range runs the scalar loop: the 2 MiB
+/// L2 of the reference host. Beyond it the across-rows gathers miss, and
+/// the scalar loop overlaps the misses better: at 32 MB, `irregular`
+/// (`x` of 2.1 MB, little reuse between rows) read 0.64–0.83× the loop
+/// and `short-regular` (4.2 MB) 0.86–0.97×, against 0.99–1.47× for the
+/// classes whose `x` is at most 1.1 MB.
+const ACROSS_MAX_X: usize = 1 << 18;
+
+/// CSR rows in the W1 order across the lanes, on AVX-512, whatever the
+/// range's size; `None` on other instruction sets.
+fn across<const DOT: bool>(
+    isa: Isa,
+    x: Operand<'_>,
+    m: &CsrRows<'_>,
+    rows: Range<usize>,
+    out: &DisjointWriter<'_>,
+) -> Option<f64> {
+    match isa.0 {
+        // SAFETY: `Level::Avx512` is constructed only by `Isa::detect`
+        // and only after the CPU reported the features `csr_across`
+        // enables.
+        Level::Avx512 => Some(unsafe { avx512::csr_across::<DOT>(x, m, rows, out) }),
+        Level::Scalar | Level::Avx2 => None,
     }
 }
 
@@ -1136,7 +1563,7 @@ pub(super) fn windows<const DOT: bool, P: Padded>(
 /// must scatter the slots itself: W1, a scalar host, or a C other than
 /// 4, 8 and 16.
 pub(super) fn sell_transpose(isa: Isa, plan: &SellPlan<'_>) -> Option<(Vec<u32>, Vec<f64>)> {
-    if plan.rows.lanes == LaneWidth::W1 || !matches!(plan.c, 4 | 8 | 16) || isa.0 == Level::Scalar {
+    if !plan.rows.vector || !matches!(plan.c, 4 | 8 | 16) || isa.0 == Level::Scalar {
         return None;
     }
     let mut out = Slots::with_capacity(plan.stored);
@@ -1233,17 +1660,191 @@ mod tests {
         let (row_ptr, cols, vals) = staircase();
         let n = row_ptr.len() - 1;
         let x = operand(n);
-        let at =
-            |lanes| CsrRows { lanes, cols: n, row_ptr: &row_ptr, col_idx: &cols, values: &vals };
+        let at = |lanes| CsrRows {
+            lanes,
+            vector: true,
+            cols: n,
+            row_ptr: &row_ptr,
+            col_idx: &cols,
+            values: &vals,
+        };
         let want4 = flavours!(n, |o| Some(at(LaneWidth::W4).run_w::<4, DOT>(0..n, &x, o)));
         let want8 = flavours!(n, |o| Some(at(LaneWidth::W8).run_w::<8, DOT>(0..n, &x, o)));
         for isa in Isa::offered() {
             for (width, want) in [(LaneWidth::W4, &want4), (LaneWidth::W8, &want8)] {
                 let got = flavours!(n, |o| csr_rows::<DOT>(isa, &at(width), 0..n, &x, o));
                 judge(isa, got, want, &format!("{isa:?} {width:?}"));
+                let scalar = CsrRows { vector: false, ..at(width) };
+                let got = flavours!(n, |o| csr_rows::<DOT>(isa, &scalar, 0..n, &x, o));
+                assert_eq!(got, [None, None], "{isa:?} {width:?}: a scalar profile's view");
             }
-            let got = flavours!(n, |o| csr_rows::<DOT>(isa, &at(LaneWidth::W1), 0..n, &x, o));
-            assert_eq!(got, [None, None], "{isa:?}: W1 is the scalar body's");
+        }
+    }
+
+    /// A square CSR matrix with rows of `lens` entries; row `r`'s
+    /// columns and values are spread by `r`, and every seventh value is
+    /// −0.0.
+    fn rows_of(lens: &[usize]) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+        let n = lens.len();
+        let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        for (r, &len) in lens.iter().enumerate() {
+            for i in 0..len {
+                cols.push(((r * 13 + i * 7) % n) as u32);
+                let k = cols.len();
+                vals.push(if k % 7 == 3 { -0.0 } else { ((k * 5 + r) % 11) as f64 * 0.375 - 1.75 });
+            }
+            row_ptr.push(cols.len());
+        }
+        (row_ptr, cols, vals)
+    }
+
+    /// Row lengths that put blocks on each path: short regular rows
+    /// (gather), long regular rows (unmasked and masked windows), two
+    /// longer rows among regular ones (windows, then the scalar body for
+    /// their rest), a long row among short ones and mostly empty blocks
+    /// (scalar), empty rows, and every row count mod 8.
+    fn across_cases() -> Vec<Vec<usize>> {
+        let mut cases = vec![
+            vec![0; 13],
+            (0..34).collect(),
+            (0..41).map(|r| 3 + r % 3).collect(),
+            (0..29).map(|r| 17 + r % 5).collect(),
+            (0..27).map(|r| if r % 5 == 2 { 0 } else { 6 + r % 4 }).collect(),
+            (0..20).map(|r| if r == 9 { 10_000 } else { 5 }).collect(),
+            (0..24).map(|r| [24, 24, 24, 24, 24, 24, 30, 40][r % 8]).collect(),
+            (0..16).map(|r| [0, 0, 0, 0, 0, 40, 0, 3][r % 8]).collect(),
+        ];
+        cases.extend((9..16).map(|n| (0..n).map(|r| (r * 5) % 11).collect()));
+        cases
+    }
+
+    /// An `x` of `n` entries holding ±∞ and NaN besides finite values.
+    fn operand_with_specials(n: usize) -> Vec<f64> {
+        let mut x = operand(n);
+        for (i, special) in
+            [f64::INFINITY, f64::NAN, f64::NEG_INFINITY, -0.0].into_iter().enumerate()
+        {
+            if let Some(v) = x.get_mut(5 * i + 4) {
+                *v = special;
+            }
+        }
+        x
+    }
+
+    /// `(y, partial)` as bits, every NaN as one value: a NaN's sign and
+    /// payload are not part of the arithmetic contract — Rust leaves
+    /// them unspecified, and x86 keeps whichever operand's NaN the
+    /// compiler put first, in the scalar body as in the vector one.
+    fn bits(got: [Option<(Vec<f64>, f64)>; 2]) -> [Option<(Vec<u64>, u64)>; 2] {
+        let bits = |v: f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+        got.map(|r| r.map(|(y, p)| (y.into_iter().map(bits).collect(), bits(p))))
+    }
+
+    #[test]
+    fn csr_rows_across_on_every_offered_isa_equal_the_scalar_w1_body_bitwise() {
+        let mut paths = [0usize; 3];
+        for lens in across_cases() {
+            let (row_ptr, cols, vals) = rows_of(&lens);
+            let n = lens.len();
+            let m = CsrRows {
+                lanes: LaneWidth::W1,
+                vector: true,
+                cols: n,
+                row_ptr: &row_ptr,
+                col_idx: &cols,
+                values: &vals,
+            };
+            for first in (0..n).step_by(ACROSS) {
+                paths[RowBlock::new(&m, first..n.min(first + ACROSS)).path() as usize] += 1;
+            }
+            for x in [operand(n), operand_with_specials(n)] {
+                // The whole matrix, and ranges that start and end inside
+                // a block.
+                for range in [0..n, n.min(3)..n, n / 3..n - n / 4] {
+                    let want =
+                        bits(flavours!(n, |o| Some(m.run_w::<1, DOT>(range.clone(), &x, o))));
+                    for isa in Isa::offered() {
+                        let got = bits(flavours!(n, |o| {
+                            across::<DOT>(isa, Operand::new(&x).unwrap(), &m, range.clone(), o)
+                        }));
+                        let ctx = format!("{isa:?} rows {lens:?}[{range:?}]");
+                        if isa.0 == Level::Avx512 {
+                            assert_eq!(got, want, "{ctx}");
+                        } else {
+                            assert_eq!(got, [None, None], "{ctx}: the scalar body's");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(paths.iter().all(|&k| k > 0), "blocks by path: {paths:?}");
+    }
+
+    #[test]
+    fn across_rows_never_load_an_entry_past_the_range() {
+        // 8 rows of 5 entries (they gather) or of 20 (masked windows past
+        // 16); the row after the range starts with an out-of-range
+        // column, which a lane reading past its row's end would load and
+        // panic on.
+        for len in [5usize, 20] {
+            let rows = 8;
+            let n = len * (rows + 1);
+            let mut cols: Vec<u32> = (0..n as u32).collect();
+            cols[rows * len] = u32::MAX;
+            let vals = vec![0.5; n];
+            let row_ptr: Vec<usize> = (0..=rows + 1).map(|r| r * len).collect();
+            let m = CsrRows {
+                lanes: LaneWidth::W1,
+                vector: true,
+                cols: n,
+                row_ptr: &row_ptr,
+                col_idx: &cols,
+                values: &vals,
+            };
+            let x = operand(n);
+            let want = flavours!(n, |o| Some(m.run_w::<1, DOT>(0..rows, &x, o)));
+            for isa in Isa::offered().into_iter().filter(|isa| isa.0 == Level::Avx512) {
+                let x = Operand::new(&x).unwrap();
+                let got = flavours!(n, |o| across::<DOT>(isa, x, &m, 0..rows, o));
+                assert_eq!(got, want, "{isa:?} rows of {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_w1_range_runs_across_rows_from_the_entry_threshold_on_up_to_the_x_bound() {
+        // Rows of 10; the last row takes what reaches the threshold, or
+        // one entry less.
+        for total in [ACROSS_MIN_ENTRIES, ACROSS_MIN_ENTRIES - 1] {
+            let lens: Vec<usize> = (0..total / 10)
+                .map(|r| if r + 1 == total / 10 { 10 + total % 10 } else { 10 })
+                .collect();
+            let (row_ptr, cols, vals) = rows_of(&lens);
+            let n = lens.len();
+            let m = CsrRows {
+                lanes: LaneWidth::W1,
+                vector: true,
+                cols: n,
+                row_ptr: &row_ptr,
+                col_idx: &cols,
+                values: &vals,
+            };
+            // An `x` of the largest length that runs across rows, and one
+            // entry longer.
+            for len in [ACROSS_MAX_X, ACROSS_MAX_X + 1] {
+                let x = operand(len);
+                let want = flavours!(n, |o| Some(m.run_w::<1, DOT>(0..n, &x, o)));
+                for isa in Isa::offered() {
+                    let got = flavours!(n, |o| csr_rows::<DOT>(isa, &m, 0..n, &x, o));
+                    let ctx = format!("{isa:?} {total} entries, x of {len}");
+                    if isa.0 == Level::Avx512 && total >= ACROSS_MIN_ENTRIES && len <= ACROSS_MAX_X
+                    {
+                        assert_eq!(got, want, "{ctx}");
+                    } else {
+                        assert_eq!(got, [None, None], "{ctx}: the scalar loop's");
+                    }
+                }
+            }
         }
     }
 
@@ -1404,7 +2005,11 @@ mod tests {
                                 sell_transpose(
                                     isa,
                                     &SellPlan {
-                                        rows: CsrRows { lanes: LaneWidth::W1, ..plan.rows },
+                                        rows: CsrRows {
+                                            lanes: LaneWidth::W1,
+                                            vector: false,
+                                            ..plan.rows
+                                        },
                                         ..*plan
                                     }
                                 ),
@@ -1477,6 +2082,53 @@ mod tests {
         }
     }
 
+    /// The same for Naive-CSR's rows at a vector profile: a matrix
+    /// whose column or row pointer leaves its arrays must panic on every
+    /// path a block of rows can take, never read outside `x` or the
+    /// arrays.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn a_bad_column_or_row_pointer_panics_in_naive_csr_rows_on_every_offered_isa() {
+        let n = 40usize;
+        // Rows of 5 (blocks gather), 8 rows of 25 (they transpose), one
+        // row of 200 (its block runs the scalar body); the rest empty.
+        for lens in [vec![5usize; n], vec![25; 8], vec![200]] {
+            let mut row_ptr = vec![0usize];
+            for r in 0..n {
+                row_ptr.push(row_ptr[r] + lens.get(r).copied().unwrap_or(0));
+            }
+            let nnz = row_ptr[n];
+            let good: Vec<u32> = (0..nnz).map(|i| (i % n) as u32).collect();
+            let mut cases = Vec::new();
+            for bad_at in [0, nnz / 3, nnz - 1] {
+                for bad in [n as u32, 1 << 31, u32::MAX] {
+                    let mut cols = good.clone();
+                    cols[bad_at] = bad;
+                    cases.push((row_ptr.clone(), cols, nnz));
+                }
+            }
+            // A row pointer past the columns, past the values, past both.
+            let mut past = row_ptr.clone();
+            *past.last_mut().unwrap() += 16;
+            cases.push((past.clone(), good.clone(), nnz + 16));
+            cases.push((past.clone(), [good.clone(), vec![0; 16]].concat(), nnz));
+            cases.push((past, good, nnz));
+            for (row_ptr, cols, vals) in cases {
+                let m = CsrMatrix::from_parts_unchecked(n, n, row_ptr, cols, vec![1.0; vals]);
+                let rows = CsrRows { vector: true, ..CsrRows::of(LaneWidth::W1, &m) };
+                let x = operand(n);
+                for isa in Isa::offered().into_iter().filter(|isa| isa.0 == Level::Avx512) {
+                    let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let mut y = [0.0; 40];
+                        let out = DisjointWriter::new(&mut y);
+                        across::<true>(isa, Operand::new(&x).unwrap(), &rows, 0..n, &out)
+                    }));
+                    assert!(hit.is_err(), "{isa:?} rows of {}", lens[0]);
+                }
+            }
+        }
+    }
+
     /// Whether `kernel`, writing into a fresh `y`, panics.
     fn panics(kernel: impl FnOnce(&DisjointWriter<'_>) + std::panic::UnwindSafe) -> bool {
         std::panic::catch_unwind(|| kernel(&DisjointWriter::new(&mut [0.0; 24]))).is_err()
@@ -1508,6 +2160,7 @@ mod tests {
                                 let row_ptr = [0, len];
                                 let row = CsrRows {
                                     lanes: w,
+                                    vector: true,
                                     cols: n,
                                     row_ptr: &row_ptr,
                                     col_idx: cols,
@@ -1555,6 +2208,55 @@ mod tests {
         }
     }
 
+    #[test]
+    fn an_out_of_range_column_panics_across_rows_on_every_offered_isa_wherever_it_sits() {
+        // 160 entries with one bad column, as 40 rows of 4 (their blocks
+        // gather), 8 rows of 20 (unmasked and masked windows), six rows
+        // of 18 and two of 26 (windows, then the scalar body for the
+        // long rows' rest) and one row of 160 (the scalar body).
+        let n = 160usize;
+        let x = operand(n);
+        let x = Operand::new(&x).unwrap();
+        let vals = vec![1.0; n];
+        let shapes = [vec![4usize; 40], vec![20; 8], [vec![18; 6], vec![26; 2]].concat(), vec![n]];
+        for bad_at in [0usize, 3, 9, 17, 37, 63, 130, 133, 158, 159] {
+            for bad in [n as u32, 1 << 31, u32::MAX] {
+                let mut cols: Vec<u32> = (0..n as u32).collect();
+                cols[bad_at] = bad;
+                for lens in &shapes {
+                    let ends = lens.iter().scan(0, |end, &len| {
+                        *end += len;
+                        Some(*end)
+                    });
+                    let row_ptr: Vec<usize> = std::iter::once(0).chain(ends).collect();
+                    let m = CsrRows {
+                        lanes: LaneWidth::W1,
+                        vector: true,
+                        cols: n,
+                        row_ptr: &row_ptr,
+                        col_idx: &cols,
+                        values: &vals,
+                    };
+                    let rows = lens.len();
+                    for isa in Isa::offered().into_iter().filter(|isa| isa.0 == Level::Avx512) {
+                        for dot in [false, true] {
+                            let hit = std::panic::catch_unwind(|| {
+                                let mut y = vec![0.0; n];
+                                let out = DisjointWriter::new(&mut y[..rows]);
+                                match dot {
+                                    false => across::<false>(isa, x, &m, 0..rows, &out),
+                                    true => across::<true>(isa, x, &m, 0..rows, &out),
+                                }
+                            });
+                            let ctx = format!("{isa:?} rows of {} dot {dot}", lens[0]);
+                            assert!(hit.is_err(), "{ctx}: column {bad} at {bad_at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The `KB` output columns (`rows` long, sentinel-filled, one after
     /// the other) of one panel block run; `None` when the kernel
     /// declined.
@@ -1583,7 +2285,14 @@ mod tests {
         let n = row_ptr.len() - 1;
         let panel = operand(n * KB);
         for lanes in LaneWidth::ALL {
-            let m = CsrRows { lanes, cols: n, row_ptr: &row_ptr, col_idx: &cols, values: &vals };
+            let m = CsrRows {
+                lanes,
+                vector: true,
+                cols: n,
+                row_ptr: &row_ptr,
+                col_idx: &cols,
+                values: &vals,
+            };
             let want = panel_run::<KB>(n, |out| {
                 panel::csr_block(&m, &panel, out);
                 Some(())
@@ -1687,6 +2396,7 @@ mod tests {
                                 let row_ptr = [0, len];
                                 let m = CsrRows {
                                     lanes,
+                                    vector: true,
                                     cols: n,
                                     row_ptr: &row_ptr,
                                     col_idx: cols,

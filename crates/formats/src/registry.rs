@@ -45,9 +45,9 @@ pub enum FormatKind {
     Hyb,
     /// SELL-C-σ.
     SellCSigma,
-    /// CSR5's name: static scalar rows, charged a tile row pointer.
+    /// CSR5's name: Naive-CSR's rows, static schedule, charged a tile row pointer.
     Csr5,
-    /// Merge-CSR's name: static scalar rows.
+    /// Merge-CSR's name: Naive-CSR's rows, static schedule.
     MergeCsr,
     /// SparseX-lite compressed CSR.
     SparseX,

@@ -272,6 +272,7 @@ fn an_out_of_range_column_panics_on_every_width_wherever_it_sits() {
                     let row_ptr = [0, len];
                     let row = CsrRows {
                         lanes: width,
+                        vector: true,
                         cols: n,
                         row_ptr: &row_ptr,
                         col_idx: &cols,

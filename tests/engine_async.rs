@@ -208,3 +208,81 @@ fn async_admission_serves_immediately_then_swaps_deterministically() {
     assert_eq!(c.cache_hits + c.cache_misses + c.coalesced, c.cache_lookups);
     assert_eq!(c.conversions, cases.len() as u64, "warm serving converts nothing new");
 }
+
+/// `y` as bits, for exact comparison.
+fn bits(y: &[f64]) -> Vec<u64> {
+    y.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A matrix large enough (~84k entries) that its rows run across the
+/// lanes at a vector profile, not the scalar loop small ranges keep:
+/// short rows first (their blocks gather), then longer ones (windows).
+fn large_case() -> Case {
+    let n = 6000usize;
+    let mut t = Vec::new();
+    for r in 0..n {
+        let len = if r < n / 2 { 5 + r % 3 } else { 20 + r % 5 };
+        for k in 0..len {
+            t.push((r, (r * 31 + k * 101) % n, ((r * 5 + k) % 13) as f64 * 0.25 - 1.5));
+        }
+    }
+    let m = CsrMatrix::from_triplets(n, n, &t).expect("distinct columns per row");
+    let x: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 23) as f64 - 11.0).collect();
+    Case { id: "large".into(), reference: m.spmv(&x), m, x }
+}
+
+/// The CSR path promises [`CsrMatrix::spmv_into`]'s summation order in
+/// every kernel, whatever unit the engine's lane profile runs it on; a
+/// landed Naive-CSR, ELL or SELL-C-σ sums each row slot by slot from 0.0
+/// too, so it answers the same bits.
+#[test]
+fn cold_async_answers_are_spmv_into_bit_for_bit_and_so_are_landed_w1_order_kinds() {
+    let engine = engine();
+    let mut cases = cases();
+    cases.push(large_case());
+    let want: Vec<Vec<u64>> = cases
+        .iter()
+        .map(|case| {
+            let mut y = vec![f64::NAN; case.m.rows()];
+            case.m.spmv_into(&case.x, &mut y);
+            bits(&y)
+        })
+        .collect();
+    // The low class parked behind one gate per worker, as above: no
+    // flight lands while the cold requests are served.
+    let gate = Arc::new(std::sync::Mutex::new(()));
+    let held = gate.lock().unwrap();
+    for _ in 0..engine.pool().threads() {
+        let gate = Arc::clone(&gate);
+        engine.pool().submit_low(move || drop(gate.lock()));
+    }
+    for (case, want) in cases.iter().zip(&want) {
+        let mut y = vec![f64::NAN; case.m.rows()];
+        assert_eq!(engine.spmv(&case.id, &case.m, &case.x, &mut y), FormatKind::NaiveCsr);
+        assert_eq!(&bits(&y), want, "{} cold spmv", case.id);
+        let mut y = vec![-7.25; case.m.rows()];
+        engine.spmv_parallel(&case.id, &case.m, &case.x, &mut y);
+        assert_eq!(&bits(&y), want, "{} cold spmv_parallel", case.id);
+    }
+    assert_eq!(engine.counters().served_selected, 0, "every cold request took the CSR path");
+
+    drop(held);
+    engine.drain_admissions();
+    let in_order = [
+        FormatKind::NaiveCsr,
+        FormatKind::Ell,
+        FormatKind::SellCSigma,
+        FormatKind::SellC4,
+        FormatKind::SellC16,
+    ];
+    let mut landed = 0;
+    for (case, want) in cases.iter().zip(&want) {
+        let mut y = vec![f64::NAN; case.m.rows()];
+        let kind = engine.spmv(&case.id, &case.m, &case.x, &mut y);
+        if in_order.contains(&kind) {
+            assert_eq!(&bits(&y), want, "{} landed as {kind:?}", case.id);
+            landed += 1;
+        }
+    }
+    assert!(landed > 0, "no id landed as a W1-order kind: the second half checked nothing");
+}

@@ -32,8 +32,9 @@ pub const UNSAFE_WHITELIST: &[&str] = &[
     "crates/parallel/src/executor.rs",
     // The x86-64 gather microkernels of the lane-kernel layer and the
     // SELL-C-σ conversion's chunk transpose: vector loads and stores,
-    // masked gathers, the transpose's writes into reserved capacity and
-    // the calls into `#[target_feature]` drivers, licensed by the `Isa`
+    // masked gathers, the masked and window loads of CSR rows run across
+    // the lanes, the transpose's writes into reserved capacity and the
+    // calls into `#[target_feature]` drivers, licensed by the `Isa`
     // token. The rest of `spmv-formats` stays free of `unsafe`.
     "crates/formats/src/kernels/x86.rs",
     // Counting GlobalAlloc for the zero-allocation solver gate.
