@@ -11,17 +11,23 @@
 //! classes of the repo benchmark (`spmv_bench::classes`) at the `--mb`
 //! footprints, under a seed the sweep never used: per operand the
 //! engine's choice is timed against all twelve swept formats (the
-//! measured oracle) and against always-Naive-CSR. It also reports
+//! measured oracle) and against always-Naive-CSR, the formats one
+//! `spmv_bench::timing` trial of [`ROUNDS`] rounds: an operand's regret
+//! is the median of the per-round ratios of its choice over the format
+//! of the fastest median, its speedup the median of the per-round
+//! ratios of Naive-CSR over its choice. It also reports
 //! what the table says about itself, deterministically: per-format win
 //! counts per footprint regime, before and after the label margin, and
 //! the leave-one-out top-1 and regret. And, on the same operands, what
 //! conversion costs: ns/nnz per format, and for SELL-C-σ the tuned
 //! conversion (on the vector instruction set it names) against its
-//! reference and against its own scalar scatter.
+//! reference and against its own scalar scatter, the three builds one
+//! trial.
 //!
 //! **`--calibrate`.** Runs the sweep first (`spmv_bench::calibration`:
 //! 576 lattice matrices from 1 KB to 32 MB, twelve formats built at the
-//! lane profile in force and timed in two rounds; about four minutes),
+//! lane profile in force and timed as a trial of two rounds; about four
+//! minutes),
 //! sets the label margin (the widest that costs the table's own
 //! leave-one-out regret next to nothing), keeps the formats that label
 //! at least one matrix in twenty, **overwrites the committed table
@@ -39,23 +45,25 @@
 //! file is a `--calibrate` run on the reference host, from the same run
 //! as the committed table.
 //!
-//! Exit status — always enforced, no thread-count escape. When this
-//! host is the table's (CPU model and vector ISA as in its header):
-//! held-out geomean speedup over always-Naive-CSR ≥ 1.10× and geomean
-//! regret against the measured oracle ≤ 1.15. On any other host: the
-//! engine's choice is not slower than always-Naive-CSR in the geomean —
-//! a miss there says "calibrate for this host". A run that misses is
-//! re-scored once before it fails. On every host, and not on time: the
-//! tuned SELL-C-σ conversion of every held-out operand stores exactly
-//! the bytes of its reference.
+//! Exit status — always enforced, no thread-count escape, on the
+//! geomean over the held-out operands of their median paired ratios.
+//! When this host is the table's (vector ISA and CPU model as in its
+//! header, the model compared without a trailing ` @ <clock>`):
+//! speedup over always-Naive-CSR ≥ 1.10× and regret against the
+//! measured oracle ≤ 1.15. On any other host: the engine's choice is
+//! not slower than always-Naive-CSR — a miss there says "calibrate for
+//! this host". On every host, and not on time: the tuned SELL-C-σ
+//! conversion of every held-out operand stores exactly the bytes of its
+//! reference.
 //!
 //! Flags: `--calibrate`, `--mb F,F,…` (held-out footprints, default
 //! `0.06,1,32`), `--seed N` (held-out seed, default 2).
 
 use spmv_bench::args::parse_flags;
-use spmv_bench::calibration::{self, leave_one_out, operand, time_spmv, Sweep, SWEPT};
+use spmv_bench::calibration::{self, leave_one_out, operand, Sweep, SWEPT};
 use spmv_bench::classes::{self, CLASSES};
 use spmv_bench::report::{self, obj, round3, Json};
+use spmv_bench::timing::{self, side};
 use spmv_core::FeatureSet;
 use spmv_devices::HostTable;
 use spmv_engine::{selector_from_records, Engine, EngineConfig};
@@ -65,6 +73,8 @@ use spmv_formats::{
     build_format_with, build_with_fallback_profile, FormatKind, LaneProfile, LaneWidth,
     SparseFormat,
 };
+use std::cell::RefCell;
+use std::hint::black_box;
 use std::time::Instant;
 
 struct Config {
@@ -96,6 +106,10 @@ fn config() -> Config {
 /// Held-out bars on the table's own host.
 const MIN_SPEEDUP: f64 = 1.10;
 const MAX_REGRET: f64 = 1.15;
+
+/// Rounds of every held-out trial: the formats' SpMV, and the SELL
+/// conversions.
+const ROUNDS: usize = 5;
 
 /// Footprint regimes of the win table: the three the repo benchmark
 /// serves, split where the sweep's lattice has its gaps.
@@ -194,29 +208,38 @@ fn score_held_out(cfg: &Config, engine: &Engine) -> HeldOut {
     for (f, &mb) in cfg.mb.iter().enumerate() {
         for (i, &(class, ..)) in CLASSES.iter().enumerate() {
             let csr = classes::generate(i, mb, cfg.seed, (f * CLASSES.len() + i) as u64);
-            let (x, mut y) = (operand(csr.cols()), vec![0.0; csr.rows()]);
+            let (x, y) = (operand(csr.cols()), RefCell::new(vec![0.0; csr.rows()]));
             // The engine plans from the estimate (`extract_and_select`).
             let planned = engine.select(&FeatureSet::estimate(&csr));
             let fallback = [engine.default_format()];
             let (_, selected, _) = build_with_fallback_profile(planned, &csr, &fallback, lanes)
                 .expect("the fallback is Naive-CSR, which accepts any matrix");
-            let mut secs = vec![f64::INFINITY; SWEPT.len()];
+            let mut built = Vec::new();
             for (k, kind) in SWEPT.into_iter().enumerate() {
                 let t = Instant::now();
                 let Ok(fmt) = build_format_with(kind, &csr, lanes) else { continue };
                 out.convert[f][k].push(t.elapsed().as_secs_f64() * 1e9 / csr.nnz() as f64);
-                secs[k] = time_spmv(&*fmt, &x, &mut y);
+                built.push((kind, fmt));
             }
-            let at = |kind| SWEPT.iter().position(|&k| k == kind).expect("a swept format");
-            let fastest = (0..secs.len()).fold(0, |b, k| if secs[k] < secs[b] { k } else { b });
+            let spmv = |f: &dyn SparseFormat| f.spmv(black_box(&x), black_box(&mut y.borrow_mut()));
+            let rounds = timing::run(
+                ROUNDS,
+                built.iter().map(|(kind, fmt)| side(kind.name(), || spmv(&**fmt))).collect(),
+            );
+            let median = |kind: &FormatKind| rounds.side(kind.name()).median;
+            let fastest = built
+                .iter()
+                .map(|(kind, _)| *kind)
+                .min_by(|a, b| median(a).total_cmp(&median(b)))
+                .expect("Naive-CSR accepts any matrix");
             let (regret, speedup) = (
-                secs[at(selected)] / secs[fastest],
-                secs[at(FormatKind::NaiveCsr)] / secs[at(selected)],
+                rounds.ratio(selected.name(), fastest.name()).median(),
+                rounds.ratio(FormatKind::NaiveCsr.name(), selected.name()).median(),
             );
             println!(
                 "{class:<14} {mb:>6} {:<15} {:<15} {regret:>7.3} {speedup:>7.3}x",
                 selected.name(),
-                SWEPT[fastest].name()
+                fastest.name()
             );
             out.regret.push(regret);
             out.speedup.push(speedup);
@@ -224,7 +247,7 @@ fn score_held_out(cfg: &Config, engine: &Engine) -> HeldOut {
                 ("class", class.into()),
                 ("mb", mb.into()),
                 ("selected", selected.name().into()),
-                ("fastest", SWEPT[fastest].name().into()),
+                ("fastest", fastest.name().into()),
                 ("regret", round3(regret).into()),
                 ("speedup_vs_naive_csr", round3(speedup).into()),
             ]));
@@ -235,28 +258,37 @@ fn score_held_out(cfg: &Config, engine: &Engine) -> HeldOut {
                     out.sell_mismatches.push(format!("{class} {mb} MB C={c}"));
                 }
                 drop((reference, tuned));
-                // Fastest of alternating builds; the allocator hands
-                // every side the blocks the previous build freed.
-                let (mut reference, mut scalar, mut tuned) =
-                    (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-                for _ in 0..if mb > 8.0 { 3 } else { 9 } {
-                    let t = Instant::now();
-                    drop(SellCSigmaFormat::from_csr_reference(&csr, c, DEFAULT_SIGMA, lanes));
-                    reference = reference.min(t.elapsed().as_secs_f64());
-                    let t = Instant::now();
-                    drop(SellCSigmaFormat::from_csr_with_profile(
+                // The allocator hands every side the blocks the previous
+                // build freed.
+                let build = |profile| {
+                    drop(black_box(SellCSigmaFormat::from_csr_with_profile(
                         &csr,
                         c,
                         DEFAULT_SIGMA,
-                        LaneProfile::scalar(),
-                    ));
-                    scalar = scalar.min(t.elapsed().as_secs_f64());
-                    let t = Instant::now();
-                    drop(SellCSigmaFormat::from_csr_with_profile(&csr, c, DEFAULT_SIGMA, lanes));
-                    tuned = tuned.min(t.elapsed().as_secs_f64());
-                }
+                        profile,
+                    )))
+                };
+                let rounds = timing::run(
+                    ROUNDS,
+                    vec![
+                        side("reference", || {
+                            drop(black_box(SellCSigmaFormat::from_csr_reference(
+                                &csr,
+                                c,
+                                DEFAULT_SIGMA,
+                                lanes,
+                            )))
+                        }),
+                        side("scalar", || build(LaneProfile::scalar())),
+                        side("tuned", || build(lanes)),
+                    ],
+                );
+                let median = |name| rounds.side(name).median;
+                let (reference, scalar, tuned) =
+                    (median("reference"), median("scalar"), median("tuned"));
                 let per_nnz = 1e9 / csr.nnz() as f64;
-                out.sell_speedup[sell_index(c)].push(scalar / tuned);
+                let scalar_over_tuned = rounds.ratio("scalar", "tuned").median();
+                out.sell_speedup[sell_index(c)].push(scalar_over_tuned);
                 out.sell.push(obj([
                     ("class", class.into()),
                     ("mb", mb.into()),
@@ -264,8 +296,8 @@ fn score_held_out(cfg: &Config, engine: &Engine) -> HeldOut {
                     ("reference_ns_per_nnz", round3(reference * per_nnz).into()),
                     ("scalar_ns_per_nnz", round3(scalar * per_nnz).into()),
                     ("tuned_ns_per_nnz", round3(tuned * per_nnz).into()),
-                    ("ratio", round3(reference / tuned).into()),
-                    ("scalar_over_tuned", round3(scalar / tuned).into()),
+                    ("ratio", round3(rounds.ratio("reference", "tuned").median()).into()),
+                    ("scalar_over_tuned", round3(scalar_over_tuned).into()),
                 ]));
             }
         }
@@ -347,8 +379,9 @@ fn sweep_report(sweep: &Sweep) -> Json {
         ("footprints_mb", Json::Arr(calibration::SWEEP_MB.iter().map(|&m| m.into()).collect())),
         (
             "timing",
-            "sequential spmv, calls batched to >= 20 us per sample, fastest of >= 5 samples, two \
-             rounds over all formats of a matrix; spread = |ln(round a / round b)|"
+            "sequential spmv, one spmv_bench::timing trial of two rounds over all formats of a \
+             matrix, each visit batched to >= 20 us; gflops of the median (the mean of the two \
+             rounds); spread = |ln(round a / round b)|"
                 .into(),
         ),
         (
@@ -374,6 +407,7 @@ fn sweep_report(sweep: &Sweep) -> Json {
 }
 
 fn main() {
+    report::start();
     let cfg = config();
     // The engine a caller gets: from the committed table under the
     // default config, or around a selector fitted from a fresh sweep.
@@ -400,8 +434,8 @@ fn main() {
                 calibration::SWEEP_LOCALITY.len(),
                 calibration::SWEEP_SEED
             ),
-            "GFLOP/s of sequential spmv: calls batched to >= 20 us per sample, fastest sample of \
-             two rounds of >= 5"
+            "GFLOP/s of sequential spmv: median of a two-round trial over the formats, each \
+             visit batched to >= 20 us"
                 .to_string(),
             format!(
                 "margin = the widest (percent steps) whose leave-one-out regret stays within \
@@ -451,7 +485,8 @@ fn main() {
         eprintln!("engine construction failed: {e}");
         std::process::exit(2);
     });
-    let host_matches = table.cpu_model == report::cpu_model()
+    let host_matches = report::cpu_model_without_clock(&table.cpu_model)
+        == report::cpu_model_without_clock(&report::cpu_model())
         && table.vector_isa == spmv_formats::kernels::vector_isa();
     println!(
         "\ntable: {} matrices x {} formats, swept on {:?} ({}, W{}) at {}, margin {}; this host {}",
@@ -477,11 +512,7 @@ fn main() {
         if host_matches { (MIN_SPEEDUP, MAX_REGRET) } else { (1.0, f64::INFINITY) };
     let passes =
         |h: &HeldOut| geomean(&h.speedup) >= min_speedup && geomean(&h.regret) <= max_regret;
-    let mut held = score_held_out(&cfg, &engine);
-    if !passes(&held) {
-        println!("\nmissed the gate; scoring once more");
-        held = score_held_out(&cfg, &engine);
-    }
+    let held = score_held_out(&cfg, &engine);
     let (speedup, regret) = (geomean(&held.speedup), geomean(&held.regret));
     let worst = held.regret.iter().copied().fold(1.0, f64::max);
     println!(

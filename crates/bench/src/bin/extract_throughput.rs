@@ -4,26 +4,28 @@
 //!
 //! The operands are the eight feature classes of the repo benchmark
 //! (`benchmark/src/inputs.rs`) at two footprints each (default 0.5 and
-//! 4 MB, the ends of the `cold-*` range). One pass times one side —
+//! 4 MB, the ends of the `cold-*` range). The four sides —
 //! [`FeatureSet::extract`], [`FeatureSet::extract_reference`],
-//! [`FeatureSet::estimate`] or `CsrMatrix::spmv_into` — on every operand
-//! in turn, so an operand is revisited only after the rest of the set
-//! has streamed through the cache; the sides alternate and each cell
-//! reports its fastest rep. Every operand's exact `FeatureSet`s are
-//! `assert_eq!`-compared first, and the default engine (`Host` profile)
-//! selects from both the exact and the estimated features. The table is
-//! printed and written to `BENCH_extract.json` at the repo root.
+//! [`FeatureSet::estimate`] and `CsrMatrix::spmv_into` — are one
+//! `spmv_bench::timing` trial in passes: a pass runs one side on every
+//! operand in turn, so an operand is revisited only after the rest of
+//! the set has streamed through the cache, and each of `--reps` rounds
+//! runs the four passes in rotated order. A cell reports each side's
+//! median round and its speedup over the oracle as the median of the
+//! per-round ratios, with their IQR, the rounds extract won and the
+//! ratio of the fastest rounds (the min-of-N statistic). Every
+//! operand's exact `FeatureSet`s are `assert_eq!`-compared first, and
+//! the default engine (`Host` profile) selects from both the exact and
+//! the estimated features. The table is printed and written to
+//! `BENCH_extract.json` at the repo root.
 //!
-//! Exit status — enforced on every host, no thread-count escape:
+//! Exit status — enforced on every host, no thread-count escape; the
+//! timing bars are judged on the cells' median paired ratios:
 //!
 //! * the geomean over all cells of oracle time / extract time is ≥ 2;
 //! * no cell extracts slower than the oracle;
 //! * on every operand the engine serves the same kind from the estimate
-//!   as from the exact features (deterministic, never re-timed).
-//!
-//! A run that misses a timing bar is re-timed up to three times with
-//! more reps before it fails: one descheduled sample must not turn a
-//! gate red.
+//!   as from the exact features (deterministic).
 //!
 //! `--lattice MB,..` also regenerates the calibration lattice
 //! (`spmv_bench::calibration::lattice`) at those of its footprints and
@@ -32,14 +34,15 @@
 //! vectors.
 //!
 //! Flags: `--mb A,B,..` (footprints, default `0.5,4`), `--seed N`,
-//! `--reps N` (default 7), `--lattice MB,..` (footprints of
+//! `--reps N` (rounds, default 7), `--lattice MB,..` (footprints of
 //! `calibration::SWEEP_MB`, default none).
 
 use spmv_analysis::stats::geomean;
 use spmv_bench::args::parse_flags;
-use spmv_bench::calibration::{self, time_once as time, SWEEP_MB};
+use spmv_bench::calibration::{self, SWEEP_MB};
 use spmv_bench::classes::{self, CLASSES};
 use spmv_bench::report::{self, obj, round3, Json};
+use spmv_bench::timing::{self, side, Ratio};
 use spmv_core::features::SAMPLE_NNZ;
 use spmv_core::{CsrMatrix, FeatureSet};
 use spmv_engine::{Engine, EngineConfig};
@@ -74,24 +77,21 @@ fn config() -> Config {
 
 /// The oracle must lose by this factor in the geomean over all cells.
 const MIN_GEOMEAN_SPEEDUP: f64 = 2.0;
-/// Re-measurements granted to a run that misses the gate.
-const RETRIES: usize = 3;
 
 struct Operand {
     class: &'static str,
     mb: f64,
     csr: CsrMatrix,
     x: Vec<f64>,
-    y: Vec<f64>,
     /// What the engine serves from the exact and from the estimated
     /// features.
     served: [&'static str; 2],
 }
 
-/// The sides of a pass, in timing order.
-const SIDES: usize = 4;
-/// Fastest seconds per operand of `[extract, oracle, spmv, estimate]`.
-type Times = Vec<[f64; SIDES]>;
+/// The sides of a trial, each a pass over the operands.
+const SIDES: [&str; 4] = ["extract", "oracle", "spmv", "estimate"];
+/// Median seconds per operand of `[extract, oracle, spmv, estimate]`.
+type Times = Vec<[f64; 4]>;
 
 /// What `engine` serves from the exact and from the estimated features
 /// of `csr`, and the two feature vectors.
@@ -112,36 +112,39 @@ fn operands(cfg: &Config, engine: &Engine) -> Vec<Operand> {
             );
             let (served, _) = served_both(engine, &csr);
             let x = (0..csr.cols()).map(|c| 1.0 + (c % 5) as f64 * 0.25).collect();
-            let y = vec![0.0; csr.rows()];
-            out.push(Operand { class, mb, csr, x, y, served });
+            out.push(Operand { class, mb, csr, x, served });
         }
     }
     out
 }
 
-/// `reps` rounds of one pass per side over the set.
-fn measure(ops: &mut [Operand], reps: usize) -> Times {
-    let mut best = vec![[f64::INFINITY; SIDES]; ops.len()];
-    for _ in 0..reps {
-        for side in 0..SIDES {
-            for (op, best) in ops.iter_mut().zip(&mut best) {
-                let t = match side {
-                    0 => time(|| {
-                        black_box(FeatureSet::extract(black_box(&op.csr)));
-                    }),
-                    1 => time(|| {
-                        black_box(FeatureSet::extract_reference(black_box(&op.csr)));
-                    }),
-                    2 => time(|| op.csr.spmv_into(black_box(&op.x), black_box(&mut op.y))),
-                    _ => time(|| {
-                        black_box(FeatureSet::estimate(black_box(&op.csr)));
-                    }),
-                };
-                best[side] = best[side].min(t);
-            }
+/// `reps` rounds of one pass per side over the set: per operand, the
+/// median seconds of every side and the paired oracle / extract ratio.
+fn trial(ops: &[Operand], reps: usize) -> (Times, Vec<Ratio>) {
+    let mut sides = Vec::new();
+    for name in SIDES {
+        for (i, op) in ops.iter().enumerate() {
+            let csr = &op.csr;
+            let mut y = vec![0.0; csr.rows()];
+            let call: Box<dyn FnMut()> = match name {
+                "extract" => Box::new(move || _ = black_box(FeatureSet::extract(black_box(csr)))),
+                "oracle" => {
+                    Box::new(move || _ = black_box(FeatureSet::extract_reference(black_box(csr))))
+                }
+                "spmv" => Box::new(move || csr.spmv_into(black_box(&op.x), black_box(&mut y))),
+                _ => Box::new(move || _ = black_box(FeatureSet::estimate(black_box(csr)))),
+            };
+            sides.push(side(format!("{name} {i}"), call));
         }
     }
-    best
+    let rounds = timing::run_in_passes(reps, sides, ops.len());
+    let times = (0..ops.len())
+        .map(|i| SIDES.map(|name| rounds.side(&format!("{name} {i}")).median))
+        .collect();
+    let speedups = (0..ops.len())
+        .map(|i| rounds.ratio(&format!("oracle {i}"), &format!("extract {i}")))
+        .collect();
+    (times, speedups)
 }
 
 /// Geomean over the cells `keep` admits of a ratio of their times.
@@ -149,17 +152,17 @@ fn geomean_of(
     ops: &[Operand],
     times: &Times,
     keep: impl Fn(&Operand) -> bool,
-    ratio: impl Fn(&[f64; SIDES]) -> f64,
+    ratio: impl Fn(&[f64; 4]) -> f64,
 ) -> Option<f64> {
     let ratios: Vec<f64> =
         ops.iter().zip(times).filter(|(op, _)| keep(op)).map(|(_, t)| ratio(t)).collect();
     geomean(&ratios)
 }
 
-/// Oracle time over extract time, in the geomean over all cells.
-fn speedup_vs_oracle(ops: &[Operand], times: &Times) -> f64 {
-    geomean_of(ops, times, |_| true, |[extract, oracle, ..]| oracle / extract)
-        .expect("every timed call takes a positive, finite time")
+/// The geomean over all cells of `of` of their oracle / extract ratios.
+fn speedup_vs_oracle(speedups: &[Ratio], of: impl Fn(&Ratio) -> f64) -> f64 {
+    let ratios: Vec<f64> = speedups.iter().map(of).collect();
+    geomean(&ratios).expect("every timed call takes a positive, finite time")
 }
 
 /// Whether `estimate` samples this operand rather than extracting it.
@@ -168,20 +171,15 @@ fn sampled(op: &Operand) -> bool {
 }
 
 /// The cells that miss the timing gate, as messages (empty: it passes).
-fn misses(ops: &[Operand], times: &Times) -> Vec<String> {
+fn misses(ops: &[Operand], speedups: &[Ratio]) -> Vec<String> {
     let mut out = Vec::new();
-    for (op, [extract, oracle, ..]) in ops.iter().zip(times) {
-        if extract > oracle {
-            out.push(format!(
-                "{} {} MB: extract {:.0} us is slower than the oracle's {:.0} us",
-                op.class,
-                op.mb,
-                extract * 1e6,
-                oracle * 1e6
-            ));
+    for (op, speedup) in ops.iter().zip(speedups) {
+        if speedup.median() < 1.0 {
+            let (class, mb, median) = (op.class, op.mb, speedup.median());
+            out.push(format!("{class} {mb} MB: extract is {median:.2}x the oracle's speed"));
         }
     }
-    let speedup = speedup_vs_oracle(ops, times);
+    let speedup = speedup_vs_oracle(speedups, Ratio::median);
     if speedup < MIN_GEOMEAN_SPEEDUP {
         out.push(format!("geomean speedup {speedup:.2}x < {MIN_GEOMEAN_SPEEDUP}x"));
     }
@@ -240,24 +238,19 @@ fn lattice_report(mbs: &[f64], engine: &Engine) -> Json {
 }
 
 fn main() {
+    report::start();
     let cfg = config();
     let engine = Engine::new(EngineConfig::default()).expect("the default engine builds");
-    let mut ops = operands(&cfg, &engine);
+    let ops = operands(&cfg, &engine);
     println!(
-        "Feature extraction vs oracle vs estimate vs CSR SpMV ({} operands, cache-cold cycling, \
-         fastest of {} reps)",
+        "Feature extraction vs oracle vs estimate vs CSR SpMV ({} operands, cache-cold passes, \
+         median of {} paired rounds)",
         ops.len(),
         cfg.reps
     );
 
-    let mut times = measure(&mut ops, cfg.reps);
-    for retry in 1..=RETRIES {
-        if misses(&ops, &times).is_empty() {
-            break;
-        }
-        times = measure(&mut ops, cfg.reps * (retry + 1));
-    }
-    let mut misses = misses(&ops, &times);
+    let (times, speedups) = trial(&ops, cfg.reps);
+    let mut misses = misses(&ops, &speedups);
     for op in ops.iter().filter(|op| op.served[0] != op.served[1]) {
         misses.push(format!(
             "{} {} MB: served {} from the estimate, {} from the exact features",
@@ -266,7 +259,7 @@ fn main() {
     }
 
     println!(
-        "{:<14} {:>5} {:>9} {:>11} {:>11} {:>11} {:>9} {:>10} {:>10} {:>8} {:>8}  served",
+        "{:<14} {:>5} {:>9} {:>11} {:>11} {:>11} {:>9} {:>10} {:>10} {:>8} {:>6} {:>6} {:>8}  served",
         "class",
         "MB",
         "nnz",
@@ -277,14 +270,17 @@ fn main() {
         "ext ns/nz",
         "orc ns/nz",
         "speedup",
+        "iqr",
+        "won",
         "est/ext",
     );
     let mut table = Vec::new();
-    for (op, &[extract, oracle, spmv, estimate]) in ops.iter().zip(&times) {
+    for ((op, &[extract, oracle, spmv, estimate]), speedup) in ops.iter().zip(&times).zip(&speedups)
+    {
         let nnz = op.csr.nnz();
         let per_nnz = |secs: f64| secs * 1e9 / nnz as f64;
         println!(
-            "{:<14} {:>5} {:>9} {:>11.1} {:>11.1} {:>11.1} {:>9.1} {:>10.2} {:>10.2} {:>7.2}x {:>8.2}  {}",
+            "{:<14} {:>5} {:>9} {:>11.1} {:>11.1} {:>11.1} {:>9.1} {:>10.2} {:>10.2} {:>7.2}x {:>6.3} {:>6} {:>8.2}  {}",
             op.class,
             op.mb,
             nnz,
@@ -294,7 +290,9 @@ fn main() {
             spmv * 1e6,
             per_nnz(extract),
             per_nnz(oracle),
-            oracle / extract,
+            speedup.median(),
+            speedup.iqr(),
+            speedup.faster,
             estimate / extract,
             op.served[1],
         );
@@ -312,7 +310,7 @@ fn main() {
             ("oracle_ns_per_nnz", round3(per_nnz(oracle)).into()),
             ("estimate_ns_per_nnz", round3(per_nnz(estimate)).into()),
             ("spmv_ns_per_nnz", round3(per_nnz(spmv)).into()),
-            ("speedup_vs_oracle", round3(oracle / extract).into()),
+            ("speedup_vs_oracle", speedup.json()),
             ("extract_over_spmv", round3(extract / spmv).into()),
             ("estimate_over_extract", round3(estimate / extract).into()),
             ("estimate_over_spmv", round3(estimate / spmv).into()),
@@ -320,7 +318,8 @@ fn main() {
             ("served", op.served[1].into()),
         ]));
     }
-    let speedup = speedup_vs_oracle(&ops, &times);
+    let speedup = speedup_vs_oracle(&speedups, Ratio::median);
+    let speedup_of_fastest = speedup_vs_oracle(&speedups, |r| r.of_fastest);
     let all = |_: &Operand| true;
     let over_spmv = geomean_of(&ops, &times, all, |[extract, _, spmv, _]| extract / spmv);
     let estimate_over = |keep: fn(&Operand) -> bool| {
@@ -330,7 +329,7 @@ fn main() {
     let est_over_spmv = geomean_of(&ops, &times, all, |[.., spmv, estimate]| estimate / spmv);
     let num = |v: Option<f64>| v.map_or(Json::Num(f64::NAN), |v| round3(v).into());
     println!(
-        "geomean: {speedup:.2}x the oracle, {:.2} SpMVs per extraction, estimate {:.2}x extract \
+        "geomean: {speedup:.2}x the oracle ({speedup_of_fastest:.2}x of the fastest rounds), {:.2} SpMVs per extraction, estimate {:.2}x extract \
          ({:.2}x over the {} sampled cells), {:.2} SpMVs per estimate",
         over_spmv.unwrap_or(f64::NAN),
         est_all.unwrap_or(f64::NAN),
@@ -354,8 +353,11 @@ fn main() {
                 ("sample_nnz", SAMPLE_NNZ.into()),
                 (
                     "timing",
-                    "fastest rep per cell; each pass runs one side over the whole set, \
-                     sides alternating, so operands are revisited cache-cold"
+                    "one spmv_bench::timing trial in passes: a pass runs one side over the whole \
+                     set, so operands are revisited cache-cold; `reps` rounds of the four passes \
+                     in rotated order, each visit batched to >= 20 us; times are median rounds, \
+                     speedup_vs_oracle the median of the per-round oracle / extract ratios (iqr, \
+                     rounds extract won, fastest-round ratio beside it)"
                         .into(),
                 ),
             ]),
@@ -365,7 +367,9 @@ fn main() {
             obj([
                 ("min_geomean_speedup_vs_oracle", MIN_GEOMEAN_SPEEDUP.into()),
                 ("min_cell_speedup_vs_oracle", 1.0.into()),
+                ("statistic", "median of the per-round ratios".into()),
                 ("geomean_speedup_vs_oracle", round3(speedup).into()),
+                ("geomean_speedup_of_fastest", round3(speedup_of_fastest).into()),
                 ("geomean_extract_over_spmv", num(over_spmv)),
                 ("geomean_estimate_over_extract", num(est_all)),
                 ("geomean_estimate_over_extract_sampled", num(est_sampled)),

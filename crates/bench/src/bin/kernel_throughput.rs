@@ -11,13 +11,19 @@
 //! the width `Engine::new(default)` resolves (`SPMV_LANES`, else the
 //! committed host table's; the record's host block names the probe's
 //! beside it), which on x86-64 with AVX2 or better runs the gather
-//! microkernels — and the two run sequential SpMV alternately; each
-//! side reports its fastest rep. Per cell: GFLOP/s of both, their
-//! ratio, the host side's computed GB/s (stored format bytes + `x` +
-//! `y` once each) and that as a fraction of the measured triad roof
-//! (`spmv_core::roofline::measured_triad_gbs` over a working set of the
-//! same footprint). The table is printed and written to
-//! `BENCH_kernel.json` at the repo root.
+//! microkernels. Each cell is one trial of `spmv_bench::timing`: the
+//! scalar twin, the served one and a STREAM triad over arrays that
+//! weigh what the served format streams (stored bytes + `x` + `y` once
+//! each), `--reps` rounds, each round visiting the three in rotated
+//! order. Per cell: GFLOP/s of both sides (median rounds), their ratio
+//! as the median of the per-round ratios with its IQR, the rounds the
+//! served side won and the ratio of the fastest rounds (the min-of-N
+//! statistic, beside it), the served side's computed GB/s, and its roof
+//! fraction: the median over rounds of its GB/s over that round's triad
+//! GB/s. For Naive-CSR the cell names the body that ran (`across`, the
+//! rows across the lanes, or `scalar loop`), by the kernels' own
+//! cut-offs. The table is printed and written to `BENCH_kernel.json` at
+//! the repo root.
 //!
 //! Naive-CSR at the served profile runs its W1 order across rows on the
 //! vector unit; per class the record also states what that buys against
@@ -26,27 +32,26 @@
 //! 6's bars on those numbers reported, not enforced (`item6_bars`).
 //!
 //! Exit status — enforced on every host with a vector unit, no
-//! thread-count escape:
+//! thread-count escape; a cell passes when its median paired ratio
+//! clears its bar:
 //!
 //! * no format on any class runs below 0.9× its scalar twin;
 //! * SELL-C-s on `mid-regular` (regular rows, full chunks) runs ≥ 1.5×
 //!   its scalar twin.
 //!
-//! A cell that misses is re-timed up to three times with more reps
-//! before it fails the run. A host without AVX2 (or `SPMV_LANES=1`)
-//! builds the same scalar code on both sides: the gate reports
-//! "skipped: scalar host" and exits 0.
+//! A host without AVX2 (or `SPMV_LANES=1`) builds the same scalar code
+//! on both sides: the gate reports "skipped: scalar host" and exits 0.
 //!
 //! Flags: `--mb F` (default 32), `--seed N` (default 1), `--reps N`
-//! (default 9).
+//! (rounds, default 9).
 
 use spmv_bench::args::parse_flags;
-use spmv_bench::calibration::time_once;
 use spmv_bench::classes::{self, CLASSES};
 use spmv_bench::report::{self, obj, round3, Json};
-use spmv_core::roofline::{measured_triad_gbs, Roofline};
-use spmv_formats::kernels::vector_isa;
+use spmv_bench::timing::{self, side};
+use spmv_formats::kernels::{vector_isa, ACROSS_MAX_X, ACROSS_MIN_ENTRIES};
 use spmv_formats::{build_format_with, FormatKind, LaneProfile, LaneWidth, SparseFormat};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 struct Config {
@@ -73,8 +78,6 @@ fn config() -> Config {
 const MIN_RATIO: f64 = 0.9;
 /// The cell that must show the vector unit at work, and by how much.
 const SELL_GATE: (&str, FormatKind, f64) = ("mid-regular", FormatKind::SellCSigma, 1.5);
-/// Re-measurements granted to a cell that misses its bound.
-const RETRIES: usize = 3;
 /// ROADMAP item 6's bars for Naive-CSR's rows across the lanes (reported,
 /// not enforced): a roof fraction on `short-regular`, and a fraction of
 /// SELL-C-s on the classes with regular, longer rows.
@@ -91,23 +94,6 @@ struct NaiveVsSell {
     sell_c_s_gflops: f64,
 }
 
-/// Fastest of `reps` alternating timings of (scalar, host), in seconds.
-fn measure(
-    scalar: &dyn SparseFormat,
-    host: &dyn SparseFormat,
-    x: &[f64],
-    y: &mut [f64],
-    reps: usize,
-) -> (f64, f64) {
-    let mut time = |f: &dyn SparseFormat| time_once(|| f.spmv(black_box(x), black_box(y)));
-    let (mut t_scalar, mut t_host) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        t_scalar = t_scalar.min(time(scalar));
-        t_host = t_host.min(time(host));
-    }
-    (t_scalar, t_host)
-}
-
 /// The ratio a cell must reach.
 fn bound(class: &str, kind: FormatKind) -> f64 {
     if (class, kind) == (SELL_GATE.0, SELL_GATE.1) {
@@ -117,22 +103,42 @@ fn bound(class: &str, kind: FormatKind) -> f64 {
     }
 }
 
+/// The body Naive-CSR's sequential `spmv` runs at `profile` on a matrix
+/// of `nnz` entries and `cols` columns: its rows across the lanes
+/// (AVX-512 at a vector profile, inside the kernels' cut-offs) or the
+/// scalar loop.
+fn naive_body(profile: LaneProfile, nnz: usize, cols: usize) -> &'static str {
+    let vector = vector_isa() == "avx512" && profile.width != LaneWidth::W1;
+    if vector && nnz >= ACROSS_MIN_ENTRIES && cols <= ACROSS_MAX_X {
+        "across"
+    } else {
+        "scalar loop"
+    }
+}
+
 fn main() {
+    report::start();
     let cfg = config();
     let profile = report::served_profile();
     let isa = vector_isa();
     let vectorized = isa != "scalar" && profile.width != LaneWidth::W1;
-    // Three arrays that together weigh what one kernel streams.
-    let triad_gbs = measured_triad_gbs((cfg.mb * 1024.0 * 1024.0 / 24.0) as usize, 5);
-    let roof = Roofline::new(f64::INFINITY, triad_gbs);
     println!(
-        "Lane kernels, scalar profile vs {:?} on {isa} ({} MB per class, fastest of {} reps, \
-         triad roof {triad_gbs:.1} GB/s)",
+        "Lane kernels, scalar profile vs {:?} on {isa} ({} MB per class, median of {} paired \
+         rounds, each with a triad of the cell's footprint)",
         profile.width, cfg.mb, cfg.reps
     );
     println!(
-        "{:<14} {:<15} {:>11} {:>11} {:>7} {:>8} {:>6}",
-        "class", "format", "scalar GF/s", "host GF/s", "ratio", "GB/s", "roof"
+        "{:<14} {:<15} {:>11} {:>11} {:>7} {:>6} {:>6} {:>8} {:>8} {:>6}",
+        "class",
+        "format",
+        "scalar GF/s",
+        "host GF/s",
+        "ratio",
+        "iqr",
+        "won",
+        "fastest",
+        "GB/s",
+        "roof"
     );
 
     let mut table = Vec::new();
@@ -142,7 +148,7 @@ fn main() {
         let csr = classes::generate(i, cfg.mb, cfg.seed, i as u64);
         let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
         let x: Vec<f64> = (0..cols).map(|c| 1.0 + (c % 5) as f64 * 0.25).collect();
-        let mut y = vec![0.0; rows];
+        let y = RefCell::new(vec![0.0; rows]);
         let flops = 2.0 * nnz as f64;
         let mut row = NaiveVsSell {
             class,
@@ -155,26 +161,41 @@ fn main() {
             // ELL refuses the skewed classes on its padding budget.
             let Ok(scalar) = build_format_with(kind, &csr, LaneProfile::scalar()) else { continue };
             let host = build_format_with(kind, &csr, profile).expect("the scalar build succeeded");
+            let bytes = host.bytes() + 8 * (rows + cols);
+            // STREAM triad `a = b + s·c` over three arrays that together
+            // weigh what the served format streams.
+            let n = (bytes / 24).max(1);
+            let (mut a, b, c) = (vec![0.0; n], vec![1.5; n], vec![0.25; n]);
+            let triad_bytes = (24 * n) as f64;
+            let spmv = |f: &dyn SparseFormat| f.spmv(black_box(&x), black_box(&mut y.borrow_mut()));
+            let rounds = timing::run(
+                cfg.reps,
+                vec![
+                    side("scalar", || spmv(&*scalar)),
+                    side("host", || spmv(&*host)),
+                    side("triad", || {
+                        a.iter_mut().zip(&b).zip(&c).for_each(|((a, b), c)| *a = b + 3.0 * c);
+                        black_box(&mut a);
+                    }),
+                ],
+            );
             let bound = bound(class, kind);
-            let (mut t_scalar, mut t_host) = measure(&*scalar, &*host, &x, &mut y, cfg.reps);
-            for retry in 1..=RETRIES {
-                if !vectorized || t_scalar / t_host >= bound {
-                    break;
-                }
-                let (s, h) = measure(&*scalar, &*host, &x, &mut y, cfg.reps * (retry + 1));
-                (t_scalar, t_host) = (t_scalar.min(s), t_host.min(h));
-            }
-            let ratio = t_scalar / t_host;
-            let bytes = (host.bytes() + 8 * (rows + cols)) as f64;
-            let gbs = bytes / t_host / 1e9;
-            let roof_frac = (flops / t_host / 1e9) / roof.attainable_gflops(flops / bytes);
+            let ratio = rounds.ratio("scalar", "host");
+            let (t_scalar, t_host) = (rounds.side("scalar").median, rounds.side("host").median);
+            let gbs = bytes as f64 / t_host / 1e9;
+            // Per round, (bytes / t_host) / (triad bytes / t_triad).
+            let roof_frac = rounds.ratio("triad", "host").median() * bytes as f64 / triad_bytes;
+            let triad_gbs = triad_bytes / rounds.side("triad").median / 1e9;
             println!(
-                "{:<14} {:<15} {:>11.2} {:>11.2} {:>6.2}x {:>8.2} {:>6.2}",
+                "{:<14} {:<15} {:>11.2} {:>11.2} {:>6.2}x {:>6.3} {:>6} {:>7.2}x {:>8.2} {:>6.2}",
                 class,
                 kind.name(),
                 flops / t_scalar / 1e9,
                 flops / t_host / 1e9,
-                ratio,
+                ratio.median(),
+                ratio.iqr(),
+                ratio.faster,
+                ratio.of_fastest,
                 gbs,
                 roof_frac
             );
@@ -187,18 +208,25 @@ fn main() {
                 FormatKind::SellCSigma => row.sell_c_s_gflops = host_gflops,
                 _ => {}
             }
-            if vectorized && ratio < bound {
-                misses.push(format!("{class} {}: {ratio:.2}x scalar < {bound}x", kind.name()));
+            if vectorized && ratio.median() < bound {
+                let median = ratio.median();
+                misses.push(format!("{class} {}: {median:.2}x scalar < {bound}x", kind.name()));
             }
+            let body = match kind {
+                FormatKind::NaiveCsr => naive_body(profile, nnz, cols),
+                _ => "n/a",
+            };
             table.push(obj([
                 ("class", class.into()),
                 ("format", kind.name().into()),
                 ("nnz", nnz.into()),
+                ("body", body.into()),
                 ("bytes_per_nnz", round3(host.bytes() as f64 / nnz as f64).into()),
                 ("scalar_gflops", round3(flops / t_scalar / 1e9).into()),
                 ("host_gflops", round3(flops / t_host / 1e9).into()),
-                ("ratio", round3(ratio).into()),
+                ("ratio", ratio.json()),
                 ("host_gbs", round3(gbs).into()),
+                ("triad_gbs", round3(triad_gbs).into()),
                 ("roof_frac", round3(roof_frac).into()),
             ]));
         }
@@ -238,7 +266,6 @@ fn main() {
         ITEM6_SELL.1,
         if sell_met { "met" } else { "not met" },
     );
-
     let verdict = match (vectorized, misses.is_empty()) {
         (false, _) => "skipped: scalar host",
         (true, true) => "passed",
@@ -252,11 +279,13 @@ fn main() {
                 ("seed", (cfg.seed as usize).into()),
                 ("reps", cfg.reps.into()),
                 ("threads", 1usize.into()),
-                ("triad_gbs", round3(triad_gbs).into()),
                 (
                     "timing",
-                    "sequential spmv, fastest rep per side, sides alternating; bytes = \
-                     stored format + x + y once each; roof_frac = host_gbs / triad_gbs"
+                    "sequential spmv, one spmv_bench::timing trial per cell: scalar, host and a \
+                     triad over host bytes, `reps` rounds in rotated order, each visit batched to \
+                     >= 20 us; gflops from the median round; ratio = per-round scalar / host \
+                     (median, iqr, rounds host won, fastest-round ratio); bytes = stored format \
+                     + x + y once each; roof_frac = median of per-round host_gbs / triad_gbs"
                         .into(),
                 ),
             ]),
@@ -266,6 +295,7 @@ fn main() {
             obj([
                 ("min_ratio", MIN_RATIO.into()),
                 ("sell_c_s_mid_regular_min_ratio", SELL_GATE.2.into()),
+                ("statistic", "median of the per-round ratios".into()),
                 ("verdict", verdict.into()),
                 ("misses", Json::Arr(misses.iter().map(|m| m.as_str().into()).collect())),
             ]),

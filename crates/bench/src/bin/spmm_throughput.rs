@@ -5,10 +5,12 @@
 //!
 //! For each matrix class, format and k ∈ {1, 2, 3, 4, 8, 16}, (a) `k`
 //! sequential `spmv` passes of the format and (b) one `spmm` over the
-//! same column-major block are timed alternately; each side reports its
-//! fastest rep (the speed of the code when the host leaves it alone).
-//! The table is printed and written to `BENCH_spmm.json` at the repo
-//! root. Formats without a panel kernel (HYB and the figure-set formats
+//! same column-major block are the two sides of one
+//! `spmv_bench::timing` trial: `--reps` rounds, each visiting both in
+//! rotated order. A cell's speedup is the median of the per-round
+//! ratios, reported with their IQR, the rounds `spmm` won and the ratio
+//! of the fastest rounds (the min-of-N statistic). The table is
+//! printed and written to `BENCH_spmm.json` at the repo root. Formats without a panel kernel (HYB and the figure-set formats
 //! COO, DIA, BCSR, VSL and SparseX) run the trait's default loop of `k`
 //! SpMVs, sit at ~1.0× and are gated at k ≤ 3 only.
 //!
@@ -19,7 +21,8 @@
 //! and broadcasts on the vector unit (`spmv_formats::kernels`), on
 //! other hosts both run their scalar bodies.
 //!
-//! Exit status — enforced on every host, no thread-count escape:
+//! Exit status — enforced on every host, no thread-count escape; a
+//! cell passes when its median paired ratio clears its bar:
 //!
 //! * at k ∈ {4, 8, 16} every format with a panel kernel runs `spmm`
 //!   ≥ 1.5× faster than `k` SpMVs on the `regular` and `irregular`
@@ -28,18 +31,15 @@
 //!   than `k` SpMVs (those `k` run the format's own SpMV kernel per
 //!   column, so this guards the dispatch around it).
 //!
-//! A cell that misses its bound is re-timed up to three times with more reps
-//! before it fails the run: one descheduled sample must not turn a gate
-//! red.
-//!
 //! Flags: `--rows N` (default 40000), `--avg-nnz F` (default 16),
-//! `--seed N`, `--reps N` (default 5).
+//! `--seed N`, `--reps N` (rounds, default 5).
 
 use spmv_bench::args::parse_flags;
-use spmv_bench::calibration::time_once as time;
 use spmv_bench::report::{self, obj, round3, Json};
-use spmv_formats::{build_format, FormatKind, SparseFormat};
+use spmv_bench::timing::{self, side};
+use spmv_formats::{build_format, FormatKind};
 use spmv_gen::{GeneratorParams, RowDist};
+use std::cell::RefCell;
 
 struct Config {
     rows: usize,
@@ -89,8 +89,6 @@ const KS: [usize; 6] = [1, 2, 3, 4, 8, 16];
 const MIN_PANEL_SPEEDUP: f64 = 1.5;
 /// `spmm` may not fall below this fraction of `k` SpMVs at `k ≤ 3`.
 const MIN_SMALL_K_SPEEDUP: f64 = 0.95;
-/// Re-measurements granted to a cell that misses its bound.
-const RETRIES: usize = 3;
 
 fn matrix(class: &str, cfg: &Config) -> spmv_core::CsrMatrix {
     let base = GeneratorParams {
@@ -118,23 +116,6 @@ fn matrix(class: &str, cfg: &Config) -> spmv_core::CsrMatrix {
     p.generate().expect("bench matrix generates")
 }
 
-/// Fastest of `reps` alternating timings of (`k` SpMVs, one SpMM) of
-/// `fmt`, in seconds.
-fn measure(fmt: &dyn SparseFormat, x: &[f64], k: usize, y: &mut [f64], reps: usize) -> (f64, f64) {
-    let (rows, cols) = (fmt.rows(), fmt.cols());
-    let (mut t_spmv, mut t_spmm) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        t_spmv = t_spmv.min(time(|| {
-            for j in 0..k {
-                fmt.spmv(&x[j * cols..(j + 1) * cols], &mut y[j * rows..(j + 1) * rows]);
-            }
-        }));
-        t_spmm = t_spmm.min(time(|| fmt.spmm(x, k, y)));
-    }
-    std::hint::black_box(&y);
-    (t_spmv, t_spmm)
-}
-
 /// The speedup a cell must reach, if it is gated.
 fn bound(class: &str, kind: FormatKind, k: usize) -> Option<f64> {
     if k <= 3 {
@@ -147,14 +128,16 @@ fn bound(class: &str, kind: FormatKind, k: usize) -> Option<f64> {
 }
 
 fn main() {
+    report::start();
     let cfg = config();
     println!(
-        "SpMM throughput vs k independent SpMVs ({} rows, avg {} nnz/row, fastest of {} reps)",
+        "SpMM throughput vs k independent SpMVs ({} rows, avg {} nnz/row, median of {} paired \
+         rounds)",
         cfg.rows, cfg.avg_nnz, cfg.reps
     );
     println!(
-        "{:<10} {:<15} {:>3} {:>12} {:>12} {:>9}",
-        "class", "format", "k", "spmv GF/s", "spmm GF/s", "speedup"
+        "{:<10} {:<15} {:>3} {:>12} {:>12} {:>9} {:>6} {:>6} {:>8}",
+        "class", "format", "k", "spmv GF/s", "spmm GF/s", "speedup", "iqr", "won", "fastest"
     );
     let mut table = Vec::new();
     let mut misses = Vec::new();
@@ -165,30 +148,37 @@ fn main() {
             let Ok(fmt) = build_format(kind, &csr) else { continue };
             for k in KS {
                 let x: Vec<f64> = (0..cols * k).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect();
-                let mut y = vec![0.0; rows * k];
+                let y = RefCell::new(vec![0.0; rows * k]);
                 let flops = (2 * nnz * k) as f64;
                 let bound = bound(class, kind, k);
-
-                let clears =
-                    |(t_spmv, t_spmm): (f64, f64)| bound.is_none_or(|b| t_spmv / t_spmm >= b);
-                let mut timed = measure(fmt.as_ref(), &x, k, &mut y, cfg.reps);
-                for retry in 1..=RETRIES {
-                    if clears(timed) {
-                        break;
-                    }
-                    timed = measure(fmt.as_ref(), &x, k, &mut y, cfg.reps * (retry + 1));
-                }
-                let (t_spmv, t_spmm) = timed;
-                let (speedup, pass) = (t_spmv / t_spmm, clears(timed));
+                let rounds = timing::run(
+                    cfg.reps,
+                    vec![
+                        side("spmvs", || {
+                            let y = &mut y.borrow_mut();
+                            for j in 0..k {
+                                let (x, y) = (&x[j * cols..][..cols], &mut y[j * rows..][..rows]);
+                                fmt.spmv(x, y);
+                            }
+                        }),
+                        side("spmm", || fmt.spmm(&x, k, &mut y.borrow_mut())),
+                    ],
+                );
+                let speedup = rounds.ratio("spmvs", "spmm");
+                let (t_spmv, t_spmm) = (rounds.side("spmvs").median, rounds.side("spmm").median);
+                let pass = bound.is_none_or(|b| speedup.median() >= b);
 
                 println!(
-                    "{:<10} {:<15} {:>3} {:>12.2} {:>12.2} {:>8.2}x{}",
+                    "{:<10} {:<15} {:>3} {:>12.2} {:>12.2} {:>8.2}x {:>6.3} {:>6} {:>7.2}x{}",
                     class,
                     fmt.name(),
                     k,
                     flops / t_spmv / 1e9,
                     flops / t_spmm / 1e9,
-                    speedup,
+                    speedup.median(),
+                    speedup.iqr(),
+                    speedup.faster,
+                    speedup.of_fastest,
                     if pass { "" } else { "  << below bound" }
                 );
                 table.push(obj([
@@ -197,15 +187,12 @@ fn main() {
                     ("k", k.into()),
                     ("spmv_gflops", round3(flops / t_spmv / 1e9).into()),
                     ("spmm_gflops", round3(flops / t_spmm / 1e9).into()),
-                    ("speedup", round3(speedup).into()),
+                    ("speedup", speedup.json()),
                     ("bound", bound.map_or(Json::Str("none".into()), Json::Num)),
                 ]));
-                if !pass {
-                    misses.push(format!(
-                        "{class}/{}/k={k}: {speedup:.2}x < {:.2}x",
-                        fmt.name(),
-                        bound.expect("an ungated cell cannot miss")
-                    ));
+                if let Some(b) = bound.filter(|_| !pass) {
+                    let median = speedup.median();
+                    misses.push(format!("{class}/{}/k={k}: {median:.2}x < {b:.2}x", fmt.name()));
                 }
             }
         }
@@ -219,7 +206,14 @@ fn main() {
                 ("avg_nnz", cfg.avg_nnz.into()),
                 ("seed", (cfg.seed as usize).into()),
                 ("reps", cfg.reps.into()),
-                ("timing", "fastest rep of each side, sides alternating".into()),
+                (
+                    "timing",
+                    "one spmv_bench::timing trial per cell: k spmvs and one spmm, `reps` rounds \
+                     in rotated order, each visit batched to >= 20 us; gflops from the median \
+                     round; speedup = median of the per-round ratios (iqr, rounds spmm won, \
+                     fastest-round ratio beside it)"
+                        .into(),
+                ),
             ]),
         ),
         (
@@ -229,6 +223,7 @@ fn main() {
                 ("gated_classes", Json::Arr(GATED_CLASSES.iter().map(|&c| c.into()).collect())),
                 ("min_speedup_k_4_8_16", MIN_PANEL_SPEEDUP.into()),
                 ("min_speedup_k_1_2_3", MIN_SMALL_K_SPEEDUP.into()),
+                ("statistic", "median of the per-round ratios".into()),
                 ("misses", Json::Arr(misses.iter().map(|m| m.as_str().into()).collect())),
             ]),
         ),

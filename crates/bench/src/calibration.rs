@@ -8,7 +8,14 @@
 //! L1/L2, kernels of tens of nanoseconds), 0.25–4 MB (`cold-*`) and
 //! 12–32 MB (`hot-large`: streamed from beyond L2). The format ranking
 //! differs between the regimes, so the table must hold all three.
+//!
+//! A matrix's formats are the sides of one [`crate::timing`] trial of
+//! two rounds: a format's GFLOP/s is its median (the mean of the two),
+//! and `|ln(round a / round b)|` over every (matrix, format) is the
+//! sweep's repeat spread, whose median decides whether the table may be
+//! committed ([`MAX_COMMITTED_SPREAD_P50`]).
 
+use crate::timing::{self, side};
 use spmv_analysis::{FormatSelector, Observation, SelectorFeatures};
 use spmv_core::{CsrMatrix, FeatureSet};
 use spmv_devices::host::HostMatrix;
@@ -17,6 +24,7 @@ use spmv_formats::{build_format_with, FormatKind, LaneProfile, LaneWidth, Sparse
 use spmv_gen::dataset::{AVG_NNZ_VALUES, SKEW_VALUES};
 use spmv_gen::generator::params_for_features;
 use spmv_gen::rng::child_seed;
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -105,47 +113,9 @@ pub const SWEPT: [FormatKind; 12] = [
     FormatKind::SellC16,
 ];
 
-/// A timed sample lasts at least this long, so that the two clock reads
-/// around it (44–88 ns on the reference host) stay under half a percent.
-const MIN_SAMPLE_S: f64 = 20e-6;
-
 /// The dense operand every timing multiplies by.
 pub fn operand(cols: usize) -> Vec<f64> {
     (0..cols).map(|c| 1.0 + (c % 5) as f64 * 0.25).collect()
-}
-
-/// Seconds of one call of `f`: the clock of the gates that take the
-/// fastest of a few alternating reps.
-pub fn time_once(f: impl FnOnce()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
-}
-
-/// Seconds per call of `call`: calls are batched until a sample lasts
-/// [`MIN_SAMPLE_S`], and the fastest of at least five samples (more
-/// while a millisecond lasts) is returned — the speed of the code when
-/// the host leaves it alone.
-fn time_call(mut call: impl FnMut()) -> f64 {
-    let mut sample = |batch: usize| {
-        let t = Instant::now();
-        for _ in 0..batch {
-            call();
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let (mut batch, mut secs) = (1usize, sample(1));
-    while secs < MIN_SAMPLE_S && batch < 1 << 20 {
-        batch *= 2;
-        secs = sample(batch);
-    }
-    let samples = ((1e-3 / secs) as usize).clamp(5, 40);
-    (0..samples).fold(secs, |best, _| best.min(sample(batch))) / batch as f64
-}
-
-/// Seconds per sequential `spmv` (see [`time_call`]).
-pub fn time_spmv(fmt: &dyn SparseFormat, x: &[f64], y: &mut [f64]) -> f64 {
-    time_call(|| fmt.spmv(black_box(x), black_box(y)))
 }
 
 /// Right-hand sides of the sweep's one SpMM timing (the repo
@@ -227,8 +197,9 @@ impl Sweep {
 
 /// Runs the calibration sweep at `profile`, single-threaded: every
 /// lattice matrix is generated, its features extracted, and every
-/// [`SWEPT`] format built with `build_format_with` and timed in two
-/// rounds. `progress` is told after each footprint.
+/// [`SWEPT`] format built with `build_format_with` and timed in one
+/// [`timing`] trial of two rounds. `progress` is told after each
+/// footprint.
 pub fn sweep(profile: LaneProfile, mut progress: impl FnMut(&str)) -> Sweep {
     let started = Instant::now();
     let other_width = if profile.width == LaneWidth::W8 { LaneWidth::W4 } else { LaneWidth::W8 };
@@ -279,9 +250,9 @@ fn sweep_matrix(
         return; // nothing to time, and nothing a selector could learn from
     }
     let features = FeatureSet::extract(csr);
-    let (x, mut y) = (operand(csr.cols()), vec![0.0; csr.rows()]);
+    let (x, y) = (operand(csr.cols()), RefCell::new(vec![0.0; csr.rows()]));
     let flops = 2.0 * csr.nnz() as f64;
-    let mut built: Vec<Option<Box<dyn SparseFormat>>> = Vec::new();
+    let mut built = Vec::new();
     let mut convert = Vec::new();
     for kind in SWEPT {
         let t = Instant::now();
@@ -291,37 +262,47 @@ fn sweep_matrix(
         } else {
             f64::NAN
         });
-        built.push(fmt);
+        built.extend(fmt.map(|f| (kind, f)));
     }
     // Two rounds over all formats, not two timings back to back: a
     // burst of neighbour load then hits different formats in each.
-    let mut rounds = [vec![0.0; SWEPT.len()], vec![0.0; SWEPT.len()]];
-    for round in &mut rounds {
-        for (secs, fmt) in round.iter_mut().zip(&built) {
-            if let Some(fmt) = fmt {
-                *secs = time_spmv(&**fmt, &x, &mut y);
-            }
-        }
-    }
+    let spmv = |f: &dyn SparseFormat| f.spmv(black_box(&x), black_box(&mut y.borrow_mut()));
+    let rounds = timing::run(
+        2,
+        built.iter().map(|(kind, fmt)| side(kind.name(), || spmv(&**fmt))).collect(),
+    );
     let mut gflops = Vec::new();
-    for (&a, &b) in rounds[0].iter().zip(&rounds[1]) {
-        if a > 0.0 {
-            out.spreads.push((a / b).ln().abs());
-            gflops.push(flops / a.min(b) / 1e9);
+    for kind in SWEPT {
+        if built.iter().any(|(k, _)| *k == kind) {
+            let secs = rounds.side(kind.name());
+            out.spreads.push((secs.max / secs.min).ln());
+            gflops.push(flops / secs.median / 1e9);
         } else {
             gflops.push(0.0);
         }
     }
-    let (xk, mut yk) = (operand(csr.cols() * SPMM_K), vec![0.0; csr.rows() * SPMM_K]);
-    let mut vectorized_at = |width: LaneWidth| {
-        let fmt = build_format_with(FormatKind::VectorizedCsr, csr, LaneProfile::with_width(width))
-            .expect("CSR accepts any matrix");
-        let spmm = time_call(|| fmt.spmm(black_box(&xk), SPMM_K, black_box(&mut yk)));
-        (time_spmv(&*fmt, &x, &mut y), spmm)
+    drop(built);
+    let (xk, yk) = (operand(csr.cols() * SPMM_K), RefCell::new(vec![0.0; csr.rows() * SPMM_K]));
+    let vectorized_at = |width: LaneWidth| {
+        build_format_with(FormatKind::VectorizedCsr, csr, LaneProfile::with_width(width))
+            .expect("CSR accepts any matrix")
     };
     let (table, other) = (vectorized_at(profile.width), vectorized_at(out.other_width));
-    out.other_width_ratio.push((table.0 / other.0, table.1 / other.1));
-    drop(built);
+    let spmm =
+        |f: &dyn SparseFormat| f.spmm(black_box(&xk), SPMM_K, black_box(&mut yk.borrow_mut()));
+    let rounds = timing::run(
+        2,
+        vec![
+            side("table spmv", || spmv(&*table)),
+            side("other spmv", || spmv(&*other)),
+            side("table spmm", || spmm(&*table)),
+            side("other spmm", || spmm(&*other)),
+        ],
+    );
+    out.other_width_ratio.push((
+        rounds.ratio("table spmv", "other spmv").median(),
+        rounds.ratio("table spmm", "other spmm").median(),
+    ));
 
     let summary = MatrixSummary::from_csr("sweep", 0, csr);
     out.modeled_gflops.push(
@@ -533,18 +514,6 @@ mod tests {
         assert!(quiet.quiet_enough(), "p50 {}", quiet.spread_quantile(0.5));
         let loud = sweep_with(vec![0.01, 0.08, 0.12f64.ln_1p(), 0.2, 0.3]);
         assert!(!loud.quiet_enough(), "p50 {}", loud.spread_quantile(0.5));
-    }
-
-    #[test]
-    fn batched_timing_grows_with_the_work() {
-        let small = CsrMatrix::identity(64);
-        let large = CsrMatrix::identity(64 * 1024);
-        let time = |m: &CsrMatrix| {
-            let fmt = build_format_with(FormatKind::NaiveCsr, m, LaneProfile::scalar()).unwrap();
-            time_spmv(&*fmt, &operand(m.cols()), &mut vec![0.0; m.rows()])
-        };
-        let (t_small, t_large) = (time(&small), time(&large));
-        assert!(t_small > 0.0 && t_large > 50.0 * t_small, "{t_small} vs {t_large}");
     }
 
     /// The committed table, scored on itself: the number `k` and the

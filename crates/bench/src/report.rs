@@ -7,11 +7,16 @@
 //! order (insertion order) and one key per line, so committed files
 //! diff cleanly.
 
+use spmv_core::features::SAMPLE_NNZ;
 use spmv_devices::HostTable;
-use spmv_formats::kernels::vector_isa;
+use spmv_formats::kernels::{
+    vector_isa, ACROSS, ACROSS_GATHER_MAX_WIDTH, ACROSS_MAX_PADDING_PERCENT, ACROSS_MAX_X,
+    ACROSS_MIN_ENTRIES,
+};
 use spmv_formats::LaneProfile;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// A JSON value. Objects keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,6 +172,17 @@ pub fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// `model` without a trailing ` @ <clock>` (`"Intel(R) Xeon(R)
+/// Processor @ 2.10GHz"` → `"Intel(R) Xeon(R) Processor"`): one CPU
+/// reports its model with and without the clock on different kernels
+/// and hypervisors.
+pub fn cpu_model_without_clock(model: &str) -> &str {
+    match model.rsplit_once(" @ ") {
+        Some((name, clock)) if clock.trim_end().ends_with("Hz") => name.trim_end(),
+        _ => model,
+    }
+}
+
 /// The git revision of the tree (`-dirty` when it has uncommitted
 /// changes; `"unknown"` without git or a repository).
 pub fn git_rev() -> String {
@@ -180,15 +196,60 @@ pub fn served_profile() -> LaneProfile {
     LaneProfile::resolve(Some(HostTable::committed_spec().lane_profile()))
 }
 
+/// How busy the guest was when the run started ([`start`]).
+static START: OnceLock<(Json, Json)> = OnceLock::new();
+
+/// Records how busy the guest is as a run starts; the gate binaries
+/// call it first, and [`host_facts`] reports it beside the same reading
+/// at the end.
+pub fn start() {
+    START.get_or_init(busy);
+}
+
+/// The guest's 1, 5 and 15 minute load averages (`/proc/loadavg`) and
+/// the nanoseconds this process has waited for a CPU
+/// (`/proc/self/schedstat`'s run delay); `"unknown"` where the files
+/// are not.
+fn busy() -> (Json, Json) {
+    let read = |path| std::fs::read_to_string(path).ok();
+    let load =
+        read("/proc/loadavg").map(|t| t.split_whitespace().take(3).collect::<Vec<_>>().join(" "));
+    let delay = read("/proc/self/schedstat")
+        .and_then(|t| t.split_whitespace().nth(1).and_then(|d| d.parse::<f64>().ok()));
+    let unknown = || Json::Str("unknown".into());
+    (load.map_or_else(unknown, Json::Str), delay.map_or_else(unknown, Json::Num))
+}
+
+/// The cut-offs that decide which kernel body runs, as the kernels and
+/// the feature estimate read them: Naive-CSR's rows across the lanes
+/// (block rows, the padding share and width that pick a block's path,
+/// the range and `x` sizes that keep the scalar loop) and the
+/// estimate's sample size.
+fn cutoffs() -> Json {
+    obj([
+        ("across_rows", ACROSS.into()),
+        ("across_max_padding_percent", ACROSS_MAX_PADDING_PERCENT.into()),
+        ("across_gather_max_width", ACROSS_GATHER_MAX_WIDTH.into()),
+        ("across_min_entries", ACROSS_MIN_ENTRIES.into()),
+        ("across_max_x", ACROSS_MAX_X.into()),
+        ("sample_nnz", SAMPLE_NNZ.into()),
+    ])
+}
+
 /// What a reader needs to know about the machine and build a record
 /// came from: hardware threads, the `SPMV_THREADS` / `SPMV_LANES`
 /// overrides in force, the lane width of the host probe (`lanes`) and
 /// the one the default engine serves at (`served_lanes`,
 /// [`served_profile`]), the vector instruction set the lane kernels
-/// detected, the CPU model and the git revision.
+/// detected, the CPU model, the git revision, the kernels' cut-offs,
+/// and how busy the guest was at the start ([`start`]) and the end of
+/// the run.
 pub fn host_facts() -> Json {
     let env = |name: &str| std::env::var(name).map(Json::Str).unwrap_or(Json::Str("unset".into()));
     let (lanes, served) = (LaneProfile::current(), served_profile());
+    let unknown = || (Json::Str("unknown".into()), Json::Str("unknown".into()));
+    let (load_start, delay_start) = START.get().cloned().unwrap_or_else(unknown);
+    let (load_end, delay_end) = busy();
     obj([
         ("cpu_model", cpu_model().into()),
         (
@@ -201,6 +262,11 @@ pub fn host_facts() -> Json {
         ("served_lanes", served.width.lanes().into()),
         ("vector_isa", vector_isa().into()),
         ("git_rev", git_rev().into()),
+        ("cutoffs", cutoffs()),
+        ("loadavg_start", load_start),
+        ("loadavg_end", load_end),
+        ("run_delay_ns_start", delay_start),
+        ("run_delay_ns_end", delay_end),
     ])
 }
 
@@ -276,8 +342,32 @@ mod tests {
             "served_lanes",
             "vector_isa",
             "git_rev",
+            "cutoffs",
+            "loadavg_start",
+            "loadavg_end",
+            "run_delay_ns_start",
+            "run_delay_ns_end",
         ] {
             assert!(keys.contains(&key), "{key} missing from {keys:?}");
         }
+        // After `start`, both readings are taken where Linux has the file.
+        start();
+        let Json::Obj(fields) = host_facts() else { panic!("host facts are an object") };
+        let field = |k: &str| &fields.iter().find(|(key, _)| key == k).expect("listed").1;
+        if std::path::Path::new("/proc/self/schedstat").exists() {
+            for key in ["run_delay_ns_start", "run_delay_ns_end"] {
+                assert!(matches!(field(key), Json::Num(d) if *d >= 0.0), "{key}");
+            }
+        }
+    }
+
+    #[test]
+    fn cpu_models_compare_without_their_clock() {
+        let bare = "Intel(R) Xeon(R) Processor";
+        assert_eq!(cpu_model_without_clock("Intel(R) Xeon(R) Processor @ 2.10GHz"), bare);
+        assert_eq!(cpu_model_without_clock(bare), bare);
+        assert_eq!(cpu_model_without_clock("Some CPU @ 2 GHz"), "Some CPU");
+        // Only a clock goes: an `@` inside a name stays.
+        assert_eq!(cpu_model_without_clock("Board @ rev B"), "Board @ rev B");
     }
 }

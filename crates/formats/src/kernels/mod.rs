@@ -142,6 +142,42 @@ mod x86;
 use spmv_parallel::DisjointWriter;
 use std::ops::Range;
 
+/// Rows a block of Naive-CSR's across-rows body (W1 order at a vector
+/// profile, AVX-512 only) spreads across the lanes: one per `zmm` lane.
+pub const ACROSS: usize = 8;
+
+/// A block of [`ACROSS`] rows whose slots are more than this percentage
+/// padding (its `width` slots per lane past its shorter rows) runs the
+/// scalar body: ragged blocks ran no faster on either vector path than
+/// on it.
+pub const ACROSS_MAX_PADDING_PERCENT: usize = 40;
+
+/// The widest block (longest row) of the across-rows body that gathers
+/// slot by slot; a wider one transposes windows of [`ACROSS`] slots.
+/// Measured on the reference host (AVX-512) over the benchmark's
+/// `cold-*` operands: the gather path beats the transpose up to 16–20
+/// slots.
+pub const ACROSS_GATHER_MAX_WIDTH: usize = 2 * ACROSS;
+
+/// Entries below which a W1 range runs the scalar loop even at a vector
+/// profile: the across-rows body's fixed cost per call outweighs what it
+/// saves. Measured on the reference host (AVX-512), cache-resident, in
+/// one process against the scalar loop: the benchmark's `hot-small`
+/// matrices (55–5 450 entries) read 0.59–1.24×, 0.84× in the geomean,
+/// and, median of 9 paired rounds, operands of 4 900–7 700 entries
+/// 0.56–0.87× on `short-regular`, `irregular` and `very-skewed` (1.1–1.3×
+/// on `long-rows` and `very-long`), 0.91–0.96× in the geomean of the
+/// eight classes.
+pub const ACROSS_MIN_ENTRIES: usize = 8192;
+
+/// Entries of `x` above which a W1 range runs the scalar loop: the 2 MiB
+/// L2 of the reference host. Beyond it the across-rows gathers miss, and
+/// the scalar loop overlaps the misses better: median of 9 paired
+/// rounds, `short-regular` with an `x` of 393 216 entries read 0.92×
+/// the loop and `irregular` with 405 900 0.75×, against 0.92–1.07× for
+/// `x` of 2¹⁷–2¹⁸ entries.
+pub const ACROSS_MAX_X: usize = 1 << 18;
+
 /// A borrowed view of one matrix layout — the only way a kernel sees a
 /// matrix. Every format of [`crate::FormatKind::KERNEL_LAYER`] builds
 /// one of the three implementors ([`dot::CsrRows`], [`slab::Slab`],

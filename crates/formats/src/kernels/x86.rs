@@ -26,7 +26,10 @@
 
 use super::dot::{dot_w, CsrRows};
 use super::slab::{self, Block, Padded, SellPlan, Window, ACC_STACK};
-use super::LaneWidth;
+use super::{
+    LaneWidth, ACROSS, ACROSS_GATHER_MAX_WIDTH, ACROSS_MAX_PADDING_PERCENT, ACROSS_MAX_X,
+    ACROSS_MIN_ENTRIES,
+};
 use core::arch::x86_64::*;
 use spmv_parallel::DisjointWriter;
 use std::mem::MaybeUninit;
@@ -529,10 +532,6 @@ macro_rules! kernels {
     };
 }
 
-/// Rows a block of a W1 order spreads across the lanes: one per `zmm`
-/// lane.
-const ACROSS: usize = 8;
-
 /// Up to [`ACROSS`] consecutive CSR rows read across the lanes: lane `l`
 /// holds row `rows.start + l`, whose entries are `lo[l]..hi[l]` of
 /// `col_idx` and `values`; lanes past the end of `rows` are empty.
@@ -589,17 +588,15 @@ impl RowBlock {
     }
 
     /// Every lane runs `width` slots, so a ragged block wastes the slots
-    /// past its shorter rows: above 40% of them it runs the scalar body.
-    /// Otherwise a block at most two vectors wide gathers, a wider one
-    /// transposes. Measured on the reference host (AVX-512) over the
-    /// benchmark's `cold-*` operands: the gather path beats the
-    /// transpose up to 16–20 slots, and ragged blocks ran no faster on
-    /// either vector path than on the scalar body.
+    /// past its shorter rows: above [`ACROSS_MAX_PADDING_PERCENT`] of
+    /// them it runs the scalar body. Otherwise a block at most
+    /// [`ACROSS_GATHER_MAX_WIDTH`] slots wide gathers, a wider one
+    /// transposes.
     #[inline]
     fn path(&self) -> Path {
-        if 5 * self.nnz < 3 * ACROSS * self.width {
+        if 100 * self.nnz < (100 - ACROSS_MAX_PADDING_PERCENT) * ACROSS * self.width {
             Path::Scalar
-        } else if self.width <= 2 * ACROSS {
+        } else if self.width <= ACROSS_GATHER_MAX_WIDTH {
             Path::Gather
         } else {
             Path::Transpose
@@ -1502,23 +1499,6 @@ pub(super) fn csr_rows<const DOT: bool>(
         LaneWidth::W8 => on_isa!(isa, csr_rows::<true, DOT>(Operand::new(x)?, m, rows, out)),
     }
 }
-
-/// Entries below which a W1 range runs the scalar loop even at a vector
-/// profile: the across-rows body's fixed cost per call outweighs what it
-/// saves. Measured on the reference host (AVX-512), cache-resident, in
-/// one process against the scalar loop: the benchmark's `hot-small`
-/// matrices (55–5 450 entries) read 0.59–1.24×, 0.84× in the geomean,
-/// and `short-regular` / `mid-regular` operands of 820–1 720 entries
-/// 0.79–0.96×, against 0.94–1.06× at 6 500–55 000.
-const ACROSS_MIN_ENTRIES: usize = 8192;
-
-/// Entries of `x` above which a W1 range runs the scalar loop: the 2 MiB
-/// L2 of the reference host. Beyond it the across-rows gathers miss, and
-/// the scalar loop overlaps the misses better: at 32 MB, `irregular`
-/// (`x` of 2.1 MB, little reuse between rows) read 0.64–0.83× the loop
-/// and `short-regular` (4.2 MB) 0.86–0.97×, against 0.99–1.47× for the
-/// classes whose `x` is at most 1.1 MB.
-const ACROSS_MAX_X: usize = 1 << 18;
 
 /// CSR rows in the W1 order across the lanes, on AVX-512, whatever the
 /// range's size; `None` on other instruction sets.
