@@ -137,7 +137,7 @@ fn trial(ops: &[Operand], reps: usize) -> (Times, Vec<Ratio>) {
             sides.push(side(format!("{name} {i}"), call));
         }
     }
-    let rounds = timing::run_in_passes(reps, sides, ops.len());
+    let rounds = timing::run(reps, ops.len(), sides);
     let times = (0..ops.len())
         .map(|i| SIDES.map(|name| rounds.side(&format!("{name} {i}")).median))
         .collect();
@@ -174,12 +174,12 @@ fn sampled(op: &Operand) -> bool {
 fn misses(ops: &[Operand], speedups: &[Ratio]) -> Vec<String> {
     let mut out = Vec::new();
     for (op, speedup) in ops.iter().zip(speedups) {
-        if speedup.median() < 1.0 {
-            let (class, mb, median) = (op.class, op.mb, speedup.median());
+        if speedup.rounds.median < 1.0 {
+            let (class, mb, median) = (op.class, op.mb, speedup.rounds.median);
             out.push(format!("{class} {mb} MB: extract is {median:.2}x the oracle's speed"));
         }
     }
-    let speedup = speedup_vs_oracle(speedups, Ratio::median);
+    let speedup = speedup_vs_oracle(speedups, |r| r.rounds.median);
     if speedup < MIN_GEOMEAN_SPEEDUP {
         out.push(format!("geomean speedup {speedup:.2}x < {MIN_GEOMEAN_SPEEDUP}x"));
     }
@@ -290,8 +290,8 @@ fn main() {
             spmv * 1e6,
             per_nnz(extract),
             per_nnz(oracle),
-            speedup.median(),
-            speedup.iqr(),
+            speedup.rounds.median,
+            speedup.rounds.iqr(),
             speedup.faster,
             estimate / extract,
             op.served[1],
@@ -318,7 +318,7 @@ fn main() {
             ("served", op.served[1].into()),
         ]));
     }
-    let speedup = speedup_vs_oracle(&speedups, Ratio::median);
+    let speedup = speedup_vs_oracle(&speedups, |r| r.rounds.median);
     let speedup_of_fastest = speedup_vs_oracle(&speedups, |r| r.of_fastest);
     let all = |_: &Operand| true;
     let over_spmv = geomean_of(&ops, &times, all, |[extract, _, spmv, _]| extract / spmv);
@@ -355,7 +355,8 @@ fn main() {
                     "timing",
                     "one spmv_bench::timing trial in passes: a pass runs one side over the whole \
                      set, so operands are revisited cache-cold; `reps` rounds of the four passes \
-                     in rotated order, each visit batched to >= 20 us; times are median rounds, \
+                     in rotated order, each visit batched to >= 20 us (the clock's floor, not \
+                     2 ms, so no operand runs twice on a warm cache); times are median rounds, \
                      speedup_vs_oracle the median of the per-round oracle / extract ratios (iqr, \
                      rounds extract won, fastest-round ratio beside it)"
                         .into(),

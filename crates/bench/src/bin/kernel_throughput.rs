@@ -21,9 +21,9 @@
 //! statistic, beside it), the served side's computed GB/s, and its roof
 //! fraction: the median over rounds of its GB/s over that round's triad
 //! GB/s. For Naive-CSR the cell names the body that ran (`across`, the
-//! rows across the lanes, or `scalar loop`), by the kernels' own
-//! cut-offs. The table is printed and written to `BENCH_kernel.json` at
-//! the repo root.
+//! rows across the lanes, or `scalar loop`), by the rule the kernel
+//! dispatches on (`spmv_formats::kernels::runs_across`). The table is
+//! printed and written to `BENCH_kernel.json` at the repo root.
 //!
 //! Naive-CSR at the served profile runs its W1 order across rows on the
 //! vector unit; per class the record also states what that buys against
@@ -49,7 +49,7 @@ use spmv_bench::args::parse_flags;
 use spmv_bench::classes::{self, CLASSES};
 use spmv_bench::report::{self, obj, round3, Json};
 use spmv_bench::timing::{self, side};
-use spmv_formats::kernels::{vector_isa, ACROSS_MAX_X, ACROSS_MIN_ENTRIES};
+use spmv_formats::kernels::{runs_across, vector_isa};
 use spmv_formats::{build_format_with, FormatKind, LaneProfile, LaneWidth, SparseFormat};
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -100,19 +100,6 @@ fn bound(class: &str, kind: FormatKind) -> f64 {
         SELL_GATE.2
     } else {
         MIN_RATIO
-    }
-}
-
-/// The body Naive-CSR's sequential `spmv` runs at `profile` on a matrix
-/// of `nnz` entries and `cols` columns: its rows across the lanes
-/// (AVX-512 at a vector profile, inside the kernels' cut-offs) or the
-/// scalar loop.
-fn naive_body(profile: LaneProfile, nnz: usize, cols: usize) -> &'static str {
-    let vector = vector_isa() == "avx512" && profile.width != LaneWidth::W1;
-    if vector && nnz >= ACROSS_MIN_ENTRIES && cols <= ACROSS_MAX_X {
-        "across"
-    } else {
-        "scalar loop"
     }
 }
 
@@ -170,6 +157,7 @@ fn main() {
             let spmv = |f: &dyn SparseFormat| f.spmv(black_box(&x), black_box(&mut y.borrow_mut()));
             let rounds = timing::run(
                 cfg.reps,
+                1,
                 vec![
                     side("scalar", || spmv(&*scalar)),
                     side("host", || spmv(&*host)),
@@ -184,7 +172,8 @@ fn main() {
             let (t_scalar, t_host) = (rounds.side("scalar").median, rounds.side("host").median);
             let gbs = bytes as f64 / t_host / 1e9;
             // Per round, (bytes / t_host) / (triad bytes / t_triad).
-            let roof_frac = rounds.ratio("triad", "host").median() * bytes as f64 / triad_bytes;
+            let roof_frac =
+                rounds.ratio("triad", "host").rounds.median * bytes as f64 / triad_bytes;
             let triad_gbs = triad_bytes / rounds.side("triad").median / 1e9;
             println!(
                 "{:<14} {:<15} {:>11.2} {:>11.2} {:>6.2}x {:>6.3} {:>6} {:>7.2}x {:>8.2} {:>6.2}",
@@ -192,8 +181,8 @@ fn main() {
                 kind.name(),
                 flops / t_scalar / 1e9,
                 flops / t_host / 1e9,
-                ratio.median(),
-                ratio.iqr(),
+                ratio.rounds.median,
+                ratio.rounds.iqr(),
                 ratio.faster,
                 ratio.of_fastest,
                 gbs,
@@ -208,12 +197,15 @@ fn main() {
                 FormatKind::SellCSigma => row.sell_c_s_gflops = host_gflops,
                 _ => {}
             }
-            if vectorized && ratio.median() < bound {
-                let median = ratio.median();
+            if vectorized && ratio.rounds.median < bound {
+                let median = ratio.rounds.median;
                 misses.push(format!("{class} {}: {median:.2}x scalar < {bound}x", kind.name()));
             }
             let body = match kind {
-                FormatKind::NaiveCsr => naive_body(profile, nnz, cols),
+                FormatKind::NaiveCsr if runs_across(profile.width != LaneWidth::W1, nnz, cols) => {
+                    "across"
+                }
+                FormatKind::NaiveCsr => "scalar loop",
                 _ => "n/a",
             };
             table.push(obj([
@@ -283,7 +275,7 @@ fn main() {
                     "timing",
                     "sequential spmv, one spmv_bench::timing trial per cell: scalar, host and a \
                      triad over host bytes, `reps` rounds in rotated order, each visit batched to \
-                     >= 20 us; gflops from the median round; ratio = per-round scalar / host \
+                     >= 2 ms; gflops from the median round; ratio = per-round scalar / host \
                      (median, iqr, rounds host won, fastest-round ratio); bytes = stored format \
                      + x + y once each; roof_frac = median of per-round host_gbs / triad_gbs"
                         .into(),

@@ -29,7 +29,11 @@
 //!   classes (`skewed` and `banded` are reported, not gated);
 //! * at k ∈ {1, 2, 3} no format on any class is more than 5% slower
 //!   than `k` SpMVs (those `k` run the format's own SpMV kernel per
-//!   column, so this guards the dispatch around it).
+//!   column, so this guards the dispatch around it). Both sides run the
+//!   same code there, so the bar tests the host's noise as much as the
+//!   dispatch unless the median has rounds enough: on the shared
+//!   reference host an A/A trial of 21 rounds still read below 0.95× in
+//!   up to 2 of these 165 cells, one of 41 rounds (CI's) in none.
 //!
 //! Flags: `--rows N` (default 40000), `--avg-nnz F` (default 16),
 //! `--seed N`, `--reps N` (rounds, default 5).
@@ -153,6 +157,7 @@ fn main() {
                 let bound = bound(class, kind, k);
                 let rounds = timing::run(
                     cfg.reps,
+                    1,
                     vec![
                         side("spmvs", || {
                             let y = &mut y.borrow_mut();
@@ -166,7 +171,7 @@ fn main() {
                 );
                 let speedup = rounds.ratio("spmvs", "spmm");
                 let (t_spmv, t_spmm) = (rounds.side("spmvs").median, rounds.side("spmm").median);
-                let pass = bound.is_none_or(|b| speedup.median() >= b);
+                let pass = bound.is_none_or(|b| speedup.rounds.median >= b);
 
                 println!(
                     "{:<10} {:<15} {:>3} {:>12.2} {:>12.2} {:>8.2}x {:>6.3} {:>6} {:>7.2}x{}",
@@ -175,8 +180,8 @@ fn main() {
                     k,
                     flops / t_spmv / 1e9,
                     flops / t_spmm / 1e9,
-                    speedup.median(),
-                    speedup.iqr(),
+                    speedup.rounds.median,
+                    speedup.rounds.iqr(),
                     speedup.faster,
                     speedup.of_fastest,
                     if pass { "" } else { "  << below bound" }
@@ -191,7 +196,7 @@ fn main() {
                     ("bound", bound.map_or(Json::Str("none".into()), Json::Num)),
                 ]));
                 if let Some(b) = bound.filter(|_| !pass) {
-                    let median = speedup.median();
+                    let median = speedup.rounds.median;
                     misses.push(format!("{class}/{}/k={k}: {median:.2}x < {b:.2}x", fmt.name()));
                 }
             }
@@ -209,7 +214,7 @@ fn main() {
                 (
                     "timing",
                     "one spmv_bench::timing trial per cell: k spmvs and one spmm, `reps` rounds \
-                     in rotated order, each visit batched to >= 20 us; gflops from the median \
+                     in rotated order, each visit batched to >= 2 ms; gflops from the median \
                      round; speedup = median of the per-round ratios (iqr, rounds spmm won, \
                      fastest-round ratio beside it)"
                         .into(),

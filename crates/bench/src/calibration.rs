@@ -269,6 +269,7 @@ fn sweep_matrix(
     let spmv = |f: &dyn SparseFormat| f.spmv(black_box(&x), black_box(&mut y.borrow_mut()));
     let rounds = timing::run(
         2,
+        1,
         built.iter().map(|(kind, fmt)| side(kind.name(), || spmv(&**fmt))).collect(),
     );
     let mut gflops = Vec::new();
@@ -292,6 +293,7 @@ fn sweep_matrix(
         |f: &dyn SparseFormat| f.spmm(black_box(&xk), SPMM_K, black_box(&mut yk.borrow_mut()));
     let rounds = timing::run(
         2,
+        1,
         vec![
             side("table spmv", || spmv(&*table)),
             side("other spmv", || spmv(&*other)),
@@ -300,8 +302,8 @@ fn sweep_matrix(
         ],
     );
     out.other_width_ratio.push((
-        rounds.ratio("table spmv", "other spmv").median(),
-        rounds.ratio("table spmm", "other spmm").median(),
+        rounds.ratio("table spmv", "other spmv").rounds.median,
+        rounds.ratio("table spmm", "other spmm").rounds.median,
     ));
 
     let summary = MatrixSummary::from_csr("sweep", 0, csr);

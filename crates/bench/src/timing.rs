@@ -4,10 +4,13 @@
 //! unit of the work being compared. It runs `R` rounds; each round
 //! visits every side once, the order rotated by one side per round, so
 //! a burst of neighbour load falls on different sides in different
-//! rounds and every side leads in turn. A visit runs its
-//! side a fixed number of times back to back — the batch, found once in
-//! a warm-up as the smallest power of two whose visit lasts
-//! [`MIN_VISIT_S`] — and records seconds per call.
+//! rounds and every side leads in turn. A visit runs its side a fixed
+//! number of times back to back — the batch, found once in a warm-up as
+//! the smallest power of two whose visit lasts [`MIN_VISIT_S`] — and
+//! records seconds per call. A pass of several sides, one per operand
+//! of a set, is cache-cold: its visits batch only to
+//! [`MIN_COLD_VISIT_S`], so that an operand's calls do not run back to
+//! back on a warm cache.
 //!
 //! A trial reports its rounds ([`Rounds`]): per side the median and
 //! IQR over the rounds, per ratio of two sides ([`Ratio`]) the median
@@ -21,9 +24,18 @@ use crate::report::{obj, round3, Json};
 use spmv_analysis::stats::BoxStats;
 use std::time::Instant;
 
-/// A visit lasts at least this long, so that the two clock reads around
-/// it (44–88 ns on the reference host) stay under half a percent.
-pub const MIN_VISIT_S: f64 = 20e-6;
+/// A visit lasts at least this long, so that a round's sample of a
+/// sub-millisecond kernel is the mean of many calls, not one. On the
+/// reference host, in an A/A trial of the SpMM bench (both sides the
+/// same `k` SpMVs, its 165 cells at k ≤ 3, 7 rounds), 2 ms visits cut
+/// the median cell's IQR of per-round ratios from 0.065 to 0.046; the
+/// clock reads around a visit (44–88 ns) alone would need 20 µs.
+pub const MIN_VISIT_S: f64 = 2e-3;
+
+/// A visit in a pass of a cache-cold set lasts at least this long, so
+/// that the two clock reads around it (44–88 ns on the reference host)
+/// stay under half a percent.
+pub const MIN_COLD_VISIT_S: f64 = 20e-6;
 
 /// The largest batch a warm-up grows to.
 const MAX_BATCH: usize = 1 << 20;
@@ -39,24 +51,20 @@ pub fn side<'a>(name: impl Into<String>, call: impl FnMut() + 'a) -> Side<'a> {
     Side { name: name.into(), call: Box::new(call) }
 }
 
-/// Runs `sides` in `rounds` rounds, each visiting every side once,
-/// round `r` starting at side `r mod sides`.
-pub fn run(rounds: usize, sides: Vec<Side<'_>>) -> Rounds {
-    run_in_passes(rounds, sides, 1)
-}
-
-/// [`run`], with the sides in passes of `per_pass` consecutive sides:
-/// the rotation moves whole passes, and a pass visits its sides in
-/// their order. A pass of one side per operand of a set revisits an
-/// operand only after the rest of the set streamed through the cache.
-pub fn run_in_passes(rounds: usize, mut sides: Vec<Side<'_>>, per_pass: usize) -> Rounds {
+/// Runs `sides` in `rounds` rounds in passes of `per_pass` consecutive
+/// sides: round `r` starts at pass `r mod passes`, and a pass visits its
+/// sides in their order. With one side per pass every side leads in
+/// turn; a pass of one side per operand of a set revisits an operand
+/// only after the rest of the set streamed through the cache.
+pub fn run(rounds: usize, per_pass: usize, mut sides: Vec<Side<'_>>) -> Rounds {
     assert!(rounds > 0 && per_pass > 0, "a trial runs at least one round of one side");
     assert!(
         sides.len().is_multiple_of(per_pass),
         "{} sides do not fill passes of {per_pass}",
         sides.len()
     );
-    let batch: Vec<usize> = sides.iter_mut().map(|s| batch_of(&mut *s.call)).collect();
+    let min_visit = if per_pass == 1 { MIN_VISIT_S } else { MIN_COLD_VISIT_S };
+    let batch: Vec<usize> = sides.iter_mut().map(|s| batch_of(&mut *s.call, min_visit)).collect();
     let passes = sides.len() / per_pass;
     let mut secs = vec![vec![0.0; sides.len()]; rounds];
     for (r, row) in secs.iter_mut().enumerate() {
@@ -80,11 +88,11 @@ fn visit(call: &mut dyn FnMut(), batch: usize) -> f64 {
 }
 
 /// The warm-up: one call, then batches doubling until a visit lasts
-/// [`MIN_VISIT_S`].
-fn batch_of(call: &mut dyn FnMut()) -> usize {
+/// `min_visit` seconds.
+fn batch_of(call: &mut dyn FnMut(), min_visit: f64) -> usize {
     call();
     let mut batch = 1;
-    while batch < MAX_BATCH && visit(call, batch) * (batch as f64) < MIN_VISIT_S {
+    while batch < MAX_BATCH && visit(call, batch) * (batch as f64) < min_visit {
         batch *= 2;
     }
     batch
@@ -110,28 +118,14 @@ pub struct Ratio {
 }
 
 impl Ratio {
-    /// Median of the per-round ratios: what the gates judge.
-    pub fn median(&self) -> f64 {
-        self.rounds.median
-    }
-
-    /// Interquartile range of the per-round ratios.
-    pub fn iqr(&self) -> f64 {
-        self.rounds.iqr()
-    }
-
-    /// `"r of R"`: the rounds `fast` won, of all.
-    pub fn faster_of(&self) -> String {
-        format!("{} of {}", self.faster, self.rounds.count)
-    }
-
-    /// The ratio as a record stores it: median, IQR, rounds won and the
-    /// ratio of the fastest rounds.
+    /// The ratio as a record stores it: the median of the per-round
+    /// ratios (what the gates judge), their IQR, the rounds `fast` won
+    /// of all, and the ratio of the fastest rounds.
     pub fn json(&self) -> Json {
         obj([
-            ("median", round3(self.median()).into()),
-            ("iqr", round3(self.iqr()).into()),
-            ("faster", self.faster_of().into()),
+            ("median", round3(self.rounds.median).into()),
+            ("iqr", round3(self.rounds.iqr()).into()),
+            ("faster", format!("{} of {}", self.faster, self.rounds.count).into()),
             ("ratio_of_fastest", round3(self.of_fastest).into()),
         ])
     }
@@ -200,14 +194,15 @@ mod tests {
         // Per round a / b: 2, 1.5, 0.5, 2, 1. The ratio of the medians
         // (4 / 3) is not a round's ratio at all.
         let r = hand_built().ratio("a", "b");
-        assert_eq!((r.median(), r.rounds.q1, r.rounds.q3, r.iqr()), (1.5, 1.0, 2.0, 1.0));
-        assert_eq!(hand_built().ratio("b", "a").median(), 1.0 / 1.5);
+        assert_eq!((r.rounds.median, r.rounds.q1, r.rounds.q3), (1.5, 1.0, 2.0));
+        assert_eq!(hand_built().ratio("b", "a").rounds.median, 1.0 / 1.5);
     }
 
     #[test]
     fn faster_counts_the_rounds_the_second_side_won() {
         let r = hand_built().ratio("a", "b");
-        assert_eq!((r.faster, r.faster_of()), (3, "3 of 5".to_string()));
+        assert_eq!(r.faster, 3);
+        assert!(r.json().render().contains(r#""faster": "3 of 5""#), "{}", r.json().render());
         // A tie is no win for either side.
         assert_eq!(hand_built().ratio("b", "a").faster, 1);
     }
@@ -246,7 +241,7 @@ mod tests {
                 })
             })
             .collect();
-        run(rounds, sides);
+        run(rounds, 1, sides);
         let mut runs: Vec<(usize, usize)> = Vec::new();
         for s in log.into_inner() {
             match runs.last_mut() {
@@ -259,7 +254,7 @@ mod tests {
 
     #[test]
     fn every_round_visits_each_side_once_starting_one_side_later() {
-        let runs = visits(7, &[0.0; 3]);
+        let runs = visits(7, &[1e-3; 3]);
         for (r, round) in runs.chunks(3).enumerate() {
             let mut order: Vec<usize> = round.iter().map(|&(s, _)| s).collect();
             assert_eq!(order[0], r % 3, "round {r} starts at {order:?}");
@@ -272,7 +267,7 @@ mod tests {
     fn a_short_side_is_batched_alike_in_every_round() {
         // Three sides: with two, one round's last visit and the next
         // round's first are the same side, and their runs merge.
-        let runs = visits(5, &[2e-6, 30e-6, 30e-6]);
+        let runs = visits(5, &[30e-6, 3e-3, 3e-3]);
         let batch = |s: usize| runs.iter().find(|r| r.0 == s).expect("visited").1;
         assert!(batch(0) > 1 && batch(1) == 1, "{runs:?}");
         for &(s, calls) in &runs {
@@ -285,7 +280,7 @@ mod tests {
         let secs = |n: usize| {
             let v = vec![1.0f64; n];
             let rounds =
-                run(3, vec![side("sum", || _ = black_box(black_box(&v).iter().sum::<f64>()))]);
+                run(3, 1, vec![side("sum", || _ = black_box(black_box(&v).iter().sum::<f64>()))]);
             rounds.side("sum").median
         };
         let (small, large) = (secs(64), secs(64 * 1024));
@@ -304,7 +299,8 @@ mod tests {
                 })
             })
             .collect();
-        run_in_passes(2, sides, 3);
+        run(2, 3, sides);
+        // One call per visit: a 30 µs side of a cold pass is not batched.
         let log = log.into_inner();
         assert_eq!(&log[log.len() - 12..], [0, 1, 2, 3, 4, 5, 3, 4, 5, 0, 1, 2]);
     }

@@ -358,6 +358,24 @@ pub fn vector_isa() -> &'static str {
     }
 }
 
+/// Whether Naive-CSR's W1 order on this host runs a range of `entries`
+/// entries against an `x` of `x_len` entries across the lanes
+/// (AVX-512, inside [`ACROSS_MIN_ENTRIES`] and [`ACROSS_MAX_X`]) rather
+/// than the scalar loop; `vector` is whether its view was built at a
+/// vector profile ([`dot::CsrRows::vector`]). The rule the kernel
+/// dispatches on, for host records.
+pub fn runs_across(vector: bool, entries: usize, x_len: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        x86::runs_across(host_isa(), vector, entries, x_len)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        _ = (vector, entries, x_len);
+        false
+    }
+}
+
 /// Pairwise (tree) reduction of W accumulators. For W = 4 this is
 /// `(a0+a1) + (a2+a3)` — the historical Vectorized-CSR order — and
 /// the order is fixed per W, which is what the determinism contract

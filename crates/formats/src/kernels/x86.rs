@@ -1471,8 +1471,7 @@ pub(super) fn windows_panel<const KB: usize, P: Padded>(
 
 /// CSR rows on the host's vector unit: at W4 (256-bit) or W8 (512-bit,
 /// 2 × 256 on AVX2) one row at a time, at W1 consecutive rows across
-/// the lanes ([`across`]) when the range holds at least
-/// [`ACROSS_MIN_ENTRIES`] and `x` at most [`ACROSS_MAX_X`]. The fused
+/// the lanes ([`across`]) where [`runs_across`] says so. The fused
 /// dot partial (0.0 for plain SpMV), or `None` when the caller must run
 /// the scalar-lane body — a view not built at a vector profile, a
 /// scalar host, a small W1 range or a large `x`, or an `x` no gather
@@ -1490,7 +1489,7 @@ pub(super) fn csr_rows<const DOT: bool>(
     match m.lanes {
         LaneWidth::W1 => {
             let entries = m.row_ptr.get(rows.end)?.checked_sub(*m.row_ptr.get(rows.start)?)?;
-            if entries < ACROSS_MIN_ENTRIES || x.len() > ACROSS_MAX_X {
+            if !runs_across(isa, m.vector, entries, x.len()) {
                 return None;
             }
             across::<DOT>(isa, Operand::new(x)?, m, rows, out)
@@ -1498,6 +1497,13 @@ pub(super) fn csr_rows<const DOT: bool>(
         LaneWidth::W4 => on_isa!(isa, csr_rows::<false, DOT>(Operand::new(x)?, m, rows, out)),
         LaneWidth::W8 => on_isa!(isa, csr_rows::<true, DOT>(Operand::new(x)?, m, rows, out)),
     }
+}
+
+/// Whether [`csr_rows`] runs a W1 range of `entries` entries against an
+/// `x` of `x_len` entries across the lanes on `isa`, its view built at a
+/// vector profile or not (`vector`), rather than the scalar loop.
+pub(super) fn runs_across(isa: Isa, vector: bool, entries: usize, x_len: usize) -> bool {
+    vector && isa.0 == Level::Avx512 && entries >= ACROSS_MIN_ENTRIES && x_len <= ACROSS_MAX_X
 }
 
 /// CSR rows in the W1 order across the lanes, on AVX-512, whatever the
