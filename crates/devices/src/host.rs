@@ -284,7 +284,7 @@ impl HostTable {
     }
 
     /// The throughput of `kind` on `m` as a label candidate: the raw
-    /// GFLOP/s divided by `1 + margin` once per [`cost_rank`] step, so
+    /// GFLOP/s divided by `1 + margin` once per `cost_rank` step, so
     /// that the plain "fastest wins" reduction of selector training
     /// resolves a lead inside the margin to the cheaper format.
     pub fn label_gflops(&self, kind: FormatKind, raw: f64) -> f64 {

@@ -526,7 +526,7 @@ impl FlightGuard<'_> {
         self.finished = true;
     }
 
-    /// [`FlightGuard::finish_with`] with an unconditional publish — for
+    /// `FlightGuard::finish_with` with an unconditional publish — for
     /// callers with no plan to re-pin.
     pub fn finish(self, fmt: CachedFormat, actual: FormatKind) {
         self.finish_with(fmt, actual, |_| true);

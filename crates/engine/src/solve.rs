@@ -23,8 +23,8 @@
 //!   direction, plus the BiCGStab shadow/stabilizer set) are allocated
 //!   at construction; the hot loop performs zero allocations.
 //! - **Fuse the hot loop.** `A·p` and `p·(A·p)` run as one sweep via
-//!   [`SparseFormat::spmv_dot_parallel`], and all vector updates go
-//!   through the deterministic parallel BLAS-1 in
+//!   [`SparseFormat::spmv_dot_parallel`](spmv_formats::SparseFormat::spmv_dot_parallel),
+//!   and all vector updates go through the deterministic parallel BLAS-1 in
 //!   [`spmv_parallel::blas1`] — bit-reproducible at a fixed thread
 //!   count thanks to the fixed-shape tree reduction.
 //!

@@ -5,7 +5,7 @@
 //! padding budget and refuse pathological matrices, exactly like real
 //! ELL users do.
 //!
-//! The storage is an [`EllSlab`], shared with HYB's ELL half; the inner
+//! The storage is an `EllSlab`, shared with HYB's ELL half; the inner
 //! loops live in [`crate::kernels::slab`], reached through the slab's
 //! [`Slab`] view: one accumulator per row, so results are bit-identical
 //! at every lane width (see the kernels module's determinism contract).

@@ -1,26 +1,38 @@
 //! HYB (§II-B.3): ELL for the first `k` nonzeros of every row + COO
 //! for the remainder. `k` is set to the average number of nonzeros per
 //! row (the heuristic named by the paper), so the ELL slab stays
-//! padding-light while the skewed tail goes to the balanced COO part —
-//! this is the cuSPARSE-9.2 HYB of the GPU testbeds.
+//! padding-light while the skewed tail goes to the COO part — this is
+//! the cuSPARSE-9.2 HYB of the GPU testbeds.
 //!
-//! Neither half owns an inner loop: the ELL half is an
-//! [`EllSlab`](crate::ell) (storage, validation and kernels shared with
-//! ELL) and the COO tail runs on [`spmv_parallel::accumulate_rows`]
-//! (shared with [`crate::coo`]) in both the sequential and the parallel
-//! path.
+//! The ELL half is an [`EllSlab`](crate::ell) (storage, validation and
+//! kernels shared with ELL). The row-sorted COO tail *continues* each
+//! row's ELL sum in stored order: `acc = y[r]`, then `acc += v·x[c]`
+//! over the row's tail entries, then `y[r] = acc`. A row that spills
+//! into the tail fills all `k` slots with real entries, so its sum is
+//! Naive-CSR's W1 order, and HYB answers [`CsrMatrix::spmv_into`]'s
+//! bits on finite operands at every lane width, from `spmv`,
+//! `spmv_parallel` and `spmm` (the trait's `k` SpMVs) alike.
+//!
+//! Both halves run as one pass over the slab's lane-aligned row
+//! schedule: a chunk runs its ELL rows, then the slice of the tail that
+//! belongs to those rows. The price of one answer per row: on a pool
+//! wider than one worker, a hot row's tail runs on the one worker that
+//! owns the row instead of being split across workers. On a pool of one
+//! worker the whole matrix is one chunk either way.
 
 use crate::driver;
 use crate::ell::EllSlab;
-use crate::kernels::{LaneProfile, LaneWidth};
+use crate::kernels::{LaneProfile, LaneWidth, View};
 use crate::traits::SparseFormat;
 use crate::wire::{SectionReader, SectionWriter, WireError};
 use spmv_core::CsrMatrix;
-use spmv_parallel::{accumulate_rows, DisjointWriter, Executor, ThreadPool};
+use spmv_parallel::{DisjointWriter, Executor, ThreadPool};
+use std::ops::Range;
 
 /// Decodes a HYB wire payload, re-validating both halves: ELL slab
 /// geometry and column bounds, plus a row-sorted, in-bounds COO tail
-/// (the carry kernel requires row-major order).
+/// (the tail walk finds a chunk's rows by binary search on `coo_row`
+/// and continues one row's sum per run of equal rows).
 pub(crate) fn decode(
     r: &mut SectionReader<'_>,
     profile: LaneProfile,
@@ -127,24 +139,23 @@ impl HybFormat {
         self.ell.lanes
     }
 
-    /// Adds the COO tail on top of the ELL partial sums in `y` using
-    /// the shared carry kernel over a single chunk (the carries *are*
-    /// the first/last row sums, merged right here).
-    fn coo_tail_sequential(&self, x: &[f64], y: &mut [f64]) {
-        let carries = {
-            let out = DisjointWriter::new(y);
-            accumulate_rows(
-                0..self.coo_val.len(),
-                |i| self.coo_row[i] as usize,
-                |i| self.coo_val[i] * x[self.coo_col[i] as usize],
-                &out,
-            )
-        };
-        if let Some((row, sum)) = carries.first {
-            y[row] += sum;
-        }
-        if let Some((row, sum)) = carries.last {
-            y[row] += sum;
+    /// `y[r] = A[r]·x` for every row `r` of `rows`: the ELL slab's
+    /// slots, then the row's tail entries continuing the same sum.
+    fn run(&self, rows: Range<usize>, x: &[f64], out: &DisjointWriter<'_>) {
+        self.ell.view().run::<false>(rows.clone(), x, out);
+        let at = |r: usize| self.coo_row.partition_point(|&row| (row as usize) < r);
+        let tail = at(rows.start)..at(rows.end);
+        let (rs, cs, vs) =
+            (&self.coo_row[tail.clone()], &self.coo_col[tail.clone()], &self.coo_val[tail]);
+        let mut i = 0;
+        while i < rs.len() {
+            let r = rs[i];
+            let mut acc = out.read(r as usize);
+            while i < rs.len() && rs[i] == r {
+                acc += vs[i] * x[cs[i] as usize];
+                i += 1;
+            }
+            out.write(r as usize, acc);
         }
     }
 }
@@ -192,22 +203,14 @@ impl SparseFormat for HybFormat {
     }
 
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        driver::spmv(&self.ell.view(), x, y);
-        self.coo_tail_sequential(x, y);
+        driver::check_operands(&self.ell.view(), x, y);
+        self.run(0..self.ell.rows, x, &DisjointWriter::new(y));
     }
 
     fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        // Phase 1: ELL slab over lane-aligned static row chunks
-        // (overwrites y).
         let ell = self.ell.view();
-        driver::spmv_parallel(&ell, ell.schedule(), pool, x, y);
-        // Phase 2: COO tail via the shared carry kernel, *adding* on
-        // top of the ELL partial sums (interior rows are owned by
-        // exactly one chunk; boundary rows merge sequentially).
-        let (ri, ci, v) = (&self.coo_row, &self.coo_col, &self.coo_val);
-        Executor::new(pool).run_chunks_carry(self.coo_val.len(), y, |range, out| {
-            accumulate_rows(range, |i| ri[i] as usize, |i| v[i] * x[ci[i] as usize], out)
-        });
+        driver::check_operands(&ell, x, y);
+        Executor::new(pool).run_disjoint(ell.schedule(), y, |rows, out| self.run(rows, x, out));
     }
 }
 
@@ -251,10 +254,12 @@ mod tests {
 
     #[test]
     fn lane_widths_are_bit_identical() {
+        // The hot row spills 60 entries into the tail; its sum continues
+        // the ELL partial, so every width answers `spmv_into`'s bits.
         let m = skewed_matrix();
         let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.33).sin()).collect();
-        let want = HybFormat::from_csr_with(&m, 4, LaneProfile::scalar()).spmv_alloc(&x);
-        for width in [LaneWidth::W4, LaneWidth::W8] {
+        let want = m.spmv(&x);
+        for width in LaneWidth::ALL {
             let f = HybFormat::from_csr_with(&m, 4, LaneProfile::with_width(width));
             assert_eq!(f.spmv_alloc(&x), want, "{width:?}");
         }
@@ -270,9 +275,7 @@ mod tests {
             let pool = ThreadPool::new(threads);
             let mut got = vec![f64::NAN; 32];
             f.spmv_parallel(&pool, &x, &mut got);
-            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                assert!((a - b).abs() < 1e-10, "threads {threads}, row {i}");
-            }
+            assert_eq!(got, want, "threads {threads}");
         }
     }
 

@@ -4,7 +4,7 @@
 //! The caller's `X` is column-major (`cols × k`), so the `k` values a
 //! nonzero in column `c` multiplies sit `cols · 8` bytes apart. Each
 //! call therefore **packs** `X` into a row-major *panel*, one block of
-//! [`BLOCK`] = 8 right-hand sides at a time: panel row `c` holds
+//! `BLOCK` = 8 right-hand sides at a time: panel row `c` holds
 //! `X[c, j0 .. j0+8]` in one 64-byte line, and a gathered `X` row costs
 //! one line instead of eight. A block kernel keeps one accumulator of
 //! `KB` right-hand sides per lane: every loaded `(value, column)` pair
@@ -44,7 +44,7 @@
 //!
 //! Per (row, right-hand side) the summation order is exactly the
 //! layout's SpMV order at the same [`LaneWidth`] — for CSR rows, `W`
-//! lane accumulators over the full chunks, [`tree_sum`], plus the
+//! lane accumulators over the full chunks, `tree_sum`, plus the
 //! sequential tail; for slab and chunk layouts, one slot-sequential
 //! accumulator per row — on the scalar and the vector path alike (a
 //! multiply, then an add; never FMA). SpMM therefore equals `k` SpMVs

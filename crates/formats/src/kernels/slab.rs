@@ -4,9 +4,9 @@
 //! packed rows column-major, entry (lane i, slot j) at
 //! `chunk_ptr[k] + j*C + i`, padded to the chunk's own widest row).
 //! ELLPACK is SELL-N-1 (Kreutzer et al.), and both run on one
-//! primitive: a [`Window`] of at most [`ACC_STACK`] adjacent lanes of a
-//! strided [`Block`], each lane a slot-sequential sum. The layouts differ
-//! only in how a unit range maps to windows and rows ([`Padded`]):
+//! primitive: a `Window` of at most `ACC_STACK` adjacent lanes of a
+//! strided `Block`, each lane a slot-sequential sum. The layouts differ
+//! only in how a unit range maps to windows and rows (`Padded`):
 //!
 //! | view | stride | unit | row of packed position `p` |
 //! |---|---|---|---|
@@ -18,7 +18,7 @@
 //! scalar and vector bodies; W only says whether the vector unit may be
 //! used. On x86-64 hosts with AVX2 or AVX-512 every W > 1 sums a window
 //! in blocks of 16, 8 and 4 lanes on the vector unit (`super::x86`);
-//! [`Block::sums`] is the scalar body. The multi-vector kernel over
+//! `Block::sums` is the scalar body. The multi-vector kernel over
 //! the same windows is the views' `PanelKernel` block in
 //! [`super::panel`]. SELL-C-σ's conversion builds its chunk slabs from
 //! a `SellPlan`, on the vector unit where `sell_transpose` can.

@@ -112,15 +112,17 @@ const WIDTHS: [LaneWidth; 3] = [LaneWidth::W1, LaneWidth::W4, LaneWidth::W8];
 
 /// `PINNED[kind][width]`, in the order of `KINDS` × `WIDTHS`. Rows read
 /// as the determinism contract: Naive-CSR (and so Merge-CSR and CSR5)
-/// and every padded kind are one constant across widths; the SELL chunk heights
-/// share one (σ = 256 sorts these matrices whole, so all three pack —
-/// and fuse their dot — in the same order).
+/// and every padded kind are one constant across widths; HYB, which
+/// accepts every matrix here and sums each row in `spmv_into`'s order,
+/// is Naive-CSR's constant (ELL refuses `hot_row_61`); the SELL chunk
+/// heights share one (σ = 256 sorts these matrices whole, so all three
+/// pack — and fuse their dot — in the same order).
 const PINNED: [[u64; 3]; 10] = [
     [0x8a7d96e445c3eea0, 0x8a7d96e445c3eea0, 0x8a7d96e445c3eea0], // Naive-CSR
     [0x8a7d96e445c3eea0, 0xe042ed0e0d35a99d, 0xad2b17f3a527d6f8], // Vectorized-CSR
     [0x8a7d96e445c3eea0, 0xe042ed0e0d35a99d, 0xad2b17f3a527d6f8], // Balanced-CSR
     [0xe07131f799228f77, 0xe07131f799228f77, 0xe07131f799228f77], // ELL
-    [0x282e403f737bb513, 0x282e403f737bb513, 0x282e403f737bb513], // HYB
+    [0x8a7d96e445c3eea0, 0x8a7d96e445c3eea0, 0x8a7d96e445c3eea0], // HYB
     [0xc3c35987200913d6, 0xc3c35987200913d6, 0xc3c35987200913d6], // SELL-4-s
     [0xc3c35987200913d6, 0xc3c35987200913d6, 0xc3c35987200913d6], // SELL-C-s
     [0xc3c35987200913d6, 0xc3c35987200913d6, 0xc3c35987200913d6], // SELL-16-s

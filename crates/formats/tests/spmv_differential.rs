@@ -2,8 +2,8 @@
 //! `FormatKind`s whose inner loops live in `spmv_formats::kernels` ×
 //! every `LaneWidth` × {`spmv`, `spmv_parallel`, `spmv_dot`} × a table
 //! of adversarial shapes × finite, NaN- and ∞-carrying operands, every
-//! answer compared **bit for bit** against the scalar-lane order at the
-//! same W on a NaN-prefilled `y`.
+//! answer compared **bit for bit** against [`lane_dot`] on a
+//! NaN-prefilled `y`.
 //!
 //! The lane width is what selects the instruction set (see the width
 //! rule in `kernels`): W1 is the scalar code everywhere; on an AVX2 or
@@ -11,13 +11,15 @@
 //! vectors and every W > 1 runs slabs and chunks on the widest unit —
 //! so crossing the widths crosses every instruction set the host
 //! offers. (Forcing a *narrower* set than the host's best is the job of
-//! the unit tests next to the microkernels.) The oracles never touch a
-//! vector unit:
-//!
-//! * CSR family: [`lane_dot`] below, a from-the-documentation
-//!   re-statement of the W-accumulator order;
-//! * ELL, HYB, SELL-C-σ: the same format built at W1 — their sums are
-//!   width-independent by contract, and W1 is scalar by the width rule.
+//! the unit tests next to the microkernels.) The oracle never touches a
+//! vector unit: [`lane_dot`] below is a from-the-documentation
+//! re-statement of the W-accumulator order. Vectorized- and
+//! Balanced-CSR sum at the profile's W; Naive-CSR, ELL, HYB and the
+//! SELL kinds at W1, which is `CsrMatrix::spmv_into`'s order (a padded
+//! kind may answer NaN where the non-finite policy of `SparseFormat`
+//! lets its padding read a non-finite `x` entry). SELL-C-σ's fused dot
+//! folds in packed order, so its `spmv_dot` value is judged against
+//! the same kind built at W1.
 //!
 //! Run under `SPMV_LANES` ∈ {1, 4, 8} × `SPMV_THREADS` ∈ {1, 4} in CI:
 //! the lane override changes nothing here (profiles are explicit), the
@@ -31,13 +33,12 @@ use spmv_formats::{build_format_with, FormatBuildError, FormatKind, LaneProfile,
 use spmv_parallel::{DisjointWriter, ThreadPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The lane width a CSR kind sums its rows at (Naive-CSR is pinned to
-/// W1); `None` for the width-independent slab and chunk kinds.
-fn csr_lanes(kind: FormatKind, width: LaneWidth) -> Option<usize> {
+/// The lane width `kind` sums its rows at: Vectorized- and Balanced-CSR
+/// at the profile's, every other kernel-layer kind at W1.
+fn lanes(kind: FormatKind, width: LaneWidth) -> usize {
     match kind {
-        FormatKind::NaiveCsr => Some(1),
-        FormatKind::VectorizedCsr | FormatKind::BalancedCsr => Some(width.lanes()),
-        _ => None,
+        FormatKind::VectorizedCsr | FormatKind::BalancedCsr => width.lanes(),
+        _ => 1,
     }
 }
 
@@ -86,6 +87,9 @@ fn shapes() -> Vec<(&'static str, CsrMatrix)> {
         ("empty_rows_in_chunks_29x29", patterned(29, 29, |r| if r % 3 == 0 { 0 } else { r % 9 })),
         ("one_column_13x1", patterned(13, 1, |r| r % 2)),
         ("one_by_one", patterned(1, 1, |_| 1)),
+        // Row 7 holds 60 of the 178 entries: HYB (k = 3) spills it into
+        // its COO tail, ELL refuses the shape.
+        ("hot_row_60x60", patterned(60, 60, |r| if r == 7 { 60 } else { 2 })),
         ("wide_5x1200", patterned(5, 1200, |r| 40 + r)),
         ("tall_1200x5", patterned(1200, 5, |r| r % 4)),
         ("all_rows_empty_37x23", CsrMatrix::zeros(37, 23)),
@@ -120,11 +124,21 @@ fn same(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
-fn assert_same(got: &[f64], want: &[f64], ctx: &str) {
+/// `got` is `want` bit for bit, NaN as NaN. With `padded`, a row may
+/// also be NaN where `SparseFormat`'s non-finite policy lets a padding
+/// slot read a non-finite `x` entry: a row whose own sum is non-finite
+/// (`0 · ∞` turns ∞ into NaN) or an empty row while `x[0]` is
+/// non-finite (its padding names column 0).
+fn assert_same(got: &[f64], want: &[f64], padded: Option<(&CsrMatrix, &[f64])>, ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}");
     for (r, (&g, &w)) in got.iter().zip(want).enumerate() {
+        let padding_nan = padded.is_some_and(|(m, x)| {
+            g.is_nan()
+                && (!w.is_finite()
+                    || (m.row_nnz(r) == 0 && x.first().is_some_and(|v| !v.is_finite())))
+        });
         assert!(
-            same(g, w),
+            same(g, w) || padding_nan,
             "{ctx}: row {r}: {g:e} ({:#x}) vs {w:e} ({:#x})",
             g.to_bits(),
             w.to_bits()
@@ -140,65 +154,52 @@ fn every_kernel_format_width_and_entry_point_matches_the_scalar_lane_order_bitwi
     let mut checked = 0usize;
     for (name, m) in shapes() {
         let (rows, cols) = (m.rows(), m.cols());
-        let square = rows == cols;
         for kind in FormatKind::KERNEL_LAYER {
-            // The width-independent kinds are judged against their own
-            // scalar build.
-            let scalar = match build_format_with(kind, &m, LaneProfile::scalar()) {
-                Ok(f) => f,
-                // ELL may refuse a shape on its padding budget.
-                Err(FormatBuildError::PaddingOverflow { .. }) => continue,
-                Err(e) => panic!("{name}: {} failed to build: {e}", kind.name()),
-            };
             for width in LaneWidth::ALL {
-                let f = build_format_with(kind, &m, LaneProfile::with_width(width))
-                    .expect("the scalar build succeeded");
+                let f = match build_format_with(kind, &m, LaneProfile::with_width(width)) {
+                    Ok(f) => f,
+                    // ELL may refuse a shape on its padding budget.
+                    Err(FormatBuildError::PaddingOverflow { .. }) => continue,
+                    Err(e) => panic!("{name}: {} failed to build: {e}", kind.name()),
+                };
                 for (x_name, x) in operands(cols) {
                     let ctx = format!("{name}/{}/{width:?}/x={x_name}", kind.name());
-                    let reference = csr_lanes(kind, width).map(|w| {
-                        (0..rows)
-                            .map(|r| {
-                                let (cs, vs) = m.row(r);
-                                lane_dot(w, cs, vs, &x)
-                            })
-                            .collect::<Vec<f64>>()
-                    });
+                    let want: Vec<f64> = (0..rows)
+                        .map(|r| {
+                            let (cs, vs) = m.row(r);
+                            lane_dot(lanes(kind, width), cs, vs, &x)
+                        })
+                        .collect();
+                    let padded = (kind.sell_c().is_some()
+                        || matches!(kind, FormatKind::Ell | FormatKind::Hyb))
+                    .then_some((&m, &x[..]));
+                    let judge = |y: &[f64], entry: &str| {
+                        assert_same(y, &want, padded, &format!("{ctx} {entry}"));
+                    };
 
-                    let mut want = vec![f64::NAN; rows];
-                    match &reference {
-                        Some(reference) => want.copy_from_slice(reference),
-                        None => scalar.spmv(&x, &mut want),
-                    }
                     let mut y = vec![f64::NAN; rows];
                     f.spmv(&x, &mut y);
-                    assert_same(&y, &want, &format!("{ctx} spmv"));
-
+                    judge(&y, "spmv");
                     for pool in &pools {
-                        // HYB's COO tail merges chunk carries, so its
-                        // parallel sums are its own — but the same at
-                        // every width on the same pool.
-                        if reference.is_none() {
-                            scalar.spmv_parallel(pool, &x, &mut want);
-                        }
                         let mut y = vec![f64::NAN; rows];
                         f.spmv_parallel(pool, &x, &mut y);
-                        assert_same(&y, &want, &format!("{ctx} spmv_parallel/{}", pool.threads()));
+                        judge(&y, &format!("spmv_parallel/{}", pool.threads()));
                     }
 
-                    if square {
-                        let mut want_y = vec![f64::NAN; rows];
-                        let want_dot = match &reference {
-                            // Ascending-row fold, as the fused CSR kernel
-                            // documents.
-                            Some(reference) => {
-                                want_y.copy_from_slice(reference);
-                                x.iter().zip(reference).fold(0.0, |acc, (xi, yi)| acc + xi * yi)
-                            }
-                            None => scalar.spmv_dot(&x, &mut want_y),
-                        };
+                    if rows == cols {
                         let mut y = vec![f64::NAN; rows];
                         let got_dot = f.spmv_dot(&x, &mut y);
-                        assert_same(&y, &want_y, &format!("{ctx} spmv_dot y"));
+                        judge(&y, "spmv_dot y");
+                        let want_dot = if kind.sell_c().is_some() {
+                            // Packed order: the W1 build's own fold.
+                            let scalar = build_format_with(kind, &m, LaneProfile::scalar())
+                                .expect("the SELL kinds accept every shape");
+                            scalar.spmv_dot(&x, &mut vec![0.0; rows])
+                        } else {
+                            // Ascending-row fold, as the fused kernels
+                            // and the trait's default document.
+                            x.iter().zip(&y).fold(0.0, |acc, (xi, yi)| acc + xi * yi)
+                        };
                         assert!(
                             same(got_dot, want_dot),
                             "{ctx} spmv_dot: {got_dot:e} vs {want_dot:e}"
@@ -211,7 +212,7 @@ fn every_kernel_format_width_and_entry_point_matches_the_scalar_lane_order_bitwi
     }
     // Seven kinds accept every shape: the table cannot have skipped its
     // way to green.
-    assert!(checked >= 7 * LaneWidth::ALL.len() * 3 * 10, "only {checked} cells");
+    assert!(checked >= 7 * LaneWidth::ALL.len() * 3 * 11, "only {checked} cells");
 }
 
 /// The propagation policy of `SparseFormat`: padding must not carry a

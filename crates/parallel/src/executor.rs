@@ -1,32 +1,28 @@
 //! The shared parallel execution layer all storage formats run on.
 //!
 //! Every SpMV kernel in `spmv-formats` decomposes the same way: split
-//! some index space (rows, SELL chunks, nonzeros) into contiguous
-//! chunk tasks, let each task produce the output rows it *owns*, and
-//! — for nonzero-chunked kernels — fix up
-//! the boundary rows that straddle two chunks with a sequential carry
-//! merge. Before this module existed each format hand-rolled that
-//! dance with its own pool call and its own raw-pointer writes; the
-//! [`Executor`] centralizes it behind three entry points, each of which
-//! spawns its chunks as independent tasks on the work-stealing
-//! scheduler ([`ThreadPool::run_tasks`]) and joins them — except on a
-//! pool of one, where the single chunk is the whole schedule and the
-//! kernel runs on the caller directly (same result bits: one chunk's
-//! partial or carries reduce to themselves):
+//! some index space (rows, SELL chunks) into contiguous chunk tasks and
+//! let each task produce the output rows it *owns*. Before this module
+//! existed each format hand-rolled that dance with its own pool call
+//! and its own raw-pointer writes; the [`Executor`] centralizes it
+//! behind two patterns, each of which spawns its chunks as independent
+//! tasks on the work-stealing scheduler ([`ThreadPool::run_tasks`]) and
+//! joins them — except on a pool of one, where the single chunk is the
+//! whole schedule and the kernel runs on the caller directly (same
+//! result bits: one chunk's partial reduces to itself):
 //!
-//! * [`Executor::run_disjoint`] — one task per [`Schedule`] chunk,
-//!   each writing a disjoint set of output rows ([`DisjointWriter`]);
-//! * [`Executor::run_chunks_carry`] — equal contiguous item chunks
-//!   (nonzeros of HYB's COO tail) whose boundary rows are returned
-//!   as [`Carries`] and merged sequentially by the executor;
+//! * [`Executor::run_disjoint`] (and its fused-dot twin
+//!   [`Executor::run_disjoint_reduce`]) — one task per [`Schedule`]
+//!   chunk, each writing a disjoint set of output rows
+//!   ([`DisjointWriter`]);
 //! * [`Executor::for_each_chunk_mut`] — a safe parallel-for over
-//!   disjoint sub-slices of a `&mut [T]` (zeroing, per-channel
-//!   replicas, reductions).
+//!   disjoint sub-slices of a `&mut [T]` (per-channel replicas,
+//!   reductions).
 //!
 //! # Soundness
 //!
 //! The whole layer rests on one argument, stated here once instead of
-//! at thirteen call sites:
+//! at every call site:
 //!
 //! 1. [`ThreadPool::run_tasks`] does not return until every spawned
 //!    chunk task has finished, so borrowed kernel data (including the
@@ -37,12 +33,11 @@
 //!    partitions are disjoint by construction — no two tasks receive
 //!    overlapping ranges.
 //! 3. The *kernel contract*: a kernel passed to [`Executor::run_disjoint`]
-//!    or [`Executor::run_chunks_carry`] may write only output rows owned
-//!    by its chunk, under a map from chunks to row sets that is
-//!    injective across chunks (identity for row-chunked kernels;
-//!    `perm`-translated for SELL-C-σ; "rows strictly inside my nonzero
-//!    range" for carry kernels, with the shared boundary rows routed
-//!    through [`Carries`] instead of written directly).
+//!    or [`Executor::run_disjoint_reduce`] may read and write only
+//!    output rows owned by its chunk, under a map from chunks to row
+//!    sets that is injective across chunks (identity for row-chunked
+//!    kernels, HYB's COO tail included; `perm`-translated for
+//!    SELL-C-σ).
 //!
 //! Note what is *not* required: exclusive use of the pool. Several
 //! executors (and raw `run_tasks` callers) may run concurrently — their
@@ -111,6 +106,20 @@ impl<'y> DisjointWriter<'y> {
         unsafe { *(self.ptr as *mut f64).add(i) = val };
     }
 
+    /// Reads `y[i]`. The caller must own index `i` (see the kernel
+    /// contract in the [module docs](self)).
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds (checked in release builds too).
+    #[inline]
+    pub fn read(&self, i: usize) -> f64 {
+        assert!(i < self.len, "DisjointWriter index {i} out of bounds (len {})", self.len);
+        // SAFETY: same argument as `write` — live borrow, asserted
+        // bounds, and exclusive ownership of index `i` under the kernel
+        // contract: no other task writes `y[i]` while this one reads it.
+        unsafe { *(self.ptr as *const f64).add(i) }
+    }
+
     /// Adds `val` to `y[i]`. The caller must own index `i` (see the
     /// kernel contract in the [module docs](self)).
     ///
@@ -118,11 +127,7 @@ impl<'y> DisjointWriter<'y> {
     /// Panics if `i` is out of bounds (checked in release builds too).
     #[inline]
     pub fn add(&self, i: usize, val: f64) {
-        assert!(i < self.len, "DisjointWriter index {i} out of bounds (len {})", self.len);
-        // SAFETY: same argument as `write` — live borrow, asserted
-        // bounds, and exclusive ownership of index `i` under the kernel
-        // contract make this read-modify-write unaliased.
-        unsafe { *(self.ptr as *mut f64).add(i) += val };
+        self.write(i, self.read(i) + val);
     }
 }
 
@@ -182,81 +187,8 @@ impl Schedule<'_> {
     }
 }
 
-/// Boundary contributions a chunk kernel could not write exclusively:
-/// partial sums for the chunk's first and last rows, which may be
-/// shared with the neighboring chunks. The executor merges them
-/// sequentially after the parallel phase, so no atomics are needed.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Carries {
-    /// Partial sum for the chunk's first row, if any.
-    pub first: Option<(usize, f64)>,
-    /// Partial sum for the chunk's last row, when it differs from the
-    /// first.
-    pub last: Option<(usize, f64)>,
-}
-
-impl Carries {
-    /// No boundary contributions (empty chunk).
-    pub fn none() -> Self {
-        Self::default()
-    }
-}
-
-/// Accumulates a contiguous range of row-sorted items into `out`,
-/// returning the boundary rows as [`Carries`] — the one shared
-/// implementation of the COO-style "chunk with boundary carry" kernel
-/// (the HYB COO tail's).
-///
-/// `row_of(i)` must be non-decreasing over the range (row-major sorted
-/// data); `contrib(i)` is item `i`'s contribution to its row. Rows
-/// strictly inside the range are *added* to `out` (the caller must have
-/// initialized those entries — for HYB they hold the ELL partial
-/// sums); the first and last rows are returned as
-/// carries because neighboring chunks may also contribute to them.
-/// Interior rows are owned exclusively: the data is row-sorted and
-/// chunks are contiguous, so a row that starts and ends inside one
-/// chunk appears in no other.
-pub fn accumulate_rows<R, V>(
-    range: Range<usize>,
-    row_of: R,
-    contrib: V,
-    out: &DisjointWriter<'_>,
-) -> Carries
-where
-    R: Fn(usize) -> usize,
-    V: Fn(usize) -> f64,
-{
-    if range.is_empty() {
-        return Carries::none();
-    }
-    let first_row = row_of(range.start);
-    let mut cur_row = first_row;
-    let mut first_sum = 0.0;
-    let mut acc = 0.0;
-    for i in range {
-        let r = row_of(i);
-        debug_assert!(r >= cur_row, "row_of must be non-decreasing");
-        if r != cur_row {
-            if cur_row == first_row {
-                first_sum = acc;
-            } else {
-                out.add(cur_row, acc);
-            }
-            cur_row = r;
-            acc = 0.0;
-        }
-        acc += contrib(i);
-    }
-    if cur_row == first_row {
-        // Whole chunk inside one row.
-        Carries { first: Some((first_row, acc)), last: None }
-    } else {
-        Carries { first: Some((first_row, first_sum)), last: Some((cur_row, acc)) }
-    }
-}
-
 /// The shared executor: a thin handle over a [`ThreadPool`] offering
-/// the three work-distribution patterns the storage formats need. See
+/// the two work-distribution patterns the storage formats need. See
 /// the [module docs](self) for the soundness argument.
 pub struct Executor<'p> {
     pool: &'p ThreadPool,
@@ -300,12 +232,6 @@ impl<'p> Executor<'p> {
                 f(lo, chunk);
             }
         });
-    }
-
-    /// Zeroes `y` in parallel — shared prologue for kernels that
-    /// accumulate instead of overwriting.
-    pub fn zero(&self, y: &mut [f64]) {
-        self.for_each_chunk_mut(y, |_, chunk| chunk.fill(0.0));
     }
 
     /// Runs `f(range, writer)` once per schedule chunk, concurrently.
@@ -369,67 +295,6 @@ impl<'p> Executor<'p> {
             });
         }
         tree_reduce(&partials[..chunks])
-    }
-
-    /// Splits `0..items` into equal contiguous chunks (one per worker),
-    /// runs `f(chunk, writer)` concurrently, then merges the returned
-    /// [`Carries`] into `y` sequentially, in chunk order.
-    ///
-    /// This is the nnz-chunk-with-carry pattern of the HYB COO tail:
-    /// interior rows are written directly (they are owned by exactly one chunk), boundary
-    /// rows — which several chunks may share — come back as carries and
-    /// are accumulated here, race-free, after the barrier.
-    pub fn run_chunks_carry<F>(&self, items: usize, y: &mut [f64], f: F)
-    where
-        F: Fn(Range<usize>, &DisjointWriter<'_>) -> Carries + Sync,
-    {
-        if items == 0 {
-            return;
-        }
-        let t = self.threads();
-        if t == 1 {
-            let c = f(0..items, &DisjointWriter::new(y));
-            for (row, sum) in c.first.into_iter().chain(c.last) {
-                y[row] += sum;
-            }
-            return;
-        }
-        // Carry slots live on the stack for ordinary pool widths so a
-        // tight caller loop (a solver iterating on a carry-chunked
-        // format) never allocates; only pools wider than the inline cap
-        // spill to the heap.
-        let mut inline = [Carries::none(); MAX_REDUCE_CHUNKS];
-        let mut spill: Vec<Carries>;
-        let carries: &mut [Carries] = if t <= MAX_REDUCE_CHUNKS {
-            &mut inline[..t]
-        } else {
-            spill = vec![Carries::none(); t];
-            &mut spill
-        };
-        {
-            // Scoped: the writer's borrow of `y` must end before the
-            // sequential carry merge below can touch `y` directly.
-            let out = DisjointWriter::new(y);
-            let slots = carries.as_mut_ptr() as usize;
-            self.pool.run_tasks(t, |ci| {
-                let lo = ci * items / t;
-                let hi = (ci + 1) * items / t;
-                if lo < hi {
-                    let c = f(lo..hi, &out);
-                    // SAFETY: one slot per chunk task; `run_tasks` keeps
-                    // `carries` alive until all tasks return.
-                    unsafe { *(slots as *mut Carries).add(ci) = c };
-                }
-            });
-        }
-        for c in carries.iter() {
-            if let Some((row, sum)) = c.first {
-                y[row] += sum;
-            }
-            if let Some((row, sum)) = c.last {
-                y[row] += sum;
-            }
-        }
     }
 }
 
@@ -564,14 +429,6 @@ mod tests {
             assert_eq!(partial, 0.0);
         }
 
-        let rows = [0usize, 0, 1, 3, 3];
-        let mut y = vec![0.0; 4];
-        exec.run_chunks_carry(rows.len(), &mut y, |range, out| {
-            on_caller(&range, rows.len());
-            accumulate_rows(range, |i| rows[i], |i| (i + 1) as f64, out)
-        });
-        assert_eq!(y, vec![3.0, 3.0, 0.0, 9.0]);
-
         let after = pool.stats();
         assert_eq!(
             (after.high_tasks, after.low_tasks, after.steals),
@@ -594,15 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_clears_everything() {
-        let pool = ThreadPool::new(4);
-        let exec = Executor::new(&pool);
-        let mut y = vec![7.0; 1003];
-        exec.zero(&mut y);
-        assert!(y.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn disjoint_writer_roundtrip() {
         let mut y = vec![0.0; 4];
         let w = DisjointWriter::new(&mut y);
@@ -610,78 +458,7 @@ mod tests {
         assert!(!w.is_empty());
         w.write(1, 5.0);
         w.add(1, 2.5);
+        assert_eq!(w.read(1), 7.5);
         assert_eq!(y[1], 7.5);
-    }
-
-    /// The regression the carry layer exists for: a single hot row
-    /// shared by 3+ chunks must receive every chunk's partial sum
-    /// exactly once.
-    #[test]
-    fn hot_row_shared_by_many_chunks_merges_all_carries() {
-        // 40 items, all in row 2, value 1.0 each; 8 workers => 8 chunks
-        // of 5 items, every chunk carrying row 2.
-        let rows = vec![2usize; 40];
-        for threads in [3, 4, 8] {
-            let pool = ThreadPool::new(threads);
-            let exec = Executor::new(&pool);
-            let mut y = vec![0.0; 5];
-            exec.run_chunks_carry(rows.len(), &mut y, |range, out| {
-                accumulate_rows(range, |i| rows[i], |_| 1.0, out)
-            });
-            assert_eq!(y, vec![0.0, 0.0, 40.0, 0.0, 0.0], "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_items_leaves_empty_chunks_silent() {
-        let rows = [0usize, 0, 3];
-        let vals = [1.0, 2.0, 4.0];
-        let pool = ThreadPool::new(16);
-        let exec = Executor::new(&pool);
-        let mut y = vec![0.0; 4];
-        exec.run_chunks_carry(rows.len(), &mut y, |range, out| {
-            accumulate_rows(range, |i| rows[i], |i| vals[i], out)
-        });
-        assert_eq!(y, vec![3.0, 0.0, 0.0, 4.0]);
-    }
-
-    #[test]
-    fn accumulate_rows_interior_rows_added_boundaries_carried() {
-        // Rows: 0 0 1 1 2 2  — chunk covering 1..5 sees first row 0
-        // (partial), interior row 1 (complete), last row 2 (partial).
-        let rows = [0usize, 0, 1, 1, 2, 2];
-        let mut y = vec![0.0; 3];
-        let out = DisjointWriter::new(&mut y);
-        let c = accumulate_rows(1..5, |i| rows[i], |i| (i + 1) as f64, &out);
-        assert_eq!(c.first, Some((0, 2.0)));
-        assert_eq!(c.last, Some((2, 5.0)));
-        assert_eq!(y, vec![0.0, 7.0, 0.0]); // row 1 = items 2+3 → 3+4
-    }
-
-    #[test]
-    fn accumulate_rows_single_row_chunk_is_one_carry() {
-        let rows = [5usize; 4];
-        let mut y = vec![0.0; 6];
-        let out = DisjointWriter::new(&mut y);
-        let c = accumulate_rows(0..4, |i| rows[i], |_| 0.5, &out);
-        assert_eq!(c, Carries { first: Some((5, 2.0)), last: None });
-        assert!(y.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn accumulate_rows_empty_range_is_no_carry() {
-        let mut y = vec![0.0; 2];
-        let out = DisjointWriter::new(&mut y);
-        let c = accumulate_rows(3..3, |_| 0, |_| 1.0, &out);
-        assert_eq!(c, Carries::none());
-    }
-
-    #[test]
-    fn run_chunks_carry_zero_items_is_noop() {
-        let pool = ThreadPool::new(4);
-        let exec = Executor::new(&pool);
-        let mut y = vec![1.5; 3];
-        exec.run_chunks_carry(0, &mut y, |_, _| panic!("must not be called"));
-        assert_eq!(y, vec![1.5; 3]);
     }
 }

@@ -21,10 +21,10 @@
 //! On top of the pool sits the shared [`executor`] layer: every storage
 //! format routes its `spmv_parallel` (and batched SpMM) through
 //! [`Executor`] + [`Schedule`] instead of hand-rolling pool calls, so
-//! the disjoint-write and boundary-carry soundness arguments live in
-//! one place. The [`blas1`] module adds the deterministic parallel
-//! vector ops (dot/axpy/xpby with a fixed-shape tree reduction) that
-//! iterative solvers interleave with SpMV.
+//! the disjoint-write soundness argument lives in one place. The
+//! [`blas1`] module adds the deterministic parallel vector ops
+//! (dot/axpy/xpby with a fixed-shape tree reduction) that iterative
+//! solvers interleave with SpMV.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -37,6 +37,6 @@ pub mod partition;
 pub mod pool;
 pub mod sync;
 
-pub use executor::{accumulate_rows, Carries, DisjointWriter, Executor, Schedule};
+pub use executor::{DisjointWriter, Executor, Schedule};
 pub use partition::Partition;
 pub use pool::{PoolStats, ThreadPool};

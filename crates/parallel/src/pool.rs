@@ -25,7 +25,7 @@
 //!   global FIFO queue: the engine's asynchronous format conversions.
 //!   Workers take low work only when no high task is available, so a
 //!   flight never displaces a serve; a starvation bound (one low task
-//!   per [`LOW_SERVICE_INTERVAL`] consecutive high tasks per worker,
+//!   per `LOW_SERVICE_INTERVAL` consecutive high tasks per worker,
 //!   and only when no other low task is running) guarantees flights
 //!   always complete even under continuous serve saturation.
 //!

@@ -22,6 +22,7 @@
 //!    == requests` and `hits + misses + coalesced == lookups`, exactly,
 //!    at both stages.
 
+use spmv_suite::analysis::{FormatSelector, Observation, SelectorFeatures};
 use spmv_suite::core::{vec_mismatch, CsrMatrix, DenseMatrix, FeatureSet};
 use spmv_suite::engine::{Admission, Engine, EngineConfig, TrainingPlan};
 use spmv_suite::formats::FormatKind;
@@ -234,7 +235,8 @@ fn large_case() -> Case {
 /// The CSR path promises [`CsrMatrix::spmv_into`]'s summation order in
 /// every kernel, whatever unit the engine's lane profile runs it on; a
 /// landed Naive-CSR, ELL or SELL-C-σ sums each row slot by slot from 0.0
-/// too, so it answers the same bits.
+/// too, and HYB continues a row's ELL sum through its COO tail, so they
+/// answer the same bits.
 #[test]
 fn cold_async_answers_are_spmv_into_bit_for_bit_and_so_are_landed_w1_order_kinds() {
     let engine = engine();
@@ -271,6 +273,7 @@ fn cold_async_answers_are_spmv_into_bit_for_bit_and_so_are_landed_w1_order_kinds
     let in_order = [
         FormatKind::NaiveCsr,
         FormatKind::Ell,
+        FormatKind::Hyb,
         FormatKind::SellCSigma,
         FormatKind::SellC4,
         FormatKind::SellC16,
@@ -285,4 +288,37 @@ fn cold_async_answers_are_spmv_into_bit_for_bit_and_so_are_landed_w1_order_kinds
         }
     }
     assert!(landed > 0, "no id landed as a W1-order kind: the second half checked nothing");
+
+    // HYB, which the first engine's selector may never name: a selector
+    // that names it for every matrix, on `Host` (which lists every
+    // kind). `large` has rows longer than the average, so its COO tail
+    // spans the chunks of the 3-worker pool.
+    let always_hyb = Observation {
+        features: SelectorFeatures {
+            footprint_mb: 1.0,
+            avg_nnz_per_row: 8.0,
+            skew: 0.0,
+            cross_row_sim: 0.5,
+            avg_num_neigh: 0.5,
+        },
+        best_format: FormatKind::Hyb.name().into(),
+    };
+    let hyb = Engine::with_selector(
+        EngineConfig { threads: 3, ..EngineConfig::default() },
+        FormatSelector::fit(&[always_hyb], 1),
+    )
+    .expect("engine");
+    for (case, want) in cases.iter().zip(&want) {
+        let mut y = vec![f64::NAN; case.m.rows()];
+        assert_eq!(hyb.spmv(&case.id, &case.m, &case.x, &mut y), FormatKind::Hyb, "{}", case.id);
+        assert_eq!(&bits(&y), want, "{} HYB spmv", case.id);
+        let mut y = vec![-7.25; case.m.rows()];
+        hyb.spmv_parallel(&case.id, &case.m, &case.x, &mut y);
+        assert_eq!(&bits(&y), want, "{} HYB spmv_parallel", case.id);
+        let xs = [&case.x[..], &case.x[..]].concat();
+        let mut ys = vec![f64::NAN; 2 * case.m.rows()];
+        hyb.spmm(&case.id, &case.m, &xs, 2, &mut ys);
+        assert_eq!(bits(&ys), [&want[..], &want[..]].concat(), "{} HYB spmm", case.id);
+    }
+    assert_eq!(hyb.counters().served_selected, 3 * cases.len() as u64, "every serve was HYB");
 }
