@@ -18,7 +18,6 @@
 //! rejected with a descriptive error rather than silently misread.
 
 use crate::error::SparseError;
-use crate::matrix::coo::CooMatrix;
 use crate::matrix::csr::CsrMatrix;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -251,11 +250,6 @@ pub fn write_mtx(csr: &CsrMatrix, mut w: impl Write) -> Result<(), MtxError> {
 pub fn write_mtx_file(csr: &CsrMatrix, path: impl AsRef<Path>) -> Result<(), MtxError> {
     let f = std::fs::File::create(path)?;
     write_mtx(csr, std::io::BufWriter::new(f))
-}
-
-/// Writes a COO matrix (convenience wrapper via CSR ordering).
-pub fn write_mtx_coo(coo: &CooMatrix, w: impl Write) -> Result<(), MtxError> {
-    write_mtx(&coo.to_csr(), w)
 }
 
 #[cfg(test)]

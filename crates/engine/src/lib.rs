@@ -151,11 +151,12 @@ pub struct EngineConfig {
     /// unboundedly many distinct ids must not grow memory without
     /// bound. Plans are consulted, and their recency refreshed, on
     /// misses only: a resident id serves whatever its plan, and an
-    /// evicted plan is re-extracted on the id's next miss. Under
-    /// [`Admission::Async`] the bound can transiently overshoot by up
-    /// to `max_in_flight` entries: `Building` plans are spared from
-    /// eviction until their flight lands (evicting one would discard
-    /// the finished conversion and convert twice).
+    /// evicted plan is re-extracted on the id's next miss. Only
+    /// `Building` plans overshoot the bound: under [`Admission::Async`]
+    /// it can transiently grow by up to `max_in_flight` entries, since a
+    /// `Building` plan is spared from eviction until its flight lands
+    /// (evicting one would discard the finished conversion and convert
+    /// twice). A live [`SolveHandle`] does not hold its plan resident.
     pub plan_capacity: usize,
     /// Worker threads for `spmv_parallel`/training (0 = all cores).
     pub threads: usize,
@@ -336,10 +337,11 @@ pub struct EngineCounters {
     /// per-solve iteration counts reported in [`SolveOutcome`]s plus
     /// the iterations completed before any [`SolveError`]s.
     pub solver_iterations: u64,
-    /// Plan entries currently holding at least one live solver pin
-    /// (a gauge, not a cumulative count). Pinned entries are spared
-    /// from LRU eviction, so across a solve `conversions` must not
-    /// grow for the pinned id — zero mid-solve re-resolves.
+    /// Live [`SolveHandle`]s (a gauge, not a cumulative count): up on
+    /// [`Engine::solver`], down on the handle's drop. The name is older
+    /// than the gauge — it counted plans that solves pinned against
+    /// eviction, and consumers that require it to read 0 once every
+    /// handle is dropped keep reading it under that name.
     pub pinned_plans: usize,
     /// Serve calls per format actually used, in [`FormatKind::ALL`]
     /// order (zero-count formats included). CSR-path fallback serves
@@ -420,6 +422,8 @@ struct ServeState {
     counters: CounterBank,
     /// Outstanding background admissions (queued or building).
     in_flight: AtomicUsize,
+    /// Live solver handles ([`EngineCounters::pinned_plans`]).
+    live_solves: AtomicUsize,
     /// Lane profile every conversion (foreground or flight) builds at:
     /// `SPMV_LANES` when set, else the device profile's SIMD width.
     lanes: LaneProfile,
@@ -619,6 +623,7 @@ impl Engine {
                 conversions: ShardedConversions::new(config.cache_capacity_bytes, config.shards),
                 counters: CounterBank::default(),
                 in_flight: AtomicUsize::new(0),
+                live_solves: AtomicUsize::new(0),
                 lanes,
             }),
         }
@@ -812,7 +817,7 @@ impl Engine {
     /// [`SolveHandle`]): resolves the matrix's plan **synchronously**
     /// — even under asynchronous admission, since a solver is about to
     /// run many SpMVs on the chosen format, so paying the conversion
-    /// up front is the point — pins it against LRU eviction for the
+    /// up front is the point — holds the served format for the
     /// handle's lifetime, and preallocates every operand vector once.
     /// The handle's `cg`/`bicgstab` iterations then run on fused
     /// SpMV+dot kernels and deterministic parallel BLAS-1, bypassing
@@ -894,7 +899,7 @@ impl Engine {
             flights_scheduled: c.sum(|s| &s.flights_scheduled),
             solves: c.sum(|s| &s.solves),
             solver_iterations: c.sum(|s| &s.solver_iterations),
-            pinned_plans: self.state.plans.pinned_count(),
+            pinned_plans: self.state.live_solves.load(Ordering::Relaxed),
             pool: self.pool.stats(),
             selections: FormatKind::ALL
                 .iter()

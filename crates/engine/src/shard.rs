@@ -11,7 +11,11 @@
 //!   instead of a linear scan over the shard. Recency matters: an early
 //!   implementation evicted in `BTreeMap` key order, so a hot matrix
 //!   with a lexicographically small id was thrown out (and re-planned)
-//!   on every admission once the table filled.
+//!   on every admission once the table filled. Eviction spares only
+//!   the entry just touched and `Building` claims: no reader holds a
+//!   plan across requests (a [`SolveHandle`](crate::SolveHandle) holds
+//!   its converted format instead), so an evicted plan costs the id at
+//!   most one feature pass on its next miss.
 //! * [`ShardedConversions`] — the converted-format cache, one
 //!   [`ConversionCache`] per shard plus a **single-flight** register:
 //!   concurrent misses on the same id coalesce onto one builder (the
@@ -105,6 +109,9 @@ impl PlanState {
     }
 }
 
+/// One id's plan and its LRU bookkeeping. Any entry but a `Building`
+/// claim may be evicted, a solved id's included: a live solve runs on
+/// the format it already holds and never reads its plan again.
 struct PlanEntry {
     state: PlanState,
     last_used: u64,
@@ -113,20 +120,6 @@ struct PlanEntry {
     /// `forget` + re-admission of its id (new epoch) cannot touch the
     /// successor's plan.
     epoch: u64,
-    /// Entry incarnation: stamped once at insert from the shard's
-    /// generation counter. Solver pins carry it as their release
-    /// ticket, so a release that outlives a `forget` + re-admission of
-    /// the same id (fresh incarnation) is detectably stale — it can
-    /// neither decrement the successor's pin count nor resurrect the
-    /// forgotten entry.
-    incarnation: u64,
-    /// Outstanding solver pins ([`PlanTable::acquire_solver_pin`]).
-    /// While nonzero the entry is spared from LRU eviction — a live
-    /// solve must keep its plan resident so it never re-resolves
-    /// mid-solve. `forget` still removes pinned entries (an explicit
-    /// drop outranks residency); the solve finishes on the format
-    /// handle it already holds and its release becomes a stale no-op.
-    pins: u32,
 }
 
 #[derive(Default)]
@@ -161,12 +154,10 @@ impl PlanShard {
     }
 
     /// Evicts least-recently-used entries until at most `capacity`
-    /// remain, sparing `keep` (just touched), `Building` entries
+    /// remain, sparing `keep` (just touched) and `Building` entries
     /// (their flight will pin them momentarily; evicting one would
     /// orphan the landing — the flight's epoch check would discard the
-    /// finished conversion and the id would convert twice), and entries
-    /// with outstanding solver pins (a live solve must never lose its
-    /// plan to cache pressure).
+    /// finished conversion and the id would convert twice).
     fn evict_to_fit(&mut self, capacity: usize, keep: &str) {
         while self.map.len() > capacity {
             let victim = self
@@ -174,7 +165,7 @@ impl PlanShard {
                 .iter()
                 .find(|(_, id)| {
                     let e = &self.map[&***id];
-                    &***id != keep && !matches!(e.state, PlanState::Building(_)) && e.pins == 0
+                    &***id != keep && !matches!(e.state, PlanState::Building(_))
                 })
                 .map(|(&tick, id)| (tick, Arc::clone(id)));
             match victim {
@@ -193,19 +184,16 @@ impl PlanShard {
         }
     }
 
-    /// Touches `id`, or inserts it in `state` as a fresh incarnation
-    /// when absent (first writer wins); then evicts down to `capacity`,
-    /// sparing `id`. Returns `id`'s entry.
+    /// Touches `id`, or inserts it in `state` when absent (first writer
+    /// wins); then evicts down to `capacity`, sparing `id`. Returns
+    /// `id`'s entry.
     fn insert(&mut self, id: &str, state: PlanState, capacity: usize) -> &mut PlanEntry {
         if self.map.contains_key(id) {
             self.touch(id);
         } else {
             let tick = self.next_tick();
-            self.epoch += 1;
             let key: Arc<str> = Arc::from(id);
-            let e =
-                PlanEntry { state, last_used: tick, epoch: 0, incarnation: self.epoch, pins: 0 };
-            self.map.insert(Arc::clone(&key), e);
+            self.map.insert(Arc::clone(&key), PlanEntry { state, last_used: tick, epoch: 0 });
             self.recency.insert(tick, key);
         }
         self.evict_to_fit(capacity, id);
@@ -344,47 +332,6 @@ impl PlanTable {
             s.touch(id);
             s.map.get_mut(id).expect("just touched").state = PlanState::Pinned(kind);
         }
-    }
-
-    /// Acquires a solver pin on `id`, inserting a `Pinned(kind)` entry
-    /// if the plan is absent (the solve just resolved `kind`
-    /// synchronously, so the plan is known even if eviction raced the
-    /// resolution). Returns the entry's incarnation — the ticket
-    /// [`PlanTable::release_solver_pin`] requires, which makes a
-    /// release after `forget` + re-admission a detectable no-op.
-    ///
-    /// While the pin count is nonzero, LRU eviction spares the entry;
-    /// `forget` (an explicit drop) still removes it.
-    pub fn acquire_solver_pin(&self, id: &str, kind: FormatKind) -> u64 {
-        let mut s = self.shard(id).lock();
-        let e = s.insert(id, PlanState::Pinned(kind), self.per_shard_capacity);
-        e.pins += 1;
-        e.incarnation
-    }
-
-    /// Releases a solver pin acquired with `ticket`. Returns `true`
-    /// when a pin was actually released; `false` when the entry is gone
-    /// (forgotten — its pin count vanished with it) or carries a
-    /// different incarnation (forgotten and re-admitted): a stale
-    /// release must neither decrement the successor's pins nor
-    /// resurrect the forgotten entry, and a double release of the same
-    /// ticket beyond the acquired count is refused by the `pins > 0`
-    /// guard.
-    pub fn release_solver_pin(&self, id: &str, ticket: u64) -> bool {
-        let mut s = self.shard(id).lock();
-        match s.map.get_mut(id) {
-            Some(e) if e.incarnation == ticket && e.pins > 0 => {
-                e.pins -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Number of plan entries currently holding at least one solver
-    /// pin (the `pinned_plans` gauge in the engine counters).
-    pub fn pinned_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.values().filter(|e| e.pins > 0).count()).sum()
     }
 
     /// Drops the plan for `id`, if any.
@@ -955,84 +902,6 @@ mod tests {
             );
         }
         assert!(t.finish_build("building", epoch, FormatKind::Ell));
-    }
-
-    #[test]
-    fn pinned_entries_are_spared_by_eviction_until_released() {
-        let t = PlanTable::new(2, 1);
-        let ticket = t.acquire_solver_pin("solve", FormatKind::SellCSigma);
-        assert_eq!(t.pinned_count(), 1);
-        // Streaming pressure must never evict the pinned plan.
-        for i in 0..8 {
-            t.insert_pending(&format!("s{i}"), FormatKind::NaiveCsr);
-            assert_eq!(
-                t.get("solve"),
-                Some(PlanState::Pinned(FormatKind::SellCSigma)),
-                "pinned plan evicted under streaming pressure (step {i})"
-            );
-        }
-        assert!(t.release_solver_pin("solve", ticket));
-        assert_eq!(t.pinned_count(), 0);
-        // Released, the entry is ordinary again: pressure evicts it.
-        for i in 0..4 {
-            t.insert_pending(&format!("r{i}"), FormatKind::NaiveCsr);
-        }
-        assert_eq!(t.get("solve"), None, "released plan must be evictable");
-    }
-
-    #[test]
-    fn nested_pins_release_independently() {
-        let t = PlanTable::new(4, 1);
-        let a = t.acquire_solver_pin("m", FormatKind::Ell);
-        let b = t.acquire_solver_pin("m", FormatKind::Ell);
-        assert_eq!(a, b, "same incarnation for concurrent pins of one entry");
-        assert_eq!(t.pinned_count(), 1);
-        assert!(t.release_solver_pin("m", a));
-        assert_eq!(t.pinned_count(), 1, "one pin still outstanding");
-        assert!(t.release_solver_pin("m", b));
-        assert_eq!(t.pinned_count(), 0);
-        // A third release of the same ticket is a refused double free.
-        assert!(!t.release_solver_pin("m", b));
-    }
-
-    #[test]
-    fn stale_release_cannot_touch_a_reincarnated_id() {
-        let t = PlanTable::new(4, 1);
-        let stale = t.acquire_solver_pin("m", FormatKind::Ell);
-        t.remove("m"); // forget: pinned entries are removed regardless
-        assert_eq!(t.get("m"), None);
-        assert_eq!(t.pinned_count(), 0);
-        // Same id re-admitted and pinned by a new solve.
-        let fresh = t.acquire_solver_pin("m", FormatKind::Dia);
-        assert_ne!(stale, fresh, "re-admission gets a fresh incarnation");
-        // The stale release must not decrement the successor's pins —
-        // and must not resurrect anything.
-        assert!(!t.release_solver_pin("m", stale));
-        assert_eq!(t.pinned_count(), 1, "successor's pin must survive the stale release");
-        assert!(t.release_solver_pin("m", fresh));
-        assert_eq!(t.get("m"), Some(PlanState::Pinned(FormatKind::Dia)));
-    }
-
-    #[test]
-    fn release_after_forget_does_not_resurrect() {
-        let t = PlanTable::new(4, 1);
-        let ticket = t.acquire_solver_pin("gone", FormatKind::Ell);
-        t.remove("gone");
-        assert!(!t.release_solver_pin("gone", ticket));
-        assert_eq!(t.get("gone"), None, "release must never re-insert a forgotten id");
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn acquire_on_existing_entry_preserves_state_and_pins_it() {
-        let t = PlanTable::new(4, 1);
-        t.insert_pending("m", FormatKind::Ell);
-        let ticket = t.acquire_solver_pin("m", FormatKind::Ell);
-        // Pinning must not clobber the plan stage (a Pending entry may
-        // still have an admission in flight).
-        assert_eq!(t.get("m"), Some(PlanState::Pending(FormatKind::Ell)));
-        assert_eq!(t.pinned_count(), 1);
-        assert!(t.release_solver_pin("m", ticket));
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //! - **Resolve once.** The handle resolves the plan synchronously at
 //!   construction (even under asynchronous admission: the conversion
 //!   will be amortized over the whole solve) and holds the served
-//!   format for its lifetime. Iterations never touch the plan table or
-//!   conversion cache again.
-//! - **Pin once.** Construction takes a solver pin on the plan entry
-//!   ([`PlanTable::acquire_solver_pin`](crate::shard::PlanTable)),
-//!   which spares it from LRU eviction while any solve is running.
-//!   The pin is released on drop, guarded by an incarnation ticket so
-//!   a stale release can never touch a re-inserted id. `forget` of the
-//!   id mid-solve still clears the tables — the solve finishes on the
-//!   format `Arc` it already holds, and its eventual release no-ops.
+//!   format's `Arc` for its lifetime. Iterations never touch the plan
+//!   table or conversion cache again, so nothing there is held for
+//!   them: LRU eviction and `forget` of the id mid-solve clear the
+//!   tables as for any other id, and the solve finishes on the format
+//!   it holds. The tradeoff: a solved id's plan can be evicted while
+//!   its handle is alive, and a later serve of the id whose conversion
+//!   was evicted too runs one more feature pass. The solve itself is
+//!   unaffected.
 //! - **Allocate once.** All operand vectors (solution, residual,
 //!   direction, plus the BiCGStab shadow/stabilizer set) are allocated
 //!   at construction; the hot loop performs zero allocations.
@@ -38,16 +37,12 @@ use spmv_parallel::blas1;
 use spmv_parallel::sync::Ordering;
 
 /// A plan-once/run-many solver over one engine-served matrix. Create
-/// via [`Engine::solver`]; the selected plan is resolved and pinned
-/// exactly once for the handle's lifetime and every operand vector is
+/// via [`Engine::solver`]; the selected format is resolved exactly
+/// once and held for the handle's lifetime, and every operand vector is
 /// preallocated, so [`SolveHandle::cg`] and [`SolveHandle::bicgstab`]
 /// iterations are pure compute — zero lookups, zero allocations.
 pub struct SolveHandle<'e> {
     engine: &'e Engine,
-    id: String,
-    /// Incarnation ticket from `acquire_solver_pin`; quoted back at
-    /// release so a stale drop can never unpin a re-inserted id.
-    ticket: u64,
     /// The served format, held directly — iterations bypass the
     /// conversion cache entirely, and a concurrent `forget` cannot
     /// pull it out from under a running solve.
@@ -147,18 +142,16 @@ impl std::fmt::Display for SolveError {
 impl std::error::Error for SolveError {}
 
 impl<'e> SolveHandle<'e> {
-    /// Resolves, pins and preallocates. Called via [`Engine::solver`].
+    /// Resolves and preallocates. Called via [`Engine::solver`].
     pub(crate) fn new(engine: &'e Engine, id: &str, csr: &CsrMatrix) -> SolveHandle<'e> {
         assert_eq!(csr.rows(), csr.cols(), "solver requires a square system");
         let n = csr.rows();
         // Serve synchronously whatever the admission mode (the conversion
         // is amortized over the whole solve); it counts as one request.
         let served = engine.serve(id, csr, Admission::Sync);
-        let ticket = engine.state.plans.acquire_solver_pin(id, served.format().1);
+        engine.state.live_solves.fetch_add(1, Ordering::Relaxed);
         SolveHandle {
             engine,
-            id: id.to_string(),
-            ticket,
             served,
             n,
             x: vec![0.0; n],
@@ -372,10 +365,7 @@ impl<'e> SolveHandle<'e> {
 
 impl Drop for SolveHandle<'_> {
     fn drop(&mut self) {
-        // Guarded release: a no-op if the id was forgotten (or
-        // forgotten and re-inserted — the incarnation ticket differs)
-        // while this solve was running.
-        self.engine.state.plans.release_solver_pin(&self.id, self.ticket);
+        self.engine.state.live_solves.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -16,7 +16,6 @@
 
 use crate::generator::{params_for_features, GeneratorParams};
 use crate::rng::child_seed;
-use crate::stream::RowStream;
 use serde::{Deserialize, Serialize};
 use spmv_core::{CsrMatrix, SparseError};
 
@@ -75,11 +74,6 @@ impl MatrixSpec {
     /// Materializes the matrix in CSR format.
     pub fn materialize(&self) -> Result<CsrMatrix, SparseError> {
         self.params.generate()
-    }
-
-    /// Opens a row stream over the matrix without materializing it.
-    pub fn stream(&self) -> Result<RowStream, SparseError> {
-        RowStream::new(self.params)
     }
 }
 

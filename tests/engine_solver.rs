@@ -1,9 +1,11 @@
 //! End-to-end tests for the engine's plan-once/run-many solver tier
 //! ([`Engine::solver`]): CG and BiCGStab convergence on engine-served
-//! fused kernels, exact counter reconciliation for the new
-//! `solves` / `solver_iterations` / `pinned_plans` fields, pin
-//! semantics under streaming eviction pressure, the solve-racing-
-//! `forget` contract, and the typed breakdown errors.
+//! fused kernels, exact counter reconciliation for the
+//! `solves` / `solver_iterations` fields and the live-handle gauge
+//! `pinned_plans`, one resolution per handle — a handle keeps solving
+//! on the format it holds after LRU eviction of its plan and its
+//! conversion, and after `forget` of its id — and the typed breakdown
+//! errors.
 
 mod common;
 
@@ -14,12 +16,12 @@ use spmv_suite::gen::dataset::DatasetSize;
 
 const SCALE: f64 = 16384.0;
 
-fn engine_with(plan_capacity: usize) -> Engine {
+fn engine_with(plan_capacity: usize, cache_capacity_bytes: usize) -> Engine {
     Engine::new(EngineConfig {
         device: "AMD-EPYC-24".into(),
         scale: SCALE,
         k: 1,
-        cache_capacity_bytes: 64 << 20,
+        cache_capacity_bytes,
         plan_capacity,
         threads: 3,
         shards: 1,
@@ -30,7 +32,7 @@ fn engine_with(plan_capacity: usize) -> Engine {
 }
 
 fn engine() -> Engine {
-    engine_with(1 << 16)
+    engine_with(1 << 16, 64 << 20)
 }
 
 /// Upwind convection-diffusion on an `n x n` grid: diagonally dominant
@@ -80,7 +82,7 @@ fn cg_converges_on_poisson_and_counters_reconcile() {
     {
         let c = engine.counters();
         // The one-time resolution is one full request with one lookup
-        // and one conversion; the pin gauge shows the live handle.
+        // and one conversion; the gauge shows the live handle.
         assert_eq!(c.requests, 1);
         assert_eq!(c.cache_lookups, 1);
         assert_eq!(c.conversions, 1);
@@ -94,8 +96,7 @@ fn cg_converges_on_poisson_and_counters_reconcile() {
     assert!(residual_inf(&a, handle.solution(), &b) < 1e-6);
 
     // A second solve on the same handle: different rhs, zero new
-    // lookups, zero new conversions — the plan stays pinned and the
-    // format is held directly.
+    // lookups, zero new conversions — the format is held directly.
     let b2: Vec<f64> = (0..a.rows()).map(|i| ((i % 7) as f64) - 3.0).collect();
     let out2 = handle.cg(&b2, 1e-10, 5_000).expect("SPD system converges");
     assert!(out2.converged);
@@ -110,7 +111,7 @@ fn cg_converges_on_poisson_and_counters_reconcile() {
     assert_eq!(c.pinned_plans, 1);
 
     drop(handle);
-    assert_eq!(engine.counters().pinned_plans, 0, "drop releases the pin");
+    assert_eq!(engine.counters().pinned_plans, 0, "the gauge counts live handles");
 }
 
 #[test]
@@ -131,44 +132,57 @@ fn bicgstab_converges_on_a_nonsymmetric_system() {
 }
 
 #[test]
-fn pinned_plan_survives_streaming_eviction_pressure() {
-    // Plan table of 2 entries on a single shard: every streamed id
-    // evicts. The solver's pin must be the one entry that never goes.
-    let engine = engine_with(2);
+fn solve_outlives_eviction_of_its_plan_and_conversion() {
+    // One shard, two plans and a cache that holds one operand: two ids
+    // streamed past the solve evict both its plan and its conversion.
+    const CACHE: usize = 16 << 10;
+    let engine = engine_with(2, CACHE);
     let a = poisson_2d(12);
     let b = vec![1.0; a.rows()];
 
-    let mut handle = engine.solver("pinned", &a);
+    let mut handle = engine.solver("solved", &a);
+    let one = engine.counters().bytes_resident;
+    assert!(one <= CACHE && CACHE < 2 * one, "the cache must hold one operand, not {one} B");
     handle.cg(&b, 1e-10, 2_000).expect("converges");
-    let mid = engine.counters();
 
-    // Stream unrelated matrices through the same shard, well past the
-    // plan capacity.
-    let x = vec![1.0; 64];
-    let mut y = vec![0.0; 64];
-    let streamed = 8u64;
+    // Stream copies of the same matrix (same selection, same size)
+    // under other ids.
+    let (x, mut y) = (vec![1.0; a.cols()], vec![0.0; a.rows()]);
+    let streamed = 2u64;
     for i in 0..streamed {
-        let m = CsrMatrix::identity(64);
-        engine.spmv(&format!("stream-{i}"), &m, &x, &mut y);
+        engine.spmv(&format!("stream-{i}"), &a, &x, &mut y);
     }
+    let mid = engine.counters();
+    assert_eq!(mid.cached_entries, 1, "only the last streamed conversion stays");
+    assert_eq!(mid.planned_entries, 2, "only the two streamed plans stay");
 
-    // The pinned plan was never evicted: the next solve re-resolves
-    // nothing (conversions grew only by the streamed matrices).
-    handle.cg(&b, 1e-10, 2_000).expect("still converges");
+    // The handle solves on the format it holds: no new request,
+    // lookup or conversion.
+    let out = handle.cg(&b, 1e-10, 2_000).expect("still converges");
+    assert!(out.converged);
+    assert!(residual_inf(&a, handle.solution(), &b) < 1e-6);
     let c = engine.counters();
-    assert_eq!(c.conversions, mid.conversions + streamed, "pinned id reconverted");
-    assert_eq!(c.cache_lookups, mid.cache_lookups + streamed, "pinned id re-resolved");
+    assert_eq!(c.requests, mid.requests, "the solve re-entered the front door");
+    assert_eq!(c.cache_lookups, mid.cache_lookups, "the solve re-resolved");
+    assert_eq!(c.conversions, mid.conversions, "the solve reconverted");
     assert_eq!(c.pinned_plans, 1);
+
+    // A plain serve of the id re-plans and converts once more: the
+    // entries really were gone while the handle kept working.
+    engine.spmv("solved", &a, &x, &mut y);
+    let after = engine.counters();
+    assert_eq!(after.extractions, c.extractions + 1, "the solved id's plan was not evicted");
+    assert_eq!(after.conversions, c.conversions + 1, "the solved id's conversion was not evicted");
     drop(handle);
     assert_eq!(engine.counters().pinned_plans, 0);
 }
 
 #[test]
 fn concurrent_handles_resolve_once_each_while_admissions_stream_past() {
-    // Four live pins and a streaming client on a 2-entry plan table:
-    // every streamed id evicts around the pins, and no solve may
-    // re-enter the serve path (one resolution per handle, none per solve).
-    let engine = engine_with(2);
+    // Four live handles and a streaming client on a 2-entry plan
+    // table: every streamed id evicts plans, and no solve may re-enter
+    // the serve path (one resolution per handle, none per solve).
+    let engine = engine_with(2, 64 << 20);
     let systems: Vec<(String, CsrMatrix)> =
         (0..4).map(|i| (format!("solve-{i}"), poisson_2d(10 + 2 * i))).collect();
     let (solves_each, streamed) = (3usize, 16u64);
@@ -199,9 +213,9 @@ fn concurrent_handles_resolve_once_each_while_admissions_stream_past() {
     let resolutions = systems.len() as u64 + streamed;
     assert_eq!(c.requests - before.requests, resolutions, "a solve re-entered the front door");
     assert_eq!(c.cache_lookups - before.cache_lookups, resolutions, "a solve re-resolved");
-    assert_eq!(c.conversions - before.conversions, resolutions, "a pinned id reconverted");
+    assert_eq!(c.conversions - before.conversions, resolutions, "an id reconverted");
     assert_eq!(c.solves - before.solves, (systems.len() * solves_each) as u64);
-    assert_eq!(c.pinned_plans, 0, "every handle dropped its pin");
+    assert_eq!(c.pinned_plans, 0, "every handle was dropped");
 }
 
 #[test]
@@ -212,27 +226,40 @@ fn solve_racing_forget_finishes_on_the_pinned_plan() {
 
     let mut handle = engine.solver("racy", &a);
     let resolved = engine.counters();
+    assert_eq!(resolved.pinned_plans, 1);
 
-    // `forget` lands mid-lifetime: tables are cleared, but the solve
-    // must finish on the format the handle already holds — no panic,
-    // no re-resolution.
+    // `forget` lands mid-lifetime: the tables are cleared, but the
+    // solve must finish on the format the handle already holds — no
+    // panic, no re-resolution.
     engine.forget("racy");
-    assert_eq!(engine.counters().cached_entries, 0, "forget cleared the conversion");
-    assert_eq!(engine.counters().pinned_plans, 0, "forget removes even pinned entries");
+    let forgotten = engine.counters();
+    assert_eq!(forgotten.cached_entries, 0, "forget cleared the conversion");
+    assert_eq!(forgotten.planned_entries, 0, "forget cleared the plan");
+    assert_eq!(forgotten.pinned_plans, 1, "the handle outlives the forget");
 
     let out = handle.cg(&b, 1e-10, 2_000).expect("solve finishes after forget");
     assert!(out.converged);
     assert!(residual_inf(&a, handle.solution(), &b) < 1e-6);
     let c = engine.counters();
+    assert_eq!(c.requests, resolved.requests, "no mid-solve request");
     assert_eq!(c.cache_lookups, resolved.cache_lookups, "no mid-solve re-resolution");
     assert_eq!(c.conversions, resolved.conversions, "no mid-solve re-conversion");
+    assert_eq!(c.pinned_plans, 1);
 
-    // The stale release on drop must not disturb a successor plan for
-    // the same id.
+    // Dropping the first handle must not disturb a successor's plan
+    // or conversion for the same id.
     let mut handle2 = engine.solver("racy", &a);
-    assert_eq!(engine.counters().pinned_plans, 1);
-    drop(handle); // stale ticket: must no-op
-    assert_eq!(engine.counters().pinned_plans, 1, "stale drop unpinned the successor");
+    let successor = engine.counters();
+    assert_eq!(successor.pinned_plans, 2);
+    assert_eq!((successor.planned_entries, successor.cached_entries), (1, 1));
+    drop(handle);
+    let c = engine.counters();
+    assert_eq!(c.pinned_plans, 1);
+    assert_eq!(
+        (c.planned_entries, c.cached_entries),
+        (successor.planned_entries, successor.cached_entries),
+        "dropping the first handle touched the successor's entries"
+    );
     handle2.cg(&b, 1e-10, 2_000).expect("successor handle works");
     drop(handle2);
     assert_eq!(engine.counters().pinned_plans, 0);
