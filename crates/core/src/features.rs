@@ -44,12 +44,10 @@
 //! costing a pass over `col_idx`. Below `2 × SAMPLE_NNZ` nonzeros it is
 //! `extract`, bit for bit.
 //!
-//! [`FeatureSet::extract`] walks the CSR arrays in place;
-//! [`FeatureAccumulator`] consumes one row of sorted column indices at
-//! a time (buffering the previous row), so features of matrices too
-//! large to materialize can be computed from a row stream. Both drive
-//! the same row-pair kernel and the same per-row statistics, and return
-//! bit-identical [`FeatureSet`]s.
+//! All three passes total their statistics in one private accumulator.
+//! [`FeatureSet::extract`] and [`FeatureSet::estimate`] walk the CSR
+//! arrays in place; [`FeatureSet::extract_reference`] feeds it one row
+//! at a time, buffering the previous row for the merge.
 
 use crate::matrix::csr::CsrMatrix;
 use serde::{Deserialize, Serialize};
@@ -146,7 +144,6 @@ impl FeatureSet {
         // Same-row neighbors, counted flat over the whole index array;
         // the adjacent pairs that straddle two rows are not neighbors.
         acc.neigh_pairs = adjacent_pairs(col_idx) - straddling_pairs(row_ptr, col_idx);
-        acc.rows_seen = csr.rows();
         acc.finish()
     }
 
@@ -192,42 +189,18 @@ impl FeatureSet {
                 }
             }
         });
-        acc.rows_seen = rows;
         acc.finish()
     }
 
-    /// The definitional extractor: one row at a time through
-    /// [`FeatureAccumulator`], cross-row neighbors counted by the sorted
-    /// merge `count_with_cross_neighbor` on every row pair. Slower
-    /// than [`FeatureSet::extract`] and bit-identical to it; it is what
-    /// the tests and the `extract_throughput` gate compare against.
+    /// The definitional extractor: one row at a time, cross-row
+    /// neighbors counted by the sorted merge `count_with_cross_neighbor`
+    /// on every row pair. Slower than [`FeatureSet::extract`] and
+    /// bit-identical to it; it is what the tests and the
+    /// `extract_throughput` gate compare against.
     pub fn extract_reference(csr: &CsrMatrix) -> Self {
         let mut acc = FeatureAccumulator::new(csr.rows(), csr.cols());
         for r in 0..csr.rows() {
             acc.push_row_with(csr.row(r).0, &mut CrossKernel::Merge);
-        }
-        acc.finish()
-    }
-
-    /// Extracts all features from any row source: an iterator yielding
-    /// each row's sorted column indices, top to bottom. This is the
-    /// format-agnostic entry point — every storage format that can walk
-    /// its rows in order (CSR trivially; ELL/SELL chunks, BCSR block
-    /// rows, streamed generators) can produce features without first
-    /// materializing a [`CsrMatrix`].
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the iterator yields a different
-    /// number of rows than declared or unsorted columns, mirroring
-    /// [`FeatureAccumulator::push_row`].
-    pub fn from_rows<I>(rows: usize, cols: usize, row_iter: I) -> Self
-    where
-        I: IntoIterator,
-        I::Item: AsRef<[u32]>,
-    {
-        let mut acc = FeatureAccumulator::new(rows, cols);
-        for row in row_iter {
-            acc.push_row(row.as_ref());
         }
         acc.finish()
     }
@@ -263,13 +236,12 @@ impl FeatureSet {
     }
 }
 
-/// Streaming feature extractor: feed rows (sorted column indices) top to
-/// bottom, then call [`FeatureAccumulator::finish`].
-#[derive(Debug, Clone)]
-pub struct FeatureAccumulator {
-    rows_declared: usize,
+/// The running statistics of one feature pass over a `rows × cols`
+/// matrix; [`FeatureAccumulator::finish`] turns them into a
+/// [`FeatureSet`].
+pub(crate) struct FeatureAccumulator {
+    rows: usize,
     cols: usize,
-    rows_seen: usize,
     nnz: usize,
     max_row: usize,
     sum_sq_row: f64,
@@ -287,11 +259,10 @@ pub struct FeatureAccumulator {
 
 impl FeatureAccumulator {
     /// Starts an accumulator for a `rows × cols` matrix.
-    pub fn new(rows: usize, cols: usize) -> Self {
+    fn new(rows: usize, cols: usize) -> Self {
         Self {
-            rows_declared: rows,
+            rows,
             cols,
-            rows_seen: 0,
             nnz: 0,
             max_row: 0,
             sum_sq_row: 0.0,
@@ -305,19 +276,12 @@ impl FeatureAccumulator {
         }
     }
 
-    /// Consumes the next row (its sorted column indices).
+    /// Consumes the next row (its sorted column indices), counting the
+    /// previous row's cross-row neighbors in it with `kernel`.
     ///
     /// # Panics
-    /// Panics (in debug builds) if more rows are pushed than declared or
-    /// if the columns are unsorted.
-    pub fn push_row(&mut self, cols: &[u32]) {
-        // The operand's size is only known as far as it has streamed.
-        let nnz_so_far = self.nnz + cols.len();
-        with_cross_kernel(self.cols, nnz_so_far, |kernel| self.push_row_with(cols, kernel));
-    }
-
+    /// Panics (in debug builds) if the columns are unsorted.
     fn push_row_with(&mut self, cols: &[u32], kernel: &mut CrossKernel<'_>) {
-        debug_assert!(self.rows_seen < self.rows_declared, "too many rows pushed");
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row columns must be sorted");
         self.note_row(cols);
         self.neigh_pairs += adjacent_pairs(cols);
@@ -328,7 +292,6 @@ impl FeatureAccumulator {
         }
         self.prev_cols.clear();
         self.prev_cols.extend_from_slice(cols);
-        self.rows_seen += 1;
     }
 
     /// Row-length and bandwidth statistics of one row.
@@ -364,12 +327,8 @@ impl FeatureAccumulator {
     }
 
     /// Finalizes and returns the feature set.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if fewer rows were pushed than declared.
-    pub fn finish(self) -> FeatureSet {
-        debug_assert_eq!(self.rows_seen, self.rows_declared, "row count mismatch");
-        let rows = self.rows_declared;
+    fn finish(self) -> FeatureSet {
+        let rows = self.rows;
         let nnz = self.nnz;
         let mean = if rows > 0 { nnz as f64 / rows as f64 } else { 0.0 };
         let var =
@@ -682,48 +641,6 @@ mod tests {
         assert!(f.distance(&f2) > 0.0);
         // Symmetry.
         assert!((f.distance(&f2) - f2.distance(&f)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn streaming_accumulator_matches_batch_extraction() {
-        let m = CsrMatrix::from_triplets(
-            5,
-            12,
-            &[
-                (0, 0, 1.0),
-                (0, 1, 1.0),
-                (0, 7, 1.0),
-                (1, 1, 1.0),
-                (1, 2, 1.0),
-                (3, 5, 1.0),
-                (3, 6, 1.0),
-                (3, 7, 1.0),
-                (4, 6, 1.0),
-            ],
-        )
-        .unwrap();
-        let batch = FeatureSet::extract(&m);
-        let mut acc = FeatureAccumulator::new(5, 12);
-        for r in 0..5 {
-            acc.push_row(m.row(r).0);
-        }
-        let streamed = acc.finish();
-        assert_eq!(batch, streamed);
-    }
-
-    #[test]
-    fn from_rows_matches_extract() {
-        let m = CsrMatrix::from_triplets(
-            3,
-            6,
-            &[(0, 0, 1.0), (0, 1, 1.0), (1, 3, 1.0), (2, 2, 1.0), (2, 4, 1.0)],
-        )
-        .unwrap();
-        let via_rows = FeatureSet::from_rows(3, 6, (0..3).map(|r| m.row(r).0));
-        assert_eq!(via_rows, FeatureSet::extract(&m));
-        // Owned row storage works through the same entry point.
-        let owned: Vec<Vec<u32>> = (0..3).map(|r| m.row(r).0.to_vec()).collect();
-        assert_eq!(FeatureSet::from_rows(3, 6, &owned), FeatureSet::extract(&m));
     }
 
     /// Both kernels on one row pair; they must agree.

@@ -315,40 +315,6 @@ impl CsrMatrix {
         CsrMatrix::from_parts_unchecked(self.cols, self.rows, row_ptr_t, col_idx_t, values_t)
     }
 
-    /// Returns a copy with rows permuted by `perm` (`perm[new] = old`).
-    ///
-    /// Used by the SELL-C-σ format, which sorts rows by length inside
-    /// sorting windows.
-    pub fn permute_rows(&self, perm: &[usize]) -> Result<CsrMatrix, SparseError> {
-        if perm.len() != self.rows {
-            return Err(SparseError::LengthMismatch(format!(
-                "permutation length {} != rows {}",
-                perm.len(),
-                self.rows
-            )));
-        }
-        let mut seen = vec![false; self.rows];
-        for &p in perm {
-            if p >= self.rows || seen[p] {
-                return Err(SparseError::Unsatisfiable(
-                    "perm is not a permutation of 0..rows".into(),
-                ));
-            }
-            seen[p] = true;
-        }
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        for &old in perm {
-            let (c, v) = self.row(old);
-            col_idx.extend_from_slice(c);
-            values.extend_from_slice(v);
-            row_ptr.push(col_idx.len());
-        }
-        Ok(CsrMatrix::from_parts_unchecked(self.rows, self.cols, row_ptr, col_idx, values))
-    }
-
     /// An empty `rows × cols` matrix (no nonzeros).
     pub fn zeros(rows: usize, cols: usize) -> CsrMatrix {
         CsrMatrix::wrap(rows, cols, vec![0; rows + 1], Vec::new(), Vec::new())
@@ -439,23 +405,6 @@ mod tests {
         let x = [2.0, 5.0, 7.0];
         let yt = m.transpose().spmv(&x);
         assert_eq!(yt, vec![2.0 + 21.0, 28.0, 4.0]);
-    }
-
-    #[test]
-    fn permute_rows_reorders() {
-        let m = small();
-        let p = m.permute_rows(&[2, 0, 1]).unwrap();
-        assert_eq!(p.row(0), m.row(2));
-        assert_eq!(p.row(1), m.row(0));
-        assert_eq!(p.row(2), m.row(1));
-    }
-
-    #[test]
-    fn permute_rows_rejects_non_permutation() {
-        let m = small();
-        assert!(m.permute_rows(&[0, 0, 1]).is_err());
-        assert!(m.permute_rows(&[0, 1]).is_err());
-        assert!(m.permute_rows(&[0, 1, 5]).is_err());
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! The mark-and-probe extractor against its definitional oracle.
 //!
-//! [`FeatureSet::extract`], [`FeatureAccumulator`] and
-//! [`FeatureSet::from_rows`] must return the very `FeatureSet` of
-//! [`FeatureSet::extract_reference`] — `assert_eq!` on the whole struct,
-//! every `f64` bit for bit — on shapes chosen to break a table-based
-//! kernel: runs of empty rows, a single column, column 0, rows that end
-//! one column before the next row starts, dense rows, and column spaces
-//! wide enough that the merge serves instead. A counting allocator then
-//! pins what the scratch costs: nothing on a warm thread, nothing at
-//! all when the column space dwarfs the nonzeros.
+//! [`FeatureSet::extract`] and [`FeatureSet::estimate`] must return the
+//! very `FeatureSet` of [`FeatureSet::extract_reference`] — `assert_eq!`
+//! on the whole struct, every `f64` bit for bit — on shapes chosen to
+//! break a table-based kernel: runs of empty rows, a single column,
+//! column 0, rows that end one column before the next row starts, dense
+//! rows, and column spaces wide enough that the merge serves instead.
+//! A counting allocator then pins what the scratch costs: nothing on a
+//! warm thread, nothing at all when the column space dwarfs the
+//! nonzeros.
 
 use proptest::prelude::*;
-use spmv_core::features::{FeatureAccumulator, FeatureSet};
+use spmv_core::features::{FeatureSet, SAMPLE_NNZ};
 use spmv_core::CsrMatrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -72,24 +72,19 @@ fn from_rows(cols: usize, rows: &[Vec<u32>]) -> CsrMatrix {
         .expect("rows are sorted and in range")
 }
 
-/// All three entry points against the oracle.
+/// Both entry points against the oracle; these matrices are all below
+/// `2 × SAMPLE_NNZ`, where `estimate` is `extract`.
 fn assert_matches_oracle(m: &CsrMatrix) -> FeatureSet {
+    assert!(m.nnz() < 2 * SAMPLE_NNZ);
     let want = FeatureSet::extract_reference(m);
     assert_eq!(FeatureSet::extract(m), want, "extract");
-    let mut acc = FeatureAccumulator::new(m.rows(), m.cols());
-    for r in 0..m.rows() {
-        acc.push_row(m.row(r).0);
-    }
-    assert_eq!(acc.finish(), want, "FeatureAccumulator");
-    let via_rows = FeatureSet::from_rows(m.rows(), m.cols(), (0..m.rows()).map(|r| m.row(r).0));
-    assert_eq!(via_rows, want, "from_rows");
+    assert_eq!(FeatureSet::estimate(m), want, "estimate");
     want
 }
 
 /// Column-space widths: degenerate, around the four-byte probe, and wide
 /// enough (against ≤ 40 short rows) that the table does not fit and the
-/// merge serves — for the streaming accumulator, until enough rows have
-/// arrived.
+/// merge serves.
 const COLS: [usize; 8] = [1, 2, 3, 4, 9, 64, 300, 5000];
 
 /// Adversarial matrices: every row picks a shape from `style`, placed by
@@ -176,14 +171,4 @@ fn the_last_u32_column_is_extracted_without_column_sized_scratch() {
     assert_eq!(f, FeatureSet::extract_reference(&m));
     assert_eq!(f.cross_row_sim, 1.0);
     assert_eq!(f.avg_num_neigh, 0.0);
-
-    // The streaming path buffers the previous row and nothing else.
-    let (streamed, (_, bytes)) = allocations_of(|| {
-        let mut acc = FeatureAccumulator::new(2, cols);
-        acc.push_row(&[u32::MAX]);
-        acc.push_row(&[u32::MAX]);
-        acc.finish()
-    });
-    assert!(bytes < 1024, "the accumulator allocated {bytes} bytes");
-    assert_eq!(streamed.cross_row_sim, 1.0);
 }

@@ -11,8 +11,8 @@
 //! class (3240 / 16200 / 25920 matrices — the paper's ~3K/16K/27K).
 //!
 //! A [`MatrixSpec`] is a fully deterministic recipe (parameters + seed)
-//! for one dataset matrix; it can be materialized, streamed, or used
-//! analytically by the device models.
+//! for one dataset matrix; it can be materialized or used analytically
+//! by the device models.
 
 use crate::generator::{params_for_features, GeneratorParams};
 use crate::rng::child_seed;

@@ -250,7 +250,7 @@ fn rebalance_total(
 
 /// Step 3 of the pipeline: per-row column placement with cross-row
 /// duplication, bandwidth confinement and neighbor clustering.
-pub struct RowPlacer {
+struct RowPlacer {
     nr_rows: usize,
     nr_cols: usize,
     bw_scaled: f64,
@@ -264,7 +264,7 @@ pub struct RowPlacer {
 
 impl RowPlacer {
     /// Creates a placer for the given parameters.
-    pub fn new(p: &GeneratorParams) -> Self {
+    fn new(p: &GeneratorParams) -> Self {
         Self {
             nr_rows: p.nr_rows,
             nr_cols: p.nr_cols,
@@ -278,13 +278,7 @@ impl RowPlacer {
 
     /// Places `len` sorted, unique columns for row `row_index` into
     /// `out` (cleared first), updating the previous-row state.
-    pub fn place_row(
-        &mut self,
-        rng: &mut StdRng,
-        row_index: usize,
-        len: usize,
-        out: &mut Vec<u32>,
-    ) {
+    fn place_row(&mut self, rng: &mut StdRng, row_index: usize, len: usize, out: &mut Vec<u32>) {
         out.clear();
         self.seen.clear();
         let cols = self.nr_cols;

@@ -10,13 +10,13 @@
 //!   skew via an exponentially decreasing envelope, positions via
 //!   cross-row duplication, bandwidth-confined random placement and
 //!   geometric neighbor clustering;
-//! * [`stream`] — a row-streaming variant for matrices too large to
-//!   materialize;
 //! * [`dataset`] — the Table I feature lattice and the 'small' (~3K),
 //!   'medium' (~16K) and 'large' (~27K) artificial datasets (§V-E);
 //! * [`validation`] — the 45-matrix real-world validation suite of
 //!   Table III (feature values hard-coded from the paper) and the
-//!   ±30 % "friends" machinery of §V-A.
+//!   ±30 % "friends" machinery of §V-A;
+//! * [`structured`] — matrices the generator does not make: the 2-D
+//!   five-point stencil, with or without convection.
 //!
 //! ## Quick example
 //!
@@ -46,7 +46,7 @@
 pub mod dataset;
 pub mod generator;
 pub mod rng;
-pub mod stream;
+pub mod structured;
 pub mod validation;
 
 pub use dataset::{Dataset, DatasetSize, MatrixSpec};

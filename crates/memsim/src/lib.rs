@@ -8,8 +8,8 @@
 //!
 //! * [`cache`] — a set-associative LRU cache simulator;
 //! * [`trace`] — replays the x-vector access stream of a CSR matrix
-//!   (or of a generator row stream) through the simulator and reports
-//!   hit rates, with optional row sampling for big matrices;
+//!   through the simulator and reports hit rates, with optional row
+//!   sampling for big matrices;
 //! * [`analytic`] — a closed-form locality model mapping the paper's
 //!   regularity features (`avg_num_neigh`, `cross_row_sim`,
 //!   `bw_scaled`) plus the cache geometry to an x-vector hit rate; the

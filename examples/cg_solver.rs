@@ -10,44 +10,18 @@
 //!   BLAS-1 layer), reporting how much of the solver's wall time SpMV
 //!   consumed — reproducing the motivating observation;
 //! * **engine-selected row** — the same system through
-//!   [`Engine::solver`]: the engine picks the format, pins the plan
-//!   once, and the solve runs on the fused SpMV+dot handle.
+//!   [`Engine::solver`]: the engine picks the format once, and the
+//!   solve runs on the fused SpMV+dot handle, which holds that format.
 //!
 //! ```text
 //! cargo run --release --example cg_solver [grid_n] [format]
 //! ```
 
-use spmv_suite::core::CsrMatrix;
 use spmv_suite::engine::{Engine, EngineConfig, TrainingPlan};
 use spmv_suite::formats::{build_format, FormatKind, SparseFormat};
 use spmv_suite::gen::dataset::DatasetSize;
+use spmv_suite::gen::structured::stencil_2d;
 use spmv_suite::parallel::{blas1, ThreadPool};
-
-/// 5-point Laplacian on an `n x n` grid: SPD, 5 nnz/row, the classic
-/// "nice" SpMV matrix (long diagonals, perfect locality).
-fn poisson_2d(n: usize) -> CsrMatrix {
-    let dim = n * n;
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(5 * dim);
-    for i in 0..n {
-        for j in 0..n {
-            let r = i * n + j;
-            triplets.push((r, r, 4.0));
-            if i > 0 {
-                triplets.push((r, r - n, -1.0));
-            }
-            if i + 1 < n {
-                triplets.push((r, r + n, -1.0));
-            }
-            if j > 0 {
-                triplets.push((r, r - 1, -1.0));
-            }
-            if j + 1 < n {
-                triplets.push((r, r + 1, -1.0));
-            }
-        }
-    }
-    CsrMatrix::from_triplets(dim, dim, &triplets).expect("stencil is valid")
-}
 
 struct CgResult {
     iterations: usize,
@@ -101,7 +75,7 @@ fn main() {
     let grid_n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(512);
     let wanted = std::env::args().nth(2);
 
-    let a = poisson_2d(grid_n);
+    let a = stencil_2d(grid_n, 0.0, 0.0);
     println!(
         "2-D Poisson system: {} unknowns, {} nonzeros ({:.1} MB CSR)\n",
         a.rows(),

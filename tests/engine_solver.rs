@@ -7,12 +7,10 @@
 //! conversion, and after `forget` of its id — and the typed breakdown
 //! errors.
 
-mod common;
-
-use common::poisson_2d;
 use spmv_suite::core::CsrMatrix;
 use spmv_suite::engine::{Engine, EngineConfig, SolveError, TrainingPlan};
 use spmv_suite::gen::dataset::DatasetSize;
+use spmv_suite::gen::structured::stencil_2d;
 
 const SCALE: f64 = 16384.0;
 
@@ -72,7 +70,7 @@ fn residual_inf(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
 #[test]
 fn cg_converges_on_poisson_and_counters_reconcile() {
     let engine = engine();
-    let a = poisson_2d(24);
+    let a = stencil_2d(24, 0.0, 0.0);
     let b = vec![1.0; a.rows()];
 
     let before = engine.counters();
@@ -137,7 +135,7 @@ fn solve_outlives_eviction_of_its_plan_and_conversion() {
     // streamed past the solve evict both its plan and its conversion.
     const CACHE: usize = 16 << 10;
     let engine = engine_with(2, CACHE);
-    let a = poisson_2d(12);
+    let a = stencil_2d(12, 0.0, 0.0);
     let b = vec![1.0; a.rows()];
 
     let mut handle = engine.solver("solved", &a);
@@ -184,7 +182,7 @@ fn concurrent_handles_resolve_once_each_while_admissions_stream_past() {
     // the serve path (one resolution per handle, none per solve).
     let engine = engine_with(2, 64 << 20);
     let systems: Vec<(String, CsrMatrix)> =
-        (0..4).map(|i| (format!("solve-{i}"), poisson_2d(10 + 2 * i))).collect();
+        (0..4).map(|i| (format!("solve-{i}"), stencil_2d(10 + 2 * i, 0.0, 0.0))).collect();
     let (solves_each, streamed) = (3usize, 16u64);
     let before = engine.counters();
     std::thread::scope(|s| {
@@ -221,7 +219,7 @@ fn concurrent_handles_resolve_once_each_while_admissions_stream_past() {
 #[test]
 fn solve_racing_forget_finishes_on_the_pinned_plan() {
     let engine = engine();
-    let a = poisson_2d(12);
+    let a = stencil_2d(12, 0.0, 0.0);
     let b = vec![1.0; a.rows()];
 
     let mut handle = engine.solver("racy", &a);
@@ -270,7 +268,7 @@ fn breakdown_errors_are_typed() {
     let engine = engine();
 
     // Dimension mismatch, before any arithmetic.
-    let a = poisson_2d(4);
+    let a = stencil_2d(4, 0.0, 0.0);
     let mut h = engine.solver("dim", &a);
     assert_eq!(
         h.cg(&[1.0; 3], 1e-8, 10),

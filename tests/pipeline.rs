@@ -108,18 +108,6 @@ fn best_format_reduction_agrees_with_exhaustive_search() {
 }
 
 #[test]
-fn streamed_and_materialized_matrices_have_identical_features() {
-    let params = medium_matrix(23);
-    let csr = params.generate().unwrap();
-    let streamed = spmv_suite::gen::stream::RowStream::new(params).unwrap().features();
-    let direct = FeatureSet::extract(&csr);
-    assert_eq!(streamed.nnz, direct.nnz);
-    assert!((streamed.avg_nnz_per_row - direct.avg_nnz_per_row).abs() < 1e-9);
-    assert!((streamed.cross_row_sim - direct.cross_row_sim).abs() < 1e-9);
-    assert!((streamed.avg_num_neigh - direct.avg_num_neigh).abs() < 1e-9);
-}
-
-#[test]
 fn summaries_from_spec_and_matrix_drive_the_model_consistently() {
     // from_spec (analytic campaign path) and from_csr (materialized
     // path) must give the model inputs that agree on the quantities the

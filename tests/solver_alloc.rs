@@ -5,9 +5,8 @@
 //! pool widths 1 (the one-chunk fast path) and 4. Its own test binary:
 //! the counter is process-wide, nothing may run beside the armed solve.
 
-mod common;
-
 use spmv_suite::engine::{Engine, EngineConfig};
+use spmv_suite::gen::structured::stencil_2d;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -46,7 +45,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn a_warmed_up_cg_solve_allocates_nothing() {
-    let a = common::poisson_2d(64);
+    let a = stencil_2d(64, 0.0, 0.0);
     let b: Vec<f64> = (0..a.rows()).map(|i| 1.0 + ((i * 7) % 11) as f64 * 0.25).collect();
     for threads in [1, 4] {
         let engine = Engine::new(EngineConfig { threads, ..EngineConfig::default() })
