@@ -82,11 +82,6 @@ impl ConversionCache {
         Some((Arc::clone(&entry.fmt), entry.kind))
     }
 
-    /// The conversion resident for `id` if it is of `kind`.
-    pub fn get(&mut self, id: &str, kind: FormatKind) -> Option<Arc<Box<dyn SparseFormat>>> {
-        self.resident(id).filter(|&(_, k)| k == kind).map(|(fmt, _)| fmt)
-    }
-
     /// Inserts a converted format (replacing the id's resident entry,
     /// whatever its kind) and evicts least-recently-used entries until
     /// the budget holds again.
@@ -174,11 +169,10 @@ mod tests {
     #[test]
     fn hit_refreshes_recency_and_miss_returns_none() {
         let mut c = ConversionCache::new(1 << 20);
-        assert!(c.get("a", FormatKind::NaiveCsr).is_none());
+        assert!(c.resident("a").is_none());
         c.insert("a", FormatKind::NaiveCsr, entry(4));
-        assert!(c.get("a", FormatKind::NaiveCsr).is_some());
-        assert!(c.get("a", FormatKind::Coo).is_none());
-        assert!(c.get("b", FormatKind::NaiveCsr).is_none());
+        assert_eq!(c.resident("a").map(|(_, kind)| kind), Some(FormatKind::NaiveCsr));
+        assert!(c.resident("b").is_none());
         assert_eq!(c.len(), 1);
     }
 
@@ -192,11 +186,11 @@ mod tests {
         }
         assert_eq!(c.len(), 3);
         // Touch "a" so "b" is the LRU, then overflow.
-        assert!(c.get("a", FormatKind::NaiveCsr).is_some());
+        assert!(c.resident("a").is_some());
         c.insert("d", FormatKind::NaiveCsr, entry(100));
         assert_eq!(c.len(), 3);
-        assert!(c.get("b", FormatKind::NaiveCsr).is_none(), "LRU entry must go");
-        assert!(c.get("a", FormatKind::NaiveCsr).is_some());
+        assert!(c.resident("b").is_none(), "LRU entry must go");
+        assert!(c.resident("a").is_some());
         assert!(c.bytes_resident() <= c.capacity_bytes());
     }
 
@@ -207,7 +201,7 @@ mod tests {
         c.insert("small", FormatKind::NaiveCsr, entry(10));
         c.insert("big", FormatKind::NaiveCsr, big);
         assert_eq!(c.len(), 1, "everything else evicted");
-        assert!(c.get("big", FormatKind::NaiveCsr).is_some());
+        assert!(c.resident("big").is_some());
         assert!(c.bytes_resident() > c.capacity_bytes(), "documented transient overshoot");
     }
 

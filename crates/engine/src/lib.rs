@@ -39,18 +39,19 @@
 //! SpMV-equivalents to build — and under [`Admission::Sync`] the first
 //! client of a cold matrix pays that latency before seeing any result:
 //! exactly backwards for a serving system. Under [`Admission::Async`]
-//! the plan moves through a staged lifecycle
-//! ([`PlanState`]: `Building → Pinned`): a cold request peeks the
-//! cache, claims the id's one background admission flight — a
-//! low-priority task on the work-stealing thread pool, which workers
+//! a cold request registers the id's one conversion flight in the same
+//! conversion-shard critical section that finds the id not resident
+//! ([`ShardedConversions::claim`]), hands the registration to a
+//! low-priority job on the work-stealing thread pool — which workers
 //! run only when no serve task wants the core — and is answered
 //! immediately from the raw CSR operand. The request path runs no
-//! feature pass, no selection and no conversion: the flight extracts
-//! the features, selects the format and converts it.
-//! When the flight lands, the converted format is published and the
-//! plan re-pinned *inside one critical section* (see
-//! [`ShardedConversions::land`]), and subsequent requests serve
-//! the selected format. [`EngineCounters::served_fallback`] /
+//! feature pass, no selection and no conversion: the job reads the
+//! id's plan or extracts the features and selects, converts, and
+//! publishes the format and the plan *inside one critical section*
+//! through the same lead a `Sync` serve's [`ShardedConversions::land`]
+//! runs; subsequent requests serve the selected format. A synchronous
+//! caller that finds the flight queued (a solver handle, a restore)
+//! waits for it. [`EngineCounters::served_fallback`] /
 //! [`EngineCounters::served_selected`] / [`EngineCounters::swaps`]
 //! make the transition observable, and
 //! `served_fallback + served_selected == requests` reconciles exactly.
@@ -71,12 +72,12 @@ pub mod solve;
 pub mod training;
 
 pub use cache::ConversionCache;
-pub use shard::{PlanState, PlanTable, ShardedConversions};
+pub use shard::{PlanTable, ShardedConversions};
 pub use snapshot::{selector_from_snapshot, RestoreStats, SnapshotError, SNAPSHOT_MAGIC};
 pub use solve::{SolveError, SolveHandle, SolveOutcome};
 pub use training::{selector_from_records, TrainingPlan};
 
-use shard::{CachedFormat, Landed};
+use shard::{CachedFormat, Claim, Landed, Registration};
 use spmv_analysis::{FormatSelector, SelectorFeatures};
 use spmv_core::{CsrMatrix, FeatureSet};
 use spmv_devices::{device_by_name, DeviceSpec};
@@ -102,11 +103,12 @@ pub enum Admission {
     /// format.
     ///
     /// The flight must own its input past the caller's borrow, so the
-    /// one request that claims an admission hands it a clone of the
+    /// one request that registers an admission hands it a clone of the
     /// operand — which shares the operand's arrays (three reference
-    /// counts, no copy). That, the claim and the CSR-path answer are
-    /// the whole request-path cost: the feature pass, the selection and
-    /// the conversion `Sync` charges there all run in the flight.
+    /// counts, no copy). That, the registration (one conversion-shard
+    /// lock, which also finds a resident id) and the CSR-path answer
+    /// are the whole request-path cost: the feature pass, the selection
+    /// and the conversion `Sync` charges there all run in the flight.
     Async {
         /// Maximum background conversion flights outstanding (queued or
         /// building) at once. A cold request arriving at the cap serves
@@ -149,14 +151,11 @@ pub struct EngineConfig {
     /// Maximum matrix ids remembered in the selection-plan table
     /// (default 65 536). Plans are tiny, but a serve stream of
     /// unboundedly many distinct ids must not grow memory without
-    /// bound. Plans are consulted, and their recency refreshed, on
-    /// misses only: a resident id serves whatever its plan, and an
-    /// evicted plan is re-extracted on the id's next miss. Only
-    /// `Building` plans overshoot the bound: under [`Admission::Async`]
-    /// it can transiently grow by up to `max_in_flight` entries, since a
-    /// `Building` plan is spared from eviction until its flight lands
-    /// (evicting one would discard the finished conversion and convert
-    /// twice). A live [`SolveHandle`] does not hold its plan resident.
+    /// bound. A plan is written when its id's conversion publishes (and
+    /// by a restore's plan records), and consulted, its recency
+    /// refreshed, on misses only: a resident id serves whatever its
+    /// plan, and an evicted plan is re-extracted on the id's next miss.
+    /// A live [`SolveHandle`] does not hold its plan resident.
     pub plan_capacity: usize,
     /// Worker threads for `spmv_parallel`/training (0 = all cores).
     pub threads: usize,
@@ -165,8 +164,7 @@ pub struct EngineConfig {
     /// the same lock, but also slice the cache byte budget and plan
     /// capacity more finely (both are split evenly per shard); the
     /// plan table never uses more shards than `plan_capacity`, so its
-    /// total bound holds (modulo the transient `Building` overshoot
-    /// described on [`EngineConfig::plan_capacity`]).
+    /// total bound holds.
     pub shards: usize,
     /// When conversions run: on the request path ([`Admission::Sync`],
     /// the default) or in background flights ([`Admission::Async`]).
@@ -253,8 +251,8 @@ impl From<SnapshotError> for EngineError {
 ///   cache_lookups`. Under `Sync` admission additionally
 ///   `cache_lookups == requests`; under `Async`, a request whose format
 ///   is not yet resident serves the CSR path *without* a lookup, and
-///   each background flight performs one lookup of its own when it
-///   runs.
+///   each background flight that leads counts one lookup of its own, a
+///   miss, when it runs.
 ///
 /// Duplicate racing conversions would show up as `conversions`
 /// exceeding the number of ids resident; single-flight per id — which
@@ -276,10 +274,11 @@ pub struct EngineCounters {
     /// `max_in_flight` too low).
     pub served_fallback: u64,
     /// Background admission flights whose own conversion landed: the
-    /// flight built the format, published it, and re-pinned its plan
-    /// (`Building → Pinned`) in one critical section. Exactly one per
-    /// converted id — a flight that finds the id's conversion already
-    /// resident re-pins without counting a swap.
+    /// flight built the format, published it and pinned its plan in one
+    /// critical section. Exactly one per converted id: a flight holds
+    /// the id's only registration from the request that made it to its
+    /// publication, so it never finds the id resident, and one that a
+    /// `forget` withdrew publishes nothing and counts no swap.
     pub swaps: u64,
     /// Conversion-cache lookups (see the invariants above for how they
     /// relate to `requests` per admission mode).
@@ -300,8 +299,9 @@ pub struct EngineCounters {
     /// Feature passes ([`FeatureSet::estimate`]) the engine ran to
     /// select a format: one per conversion leader that found no kind
     /// planned for its id — the request thread under `Sync`, the
-    /// admission flight under `Async`. On an eviction-free `Sync` mix,
-    /// `extractions == conversions`.
+    /// admission flight under `Async`. Every flight leads, so on an
+    /// eviction-free mix with no restored plans `extractions ==
+    /// conversions` under either admission.
     pub extractions: u64,
     /// Conversion candidates that refused a matrix (ELL's padding
     /// budget) before a fallback format accepted it.
@@ -312,8 +312,8 @@ pub struct EngineCounters {
     pub cached_entries: usize,
     /// Matrix ids currently remembered in the selection-plan table.
     pub planned_entries: usize,
-    /// Background admission flights currently outstanding (scheduled
-    /// but not yet landed or aborted).
+    /// Background admission flights currently outstanding (registered,
+    /// and queued or building).
     pub admissions_in_flight: usize,
     /// Background admission flights ever submitted to the pool's
     /// low-priority class. After [`Engine::drain_admissions`] every one
@@ -455,22 +455,49 @@ impl ServeState {
         self.select(&FeatureSet::estimate(csr))
     }
 
-    /// Lands `id`, building a miss of the kind `plan` names with
-    /// Naive-CSR as the fallback, and counts the lookup: the one place
-    /// a landing moves counters.
-    fn land(
-        &self,
-        id: &str,
-        csr: &CsrMatrix,
-        plan: impl FnMut() -> FormatKind,
-        ticket: Option<u64>,
-    ) -> (CachedFormat, FormatKind, Landed) {
-        let (fmt, kind, landed) = self.conversions.land(&self.plans, id, plan, ticket, |kind| {
-            let (built, actual, refused) =
-                build_with_fallback_profile(kind, csr, &[FormatKind::NaiveCsr], self.lanes)
-                    .expect("the fallback is CSR, which accepts any matrix");
-            (Arc::new(built), actual, refused)
-        });
+    /// The kind a conversion leader builds: its id's plan, or a fresh
+    /// selection. Only a leader plans, so racing serves of a cold id
+    /// extract once.
+    fn plan(&self, id: &str, csr: &CsrMatrix) -> FormatKind {
+        self.plans.get(id).unwrap_or_else(|| self.extract_and_select(csr))
+    }
+
+    /// Builds `kind` at the engine's lanes, Naive-CSR the fallback.
+    fn build(&self, kind: FormatKind, csr: &CsrMatrix) -> (CachedFormat, FormatKind, usize) {
+        let (built, actual, refused) =
+            build_with_fallback_profile(kind, csr, &[FormatKind::NaiveCsr], self.lanes)
+                .expect("the fallback is CSR, which accepts any matrix");
+        (Arc::new(built), actual, refused)
+    }
+
+    /// Lands `id` synchronously (see [`ShardedConversions::land`]).
+    fn land(&self, id: &str, csr: &CsrMatrix) -> (CachedFormat, FormatKind) {
+        let (fmt, kind, landed) = self.conversions.land(
+            &self.plans,
+            id,
+            |id| self.plan(id, csr),
+            |kind| self.build(kind, csr),
+        );
+        self.count(landed);
+        (fmt, kind)
+    }
+
+    /// Leads an `Async` admission's registration (see
+    /// [`ShardedConversions::lead`]); `None` when a `forget` withdrew it.
+    fn lead(&self, reg: Registration, csr: &CsrMatrix) -> Option<Landed> {
+        let (_, _, landed) = self.conversions.lead(
+            &self.plans,
+            reg,
+            |id| self.plan(id, csr),
+            |kind| self.build(kind, csr),
+        )?;
+        self.count(landed);
+        Some(landed)
+    }
+
+    /// Counts one lookup by how it landed: the one place lookups move
+    /// counters.
+    fn count(&self, landed: Landed) {
         let c = self.counters.mine();
         c.lookups.fetch_add(1, Ordering::Relaxed);
         let class = match landed {
@@ -483,7 +510,6 @@ impl ServeState {
             }
         };
         class.fetch_add(1, Ordering::Relaxed);
-        (fmt, kind, landed)
     }
 }
 
@@ -674,74 +700,46 @@ impl Engine {
         self.state.select(features)
     }
 
-    /// The kind a `Sync` conversion leader builds: its id's plan, or a
-    /// fresh selection (inserted `Pending` when the id is absent).
-    /// Only a leader plans, so racing serves of a cold id extract once.
-    fn plan(&self, id: &str, csr: &CsrMatrix) -> FormatKind {
-        self.state.plans.get_or_insert_with(id, || self.state.extract_and_select(csr))
-    }
-
     /// Asynchronous serve: answer from the cache when the selected
-    /// format is resident, otherwise ensure a background flight is on
-    /// its way and answer via the CSR path — never extracting,
-    /// converting or waiting on a conversion on this thread.
+    /// format is resident; otherwise, unless the id's flight is
+    /// registered already or `max_in_flight` flights are out, register
+    /// one and hand it to a background job; answer via the CSR path —
+    /// never extracting, converting or waiting on a conversion on this
+    /// thread.
     fn serve_async(&self, id: &str, csr: &CsrMatrix, max_in_flight: usize) -> Served {
-        if let Some((fmt, actual)) = self.state.conversions.peek(id) {
-            let c = self.state.counters.mine();
-            c.lookups.fetch_add(1, Ordering::Relaxed);
-            c.hits.fetch_add(1, Ordering::Relaxed);
-            return Served::Selected(fmt, actual);
-        }
-        self.try_schedule_admission(id, csr, max_in_flight);
-        Served::CsrPath(CsrFormat::balanced_in_order(csr.clone(), self.state.lanes))
-    }
-
-    /// Claims and schedules one background admission flight for `id`,
-    /// respecting `max_in_flight`. The slot is reserved before the
-    /// claim so an over-cap caller backs off without touching the plan
-    /// table.
-    fn try_schedule_admission(&self, id: &str, csr: &CsrMatrix, max_in_flight: usize) {
         let st = &self.state;
-        if st
-            .in_flight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                (n < max_in_flight).then_some(n + 1)
-            })
-            .is_err()
-        {
-            return; // at capacity: serve the CSR path, retry next request
-        }
-        let Some((kind, epoch)) = st.plans.try_begin_build(id) else {
-            // Another request's flight owns the build; give the slot
-            // back.
-            st.in_flight.fetch_sub(1, Ordering::AcqRel);
-            return;
+        let reserve = || {
+            st.in_flight
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                    (n < max_in_flight).then_some(n + 1)
+                })
+                .is_ok()
         };
-        // Our peek raced a landing: the plan we just claimed may have
-        // been `Pinned` (or inserted) by a conversion that published
-        // between the peek and the claim. Re-check residency now that
-        // the claim is exclusive: re-pin and back out instead of
-        // scheduling a no-op flight.
-        if let Some((_, actual)) = st.conversions.peek(id) {
-            st.plans.finish_build(id, epoch, actual);
-            st.in_flight.fetch_sub(1, Ordering::AcqRel);
-            return;
+        match st.conversions.claim(id, reserve) {
+            Claim::Hit(fmt, actual) => {
+                st.count(Landed::Hit);
+                return Served::Selected(fmt, actual);
+            }
+            Claim::Registered(reg) => {
+                // The job owns a clone of its operand, sharing the
+                // arrays (the caller's borrow ends when this request
+                // returns, long before the flight lands).
+                let (state, operand) = (Arc::clone(&self.state), csr.clone());
+                st.counters.mine().flights_scheduled.fetch_add(1, Ordering::Relaxed);
+                self.pool.submit_low(move || run_admission(&state, reg, &operand));
+            }
+            // The id's flight is on its way, or at capacity: serve the
+            // CSR path, retry next request.
+            Claim::Flight(_) | Claim::Declined => {}
         }
-        // The flight owns a clone of its operand, sharing the arrays
-        // (the caller's borrow ends when this request returns, long
-        // before the flight lands).
-        let state = Arc::clone(&self.state);
-        let id = id.to_string();
-        let csr = csr.clone();
-        st.counters.mine().flights_scheduled.fetch_add(1, Ordering::Relaxed);
-        self.pool.submit_low(move || run_admission(&state, &id, &csr, kind, epoch));
+        Served::CsrPath(CsrFormat::balanced_in_order(csr.clone(), st.lanes))
     }
 
     /// Serves and counts one request (a solver handle forces `Sync`).
     fn serve(&self, id: &str, csr: &CsrMatrix, admission: Admission) -> Served {
         let served = match admission {
             Admission::Sync => {
-                let (fmt, kind, _) = self.state.land(id, csr, || self.plan(id, csr), None);
+                let (fmt, kind) = self.state.land(id, csr);
                 Served::Selected(fmt, kind)
             }
             Admission::Async { max_in_flight } => self.serve_async(id, csr, max_in_flight),
@@ -825,7 +823,11 @@ impl Engine {
     ///
     /// The resolution counts as one serve request; `forget` of the id
     /// mid-solve is honored for the tables, but the solve finishes on
-    /// the format handle it already holds (see [`solve`] docs).
+    /// the format handle it already holds (see [`solve`] docs). Under
+    /// asynchronous admission, a handle opened on an id whose admission
+    /// flight is still queued waits for that flight to land rather than
+    /// converting a second copy; the flight runs on the pool's low
+    /// class, so the wait includes the low work queued ahead of it.
     ///
     /// # Panics
     /// Panics, before the request is counted, if the matrix is not
@@ -834,22 +836,15 @@ impl Engine {
         SolveHandle::new(self, id, csr)
     }
 
-    /// Drops the plan and every cached conversion of one matrix id.
-    ///
-    /// An in-flight background admission of the id is cancelled by
-    /// tombstone. The plan is removed **first**: a flight publishes
-    /// only if its epoch-checked `finish_build` succeeds, so once the
-    /// plan is gone any flight that starts (or lands) mid-`forget` has
-    /// its publication vetoed — were conversions cleared first, a
-    /// flight running entirely inside the gap between the two steps
-    /// would still find its Building plan and re-cache the forgotten
-    /// matrix. A flight already registered before this call is
-    /// deregistered by the conversions sweep and publishes nothing
-    /// either. Either way the late conversion can resurrect neither
-    /// the plan nor a cache entry of the forgotten matrix.
+    /// Drops the plan and the cached conversion of one matrix id, and
+    /// withdraws its in-flight conversion, in one conversion-shard
+    /// critical section ([`ShardedConversions::forget`]): a flight
+    /// registered before the call — a queued background admission, a
+    /// running build or one about to publish — publishes neither a
+    /// conversion nor a plan, and a queued admission exits before its
+    /// feature pass.
     pub fn forget(&self, id: &str) {
-        self.state.plans.remove(id);
-        self.state.conversions.forget(id);
+        self.state.conversions.forget(&self.state.plans, id);
     }
 
     /// Blocks until every background admission scheduled so far has
@@ -917,44 +912,22 @@ fn check_operands(csr: &CsrMatrix, x: &[f64], k: usize, y: &[f64]) {
     assert_eq!(y.len(), csr.rows() * k, "y must be a column-major rows × k block");
 }
 
-/// One background admission flight: land `id` with the `epoch` ticket
-/// (`Building → Pinned`), building the claimed `kind` — or, for a claim
-/// that named none, the kind its own feature pass selects, run only if
-/// the flight leads the id's conversion. Runs on the thread pool's
-/// background lane; `state` is the engine's shared serving state, `csr`
-/// the flight's own clone of the operand.
-fn run_admission(
-    state: &Arc<ServeState>,
-    id: &str,
-    csr: &CsrMatrix,
-    kind: Option<FormatKind>,
-    epoch: u64,
-) {
-    /// Releases the admission slot on every exit and aborts a claim the
-    /// flight left `Building` (a panicking build must not wedge the id
-    /// — the next request re-schedules); a landed plan is no longer
-    /// `Building` under this epoch, so then it is a no-op.
-    struct Slot<'a> {
-        state: &'a ServeState,
-        id: &'a str,
-        epoch: u64,
-    }
-    impl Drop for Slot<'_> {
-        fn drop(&mut self) {
-            self.state.plans.abort_build(self.id, self.epoch);
-            self.state.in_flight.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    let _slot = Slot { state, id, epoch };
-    let plan = || kind.unwrap_or_else(|| state.extract_and_select(csr));
-    let (_, _, landed) = state.land(id, csr, plan, Some(epoch));
-    // A format already resident (an earlier flight of this id under
-    // another plan generation) or coalesced just lands the plan. Not a
-    // `swap` — that counter tracks conversions this flight itself built
-    // and published, so it stays exactly one per converted id no matter
-    // how claims interleave.
-    if matches!(landed, Landed::Built { published: true, .. }) {
+/// One background admission flight: leads the registration its request
+/// made — unless a `forget` withdrew it while queued, then it exits
+/// before its feature pass — building the id's planned kind or the one
+/// its own feature pass selects, and publishing it with the plan. Runs
+/// on the thread pool's background lane; `state` is the engine's shared
+/// serving state, `csr` the flight's own clone of the operand. A
+/// panicking feature pass or build releases the admission slot before
+/// the fault propagates to the pool, which contains it.
+fn run_admission(state: &ServeState, reg: Registration, csr: &CsrMatrix) {
+    let led = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.lead(reg, csr)));
+    if let Ok(Some(Landed::Built { published: true, .. })) = led {
         state.counters.mine().swaps.fetch_add(1, Ordering::Relaxed);
+    }
+    state.in_flight.fetch_sub(1, Ordering::AcqRel);
+    if let Err(fault) = led {
+        std::panic::resume_unwind(fault);
     }
 }
 
@@ -1253,6 +1226,44 @@ mod tests {
         assert_eq!(c.requests, 20);
         assert!(c.planned_entries <= 4, "plan table leaked: {} entries", c.planned_entries);
         // Evicted ids still serve correctly (they just re-plan).
+        engine.spmv("id-0", &m, &x, &mut y);
+        assert_eq!(y, x);
+    }
+
+    /// The `Async` side of the bound: a plan is written only when its
+    /// id's conversion publishes, so a queued flight's id has none, and
+    /// the landed ones stay within `plan_capacity`.
+    #[test]
+    fn async_plan_table_is_bounded_by_config() {
+        let cfg = EngineConfig {
+            plan_capacity: 4,
+            admission: Admission::Async { max_in_flight: 64 },
+            ..quick_config()
+        };
+        let engine = Engine::with_selector(cfg, FormatSelector::fit(&[], 1)).unwrap();
+        let m = CsrMatrix::identity(16);
+        let x = vec![1.0; 16];
+        let mut y = vec![0.0; 16];
+        // Park the low class: one gate job per worker (low jobs are
+        // dequeued FIFO, so every flight queues behind the gates).
+        let gate = Arc::new(spmv_parallel::sync::Mutex::new(()));
+        let held = gate.lock();
+        for _ in 0..engine.pool().threads() {
+            let gate = Arc::clone(&gate);
+            engine.pool().submit_low(move || drop(gate.lock()));
+        }
+        for i in 0..20 {
+            engine.spmv(&format!("id-{i}"), &m, &x, &mut y);
+        }
+        let c = engine.counters();
+        assert_eq!(c.admissions_in_flight, 20, "every flight queued behind the gates");
+        assert_eq!(c.planned_entries, 0, "a queued id has a plan");
+        drop(held);
+        engine.drain_admissions();
+        let c = engine.counters();
+        assert_eq!(c.swaps, 20, "every flight landed");
+        assert!(c.planned_entries <= 4, "plan table leaked: {} entries", c.planned_entries);
+        // Evicted plans do not stop their ids serving.
         engine.spmv("id-0", &m, &x, &mut y);
         assert_eq!(y, x);
     }

@@ -3,19 +3,18 @@
 //!
 //! Two structures make the serve path scale past one global lock:
 //!
-//! * [`PlanTable`] — the per-matrix plan lifecycle
-//!   ([`PlanState::Pending`] → [`PlanState::Building`] →
-//!   [`PlanState::Pinned`]), split over N independently locked shards
+//! * [`PlanTable`] — the format each matrix id was last published as,
+//!   an LRU `id → FormatKind` split over N independently locked shards
 //!   (matrix-id hash). Each shard keeps a secondary recency index
 //!   (`last_used` tick → id) so LRU eviction is `O(log n)` per victim
 //!   instead of a linear scan over the shard. Recency matters: an early
 //!   implementation evicted in `BTreeMap` key order, so a hot matrix
 //!   with a lexicographically small id was thrown out (and re-planned)
 //!   on every admission once the table filled. Eviction spares only
-//!   the entry just touched and `Building` claims: no reader holds a
-//!   plan across requests (a [`SolveHandle`](crate::SolveHandle) holds
-//!   its converted format instead), so an evicted plan costs the id at
-//!   most one feature pass on its next miss.
+//!   the entry just touched: no reader holds a plan across requests (a
+//!   [`SolveHandle`](crate::SolveHandle) holds its converted format
+//!   instead), so an evicted plan costs the id at most one feature pass
+//!   on its next miss.
 //! * [`ShardedConversions`] — the converted-format cache, one
 //!   [`ConversionCache`] per shard plus a **single-flight** register:
 //!   concurrent misses on the same id coalesce onto one builder (the
@@ -24,28 +23,42 @@
 //!   Conversion can cost many SpMV-equivalents (SELL-C-σ), so a
 //!   thundering herd of M clients must pay it once, not M times.
 //!
-//! # One conversion per id, landed one way
+//! # One claim per id
 //!
-//! The conversion side holds what the plan table holds: at most one
-//! entry and at most one flight per matrix id. A lookup that finds the
-//! id resident is a hit whatever kind the caller planned, and reports
-//! the resident kind, so a reader still holding a refused plan (ELL over
-//! its padding budget) finds the fallback that built instead, and a
-//! serve asks for its plan only when it leads a conversion. Every
-//! caller that needs a format — the synchronous serve, a background
-//! admission flight, a solver handle, snapshot restore — goes through
-//! [`ShardedConversions::land`], which publishes a build and re-pins the
-//! plan inside **one** conversion-shard critical section, so no reader
-//! sees the resident entry while still being handed the refused plan.
+//! The register is the only claim on an id: at most one flight and at
+//! most one resident entry per id, both kept under the id's
+//! conversion-shard lock. A flight is registered in the same critical
+//! section that finds the id not resident, two ways:
+//!
+//! * [`ShardedConversions::claim`] — an `Async` cold request, which
+//!   hands the [`Registration`] to a pool job that
+//!   [`lead`](ShardedConversions::lead)s it;
+//! * [`ShardedConversions::land`] — every synchronous caller (a `Sync`
+//!   serve, a solver handle, snapshot restore), which hits, waits for
+//!   the registered flight (a queued `Async` one included) or leads.
+//!
+//! Either leader names its kind (the id's plan, else a feature pass)
+//! and builds with no lock held, then publishes: it deregisters its
+//! flight, pins the plan and inserts the conversion in **one**
+//! conversion-shard critical section. [`ShardedConversions::forget`]
+//! deregisters the flight, drops the entry and removes the plan in one
+//! such section too, so a flight registered before a forget publishes
+//! nothing — neither a conversion nor a plan — and a queued job whose
+//! registration was withdrawn exits before it plans.
+//!
+//! A lookup that finds the id resident is a hit whatever kind the
+//! caller planned, and reports the resident kind, so a reader still
+//! holding a refused plan (ELL over its padding budget) finds the
+//! fallback that built instead.
 //!
 //! # Lock ordering
 //!
 //! Both structures hash ids with FNV-1a. A conversion-shard lock may be
-//! held while taking a plan-shard lock (that is exactly what `land`'s
-//! publication does); the reverse never happens — no `PlanTable` method
-//! calls into `ShardedConversions` — so lock ordering is acyclic.
-//! Conversion itself always runs *outside* the shard lock — only the
-//! registration and publication of the result lock the shard.
+//! held while taking a plan-shard lock (publication and `forget` do);
+//! the reverse never happens — no `PlanTable` method calls into
+//! `ShardedConversions` — so lock ordering is acyclic. Conversion
+//! itself always runs *outside* the shard lock — only the registration
+//! and publication of the result lock the shard.
 
 use crate::cache::ConversionCache;
 use spmv_formats::{FormatKind, SparseFormat};
@@ -66,66 +79,17 @@ fn shard_of(id: &str, shards: usize) -> usize {
 // Plan table
 // ---------------------------------------------------------------------
 
-/// Lifecycle of one matrix's serving plan.
-///
-/// ```text
-///  (absent) ──claim──→ Building(None) ──abort──→ (absent)
-///                           │
-/// (admit) → Pending ──claim──→ Building(kind) ──flight lands──→ Pinned
-///              ▲                  │                               │
-///              └──────abort───────┘             (cache eviction) ─┴→ Building
-/// ```
-///
-/// * `Pending` — the format is selected but no conversion has been
-///   scheduled; requests serve the universal CSR path.
-/// * `Building` — a background admission flight owns the conversion
-///   (at most one per plan entry, enforced by
-///   [`PlanTable::try_begin_build`]); requests keep serving the CSR
-///   path until it lands. A claim of an absent id names no kind yet:
-///   its flight extracts and selects before it converts.
-/// * `Pinned` — the conversion landed (or a synchronous resolve
-///   published); requests serve the converted format.
-///
-/// Synchronous admission uses only `Pending` → `Pinned`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanState {
-    /// Format selected, conversion not yet scheduled.
-    Pending(FormatKind),
-    /// A background flight is building the selected format — or, for
-    /// `None`, will select it first.
-    Building(Option<FormatKind>),
-    /// The conversion landed; serve this format.
-    Pinned(FormatKind),
-}
-
-impl PlanState {
-    /// The format this plan names, whatever the stage; `None` for a
-    /// claim whose flight has not selected yet.
-    pub fn kind(&self) -> Option<FormatKind> {
-        match *self {
-            PlanState::Pending(k) | PlanState::Pinned(k) => Some(k),
-            PlanState::Building(k) => k,
-        }
-    }
-}
-
-/// One id's plan and its LRU bookkeeping. Any entry but a `Building`
-/// claim may be evicted, a solved id's included: a live solve runs on
-/// the format it already holds and never reads its plan again.
+/// One id's plan and its LRU bookkeeping. Any entry may be evicted, a
+/// solved id's included: a live solve runs on the format it already
+/// holds and never reads its plan again.
 struct PlanEntry {
-    state: PlanState,
+    kind: FormatKind,
     last_used: u64,
-    /// Build-claim generation: stamped by `try_begin_build`, checked by
-    /// `finish_build`/`abort_build` so a flight that outlives a
-    /// `forget` + re-admission of its id (new epoch) cannot touch the
-    /// successor's plan.
-    epoch: u64,
 }
 
 #[derive(Default)]
 struct PlanShard {
     tick: u64,
-    epoch: u64,
     /// Keys are `Arc<str>` shared with the recency index: refreshing
     /// an entry's recency moves the shared key between index slots
     /// instead of re-allocating the id on every `get`.
@@ -154,27 +118,15 @@ impl PlanShard {
     }
 
     /// Evicts least-recently-used entries until at most `capacity`
-    /// remain, sparing `keep` (just touched) and `Building` entries
-    /// (their flight will pin them momentarily; evicting one would
-    /// orphan the landing — the flight's epoch check would discard the
-    /// finished conversion and the id would convert twice).
+    /// remain, sparing `keep` (just touched).
     fn evict_to_fit(&mut self, capacity: usize, keep: &str) {
         while self.map.len() > capacity {
-            let victim = self
-                .recency
-                .iter()
-                .find(|(_, id)| {
-                    let e = &self.map[&***id];
-                    &***id != keep && !matches!(e.state, PlanState::Building(_))
-                })
-                .map(|(&tick, id)| (tick, Arc::clone(id)));
-            match victim {
-                Some((tick, id)) => {
-                    self.recency.remove(&tick);
-                    self.map.remove(&*id);
-                }
-                None => break, // only spared entries left
-            }
+            let Some(tick) = self.recency.iter().find(|(_, id)| &***id != keep).map(|(&t, _)| t)
+            else {
+                break; // only the spared entry left
+            };
+            let id = self.recency.remove(&tick).expect("found in the index");
+            self.map.remove(&*id);
         }
     }
 
@@ -184,16 +136,15 @@ impl PlanShard {
         }
     }
 
-    /// Touches `id`, or inserts it in `state` when absent (first writer
-    /// wins); then evicts down to `capacity`, sparing `id`. Returns
-    /// `id`'s entry.
-    fn insert(&mut self, id: &str, state: PlanState, capacity: usize) -> &mut PlanEntry {
+    /// Touches `id`, or inserts it naming `kind` when absent; then
+    /// evicts down to `capacity`, sparing `id`. Returns `id`'s entry.
+    fn upsert(&mut self, id: &str, kind: FormatKind, capacity: usize) -> &mut PlanEntry {
         if self.map.contains_key(id) {
             self.touch(id);
         } else {
             let tick = self.next_tick();
             let key: Arc<str> = Arc::from(id);
-            self.map.insert(Arc::clone(&key), PlanEntry { state, last_used: tick, epoch: 0 });
+            self.map.insert(Arc::clone(&key), PlanEntry { kind, last_used: tick });
             self.recency.insert(tick, key);
         }
         self.evict_to_fit(capacity, id);
@@ -201,8 +152,9 @@ impl PlanShard {
     }
 }
 
-/// Sharded map of matrix id → [`PlanState`] with per-shard `O(log n)`
-/// LRU eviction. All methods take `&self`; each shard has its own lock.
+/// Sharded LRU map of matrix id → the [`FormatKind`] its conversion
+/// was published as, with per-shard `O(log n)` eviction. All methods
+/// take `&self`; each shard has its own lock.
 pub struct PlanTable {
     shards: Vec<Mutex<PlanShard>>,
     per_shard_capacity: usize,
@@ -236,120 +188,43 @@ impl PlanTable {
         &self.shards[shard_of(id, self.shards.len())]
     }
 
-    /// Looks up the plan for `id`, refreshing its recency on a hit.
-    pub fn get(&self, id: &str) -> Option<PlanState> {
+    /// The kind `id`'s plan names, refreshing its recency on a hit.
+    pub fn get(&self, id: &str) -> Option<FormatKind> {
         let mut s = self.shard(id).lock();
-        if s.map.contains_key(id) {
-            s.touch(id);
-            Some(s.map[id].state)
-        } else {
-            None
-        }
+        let kind = s.map.get(id)?.kind;
+        s.touch(id);
+        Some(kind)
     }
 
-    /// The kind `id`'s plan names, recency refreshed; or else — the id
-    /// absent, or claimed by a flight that has not selected yet — the
-    /// kind `select` names, run with no lock held and inserted as
-    /// [`PlanTable::insert_pending`] inserts it.
-    pub fn get_or_insert_with(&self, id: &str, select: impl FnOnce() -> FormatKind) -> FormatKind {
-        if let Some(kind) = self.get(id).and_then(|s| s.kind()) {
-            return kind;
-        }
-        let kind = select();
-        self.insert_pending(id, kind).kind().unwrap_or(kind)
-    }
-
-    /// Inserts a `Pending` plan unless an entry is already present
-    /// (first writer wins, like `entry().or_insert`); returns the
-    /// winning state. The entry is touched either way, and the shard
+    /// Plans `id` as `kind` unless it is planned already (first writer
+    /// wins): a snapshot's plan records, which must not overwrite a
+    /// live plan. The entry is touched either way, and the shard
     /// evicted down to capacity.
-    pub fn insert_pending(&self, id: &str, kind: FormatKind) -> PlanState {
-        self.shard(id).lock().insert(id, PlanState::Pending(kind), self.per_shard_capacity).state
+    pub fn insert_pending(&self, id: &str, kind: FormatKind) {
+        self.shard(id).lock().upsert(id, kind, self.per_shard_capacity);
     }
 
-    /// Claims the build of `id`'s plan: `Pending` or `Pinned` (cache
-    /// evicted, needs re-admission) becomes `Building` under its kind,
-    /// and an absent id is inserted `Building(None)` — its flight
-    /// selects. The caller receives `(kind, epoch)`, the epoch being its
-    /// ticket for [`PlanTable::finish_build`]. Returns `None` when the
-    /// entry is already `Building` (someone else owns the flight), so
-    /// at most one background admission exists per plan entry.
-    pub fn try_begin_build(&self, id: &str) -> Option<(Option<FormatKind>, u64)> {
-        let mut s = self.shard(id).lock();
-        if matches!(s.map.get(id), Some(e) if matches!(e.state, PlanState::Building(_))) {
-            return None;
-        }
-        s.epoch += 1;
-        let epoch = s.epoch;
-        let e = s.insert(id, PlanState::Building(None), self.per_shard_capacity);
-        let kind = e.state.kind();
-        e.state = PlanState::Building(kind);
-        e.epoch = epoch;
-        Some((kind, epoch))
-    }
-
-    /// Lands a build claimed with `epoch`: `Building` → `Pinned(actual)`.
-    /// Returns `false` — and changes nothing — when the entry is gone
-    /// (forgotten or evicted) or carries a different epoch (forgotten
-    /// and re-admitted): a stale flight must not resurrect or overwrite
-    /// its successor's plan.
-    pub fn finish_build(&self, id: &str, epoch: u64, actual: FormatKind) -> bool {
-        let mut s = self.shard(id).lock();
-        match s.map.get(id) {
-            Some(e) if matches!(e.state, PlanState::Building(_)) && e.epoch == epoch => {
-                s.touch(id);
-                s.map.get_mut(id).expect("just touched").state = PlanState::Pinned(actual);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Reverts an aborted build (leader panicked or was cancelled):
-    /// `Building(kind)` → `Pending(kind)`, and a claim that never
-    /// selected is removed, so a later request can re-schedule.
-    /// Epoch-checked like [`PlanTable::finish_build`].
-    pub fn abort_build(&self, id: &str, epoch: u64) {
-        let mut s = self.shard(id).lock();
-        match s.map.get_mut(id) {
-            Some(e) if e.epoch == epoch => match e.state {
-                PlanState::Building(Some(kind)) => e.state = PlanState::Pending(kind),
-                PlanState::Building(None) => s.remove(id),
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-
-    /// Pins an **existing** entry to `kind` (used by synchronous
-    /// resolution when a fallback format built instead of the planned
-    /// one). Never inserts: if the plan was evicted or forgotten
-    /// meanwhile, the next request re-plans — a pin that inserted could
-    /// resurrect a forgotten id.
+    /// Plans `id` as `kind`, inserting or overwriting, and evicts the
+    /// shard down to capacity. A publication pins inside its
+    /// conversion-shard critical section, only while its flight is
+    /// still registered, so a forgotten id's flight never re-plans it.
     pub fn pin(&self, id: &str, kind: FormatKind) {
-        let mut s = self.shard(id).lock();
-        if s.map.contains_key(id) {
-            s.touch(id);
-            s.map.get_mut(id).expect("just touched").state = PlanState::Pinned(kind);
-        }
+        self.shard(id).lock().upsert(id, kind, self.per_shard_capacity).kind = kind;
     }
 
-    /// Drops the plan for `id`, if any.
-    pub fn remove(&self, id: &str) {
+    /// Drops the plan for `id`, if any: [`ShardedConversions::forget`]
+    /// does, inside the id's conversion-shard critical section.
+    pub(crate) fn remove(&self, id: &str) {
         self.shard(id).lock().remove(id);
     }
 
-    /// Snapshot export: every plan that names a kind, as `(id, kind)`
-    /// (a claim whose flight has not selected yet is skipped). Each
-    /// shard is locked once and recency is deliberately not refreshed —
+    /// Snapshot export: every plan as `(id, kind)`. Each shard is
+    /// locked once and recency is deliberately not refreshed —
     /// exporting the table must not reorder the LRU it is exporting.
     pub fn export(&self) -> Vec<(String, FormatKind)> {
         let mut out = Vec::new();
         for s in &self.shards {
-            let shard = s.lock();
-            out.extend(
-                shard.map.iter().filter_map(|(id, e)| Some((id.to_string(), e.state.kind()?))),
-            );
+            out.extend(s.lock().map.iter().map(|(id, e)| (id.to_string(), e.kind)));
         }
         out
     }
@@ -370,14 +245,14 @@ impl PlanTable {
 // ---------------------------------------------------------------------
 
 enum FlightState {
-    /// The leader is still converting.
+    /// The flight is queued or its leader is still converting.
     Pending,
     /// The conversion finished; waiters take the shared result. The
     /// format kind is the one that actually built (a fallback may differ
     /// from the kind the leader was asked for).
     Done(CachedFormat, FormatKind),
-    /// The leader died (panicked) without publishing; waiters must
-    /// retry the whole lookup.
+    /// The leader died (panicked) without publishing, or its job found
+    /// the registration withdrawn; waiters must retry the whole lookup.
     Abandoned,
 }
 
@@ -389,7 +264,7 @@ pub struct Flight {
 
 impl Flight {
     /// Blocks until the leader publishes, returning the shared result —
-    /// or `None` if the leader abandoned the flight (retry the lookup).
+    /// or `None` if the flight was abandoned (retry the lookup).
     pub fn wait(&self) -> Option<(CachedFormat, FormatKind)> {
         let mut state = self.state.lock();
         loop {
@@ -400,11 +275,44 @@ impl Flight {
             }
         }
     }
+
+    /// Ends the flight in `state` and wakes every waiter.
+    fn end(&self, state: FlightState) {
+        *self.state.lock() = state;
+        self.ready.notify_all();
+    }
 }
 
 struct ConversionShard {
     cache: ConversionCache,
     inflight: BTreeMap<String, Arc<Flight>>,
+}
+
+/// The outcome of [`ShardedConversions::claim`].
+pub enum Claim {
+    /// The id's conversion was resident; recency refreshed. The kind
+    /// is the resident one.
+    Hit(CachedFormat, FormatKind),
+    /// A flight of the id is registered already; [`Flight::wait`]
+    /// returns its result.
+    Flight(Arc<Flight>),
+    /// `reserve` declined: nothing was registered.
+    Declined,
+    /// This caller registered the id's flight: hand it to
+    /// [`ShardedConversions::lead`].
+    Registered(Registration),
+}
+
+/// An id's flight, registered by [`ShardedConversions::claim`] and not
+/// yet led. It borrows nothing, so the request that made it can hand it
+/// to a pool job and return. [`ShardedConversions::lead`] is its only
+/// consumer: dropped unled, it leaves the id's flight registered and
+/// its waiters blocked (the engine's pool discards a queued job only
+/// when the engine drops, and every waiter's borrow of it with it).
+pub struct Registration {
+    shard: usize,
+    id: String,
+    flight: Arc<Flight>,
 }
 
 /// The outcome of [`ShardedConversions::begin`]: exactly one of the
@@ -427,10 +335,8 @@ pub enum Lookup<'a> {
 /// Leadership of one in-flight conversion (see [`Lookup::Lead`]).
 pub struct FlightGuard<'a> {
     owner: &'a ShardedConversions,
-    shard: usize,
-    id: String,
+    reg: Registration,
     kind: FormatKind,
-    flight: Arc<Flight>,
     finished: bool,
 }
 
@@ -441,55 +347,73 @@ impl FlightGuard<'_> {
         self.kind
     }
 
-    /// Publishes the built format atomically with the caller's plan
-    /// update: inside one conversion-shard critical section, runs
-    /// `publish(actual)` and — when it returns `true` — inserts the
-    /// format into the shard's cache under the kind that actually
-    /// built. Then wakes every waiter (they receive the result either
-    /// way: their requests raced whatever invalidated the publication).
-    ///
-    /// `publish` returning `false` means the caller found its admission
-    /// stale (the id was forgotten, or forgotten and re-admitted, while
-    /// the leader built) — nothing becomes resident, so a late-landing
-    /// conversion can never resurrect a forgotten matrix's cache entry.
-    /// `publish` also never runs if the flight itself was deregistered
-    /// by a [`forget`](ShardedConversions::forget).
-    ///
-    /// `publish` runs with the conversion-shard lock held and may take
-    /// a plan-shard lock (see the module docs on lock ordering); it
-    /// must not call back into [`ShardedConversions`].
-    fn finish_with<P>(mut self, fmt: CachedFormat, actual: FormatKind, publish: P)
+    /// The one lead of every flight: `plan(id)` names the kind and
+    /// `build(kind) -> (format, built kind, refused)` builds it, both
+    /// with no lock held (a panic in either drops the guard, which
+    /// abandons the flight), then the build is published.
+    fn lead<P, B>(
+        mut self,
+        plans: &PlanTable,
+        plan: P,
+        build: B,
+    ) -> (CachedFormat, FormatKind, Landed)
     where
-        P: FnOnce(FormatKind) -> bool,
+        P: FnOnce(&str) -> FormatKind,
+        B: FnOnce(FormatKind) -> (CachedFormat, FormatKind, usize),
     {
-        {
-            let mut shard = self.owner.shards[self.shard].lock();
-            if self.deregister(&mut shard) && publish(actual) {
-                shard.cache.insert(&self.id, actual, Arc::clone(&fmt));
+        self.kind = plan(&self.reg.id);
+        let (fmt, actual, refused) = build(self.kind);
+        let published = self.publish(Arc::clone(&fmt), actual, Some(plans));
+        (fmt, actual, Landed::Built { refused, published })
+    }
+
+    /// Publishes the built format: while this guard's flight is still
+    /// registered, deregisters it, pins `plans` (if given) to the kind
+    /// that actually built and inserts the format into the shard's
+    /// cache under that kind, all in one conversion-shard critical
+    /// section, and returns `true`. Then wakes every waiter — they
+    /// receive the result either way (their requests raced whatever
+    /// withdrew the flight). A flight that a
+    /// [`forget`](ShardedConversions::forget) deregistered publishes
+    /// nothing, so a late conversion never resurrects a forgotten
+    /// matrix's plan or cache entry.
+    fn publish(mut self, fmt: CachedFormat, actual: FormatKind, plans: Option<&PlanTable>) -> bool {
+        let published = {
+            let mut shard = self.owner.shards[self.reg.shard].lock();
+            let registered = self.deregister(&mut shard);
+            if registered {
+                if let Some(plans) = plans {
+                    plans.pin(&self.reg.id, actual);
+                }
+                shard.cache.insert(&self.reg.id, actual, Arc::clone(&fmt));
             }
-        }
-        *self.flight.state.lock() = FlightState::Done(fmt, actual);
-        self.flight.ready.notify_all();
+            registered
+        };
+        self.reg.flight.end(FlightState::Done(fmt, actual));
         self.finished = true;
+        published
     }
 
-    /// `FlightGuard::finish_with` with an unconditional publish — for
-    /// callers with no plan to re-pin.
+    /// Publishes the built format with no plan to pin (see
+    /// [`Lookup::Lead`]).
     pub fn finish(self, fmt: CachedFormat, actual: FormatKind) {
-        self.finish_with(fmt, actual, |_| true);
+        self.publish(fmt, actual, None);
     }
 
-    /// Removes this guard's own flight from the register; returns
-    /// `false` when the entry is gone or belongs to a successor leader
-    /// (a `forget` intervened), in which case this build is stale.
+    /// Whether this guard's own flight is still in the register — not
+    /// withdrawn by a `forget`, nor replaced by a successor's.
+    fn registered(&self, shard: &ConversionShard) -> bool {
+        shard.inflight.get(&self.reg.id).is_some_and(|f| Arc::ptr_eq(f, &self.reg.flight))
+    }
+
+    /// Removes this guard's own flight from the register; `false` when
+    /// it was not [`registered`](FlightGuard::registered).
     fn deregister(&self, shard: &mut ConversionShard) -> bool {
-        match shard.inflight.get(&self.id) {
-            Some(f) if Arc::ptr_eq(f, &self.flight) => {
-                shard.inflight.remove(&self.id);
-                true
-            }
-            _ => false,
+        let registered = self.registered(shard);
+        if registered {
+            shard.inflight.remove(&self.reg.id);
         }
+        registered
     }
 }
 
@@ -498,31 +422,30 @@ impl Drop for FlightGuard<'_> {
         if self.finished {
             return;
         }
-        // Leader died before publishing (a panic in the builder): take
-        // the flight out of the register and tell waiters to retry, so
+        // The leader died before publishing (a panic in its plan or
+        // build), or its job found the registration withdrawn: take the
+        // flight out of the register and tell waiters to retry, so
         // nobody blocks forever on a result that will never come.
-        {
-            let mut shard = self.owner.shards[self.shard].lock();
-            self.deregister(&mut shard);
-        }
-        *self.flight.state.lock() = FlightState::Abandoned;
-        self.flight.ready.notify_all();
+        self.deregister(&mut self.owner.shards[self.reg.shard].lock());
+        self.reg.flight.end(FlightState::Abandoned);
     }
 }
 
-/// How a [`ShardedConversions::land`] call obtained its format.
+/// How a [`ShardedConversions::land`] or
+/// [`ShardedConversions::lead`] call obtained its format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Landed {
     /// The id's conversion was resident.
     Hit,
-    /// Another caller was converting the id; this one waited for it.
+    /// Another caller's flight was converting the id; this one waited
+    /// for it.
     Coalesced,
-    /// This caller built the format and, unless vetoed, published it
-    /// and re-pinned the plan.
+    /// This caller built the format and, unless a `forget` withdrew its
+    /// flight, published it and pinned the plan.
     Built {
         /// Candidates that refused the matrix before one accepted it.
         refused: usize,
-        /// `false` when a `forget` or a stale claim vetoed publication.
+        /// `false` when a `forget` withdrew the flight.
         published: bool,
     },
 }
@@ -569,124 +492,130 @@ impl ShardedConversions {
         }
     }
 
-    /// Atomically classifies a lookup of `id` as resident (whatever its
-    /// kind) → [`Lookup::Hit`], already converting → [`Lookup::Wait`],
-    /// neither → this caller becomes the leader of a `kind` conversion
-    /// ([`Lookup::Lead`]). Cache check and flight registration happen
-    /// under one shard lock, so between a leader's registration and its
+    /// Classifies `id` under its shard lock, in one step: resident
+    /// (whatever its kind) → [`Claim::Hit`]; a flight registered →
+    /// [`Claim::Flight`]; neither → this caller registers the id's
+    /// flight ([`Claim::Registered`]) if `reserve()` agrees, else
+    /// [`Claim::Declined`]. `reserve` runs under the lock and only when
+    /// a registration would follow (`Async` admission takes its
+    /// in-flight slot there), so between a registration and its
     /// publication every other caller is funneled onto the flight — no
     /// window in which a second conversion of the same id can start.
-    pub fn begin(&self, id: &str, kind: FormatKind) -> Lookup<'_> {
-        self.begin_with(id, || kind)
-    }
-
-    /// [`ShardedConversions::begin`] with the kind named lazily: only a
-    /// registered leader calls `plan`, with no lock held (a panicking
-    /// `plan` drops the guard, which abandons the flight).
-    fn begin_with(&self, id: &str, plan: impl FnOnce() -> FormatKind) -> Lookup<'_> {
+    pub fn claim(&self, id: &str, reserve: impl FnOnce() -> bool) -> Claim {
         let si = shard_of(id, self.shards.len());
-        let flight = {
-            let mut shard = self.shards[si].lock();
-            if let Some((fmt, resident)) = shard.cache.resident(id) {
-                return Lookup::Hit(fmt, resident);
-            }
-            if let Some(flight) = shard.inflight.get(id) {
-                return Lookup::Wait(Arc::clone(flight));
-            }
-            let flight =
-                Arc::new(Flight { state: Mutex::new(FlightState::Pending), ready: Condvar::new() });
-            shard.inflight.insert(id.to_string(), Arc::clone(&flight));
-            flight
-        };
-        let mut guard = FlightGuard {
-            owner: self,
-            shard: si,
-            id: id.to_string(),
-            kind: FormatKind::NaiveCsr,
-            flight,
-            finished: false,
-        };
-        guard.kind = plan();
-        Lookup::Lead(guard)
+        let mut shard = self.shards[si].lock();
+        if let Some((fmt, resident)) = shard.cache.resident(id) {
+            return Claim::Hit(fmt, resident);
+        }
+        if let Some(flight) = shard.inflight.get(id) {
+            return Claim::Flight(Arc::clone(flight));
+        }
+        if !reserve() {
+            return Claim::Declined;
+        }
+        let flight =
+            Arc::new(Flight { state: Mutex::new(FlightState::Pending), ready: Condvar::new() });
+        shard.inflight.insert(id.to_string(), Arc::clone(&flight));
+        Claim::Registered(Registration { shard: si, id: id.to_string(), flight })
     }
 
-    /// Non-registering lookup: the format resident for `id` and its
-    /// kind, with recency refreshed, or `None`. Never waits and never
-    /// leads; the asynchronous serve path uses this so a request thread
-    /// cannot be drafted into a conversion.
-    pub fn peek(&self, id: &str) -> Option<(CachedFormat, FormatKind)> {
-        self.shards[shard_of(id, self.shards.len())].lock().cache.resident(id)
+    /// Takes leadership of `reg`, to build `kind`.
+    fn attach(&self, reg: Registration, kind: FormatKind) -> FlightGuard<'_> {
+        FlightGuard { owner: self, reg, kind, finished: false }
     }
 
-    /// Lands a format for `id`: the one landing protocol. Returns the
-    /// format to serve, its kind (the built or resident one, not always
-    /// the planned one) and how it was obtained: a hit; a wait on the
-    /// leader's flight (retried, possibly leading, if that leader
-    /// abandoned); or a lead, which asks `plan()` for the kind to build
-    /// and calls `build(kind) -> (format, built kind, refused)`, both
-    /// with no lock held, then publishes the format and re-pins the plan
-    /// in one critical section. A hit or a wait never calls `plan`.
-    ///
-    /// With a claim `ticket` ([`PlanTable::try_begin_build`]'s epoch) the
-    /// plan lands by `finish_build` on every outcome, and a stale ticket
-    /// (the id was forgotten meanwhile) vetoes the publication. Without
-    /// one, only a leader re-pins the plan, by `pin`. A panicking `build`
-    /// abandons the flight (its waiters retry) and propagates.
+    /// [`ShardedConversions::claim`] with an unconditional reserve:
+    /// resident → [`Lookup::Hit`], already converting →
+    /// [`Lookup::Wait`], neither → this caller leads a `kind`
+    /// conversion ([`Lookup::Lead`]).
+    pub fn begin(&self, id: &str, kind: FormatKind) -> Lookup<'_> {
+        match self.claim(id, || true) {
+            Claim::Hit(fmt, resident) => Lookup::Hit(fmt, resident),
+            Claim::Flight(flight) => Lookup::Wait(flight),
+            Claim::Registered(reg) => Lookup::Lead(self.attach(reg, kind)),
+            Claim::Declined => unreachable!("begin always reserves"),
+        }
+    }
+
+    /// Lands a format for `id` synchronously: the landing of every
+    /// caller but an `Async` admission job. Returns the format to serve,
+    /// its kind (the built or resident one, not always the planned one)
+    /// and how it was obtained: a hit; a wait on the registered flight
+    /// (a queued `Async` one included; retried, possibly leading, if
+    /// that flight is abandoned); or a lead, which asks `plan(id)` for
+    /// the kind and calls `build(kind) -> (format, built kind,
+    /// refused)`, both with no lock held, then publishes the format and
+    /// pins the plan in one critical section. A hit or a wait never
+    /// calls `plan`. A panicking `plan` or `build` abandons the flight
+    /// (its waiters retry) and propagates.
     pub fn land<P, B>(
         &self,
         plans: &PlanTable,
         id: &str,
-        mut plan: P,
-        ticket: Option<u64>,
+        plan: P,
         build: B,
     ) -> (CachedFormat, FormatKind, Landed)
     where
-        P: FnMut() -> FormatKind,
+        P: FnOnce(&str) -> FormatKind,
         B: FnOnce(FormatKind) -> (CachedFormat, FormatKind, usize),
     {
-        let (fmt, kind, landed) = loop {
-            match self.begin_with(id, &mut plan) {
-                Lookup::Hit(fmt, resident) => break (fmt, resident, Landed::Hit),
-                Lookup::Wait(flight) => {
+        loop {
+            match self.claim(id, || true) {
+                Claim::Hit(fmt, resident) => return (fmt, resident, Landed::Hit),
+                Claim::Flight(flight) => {
                     if let Some((fmt, built)) = flight.wait() {
-                        break (fmt, built, Landed::Coalesced);
+                        return (fmt, built, Landed::Coalesced);
                     }
-                    // The leader abandoned; retry — this call may lead.
+                    // The flight was abandoned; retry — this call may lead.
                 }
-                Lookup::Lead(guard) => {
-                    let (fmt, actual, refused) = build(guard.kind());
-                    let mut published = false;
-                    guard.finish_with(Arc::clone(&fmt), actual, |actual| {
-                        published = match ticket {
-                            // A claim publishes only into its own plan
-                            // generation; `pin` never inserts a plan.
-                            Some(epoch) => plans.finish_build(id, epoch, actual),
-                            None => {
-                                plans.pin(id, actual);
-                                true
-                            }
-                        };
-                        published
-                    });
-                    return (fmt, actual, Landed::Built { refused, published });
+                Claim::Registered(reg) => {
+                    return self.attach(reg, FormatKind::NaiveCsr).lead(plans, plan, build)
                 }
+                Claim::Declined => unreachable!("land always reserves"),
             }
-        };
-        if let Some(epoch) = ticket {
-            plans.finish_build(id, epoch, kind);
         }
-        (fmt, kind, landed)
     }
 
-    /// Drops the cached conversion of one matrix id; returns the bytes
-    /// released. An in-flight conversion of the id is deregistered (not
-    /// interrupted): its leader finishes and serves its waiters, but the
-    /// stale result is discarded instead of cached, so a conversion
-    /// racing a forget can never re-populate the cache with the
-    /// pre-forget matrix.
-    pub fn forget(&self, id: &str) -> usize {
+    /// Leads a flight [`ShardedConversions::claim`] registered — the
+    /// `Async` admission job. If a [`forget`](ShardedConversions::forget)
+    /// withdrew the registration while the job was queued, returns
+    /// `None` before `plan` runs and the flight's waiters retry.
+    /// Otherwise leads as [`ShardedConversions::land`] does: `plan(id)`
+    /// names the kind, `build` builds it, and the build is published
+    /// unless a `forget` withdraws the flight meanwhile. The job never
+    /// enters `begin` or `land` for its own id, where it would wait on
+    /// itself.
+    pub fn lead<P, B>(
+        &self,
+        plans: &PlanTable,
+        reg: Registration,
+        plan: P,
+        build: B,
+    ) -> Option<(CachedFormat, FormatKind, Landed)>
+    where
+        P: FnOnce(&str) -> FormatKind,
+        B: FnOnce(FormatKind) -> (CachedFormat, FormatKind, usize),
+    {
+        let guard = self.attach(reg, FormatKind::NaiveCsr);
+        let registered = guard.registered(&self.shards[guard.reg.shard].lock());
+        if !registered {
+            return None; // dropping the guard abandons the flight
+        }
+        Some(guard.lead(plans, plan, build))
+    }
+
+    /// Forgets one matrix id in one conversion-shard critical section:
+    /// deregisters its flight, removes its plan from `plans` and drops
+    /// its resident conversion; returns the bytes released. A
+    /// deregistered flight is not interrupted: a running leader
+    /// finishes and serves its waiters but publishes nothing, and a
+    /// queued job exits before it plans — so no flight registered
+    /// before the forget resurrects the forgotten matrix's conversion
+    /// or plan.
+    pub fn forget(&self, plans: &PlanTable, id: &str) -> usize {
         let mut shard = self.shards[shard_of(id, self.shards.len())].lock();
         shard.inflight.remove(id);
+        plans.remove(id);
         shard.cache.forget(id)
     }
 
@@ -753,7 +682,7 @@ mod tests {
         t.insert_pending("aaa-hot", FormatKind::NaiveCsr);
         for i in 0..10 {
             assert_eq!(
-                t.get("aaa-hot").and_then(|s| s.kind()),
+                t.get("aaa-hot"),
                 Some(FormatKind::NaiveCsr),
                 "hot id evicted after {i} admissions"
             );
@@ -761,7 +690,7 @@ mod tests {
             assert!(t.len() <= 3, "capacity violated");
         }
         // The cold streamers are gone, the hot id survived.
-        assert_eq!(t.get("aaa-hot").and_then(|s| s.kind()), Some(FormatKind::NaiveCsr));
+        assert_eq!(t.get("aaa-hot"), Some(FormatKind::NaiveCsr));
         assert_eq!(t.get("zz-0"), None, "cold LRU entries must be the victims");
     }
 
@@ -831,82 +760,25 @@ mod tests {
             t.insert_pending(&format!("id-{i}"), FormatKind::NaiveCsr);
         }
         assert!(t.len() <= 4, "total bound violated: {}", t.len());
-        // pin() repins an existing entry and get() refreshes without
-        // growing; pin() of an absent id never inserts.
+        // pin() overwrites an existing entry and inserts an absent one;
+        // insert_pending() never overwrites; get() refreshes without
+        // growing.
         t.insert_pending("id-99", FormatKind::NaiveCsr);
         t.pin("id-99", FormatKind::Coo);
-        assert_eq!(t.get("id-99"), Some(PlanState::Pinned(FormatKind::Coo)));
+        assert_eq!(t.get("id-99"), Some(FormatKind::Coo));
+        t.insert_pending("id-99", FormatKind::Ell);
+        assert_eq!(t.get("id-99"), Some(FormatKind::Coo), "the first writer wins");
         t.remove("id-99");
         assert_eq!(t.get("id-99"), None);
-        t.pin("id-99", FormatKind::Coo);
-        assert_eq!(t.get("id-99"), None, "pin must never resurrect a removed plan");
-    }
-
-    #[test]
-    fn build_lifecycle_pending_building_pinned() {
-        let t = PlanTable::new(8, 1);
-        // An absent id is claimable with no kind; aborting the claim
-        // removes it rather than making a kind up.
-        let (kind, epoch) = t.try_begin_build("m").expect("absent is claimable");
-        assert_eq!((kind, t.get("m")), (None, Some(PlanState::Building(None))));
-        assert_eq!(t.try_begin_build("m"), None, "an unplanned claim has one owner too");
-        assert!(t.export().is_empty(), "export skips an unplanned claim");
-        assert_eq!(t.get_or_insert_with("m", || FormatKind::Coo), FormatKind::Coo);
-        assert_eq!(t.get("m"), Some(PlanState::Building(None)), "a Sync plan leaves the claim");
-        t.abort_build("m", epoch);
-        assert_eq!(t.get("m"), None);
-        t.insert_pending("m", FormatKind::Ell);
-        let (kind, epoch) = t.try_begin_build("m").expect("pending is claimable");
-        assert_eq!(kind, Some(FormatKind::Ell));
-        assert_eq!(t.get("m"), Some(PlanState::Building(Some(FormatKind::Ell))));
-        assert_eq!(t.try_begin_build("m"), None, "a building plan has one owner");
-        assert!(t.finish_build("m", epoch, FormatKind::NaiveCsr));
-        assert_eq!(t.get("m"), Some(PlanState::Pinned(FormatKind::NaiveCsr)));
-        // A pinned plan is re-claimable (cache eviction → re-admission).
-        let (kind2, epoch2) = t.try_begin_build("m").expect("pinned is re-claimable");
-        assert_eq!(kind2, Some(FormatKind::NaiveCsr), "re-admission keeps the kind");
-        assert!(epoch2 > epoch, "every claim gets a fresh epoch");
-        t.abort_build("m", epoch2);
-        assert_eq!(t.get("m"), Some(PlanState::Pending(FormatKind::NaiveCsr)));
-    }
-
-    #[test]
-    fn stale_epoch_cannot_finish_or_abort_a_successor_build() {
-        let t = PlanTable::new(8, 1);
-        t.insert_pending("m", FormatKind::Ell);
-        let (_, old_epoch) = t.try_begin_build("m").unwrap();
-        // Forget + re-admit while the old flight is still out.
-        t.remove("m");
-        t.insert_pending("m", FormatKind::Dia);
-        let (_, new_epoch) = t.try_begin_build("m").unwrap();
-        assert!(!t.finish_build("m", old_epoch, FormatKind::NaiveCsr), "stale finish refused");
-        t.abort_build("m", old_epoch); // must be a no-op
-        assert_eq!(t.get("m"), Some(PlanState::Building(Some(FormatKind::Dia))));
-        assert!(t.finish_build("m", new_epoch, FormatKind::Dia));
-    }
-
-    #[test]
-    fn building_entries_are_spared_by_eviction() {
-        let t = PlanTable::new(2, 1);
-        t.insert_pending("building", FormatKind::Ell);
-        let (_, epoch) = t.try_begin_build("building").unwrap();
-        // Stream colder-and-newer ids through the 2-entry shard: the
-        // Building entry is older than every streamer, but must survive
-        // until its flight lands.
-        for i in 0..8 {
-            t.insert_pending(&format!("s{i}"), FormatKind::NaiveCsr);
-            assert_eq!(
-                t.get("building"),
-                Some(PlanState::Building(Some(FormatKind::Ell))),
-                "building plan evicted under streaming pressure (step {i})"
-            );
-        }
-        assert!(t.finish_build("building", epoch, FormatKind::Ell));
+        t.pin("id-99", FormatKind::Ell);
+        assert_eq!(t.get("id-99"), Some(FormatKind::Ell));
+        assert!(t.len() <= 4, "total bound violated: {}", t.len());
     }
 
     #[test]
     fn single_flight_lookup_classifies_hit_lead_wait() {
         let c = ShardedConversions::new(1 << 20, 4);
+        let plans = PlanTable::new(16, 2);
         let Lookup::Lead(guard) = c.begin("m", FormatKind::NaiveCsr) else {
             panic!("first lookup must lead");
         };
@@ -922,7 +794,7 @@ mod tests {
         assert!(matches!(c.begin("m", FormatKind::NaiveCsr), Lookup::Hit(_, _)));
         assert_eq!(c.len(), 1);
         assert!(c.bytes_resident() > 0);
-        c.forget("m");
+        c.forget(&plans, "m");
         assert!(c.is_empty());
     }
 
@@ -933,26 +805,24 @@ mod tests {
     #[test]
     fn stale_kind_lookup_hits_the_fallback_entry() {
         let c = ShardedConversions::new(1 << 20, 2);
+        let plans = PlanTable::new(16, 2);
         let Lookup::Lead(guard) = c.begin("m", FormatKind::Dia) else { panic!("lead") };
         // DIA refused; CSR built instead.
-        let mut pinned = None;
-        guard.finish_with(fmt_of(8), FormatKind::NaiveCsr, |actual| {
-            pinned = Some(actual);
-            true
-        });
-        assert_eq!(pinned, Some(FormatKind::NaiveCsr), "publish hook saw the actual kind");
+        assert!(guard.publish(fmt_of(8), FormatKind::NaiveCsr, Some(&plans)));
+        assert_eq!(plans.get("m"), Some(FormatKind::NaiveCsr), "pinned to the actual kind");
         // The racing reader that read the plan before the re-pin:
         match c.begin("m", FormatKind::Dia) {
             Lookup::Hit(_, kind) => assert_eq!(kind, FormatKind::NaiveCsr),
             _ => panic!("stale-plan lookup led a second refused conversion"),
         }
-        // peek() answers the same way.
-        let (_, kind) = c.peek("m").expect("the id's entry is resident");
+        // A claim answers the same way.
+        let Claim::Hit(_, kind) = c.claim("m", || true) else { panic!("the entry is resident") };
         assert_eq!(kind, FormatKind::NaiveCsr);
         assert_eq!(c.len(), 1, "exactly one resident entry");
-        // forget clears the entry.
-        c.forget("m");
-        assert!(c.peek("m").is_none());
+        // forget clears the entry and the plan.
+        c.forget(&plans, "m");
+        assert!(c.is_empty());
+        assert_eq!(plans.get("m"), None);
         assert!(matches!(c.begin("m", FormatKind::Dia), Lookup::Lead(_)));
     }
 
@@ -992,42 +862,51 @@ mod tests {
             }
             // DIA refused; publish the CSR fallback and re-pin the
             // plan inside the publication critical section.
-            guard.finish_with(fmt_of(8), FormatKind::NaiveCsr, |actual| {
-                plans.pin("m", actual);
-                true
-            });
+            guard.publish(fmt_of(8), FormatKind::NaiveCsr, Some(&plans));
         });
         assert_eq!(
             extra_leads.load(Ordering::Relaxed),
             0,
             "a stale-plan reader led a redundant refused conversion"
         );
-        assert_eq!(plans.get("m"), Some(PlanState::Pinned(FormatKind::NaiveCsr)));
+        assert_eq!(plans.get("m"), Some(FormatKind::NaiveCsr));
         assert_eq!(c.len(), 1, "exactly one resident entry");
     }
 
+    /// A claimed flight whose id is forgotten while it builds: its
+    /// publication is vetoed — no entry, no plan — but its waiter is
+    /// still served.
     #[test]
     fn vetoed_publication_caches_nothing_but_serves_waiters() {
-        // The publish hook returning false (stale admission: the id was
-        // forgotten and re-admitted while the leader built) must keep
-        // the result out of the cache while still waking waiters.
         let c = ShardedConversions::new(1 << 20, 2);
-        let Lookup::Lead(guard) = c.begin("m", FormatKind::NaiveCsr) else { panic!("lead") };
-        let Lookup::Wait(flight) = c.begin("m", FormatKind::NaiveCsr) else { panic!("wait") };
-        guard.finish_with(fmt_of(8), FormatKind::NaiveCsr, |_| false);
+        let plans = PlanTable::new(16, 2);
+        let Claim::Registered(reg) = c.claim("m", || true) else { panic!("a cold id registers") };
+        let Claim::Flight(flight) = c.claim("m", || true) else { panic!("one flight per id") };
+        let led = c.lead(
+            &plans,
+            reg,
+            |_| FormatKind::Ell,
+            |kind| {
+                c.forget(&plans, "m");
+                (fmt_of(8), kind, 0)
+            },
+        );
+        let how = led.map(|(_, _, how)| how);
+        assert_eq!(how, Some(Landed::Built { refused: 0, published: false }));
         assert!(flight.wait().is_some(), "waiters still served");
-        assert!(c.is_empty(), "vetoed publication must not become resident");
+        assert!(c.is_empty() && plans.is_empty(), "vetoed publication must not become resident");
     }
 
     #[test]
-    fn peek_never_leads_or_waits() {
+    fn a_declined_claim_registers_nothing_and_never_waits() {
         let c = ShardedConversions::new(1 << 20, 2);
-        assert!(c.peek("m").is_none());
-        // An open flight: peek still returns None instead of blocking.
+        assert!(matches!(c.claim("m", || false), Claim::Declined));
+        // An open flight: a claim reports it instead of blocking, and
+        // `reserve` is not asked.
         let Lookup::Lead(guard) = c.begin("m", FormatKind::NaiveCsr) else { panic!("lead") };
-        assert!(c.peek("m").is_none(), "peek must not wait on the flight");
+        assert!(matches!(c.claim("m", || unreachable!("no reservation")), Claim::Flight(_)));
         guard.finish(fmt_of(8), FormatKind::NaiveCsr);
-        assert!(c.peek("m").is_some());
+        assert!(matches!(c.claim("m", || unreachable!("no reservation")), Claim::Hit(..)));
     }
 
     #[test]
@@ -1044,28 +923,27 @@ mod tests {
     #[test]
     fn forget_during_flight_discards_the_stale_publication() {
         let c = ShardedConversions::new(1 << 20, 2);
+        let plans = PlanTable::new(16, 2);
         let Lookup::Lead(guard) = c.begin("m", FormatKind::NaiveCsr) else { panic!("lead") };
         let Lookup::Wait(flight) = c.begin("m", FormatKind::NaiveCsr) else { panic!("wait") };
         // The matrix changes in place while the leader still converts.
-        c.forget("m");
-        let mut published = false;
-        guard.finish_with(fmt_of(8), FormatKind::NaiveCsr, |_| {
-            published = true;
-            true
-        });
-        assert!(!published, "publish hook must not run for a deregistered flight");
+        c.forget(&plans, "m");
+        assert!(!guard.publish(fmt_of(8), FormatKind::NaiveCsr, Some(&plans)), "published");
         // The waiter's request raced the forget — it may see the old
-        // result — but the stale conversion must not become resident.
+        // result — but the stale conversion must not become resident,
+        // nor its plan.
         assert!(flight.wait().is_some());
         assert!(c.is_empty(), "stale flight re-populated the cache after forget");
+        assert_eq!(plans.get("m"), None, "stale flight re-planned the id after forget");
         assert!(matches!(c.begin("m", FormatKind::NaiveCsr), Lookup::Lead(_)));
     }
 
     #[test]
     fn stale_leader_does_not_disturb_its_successor() {
         let c = ShardedConversions::new(1 << 20, 2);
+        let plans = PlanTable::new(16, 2);
         let Lookup::Lead(old) = c.begin("m", FormatKind::Coo) else { panic!("old lead") };
-        c.forget("m");
+        c.forget(&plans, "m");
         // A post-forget request starts a fresh flight under the same key.
         let Lookup::Lead(new) = c.begin("m", FormatKind::Coo) else { panic!("new lead") };
         let Lookup::Wait(w) = c.begin("m", FormatKind::Coo) else { panic!("wait on new") };
@@ -1076,6 +954,52 @@ mod tests {
         new.finish(fmt_of(8), FormatKind::Coo);
         assert!(w.wait().is_some(), "successor's waiter served");
         assert_eq!(c.len(), 1);
+    }
+
+    /// A claimed registration is led by its owner — here the test
+    /// thread, standing in for the admission job — while a synchronous
+    /// `land` of the same id waits for it instead of building a second
+    /// copy, and the lead pins the plan.
+    #[test]
+    fn a_claimed_flight_is_waited_for_by_land_and_pins_its_plan() {
+        let c = ShardedConversions::new(1 << 20, 2);
+        let plans = PlanTable::new(16, 2);
+        let Claim::Registered(reg) = c.claim("m", || true) else { panic!("a cold id registers") };
+        let Claim::Flight(flight) = c.claim("m", || true) else { panic!("one flight per id") };
+        let (landed, led) = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                c.land(&plans, "m", |_| unreachable!("a waiter plans"), |_| unreachable!("builds"))
+            });
+            // Register, the registration, this probe and the waiter's
+            // own `Flight`: the waiter is on the flight before the lead.
+            while Arc::strong_count(&flight) < 4 {
+                std::thread::yield_now();
+            }
+            let led = c.lead(&plans, reg, |_| FormatKind::Ell, |kind| (fmt_of(8), kind, 0));
+            (waiter.join().unwrap(), led)
+        });
+        let (fmt, kind, how) = led.expect("a live registration leads");
+        assert_eq!((kind, how), (FormatKind::Ell, Landed::Built { refused: 0, published: true }));
+        assert!(Arc::ptr_eq(&landed.0, &fmt), "the waiter got the lead's format");
+        assert_eq!((landed.1, landed.2), (FormatKind::Ell, Landed::Coalesced));
+        assert_eq!(plans.get("m"), Some(FormatKind::Ell));
+        assert_eq!(c.len(), 1);
+    }
+
+    /// A registration withdrawn by `forget` while its job is queued:
+    /// the job exits before it plans, publishes nothing, and its
+    /// waiter retries and leads the id's next incarnation.
+    #[test]
+    fn a_withdrawn_registration_exits_before_it_plans() {
+        let c = ShardedConversions::new(1 << 20, 2);
+        let plans = PlanTable::new(16, 2);
+        let Claim::Registered(reg) = c.claim("m", || true) else { panic!("a cold id registers") };
+        let Claim::Flight(flight) = c.claim("m", || true) else { panic!("one flight per id") };
+        c.forget(&plans, "m");
+        assert!(c.lead(&plans, reg, |_| unreachable!("planned"), |_| unreachable!()).is_none());
+        assert!(flight.wait().is_none(), "the waiter retries");
+        assert!(c.is_empty() && plans.is_empty(), "a withdrawn flight published");
+        assert!(matches!(c.claim("m", || true), Claim::Registered(_)), "the id is free");
     }
 
     #[test]
@@ -1115,7 +1039,6 @@ mod tests {
     fn a_panicking_build_is_contained_and_its_waiter_builds_once() {
         let c = ShardedConversions::new(1 << 20, 2);
         let plans = PlanTable::new(16, 2);
-        plans.insert_pending("m", FormatKind::NaiveCsr);
         let builds = AtomicUsize::new(0);
         let (building, fail) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
         let ((fmt, _, landed), leader) = std::thread::scope(|s| {
@@ -1124,8 +1047,7 @@ mod tests {
                     c.land(
                         &plans,
                         "m",
-                        || FormatKind::NaiveCsr,
-                        None,
+                        |_| FormatKind::NaiveCsr,
                         |_| {
                             building.wait();
                             fail.wait();
@@ -1142,8 +1064,7 @@ mod tests {
                 c.land(
                     &plans,
                     "m",
-                    || FormatKind::NaiveCsr,
-                    None,
+                    |_| FormatKind::NaiveCsr,
                     |kind| {
                         builds.fetch_add(1, Ordering::Relaxed);
                         (fmt_of(8), kind, 0)
@@ -1167,7 +1088,7 @@ mod tests {
             Lookup::Hit(resident, _) => assert!(Arc::ptr_eq(&resident, &fmt), "the waiter's build"),
             _ => panic!("the waiter's build is resident"),
         }
-        assert_eq!(plans.get("m"), Some(PlanState::Pinned(FormatKind::NaiveCsr)));
+        assert_eq!(plans.get("m"), Some(FormatKind::NaiveCsr));
         assert!(matches!(c.begin("fresh", FormatKind::NaiveCsr), Lookup::Lead(_)));
     }
 }

@@ -36,19 +36,21 @@
 //! or conversion of a kind the engine does not serve (outside
 //! [`FormatKind::SERVING`]) refused as [`SnapshotError::NotServed`] —
 //! before the engine is touched, so a corrupt snapshot leaves a live
-//! engine unchanged. Landing then goes through the *same* admission machinery
-//! a background conversion flight uses ([`PlanTable::try_begin_build`]
-//! epoch tickets, [`ShardedConversions::land`] publication), which is
-//! what makes restore safe to run concurrently with live serves:
+//! engine unchanged. Each conversion then lands through
+//! [`ShardedConversions::land`], the one claim every synchronous caller
+//! makes on an id, which is what makes restore safe to run concurrently
+//! with live serves:
 //!
-//! * a plan already present wins over the snapshot's (first writer
-//!   wins, exactly like racing admissions), and a plan a live
-//!   admission flight owns is skipped;
-//! * an id whose conversion is already resident keeps it, and an id a
-//!   live leader is converting is waited for — restore never publishes
-//!   over a live flight; either way the record counts as skipped;
-//! * a `forget` racing the restore vetoes the publication through the
-//!   usual epoch check, so restore cannot resurrect a forgotten id;
+//! * a plan already present wins over the snapshot's plan record
+//!   (first writer wins);
+//! * an id whose conversion is already resident keeps it, and an id
+//!   with a registered flight — a live leader, or a queued background
+//!   admission — is waited for: restore never publishes over a live
+//!   flight; either way the record counts as skipped. Otherwise the
+//!   restore leads: it publishes the decoded format and pins the plan
+//!   to its kind, as any leader does;
+//! * a `forget` racing the restore withdraws its flight, which then
+//!   publishes nothing, so restore cannot resurrect a forgotten id;
 //! * restored conversions land through the shard caches' normal
 //!   insert/evict path, so the configured byte budget holds (restore
 //!   evicts, never overshoots).
@@ -58,7 +60,6 @@
 //! documented on [`EngineCounters`](crate::EngineCounters) keep holding
 //! across a snapshot/restore cycle.
 //!
-//! [`PlanTable::try_begin_build`]: crate::shard::PlanTable::try_begin_build
 //! [`ShardedConversions::land`]: crate::shard::ShardedConversions::land
 
 use crate::shard::{CachedFormat, Landed};
@@ -166,8 +167,8 @@ pub struct RestoreStats {
     pub conversions_restored: usize,
     /// Conversion records skipped because live state won the race: the
     /// id's conversion was already resident or being built (restore
-    /// waits for that flight), a live admission flight owned the plan,
-    /// or a concurrent `forget` vetoed the publication.
+    /// waits for that flight, a queued background admission included),
+    /// or a concurrent `forget` withdrew the restore's own flight.
     pub conversions_skipped: usize,
 }
 
@@ -325,22 +326,12 @@ impl Engine {
             stats.plans_restored += 1;
         }
 
+        let st = &self.state;
         for (id, kind, fmt) in parsed.conversions {
-            // Claim the plan's build exactly like a scheduled admission
-            // flight would: the epoch ticket is what lets a concurrent
-            // `forget` (or forget + re-admission) veto this landing.
-            self.state.plans.insert_pending(&id, kind);
-            let Some((_, epoch)) = self.state.plans.try_begin_build(&id) else {
-                // A live flight owns this plan; its conversion is
-                // fresher than the snapshot's. Skip, never contend.
-                stats.conversions_skipped += 1;
-                continue;
-            };
-            // A resident conversion, or a live leader's (waited for), wins
-            // over the snapshot's; else the "build" is the decoded format.
-            let st = &self.state;
-            let (_, _, landed) =
-                st.conversions.land(&st.plans, &id, || kind, Some(epoch), |_| (fmt, kind, 0));
+            // A resident conversion, or a registered flight's (waited
+            // for), wins over the snapshot's; else the "build" is the
+            // decoded format, published with its plan.
+            let (_, _, landed) = st.conversions.land(&st.plans, &id, |_| kind, |_| (fmt, kind, 0));
             if matches!(landed, Landed::Built { published: true, .. }) {
                 stats.conversions_restored += 1;
             } else {

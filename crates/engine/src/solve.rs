@@ -9,8 +9,9 @@
 //!
 //! - **Resolve once.** The handle resolves the plan synchronously at
 //!   construction (even under asynchronous admission: the conversion
-//!   will be amortized over the whole solve) and holds the served
-//!   format's `Arc` for its lifetime. Iterations never touch the plan
+//!   will be amortized over the whole solve — or, when the id's
+//!   admission flight is already queued, the handle waits for it) and
+//!   holds the served format's `Arc` for its lifetime. Iterations never touch the plan
 //!   table or conversion cache again, so nothing there is held for
 //!   them: LRU eviction and `forget` of the id mid-solve clear the
 //!   tables as for any other id, and the solve finishes on the format

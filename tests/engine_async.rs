@@ -166,7 +166,7 @@ fn async_admission_serves_immediately_then_swaps_deterministically() {
         c.flights_scheduled,
         cases.len() as u64,
         "exactly one flight claimed per id: the first request of each id \
-         scheduled it, every later request saw Building and deferred"
+         registered it, every later request found it registered and deferred"
     );
     assert_eq!(c.admissions_in_flight, cases.len(), "every flight still queued behind the gates");
     assert_eq!(c.pool.low_tasks, 0, "no low job finished while the gates were held");

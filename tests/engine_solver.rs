@@ -4,18 +4,22 @@
 //! `solves` / `solver_iterations` fields and the live-handle gauge
 //! `pinned_plans`, one resolution per handle — a handle keeps solving
 //! on the format it holds after LRU eviction of its plan and its
-//! conversion, and after `forget` of its id — and the typed breakdown
-//! errors.
+//! conversion, and after `forget` of its id; under asynchronous
+//! admission a handle waits for its id's queued flight — and the typed
+//! breakdown errors.
 
 use spmv_suite::core::CsrMatrix;
-use spmv_suite::engine::{Engine, EngineConfig, SolveError, TrainingPlan};
+use spmv_suite::engine::{Admission, Engine, EngineConfig, SolveError, TrainingPlan};
+use spmv_suite::formats::FormatKind;
 use spmv_suite::gen::dataset::DatasetSize;
 use spmv_suite::gen::structured::stencil_2d;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const SCALE: f64 = 16384.0;
 
-fn engine_with(plan_capacity: usize, cache_capacity_bytes: usize) -> Engine {
-    Engine::new(EngineConfig {
+fn config(plan_capacity: usize, cache_capacity_bytes: usize) -> EngineConfig {
+    EngineConfig {
         device: "AMD-EPYC-24".into(),
         scale: SCALE,
         k: 1,
@@ -25,38 +29,35 @@ fn engine_with(plan_capacity: usize, cache_capacity_bytes: usize) -> Engine {
         shards: 1,
         training: TrainingPlan { size: DatasetSize::Small, stride: 40, base_seed: 0xA11CE },
         ..EngineConfig::default()
-    })
-    .expect("builtin training")
+    }
+}
+
+fn engine_with(plan_capacity: usize, cache_capacity_bytes: usize) -> Engine {
+    Engine::new(config(plan_capacity, cache_capacity_bytes)).expect("builtin training")
 }
 
 fn engine() -> Engine {
     engine_with(1 << 16, 64 << 20)
 }
 
-/// Upwind convection-diffusion on an `n x n` grid: diagonally dominant
-/// but *not* symmetric — CG's no-man's-land, BiCGStab's home turf.
+/// Upwind convection-diffusion on an `n x n` grid: `stencil_2d`'s
+/// convection at `p = q = 0.5` (−1.5 upwind, −0.5 downwind) with 0.5
+/// more on the diagonal — diagonally dominant but *not* symmetric,
+/// CG's no-man's-land, BiCGStab's home turf.
 fn convection_2d(n: usize) -> CsrMatrix {
-    let dim = n * n;
-    let mut t: Vec<(usize, usize, f64)> = Vec::with_capacity(5 * dim);
-    for i in 0..n {
-        for j in 0..n {
-            let r = i * n + j;
-            t.push((r, r, 4.5));
-            if i > 0 {
-                t.push((r, r - n, -1.5)); // upwind: heavier than the
-            }
-            if i + 1 < n {
-                t.push((r, r + n, -0.5)); // downwind neighbor
-            }
-            if j > 0 {
-                t.push((r, r - 1, -1.5));
-            }
-            if j + 1 < n {
-                t.push((r, r + 1, -0.5));
-            }
-        }
+    let mut a = stencil_2d(n, 0.5, 0.5);
+    let diagonal: Vec<usize> = (0..a.rows())
+        .map(|r| {
+            (a.row_ptr()[r]..a.row_ptr()[r + 1])
+                .find(|&k| a.col_idx()[k] as usize == r)
+                .expect("a stencil row holds its diagonal")
+        })
+        .collect();
+    let values = a.values_mut();
+    for k in diagonal {
+        values[k] += 0.5; // 4.0 + 0.5 = 4.5, exact
     }
-    CsrMatrix::from_triplets(dim, dim, &t).expect("stencil is valid")
+    a
 }
 
 /// Max-norm residual of `A·x - b`, computed independently of the
@@ -261,6 +262,50 @@ fn solve_racing_forget_finishes_on_the_pinned_plan() {
     handle2.cg(&b, 1e-10, 2_000).expect("successor handle works");
     drop(handle2);
     assert_eq!(engine.counters().pinned_plans, 0);
+}
+
+/// Under asynchronous admission, a solver opened on an id whose
+/// admission flight is still queued waits for that flight instead of
+/// converting a second copy: the low class is parked behind one gate
+/// job per worker (as in `engine_async.rs`), a cold serve queues the
+/// id's flight, and the handle cannot resolve until the gates open.
+#[test]
+fn a_solver_waits_for_its_ids_queued_async_flight() {
+    let admission = Admission::Async { max_in_flight: 4 };
+    let engine = Engine::new(EngineConfig { admission, ..config(1 << 16, 64 << 20) })
+        .expect("builtin training");
+    let a = stencil_2d(12, 0.0, 0.0);
+    let b = vec![1.0; a.rows()];
+    let (x, mut y) = (vec![1.0; a.cols()], vec![0.0; a.rows()]);
+
+    let gate = Arc::new(Mutex::new(()));
+    let held = gate.lock().unwrap();
+    for _ in 0..engine.pool().threads() {
+        let gate = Arc::clone(&gate);
+        engine.pool().submit_low(move || drop(gate.lock()));
+    }
+    assert_eq!(engine.spmv("queued", &a, &x, &mut y), FormatKind::NaiveCsr, "a cold serve");
+    assert_eq!(engine.counters().admissions_in_flight, 1, "the id's flight is queued");
+
+    let out = std::thread::scope(|s| {
+        let solver = s.spawn(|| {
+            let mut handle = engine.solver("queued", &a);
+            handle.cg(&b, 1e-10, 2_000).expect("SPD system converges")
+        });
+        // The assertion holds however long this pauses: the handle
+        // cannot resolve while the gates hold its id's flight. The pause
+        // gives a handle that converts on its own the time to finish,
+        // which is how this fails on code that does not wait.
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(!solver.is_finished(), "the handle resolved past the queued flight");
+        drop(held);
+        solver.join().expect("solver thread")
+    });
+    assert!(out.converged, "stalled at residual {}", out.residual);
+    engine.drain_admissions();
+    let c = engine.counters();
+    assert_eq!(c.conversions, 1, "the handle converted a second copy");
+    assert_eq!(c.swaps, 1, "the queued flight, not the handle, converted");
 }
 
 #[test]
